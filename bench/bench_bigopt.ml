@@ -116,8 +116,8 @@ let scale_cell shape nodes =
     s_cost = r1.Optimizer.est_cost;
     s_seconds = s1;
     s_work = w1;
-    s_expanded = r1.Optimizer.statuses_expanded;
-    s_considered = r1.Optimizer.plans_considered;
+    s_expanded = r1.Optimizer.work.Work.expansions;
+    s_considered = r1.Optimizer.work.Work.plans_considered;
     s_deterministic =
       w1.Work.expansions = w2.Work.expansions
       && w1.Work.plans_considered = w2.Work.plans_considered
@@ -168,27 +168,6 @@ let extrapolate_dp ladder ~target =
       Some (exp (a +. (b *. float_of_int target)))
   | _ -> None
 
-(* ---------- gate 5: Table 2 under the default engine ---------- *)
-
-let expected_considered =
-  [
-    ("DP", 520);
-    ("DPP'", 226);
-    ("DPP", 163);
-    ("DPAP-EB", 69);
-    ("DPAP-LD", 42);
-    ("FP", 18);
-  ]
-
-let table2_exact () =
-  let rows = Experiment.table2 () in
-  List.length rows = List.length expected_considered
-  && List.for_all
-       (fun (r : Experiment.table2_row) ->
-         List.assoc_opt r.Experiment.algo_name expected_considered
-         = Some r.Experiment.considered)
-       rows
-
 (* ---------- main ---------- *)
 
 let () =
@@ -223,7 +202,7 @@ let () =
   (match extrapolated with
   | Some t -> Printf.printf "DP extrapolated to n=30: %.3e s\n" t
   | None -> Printf.printf "DP extrapolation: insufficient ladder\n");
-  let counters_exact = table2_exact () in
+  let counters_exact = Experiment.table2_matches (Experiment.table2 ()) in
   let pass =
     equal_small && subsecond_30 && deterministic && dp_infeasible
     && counters_exact

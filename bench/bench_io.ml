@@ -3,7 +3,7 @@
    Four deterministic gates:
 
    1. Differential — every workload query run Mem and Disk must produce
-      identical tuples, identical executor metrics, and identical Work
+      identical tuples, identical executor work, and identical Work
       counters modulo the IO fields (io_items stays equal; only
       page_touches may differ).  Table 2's plan counters must also come
       out exact (520/226/163/69/42/18) — optimizer state is storage-
@@ -70,16 +70,6 @@ let tuples_equal (a : Tuple.t array) (b : Tuple.t array) =
   Array.iteri (fun i t -> if not (Tuple.equal t b.(i)) then ok := false) a;
   !ok
 
-let metrics_equal (a : Metrics.t) (b : Metrics.t) =
-  a.Metrics.index_items = b.Metrics.index_items
-  && a.Metrics.stack_ops = b.Metrics.stack_ops
-  && a.Metrics.io_items = b.Metrics.io_items
-  && a.Metrics.sorted_items = b.Metrics.sorted_items
-  && a.Metrics.output_tuples = b.Metrics.output_tuples
-  && a.Metrics.skipped_items = b.Metrics.skipped_items
-  && a.Metrics.joins = b.Metrics.joins
-  && a.Metrics.sorts = b.Metrics.sorts
-
 let misses db =
   match Column_store.io_stats (Database.store db) with
   | Some s -> s.Pager.misses
@@ -119,8 +109,7 @@ let diff_query (query : Workload.query) =
   let identical =
     tuples_equal rm.Database.exec.Executor.tuples
       rd.Database.exec.Executor.tuples
-    && metrics_equal rm.Database.exec.Executor.metrics
-         rd.Database.exec.Executor.metrics
+    && Work.equal rm.Database.exec.Executor.work rd.Database.exec.Executor.work
     && Work.equal_mod_io wm wd
     && Work.core_score wm = Work.core_score wd
     && wm.Work.io_items = wd.Work.io_items
@@ -173,7 +162,7 @@ type savings_row = {
   sid : string;
   lazy_misses : int;
   full_misses : int;
-  skipped_items : int;
+  items_skipped : int;
 }
 
 (* finer pages here: a skipped run only saves IO once it spans whole
@@ -202,35 +191,14 @@ let savings_query (query : Workload.query) =
     sid = query.Workload.id;
     lazy_misses;
     full_misses;
-    skipped_items =
-      run.Database.exec.Executor.metrics.Metrics.skipped_items;
+    items_skipped =
+      run.Database.exec.Executor.work.Work.items_skipped;
   }
 
 (* the deep-chain pure-tag queries: every label is a plain tag test, so
    the columnar engine serves each scan from a lazy leaf *)
 let savings_ids =
   [ "Q.DBLP.1.b"; "Q.DBLP.2.c"; "Q.Pers.1.a"; "Q.Pers.3.d"; "Q.Pers.4.d" ]
-
-(* ---------- Table 2 ---------- *)
-
-let expected_considered =
-  [
-    ("DP", 520);
-    ("DPP'", 226);
-    ("DPP", 163);
-    ("DPAP-EB", 69);
-    ("DPAP-LD", 42);
-    ("FP", 18);
-  ]
-
-let table2_exact () =
-  let rows = Experiment.table2 () in
-  List.length rows = List.length expected_considered
-  && List.for_all
-       (fun (r : Experiment.table2_row) ->
-         List.assoc_opt r.Experiment.algo_name expected_considered
-         = Some r.Experiment.considered)
-       rows
 
 (* ---------- paper scale (opt-in) ---------- *)
 
@@ -288,7 +256,7 @@ let () =
         (if r.identical then "" else "  !! MISMATCH"))
     diffs;
   let all_identical = List.for_all (fun r -> r.identical) diffs in
-  let counters_exact = table2_exact () in
+  let counters_exact = Experiment.table2_matches (Experiment.table2 ()) in
   (* gate 2 *)
   let sweep = sweep_query (Workload.find "Q.Pers.3.d") in
   Printf.printf "pool sweep (Q.Pers.3.d): ";
@@ -308,7 +276,7 @@ let () =
   List.iter
     (fun s ->
       Printf.printf "lazy leaves %-12s: %d misses vs %d full-scan (%d skipped)\n"
-        s.sid s.lazy_misses s.full_misses s.skipped_items)
+        s.sid s.lazy_misses s.full_misses s.items_skipped)
     savings;
   let lazy_never_worse =
     List.for_all (fun s -> s.lazy_misses <= s.full_misses) savings
@@ -394,7 +362,7 @@ let () =
                      ("id", Json.Str s.sid);
                      ("lazy_misses", Json.Int s.lazy_misses);
                      ("full_scan_misses", Json.Int s.full_misses);
-                     ("skipped_items", Json.Int s.skipped_items);
+                     ("items_skipped", Json.Int s.items_skipped);
                    ])
                savings) );
         ( "grounding",

@@ -9,8 +9,8 @@
    runners included:
 
    - every parallel run must be bit-identical to the serial reference —
-     same tuples, same order, same executor counters including
-     skipped_items;
+     same tuples, same order, same executor work including
+     items_skipped;
    - the Table 2 plan-space counters must come out exact
      (520/226/163/69/42/18);
    - the deterministic work counters must be bit-identical across pool
@@ -76,18 +76,6 @@ let tuples_equal (a : Tuple.t array) (b : Tuple.t array) =
   Array.iteri (fun i t -> if not (Tuple.equal t b.(i)) then ok := false) a;
   !ok
 
-(* Every field, skipped_items included: parallel shards must reproduce
-   the serial accounting exactly, not just the result set. *)
-let metrics_equal (a : Metrics.t) (b : Metrics.t) =
-  a.Metrics.index_items = b.Metrics.index_items
-  && a.Metrics.stack_ops = b.Metrics.stack_ops
-  && a.Metrics.io_items = b.Metrics.io_items
-  && a.Metrics.sorted_items = b.Metrics.sorted_items
-  && a.Metrics.output_tuples = b.Metrics.output_tuples
-  && a.Metrics.skipped_items = b.Metrics.skipped_items
-  && a.Metrics.joins = b.Metrics.joins
-  && a.Metrics.sorts = b.Metrics.sorts
-
 (* Cold options: every timed run re-optimizes and re-executes the same
    work, and plans_considered stays comparable across runs. *)
 let opts = Query_opts.make ~use_cache:false ()
@@ -102,8 +90,8 @@ let workload_identical reference run =
          String.equal q.Workload.id q'.Workload.id
          && tuples_equal a.Database.exec.Executor.tuples
               b.Database.exec.Executor.tuples
-         && metrics_equal a.Database.exec.Executor.metrics
-              b.Database.exec.Executor.metrics)
+         && Work.equal a.Database.exec.Executor.work
+              b.Database.exec.Executor.work)
        reference run
 
 let time_best pool =
@@ -175,16 +163,6 @@ type point = {
   acct : accounting;
 }
 
-let expected_considered =
-  [
-    ("DP", 520);
-    ("DPP'", 226);
-    ("DPP", 163);
-    ("DPAP-EB", 69);
-    ("DPAP-LD", 42);
-    ("FP", 18);
-  ]
-
 let () =
   let cores = Domain.recommended_domain_count () in
   Printf.printf
@@ -227,15 +205,7 @@ let () =
      plan-space counts are pure optimizer state and any drift means the
      engine's bookkeeping was perturbed. *)
   let table2 = Experiment.table2 () in
-  let counters_exact =
-    List.for_all
-      (fun (r : Experiment.table2_row) ->
-        match List.assoc_opt r.Experiment.algo_name expected_considered with
-        | Some n -> r.Experiment.considered = n
-        | None -> false)
-      table2
-    && List.length table2 = List.length expected_considered
-  in
+  let counters_exact = Experiment.table2_matches table2 in
   Printf.printf "table2 plan counters exact (520/226/163/69/42/18): %s\n"
     (if counters_exact then "yes" else "NO");
   let all_identical = List.for_all (fun p -> p.identical) points in

@@ -73,29 +73,11 @@ let tuples_equal (a : Tuple.t array) (b : Tuple.t array) =
   Array.iteri (fun i t -> if not (Tuple.equal t b.(i)) then ok := false) a;
   !ok
 
-(* skipped_items excluded: the legacy engine never skips. *)
-let metrics_equal (a : Metrics.t) (b : Metrics.t) =
-  a.Metrics.index_items = b.Metrics.index_items
-  && a.Metrics.stack_ops = b.Metrics.stack_ops
-  && a.Metrics.io_items = b.Metrics.io_items
-  && a.Metrics.sorted_items = b.Metrics.sorted_items
-  && a.Metrics.output_tuples = b.Metrics.output_tuples
-  && a.Metrics.joins = b.Metrics.joins
-  && a.Metrics.sorts = b.Metrics.sorts
-
 (* Engine-invariant work equality: items_skipped is the one counter the
    two engines legitimately disagree on (only the columnar kernels
    skip), so it is excluded here — everything else must match. *)
 let work_equal_mod_skips (a : Work.t) (b : Work.t) =
-  a.Work.comparisons = b.Work.comparisons
-  && a.Work.tuples_emitted = b.Work.tuples_emitted
-  && a.Work.candidates_scanned = b.Work.candidates_scanned
-  && a.Work.stack_ops = b.Work.stack_ops
-  && a.Work.io_items = b.Work.io_items
-  && a.Work.sorted_items = b.Work.sorted_items
-  && a.Work.expansions = b.Work.expansions
-  && a.Work.plans_considered = b.Work.plans_considered
-  && a.Work.page_touches = b.Work.page_touches
+  Work.equal { a with items_skipped = 0 } { b with items_skipped = 0 }
 
 type row = {
   id : string;
@@ -108,7 +90,7 @@ type row = {
   columnar_bytes : float;
   legacy_work : Work.t;
   columnar_work : Work.t;
-  skipped_items : int;
+  items_skipped : int;
   identical : bool;
   work_identical : bool;
   repeat_deterministic : bool;
@@ -136,7 +118,7 @@ let bench_query (query : Workload.query) =
   let columnar_work, columnar_run = accounted `Columnar in
   let identical =
     tuples_equal legacy_run.Executor.tuples columnar_run.Executor.tuples
-    && metrics_equal legacy_run.Executor.metrics columnar_run.Executor.metrics
+    && work_equal_mod_skips legacy_run.Executor.work columnar_run.Executor.work
   in
   let work_identical = work_equal_mod_skips legacy_work columnar_work in
   (* bit-determinism across repeat runs is the property the perf-history
@@ -200,7 +182,7 @@ let bench_query (query : Workload.query) =
     columnar_bytes = allocated `Columnar;
     legacy_work;
     columnar_work;
-    skipped_items = columnar_run.Executor.metrics.Metrics.skipped_items;
+    items_skipped = columnar_run.Executor.work.Work.items_skipped;
     identical;
     work_identical;
     repeat_deterministic;
@@ -221,7 +203,7 @@ let row_to_json r =
       ("alloc_ratio", Sjos_obs.Json.Float (alloc_ratio r));
       ("legacy_work", Work.to_json r.legacy_work);
       ("columnar_work", Work.to_json r.columnar_work);
-      ("skipped_items", Sjos_obs.Json.Int r.skipped_items);
+      ("items_skipped", Sjos_obs.Json.Int r.items_skipped);
       ("identical_output", Sjos_obs.Json.Bool r.identical);
       ("work_identical", Sjos_obs.Json.Bool r.work_identical);
       ("repeat_deterministic", Sjos_obs.Json.Bool r.repeat_deterministic);
@@ -239,7 +221,7 @@ let () =
     (fun r ->
       Printf.printf "%-14s %-7s %8d %9d %11.6f %11.6f %7.2fx %7.2fx %10d%s\n"
         r.id r.dataset r.nodes r.rows_out r.legacy_seconds r.columnar_seconds
-        (speedup r) (alloc_ratio r) r.skipped_items
+        (speedup r) (alloc_ratio r) r.items_skipped
         (if r.identical then "" else "  !! OUTPUT MISMATCH"))
     rows;
   let all_identical = List.for_all (fun r -> r.identical) rows in
@@ -247,7 +229,7 @@ let () =
   let repeat_deterministic =
     List.for_all (fun r -> r.repeat_deterministic) rows
   in
-  let skip_ahead_active = List.exists (fun r -> r.skipped_items > 0) rows in
+  let skip_ahead_active = List.exists (fun r -> r.items_skipped > 0) rows in
   (* the deterministic replacements for the old wall-clock gates: the
      columnar engine must not allocate more than legacy anywhere, and
      must allocate at most half as much on some Mbench/DBLP pattern *)

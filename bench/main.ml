@@ -200,7 +200,8 @@ let ablation_priority () =
     let t0 = Sjos_obs.Clock.now_ns () in
     let cost, _ = Dpp.run ~prioritize_by_ub ctx in
     Printf.printf "%-24s cost=%.0f plans=%d expanded=%d time=%.3fms\n" label
-      cost ctx.Search.effort.Effort.considered ctx.Search.effort.Effort.expanded
+      cost ctx.Search.work.Sjos_obs.Work.plans_considered
+      ctx.Search.work.Sjos_obs.Work.expansions
       (Sjos_obs.Clock.elapsed_seconds ~since:t0 *. 1000.)
   in
   run "DPP (Cost+ubCost)" ~prioritize_by_ub:true;
@@ -228,7 +229,8 @@ let ablation_scaling () =
       let provider = Database.provider db pat in
       let effort algo =
         let r = Optimizer.optimize ~provider algo pat in
-        (r.Optimizer.plans_considered, r.Optimizer.opt_seconds *. 1000.)
+        ( r.Optimizer.work.Sjos_obs.Work.plans_considered,
+          r.Optimizer.opt_seconds *. 1000. )
       in
       let dp_p, dp_t = effort Optimizer.Dp in
       let dpp_p, dpp_t = effort Optimizer.Dpp in
@@ -256,18 +258,18 @@ let ablation_holistic () =
         Experiment.run_cell ~opts:(Experiment.cold_opts Optimizer.Dpp) db
           q.Workload.pattern
       in
-      let metrics = Sjos_exec.Metrics.create () in
+      let work = Sjos_obs.Work.zero () in
       let is_path = Sjos_pattern.Pattern.is_path q.Workload.pattern in
       let out =
         if is_path then
-          Sjos_exec.Path_stack.run ~metrics (Database.index db)
+          Sjos_exec.Path_stack.run ~work (Database.index db)
             q.Workload.pattern
         else
-          Sjos_exec.Twig_join.run ~metrics (Database.index db)
+          Sjos_exec.Twig_join.run ~work (Database.index db)
             q.Workload.pattern
       in
       let holistic_units =
-        Sjos_exec.Metrics.cost_units (Database.factors db) metrics
+        Sjos_cost.Cost_model.cost_units (Database.factors db) work
       in
       Printf.printf "%-14s | %-9s | %14.1f | %14.1f | %10d\n" q.Workload.id
         (if is_path then "PathStack" else "TwigStack")
@@ -287,25 +289,25 @@ let ablation_mpmgjn () =
       let doc = Workload.generate ~size Workload.Pers in
       let idx = Sjos_storage.Element_index.build doc in
       let scan m slot tag =
-        Sjos_exec.Operators.index_scan ~metrics:m ~width:2 ~slot
+        Sjos_exec.Operators.index_scan ~work:m ~width:2 ~slot
           (Sjos_storage.Element_index.lookup idx tag)
       in
-      let m1 = Sjos_exec.Metrics.create () in
+      let m1 = Sjos_obs.Work.zero () in
       let st =
-        Sjos_exec.Stack_tree.join ~metrics:m1 ~doc
+        Sjos_exec.Stack_tree.join ~work:m1 ~doc
           ~axis:Sjos_xml.Axes.Descendant ~algo:Sjos_plan.Plan.Stack_tree_desc
           ~anc:(scan m1 0 "manager", 0)
           ~desc:(scan m1 1 "name", 1)
           ()
       in
-      let m2 = Sjos_exec.Metrics.create () in
+      let m2 = Sjos_obs.Work.zero () in
       ignore
-        (Sjos_exec.Merge_join.join ~metrics:m2 ~doc
+        (Sjos_exec.Merge_join.join ~work:m2 ~doc
            ~axis:Sjos_xml.Axes.Descendant
            ~anc:(scan m2 0 "manager", 0)
            ~desc:(scan m2 1 "name", 1));
       Printf.printf "%-10d | %12d | %12d | %10d\n" size
-        m1.Sjos_exec.Metrics.stack_ops m2.Sjos_exec.Metrics.stack_ops
+        m1.Sjos_obs.Work.stack_ops m2.Sjos_obs.Work.stack_ops
         (Array.length st))
     [ scaled 1_000; scaled 4_000; scaled 16_000 ]
 
@@ -365,7 +367,7 @@ let ablation_randomized () =
     let t0 = Sjos_obs.Clock.now_ns () in
     let cost, _ = run ctx in
     Printf.printf "%-22s est_cost=%10.0f plans=%5d time=%.3fms\n" label cost
-      ctx.Search.effort.Effort.considered
+      ctx.Search.work.Sjos_obs.Work.plans_considered
       (Sjos_obs.Clock.elapsed_seconds ~since:t0 *. 1000.)
   in
   report "DPP (optimal)" Dpp.run;
@@ -393,7 +395,7 @@ let extension_estimation () =
       let actual =
         float_of_int
           (Array.length
-             (Database.run_query db pat).Database.exec
+             (Database.run db pat).Database.exec
                .Sjos_exec.Executor.tuples)
       in
       Printf.printf "%-14s | %12.0f | %12.0f | %8.2f\n" q.Workload.id est
@@ -449,10 +451,11 @@ let extension_calibration () =
             with
             | cell when cell.Experiment.matches >= 0 ->
                 let run =
-                  Database.run_query ~algorithm:algo db q.Workload.pattern
+                  Database.run ~opts:(Query_opts.make ~algorithm:algo ()) db
+                    q.Workload.pattern
                 in
                 Some
-                  ( run.Database.exec.Sjos_exec.Executor.metrics,
+                  ( run.Database.exec.Sjos_exec.Executor.work,
                     run.Database.exec.Sjos_exec.Executor.seconds )
             | _ | (exception _) -> None)
           [ Optimizer.Dpp; Optimizer.Fp; Optimizer.Dpap_ld ])
@@ -596,7 +599,7 @@ let bench_guard () =
     Printf.printf "%-22s opt=%8.3fms plans=%5d eval=%10.1fkU matches=%d%s\n"
       label
       (run.Database.opt.Optimizer.opt_seconds *. 1000.)
-      run.Database.opt.Optimizer.plans_considered
+      run.Database.opt.Optimizer.work.Sjos_obs.Work.plans_considered
       (run.Database.exec.Sjos_exec.Executor.cost_units /. 1000.)
       (Array.length run.Database.exec.Sjos_exec.Executor.tuples)
       (match run.Database.opt.Optimizer.degraded_from with
@@ -607,7 +610,8 @@ let bench_guard () =
         ("label", Sjos_obs.Json.Str label);
         ("opt_seconds", Sjos_obs.Json.Float run.Database.opt.Optimizer.opt_seconds);
         ( "plans_considered",
-          Sjos_obs.Json.Int run.Database.opt.Optimizer.plans_considered );
+          Sjos_obs.Json.Int
+            run.Database.opt.Optimizer.work.Sjos_obs.Work.plans_considered );
         ( "eval_units",
           Sjos_obs.Json.Float run.Database.exec.Sjos_exec.Executor.cost_units );
         ( "matches",

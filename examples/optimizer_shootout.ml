@@ -28,7 +28,7 @@ let () =
             db q.Workload.pattern
         in
         ( run.Database.exec.Sjos_exec.Executor.cost_units,
-          run.Database.opt.Optimizer.plans_considered )
+          run.Database.opt.Optimizer.work.Sjos_obs.Work.plans_considered )
       in
       let dp_u, dp_p = cell Optimizer.Dp in
       let dpp_u, dpp_p = cell Optimizer.Dpp in

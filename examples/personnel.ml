@@ -38,7 +38,7 @@ let () =
       in
       Fmt.pr "%-12s %12.0f %10d %14.0f %10.2fms %10d@."
         (Optimizer.name algo) run.opt.Optimizer.est_cost
-        run.opt.Optimizer.plans_considered
+        run.opt.Optimizer.work.Sjos_obs.Work.plans_considered
         run.exec.Sjos_exec.Executor.cost_units
         (run.exec.Sjos_exec.Executor.seconds *. 1000.)
         (Array.length run.exec.Sjos_exec.Executor.tuples))

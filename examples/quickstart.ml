@@ -39,7 +39,7 @@ let () =
   let run = Database.exec prep in
   Fmt.pr "@.Chosen plan (cost estimate %.1f, %d alternatives considered):@.%s"
     run.opt.Sjos_core.Optimizer.est_cost
-    run.opt.Sjos_core.Optimizer.plans_considered
+    run.opt.Sjos_core.Optimizer.work.Sjos_obs.Work.plans_considered
     (Sjos_plan.Explain.to_string pattern run.opt.Sjos_core.Optimizer.plan);
 
   (* 4. inspect the matches: one tuple per (shelf, book, author) triple *)
@@ -57,8 +57,8 @@ let () =
         author.Sjos_xml.Node.text)
     run.exec.Sjos_exec.Executor.tuples;
 
-  Fmt.pr "@.Execution metrics: %a@." Sjos_exec.Metrics.pp
-    run.exec.Sjos_exec.Executor.metrics;
+  Fmt.pr "@.Execution work: %a@." Sjos_obs.Work.pp
+    run.exec.Sjos_exec.Executor.work;
 
   (* 5. run it again: the plan comes from the cache — zero search effort *)
   let again = Database.run db pattern in
@@ -66,5 +66,5 @@ let () =
     "@.Second run: %d matches, %d plans considered (plan served from the \
      cache), %a@."
     (Array.length again.exec.Sjos_exec.Executor.tuples)
-    again.opt.Sjos_core.Optimizer.plans_considered Sjos_cache.Plan_cache.pp
+    again.opt.Sjos_core.Optimizer.work.Sjos_obs.Work.plans_considered Sjos_cache.Plan_cache.pp
     (Database.plan_cache db)

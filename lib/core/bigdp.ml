@@ -33,11 +33,12 @@
 
    Everything is serial and iteration-order-free: masks are processed in
    sorted order and hashtables are used only for point lookups, so the
-   effort counters are deterministic across runs and domain counts. *)
+   work counters are deterministic across runs and domain counts. *)
 
 open Sjos_pattern
 open Sjos_cost
 open Sjos_plan
+module Work = Sjos_obs.Work
 
 let default_width = 1024
 
@@ -51,7 +52,7 @@ let run ?(width = default_width) (ctx : Search.ctx) =
   let pat = ctx.Search.pat in
   let n = Pattern.node_count pat in
   let full = (1 lsl n) - 1 in
-  let eff = ctx.Search.effort in
+  let w = ctx.Search.work in
   let factors = ctx.Search.factors in
   let provider = ctx.Search.provider in
   let edges = ctx.Search.edges in
@@ -160,7 +161,7 @@ let run ?(width = default_width) (ctx : Search.ctx) =
         cost := !cost +. Cost_model.sort factors (card full);
         plan := Plan.sort !plan ~by:r
     | _ -> ());
-    eff.Effort.considered <- eff.Effort.considered + 1;
+    w.Work.plans_considered <- w.Work.plans_considered + 1;
     (!cost, !plan)
   in
   let incumbent = ref (greedy_from 0) in
@@ -171,7 +172,7 @@ let run ?(width = default_width) (ctx : Search.ctx) =
   let ub = ref (fst !incumbent) in
   if n = 1 then begin
     (* single-node pattern: the scan is the plan (order-by is node 0) *)
-    eff.Effort.expanded <- eff.Effort.expanded + 1;
+    w.Work.expansions <- w.Work.expansions + 1;
     !incumbent
   end
   else begin
@@ -179,10 +180,10 @@ let run ?(width = default_width) (ctx : Search.ctx) =
     let tbl : (int * int, entry) Hashtbl.t = Hashtbl.create 1024 in
     let emit mask order cost plan =
       if cost >= !ub then
-        eff.Effort.pruned_bound <- eff.Effort.pruned_bound + 1
+        w.Work.pruned_bound <- w.Work.pruned_bound + 1
       else begin
-        eff.Effort.considered <- eff.Effort.considered + 1;
-        eff.Effort.generated <- eff.Effort.generated + 1;
+        w.Work.plans_considered <- w.Work.plans_considered + 1;
+        w.Work.statuses_generated <- w.Work.statuses_generated + 1;
         match Hashtbl.find_opt tbl (mask, order) with
         | Some e when e.cost <= cost -> ()
         | _ -> Hashtbl.replace tbl (mask, order) { cost; plan; card = card mask }
@@ -222,7 +223,7 @@ let run ?(width = default_width) (ctx : Search.ctx) =
     in
     let expand_mask mask =
       Search.check_budget ctx;
-      eff.Effort.expanded <- eff.Effort.expanded + 1;
+      w.Work.expansions <- w.Work.expansions + 1;
       let bits = mask_bits mask in
       (* joins: split at each internal edge *)
       Array.iter
@@ -325,7 +326,7 @@ let run ?(width = default_width) (ctx : Search.ctx) =
         in
         split 0 candidates
       in
-      eff.Effort.pruned_bound <- eff.Effort.pruned_bound + dropped;
+      w.Work.pruned_bound <- w.Work.pruned_bound + dropped;
       List.iter (fun (_, c) -> expand_mask c) kept;
       layer := List.map snd kept
     done;

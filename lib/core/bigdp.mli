@@ -16,7 +16,7 @@
     is exact there; beyond it degrades gracefully to the best plan found
     (never worse than the greedy incumbent).
 
-    Enumeration is serial and iteration-order-free, so the effort
+    Enumeration is serial and iteration-order-free, so the work
     counters are deterministic across runs and domain counts. *)
 
 val default_width : int
@@ -25,8 +25,9 @@ val default_width : int
 val run : ?width:int -> Search.ctx -> float * Sjos_plan.Plan.t
 (** [run ?width ctx] returns the cheapest complete plan found and its
     cost, including the order-by sort.  The plan is always valid for the
-    pattern.  Effort counters move on the context: one [expanded] per
-    processed mask, [considered]/[generated] per memo candidate,
+    pattern.  Work moves on the context: one [expansions] per
+    processed mask, [plans_considered]/[statuses_generated] per memo
+    candidate,
     [pruned_bound] per candidate cut by the incumbent bound or the
     layer cap.  Raises {!Sjos_guard.Budget.Exhausted} when the context's
     budget fires, and [Invalid_argument] when [width < 1]. *)

@@ -17,7 +17,7 @@ let run ctx =
   let levels = Pattern.edge_count ctx.Search.pat in
   let current : (Status.key, Status.t) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace current (Status.key start) start;
-  let eff = ctx.Search.effort in
+  let w = ctx.Search.work in
   let rec step lv current =
     if lv = levels then current
     else begin
@@ -30,8 +30,8 @@ let run ctx =
         ~attrs:
           [
             ("statuses_kept", Json.Int (Hashtbl.length next));
-            ("generated_so_far", Json.Int eff.Effort.generated);
-            ("expanded_so_far", Json.Int eff.Effort.expanded);
+            ("generated_so_far", Json.Int w.Work.statuses_generated);
+            ("expanded_so_far", Json.Int w.Work.expansions);
           ];
       step (lv + 1) next
     end

@@ -9,5 +9,5 @@
 open Sjos_plan
 
 val run : Search.ctx -> float * Plan.t
-(** Returns the optimal finalized cost and plan.  The context's counters
-    record the search effort. *)
+(** Returns the optimal finalized cost and plan.  The context's work
+    record counts the search. *)

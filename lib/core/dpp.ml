@@ -8,7 +8,7 @@ let run ?(lookahead = true) ?(expansion_bound = None) ?(left_deep = false)
       ctx.Search.pat
   in
   let levels = Pattern.edge_count ctx.Search.pat in
-  let eff = ctx.Search.effort in
+  let peak_queue = ref 0 in
   let best_cost : (Status.key, float) Hashtbl.t = Hashtbl.create 64 in
   let queue : Status.t Pq.t = Pq.create () in
   let min_full = ref infinity in
@@ -65,7 +65,7 @@ let run ?(lookahead = true) ?(expansion_bound = None) ?(left_deep = false)
           else s.Status.cost
         in
         Pq.push queue priority s;
-        Effort.note_queue_depth eff (Pq.length queue)
+        peak_queue := max !peak_queue (Pq.length queue)
       end
     end
   in
@@ -109,13 +109,8 @@ let run ?(lookahead = true) ?(expansion_bound = None) ?(left_deep = false)
   Trace.end_span span
     ~attrs:
       [
-        ("considered", Json.Int eff.Effort.considered);
-        ("generated", Json.Int eff.Effort.generated);
-        ("expanded", Json.Int eff.Effort.expanded);
-        ("pruned_bound", Json.Int eff.Effort.pruned_bound);
-        ("pruned_deadend", Json.Int eff.Effort.pruned_deadend);
-        ("pruned_left_deep", Json.Int eff.Effort.pruned_left_deep);
-        ("peak_queue_depth", Json.Int eff.Effort.peak_queue);
+        ("work", Work.to_json ctx.Search.work);
+        ("peak_queue_depth", Json.Int !peak_queue);
         ( "expanded_per_level",
           Json.List
             (Array.to_list (Array.map (fun n -> Json.Int n) expanded_per_level))

@@ -78,8 +78,9 @@ let best ctx =
                       card = merged_card;
                     })
                 order;
-              let eff = ctx.Search.effort in
-              eff.Effort.considered <- eff.Effort.considered + 1;
+              let w = ctx.Search.work in
+              w.Sjos_obs.Work.plans_considered <-
+                w.Sjos_obs.Work.plans_considered + 1;
               !acc
             in
             List.fold_left
@@ -123,7 +124,8 @@ let run ctx =
   Sjos_obs.Trace.end_span span
     ~attrs:
       [
-        ("considered", Sjos_obs.Json.Int ctx.Search.effort.Effort.considered);
+        ( "considered",
+          Sjos_obs.Json.Int ctx.Search.work.Sjos_obs.Work.plans_considered );
         ("best_cost", Sjos_obs.Json.Float (fst result));
       ];
   result

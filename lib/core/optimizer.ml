@@ -41,11 +41,8 @@ type result = {
   algorithm : algorithm;
   plan : Plan.t;
   est_cost : float;
-  plans_considered : int;
-  statuses_generated : int;
-  statuses_expanded : int;
   opt_seconds : float;
-  effort : Effort.t;
+  work : Work.t;
   degraded_from : algorithm option;
 }
 
@@ -80,26 +77,21 @@ let optimize ?factors ?budget ~provider algorithm pat =
     | Big_dp w -> Bigdp.run ~width:w ctx
   in
   let opt_seconds = Clock.elapsed_seconds ~since:t0 in
-  let eff = ctx.Search.effort in
-  (* Deterministic optimizer work: one unit per status expansion, plus
-     the (advisory) count of complete plans considered. *)
-  let w = Work.current () in
-  w.Work.expansions <- w.Work.expansions + eff.Effort.expanded;
-  w.Work.plans_considered <- w.Work.plans_considered + eff.Effort.considered;
+  let work = ctx.Search.work in
+  (* Only a completed search reaches here: one cut short by its budget
+     raised above and charges nothing to the domain accumulator. *)
+  Work.absorb work;
   Trace.end_span span
-    ~attrs:[ ("est_cost", Json.Float est_cost); ("effort", Effort.to_json eff) ];
-  Effort.publish ~prefix:("optimizer." ^ name algorithm) eff;
+    ~attrs:[ ("est_cost", Json.Float est_cost); ("work", Work.to_json work) ];
+  Work.publish ~prefix:("optimizer." ^ name algorithm) work;
   if Registry.enabled () then
     Registry.add_seconds (Registry.timer "optimizer.opt_seconds") opt_seconds;
   {
     algorithm;
     plan;
     est_cost;
-    plans_considered = eff.Effort.considered;
-    statuses_generated = eff.Effort.generated;
-    statuses_expanded = eff.Effort.expanded;
     opt_seconds;
-    effort = eff;
+    work;
     degraded_from = None;
   }
 
@@ -174,19 +166,14 @@ let holistic_result ?factors ~provider algorithm pat =
   let t0 = Clock.now_ns () in
   let plan = Plan.holistic_of_pattern pat in
   let est_cost = Costing.cost factors provider pat plan in
-  let eff = Effort.create () in
-  eff.Effort.considered <- 1;
-  let w = Work.current () in
-  w.Work.plans_considered <- w.Work.plans_considered + 1;
+  let work = { (Work.zero ()) with plans_considered = 1 } in
+  Work.absorb work;
   {
     algorithm;
     plan;
     est_cost;
-    plans_considered = 1;
-    statuses_generated = 0;
-    statuses_expanded = 0;
     opt_seconds = Clock.elapsed_seconds ~since:t0;
-    effort = eff;
+    work;
     degraded_from = None;
   }
 
@@ -204,11 +191,13 @@ let optimize_e ?factors ?budget ~provider ~engine algorithm pat =
           let winner =
             if holistic.est_cost < binary.est_cost then holistic else binary
           in
-          Ok { winner with plans_considered = binary.plans_considered + 1 })
+          let work = Work.copy binary.work in
+          Work.merge_into work holistic.work;
+          Ok { winner with work })
 
 let pp_result pat ppf r =
   Fmt.pf ppf "@[<v>%s: est_cost=%.1f considered=%d opt=%.4fs fp=%s%s@,%s@]"
-    (name r.algorithm) r.est_cost r.plans_considered r.opt_seconds
+    (name r.algorithm) r.est_cost r.work.Work.plans_considered r.opt_seconds
     (Fingerprint.short (Fingerprint.fingerprint pat))
     (match r.degraded_from with
     | Some a -> Printf.sprintf " (degraded from %s)" (name a)
@@ -221,11 +210,8 @@ let result_to_json pat r =
       ("algorithm", Json.Str (name r.algorithm));
       ("fingerprint", Json.Str (Fingerprint.fingerprint pat));
       ("est_cost", Json.Float r.est_cost);
-      ("plans_considered", Json.Int r.plans_considered);
-      ("statuses_generated", Json.Int r.statuses_generated);
-      ("statuses_expanded", Json.Int r.statuses_expanded);
       ("opt_seconds", Json.Float r.opt_seconds);
-      ("effort", Effort.to_json r.effort);
+      ("work", Work.to_json r.work);
       ( "degraded_from",
         match r.degraded_from with
         | Some a -> Json.Str (name a)

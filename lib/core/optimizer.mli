@@ -1,5 +1,5 @@
 (** Unified optimizer interface over the five algorithms of the paper,
-    with search-effort accounting and wall-clock optimization time. *)
+    with search-work accounting and wall-clock optimization time. *)
 
 open Sjos_pattern
 open Sjos_plan
@@ -41,12 +41,12 @@ type result = {
   algorithm : algorithm;
   plan : Plan.t;
   est_cost : float;  (** estimated cost of [plan] under the cost model *)
-  plans_considered : int;  (** alternative (sub-)plans costed *)
-  statuses_generated : int;
-  statuses_expanded : int;
   opt_seconds : float;
       (** monotonic wall-clock time spent optimizing (never negative) *)
-  effort : Effort.t;  (** the full search-effort breakdown *)
+  work : Sjos_obs.Work.t;
+      (** the search's work: [plans_considered] (Table 2's count),
+          [expansions], [statuses_generated] and the [pruned_*]
+          breakdown *)
   degraded_from : algorithm option;
       (** [Some a] when the budget fired during exact algorithm [a] and
           the plan came from the bounded fallback tier instead *)
@@ -60,7 +60,9 @@ val optimize :
   Pattern.t ->
   result
 (** Run one algorithm over a pattern.  The returned plan is always valid
-    for the pattern ({!Sjos_plan.Properties.validate}).  Raises
+    for the pattern ({!Sjos_plan.Properties.validate}).  The search's
+    [work] is added to the calling domain's {!Sjos_obs.Work.current}
+    accumulator only once the search completes.  Raises
     {!Sjos_guard.Budget.Exhausted} when [budget] fires — prefer
     {!optimize_r}, which degrades gracefully. *)
 
@@ -115,13 +117,14 @@ val optimize_e :
   algorithm ->
   Pattern.t ->
   (result, Sjos_guard.Error.t) Stdlib.result
-(** {!optimize_r} generalized over the physical engine.  [Auto] charges
-    one extra considered plan (the holistic alternative) on top of the
-    binary search's count; a budget error from the binary search
-    propagates even under [Auto]. *)
+(** {!optimize_r} generalized over the physical engine.  Under [Auto]
+    the result's [work] is the binary search's work plus one considered
+    plan (the holistic alternative), whichever plan wins — exactly what
+    the call charges to {!Sjos_obs.Work.current}.  A budget error from
+    the binary search propagates even under [Auto]. *)
 
 val pp_result : Pattern.t -> result Fmt.t
 
 val result_to_json : Pattern.t -> result -> Sjos_obs.Json.t
 (** Machine-readable counterpart of {!pp_result}: algorithm, estimated
-    cost, effort counters, optimization seconds and the one-line plan. *)
+    cost, search work, optimization seconds and the one-line plan. *)

@@ -58,8 +58,9 @@ let generate rng ctx =
         |> List.sort (fun (a : Status.cluster) b ->
                compare a.Status.mask b.Status.mask)
       in
-      ctx.Search.effort.Effort.considered <-
-        ctx.Search.effort.Effort.considered + 1;
+      let w = ctx.Search.work in
+      w.Sjos_obs.Work.plans_considered <-
+        w.Sjos_obs.Work.plans_considered + 1;
       loop
         {
           Status.clusters;

@@ -95,8 +95,9 @@ let build ctx d =
 let plan_from ctx rng prefix =
   let d = { rng; prefix; taken = [] } in
   let cost, plan = build ctx d in
-  ctx.Search.effort.Effort.considered <-
-    ctx.Search.effort.Effort.considered + 1;
+  let w = ctx.Search.work in
+  w.Sjos_obs.Work.plans_considered <-
+    w.Sjos_obs.Work.plans_considered + 1;
   (cost, plan, List.rev d.taken)
 
 (* Neighbor: keep a random prefix of the decision list, replan the rest. *)

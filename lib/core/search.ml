@@ -2,13 +2,14 @@ open Sjos_pattern
 open Sjos_cost
 open Sjos_plan
 open Sjos_guard
+module Work = Sjos_obs.Work
 
 type ctx = {
   pat : Pattern.t;
   factors : Cost_model.factors;
   provider : Costing.provider;
   edges : Pattern.edge array;
-  effort : Effort.t;
+  work : Work.t;
   budget : Budget.t;
 }
 
@@ -19,13 +20,13 @@ let make_ctx ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
     factors;
     provider;
     edges = Array.of_list (Pattern.edges pat);
-    effort = Effort.create ();
+    work = Work.zero ();
     budget;
   }
 
 let check_budget ctx =
   Budget.check_search ctx.budget ~during:"optimize"
-    ~expanded:ctx.effort.Effort.expanded
+    ~expanded:ctx.work.Work.expansions
 
 let remaining_edges ctx (s : Status.t) =
   let acc = ref [] in
@@ -91,8 +92,8 @@ let expand ?(left_deep = false) ?(lookahead = false) ?(cost_bound = infinity)
      exactly the budgeted number of expansions, and an unlimited budget is
      a single physical-equality test — search order is never perturbed. *)
   check_budget ctx;
-  let eff = ctx.effort in
-  eff.Effort.expanded <- eff.Effort.expanded + 1;
+  let w = ctx.work in
+  w.Work.expansions <- w.Work.expansions + 1;
   let cmap = Status.cluster_map ~n:(Pattern.node_count ctx.pat) s in
   let successors = ref [] in
   let emit status =
@@ -100,14 +101,14 @@ let expand ?(left_deep = false) ?(lookahead = false) ?(cost_bound = infinity)
        already meets the best complete plan is dead and never considered. *)
     if status.Status.cost < cost_bound then begin
       if lookahead && is_deadend ctx status then
-        eff.Effort.pruned_deadend <- eff.Effort.pruned_deadend + 1
+        w.Work.pruned_deadend <- w.Work.pruned_deadend + 1
       else begin
-        eff.Effort.considered <- eff.Effort.considered + 1;
-        eff.Effort.generated <- eff.Effort.generated + 1;
+        w.Work.plans_considered <- w.Work.plans_considered + 1;
+        w.Work.statuses_generated <- w.Work.statuses_generated + 1;
         successors := status :: !successors
       end
     end
-    else eff.Effort.pruned_bound <- eff.Effort.pruned_bound + 1
+    else w.Work.pruned_bound <- w.Work.pruned_bound + 1
   in
   List.iter
     (fun (edge_idx, (e : Pattern.edge)) ->
@@ -126,7 +127,7 @@ let expand ?(left_deep = false) ?(lookahead = false) ?(cost_bound = infinity)
           && Status.multi_cluster_count s = multi_in_inputs
         in
         if left_deep && not stays_left_deep then
-          eff.Effort.pruned_left_deep <- eff.Effort.pruned_left_deep + 1
+          w.Work.pruned_left_deep <- w.Work.pruned_left_deep + 1
         else begin
           let merged_mask = cu.Status.mask lor cv.Status.mask in
           let merged_card = ctx.provider.Costing.cluster_card merged_mask in

@@ -1,5 +1,5 @@
 (** Shared search machinery: moves, expansion, deadend lookahead, final
-    sorting, and the effort counters every algorithm reports.
+    sorting, and the search work every algorithm reports.
 
     A move (Definition 4) evaluates one remaining pattern edge [(u, v)].
     Stack-Tree joins consume inputs sorted by the join nodes, so the move
@@ -17,7 +17,10 @@ type ctx = {
   factors : Sjos_cost.Cost_model.factors;
   provider : Costing.provider;
   edges : Pattern.edge array;
-  effort : Effort.t;  (** search-effort counters, always on *)
+  work : Sjos_obs.Work.t;
+      (** this search's work, always on: [expansions],
+          [plans_considered], [statuses_generated] and the [pruned_*]
+          breakdown *)
   budget : Sjos_guard.Budget.t;
       (** resource ceilings for this search; checked before every
           expansion and never perturbing search order *)
@@ -31,7 +34,7 @@ val make_ctx :
   ctx
 
 val check_budget : ctx -> unit
-(** Poll the context's budget against its effort counters; raises
+(** Poll the context's budget against its expansion count; raises
     {!Sjos_guard.Budget.Exhausted} when a ceiling fired.  Called by
     {!expand}; algorithms with their own inner loops (FP's permutation
     scan) call it directly. *)
@@ -54,15 +57,15 @@ val expand :
   Status.t ->
   Status.t list
 (** All successor statuses reachable by one move.  Every returned status
-    bumps [effort.considered] and [effort.generated]; the call itself
-    bumps [effort.expanded].  With [~left_deep:true], successors with two
-    composite clusters are not generated (the DPAP-LD rule; skipped moves
-    bump [effort.pruned_left_deep]).  With [~lookahead:true], deadend
-    successors are detected one step ahead and never generated nor counted
-    (DPP's Lookahead Rule; bumps [effort.pruned_deadend]).  Successors
-    whose accumulated cost reaches [cost_bound] (the cost of the best
-    complete plan found so far) are dead on arrival and are not generated
-    either (the Pruning Rule; bumps [effort.pruned_bound]). *)
+    bumps [work.plans_considered] and [work.statuses_generated]; the call
+    itself bumps [work.expansions].  With [~left_deep:true], successors
+    with two composite clusters are not generated (the DPAP-LD rule;
+    skipped moves bump [work.pruned_left_deep]).  With [~lookahead:true],
+    deadend successors are detected one step ahead and never generated
+    nor counted (DPP's Lookahead Rule; bumps [work.pruned_deadend]).
+    Successors whose accumulated cost reaches [cost_bound] (the cost of
+    the best complete plan found so far) are dead on arrival and are not
+    generated either (the Pruning Rule; bumps [work.pruned_bound]). *)
 
 val useful_sort_targets : ctx -> joined:int -> merged_mask:int -> int list
 (** Nodes of the merged cluster that some remaining edge still needs as an

@@ -39,6 +39,12 @@ let ground_io ?(per_miss = default.f_io) f ~page_misses ~io_items =
       f_io = per_miss *. float_of_int page_misses /. float_of_int io_items;
     }
 
+let cost_units f (w : Sjos_obs.Work.t) =
+  (f.f_index *. float_of_int w.candidates_scanned)
+  +. (f.f_stack *. float_of_int w.stack_ops)
+  +. (f.f_io *. float_of_int w.io_items)
+  +. (f.f_sort *. w.sort_cost)
+
 let pp_factors ppf f =
   Fmt.pf ppf "f_I=%g f_s=%g f_IO=%g f_st=%g" f.f_index f.f_sort f.f_io
     f.f_stack

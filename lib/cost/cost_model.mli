@@ -65,4 +65,11 @@ val ground_io :
     counter is zero — no measurement, no recalibration.  Raises
     [Invalid_argument] on negative inputs. *)
 
+val cost_units : factors -> Sjos_obs.Work.t -> float
+(** Measured work priced in cost-model units:
+    [f_index * candidates_scanned + f_stack * stack_ops
+    + f_io * io_items + f_sort * sort_cost] — the executor's counterpart
+    of the estimates above, so estimated and actual cost compare
+    directly. *)
+
 val pp_factors : factors Fmt.t

@@ -177,7 +177,7 @@ let cache_key t (opts : Query_opts.t) ~pat ~fingerprint =
 (* Run the optimizer through the plan cache.  On a hit the stored plan —
    serialized against the canonical numbering — is parsed and transported
    back to the caller's numbering; the synthesized result reports zero
-   search effort and the (tiny) lookup time as [opt_seconds].  Returns the
+   search work and the (tiny) lookup time as [opt_seconds].  Returns the
    result and whether it came from the cache.
 
    Budget exhaustion goes through {!Optimizer.optimize_r}, so an exact
@@ -235,11 +235,8 @@ let resolve t ~(opts : Query_opts.t) ~pat ~canon ~from_canon ~to_canon ~key
                         Optimizer.effective pat opts.Query_opts.algorithm;
                       plan;
                       est_cost = entry.Plan_cache.est_cost;
-                      plans_considered = 0;
-                      statuses_generated = 0;
-                      statuses_expanded = 0;
                       opt_seconds = Clock.elapsed_seconds ~since:t0;
-                      effort = Effort.create ();
+                      work = Work.zero ();
                       degraded_from = None;
                     },
                     true ))))
@@ -389,17 +386,3 @@ let prepare_r ?opts t pat = Error.protect (fun () -> prepare ?opts t pat)
 let exec_r p = Error.protect (fun () -> exec p)
 let run_r ?opts t pat = Error.protect (fun () -> run ?opts t pat)
 let analyze_prepared_r p = Error.protect (fun () -> analyze_prepared p)
-
-let run_query ?algorithm ?engine ?max_tuples t pat =
-  run ~opts:(Query_opts.make ?algorithm ?engine ?max_tuples ()) t pat
-
-let optimize ?algorithm ?engine t pat =
-  let opts = Query_opts.make ?algorithm ?engine ~use_cache:false () in
-  (prepare ~opts t pat).presult
-
-let explain ?algorithm ?engine t pat =
-  explain_prepared (prepare ~opts:(Query_opts.make ?algorithm ?engine ()) t pat)
-
-let analyze ?algorithm ?engine ?max_tuples t pat =
-  analyze_prepared
-    (prepare ~opts:(Query_opts.make ?algorithm ?engine ?max_tuples ()) t pat)

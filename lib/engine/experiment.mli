@@ -74,6 +74,18 @@ val table1_to_json : table1_row list -> Sjos_obs.Json.t
 type table2_row = { algo_name : string; opt_seconds : float; considered : int }
 
 val table2 : ?size:int -> ?query:Workload.query -> unit -> table2_row list
+(** Plans considered by each algorithm on [query] (default Q.Pers.3.d),
+    each a fresh search ({!cold_opts}) over the data set at [size]
+    (default {!Workload.default_size}). *)
+
+val table2_expected : (string * int) list
+(** The plans-considered counts {!table2} produces at the default size:
+    DP 520, DPP′ 226, DPP 163, DPAP-EB 69, DPAP-LD 42, FP 18.  Any
+    search change that moves them is a behavior change. *)
+
+val table2_matches : table2_row list -> bool
+(** Do the rows carry exactly {!table2_expected}, in order? *)
+
 val print_table2 : table2_row list -> unit
 
 (** {1 Table 3} — effect of data size (folding factors) *)

@@ -1,14 +1,12 @@
 open Sjos_cost
 
-let features (m : Metrics.t) =
+let features (w : Sjos_obs.Work.t) =
   [|
-    float_of_int m.Metrics.index_items;
-    m.Metrics.sort_cost;
-    float_of_int m.Metrics.io_items;
-    float_of_int m.Metrics.stack_ops;
+    float_of_int w.candidates_scanned;
+    w.sort_cost;
+    float_of_int w.io_items;
+    float_of_int w.stack_ops;
   |]
-
-let predict f m = Metrics.cost_units f m
 
 (* Solve the 4x4 normal equations (X^T X) b = X^T y by Gaussian elimination
    with partial pivoting; returns None when the system is singular. *)
@@ -51,7 +49,7 @@ let fallback observations =
   let predicted, actual =
     List.fold_left
       (fun (p, a) (m, seconds) ->
-        (p +. Metrics.cost_units Cost_model.default m, a +. seconds))
+        (p +. Cost_model.cost_units Cost_model.default m, a +. seconds))
       (0.0, 0.0) observations
   in
   let scale = if predicted > 0.0 then actual /. predicted else 1.0 in
@@ -68,7 +66,8 @@ let mean_relative_error f observations =
     List.fold_left
       (fun (total, count) (m, actual) ->
         if actual > 0.0 then
-          (total +. (Float.abs (predict f m -. actual) /. actual), count + 1)
+          let predicted = Cost_model.cost_units f m in
+          (total +. (Float.abs (predicted -. actual) /. actual), count + 1)
         else (total, count))
       (0.0, 0) observations
   in

@@ -9,7 +9,7 @@ type kernel = [ `Columnar | `Legacy ]
 
 type run = {
   tuples : Tuple.t array;
-  metrics : Metrics.t;
+  work : Work.t;
   cost_units : float;
   seconds : float;
   profile : Explain.measured;
@@ -62,17 +62,17 @@ let verify_document_order ~doc ~what candidates =
 
 (* One physical engine = how each operator runs and how rows are counted.
    The two instantiations (columnar batches, legacy tuple arrays) share
-   the interpreter below, so spans, per-operator metrics and the run
+   the interpreter below, so spans, per-operator work and the run
    profile are produced identically by both.  [root_join] runs the
    plan's outermost join straight to the caller-facing tuple format —
    for the columnar engine that skips one full materialization of the
    (often dominant) root output. *)
 type 'r engine = {
-  scan : Metrics.t -> int -> 'r;
-  sort_op : Metrics.t -> int -> 'r -> 'r;
-  join_op : Metrics.t -> Pattern.edge -> Plan.algo -> 'r -> 'r -> 'r;
-  root_join : Metrics.t -> Pattern.edge -> Plan.algo -> 'r -> 'r -> Tuple.t array;
-  twig : Metrics.t -> 'r;
+  scan : Work.t -> int -> 'r;
+  sort_op : Work.t -> int -> 'r -> 'r;
+  join_op : Work.t -> Pattern.edge -> Plan.algo -> 'r -> 'r -> 'r;
+  root_join : Work.t -> Pattern.edge -> Plan.algo -> 'r -> 'r -> Tuple.t array;
+  twig : Work.t -> 'r;
       (** the holistic operator: candidate acquisition (and its
           accounting) is the engine's own business, so it appears as one
           leaf operator in spans and the run profile *)
@@ -106,7 +106,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
   in
   let doc = Element_index.document index in
   let width = Pattern.node_count pat in
-  let metrics = Metrics.create () in
+  let work = Work.zero () in
   let candidates_for i =
     let spec = Pattern.label pat i in
     match fetch with
@@ -117,16 +117,16 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           (f spec)
   in
   let t0 = Clock.now_ns () in
-  (* Each operator gets its own metrics and its own (monotonic) self time,
-     so the run profile prices every operator separately; the per-operator
-     metrics are folded into the run total afterwards. *)
+  (* Each operator gets its own work record and its own (monotonic) self
+     time, so the run profile prices every operator separately; each
+     operator's record is added into the run total as it finishes. *)
   let run_with : type r. r engine -> Tuple.t array * Explain.measured =
    fun eng ->
     let check_output r =
       Budget.check_tuples budget ~during:"execute" ~count:(eng.rows r);
       r
     in
-    (* [measure] owns the span/metrics/profile bookkeeping; it is
+    (* [measure] owns the span/work/profile bookkeeping; it is
        polymorphic in the produced value so the root operator can produce
        the caller-facing tuple array while interior operators stay in the
        engine's row representation. *)
@@ -153,7 +153,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
         'a.
         Plan.t ->
         Plan.t list ->
-        (Metrics.t -> (r * Explain.measured) list -> 'a) ->
+        (Work.t -> (r * Explain.measured) list -> 'a) ->
         ('a -> int) ->
         'a * Explain.measured =
      fun plan inputs apply rows_of ->
@@ -164,7 +164,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
         (* left-to-right: ancestor side before descendant side *)
         List.rev (List.fold_left (fun acc p -> eval p :: acc) [] inputs)
       in
-      let own = Metrics.create () in
+      let own = Work.zero () in
       let op_t0 = Clock.now_ns () in
       let r = apply own child_results in
       let seconds = Clock.elapsed_seconds ~since:op_t0 in
@@ -172,14 +172,14 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
         ~attrs:
           [
             ("rows", Json.Int (rows_of r));
-            ("cost_units", Json.Float (Metrics.cost_units factors own));
+            ("cost_units", Json.Float (Cost_model.cost_units factors own));
           ];
-      Metrics.add metrics own;
+      Work.merge_into work own;
       ( r,
         {
           Explain.mplan = plan;
           rows = rows_of r;
-          units = Metrics.cost_units factors own;
+          work = own;
           seconds;
           inputs = List.map snd child_results;
         } )
@@ -214,7 +214,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           match fetch with
           | Some f ->
               Stack_tree.Rows
-                (Operators.index_scan_batch ~metrics:own ~width ~slot:i
+                (Operators.index_scan_batch ~work:own ~width ~slot:i
                    (Sjos_xml.Cols.of_nodes
                       (verify_document_order ~doc
                          ~what:
@@ -224,12 +224,12 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           | None -> (
               match Column_store.leaf store spec with
               | Some lf ->
-                  own.Metrics.index_items <-
-                    own.Metrics.index_items + Column_store.leaf_length lf;
+                  own.Work.candidates_scanned <-
+                    own.Work.candidates_scanned + Column_store.leaf_length lf;
                   Stack_tree.leaf ~width ~slot:i lf
               | None ->
                   Stack_tree.Rows
-                    (Operators.index_scan_batch ~metrics:own ~width ~slot:i
+                    (Operators.index_scan_batch ~work:own ~width ~slot:i
                        (Column_store.select store spec)))
         in
         run_with
@@ -238,18 +238,18 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
             sort_op =
               (fun own by r ->
                 Stack_tree.Rows
-                  (Operators.sort_batch ~budget ~metrics:own ~doc ~by
+                  (Operators.sort_batch ~budget ~work:own ~doc ~by
                      (Stack_tree.to_batch r)));
             join_op =
               (fun own edge algo a d ->
                 Stack_tree.Rows
-                  (Stack_tree.join_batch_in ~budget ~pool ~metrics:own ~doc
+                  (Stack_tree.join_batch_in ~budget ~pool ~work:own ~doc
                      ~axis:edge.Pattern.axis ~algo
                      ~anc:(a, edge.Pattern.anc)
                      ~desc:(d, edge.Pattern.desc) ()));
             root_join =
               (fun own edge algo a d ->
-                Stack_tree.join_root_in ~budget ~pool ~metrics:own ~doc
+                Stack_tree.join_root_in ~budget ~pool ~work:own ~doc
                   ~axis:edge.Pattern.axis ~algo
                   ~anc:(a, edge.Pattern.anc)
                   ~desc:(d, edge.Pattern.desc) ());
@@ -257,7 +257,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
               (fun own ->
                 let inputs = Array.init width (fun i -> scan_input own i) in
                 Stack_tree.Rows
-                  (Twig_stack.run ~budget ~metrics:own ~doc ~pat ~inputs ()));
+                  (Twig_stack.run ~budget ~work:own ~doc ~pat ~inputs ()));
             rows = Stack_tree.input_rows;
             to_tuples = (fun r -> Batch.to_tuples (Stack_tree.to_batch r));
           }
@@ -266,20 +266,20 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           {
             scan =
               (fun own i ->
-                Operators.index_scan ~metrics:own ~width ~slot:i
+                Operators.index_scan ~work:own ~width ~slot:i
                   (candidates_for i));
             sort_op =
               (fun own by tuples ->
-                Operators.sort_legacy ~budget ~metrics:own ~doc ~by tuples);
+                Operators.sort_legacy ~budget ~work:own ~doc ~by tuples);
             join_op =
               (fun own edge algo a d ->
-                Stack_tree_legacy.join ~budget ~metrics:own ~doc
+                Stack_tree_legacy.join ~budget ~work:own ~doc
                   ~axis:edge.Pattern.axis ~algo
                   ~anc:(a, edge.Pattern.anc)
                   ~desc:(d, edge.Pattern.desc) ());
             root_join =
               (fun own edge algo a d ->
-                Stack_tree_legacy.join ~budget ~metrics:own ~doc
+                Stack_tree_legacy.join ~budget ~work:own ~doc
                   ~axis:edge.Pattern.axis ~algo
                   ~anc:(a, edge.Pattern.anc)
                   ~desc:(d, edge.Pattern.desc) ());
@@ -291,7 +291,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
                       (match fetch with
                       | None -> None
                       | Some _ -> Some candidates_for)
-                    ~metrics:own index pat
+                    ~work:own index pat
                 in
                 (* canonical order parity with the columnar kernel:
                    lexicographic by slot value (presentation-only, so
@@ -314,26 +314,19 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           }
   in
   let seconds = Clock.elapsed_seconds ~since:t0 in
-  (* Fold the run's differential metrics into the deterministic work
-     accumulator.  [metrics] already holds the merged totals from every
-     operator and shard (integer sums, partition-invariant), so a single
-     end-of-run fold keeps the counters engine- and domain-independent. *)
-  let w = Work.current () in
-  w.Work.candidates_scanned <-
-    w.Work.candidates_scanned + metrics.Metrics.index_items;
-  w.Work.tuples_emitted <- w.Work.tuples_emitted + metrics.Metrics.output_tuples;
-  w.Work.items_skipped <- w.Work.items_skipped + metrics.Metrics.skipped_items;
-  w.Work.stack_ops <- w.Work.stack_ops + metrics.Metrics.stack_ops;
-  w.Work.io_items <- w.Work.io_items + metrics.Metrics.io_items;
-  w.Work.sorted_items <- w.Work.sorted_items + metrics.Metrics.sorted_items;
+  (* Charge the domain accumulator once, when the run completes.  [work]
+     already holds the merged totals from every operator and shard
+     (integer sums, partition-invariant), so the counters stay engine-
+     and domain-independent. *)
+  Work.absorb work;
   if Registry.enabled () then begin
     Registry.add_seconds (Registry.timer "executor.seconds") seconds;
     Registry.add (Registry.counter "executor.output_tuples") (Array.length tuples)
   end;
   {
     tuples;
-    metrics;
-    cost_units = Metrics.cost_units factors metrics;
+    work;
+    cost_units = Cost_model.cost_units factors work;
     seconds;
     profile;
   }

@@ -13,15 +13,19 @@ type kernel = [ `Columnar | `Legacy ]
     {!Operators.sort_legacy}) — kept as the measured baseline for
     [bench/bench_perf] and the differential tests.  Both engines produce
     identical tuples, profiles and counters (modulo
-    {!Metrics.t.skipped_items}). *)
+    {!Sjos_obs.Work.t.items_skipped}). *)
 
 type run = {
   tuples : Tuple.t array;  (** the pattern matches, one tuple per match *)
-  metrics : Metrics.t;  (** accumulated operation counts *)
-  cost_units : float;  (** metrics weighted by the cost-model factors *)
+  work : Sjos_obs.Work.t;
+      (** the run's operation counts: the sum of its operators' profile
+          work.  Page touches are charged by the pager to the domain
+          accumulator, not here. *)
+  cost_units : float;
+      (** [work] priced by {!Sjos_cost.Cost_model.cost_units} *)
   seconds : float;  (** monotonic wall-clock execution time *)
   profile : Explain.measured;
-      (** per-operator actual rows, cost units and self time — feed to
+      (** per-operator actual rows, work and self time — feed to
           {!Sjos_plan.Explain.analyze} for EXPLAIN ANALYZE *)
 }
 
@@ -45,6 +49,10 @@ val execute :
     [SJOS_DOMAINS] environment variable (1 when unset — fully serial).
     Results are bit-identical for every pool size.  The [`Legacy]
     kernel ignores it.
+
+    The run's [work] is added to the calling domain's
+    {!Sjos_obs.Work.current} accumulator once, when the run completes;
+    a run that raises charges nothing there.
 
     Failure modes are structured: an invalid plan raises
     [Sjos_guard.Error.Error (Invalid_plan _)]; exhausting the budget —

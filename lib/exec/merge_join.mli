@@ -11,12 +11,12 @@
     — the ablation benchmark quantifies this.
 
     Output is ordered by the ancestor side.  Scan steps are accounted in
-    [Metrics.stack_ops] so cost units remain comparable. *)
+    [Work.stack_ops] so cost units remain comparable. *)
 
 open Sjos_xml
 
 val join :
-  metrics:Metrics.t ->
+  work:Sjos_obs.Work.t ->
   doc:Document.t ->
   axis:Axes.axis ->
   anc:Tuple.t array * int ->

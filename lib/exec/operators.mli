@@ -5,19 +5,24 @@ open Sjos_xml
 open Sjos_storage
 
 val index_scan :
-  metrics:Metrics.t -> width:int -> slot:int -> Node.t array -> Tuple.t array
+  work:Sjos_obs.Work.t -> width:int -> slot:int -> Node.t array -> Tuple.t array
 (** Turn a document-ordered candidate array into single-binding tuples.
     Accounts one index item per candidate. *)
 
 val index_scan_batch :
-  metrics:Metrics.t -> width:int -> slot:int -> Cols.t -> Batch.t
+  work:Sjos_obs.Work.t -> width:int -> slot:int -> Cols.t -> Batch.t
 (** The columnar equivalent: binds the candidate [ids] column directly
     into batch rows without materializing per-tuple arrays.  Same
     accounting as {!index_scan}. *)
 
+val account_sort : work:Sjos_obs.Work.t -> int -> unit
+(** Charge one sort of [n] items: [sorted_items += n] and the
+    [n log2 n] term to [sort_cost] — the accounting every sort in the
+    engine shares, so the cost model prices all of them alike. *)
+
 val sort :
   ?budget:Sjos_guard.Budget.t ->
-  metrics:Metrics.t ->
+  work:Sjos_obs.Work.t ->
   doc:Document.t ->
   by:int ->
   Tuple.t array ->
@@ -33,7 +38,7 @@ val sort :
 
 val sort_batch :
   ?budget:Sjos_guard.Budget.t ->
-  metrics:Metrics.t ->
+  work:Sjos_obs.Work.t ->
   doc:Document.t ->
   by:int ->
   Batch.t ->
@@ -42,7 +47,7 @@ val sort_batch :
 
 val sort_legacy :
   ?budget:Sjos_guard.Budget.t ->
-  metrics:Metrics.t ->
+  work:Sjos_obs.Work.t ->
   doc:Document.t ->
   by:int ->
   Tuple.t array ->

@@ -18,10 +18,10 @@ open Sjos_storage
 open Sjos_pattern
 
 val run :
-  metrics:Metrics.t -> Element_index.t -> Pattern.t -> Tuple.t array
+  work:Sjos_obs.Work.t -> Element_index.t -> Pattern.t -> Tuple.t array
 (** Evaluate a path pattern holistically.  The result contains exactly the
     pattern's matches, ordered by the leaf (deepest) pattern node.
     Raises [Invalid_argument] if the pattern is not a path. *)
 
 val count : Element_index.t -> Pattern.t -> int
-(** Convenience wrapper discarding metrics. *)
+(** Convenience wrapper discarding the work counts. *)

@@ -16,7 +16,7 @@
     solutions that do not survive the merge — the original's I/O-optimality
     guarantee only holds for descendant-only twigs anyway.
 
-    Path solutions are accounted as buffered IO in the metrics (they must
+    Path solutions are accounted as buffered IO in the work counts (they must
     be materialized for the merge), so the ablation against binary
     Stack-Tree plans is a fair fight in cost units. *)
 
@@ -28,7 +28,7 @@ open Sjos_guard
 val run :
   ?budget:Budget.t ->
   ?candidates:(int -> Node.t array) ->
-  metrics:Metrics.t ->
+  work:Sjos_obs.Work.t ->
   Element_index.t ->
   Pattern.t ->
   Tuple.t array
@@ -48,7 +48,7 @@ val count : Element_index.t -> Pattern.t -> int
 val path_solutions :
   ?budget:Budget.t ->
   ?candidates:(int -> Node.t array) ->
-  metrics:Metrics.t ->
+  work:Sjos_obs.Work.t ->
   Element_index.t ->
   Pattern.t ->
   (int * Tuple.t list) list

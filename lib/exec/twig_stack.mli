@@ -16,16 +16,15 @@
     cursor front demands, and skip-ahead — dropping a stream whose
     pattern parent can never match again, and galloping a child stream
     up to its parent's front — works identically over both backends,
-    counted in {!Metrics.t.skipped_items}.
+    counted in {!Sjos_obs.Work.t.items_skipped}.
 
-    Counter contract: [stack_ops] (pushes + expired pops), [io_items]
-    (2 per path solution, the TwigStack intermediate-list write+read),
-    [output_tuples] (path solutions + merge emissions), [joins],
-    [sorted_items]/[sorts]/[sort_cost] (prefix-merge and canonical
-    orderings, accounted like the algebra's Sort operator) are charged
-    to [metrics]; element comparisons go straight to
-    {!Sjos_obs.Work.current} like the binary kernels.  Comparisons
-    price decisions only — merged-cursor advances, parent-stack scans,
+    Counter contract, all charged to [work]: [stack_ops] (pushes +
+    expired pops), [io_items] (2 per path solution, the TwigStack
+    intermediate-list write+read), [tuples_emitted] (path solutions +
+    merge emissions), [sorted_items]/[sort_cost] (prefix-merge and
+    canonical orderings, accounted like the algebra's Sort operator)
+    and [comparisons], as in the binary kernels.  Comparisons price
+    decisions only — merged-cursor advances, parent-stack scans,
     child-axis predicates, merge key tests; descendant-axis expansion
     is bulk emission and, like the binary kernels' pair emission, costs
     none.  The pass is serial, so every counter is invariant under
@@ -37,13 +36,13 @@ open Sjos_guard
 
 val run :
   ?budget:Budget.t ->
-  metrics:Metrics.t ->
+  work:Sjos_obs.Work.t ->
   doc:Document.t ->
   pat:Pattern.t ->
   inputs:Stack_tree.input array ->
   unit ->
   Batch.t
-(** [run ~metrics ~doc ~pat ~inputs ()] — the holistic match of [pat],
+(** [run ~work ~doc ~pat ~inputs ()] — the holistic match of [pat],
     given one candidate stream per pattern node ([inputs.(i)] binds slot
     [i] of a width-[node_count] row; document order, distinct elements).
 
@@ -53,7 +52,7 @@ val run :
 
 val run_tuples :
   ?budget:Budget.t ->
-  metrics:Metrics.t ->
+  work:Sjos_obs.Work.t ->
   doc:Document.t ->
   pat:Pattern.t ->
   inputs:Stack_tree.input array ->

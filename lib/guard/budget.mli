@@ -75,7 +75,7 @@ val check : t -> during:string -> unit
 (** {!poll}, raising {!Exhausted} when over. *)
 
 val check_search : t -> during:string -> expanded:int -> unit
-(** Search-loop check: [max_expanded] against the effort counter, then
+(** Search-loop check: [max_expanded] against the expansion count, then
     {!check}.  Call {e before} doing the work the counter will account,
     so an aborted search has performed exactly the budgeted amount. *)
 

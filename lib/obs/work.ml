@@ -20,9 +20,14 @@ type t = {
   mutable stack_ops : int;
   mutable io_items : int;
   mutable sorted_items : int;
+  mutable sort_cost : float;
   mutable expansions : int;
   mutable plans_considered : int;
   mutable page_touches : int;
+  mutable statuses_generated : int;
+  mutable pruned_bound : int;
+  mutable pruned_deadend : int;
+  mutable pruned_left_deep : int;
 }
 
 let zero () =
@@ -34,10 +39,44 @@ let zero () =
     stack_ops = 0;
     io_items = 0;
     sorted_items = 0;
+    sort_cost = 0.0;
     expansions = 0;
     plans_considered = 0;
     page_touches = 0;
+    statuses_generated = 0;
+    pruned_bound = 0;
+    pruned_deadend = 0;
+    pruned_left_deep = 0;
   }
+
+(* Every integer counter by name, with its accessors, in report order:
+   the bulk operations below (reset, merge, diff, JSON) walk this one
+   table, and [sort_cost], the only float, is handled beside it. *)
+let counters : (string * (t -> int) * (t -> int -> unit)) list =
+  [
+    ("comparisons", (fun w -> w.comparisons), fun w v -> w.comparisons <- v);
+    ("tuples_emitted", (fun w -> w.tuples_emitted), fun w v -> w.tuples_emitted <- v);
+    ("items_skipped", (fun w -> w.items_skipped), fun w v -> w.items_skipped <- v);
+    ( "candidates_scanned",
+      (fun w -> w.candidates_scanned),
+      fun w v -> w.candidates_scanned <- v );
+    ("stack_ops", (fun w -> w.stack_ops), fun w v -> w.stack_ops <- v);
+    ("io_items", (fun w -> w.io_items), fun w v -> w.io_items <- v);
+    ("sorted_items", (fun w -> w.sorted_items), fun w v -> w.sorted_items <- v);
+    ("expansions", (fun w -> w.expansions), fun w v -> w.expansions <- v);
+    ( "plans_considered",
+      (fun w -> w.plans_considered),
+      fun w v -> w.plans_considered <- v );
+    ("page_touches", (fun w -> w.page_touches), fun w v -> w.page_touches <- v);
+    ( "statuses_generated",
+      (fun w -> w.statuses_generated),
+      fun w v -> w.statuses_generated <- v );
+    ("pruned_bound", (fun w -> w.pruned_bound), fun w v -> w.pruned_bound <- v);
+    ("pruned_deadend", (fun w -> w.pruned_deadend), fun w v -> w.pruned_deadend <- v);
+    ( "pruned_left_deep",
+      (fun w -> w.pruned_left_deep),
+      fun w v -> w.pruned_left_deep <- v );
+  ]
 
 (* The calling domain's accumulator lives behind one extra indirection
    so [scoped] can swap a fresh record in and out without touching the
@@ -47,60 +86,23 @@ let current () = !(Domain.DLS.get slot_key)
 
 let reset () =
   let w = current () in
-  w.comparisons <- 0;
-  w.tuples_emitted <- 0;
-  w.items_skipped <- 0;
-  w.candidates_scanned <- 0;
-  w.stack_ops <- 0;
-  w.sorted_items <- 0;
-  w.io_items <- 0;
-  w.expansions <- 0;
-  w.plans_considered <- 0;
-  w.page_touches <- 0
+  List.iter (fun (_, _, set) -> set w 0) counters;
+  w.sort_cost <- 0.0
 
-let copy w =
-  {
-    comparisons = w.comparisons;
-    tuples_emitted = w.tuples_emitted;
-    items_skipped = w.items_skipped;
-    candidates_scanned = w.candidates_scanned;
-    stack_ops = w.stack_ops;
-    io_items = w.io_items;
-    sorted_items = w.sorted_items;
-    expansions = w.expansions;
-    plans_considered = w.plans_considered;
-    page_touches = w.page_touches;
-  }
-
+let copy w = { w with comparisons = w.comparisons }
 let snapshot () = copy (current ())
 
 let merge_into dst src =
-  dst.comparisons <- dst.comparisons + src.comparisons;
-  dst.tuples_emitted <- dst.tuples_emitted + src.tuples_emitted;
-  dst.items_skipped <- dst.items_skipped + src.items_skipped;
-  dst.candidates_scanned <- dst.candidates_scanned + src.candidates_scanned;
-  dst.stack_ops <- dst.stack_ops + src.stack_ops;
-  dst.io_items <- dst.io_items + src.io_items;
-  dst.sorted_items <- dst.sorted_items + src.sorted_items;
-  dst.expansions <- dst.expansions + src.expansions;
-  dst.plans_considered <- dst.plans_considered + src.plans_considered;
-  dst.page_touches <- dst.page_touches + src.page_touches
+  List.iter (fun (_, get, set) -> set dst (get dst + get src)) counters;
+  dst.sort_cost <- dst.sort_cost +. src.sort_cost
 
 let absorb src = merge_into (current ()) src
 
 let diff ~after ~before =
-  {
-    comparisons = after.comparisons - before.comparisons;
-    tuples_emitted = after.tuples_emitted - before.tuples_emitted;
-    items_skipped = after.items_skipped - before.items_skipped;
-    candidates_scanned = after.candidates_scanned - before.candidates_scanned;
-    stack_ops = after.stack_ops - before.stack_ops;
-    io_items = after.io_items - before.io_items;
-    sorted_items = after.sorted_items - before.sorted_items;
-    expansions = after.expansions - before.expansions;
-    plans_considered = after.plans_considered - before.plans_considered;
-    page_touches = after.page_touches - before.page_touches;
-  }
+  let d = copy after in
+  List.iter (fun (_, get, set) -> set d (get after - get before)) counters;
+  d.sort_cost <- after.sort_cost -. before.sort_cost;
+  d
 
 let scoped f =
   let slot = Domain.DLS.get slot_key in
@@ -111,26 +113,14 @@ let scoped f =
   slot := outer;
   (fresh, result)
 
-let fields w =
-  [
-    ("comparisons", w.comparisons);
-    ("tuples_emitted", w.tuples_emitted);
-    ("items_skipped", w.items_skipped);
-    ("candidates_scanned", w.candidates_scanned);
-    ("stack_ops", w.stack_ops);
-    ("io_items", w.io_items);
-    ("sorted_items", w.sorted_items);
-    ("expansions", w.expansions);
-    ("plans_considered", w.plans_considered);
-    ("page_touches", w.page_touches);
-  ]
-
-let equal a b = fields a = fields b
-let is_zero w = List.for_all (fun (_, v) -> v = 0) (fields w)
+let fields w = List.map (fun (k, get, _) -> (k, get w)) counters
+let equal a b = fields a = fields b && Float.equal a.sort_cost b.sort_cost
+let is_zero w = List.for_all (fun (_, v) -> v = 0) (fields w) && w.sort_cost = 0.0
 
 (* items_skipped is excluded by design: skip-ahead is work {e avoided},
    and a kernel that skips more while producing the same result must
-   never score worse. *)
+   never score worse.  The search breakdown (generated, pruned) and
+   [sort_cost] re-count work that is already scored. *)
 let score w =
   w.comparisons + w.tuples_emitted + w.candidates_scanned + w.stack_ops
   + w.io_items + w.sorted_items + w.expansions + w.page_touches
@@ -144,49 +134,38 @@ let core_score w =
   + w.sorted_items + w.expansions
 
 let equal_mod_io a b =
-  let strip w =
-    List.filter
-      (fun (k, _) -> k <> "io_items" && k <> "page_touches")
-      (fields w)
-  in
-  strip a = strip b
+  equal
+    { a with io_items = 0; page_touches = 0 }
+    { b with io_items = 0; page_touches = 0 }
 
 let to_json w =
   Json.Obj
     (List.map (fun (k, v) -> (k, Json.Int v)) (fields w)
-    @ [ ("score", Json.Int (score w)) ])
+    @ [ ("sort_cost", Json.Float w.sort_cost); ("score", Json.Int (score w)) ])
 
+(* A counter the writer did not know yet (a datapoint older than the
+   field) reads as 0. *)
 let of_json j =
-  let field name =
-    match Json.member name j with
-    | Some (Json.Int v) -> Ok v
-    | Some _ -> Error (Printf.sprintf "work field %S is not an integer" name)
-    | None -> Error (Printf.sprintf "work field %S missing" name)
+  let w = zero () in
+  let rec ints = function
+    | [] -> Ok ()
+    | (name, _, set) :: rest -> (
+        match Json.member name j with
+        | None -> ints rest
+        | Some (Json.Int v) ->
+            set w v;
+            ints rest
+        | Some _ -> Error (Printf.sprintf "work field %S is not an integer" name))
   in
-  let ( let* ) = Result.bind in
-  let* comparisons = field "comparisons" in
-  let* tuples_emitted = field "tuples_emitted" in
-  let* items_skipped = field "items_skipped" in
-  let* candidates_scanned = field "candidates_scanned" in
-  let* stack_ops = field "stack_ops" in
-  let* io_items = field "io_items" in
-  let* sorted_items = field "sorted_items" in
-  let* expansions = field "expansions" in
-  let* plans_considered = field "plans_considered" in
-  let* page_touches = field "page_touches" in
-  Ok
-    {
-      comparisons;
-      tuples_emitted;
-      items_skipped;
-      candidates_scanned;
-      stack_ops;
-      io_items;
-      sorted_items;
-      expansions;
-      plans_considered;
-      page_touches;
-    }
+  match (ints counters, Json.member "sort_cost" j) with
+  | (Error _ as e), _ -> e
+  | Ok (), None -> Ok w
+  | Ok (), Some v -> (
+      match Json.number v with
+      | Some f ->
+          w.sort_cost <- f;
+          Ok w
+      | None -> Error "work field \"sort_cost\" is not a number")
 
 let publish ?(prefix = "work") w =
   if Registry.enabled () then
@@ -196,7 +175,7 @@ let publish ?(prefix = "work") w =
 
 let pp ppf w =
   List.iter (fun (k, v) -> Fmt.pf ppf "%s=%d " k v) (fields w);
-  Fmt.pf ppf "score=%d" (score w)
+  Fmt.pf ppf "sort_cost=%.1f score=%d" w.sort_cost (score w)
 
 (* ---------- GC deltas (advisory; per-process, not per-domain) ---------- *)
 

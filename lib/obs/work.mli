@@ -1,6 +1,20 @@
-(** Deterministic work accounting: machine-independent counters whose
-    totals are bit-identical for a given query workload regardless of
-    wall-clock noise, domain count, or scheduling.
+(** Deterministic work accounting — the system's one counter vocabulary:
+    machine-independent counters whose totals are bit-identical for a
+    given query workload regardless of wall-clock noise, domain count,
+    or scheduling.
+
+    One record type serves every scope that counts work:
+    - a plan operator: the executor hands each operator (and each join
+      kernel it calls) a fresh record, which becomes that operator's
+      profile delta in {!Sjos_plan.Explain.measured};
+    - a run or a search: {!Sjos_exec.Executor.run} carries the sum of
+      its operators' records, and {!Sjos_core.Optimizer.result} the
+      record its search context charged;
+    - a domain: each domain owns one accumulator ({!current}).  It is
+      charged only by the pager's page touches, by the executor and the
+      optimizer once a run or search completes (a search cut short by
+      its budget charges nothing), and by the domain pool's barrier,
+      which absorbs each task's delta.
 
     This is the currency the perf-history CI gate trades in.  Wall-clock
     seconds on a shared CI box swing by 2-3x; the number of containment
@@ -12,10 +26,9 @@
     sharded Stack-Tree merge, and {!Sjos_par.Pool.run} merges each
     task's delta into the caller at the barrier).
 
-    Counters are always on — like {!Effort} and the executor's
-    {!Metrics}, they are plain mutable integers owned by the calling
-    domain, so charging work costs one field write and determinism can
-    never depend on whether observability was enabled. *)
+    Counters are always on: plain mutable fields, so charging work costs
+    one field write and determinism can never depend on whether
+    observability was enabled. *)
 
 type t = {
   mutable comparisons : int;
@@ -29,9 +42,18 @@ type t = {
   mutable stack_ops : int;  (** Stack-Tree push+pop operations *)
   mutable io_items : int;  (** tuples buffered by Stack-Tree-Anc *)
   mutable sorted_items : int;  (** tuples passed through sorts *)
-  mutable expansions : int;  (** optimizer status expansions ({!Effort}) *)
-  mutable plans_considered : int;  (** alternative plans costed *)
+  mutable sort_cost : float;  (** accumulated [n log2 n] sort terms *)
+  mutable expansions : int;  (** optimizer status expansions *)
+  mutable plans_considered : int;
+      (** alternative (partial) plans costed — Table 2's "# of plans" *)
   mutable page_touches : int;  (** buffer-pool page accesses ({!Pager}) *)
+  mutable statuses_generated : int;  (** search statuses generated *)
+  mutable pruned_bound : int;
+      (** successors discarded by the Pruning Rule (cost >= best plan) *)
+  mutable pruned_deadend : int;
+      (** successors discarded by DPP's Lookahead Rule *)
+  mutable pruned_left_deep : int;
+      (** moves skipped by the DPAP-LD left-deep-only rule *)
 }
 
 val current : unit -> t
@@ -62,13 +84,17 @@ val scoped : (unit -> 'a) -> t * ('a, exn) result
     decides where it goes ({!absorb}). *)
 
 val fields : t -> (string * int) list
+(** Every integer counter by name ([sort_cost] is the one float). *)
+
 val equal : t -> t -> bool
 val is_zero : t -> bool
 
 val score : t -> int
-(** The single work-unit figure the perf gate compares: the sum of every
-    counter except [items_skipped] and [plans_considered] (skipping is
-    avoided work; considered plans are a subset of expansion effort). *)
+(** The single work-unit figure the perf gate compares: [comparisons],
+    [tuples_emitted], [candidates_scanned], [stack_ops], [io_items],
+    [sorted_items], [expansions] and [page_touches].  Skipping is avoided
+    work; considered plans, the generated/pruned breakdown and
+    [sort_cost] re-count work these already score. *)
 
 val core_score : t -> int
 (** {!score} minus the IO counters ([io_items], [page_touches]) — the
@@ -83,7 +109,9 @@ val to_json : t -> Json.t
 (** Every field plus the derived ["score"]. *)
 
 val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json} (the ["score"] field is ignored). *)
+(** Inverse of {!to_json} (the ["score"] field is ignored).  A counter
+    absent from the object reads as 0, so datapoints written before a
+    counter existed still load. *)
 
 val publish : ?prefix:string -> t -> unit
 (** Copy the counters into the metrics registry as [work.comparisons]

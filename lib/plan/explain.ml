@@ -58,7 +58,7 @@ let with_costs factors provider pat plan =
 type measured = {
   mplan : Plan.t;
   rows : int;
-  units : float;
+  work : Sjos_obs.Work.t;
   seconds : float;
   inputs : measured list;
 }
@@ -91,7 +91,7 @@ let analyze factors provider _pat measured =
         est_rows;
         actual_rows = m.rows;
         est_units = Costing.operator_cost factors provider m.mplan;
-        actual_units = m.units;
+        actual_units = Sjos_cost.Cost_model.cost_units factors m.work;
         q_error = q_error ~est:est_rows ~actual:(float_of_int m.rows);
         seconds = m.seconds;
       }

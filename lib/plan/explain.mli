@@ -28,15 +28,17 @@ val one_line : Pattern.t -> Plan.t -> string
 (** {1 EXPLAIN ANALYZE}
 
     [measured] is the per-operator execution profile the executor collects
-    (actual output rows, actual cost units and self wall time per
-    operator); [analyze] joins it with the optimizer's estimates to
+    (actual output rows, the work each operator charged and its self wall
+    time); [analyze] joins it with the optimizer's estimates to
     produce one row per plan operator — the estimated-vs-actual view that
     checks the cost model per operator rather than per plan. *)
 
 type measured = {
   mplan : Plan.t;  (** the operator (root of this measured subtree) *)
   rows : int;  (** tuples this operator output *)
-  units : float;  (** cost units of this operator alone *)
+  work : Sjos_obs.Work.t;
+      (** what this operator alone charged; its actual cost units are
+          {!Sjos_cost.Cost_model.cost_units} of it *)
   seconds : float;  (** wall time of this operator alone *)
   inputs : measured list;  (** profiles of the operator's inputs *)
 }

@@ -97,10 +97,16 @@ def check_work(work, where):
         "expansions",
         "plans_considered",
         "page_touches",
+        "statuses_generated",
+        "pruned_bound",
+        "pruned_deadend",
+        "pruned_left_deep",
         "score",
     ):
         if need(work, key, int) < 0:
             raise CheckFailure(f"{where}: work counter {key} < 0")
+    if need(work, "sort_cost", NUM) < 0:
+        raise CheckFailure(f"{where}: work sort_cost < 0")
     if work["score"] <= 0:
         raise CheckFailure(f"{where}: work score is zero — nothing executed")
 
@@ -203,7 +209,7 @@ def check_bench_io(doc):
         full = need(row, "full_scan_misses", int)
         if lazy > full:
             raise CheckFailure(f"{qid}: lazy join read more pages than a full scan")
-        need(row, "skipped_items", int)
+        need(row, "items_skipped", int)
     grounding = need(doc, "grounding", dict)
     need(grounding, "query", str)
     need(grounding, "page_misses", int)

@@ -60,6 +60,15 @@ let optimize_tiny ?(provider_of = exact_provider) algorithm p =
   let index = Lazy.force tiny_index in
   Sjos_core.Optimizer.optimize ~provider:(provider_of index p) algorithm p
 
+(* A fresh search through the database, never served from the plan
+   cache, so the result's work is the true search cost. *)
+let cold_result ?algorithm ?engine db p =
+  let open Sjos_engine in
+  Database.prepared_result
+    (Database.prepare
+       ~opts:(Query_opts.make ?algorithm ?engine ~use_cache:false ())
+       db p)
+
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name gen prop)

@@ -23,6 +23,7 @@ open Sjos_pattern
 open Sjos_plan
 open Sjos_core
 open Sjos_engine
+module Work = Sjos_obs.Work
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -145,14 +146,14 @@ let test_effort_pins () =
   List.iter
     (fun (algo, considered, generated, expanded, pb, pd, pl) ->
       let r = Optimizer.optimize ~provider algo p in
-      let e = r.Optimizer.effort in
+      let w = r.Optimizer.work in
       let nm = Optimizer.name algo in
-      check ci (nm ^ " considered") considered e.Effort.considered;
-      check ci (nm ^ " generated") generated e.Effort.generated;
-      check ci (nm ^ " expanded") expanded e.Effort.expanded;
-      check ci (nm ^ " pruned_bound") pb e.Effort.pruned_bound;
-      check ci (nm ^ " pruned_deadend") pd e.Effort.pruned_deadend;
-      check ci (nm ^ " pruned_left_deep") pl e.Effort.pruned_left_deep)
+      check ci (nm ^ " considered") considered w.Work.plans_considered;
+      check ci (nm ^ " generated") generated w.Work.statuses_generated;
+      check ci (nm ^ " expanded") expanded w.Work.expansions;
+      check ci (nm ^ " pruned_bound") pb w.Work.pruned_bound;
+      check ci (nm ^ " pruned_deadend") pd w.Work.pruned_deadend;
+      check ci (nm ^ " pruned_left_deep") pl w.Work.pruned_left_deep)
     expect
 
 (* ---------- BigDP differential against DP/DPP on small patterns ----- *)
@@ -295,10 +296,8 @@ let test_auto_tiering () =
     (Optimizer.name r.Optimizer.algorithm);
   (* and the effort counters are reproducible run over run *)
   let r2 = Optimizer.optimize ~provider:synth_provider Optimizer.Dpp large in
-  check ci "considered deterministic" r.Optimizer.plans_considered
-    r2.Optimizer.plans_considered;
-  check ci "expanded deterministic" r.Optimizer.statuses_expanded
-    r2.Optimizer.statuses_expanded
+  check cb "work deterministic" true
+    (Work.equal r.Optimizer.work r2.Optimizer.work)
 
 (* ---------- end to end through Database ---------- *)
 

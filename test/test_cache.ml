@@ -8,6 +8,7 @@ open Sjos_core
 open Sjos_exec
 open Sjos_engine
 open Sjos_cache
+module Work = Sjos_obs.Work
 
 let cb = Alcotest.bool
 let ci = Alcotest.int
@@ -123,20 +124,15 @@ let test_plan_cache_counters () =
 let db () = Database.of_string Helpers.tiny_pers_xml
 let pers_pat = "manager(//employee(/name))"
 
-let effort_is_zero (r : Optimizer.result) =
-  r.Optimizer.plans_considered = 0
-  && r.Optimizer.statuses_generated = 0
-  && r.Optimizer.statuses_expanded = 0
-  && r.Optimizer.effort.Effort.considered = 0
-  && r.Optimizer.effort.Effort.generated = 0
-  && r.Optimizer.effort.Effort.expanded = 0
+let effort_is_zero (r : Optimizer.result) = Work.is_zero r.Optimizer.work
+let considered (r : Optimizer.result) = r.Optimizer.work.Work.plans_considered
 
 let test_warm_run_skips_search () =
   let db = db () in
   let p = Helpers.pat pers_pat in
-  let cold = Database.run_query db p in
-  check cb "cold run searched" true (cold.Database.opt.Optimizer.plans_considered > 0);
-  let warm = Database.run_query db p in
+  let cold = Database.run db p in
+  check cb "cold run searched" true (considered cold.Database.opt > 0);
+  let warm = Database.run db p in
   check cb "warm run searched nothing" true (effort_is_zero warm.Database.opt);
   let s = Plan_cache.stats (Database.plan_cache db) in
   check cb "hit counted" true (s.Plan_cache.hits >= 1);
@@ -164,10 +160,10 @@ let test_cold_opts_bypass () =
   ignore (Database.run db p);
   let run = Database.run ~opts:(Query_opts.cold Query_opts.default) db p in
   check cb "cold opts always search" true
-    (run.Database.opt.Optimizer.plans_considered > 0);
-  (* Database.optimize is the fresh-search entry Table 2 relies on *)
-  let r = Database.optimize db p in
-  check cb "optimize never reads the cache" true (r.Optimizer.plans_considered > 0)
+    (considered run.Database.opt > 0);
+  (* a cold prepare is the fresh-search entry Table 2 relies on *)
+  let r = Helpers.cold_result db p in
+  check cb "cold prepare never reads the cache" true (considered r > 0)
 
 let test_epoch_invalidation () =
   let db = db () in
@@ -235,7 +231,7 @@ let test_engine_in_cache_key () =
   let run engine = Database.run ~opts:(Query_opts.make ~engine ()) db p in
   let bin = run Optimizer.Binary in
   check cb "binary cold run searched" true
-    (bin.Database.opt.Optimizer.plans_considered > 0);
+    (considered bin.Database.opt > 0);
   (* a different engine with the same algorithm+structure must miss *)
   let hol = run Optimizer.Holistic in
   check cb "holistic plan chosen" true
@@ -244,7 +240,7 @@ let test_engine_in_cache_key () =
     (Sjos_plan.Plan.uses_holistic bin.Database.opt.Optimizer.plan);
   let auto = run Optimizer.Auto in
   check cb "auto cold run searched" true
-    (auto.Database.opt.Optimizer.plans_considered > 0);
+    (considered auto.Database.opt > 0);
   (* warm per engine: each hits its own entry and round-trips its plan *)
   let bin2 = run Optimizer.Binary in
   let hol2 = run Optimizer.Holistic in

@@ -9,6 +9,7 @@
 
 open Sjos_guard
 open Sjos_engine
+module Work = Sjos_obs.Work
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -221,7 +222,8 @@ let test_degraded_plan_not_cached () =
   check cb "no cache entry from the degraded run" false
     (Database.prepared_from_cache prep);
   check cb "fresh search happened" true
-    ((Database.prepared_result prep).Sjos_core.Optimizer.plans_considered > 0)
+    ((Database.prepared_result prep).Sjos_core.Optimizer.work.Work.plans_considered
+     > 0)
 
 (* ---------- corrupt cache recovery ---------- *)
 

@@ -2,6 +2,7 @@
 
 open Sjos_obs
 open Sjos_engine
+module Work = Sjos_obs.Work
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -135,7 +136,7 @@ let test_noop_mode () =
   Trace.event "ignored event";
   let db = Database.of_string Helpers.tiny_pers_xml in
   let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
-  ignore (Database.analyze db pat);
+  ignore (Database.analyze_prepared (Database.prepare db pat));
   check cb "no spans recorded" true (Trace.is_empty ());
   (* a full optimize+execute left the registry without a single instrument —
      the guarded hot paths never even registered their names *)
@@ -159,10 +160,7 @@ let test_counters_invariant_under_tracing () =
   in
   let pat = Workload.q_pers_3_d.Workload.pattern in
   let effort algo =
-    let r = Database.optimize ~algorithm:algo db pat in
-    let e = r.Sjos_core.Optimizer.effort in
-    Sjos_core.Effort.
-      (e.considered, e.generated, e.expanded, e.pruned_bound, e.pruned_deadend)
+    (Helpers.cold_result ~algorithm:algo db pat).Sjos_core.Optimizer.work
   in
   let algos =
     Sjos_core.Optimizer.
@@ -171,12 +169,7 @@ let test_counters_invariant_under_tracing () =
   let plain = List.map effort algos in
   let traced = with_obs_enabled (fun () -> List.map effort algos) in
   List.iter2
-    (fun (c, g, e, pb, pd) (c', g', e', pb', pd') ->
-      check ci "considered unchanged" c c';
-      check ci "generated unchanged" g g';
-      check ci "expanded unchanged" e e';
-      check ci "pruned_bound unchanged" pb pb';
-      check ci "pruned_deadend unchanged" pd pd')
+    (fun w w' -> check cb "search work unchanged" true (Work.equal w w'))
     plain traced
 
 (* ---------- EXPLAIN ANALYZE ---------- *)
@@ -188,7 +181,7 @@ let analyze_queries () =
       let db =
         Database.of_document (Workload.generate ~size:600 q.Workload.dataset)
       in
-      (q, db, Database.analyze db q.Workload.pattern))
+      (q, db, Database.analyze_prepared (Database.prepare db q.Workload.pattern)))
     Workload.queries
 
 let test_analyze_rows_populated () =
@@ -239,7 +232,7 @@ let test_analyze_rows_populated () =
 let test_analyze_renderings () =
   let db = Database.of_string Helpers.tiny_pers_xml in
   let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
-  let a = Database.analyze db pat in
+  let a = Database.analyze_prepared (Database.prepare db pat) in
   let table = Sjos_plan.Explain.analyze_to_string pat a.Database.rows in
   List.iter
     (fun needle ->
@@ -264,19 +257,17 @@ let test_q_error () =
 let test_optimizer_result_json () =
   let db = Database.of_string Helpers.tiny_pers_xml in
   let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
-  let r = Database.optimize ~algorithm:Sjos_core.Optimizer.Dpp db pat in
+  let r = Helpers.cold_result ~algorithm:Sjos_core.Optimizer.Dpp db pat in
   let json = Sjos_core.Optimizer.result_to_json pat r in
   check cb "algorithm present" true
     (Json.member "algorithm" json = Some (Json.Str "DPP"));
-  check cb "plans_considered matches record" true
-    (Json.member "plans_considered" json
-    = Some (Json.Int r.Sjos_core.Optimizer.plans_considered));
-  (match Json.member "effort" json with
-  | Some effort ->
-      check cb "effort.considered present" true
-        (Json.member "considered" effort
-        = Some (Json.Int r.Sjos_core.Optimizer.plans_considered))
-  | None -> Alcotest.fail "effort block missing");
+  (match Json.member "work" json with
+  | Some work ->
+      check cb "work.plans_considered matches record" true
+        (Json.member "plans_considered" work
+        = Some (Json.Int r.Sjos_core.Optimizer.work.Work.plans_considered))
+  | None -> Alcotest.fail "work block missing");
+  check cb "no effort block" true (Json.member "effort" json = None);
   match Json.of_string (Json.to_string json) with
   | Ok j -> check cb "result JSON round-trips" true (Json.equal j json)
   | Error e -> Alcotest.failf "result JSON did not parse: %s" e

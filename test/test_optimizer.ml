@@ -1,6 +1,7 @@
 open Sjos_pattern
 open Sjos_plan
 open Sjos_core
+module Work = Sjos_obs.Work
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -43,9 +44,9 @@ let test_expand_moves () =
       check ci "two clusters" 2 (List.length succ.Status.clusters);
       check cb "cost grows" true (succ.Status.cost >= s.Status.cost))
     succs;
-  check ci "expanded counter" 1 ctx.Search.effort.Effort.expanded;
-  check ci "considered = generated" ctx.Search.effort.Effort.generated
-    ctx.Search.effort.Effort.considered
+  check ci "expanded counter" 1 ctx.Search.work.Work.expansions;
+  check ci "considered = generated" ctx.Search.work.Work.statuses_generated
+    ctx.Search.work.Work.plans_considered
 
 let test_deadend_detection () =
   let p = Helpers.pat "a(//b,//c)" in
@@ -231,7 +232,7 @@ let test_effort_ordering () =
   let p = Helpers.pat "manager(//employee(/name),//manager(/department(/name)))" in
   let provider = Helpers.exact_provider idx p in
   let considered algo =
-    (Optimizer.optimize ~provider algo p).Optimizer.plans_considered
+    (Optimizer.optimize ~provider algo p).Optimizer.work.Work.plans_considered
   in
   let dp = considered Optimizer.Dp in
   let dpp' = considered Optimizer.Dpp_no_lookahead in
@@ -291,7 +292,8 @@ let test_optimizer_facade () =
     (fun algo ->
       let r = Optimizer.optimize ~provider algo p in
       check cb "plan valid" true (Properties.is_valid p r.Optimizer.plan);
-      check cb "considered positive" true (r.Optimizer.plans_considered > 0);
+      check cb "considered positive" true
+        (r.Optimizer.work.Work.plans_considered > 0);
       check cb "time recorded" true (r.Optimizer.opt_seconds >= 0.0);
       check cb "pp works" true
         (String.length (Fmt.str "%a" (Optimizer.pp_result p) r) > 0))

@@ -1,6 +1,6 @@
 (* Differential suite for the backend-polymorphic column store: the Disk
    backend must be observationally identical to Mem — same tuples in the
-   same order, same executor metrics, same deterministic work counters —
+   same order, same executor work, same deterministic work counters —
    across page sizes, pool sizes (including pools small enough to force
    mid-join eviction), kernels, chaos faults and domain counts.  The only
    permitted divergence is the IO accounting ([Work.page_touches],
@@ -29,18 +29,8 @@ let check_same_tuple_seq msg (expected : Tuple.t array) (actual : Tuple.t array)
           (Tuple.to_string actual.(i)))
     expected
 
-let check_metrics_identical msg (a : Metrics.t) (b : Metrics.t) =
-  check ci (msg ^ ": index_items") a.Metrics.index_items b.Metrics.index_items;
-  check ci (msg ^ ": output_tuples") a.Metrics.output_tuples
-    b.Metrics.output_tuples;
-  check ci (msg ^ ": stack_ops") a.Metrics.stack_ops b.Metrics.stack_ops;
-  check ci (msg ^ ": io_items") a.Metrics.io_items b.Metrics.io_items;
-  check ci (msg ^ ": skipped_items") a.Metrics.skipped_items
-    b.Metrics.skipped_items;
-  check ci (msg ^ ": sorted_items") a.Metrics.sorted_items
-    b.Metrics.sorted_items;
-  check ci (msg ^ ": joins") a.Metrics.joins b.Metrics.joins;
-  check ci (msg ^ ": sorts") a.Metrics.sorts b.Metrics.sorts
+let check_work_identical msg (a : Work.t) (b : Work.t) =
+  check cb (msg ^ ": work identical") true (Work.equal a b)
 
 (* The workload slice used throughout: pure-tag leaves (served lazily on
    Disk) and one child-axis query. *)
@@ -57,7 +47,7 @@ let run_one db text =
     Work.scoped (fun () -> Database.run db (Helpers.pat text))
   in
   let r = match outcome with Ok r -> r | Error e -> raise e in
-  (r.Database.exec.Executor.tuples, r.Database.exec.Executor.metrics, work)
+  (r.Database.exec.Executor.tuples, r.Database.exec.Executor.work, work)
 
 (* ---------- Mem vs Disk over the page/pool grid ---------- *)
 
@@ -81,7 +71,7 @@ let test_differential () =
           let tm, mm, wm = run_one db_mem text in
           let td, md, wd = run_one db_disk text in
           check_same_tuple_seq msg tm td;
-          check_metrics_identical msg mm md;
+          check_work_identical msg mm md;
           check cb (msg ^ ": work equal mod IO") true (Work.equal_mod_io wm wd);
           check ci (msg ^ ": core score") (Work.core_score wm)
             (Work.core_score wd);
@@ -99,17 +89,17 @@ let test_differential () =
 
 (* ---------- lazy leaves feeding the kernels directly ---------- *)
 
-let leaf_scan store ~width ~slot tag (m : Metrics.t) =
+let leaf_scan store ~width ~slot tag (m : Sjos_obs.Work.t) =
   match Column_store.leaf store (Candidate.of_tag tag) with
   | None -> Alcotest.failf "no leaf for pure tag %s" tag
   | Some lf ->
-      m.Metrics.index_items <-
-        m.Metrics.index_items + Column_store.leaf_length lf;
+      m.Work.candidates_scanned <-
+        m.Work.candidates_scanned + Column_store.leaf_length lf;
       Stack_tree.leaf ~width ~slot lf
 
-let rows_scan index ~width ~slot tag (m : Metrics.t) =
+let rows_scan index ~width ~slot tag (m : Sjos_obs.Work.t) =
   Stack_tree.Rows
-    (Operators.index_scan_batch ~metrics:m ~width ~slot
+    (Operators.index_scan_batch ~work:m ~width ~slot
        (Element_index.cols index tag))
 
 let algo_name = function
@@ -137,11 +127,11 @@ let test_leaf_kernel () =
             Printf.sprintf "%s/%s" (algo_name algo) (Axes.axis_to_string axis)
           in
           let reference =
-            let m = Metrics.create () in
+            let m = Work.zero () in
             let anc = rows_scan index ~width:2 ~slot:0 "manager" m in
             let desc = rows_scan index ~width:2 ~slot:1 "employee" m in
             let b =
-              Stack_tree.join_batch_in ~metrics:m ~doc ~axis ~algo
+              Stack_tree.join_batch_in ~work:m ~doc ~axis ~algo
                 ~anc:(anc, 0) ~desc:(desc, 1) ()
             in
             (Batch.to_tuples b, m)
@@ -170,15 +160,15 @@ let test_leaf_kernel () =
           in
           List.iter
             (fun (vname, build) ->
-              let m = Metrics.create () in
+              let m = Work.zero () in
               let anc, desc, pool, par_min_rows = build m in
               let b =
-                Stack_tree.join_batch_in ?pool ?par_min_rows ~metrics:m ~doc
+                Stack_tree.join_batch_in ?pool ?par_min_rows ~work:m ~doc
                   ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ()
               in
               let msg = name ^ " " ^ vname in
               check_same_tuple_seq msg (fst reference) (Batch.to_tuples b);
-              check_metrics_identical msg (snd reference) m)
+              check_work_identical msg (snd reference) m)
             variants)
         [ Axes.Descendant; Axes.Child ])
     [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ]
@@ -196,11 +186,11 @@ let test_leaf_laziness_bounded () =
   in
   Fun.protect ~finally:(fun () -> Column_store.dispose store)
   @@ fun () ->
-  let m = Metrics.create () in
+  let m = Work.zero () in
   let anc = leaf_scan store ~width:2 ~slot:0 "manager" m in
   let desc = leaf_scan store ~width:2 ~slot:1 "employee" m in
   ignore
-    (Stack_tree.join_batch_in ~metrics:m ~doc ~axis:Axes.Descendant
+    (Stack_tree.join_batch_in ~work:m ~doc ~axis:Axes.Descendant
        ~algo:Plan.Stack_tree_desc ~anc:(anc, 0) ~desc:(desc, 1) ());
   let lazy_misses =
     (Option.get (Column_store.io_stats store)).Pager.misses
@@ -238,8 +228,8 @@ let test_legacy_kernel_disk () =
     legacy.Executor.tuples;
   check_same_tuple_seq "columnar@disk vs mem" mem.Executor.tuples
     columnar.Executor.tuples;
-  check ci "legacy index_items" mem.Executor.metrics.Metrics.index_items
-    legacy.Executor.metrics.Metrics.index_items
+  check ci "legacy index_items" mem.Executor.work.Work.candidates_scanned
+    legacy.Executor.work.Work.candidates_scanned
 
 (* ---------- predicate specs (no leaf path) stay identical ---------- *)
 
@@ -255,7 +245,7 @@ let test_predicate_spec_differential () =
   let tm, mm, wm = run_one db_mem text in
   let td, md, wd = run_one db_disk text in
   check_same_tuple_seq "mbench attr query" tm td;
-  check_metrics_identical "mbench attr query" mm md;
+  check_work_identical "mbench attr query" mm md;
   check cb "work equal mod IO" true (Work.equal_mod_io wm wd);
   Database.dispose db_disk
 

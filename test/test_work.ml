@@ -109,33 +109,41 @@ let doc_and_index () =
   let doc = Sjos_datagen.Dblp.generate ~seed:42 ~target_nodes:900 () in
   (doc, Element_index.build doc)
 
+(* Kernels charge only the record they are handed: the domain
+   accumulator stays untouched until an executor run completes. *)
+let charged work f =
+  let outside, result = Work.scoped f in
+  check cb "kernel leaves the domain accumulator alone" true
+    (Work.is_zero outside);
+  (work, result)
+
 let columnar_join ?pool ~doc ~idx ~atag ~dtag ~algo () =
-  let metrics = Metrics.create () in
+  let work = Work.zero () in
   let anc =
-    Operators.index_scan ~metrics ~width:2 ~slot:0
+    Operators.index_scan ~work ~width:2 ~slot:0
       (Element_index.lookup idx atag)
   in
   let desc =
-    Operators.index_scan ~metrics ~width:2 ~slot:1
+    Operators.index_scan ~work ~width:2 ~slot:1
       (Element_index.lookup idx dtag)
   in
-  Work.scoped (fun () ->
-      Stack_tree.join ?pool ~par_min_rows:0 ~metrics ~doc
+  charged work (fun () ->
+      Stack_tree.join ?pool ~par_min_rows:0 ~work ~doc
         ~axis:Axes.Descendant ~algo ~anc:(anc, 0) ~desc:(desc, 1)
         ())
 
 let legacy_join ~doc ~idx ~atag ~dtag ~algo () =
-  let metrics = Metrics.create () in
+  let work = Work.zero () in
   let anc =
-    Operators.index_scan ~metrics ~width:2 ~slot:0
+    Operators.index_scan ~work ~width:2 ~slot:0
       (Element_index.lookup idx atag)
   in
   let desc =
-    Operators.index_scan ~metrics ~width:2 ~slot:1
+    Operators.index_scan ~work ~width:2 ~slot:1
       (Element_index.lookup idx dtag)
   in
-  Work.scoped (fun () ->
-      Stack_tree_legacy.join ~metrics ~doc
+  charged work (fun () ->
+      Stack_tree_legacy.join ~work ~doc
         ~axis:Axes.Descendant ~algo ~anc:(anc, 0) ~desc:(desc, 1)
         ())
 
@@ -206,6 +214,103 @@ let test_pager_page_touches () =
   Pager.scan p seg;
   let after = (Work.snapshot ()).Work.page_touches in
   check ci "one work unit per page access" 10 (after - before)
+
+(* ---------- one vocabulary: profile, run, search ---------- *)
+
+let pers_db = lazy (Sjos_engine.Database.of_document (Lazy.force Helpers.pers_1k))
+
+let rec profile_total total (m : Explain.measured) =
+  Work.merge_into total m.Explain.work;
+  List.iter (profile_total total) m.Explain.inputs
+
+let test_profile_sums_to_run () =
+  let idx = Sjos_engine.Database.index (Lazy.force pers_db) in
+  List.iter
+    (fun text ->
+      let p = Helpers.pat text in
+      let _, plan =
+        Sjos_core.Dpp.run
+          (Sjos_core.Search.make_ctx ~provider:(Helpers.exact_provider idx p) p)
+      in
+      List.iter
+        (fun (name, kernel, plan) ->
+          let msg = Printf.sprintf "%s %s" text name in
+          let delta, r =
+            Work.scoped (fun () -> Executor.execute ~kernel idx p plan)
+          in
+          let run = match r with Ok run -> run | Error e -> raise e in
+          let total = Work.zero () in
+          profile_total total run.Executor.profile;
+          check cb (msg ^ ": operator deltas sum to the run") true
+            (Work.equal total run.Executor.work);
+          check cb (msg ^ ": the run is what the domain was charged") true
+            (Work.equal delta run.Executor.work);
+          check cb (msg ^ ": comparisons counted") true
+            (run.Executor.work.Work.comparisons > 0))
+        [
+          ("columnar", `Columnar, plan);
+          ("legacy", `Legacy, plan);
+          ("holistic", `Columnar, Plan.holistic_of_pattern p);
+        ])
+    [
+      "manager(//employee(/name))";
+      "manager(//employee(/name),//manager(/department(/name)))";
+    ]
+
+let test_cold_prepare_work_is_charged () =
+  let db = Lazy.force pers_db in
+  let p = Helpers.pat "manager(//employee(/name),//department(/name))" in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun algorithm ->
+          let msg =
+            Sjos_core.Optimizer.(engine_name engine ^ "/" ^ name algorithm)
+          in
+          let delta, r =
+            Work.scoped (fun () -> Helpers.cold_result ~algorithm ~engine db p)
+          in
+          let r = match r with Ok r -> r | Error e -> raise e in
+          check cb (msg ^ ": result work = charged work") true
+            (Work.equal delta r.Sjos_core.Optimizer.work))
+        (Sjos_core.Optimizer.all p))
+    Sjos_core.Optimizer.[ Binary; Holistic; Auto ]
+
+(* Auto's result counts the binary search plus the holistic alternative,
+   whichever plan wins — on a deep // chain the holistic plan wins. *)
+let test_auto_work_is_binary_plus_one () =
+  let db = Sjos_engine.Database.of_document (Lazy.force Helpers.mbench_1k) in
+  List.iter
+    (fun text ->
+      let p = Helpers.pat text in
+      let bin = Helpers.cold_result ~engine:Sjos_core.Optimizer.Binary db p in
+      let auto = Helpers.cold_result ~engine:Sjos_core.Optimizer.Auto db p in
+      let expected = Work.copy bin.Sjos_core.Optimizer.work in
+      expected.Work.plans_considered <- expected.Work.plans_considered + 1;
+      check cb (text ^ ": auto work = binary work + 1 plan") true
+        (Work.equal expected auto.Sjos_core.Optimizer.work))
+    [ "eNest(//eNest(//eNest(//eNest))) order by A"; "eNest(/eOccasional)" ];
+  let deep = Helpers.pat "eNest(//eNest(//eNest(//eNest))) order by A" in
+  check cb "holistic wins the deep chain" true
+    (Plan.uses_holistic
+       (Helpers.cold_result ~engine:Sjos_core.Optimizer.Auto db deep)
+         .Sjos_core.Optimizer.plan)
+
+(* A work object as written before the search-breakdown counters and
+   [sort_cost] existed: it must still load, the new fields as 0. *)
+let test_reads_older_datapoints () =
+  let old =
+    {|{"comparisons":17,"tuples_emitted":3,"items_skipped":99,"candidates_scanned":5,"stack_ops":8,"io_items":4,"sorted_items":2,"expansions":6,"plans_considered":7,"page_touches":1,"score":46}|}
+  in
+  match Result.bind (Json.of_string old) Work.of_json with
+  | Error msg -> Alcotest.failf "older work json: %s" msg
+  | Ok w ->
+      check ci "old field kept" 17 w.Work.comparisons;
+      check ci "old field kept" 7 w.Work.plans_considered;
+      check ci "score unchanged" 46 (Work.score w);
+      check ci "new field reads 0" 0 w.Work.statuses_generated;
+      check ci "new field reads 0" 0 w.Work.pruned_bound;
+      check cb "sort_cost reads 0" true (w.Work.sort_cost = 0.0)
 
 (* ---------- chrome trace export ---------- *)
 
@@ -380,6 +485,14 @@ let suite =
       test_repeat_run_determinism;
     Alcotest.test_case "pager charges page_touches" `Quick
       test_pager_page_touches;
+    Alcotest.test_case "profile work sums to the run" `Quick
+      test_profile_sums_to_run;
+    Alcotest.test_case "cold prepare charges its result work" `Quick
+      test_cold_prepare_work_is_charged;
+    Alcotest.test_case "auto work = binary work + one plan" `Quick
+      test_auto_work_is_binary_plus_one;
+    Alcotest.test_case "older work datapoints still load" `Quick
+      test_reads_older_datapoints;
     Alcotest.test_case "chrome trace export round-trips" `Quick
       test_chrome_trace_roundtrip;
     Alcotest.test_case "perf-history store append/list/load" `Quick
