@@ -239,12 +239,12 @@ let ablation_scaling () =
         dp_t dpp_p dpp_t fp_p fp_t)
     [ 3; 4; 5; 6; 7; 8 ]
 
-(* Ablation C: binary structural-join plans vs holistic multi-way joins
-   (PathStack on paths, TwigStack-style on twigs) — the paper's §6 future
+(* Ablation C: binary structural-join plans vs the holistic TwigStack
+   plan (which is PathStack on path patterns) — the paper's §6 future
    work, implemented as an extension. *)
 let ablation_holistic () =
   section "Ablation: optimal binary plans vs holistic joins (all queries)";
-  Printf.printf "%-14s | %-9s | %14s | %14s | %10s\n" "query" "holistic"
+  Printf.printf "%-14s | %-5s | %14s | %14s | %10s\n" "query" "shape"
     "binary (kU)" "holistic (kU)" "matches";
   List.iter
     (fun (q : Workload.query) ->
@@ -258,24 +258,17 @@ let ablation_holistic () =
         Experiment.run_cell ~opts:(Experiment.cold_opts Optimizer.Dpp) db
           q.Workload.pattern
       in
-      let work = Sjos_obs.Work.zero () in
-      let is_path = Sjos_pattern.Pattern.is_path q.Workload.pattern in
-      let out =
-        if is_path then
-          Sjos_exec.Path_stack.run ~work (Database.index db)
-            q.Workload.pattern
-        else
-          Sjos_exec.Twig_join.run ~work (Database.index db)
-            q.Workload.pattern
+      let p = q.Workload.pattern in
+      let run =
+        Sjos_exec.Executor.execute ~factors:(Database.factors db)
+          (Database.index db) p
+          (Sjos_plan.Plan.holistic_of_pattern p)
       in
-      let holistic_units =
-        Sjos_cost.Cost_model.cost_units (Database.factors db) work
-      in
-      Printf.printf "%-14s | %-9s | %14.1f | %14.1f | %10d\n" q.Workload.id
-        (if is_path then "PathStack" else "TwigStack")
+      Printf.printf "%-14s | %-5s | %14.1f | %14.1f | %10d\n" q.Workload.id
+        (if Sjos_pattern.Pattern.is_path p then "path" else "twig")
         (cell.Experiment.eval_units /. 1000.)
-        (holistic_units /. 1000.)
-        (Array.length out))
+        (run.Sjos_exec.Executor.cost_units /. 1000.)
+        (Array.length run.Sjos_exec.Executor.tuples))
     Workload.queries
 
 (* Ablation D: Stack-Tree vs MPMGJN (the SIGMOD'01 merge join the

@@ -5,8 +5,6 @@ open Sjos_plan
 open Sjos_obs
 open Sjos_guard
 
-type kernel = [ `Columnar | `Legacy ]
-
 type run = {
   tuples : Tuple.t array;
   work : Work.t;
@@ -60,28 +58,8 @@ let verify_document_order ~doc ~what candidates =
   done;
   candidates
 
-(* One physical engine = how each operator runs and how rows are counted.
-   The two instantiations (columnar batches, legacy tuple arrays) share
-   the interpreter below, so spans, per-operator work and the run
-   profile are produced identically by both.  [root_join] runs the
-   plan's outermost join straight to the caller-facing tuple format —
-   for the columnar engine that skips one full materialization of the
-   (often dominant) root output. *)
-type 'r engine = {
-  scan : Work.t -> int -> 'r;
-  sort_op : Work.t -> int -> 'r -> 'r;
-  join_op : Work.t -> Pattern.edge -> Plan.algo -> 'r -> 'r -> 'r;
-  root_join : Work.t -> Pattern.edge -> Plan.algo -> 'r -> 'r -> Tuple.t array;
-  twig : Work.t -> 'r;
-      (** the holistic operator: candidate acquisition (and its
-          accounting) is the engine's own business, so it appears as one
-          leaf operator in spans and the run profile *)
-  rows : 'r -> int;
-  to_tuples : 'r -> Tuple.t array;
-}
-
 let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
-    ?max_tuples ?fetch ?(kernel = `Columnar) ?pool ?store index pat plan =
+    ?max_tuples ?fetch ?pool ?store index pat plan =
   (match Properties.validate pat plan with
   | Ok () -> ()
   | Error msg -> Error.fail (Error.Invalid_plan msg));
@@ -107,90 +85,135 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
   let doc = Element_index.document index in
   let width = Pattern.node_count pat in
   let work = Work.zero () in
-  let candidates_for i =
+  let t0 = Clock.now_ns () in
+  (* Rows travel between operators as {!Stack_tree.input}s: a leaf scan
+     on the Disk backend stays a lazy handle all the way into the join,
+     so only the pages the skip-ahead merge examines are ever read.
+     Scan accounting is identical either way — one index item per
+     candidate, leaf length answered from the catalog. *)
+  let scan own i =
     let spec = Pattern.label pat i in
     match fetch with
-    | None -> Column_store.select_nodes store spec
     | Some f ->
-        verify_document_order ~doc
-          ~what:(Printf.sprintf "candidates(%s)" (Candidate.spec_to_string spec))
-          (f spec)
+        Stack_tree.Rows
+          (Operators.index_scan_batch ~work:own ~width ~slot:i
+             (Sjos_xml.Cols.of_nodes
+                (verify_document_order ~doc
+                   ~what:
+                     (Printf.sprintf "candidates(%s)"
+                        (Candidate.spec_to_string spec))
+                   (f spec))))
+    | None -> (
+        match Column_store.leaf store spec with
+        | Some lf ->
+            own.Work.candidates_scanned <-
+              own.Work.candidates_scanned + Column_store.leaf_length lf;
+            Stack_tree.leaf ~width ~slot:i lf
+        | None ->
+            Stack_tree.Rows
+              (Operators.index_scan_batch ~work:own ~width ~slot:i
+                 (Column_store.select store spec)))
   in
-  let t0 = Clock.now_ns () in
+  let rows = Stack_tree.input_rows in
+  let check_output r =
+    Budget.check_tuples budget ~during:"execute" ~count:(rows r);
+    r
+  in
   (* Each operator gets its own work record and its own (monotonic) self
      time, so the run profile prices every operator separately; each
      operator's record is added into the run total as it finishes. *)
-  let run_with : type r. r engine -> Tuple.t array * Explain.measured =
-   fun eng ->
-    let check_output r =
-      Budget.check_tuples budget ~during:"execute" ~count:(eng.rows r);
-      r
+  let rec eval plan : Stack_tree.input * Explain.measured =
+    match plan with
+    | Plan.Index_scan i ->
+        measure plan [] (fun own _ -> check_output (scan own i)) rows
+    | Plan.Sort { input; by } ->
+        measure plan [ input ]
+          (fun own -> function
+            | [ (r, _) ] ->
+                Stack_tree.Rows
+                  (Operators.sort_batch ~budget ~work:own ~doc ~by
+                     (Stack_tree.to_batch r))
+            | _ -> assert false)
+          rows
+    | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
+        measure plan
+          [ anc_side; desc_side ]
+          (fun own -> function
+            | [ (a, _); (d, _) ] ->
+                check_output
+                  (Stack_tree.Rows
+                     (Stack_tree.join_batch_in ~budget ~pool ~work:own ~doc
+                        ~axis:edge.Pattern.axis ~algo
+                        ~anc:(a, edge.Pattern.anc)
+                        ~desc:(d, edge.Pattern.desc) ()))
+            | _ -> assert false)
+          rows
+    | Plan.Holistic _ ->
+        (* candidate acquisition (and its accounting) belongs to the
+           holistic operator, so it appears as one leaf operator in
+           spans and the run profile *)
+        measure plan []
+          (fun own _ ->
+            let inputs = Array.init width (fun i -> scan own i) in
+            check_output
+              (Stack_tree.Rows
+                 (Twig_stack.run ~budget ~work:own ~doc ~pat ~inputs ())))
+          rows
+  (* [measure] owns the span/work/profile bookkeeping; it is polymorphic
+     in the produced value so the root operator can produce the
+     caller-facing tuple array while interior operators stay in
+     {!Stack_tree.input}s. *)
+  and measure :
+      'a.
+      Plan.t ->
+      Plan.t list ->
+      (Work.t -> (Stack_tree.input * Explain.measured) list -> 'a) ->
+      ('a -> int) ->
+      'a * Explain.measured =
+   fun plan inputs apply rows_of ->
+    Budget.check budget ~during:"execute";
+    (* the span opens before the inputs run so child operators nest *)
+    let span = Trace.begin_span (op_span_name plan) in
+    let child_results =
+      (* left-to-right: ancestor side before descendant side *)
+      List.rev (List.fold_left (fun acc p -> eval p :: acc) [] inputs)
     in
-    (* [measure] owns the span/work/profile bookkeeping; it is
-       polymorphic in the produced value so the root operator can produce
-       the caller-facing tuple array while interior operators stay in the
-       engine's row representation. *)
-    let rec eval plan : r * Explain.measured =
-      match plan with
-      | Plan.Index_scan i ->
-          measure plan [] (fun own _ -> check_output (eng.scan own i)) eng.rows
-      | Plan.Sort { input; by } ->
-          measure plan [ input ]
-            (fun own -> function
-              | [ (r, _) ] -> eng.sort_op own by r
-              | _ -> assert false)
-            eng.rows
-      | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
-          measure plan
-            [ anc_side; desc_side ]
-            (fun own -> function
-              | [ (a, _); (d, _) ] -> check_output (eng.join_op own edge algo a d)
-              | _ -> assert false)
-            eng.rows
-      | Plan.Holistic _ ->
-          measure plan [] (fun own _ -> check_output (eng.twig own)) eng.rows
-    and measure :
-        'a.
-        Plan.t ->
-        Plan.t list ->
-        (Work.t -> (r * Explain.measured) list -> 'a) ->
-        ('a -> int) ->
-        'a * Explain.measured =
-     fun plan inputs apply rows_of ->
-      Budget.check budget ~during:"execute";
-      (* the span opens before the inputs run so child operators nest *)
-      let span = Trace.begin_span (op_span_name plan) in
-      let child_results =
-        (* left-to-right: ancestor side before descendant side *)
-        List.rev (List.fold_left (fun acc p -> eval p :: acc) [] inputs)
-      in
-      let own = Work.zero () in
-      let op_t0 = Clock.now_ns () in
-      let r = apply own child_results in
-      let seconds = Clock.elapsed_seconds ~since:op_t0 in
-      Trace.end_span span
-        ~attrs:
-          [
-            ("rows", Json.Int (rows_of r));
-            ("cost_units", Json.Float (Cost_model.cost_units factors own));
-          ];
-      Work.merge_into work own;
-      ( r,
-        {
-          Explain.mplan = plan;
-          rows = rows_of r;
-          work = own;
-          seconds;
-          inputs = List.map snd child_results;
-        } )
-    in
+    let own = Work.zero () in
+    let op_t0 = Clock.now_ns () in
+    let r = apply own child_results in
+    let seconds = Clock.elapsed_seconds ~since:op_t0 in
+    Trace.end_span span
+      ~attrs:
+        [
+          ("rows", Json.Int (rows_of r));
+          ("cost_units", Json.Float (Cost_model.cost_units factors own));
+        ];
+    Work.merge_into work own;
+    ( r,
+      {
+        Explain.mplan = plan;
+        rows = rows_of r;
+        work = own;
+        seconds;
+        inputs = List.map snd child_results;
+      } )
+  in
+  (* The root join runs straight to the caller-facing tuple format,
+     skipping one full materialization of the (often dominant) root
+     output. *)
+  let tuples, profile =
     match plan with
     | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
         measure plan
           [ anc_side; desc_side ]
           (fun own -> function
             | [ (a, _); (d, _) ] ->
-                let tuples = eng.root_join own edge algo a d in
+                let tuples =
+                  Stack_tree.join_root_in ~budget ~pool ~work:own ~doc
+                    ~axis:edge.Pattern.axis ~algo
+                    ~anc:(a, edge.Pattern.anc)
+                    ~desc:(d, edge.Pattern.desc) ()
+                in
                 Budget.check_tuples budget ~during:"execute"
                   ~count:(Array.length tuples);
                 tuples
@@ -198,126 +221,13 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           Array.length
     | _ ->
         let r, profile = eval plan in
-        (eng.to_tuples r, profile)
-  in
-  let tuples, profile =
-    match kernel with
-    | `Columnar ->
-        (* The columnar engine's row representation is {!Stack_tree.input}:
-           a leaf scan on the Disk backend stays a lazy handle all the way
-           into the join, so only the pages the skip-ahead merge examines
-           are ever read.  Scan accounting is identical either way — one
-           index item per candidate, leaf length answered from the
-           catalog. *)
-        let scan_input own i =
-          let spec = Pattern.label pat i in
-          match fetch with
-          | Some f ->
-              Stack_tree.Rows
-                (Operators.index_scan_batch ~work:own ~width ~slot:i
-                   (Sjos_xml.Cols.of_nodes
-                      (verify_document_order ~doc
-                         ~what:
-                           (Printf.sprintf "candidates(%s)"
-                              (Candidate.spec_to_string spec))
-                         (f spec))))
-          | None -> (
-              match Column_store.leaf store spec with
-              | Some lf ->
-                  own.Work.candidates_scanned <-
-                    own.Work.candidates_scanned + Column_store.leaf_length lf;
-                  Stack_tree.leaf ~width ~slot:i lf
-              | None ->
-                  Stack_tree.Rows
-                    (Operators.index_scan_batch ~work:own ~width ~slot:i
-                       (Column_store.select store spec)))
-        in
-        run_with
-          {
-            scan = scan_input;
-            sort_op =
-              (fun own by r ->
-                Stack_tree.Rows
-                  (Operators.sort_batch ~budget ~work:own ~doc ~by
-                     (Stack_tree.to_batch r)));
-            join_op =
-              (fun own edge algo a d ->
-                Stack_tree.Rows
-                  (Stack_tree.join_batch_in ~budget ~pool ~work:own ~doc
-                     ~axis:edge.Pattern.axis ~algo
-                     ~anc:(a, edge.Pattern.anc)
-                     ~desc:(d, edge.Pattern.desc) ()));
-            root_join =
-              (fun own edge algo a d ->
-                Stack_tree.join_root_in ~budget ~pool ~work:own ~doc
-                  ~axis:edge.Pattern.axis ~algo
-                  ~anc:(a, edge.Pattern.anc)
-                  ~desc:(d, edge.Pattern.desc) ());
-            twig =
-              (fun own ->
-                let inputs = Array.init width (fun i -> scan_input own i) in
-                Stack_tree.Rows
-                  (Twig_stack.run ~budget ~work:own ~doc ~pat ~inputs ()));
-            rows = Stack_tree.input_rows;
-            to_tuples = (fun r -> Batch.to_tuples (Stack_tree.to_batch r));
-          }
-    | `Legacy ->
-        run_with
-          {
-            scan =
-              (fun own i ->
-                Operators.index_scan ~work:own ~width ~slot:i
-                  (candidates_for i));
-            sort_op =
-              (fun own by tuples ->
-                Operators.sort_legacy ~budget ~work:own ~doc ~by tuples);
-            join_op =
-              (fun own edge algo a d ->
-                Stack_tree_legacy.join ~budget ~work:own ~doc
-                  ~axis:edge.Pattern.axis ~algo
-                  ~anc:(a, edge.Pattern.anc)
-                  ~desc:(d, edge.Pattern.desc) ());
-            root_join =
-              (fun own edge algo a d ->
-                Stack_tree_legacy.join ~budget ~work:own ~doc
-                  ~axis:edge.Pattern.axis ~algo
-                  ~anc:(a, edge.Pattern.anc)
-                  ~desc:(d, edge.Pattern.desc) ());
-            twig =
-              (fun own ->
-                let tuples =
-                  Twig_join.run ~budget
-                    ?candidates:
-                      (match fetch with
-                      | None -> None
-                      | Some _ -> Some candidates_for)
-                    ~work:own index pat
-                in
-                (* canonical order parity with the columnar kernel:
-                   lexicographic by slot value (presentation-only, so
-                   uncharged — the columnar kernel's charged ordering
-                   pass is part of its merge machinery, this one exists
-                   only to make the two engines' outputs comparable) *)
-                let cmp (a : Tuple.t) (b : Tuple.t) =
-                  let rec go s =
-                    if s = width then 0
-                    else
-                      let c = compare a.(s) b.(s) in
-                      if c <> 0 then c else go (s + 1)
-                  in
-                  go 0
-                in
-                Array.sort cmp tuples;
-                tuples);
-            rows = Array.length;
-            to_tuples = Fun.id;
-          }
+        (Batch.to_tuples (Stack_tree.to_batch r), profile)
   in
   let seconds = Clock.elapsed_seconds ~since:t0 in
   (* Charge the domain accumulator once, when the run completes.  [work]
      already holds the merged totals from every operator and shard
-     (integer sums, partition-invariant), so the counters stay engine-
-     and domain-independent. *)
+     (integer sums, partition-invariant), so the counters stay
+     domain-independent. *)
   Work.absorb work;
   if Registry.enabled () then begin
     Registry.add_seconds (Registry.timer "executor.seconds") seconds;

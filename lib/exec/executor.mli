@@ -1,19 +1,14 @@
 (** Plan interpretation: run a physical plan against an indexed document
-    and collect both the matches and the operation accounting. *)
+    and collect both the matches and the operation accounting.
+
+    One columnar interpreter serves both physical algebras — binary
+    Stack-Tree plans (index scans, key-column permutation sorts and the
+    skip-ahead {!Stack_tree} joins) and the holistic {!Twig_stack}
+    operator.  Rows flow between operators as {!Stack_tree.input}s. *)
 
 open Sjos_storage
 open Sjos_pattern
 open Sjos_plan
-
-type kernel = [ `Columnar | `Legacy ]
-(** Which physical engine interprets the plan.  [`Columnar] (the default)
-    runs the batch execution engine: flat-array scans, key-column
-    permutation sorts and the skip-ahead Stack-Tree kernels.  [`Legacy]
-    runs the original tuple-array operators ({!Stack_tree_legacy},
-    {!Operators.sort_legacy}) — kept as the measured baseline for
-    [bench/bench_perf] and the differential tests.  Both engines produce
-    identical tuples, profiles and counters (modulo
-    {!Sjos_obs.Work.t.items_skipped}). *)
 
 type run = {
   tuples : Tuple.t array;  (** the pattern matches, one tuple per match *)
@@ -34,7 +29,6 @@ val execute :
   ?budget:Sjos_guard.Budget.t ->
   ?max_tuples:int ->
   ?fetch:(Candidate.spec -> Sjos_xml.Node.t array) ->
-  ?kernel:kernel ->
   ?pool:Sjos_par.Pool.t ->
   ?store:Column_store.t ->
   Element_index.t ->
@@ -47,8 +41,7 @@ val execute :
     large joins over (see {!Stack_tree.join_batch}); it defaults to
     {!Sjos_par.Pool.get_default}, whose size is read from the
     [SJOS_DOMAINS] environment variable (1 when unset — fully serial).
-    Results are bit-identical for every pool size.  The [`Legacy]
-    kernel ignores it.
+    Results are bit-identical for every pool size.
 
     The run's [work] is added to the calling domain's
     {!Sjos_obs.Work.current} accumulator once, when the run completes;

@@ -27,11 +27,3 @@ let sort_batch ?(budget = Sjos_guard.Budget.unlimited) ~work ~doc ~by b =
   Sjos_guard.Budget.check budget ~during:"execute";
   account_sort ~work (Batch.length b);
   Batch.sort ~doc ~by b
-
-let sort_legacy ?(budget = Sjos_guard.Budget.unlimited) ~work ~doc ~by
-    tuples =
-  Sjos_guard.Budget.check budget ~during:"execute";
-  account_sort ~work (Array.length tuples);
-  let sorted = Array.copy tuples in
-  Array.stable_sort (Tuple.compare_by_slot doc by) sorted;
-  sorted

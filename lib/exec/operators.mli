@@ -1,5 +1,7 @@
-(** The non-join physical operators: index scan and sort, in both the
-    classic tuple-array flavor and the columnar batch flavor. *)
+(** The non-join physical operators: index scan and sort.  The executor
+    runs the columnar batch flavor; the tuple-array flavor is the same
+    operator, with the same accounting, on the boxed {!Tuple.t}
+    surface. *)
 
 open Sjos_xml
 open Sjos_storage
@@ -44,15 +46,3 @@ val sort_batch :
   Batch.t ->
   Batch.t
 (** {!sort} over a columnar batch ({!Batch.sort}); same accounting. *)
-
-val sort_legacy :
-  ?budget:Sjos_guard.Budget.t ->
-  work:Sjos_obs.Work.t ->
-  doc:Document.t ->
-  by:int ->
-  Tuple.t array ->
-  Tuple.t array
-(** The pre-batch-engine sort: [Array.stable_sort] with a comparator that
-    dereferences [Document.node] per comparison.  Kept as the measured
-    baseline for [bench/bench_perf] and the legacy executor kernel; same
-    accounting as {!sort}. *)

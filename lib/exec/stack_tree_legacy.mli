@@ -1,16 +1,17 @@
-(** The original list-based Stack-Tree kernels, kept verbatim as the
-    executable reference for the columnar engine.
+(** The original list-based Stack-Tree kernels, kept verbatim as a
+    test-only reference for the columnar kernels.
 
     {!Stack_tree} reimplements both variants over flat columns with
-    skip-ahead; this module preserves the group-list implementation so
-    that differential tests ([test/test_batch.ml]) and the
-    [bench/bench_perf] old-vs-new benchmark can assert, on randomized
-    inputs, that the two engines produce identical tuple arrays (same
-    tuples, same order) and identical join/IO accounting.  Apart from
+    skip-ahead; this module preserves the group-list implementation as
+    the independent derivation of the paper's comparison and stack
+    counters.  The differential tests ([test/test_batch.ml],
+    [test/test_work.ml]) assert, on randomized inputs, that the two
+    produce identical tuple arrays (same tuples, same order) and
+    identical join/IO accounting.  Apart from
     {!Sjos_obs.Work.t.items_skipped} (always [0] here), every counter must
     match the columnar kernels exactly.
 
-    Do not use this from new execution paths — it is the slow baseline. *)
+    No execution path calls this module; it exists for the tests. *)
 
 open Sjos_xml
 open Sjos_plan

@@ -5,9 +5,9 @@ module Ibuf = Batch.Ibuf
 module Work = Sjos_obs.Work
 
 (* Columnar holistic twig kernel, after TwigStack (Bruno, Koudas,
-   Srivastava — SIGMOD 2002).  The reference tuple-at-a-time
-   implementation lives in {!Twig_join}; this kernel must produce the
-   same match sets while touching only flat int arrays on the hot path.
+   Srivastava — SIGMOD 2002).  The oracle is {!Naive}: this kernel must
+   produce its match sets, in lexicographic order, while touching only
+   flat int arrays on the hot path.
 
    Phase 1 merges every candidate stream in global document order
    through per-pattern-node linked stacks (PathStack-style: plain global

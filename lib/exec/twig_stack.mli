@@ -7,9 +7,9 @@
     [stride] ints per entry — no boxing on the hot path), appends path
     solutions to flat per-leaf column blocks, then merge-joins the
     blocks on their shared root-path prefixes.  Match sets are identical
-    to the binary plans and to the reference {!Twig_join} oracle; the
-    output is in canonical order (lexicographic by slot value, i.e.
-    document order of the pattern root first).
+    to the binary plans and to the {!Naive} oracle; the output is in
+    canonical order (lexicographic by slot value, i.e. document order of
+    the pattern root first).  On a path pattern this is PathStack.
 
     Streams arrive as {!Stack_tree.input}s, so lazy disk-backed
     {!Sjos_storage.Column_store} leaves fault pages only as the merged

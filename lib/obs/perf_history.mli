@@ -26,7 +26,7 @@ type entry = {
 }
 
 type datapoint = {
-  bench : string;  (** store key: ["perf"], ["par"], ... *)
+  bench : string;  (** store key: ["par"], ["io"], ... *)
   timestamp : int;  (** unix seconds; ties get a [-N] file suffix *)
   meta : (string * Json.t) list;  (** scale, reps, cores, ... *)
   entries : entry list;

@@ -438,10 +438,6 @@ let select t spec =
         cols t (Option.get spec.Candidate.tag)
       else Candidate.select_cols t.index spec
 
-let select_nodes t spec =
-  charge_spec_scan t spec;
-  Candidate.select t.index spec
-
 (* ---------- lazy leaves ---------- *)
 
 type leaf = { ld : disk; entry : entry; frames : Cols.t }

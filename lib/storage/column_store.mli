@@ -125,10 +125,6 @@ val select : t -> Candidate.spec -> Cols.t
     full scan of its tag's segments (a wildcard scans every tag) and
     filters in memory; results are bit-identical to the Mem backend. *)
 
-val select_nodes : t -> Candidate.spec -> Node.t array
-(** Node-array counterpart of {!select} for the legacy engine; same
-    charging. *)
-
 (** {1 Lazy leaves}
 
     A leaf is a handle on one tag's on-disk columns that faults pages in

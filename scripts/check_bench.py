@@ -111,41 +111,6 @@ def check_work(work, where):
         raise CheckFailure(f"{where}: work score is zero — nothing executed")
 
 
-def check_bench_perf(doc):
-    need(doc, "scale", NUM)
-    need(doc, "reps", int)
-    rows = nonempty(need(doc, "patterns", list), "patterns")
-    for row in rows:
-        pid = need(row, "id", str)
-        need(row, "identical_output", bool)
-        need(row, "work_identical", bool)
-        need(row, "repeat_deterministic", bool)
-        if need(row, "output_tuples", int) <= 0:
-            raise CheckFailure(f"{pid}: zero output tuples")
-        check_work(need(row, "legacy_work", dict), f"{pid}/legacy")
-        check_work(need(row, "columnar_work", dict), f"{pid}/columnar")
-        for key in (
-            "legacy_seconds",
-            "columnar_seconds",
-            "speedup",
-            "legacy_allocated_bytes",
-            "columnar_allocated_bytes",
-            "alloc_ratio",
-        ):
-            need(row, key, NUM)
-    shape = need(doc, "shape", dict)
-    for key in (
-        "identical_outputs",
-        "work_identical",
-        "repeat_deterministic",
-        "skip_ahead_active",
-        "no_alloc_regression",
-        "alloc_2x",
-        "pass",
-    ):
-        need(shape, key, bool)
-
-
 def check_bench_par(doc):
     need(doc, "scale", NUM)
     need(doc, "reps", int)
@@ -381,7 +346,6 @@ CHECKERS = {
     "BENCH_1.json": check_bench_1,
     "BENCH_CACHE.json": check_bench_cache,
     "BENCH_GUARD.json": check_bench_guard,
-    "BENCH_PERF.json": check_bench_perf,
     "BENCH_PAR.json": check_bench_par,
     "BENCH_IO.json": check_bench_io,
     "BENCH_SERVE.json": check_bench_serve,

@@ -268,17 +268,18 @@ let test_metrics_accounting () =
   check cb "merge_into adds" true (Work.equal w w2);
   check cb "work pp" true (String.length (Fmt.str "%a" Work.pp w2) > 0)
 
-(* ---------- PathStack holistic join ---------- *)
+(* ---------- holistic plans (TwigStack; PathStack on paths) ---------- *)
+
+let holistic idx p =
+  Executor.execute idx p (Plan.holistic_of_pattern p)
 
 let test_path_stack_matches_naive () =
   let idx = Lazy.force Helpers.tiny_index in
   List.iter
     (fun s ->
       let p = Helpers.pat s in
-      let work = Work.zero () in
-      let out = Path_stack.run ~work idx p in
       Helpers.check_same_matches ("pathstack " ^ s) (Naive.matches idx p)
-        (Array.to_list out))
+        (Array.to_list (holistic idx p).Executor.tuples))
     [
       "manager(//employee(/name))";
       "manager(/name)";
@@ -288,51 +289,28 @@ let test_path_stack_matches_naive () =
       "name";
     ]
 
-let test_path_stack_ordered_by_leaf () =
-  let idx = Lazy.force Helpers.pers_1k_index in
-  let doc = Element_index.document idx in
-  let p = Helpers.pat "manager(//employee(/name))" in
-  let work = Work.zero () in
-  let out = Path_stack.run ~work idx p in
-  check cb "has results" true (Array.length out > 0);
-  let ok = ref true in
-  Array.iteri
-    (fun i t ->
-      if i > 0 && Tuple.compare_by_slot doc 2 out.(i - 1) t > 0 then ok := false)
-    out;
-  check cb "ordered by leaf" true !ok;
-  check ci "counts agree" (Naive.count idx p) (Array.length out)
-
-let test_path_stack_rejects_twigs () =
-  let idx = Lazy.force Helpers.tiny_index in
-  let p = Helpers.pat "manager(//employee,//department)" in
-  match Path_stack.count idx p with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "twig must be rejected"
-
 let test_path_stack_no_intermediate_blowup () =
   (* the whole point of holistic joins: intermediate results of a binary
-     plan can exceed the final result; PathStack only ever materializes
-     output *)
+     plan can exceed the final result; on a path every path solution is
+     an output tuple, so only output is ever materialized (and buffered
+     once, the TwigStack intermediate-list write+read) *)
   let idx = Lazy.force Helpers.pers_1k_index in
   let p = Helpers.pat "company(//manager(//name))" in
-  let work = Work.zero () in
-  let out = Path_stack.run ~work idx p in
-  check ci "output tuples metric = result size" (Array.length out)
-    work.Work.tuples_emitted;
-  check ci "no buffered io" 0 work.Work.io_items
-
-(* ---------- TwigStack-style holistic twig join ---------- *)
+  let run = holistic idx p in
+  let n = Array.length run.Executor.tuples in
+  check cb "has results" true (n > 0);
+  check ci "output tuples metric = result size" n
+    run.Executor.work.Work.tuples_emitted;
+  check ci "buffered io = 2 per output tuple" (2 * n)
+    run.Executor.work.Work.io_items
 
 let test_twig_join_matches_naive () =
   let idx = Lazy.force Helpers.tiny_index in
   List.iter
     (fun s ->
       let p = Helpers.pat s in
-      let work = Work.zero () in
-      let out = Twig_join.run ~work idx p in
       Helpers.check_same_matches ("twig " ^ s) (Naive.matches idx p)
-        (Array.to_list out))
+        (Array.to_list (holistic idx p).Executor.tuples))
     ([ "manager(//employee,//department)";
        "manager(//employee(/name),//department(/name))";
        "manager(//employee(/name),//manager(/department(/name)))";
@@ -342,32 +320,21 @@ let test_twig_join_matches_naive () =
     @ patterns_for_oracle)
 
 let test_twig_join_path_solutions () =
+  (* path solutions are buffered as IO, 2 items each: one per match of
+     every root-to-leaf path (A//B/C and A//D) *)
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name),//department)" in
-  let work = Work.zero () in
-  let per_leaf = Twig_join.path_solutions ~work idx p in
-  check ci "two leaves" 2 (List.length per_leaf);
-  (* leaf C=2 path A//B/C; leaf D=3 path A//D *)
-  let c_solutions = List.assoc 2 per_leaf in
-  let d_solutions = List.assoc 3 per_leaf in
+  let run = holistic idx p in
   let path_abc = Helpers.pat "manager(//employee(/name))" in
-  check ci "A//B/C path solutions" (Naive.count idx path_abc)
-    (List.length c_solutions);
   let path_ad = Helpers.pat "manager(//department)" in
-  check ci "A//D path solutions" (Naive.count idx path_ad)
-    (List.length d_solutions);
-  (* every path solution binds exactly its path's slots *)
-  List.iter
-    (fun t -> check ci "C-path slots" 0b0111 (Tuple.bound_mask t))
-    c_solutions;
-  List.iter
-    (fun t -> check ci "D-path slots" 0b1001 (Tuple.bound_mask t))
-    d_solutions
+  check ci "io = 2 x path solutions"
+    (2 * (Naive.count idx path_abc + Naive.count idx path_ad))
+    run.Executor.work.Work.io_items
 
 let test_twig_join_single_node () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager" in
-  check ci "single node twig" 3 (Twig_join.count idx p)
+  check ci "single node twig" 3 (Array.length (holistic idx p).Executor.tuples)
 
 let test_naive_cluster_count () =
   let idx = Lazy.force Helpers.tiny_index in
@@ -395,8 +362,6 @@ let suite =
     ("metrics accounting", `Quick, test_metrics_accounting);
     ("naive cluster counts", `Quick, test_naive_cluster_count);
     ("pathstack matches naive", `Quick, test_path_stack_matches_naive);
-    ("pathstack leaf order", `Quick, test_path_stack_ordered_by_leaf);
-    ("pathstack rejects twigs", `Quick, test_path_stack_rejects_twigs);
     ("pathstack materializes only output", `Quick,
       test_path_stack_no_intermediate_blowup);
     ("twig join matches naive", `Quick, test_twig_join_matches_naive);

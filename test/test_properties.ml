@@ -213,9 +213,8 @@ let prop_path_stack_equals_naive =
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let p = random_path_pattern seed in
-      let work = Work.zero () in
-      let out = Path_stack.run ~work idx p in
-      Helpers.sorted_tuples (Array.to_list out)
+      let out = Executor.execute idx p (Plan.holistic_of_pattern p) in
+      Helpers.sorted_tuples (Array.to_list out.Executor.tuples)
       = Helpers.sorted_tuples (Naive.matches idx p))
 
 let prop_twig_join_equals_naive =
@@ -224,9 +223,8 @@ let prop_twig_join_equals_naive =
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let p = random_pattern seed in
-      let work = Work.zero () in
-      let out = Twig_join.run ~work idx p in
-      Helpers.sorted_tuples (Array.to_list out)
+      let out = Executor.execute idx p (Plan.holistic_of_pattern p) in
+      Helpers.sorted_tuples (Array.to_list out.Executor.tuples)
       = Helpers.sorted_tuples (Naive.matches idx p))
 
 let prop_mpmgjn_equals_stack_tree =

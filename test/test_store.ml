@@ -8,7 +8,6 @@
 
 open Sjos_xml
 open Sjos_storage
-open Sjos_pattern
 open Sjos_plan
 open Sjos_exec
 open Sjos_engine
@@ -202,34 +201,6 @@ let test_leaf_laziness_bounded () =
   check cb "lazy join misses <= full materialization" true
     (lazy_misses <= full_misses);
   check cb "full scan reads every page exactly once" true (full_misses > 0)
-
-(* ---------- legacy kernel reads through the same store ---------- *)
-
-let test_legacy_kernel_disk () =
-  let doc = Lazy.force Helpers.pers_1k in
-  let index = Element_index.build doc in
-  let store =
-    Column_store.create
-      ~config:(Column_store.disk ~page_size:128 ~pool_pages:8 ())
-      index
-  in
-  Fun.protect ~finally:(fun () -> Column_store.dispose store)
-  @@ fun () ->
-  let p = Helpers.pat "manager(//employee)" in
-  let edge = List.hd (Pattern.edges p) in
-  let plan =
-    Plan.join ~anc_side:(Plan.scan 0) ~desc_side:(Plan.scan 1) ~edge
-      ~algo:Plan.Stack_tree_desc
-  in
-  let mem = Executor.execute index p plan in
-  let legacy = Executor.execute ~kernel:`Legacy ~store index p plan in
-  let columnar = Executor.execute ~store index p plan in
-  check_same_tuple_seq "legacy@disk vs mem" mem.Executor.tuples
-    legacy.Executor.tuples;
-  check_same_tuple_seq "columnar@disk vs mem" mem.Executor.tuples
-    columnar.Executor.tuples;
-  check ci "legacy index_items" mem.Executor.work.Work.candidates_scanned
-    legacy.Executor.work.Work.candidates_scanned
 
 (* ---------- predicate specs (no leaf path) stay identical ---------- *)
 
@@ -479,8 +450,6 @@ let suite =
     Alcotest.test_case "lazy leaves vs rows kernels" `Quick test_leaf_kernel;
     Alcotest.test_case "lazy join misses bounded by full scan" `Quick
       test_leaf_laziness_bounded;
-    Alcotest.test_case "legacy kernel reads through disk store" `Quick
-      test_legacy_kernel_disk;
     Alcotest.test_case "predicate specs identical across backends" `Quick
       test_predicate_spec_differential;
     Alcotest.test_case "chaos faults backend-independent" `Quick

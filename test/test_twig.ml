@@ -1,9 +1,9 @@
 (* Differential tests for the holistic twig engine: the columnar
-   TwigStack kernel against the legacy Twig_join oracle, the binary
-   Stack-Tree plans, and the naive matcher — on randomized documents and
-   patterns (base seed via SJOS_TWIG_SEED), both storage backends, and
-   under budget truncation and chaos fault injection (structured errors
-   only). *)
+   TwigStack kernel against the naive matcher and the binary Stack-Tree
+   plans — on randomized documents and patterns (base seed via
+   SJOS_TWIG_SEED), both storage backends, externally fetched candidate
+   streams, and under budget truncation and chaos fault injection
+   (structured errors only). *)
 
 open Sjos_xml
 open Sjos_storage
@@ -65,7 +65,7 @@ let tuple_lists run = List.map Array.to_list (Array.to_list run)
 let matches_of (run : Database.query_run) =
   Array.to_list run.Database.exec.Executor.tuples
 
-(* ---------- four-way differential on random inputs ---------- *)
+(* ---------- three-way differential on random inputs ---------- *)
 
 let test_differential_random () =
   for i = 0 to 29 do
@@ -77,24 +77,19 @@ let test_differential_random () =
     let naive = Naive.matches idx p in
     let hplan = Sjos_plan.Plan.holistic_of_pattern p in
     let col = Executor.execute idx p hplan in
-    let leg = Executor.execute ~kernel:`Legacy idx p hplan in
     let opt =
       Optimizer.optimize ~provider:(Naive.exact_provider idx p) Optimizer.Dpp p
     in
     let bin = Executor.execute idx p opt.Optimizer.plan in
-    Helpers.check_same_matches (msg "columnar twig = naive") naive
-      (Array.to_list col.Executor.tuples);
-    Helpers.check_same_matches (msg "legacy twig = naive") naive
-      (Array.to_list leg.Executor.tuples);
-    Helpers.check_same_matches (msg "binary = naive") naive
-      (Array.to_list bin.Executor.tuples);
-    (* the two holistic kernels agree on the canonical output order, not
-       just the set *)
+    (* the twig kernel's canonical order is lexicographic by slot
+       value, so it equals the sorted naive matches as a sequence *)
     check
       (Alcotest.list (Alcotest.list ci))
-      (msg "canonical order parity")
-      (tuple_lists col.Executor.tuples)
-      (tuple_lists leg.Executor.tuples)
+      (msg "columnar twig = sorted naive")
+      (Helpers.sorted_tuples naive)
+      (tuple_lists col.Executor.tuples);
+    Helpers.check_same_matches (msg "binary = naive") naive
+      (Array.to_list bin.Executor.tuples)
   done
 
 (* The twig counters are deterministic: same query, same counters, every
@@ -219,62 +214,60 @@ let test_budget_truncation () =
   in
   let n = Array.length full.Database.exec.Executor.tuples in
   check cb "fixture produces enough matches" true (n >= 2);
-  List.iter
-    (fun kernel ->
-      let idx = Database.index db in
-      let hplan = Sjos_plan.Plan.holistic_of_pattern p in
-      match
-        Error.protect (fun () ->
-            Executor.execute ~kernel ~max_tuples:(n - 1) idx p hplan)
-      with
-      | Ok _ -> Alcotest.fail "truncated budget must fail"
-      | Error (Error.Budget_exhausted { during; _ }) ->
-          check Alcotest.string "failed during execution" "execute" during
-      | Error e ->
-          Alcotest.fail ("unexpected error class: " ^ Error.class_name e))
-    [ `Columnar; `Legacy ]
+  let idx = Database.index db in
+  let hplan = Sjos_plan.Plan.holistic_of_pattern p in
+  match
+    Error.protect (fun () -> Executor.execute ~max_tuples:(n - 1) idx p hplan)
+  with
+  | Ok _ -> Alcotest.fail "truncated budget must fail"
+  | Error (Error.Budget_exhausted { during; _ }) ->
+      check Alcotest.string "failed during execution" "execute" during
+  | Error e -> Alcotest.fail ("unexpected error class: " ^ Error.class_name e)
 
-(* ---------- legacy oracle: external streams are verified ---------- *)
+(* ---------- external streams are verified ---------- *)
 
-let test_legacy_verifies_streams () =
+(* An externally supplied fetch is a trust boundary for both algebras:
+   an out-of-order stream or an id the document does not know is a
+   structured [Corrupt_input], and honest external streams reproduce the
+   default result exactly. *)
+let test_external_streams_verified () =
   let idx = Lazy.force Helpers.tiny_index in
-  let p = Helpers.pat "manager(//employee)" in
-  let reversed i =
-    let a = Array.copy (Candidate.select idx (Pattern.label p i)) in
+  let p = Helpers.pat "manager(//employee(/name))" in
+  let binary =
+    (Optimizer.optimize ~provider:(Naive.exact_provider idx p) Optimizer.Dpp p)
+      .Optimizer.plan
+  in
+  let reversed spec =
+    let a = Candidate.select idx spec in
     let n = Array.length a in
     Array.init n (fun j -> a.(n - 1 - j))
   in
-  (match
-     Error.protect (fun () ->
-         Twig_join.run ~candidates:reversed ~work:(Work.zero ()) idx p)
-   with
-  | Error (Error.Corrupt_input { reason; _ }) ->
-      check cb "reason mentions order" true
-        (Helpers.contains reason "document order")
-  | Ok _ -> Alcotest.fail "reversed stream must be rejected"
-  | Error e -> Alcotest.fail ("unexpected error class: " ^ Error.class_name e));
   let bogus _ =
     [| { (Document.node (Lazy.force Helpers.tiny_pers) 0) with Node.id = 999 } |]
   in
-  match
-    Error.protect (fun () ->
-        Twig_join.run ~candidates:bogus ~work:(Work.zero ()) idx p)
-  with
-  | Error (Error.Corrupt_input { reason; _ }) ->
-      check cb "reason mentions the id" true (Helpers.contains reason "999")
-  | Ok _ -> Alcotest.fail "out-of-document id must be rejected"
-  | Error e -> Alcotest.fail ("unexpected error class: " ^ Error.class_name e)
-
-(* External-but-honest streams reproduce the default result exactly. *)
-let test_legacy_external_streams_honest () =
-  let idx = Lazy.force Helpers.tiny_index in
-  let p = Helpers.pat "manager(//employee(/name))" in
-  let honest i = Candidate.select idx (Pattern.label p i) in
-  let m1 = Work.zero () and m2 = Work.zero () in
-  let a = Twig_join.run ~work:m1 idx p in
-  let b = Twig_join.run ~candidates:honest ~work:m2 idx p in
-  Helpers.check_same_matches "external streams change nothing"
-    (Array.to_list a) (Array.to_list b)
+  let honest spec = Candidate.select idx spec in
+  List.iter
+    (fun (name, plan) ->
+      let corrupt what fetch expect =
+        match Error.protect (fun () -> Executor.execute ~fetch idx p plan) with
+        | Error (Error.Corrupt_input { reason; _ }) ->
+            check cb
+              (Printf.sprintf "%s %s: reason mentions %S" name what expect)
+              true
+              (Helpers.contains reason expect)
+        | Ok _ -> Alcotest.failf "%s: %s stream must be rejected" name what
+        | Error e ->
+            Alcotest.failf "%s: unexpected error class %s" name
+              (Error.class_name e)
+      in
+      corrupt "reversed" reversed "document order";
+      corrupt "out-of-document id" bogus "999";
+      check
+        (Alcotest.list (Alcotest.list ci))
+        (name ^ ": honest external streams change nothing")
+        (tuple_lists (Executor.execute idx p plan).Executor.tuples)
+        (tuple_lists (Executor.execute ~fetch:honest idx p plan).Executor.tuples))
+    [ ("binary", binary); ("holistic", Sjos_plan.Plan.holistic_of_pattern p) ]
 
 (* ---------- chaos: structured errors only, results never invented ----- *)
 
@@ -342,7 +335,7 @@ let test_chaos_parity () =
 
 let suite =
   [
-    Alcotest.test_case "differential: columnar/legacy/binary/naive" `Quick
+    Alcotest.test_case "differential: twig/binary/naive" `Quick
       test_differential_random;
     Alcotest.test_case "columnar twig work is deterministic" `Quick
       test_columnar_work_deterministic;
@@ -354,10 +347,8 @@ let suite =
       test_auto_matches_binary_results;
     Alcotest.test_case "budget truncation fails structurally" `Quick
       test_budget_truncation;
-    Alcotest.test_case "legacy oracle verifies external streams" `Quick
-      test_legacy_verifies_streams;
-    Alcotest.test_case "legacy oracle accepts honest external streams" `Quick
-      test_legacy_external_streams_honest;
+    Alcotest.test_case "executor verifies external streams" `Quick
+      test_external_streams_verified;
     Alcotest.test_case "chaos: structured errors, no invented matches" `Quick
       test_chaos_parity;
   ]
