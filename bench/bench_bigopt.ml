@@ -18,13 +18,14 @@
    5. Table 2 exact — the paper-scale plan counters under the default
       engine stay 520/226/163/69/42/18.
 
-   Environment knobs:
-     SJOS_BIGOPT_SEED   generator seed (default 42)
-     SJOS_RESULTS_DIR   perf-history directory (default results)
+   The suite also gates its own coverage: a 30-node scaling cell
+   exists, every differential cell has at most 10 nodes, and every
+   scaling cell expanded and considered plans.  Perf-history entries
+   are bigopt:<shape><nodes>.  SJOS_BIGOPT_SEED sets the generator seed
+   (default 42).
 
-   Run with: dune exec bench/bench_bigopt.exe *)
+   Run with: dune exec bench/main.exe -- bigopt *)
 
-open Sjos_engine
 module Optimizer = Sjos_core.Optimizer
 module Bigdp = Sjos_core.Bigdp
 module Shapes = Sjos_pattern.Shapes
@@ -32,15 +33,7 @@ module Costing = Sjos_plan.Costing
 module Work = Sjos_obs.Work
 module Json = Sjos_obs.Json
 
-let seed =
-  match Sys.getenv_opt "SJOS_BIGOPT_SEED" with
-  | Some s -> ( try int_of_string s with _ -> 42)
-  | None -> 42
-
-let results_dir =
-  match Sys.getenv_opt "SJOS_RESULTS_DIR" with
-  | Some d when d <> "" -> d
-  | _ -> "results"
+let seed = Harness.bigopt_seed
 
 (* The deterministic synthetic provider shared with test_bigopt: a pure
    function of the node index / cluster mask, spread over three orders
@@ -101,12 +94,7 @@ type scale_row = {
 let scale_cell shape nodes =
   let p = Shapes.generate ~seed ~nodes shape in
   let run () =
-    let t0 = Sjos_obs.Clock.now_ns () in
-    let work, outcome =
-      Work.scoped (fun () -> optimize (Optimizer.Big_dp Bigdp.default_width) p)
-    in
-    let seconds = Sjos_obs.Clock.elapsed_seconds ~since:t0 in
-    match outcome with Ok r -> (work, r, seconds) | Error e -> raise e
+    Harness.timed (fun () -> optimize (Optimizer.Big_dp Bigdp.default_width) p)
   in
   let w1, r1, s1 = run () in
   let w2, r2, _ = run () in
@@ -168,9 +156,9 @@ let extrapolate_dp ladder ~target =
       Some (exp (a +. (b *. float_of_int target)))
   | _ -> None
 
-(* ---------- main ---------- *)
+(* ---------- the suite ---------- *)
 
-let () =
+let run () =
   Printf.printf "large-pattern optimizer tier: BigDP(%d) vs exhaustive DP (seed %d)\n"
     Bigdp.default_width seed;
   let diffs = differential () in
@@ -187,103 +175,63 @@ let () =
         r.s_nodes r.s_cost r.s_seconds r.s_expanded r.s_considered
         (if r.s_deterministic then "" else "  !! NONDETERMINISTIC"))
     rows;
-  let subsecond_30 =
-    List.for_all (fun r -> r.s_nodes <> 30 || r.s_seconds < 1.0) rows
-  in
-  let deterministic = List.for_all (fun r -> r.s_deterministic) rows in
   let ladder = dp_ladder () in
   let extrapolated = extrapolate_dp ladder ~target:30 in
-  let dp_infeasible =
-    match extrapolated with Some t -> t > 60.0 | None -> false
-  in
   List.iter
     (fun (n, t) -> Printf.printf "DP star n=%d: %.4fs\n" n t)
     ladder;
   (match extrapolated with
   | Some t -> Printf.printf "DP extrapolated to n=30: %.3e s\n" t
   | None -> Printf.printf "DP extrapolation: insufficient ladder\n");
-  let counters_exact = Experiment.table2_matches (Experiment.table2 ()) in
-  let pass =
-    equal_small && subsecond_30 && deterministic && dp_infeasible
-    && counters_exact
-  in
-  let diff_json r =
-    Json.Obj
-      [
-        ("shape", Json.Str r.d_shape);
-        ("nodes", Json.Int r.d_nodes);
-        ("dp_cost", Json.Float r.d_dp);
-        ("bigdp_cost", Json.Float r.d_big);
-        ("equal", Json.Bool (diff_ok r));
-      ]
-  in
-  let scale_json r =
-    Json.Obj
-      [
-        ("shape", Json.Str r.s_shape);
-        ("nodes", Json.Int r.s_nodes);
-        ("cost", Json.Float r.s_cost);
-        ("seconds", Json.Float r.s_seconds);
-        ("expanded", Json.Int r.s_expanded);
-        ("considered", Json.Int r.s_considered);
-        ("deterministic", Json.Bool r.s_deterministic);
-      ]
-  in
-  let json =
-    Json.Obj
+  let at_30 = List.filter (fun r -> r.s_nodes = 30) rows in
+  {
+    Harness.suite = "bigopt";
+    meta =
       [
         ("seed", Json.Int seed);
         ("width", Json.Int Bigdp.default_width);
-        ("differential", Json.List (List.map diff_json diffs));
-        ("scaling", Json.List (List.map scale_json rows));
-        ( "dp_ladder",
-          Json.List
-            (List.map
-               (fun (n, t) ->
-                 Json.Obj [ ("nodes", Json.Int n); ("seconds", Json.Float t) ])
-               ladder) );
         ( "dp_extrapolated_seconds",
-          match extrapolated with
-          | Some t -> Json.Float t
-          | None -> Json.Null );
-        ( "shape",
-          Json.Obj
+          Option.fold ~none:Json.Null ~some:(fun t -> Json.Float t) extrapolated );
+      ];
+    cells =
+      List.map
+        (fun r ->
+          Harness.cell
+            (Printf.sprintf "diff:%s%d" r.d_shape r.d_nodes)
             [
-              ("cost_equality_small", Json.Bool equal_small);
-              ("subsecond_at_30", Json.Bool subsecond_30);
-              ("deterministic_work", Json.Bool deterministic);
-              ("dp_infeasible_at_30", Json.Bool dp_infeasible);
-              ("table2_exact", Json.Bool counters_exact);
-              ("pass", Json.Bool pass);
-            ] );
-      ]
-  in
-  Sjos_obs.Report.write_file "BENCH_BIGOPT.json" json;
-  Printf.printf "wrote BENCH_BIGOPT.json\n";
-  let entries =
-    List.map
-      (fun r ->
-        {
-          Sjos_obs.Perf_history.entry_id =
-            Printf.sprintf "bigopt:%s%d" r.s_shape r.s_nodes;
-          work = r.s_work;
-          allocated_bytes = 0.;
-          seconds = r.s_seconds;
-        })
-      rows
-  in
-  let datapoint =
-    {
-      Sjos_obs.Perf_history.bench = "bigopt";
-      timestamp = int_of_float (Unix.time ());
-      meta = [ ("seed", Json.Int seed); ("width", Json.Int Bigdp.default_width) ];
-      entries;
-    }
-  in
-  let path = Sjos_obs.Perf_history.append ~dir:results_dir datapoint in
-  Printf.printf "appended perf-history datapoint %s\n" path;
-  Printf.printf
-    "shape check: cost equality, sub-second at 30, deterministic work, DP \
-     infeasible at 30, Table 2 exact: %s\n"
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+              ("nodes", Json.Int r.d_nodes);
+              ("dp_cost", Json.Float r.d_dp);
+              ("bigdp_cost", Json.Float r.d_big);
+              ("equal", Json.Bool (diff_ok r));
+            ])
+        diffs
+      @ List.map
+          (fun r ->
+            Harness.cell
+              (Printf.sprintf "bigopt:%s%d" r.s_shape r.s_nodes)
+              ~work:r.s_work ~seconds:r.s_seconds
+              [
+                ("nodes", Json.Int r.s_nodes);
+                ("cost", Json.Float r.s_cost);
+                ("expanded", Json.Int r.s_expanded);
+                ("considered", Json.Int r.s_considered);
+                ("deterministic", Json.Bool r.s_deterministic);
+              ])
+          rows
+      @ List.map
+          (fun (n, t) -> Harness.cell (Printf.sprintf "dp:star%d" n) ~seconds:t [])
+          ladder;
+    gates =
+      [
+        ("cost_equality_small", equal_small);
+        ("differential_at_most_10_nodes", List.for_all (fun r -> r.d_nodes <= 10) diffs);
+        ("has_30_node_cell", at_30 <> []);
+        ("subsecond_at_30", List.for_all (fun r -> r.s_seconds < 1.0) at_30);
+        ( "search_ran_every_cell",
+          List.for_all (fun r -> r.s_expanded > 0 && r.s_considered > 0) rows );
+        ("deterministic_work", List.for_all (fun r -> r.s_deterministic) rows);
+        ( "dp_infeasible_at_30",
+          match extrapolated with Some t -> t > 60.0 | None -> false );
+        ("table2_exact", Harness.table2_exact ());
+      ];
+  }

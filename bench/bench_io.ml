@@ -3,7 +3,7 @@
    Four deterministic gates:
 
    1. Differential — every workload query run Mem and Disk must produce
-      identical tuples, identical executor work, and identical Work
+      identical, non-empty tuples, identical executor work, and identical Work
       counters modulo the IO fields (io_items stays equal; only
       page_touches may differ).  Table 2's plan counters must also come
       out exact (520/226/163/69/42/18) — optimizer state is storage-
@@ -18,18 +18,15 @@
       yield a finite positive factor.
 
    Wall-clock numbers are measured and reported but advisory; the
-   perf-history datapoint (bench "io") is scored by deterministic work
+   perf-history entries (<query>:disk) are scored by deterministic work
    units, so `sjos perf-gate io` compares runs without timing noise.
 
-   Environment knobs:
-     SJOS_BENCH_SCALE   scale data set sizes (default 0.5; 1.0 = full)
-     SJOS_RESULTS_DIR   perf-history directory (default results)
-     SJOS_IO_PAPER      when "1", additionally loads Mbench at the
-                        paper's 740k elements under Disk with a pool two
-                        orders of magnitude below the column bytes and
-                        records the run (slow; off by default)
+   SJOS_BENCH_SCALE defaults to 0.5 (1.0 = full).  SJOS_IO_PAPER=1
+   additionally loads Mbench at the paper's 740k elements under Disk
+   with a pool two orders of magnitude below the column bytes and
+   records the run (slow; off by default), gated on staying out of core.
 
-   Run with: dune exec bench/bench_io.exe *)
+   Run with: dune exec bench/main.exe -- io *)
 
 open Sjos_engine
 open Sjos_exec
@@ -37,49 +34,18 @@ open Sjos_storage
 module Work = Sjos_obs.Work
 module Json = Sjos_obs.Json
 
-let scale =
-  match Sys.getenv_opt "SJOS_BENCH_SCALE" with
-  | Some s -> ( try float_of_string s with _ -> 0.5)
-  | None -> 0.5
-
-let results_dir =
-  match Sys.getenv_opt "SJOS_RESULTS_DIR" with
-  | Some d when d <> "" -> d
-  | _ -> "results"
-
-let paper_run = Sys.getenv_opt "SJOS_IO_PAPER" = Some "1"
-let scaled base = max 500 (int_of_float (float_of_int base *. scale))
-
+let scale = Harness.scale ~default:0.5
 let page_size = 256 (* items; 2 KiB pages — small enough to see locality *)
 
-let doc_cache : (Workload.dataset, Sjos_xml.Document.t) Hashtbl.t =
-  Hashtbl.create 4
-
 let doc_for ds =
-  match Hashtbl.find_opt doc_cache ds with
-  | Some d -> d
-  | None ->
-      let d = Workload.generate ~size:(scaled (Workload.default_size ds)) ds in
-      Hashtbl.add doc_cache ds d;
-      d
-
-let tuples_equal (a : Tuple.t array) (b : Tuple.t array) =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i t -> if not (Tuple.equal t b.(i)) then ok := false) a;
-  !ok
+  Harness.doc ~size:(Harness.scaled scale (Workload.default_size ds)) ds
 
 let misses db =
   match Column_store.io_stats (Database.store db) with
   | Some s -> s.Pager.misses
   | None -> 0
 
-let accounted db pattern =
-  let t0 = Sjos_obs.Clock.now_ns () in
-  let work, outcome = Work.scoped (fun () -> Database.run db pattern) in
-  let seconds = Sjos_obs.Clock.elapsed_seconds ~since:t0 in
-  match outcome with Ok r -> (work, r, seconds) | Error e -> raise e
+let accounted db pattern = Harness.timed (fun () -> Database.run db pattern)
 
 (* ---------- gate 1: Mem/Disk differential over the workload ---------- *)
 
@@ -107,7 +73,7 @@ let diff_query (query : Workload.query) =
   let wm, rm, mem_seconds = accounted db_mem query.Workload.pattern in
   let wd, rd, disk_seconds = accounted db_disk query.Workload.pattern in
   let identical =
-    tuples_equal rm.Database.exec.Executor.tuples
+    Harness.tuples_equal rm.Database.exec.Executor.tuples
       rd.Database.exec.Executor.tuples
     && Work.equal rm.Database.exec.Executor.work rd.Database.exec.Executor.work
     && Work.equal_mod_io wm wd
@@ -223,25 +189,22 @@ let paper_scale_run () =
   let out_of_core = pool * 10 < total in
   Database.dispose db;
   ( out_of_core,
-    Json.Obj
+    Harness.cell ~seconds:query_seconds ("paper:" ^ q.Workload.id)
       [
         ("nodes", Json.Int (Sjos_xml.Document.size doc));
-        ("query", Json.Str q.Workload.id);
         ("output_tuples", Json.Int (Array.length r.Database.exec.Executor.tuples));
         ("pool_bytes", Json.Int pool);
         ("total_column_bytes", Json.Int total);
-        ("out_of_core", Json.Bool out_of_core);
         ("page_misses", Json.Int s.Pager.misses);
         ("page_accesses", Json.Int s.Pager.accesses);
         ("evictions", Json.Int s.Pager.evictions);
         ("generate_seconds", Json.Float gen_seconds);
         ("load_seconds", Json.Float load_seconds);
-        ("query_seconds", Json.Float query_seconds);
       ] )
 
-(* ---------- main ---------- *)
+(* ---------- the suite ---------- *)
 
-let () =
+let run () =
   Printf.printf "out-of-core column store: Mem vs Disk (scale %.2f, page %d)\n"
     scale page_size;
   (* gate 1 *)
@@ -255,8 +218,6 @@ let () =
         r.page_touches r.disk_misses
         (if r.identical then "" else "  !! MISMATCH"))
     diffs;
-  let all_identical = List.for_all (fun r -> r.identical) diffs in
-  let counters_exact = Experiment.table2_matches (Experiment.table2 ()) in
   (* gate 2 *)
   let sweep = sweep_query (Workload.find "Q.Pers.3.d") in
   Printf.printf "pool sweep (Q.Pers.3.d): ";
@@ -278,12 +239,6 @@ let () =
       Printf.printf "lazy leaves %-12s: %d misses vs %d full-scan (%d skipped)\n"
         s.sid s.lazy_misses s.full_misses s.items_skipped)
     savings;
-  let lazy_never_worse =
-    List.for_all (fun s -> s.lazy_misses <= s.full_misses) savings
-  in
-  let skip_ahead_saves =
-    List.exists (fun s -> s.lazy_misses < s.full_misses) savings
-  in
   (* gate 4: ground f_IO in the run that buffered the most intermediate
      items (io_items > 0 means a Stack-Tree-Anc stage ran); when every
      plan streamed (all-Desc), ground_io returns the default unchanged *)
@@ -299,122 +254,80 @@ let () =
       ~page_misses:ground_row.disk_misses
       ~io_items:ground_row.disk_work.Work.io_items
   in
-  let f_io_grounded = grounded.Sjos_cost.Cost_model.f_io in
-  let grounding_ok = Float.is_finite f_io_grounded && f_io_grounded >= 0. in
+  let f_io = grounded.Sjos_cost.Cost_model.f_io in
   Printf.printf "grounded f_IO from %s: %g (default %g)\n" ground_row.id
-    f_io_grounded Sjos_cost.Cost_model.default.Sjos_cost.Cost_model.f_io;
+    f_io Sjos_cost.Cost_model.default.Sjos_cost.Cost_model.f_io;
   (* opt-in paper-scale record *)
-  let paper =
-    if paper_run then (
+  let paper_cells, paper_gates =
+    if Harness.io_paper then begin
       Printf.printf "paper-scale Mbench run (740k nodes)...\n%!";
-      let ok, json = paper_scale_run () in
-      Some (ok, json))
-    else None
+      let out_of_core, cell = paper_scale_run () in
+      ([ cell ], [ ("paper_out_of_core", out_of_core) ])
+    end
+    else ([], [])
   in
-  let pass =
-    all_identical && counters_exact && sweep_monotone && lazy_never_worse
-    && skip_ahead_saves && grounding_ok
-    && match paper with Some (ok, _) -> ok | None -> true
+  let cells =
+    List.map
+      (fun r ->
+        Harness.cell (r.id ^ ":disk") ~work:r.disk_work ~seconds:r.disk_seconds
+          [
+            ("dataset", Json.Str r.dataset);
+            ("nodes", Json.Int r.nodes);
+            ("output_tuples", Json.Int r.rows_out);
+            ("mem_seconds", Json.Float r.mem_seconds);
+            ("page_touches", Json.Int r.page_touches);
+            ("disk_misses", Json.Int r.disk_misses);
+            ("identical", Json.Bool r.identical);
+          ])
+      diffs
+    @ List.map
+        (fun (p, (s : Pager.stats)) ->
+          Harness.int_cell
+            (Printf.sprintf "pool:Q.Pers.3.d@%d" p)
+            [
+              ("accesses", s.Pager.accesses);
+              ("misses", s.Pager.misses);
+              ("evictions", s.Pager.evictions);
+            ])
+        sweep
+    @ List.map
+        (fun s ->
+          Harness.int_cell ("lazy:" ^ s.sid)
+            [
+              ("lazy_misses", s.lazy_misses);
+              ("full_scan_misses", s.full_misses);
+              ("items_skipped", s.items_skipped);
+            ])
+        savings
+    @ paper_cells
   in
-  let diff_to_json r =
-    Json.Obj
-      [
-        ("id", Json.Str r.id);
-        ("dataset", Json.Str r.dataset);
-        ("nodes", Json.Int r.nodes);
-        ("output_tuples", Json.Int r.rows_out);
-        ("mem_seconds", Json.Float r.mem_seconds);
-        ("disk_seconds", Json.Float r.disk_seconds);
-        ("page_touches", Json.Int r.page_touches);
-        ("disk_misses", Json.Int r.disk_misses);
-        ("identical", Json.Bool r.identical);
-      ]
-  in
-  let json =
-    Json.Obj
+  {
+    Harness.suite = "io";
+    meta =
       [
         ("scale", Json.Float scale);
         ("page_size", Json.Int page_size);
-        ("queries", Json.List (List.map diff_to_json diffs));
-        ( "pool_sweep",
-          Json.Obj
-            [
-              ("query", Json.Str "Q.Pers.3.d");
-              ( "points",
-                Json.List
-                  (List.map
-                     (fun (p, (s : Pager.stats)) ->
-                       Json.Obj
-                         [
-                           ("pool_pages", Json.Int p);
-                           ("accesses", Json.Int s.Pager.accesses);
-                           ("misses", Json.Int s.Pager.misses);
-                           ("evictions", Json.Int s.Pager.evictions);
-                         ])
-                     sweep) );
-            ] );
-        ( "skip_ahead",
-          Json.List
-            (List.map
-               (fun s ->
-                 Json.Obj
-                   [
-                     ("id", Json.Str s.sid);
-                     ("lazy_misses", Json.Int s.lazy_misses);
-                     ("full_scan_misses", Json.Int s.full_misses);
-                     ("items_skipped", Json.Int s.items_skipped);
-                   ])
-               savings) );
         ( "grounding",
           Json.Obj
             [
               ("query", Json.Str ground_row.id);
               ("page_misses", Json.Int ground_row.disk_misses);
               ("io_items", Json.Int ground_row.disk_work.Work.io_items);
-              ("f_io", Json.Float f_io_grounded);
+              ("f_io", Json.Float f_io);
             ] );
-        ( "paper",
-          match paper with Some (_, j) -> j | None -> Json.Null );
-        ( "shape",
-          Json.Obj
-            [
-              ("identical_outputs_and_work", Json.Bool all_identical);
-              ("table2_exact", Json.Bool counters_exact);
-              ("pool_sweep_monotone", Json.Bool sweep_monotone);
-              ("lazy_never_worse", Json.Bool lazy_never_worse);
-              ("skip_ahead_saves_misses", Json.Bool skip_ahead_saves);
-              ("f_io_grounded", Json.Bool grounding_ok);
-              ("pass", Json.Bool pass);
-            ] );
+      ];
+    cells;
+    gates =
+      [
+        ("identical_outputs_and_work", List.for_all (fun r -> r.identical) diffs);
+        ("nonzero_output_tuples", List.for_all (fun r -> r.rows_out > 0) diffs);
+        ("table2_exact", Harness.table2_exact ());
+        ("pool_sweep_monotone", sweep_monotone);
+        ( "lazy_never_worse",
+          List.for_all (fun s -> s.lazy_misses <= s.full_misses) savings );
+        ( "skip_ahead_saves_misses",
+          List.exists (fun s -> s.lazy_misses < s.full_misses) savings );
+        ("f_io_grounded", Float.is_finite f_io && f_io >= 0.);
       ]
-  in
-  Sjos_obs.Report.write_file "BENCH_IO.json" json;
-  Printf.printf "wrote BENCH_IO.json\n";
-  let entries =
-    List.map
-      (fun r ->
-        {
-          Sjos_obs.Perf_history.entry_id = r.id ^ ":disk";
-          work = r.disk_work;
-          allocated_bytes = 0.;
-          seconds = r.disk_seconds;
-        })
-      diffs
-  in
-  let datapoint =
-    {
-      Sjos_obs.Perf_history.bench = "io";
-      timestamp = int_of_float (Unix.time ());
-      meta =
-        [ ("scale", Json.Float scale); ("page_size", Json.Int page_size) ];
-      entries;
-    }
-  in
-  let path = Sjos_obs.Perf_history.append ~dir:results_dir datapoint in
-  Printf.printf "appended perf-history datapoint %s\n" path;
-  Printf.printf
-    "shape check: identical outputs + work mod IO, Table 2 exact, pool sweep \
-     monotone, lazy leaves never worse, skip-ahead saves misses, f_IO \
-     grounded: %s\n"
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+      @ paper_gates;
+  }

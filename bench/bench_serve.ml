@@ -16,19 +16,19 @@
      admitted non-chaos query (digest comparison);
    - the Table 2 plan counters stay exact (520/226/163/69/42/18).
 
+   The suite also gates its own accounting: some requests were
+   admitted, every saturation-burst request was either shed or
+   completed, and p99 >= p50.
+
    Wall-clock observables (p50/p99 latency, saturation throughput,
    organic shed rate) are recorded as advisory data; no gate reads
-   them.  Appends a 'serve' perf-history datapoint whose work score is
-   a serial reference pass over the same seeded query mix — fully
-   deterministic for a fixed SJOS_SERVE_SEED.
+   them.  The perf-history entry mix@serial-reference is scored by a
+   serial reference pass over the same seeded query mix — fully
+   deterministic for a fixed SJOS_SERVE_SEED (default 11).
+   SJOS_BENCH_REQS sets the open-loop requests (default 640, min 500);
+   SJOS_BENCH_SCALE the document scale (default 0.2).
 
-   Environment knobs:
-     SJOS_SERVE_SEED     arrival/mix seed (default 11)
-     SJOS_BENCH_REQS     open-loop requests (default 640, min 500)
-     SJOS_BENCH_SCALE    document scale (default 0.2)
-     SJOS_RESULTS_DIR    perf-history directory (default results)
-
-   Run with: dune exec bench/bench_serve.exe *)
+   Run with: dune exec bench/main.exe -- serve *)
 
 open Sjos_engine
 module Json = Sjos_obs.Json
@@ -40,27 +40,9 @@ module Tenant = Sjos_serve.Tenant
 module Admission = Sjos_serve.Admission
 module Error = Sjos_guard.Error
 
-let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-
-let seed =
-  match Sys.getenv_opt "SJOS_SERVE_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 11)
-  | None -> 11
-
-let total_requests =
-  match Sys.getenv_opt "SJOS_BENCH_REQS" with
-  | Some s -> ( match int_of_string_opt s with Some n -> max 500 n | None -> 640)
-  | None -> 640
-
-let scale =
-  match Sys.getenv_opt "SJOS_BENCH_SCALE" with
-  | Some s -> (try float_of_string s with _ -> 0.2)
-  | None -> 0.2
-
-let results_dir =
-  match Sys.getenv_opt "SJOS_RESULTS_DIR" with
-  | Some d when d <> "" -> d
-  | _ -> "results"
+let seed = Harness.serve_seed
+let total_requests = Harness.reqs
+let scale = Harness.scale ~default:0.2
 
 (* splitmix64 for the arrival process and request mix *)
 let rng_state = ref (Int64.of_int (0x9E3779B9 + seed))
@@ -161,7 +143,9 @@ let percentile sorted p =
   if n = 0 then 0.0
   else sorted.(min (n - 1) (int_of_float (float_of_int n *. p)))
 
-let () =
+let run () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  rng_state := Int64.of_int (0x9E3779B9 + seed);
   Printf.printf
     "serve load bench: seed %d, %d open-loop requests, scale %.2f\n" seed
     total_requests scale;
@@ -315,27 +299,11 @@ let () =
      (structured), %d completed after release\n"
     !pinned queued_at_peak burst_shed extra burst_ok;
 
-  (* ---------- gates ---------- *)
-  let expected_burst_shed = extra - max_queue in
-  let sheds_structured = burst_shed = expected_burst_shed in
   let zero_escaped =
     Atomic.get escaped = 0 && !malformed = 0 && !unknown_class = 0
     && Registry.counter_value (Registry.counter "serve.escaped") = 0
   in
-  let digests_exact = !digest_mismatches = 0 in
-  let enough_chaos = chaos_requests >= 500 in
-  let table2 = Experiment.table2 () in
-  let counters_exact = Experiment.table2_matches table2 in
-  Printf.printf
-    "gates: zero escaped %s; burst sheds structured (%d=%d) %s; digests \
-     exact %s; chaos requests %d>=500 %s; table2 exact %s\n"
-    (if zero_escaped then "yes" else "NO")
-    burst_shed expected_burst_shed
-    (if sheds_structured then "yes" else "NO")
-    (if digests_exact then "yes" else "NO")
-    chaos_requests
-    (if enough_chaos then "yes" else "NO")
-    (if counters_exact then "yes" else "NO");
+  let counters_exact = Harness.table2_exact () in
 
   (* ---------- serial reference pass for the perf-history work score ----- *)
   (* handler threads share one domain (and its Work accumulator), so the
@@ -358,71 +326,50 @@ let () =
   Server.shutdown srv;
   Registry.set_enabled false;
 
-  let pass =
-    zero_escaped && sheds_structured && digests_exact && enough_chaos
-    && counters_exact
-  in
-  let open Json in
-  let json =
-    Obj
+  {
+    Harness.suite = "serve";
+    meta =
       [
-        ("seed", Int seed);
-        ("requests", Int total_requests);
-        ("chaos_requests", Int chaos_requests);
-        ("admitted", Int !admitted);
-        ("shed", Int !shed);
-        ("structured_failures", Int !failed);
-        ("degraded", Int !degraded);
-        ("p50_ms", Float p50);
-        ("p99_ms", Float p99);
-        ("throughput_rps", Float throughput);
-        ("shed_rate", Float shed_rate);
-        ( "saturation",
-          Obj
-            [
-              ("pinned", Int !pinned);
-              ("queued_at_peak", Int queued_at_peak);
-              ("burst_requests", Int extra);
-              ("burst_shed", Int burst_shed);
-              ("burst_completed", Int burst_ok);
-            ] );
-        ( "table2_considered",
-          Obj
-            (List.map
-               (fun (r : Experiment.table2_row) ->
-                 (r.Experiment.algo_name, Int r.Experiment.considered))
-               table2) );
-        ( "shape",
-          Obj
-            [
-              ("zero_escaped", Bool zero_escaped);
-              ("sheds_structured", Bool sheds_structured);
-              ("digests_exact", Bool digests_exact);
-              ("enough_chaos", Bool enough_chaos);
-              ("counters_exact", Bool counters_exact);
-              ("pass", Bool pass);
-            ] );
-      ]
-  in
-  Sjos_obs.Report.write_file "BENCH_SERVE.json" json;
-  Printf.printf "wrote BENCH_SERVE.json\n";
-  let datapoint =
-    {
-      Sjos_obs.Perf_history.bench = "serve";
-      timestamp = int_of_float (Unix.time ());
-      meta = [ ("seed", Int seed); ("requests", Int total_requests) ];
-      entries =
-        [
-          {
-            Sjos_obs.Perf_history.entry_id = "mix@serial-reference";
-            work;
-            allocated_bytes = allocated;
-            seconds = open_loop_seconds;
-          };
-        ];
-    }
-  in
-  let path = Sjos_obs.Perf_history.append ~dir:results_dir datapoint in
-  Printf.printf "appended perf-history datapoint %s\n" path;
-  Printf.printf "shape check: %s\n" (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+        ("seed", Json.Int seed);
+        ("requests", Json.Int total_requests);
+        ("scale", Json.Float scale);
+      ];
+    cells =
+      [
+        Harness.cell "mix@serial-reference" ~work ~alloc:allocated
+          ~seconds:open_loop_seconds [];
+        Harness.cell "open_loop"
+          [
+            ("requests", Json.Int total_requests);
+            ("chaos_requests", Json.Int chaos_requests);
+            ("admitted", Json.Int !admitted);
+            ("shed", Json.Int !shed);
+            ("structured_failures", Json.Int !failed);
+            ("degraded", Json.Int !degraded);
+            ("p50_ms", Json.Float p50);
+            ("p99_ms", Json.Float p99);
+            ("throughput_rps", Json.Float throughput);
+            ("shed_rate", Json.Float shed_rate);
+          ];
+        Harness.int_cell "saturation"
+          [
+            ("pinned", !pinned);
+            ("queued_at_peak", queued_at_peak);
+            ("burst_requests", extra);
+            ("burst_shed", burst_shed);
+            ("burst_completed", burst_ok);
+          ];
+      ];
+    gates =
+      [
+        ("zero_escaped", zero_escaped);
+        ("some_admitted", !admitted > 0);
+        (* exactly (extra - max_queue) structured overloaded errors *)
+        ("sheds_structured", burst_shed = extra - max_queue);
+        ("burst_accounted", burst_shed + burst_ok = extra);
+        ("digests_exact", !digest_mismatches = 0);
+        ("enough_chaos", chaos_requests >= 500);
+        ("counters_exact", counters_exact);
+        ("p99_at_least_p50", p99 >= p50);
+      ];
+  }

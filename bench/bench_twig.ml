@@ -1,6 +1,6 @@
 (* Binary Stack-Tree plans vs the holistic TwigStack operator, head to head.
 
-   Four deterministic gates:
+   Four deterministic gates, plus a non-empty result on every cell:
 
    1. Output identity — on every cell the binary and holistic engines
       return the same result set (canonically ordered tuples compare
@@ -9,19 +9,18 @@
    2. Deterministic work — running each engine twice yields Work.equal,
       so the head-to-head is scored in deterministic work units, not
       wall clock.
-   3. Holistic win — on every deep-`//`-chain cell marked
-      [`Holistic], the holistic engine's comparisons + io_items is
-      strictly below the binary engine's.
+   3. Holistic win — there is a deep-`//`-chain cell marked
+      [`Holistic], and on every one the holistic engine's comparisons +
+      io_items is strictly below the binary engine's.
    4. Auto agreement — Auto picks the holistic plan exactly on the
       cells where the cost model prices it below the best binary plan
       (every [`Holistic] cell, no [`Binary] cell), and Auto's result
       set matches both engines everywhere.
 
-   Environment knobs:
-     SJOS_BENCH_SCALE   scale data set sizes (default 0.5; 1.0 = full)
-     SJOS_RESULTS_DIR   perf-history directory (default results)
+   Perf-history entries are <cell>:binary and <cell>:holistic.
+   SJOS_BENCH_SCALE defaults to 0.5 (1.0 = full).
 
-   Run with: dune exec bench/bench_twig.exe *)
+   Run with: dune exec bench/main.exe -- twig *)
 
 open Sjos_engine
 open Sjos_exec
@@ -30,17 +29,8 @@ module Plan = Sjos_plan.Plan
 module Work = Sjos_obs.Work
 module Json = Sjos_obs.Json
 
-let scale =
-  match Sys.getenv_opt "SJOS_BENCH_SCALE" with
-  | Some s -> ( try float_of_string s with _ -> 0.5)
-  | None -> 0.5
-
-let results_dir =
-  match Sys.getenv_opt "SJOS_RESULTS_DIR" with
-  | Some d when d <> "" -> d
-  | _ -> "results"
-
-let scaled base = max 500 (int_of_float (float_of_int base *. scale))
+let scale = Harness.scale ~default:0.5
+let scaled = Harness.scaled scale
 
 (* Chain cells stay well below the differential workload's sizes: a
    deep eNest self-chain's output grows combinatorially with document
@@ -50,26 +40,7 @@ let bench_size = function
   | Workload.Dblp -> scaled 30_000
   | Workload.Pers -> scaled 5_000
 
-let doc_cache : (Workload.dataset, Sjos_xml.Document.t) Hashtbl.t =
-  Hashtbl.create 4
-
-let doc_for ds =
-  match Hashtbl.find_opt doc_cache ds with
-  | Some d -> d
-  | None ->
-      let d = Workload.generate ~size:(bench_size ds) ds in
-      Hashtbl.add doc_cache ds d;
-      d
-
-let db_cache : (Workload.dataset, Database.t) Hashtbl.t = Hashtbl.create 4
-
-let db_for ds =
-  match Hashtbl.find_opt db_cache ds with
-  | Some db -> db
-  | None ->
-      let db = Database.of_document (doc_for ds) in
-      Hashtbl.add db_cache ds db;
-      db
+let db_for ds = Harness.db ~size:(bench_size ds) ds
 
 (* ---------- cells ---------- *)
 
@@ -138,12 +109,7 @@ let opts_for engine =
   Query_opts.make ~engine ~use_cache:false ()
 
 let accounted db pat engine =
-  let t0 = Sjos_obs.Clock.now_ns () in
-  let work, outcome =
-    Work.scoped (fun () -> Database.run ~opts:(opts_for engine) db pat)
-  in
-  let seconds = Sjos_obs.Clock.elapsed_seconds ~since:t0 in
-  match outcome with Ok r -> (work, r, seconds) | Error e -> raise e
+  Harness.timed (fun () -> Database.run ~opts:(opts_for engine) db pat)
 
 let canonical (r : Database.query_run) =
   let ts = Array.copy r.Database.exec.Executor.tuples in
@@ -193,9 +159,9 @@ let measure cell =
       && canonical br2 = cb && canonical hr2 = ch;
   }
 
-(* ---------- main ---------- *)
+(* ---------- the suite ---------- *)
 
-let () =
+let run () =
   Printf.printf "twig engine head-to-head: binary vs holistic (scale %.2f)\n"
     scale;
   let rows = List.map measure cells in
@@ -211,108 +177,46 @@ let () =
         (if r.auto_holistic then "holistic" else "binary")
         (if r.identical then "" else "  !! MISMATCH"))
     rows;
-  let all_identical = List.for_all (fun r -> r.identical) rows in
-  let all_deterministic = List.for_all (fun r -> r.deterministic) rows in
-  let counters_exact = Experiment.table2_matches (Experiment.table2 ()) in
-  let holistic_wins =
-    List.for_all
-      (fun r ->
-        r.cell.expect <> `Holistic || score r.hol_work < score r.bin_work)
-      rows
-  in
-  let auto_agrees =
-    List.for_all
-      (fun r -> r.auto_holistic = (r.cell.expect = `Holistic))
-      rows
-  in
-  let pass =
-    all_identical && all_deterministic && counters_exact && holistic_wins
-    && auto_agrees
-  in
-  let row_json r =
-    Json.Obj
+  let engine_cell r engine work est seconds =
+    Harness.cell (r.cell.id ^ ":" ^ engine) ~work ~seconds
       [
-        ("id", Json.Str r.cell.id);
         ("dataset", Json.Str (Workload.dataset_name r.cell.dataset));
         ("pattern", Json.Str r.cell.text);
-        ("expect",
-         Json.Str (match r.cell.expect with
-                   | `Holistic -> "holistic"
-                   | `Binary -> "binary"));
-        ("output_tuples", Json.Int r.rows_out);
-        ("binary",
-         Json.Obj
-           [
-             ("comparisons", Json.Int r.bin_work.Work.comparisons);
-             ("io_items", Json.Int r.bin_work.Work.io_items);
-             ("score", Json.Int (score r.bin_work));
-             ("est_cost", Json.Float r.bin_est);
-             ("seconds", Json.Float r.bin_seconds);
-           ]);
-        ("holistic",
-         Json.Obj
-           [
-             ("comparisons", Json.Int r.hol_work.Work.comparisons);
-             ("io_items", Json.Int r.hol_work.Work.io_items);
-             ("score", Json.Int (score r.hol_work));
-             ("est_cost", Json.Float r.hol_est);
-             ("seconds", Json.Float r.hol_seconds);
-           ]);
+        ( "expect",
+          Json.Str (if r.cell.expect = `Holistic then "holistic" else "binary") );
         ("auto_picked", Json.Str (if r.auto_holistic then "holistic" else "binary"));
+        ("output_tuples", Json.Int r.rows_out);
+        ("cmp_io", Json.Int (score work));
+        ("est_cost", Json.Float est);
         ("identical", Json.Bool r.identical);
         ("deterministic", Json.Bool r.deterministic);
       ]
   in
-  let json =
-    Json.Obj
+  let holistic = List.filter (fun r -> r.cell.expect = `Holistic) rows in
+  {
+    Harness.suite = "twig";
+    meta = [ ("scale", Json.Float scale) ];
+    cells =
+      List.concat_map
+        (fun r ->
+          [
+            engine_cell r "binary" r.bin_work r.bin_est r.bin_seconds;
+            engine_cell r "holistic" r.hol_work r.hol_est r.hol_seconds;
+          ])
+        rows;
+    gates =
       [
-        ("scale", Json.Float scale);
-        ("cells", Json.List (List.map row_json rows));
-        ( "shape",
-          Json.Obj
-            [
-              ("identical_outputs", Json.Bool all_identical);
-              ("deterministic_work", Json.Bool all_deterministic);
-              ("table2_exact", Json.Bool counters_exact);
-              ("holistic_wins_deep_chains", Json.Bool holistic_wins);
-              ("auto_agrees", Json.Bool auto_agrees);
-              ("pass", Json.Bool pass);
-            ] );
-      ]
-  in
-  Sjos_obs.Report.write_file "BENCH_TWIG.json" json;
-  Printf.printf "wrote BENCH_TWIG.json\n";
-  let entries =
-    List.concat_map
-      (fun r ->
-        [
-          {
-            Sjos_obs.Perf_history.entry_id = r.cell.id ^ ":binary";
-            work = r.bin_work;
-            allocated_bytes = 0.;
-            seconds = r.bin_seconds;
-          };
-          {
-            Sjos_obs.Perf_history.entry_id = r.cell.id ^ ":holistic";
-            work = r.hol_work;
-            allocated_bytes = 0.;
-            seconds = r.hol_seconds;
-          };
-        ])
-      rows
-  in
-  let datapoint =
-    {
-      Sjos_obs.Perf_history.bench = "twig";
-      timestamp = int_of_float (Unix.time ());
-      meta = [ ("scale", Json.Float scale) ];
-      entries;
-    }
-  in
-  let path = Sjos_obs.Perf_history.append ~dir:results_dir datapoint in
-  Printf.printf "appended perf-history datapoint %s\n" path;
-  Printf.printf
-    "shape check: identical outputs, deterministic work, Table 2 exact, \
-     holistic wins deep chains, auto agrees: %s\n"
-    (if pass then "PASS" else "FAIL");
-  if not pass then exit 1
+        ("identical_outputs", List.for_all (fun r -> r.identical) rows);
+        ("nonzero_output_tuples", List.for_all (fun r -> r.rows_out > 0) rows);
+        ("deterministic_work", List.for_all (fun r -> r.deterministic) rows);
+        ("table2_exact", Harness.table2_exact ());
+        (* at least one deep-chain cell, and holistic wins every one *)
+        ( "holistic_wins_deep_chains",
+          holistic <> []
+          && List.for_all (fun r -> score r.hol_work < score r.bin_work) holistic );
+        ( "auto_agrees",
+          List.for_all
+            (fun r -> r.auto_holistic = (r.cell.expect = `Holistic))
+            rows );
+      ];
+  }

@@ -67,7 +67,9 @@ val cell_to_json : cell -> Sjos_obs.Json.t
 val table1_to_json : table1_row list -> Sjos_obs.Json.t
 (** One object per query: the per-algorithm cells keyed by algorithm name
     (est/actual cost units, plans considered, opt seconds, …) plus the bad
-    plan — the payload the bench harness writes to [BENCH_1.json]. *)
+    plan.  The bench's [paper] suite writes the same {!cell_to_json}
+    objects flat, one cell per query × algorithm, into
+    [BENCH_PAPER.json]. *)
 
 (** {1 Table 2} — optimization time and number of plans considered *)
 

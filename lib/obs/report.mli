@@ -1,8 +1,8 @@
 (** Combined export of everything the observability layer collected:
     the metrics registry snapshot and the span forest, as one JSON
     document or one human-readable text block.  This is what the CLI's
-    [--trace] / [--json] flags and the bench harness's [BENCH_*.json]
-    writer build on. *)
+    [--trace] / [--json] flags and the bench driver's [BENCH_<SUITE>.json]
+    writer ([bench/harness.ml]) build on. *)
 
 val enable_all : unit -> unit
 (** Turn on both the metrics registry and span tracing. *)
