@@ -50,14 +50,12 @@ let run () =
   let pat = Workload.q_pers_3_d.Workload.pattern in
   let baseline = Database.run ~opts:(Query_opts.cold Query_opts.default) db pat in
   let degraded =
-    match
-      Database.run_r
-        ~opts:
-          (Query_opts.make ~use_cache:false
-             ~budget:(Budget.make ~max_expanded:1 ())
-             ())
-        db pat
-    with
+    let opts =
+      Query_opts.make ~use_cache:false
+        ~budget:(Budget.make ~max_expanded:1 ())
+        ()
+    in
+    match Error.protect (fun () -> Database.run ~opts db pat) with
     | Ok r -> r
     | Result.Error e -> failwith ("degraded run failed: " ^ Error.message e)
   in
@@ -99,7 +97,7 @@ let run () =
                 ~chaos:(Chaos.create ~faults ~seed ())
                 ()
             in
-            match Database.run_r ~opts db p with
+            match Error.protect (fun () -> Database.run ~opts db p) with
             | Ok run ->
                 incr ok;
                 if check_matches && sorted_tuples run <> Lazy.force truth then

@@ -424,33 +424,6 @@ let extension_estimation () =
         (if actual > 0. then est /. actual else nan))
     Workload.queries
 
-(* Extension H: time-to-first-result — the FP motivation made measurable.
-   A fully pipelined plan streams its first tuple almost immediately; the
-   same pattern evaluated with a final sort (order-by on a node the FP
-   plan does not naturally produce) must finish everything first. *)
-let extension_time_to_first () =
-  section "Extension: time to first result (pipelined vs blocking)";
-  let db =
-    Database.of_document (Workload.generate ~size:(scaled 40_000) Workload.Pers)
-  in
-  let idx = Database.index db in
-  let pat = Workload.q_pers_3_d.Workload.pattern in
-  let provider = Database.provider db pat in
-  let fp = Optimizer.optimize ~provider Optimizer.Fp pat in
-  let fp_plan = fp.Optimizer.plan in
-  let blocking_plan =
-    (* force a top-level sort by a different node *)
-    let by = if Sjos_plan.Plan.ordered_by fp_plan = 0 then 1 else 0 in
-    Sjos_plan.Plan.sort fp_plan ~by
-  in
-  List.iter
-    (fun (label, plan) ->
-      let first, total = Sjos_exec.Stream_exec.time_to_first idx pat plan in
-      Printf.printf "%-22s first=%8.2fms total=%8.2fms first/total=%5.1f%%\n"
-        label (first *. 1000.) (total *. 1000.)
-        (100. *. first /. Float.max total 1e-9))
-    [ ("FP (pipelined)", fp_plan); ("FP + final sort", blocking_plan) ]
-
 (* Extension I: cost-model calibration — fit the f_* factors to this host
    and report the prediction error before/after. *)
 let extension_calibration () =
@@ -504,7 +477,6 @@ let run () =
   ablation_buffer_pool ();
   ablation_randomized ();
   extension_estimation ();
-  extension_time_to_first ();
   extension_calibration ();
   if not fast then micro ();
   {

@@ -146,18 +146,12 @@ let die e =
   exit (Sjos_guard.Error.exit_code e)
 
 let guarded f =
-  try f () with
-  | Sjos_guard.Error.Error e -> die e
-  | Sjos_guard.Budget.Exhausted { resource; during } ->
-      die (Sjos_guard.Error.Budget_exhausted { resource; during })
-  | Sjos_xml.Parser.Parse_error { line; col; message } ->
-      die
-        (Sjos_guard.Error.Parse_error
-           {
-             input = "xml";
-             message = Printf.sprintf "line %d, col %d: %s" line col message;
-           })
-  | Invalid_argument msg -> die (Sjos_guard.Error.Invalid_request msg)
+  try f ()
+  with e -> (
+    let bt = Printexc.get_raw_backtrace () in
+    match Sjos_guard.Error.of_exn e with
+    | Some t -> die t
+    | None -> Printexc.raise_with_backtrace e bt)
 
 let parse_pattern ~xpath s =
   let result =
@@ -191,8 +185,15 @@ let max_expanded_opt =
           "Budget the optimizer search to at most N status expansions \
            (exact searches degrade to DPAP-EB when the ceiling fires).")
 
-let budget_of deadline_ms max_expanded =
-  Sjos_guard.Budget.make ?deadline_ms ?max_expanded ()
+let max_tuples_opt =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "max-tuples" ] ~docv:"N"
+        ~doc:"Abort if an intermediate result exceeds N tuples.")
+
+let budget_of deadline_ms max_expanded max_tuples =
+  Sjos_guard.Budget.make ?deadline_ms ?max_expanded ?max_tuples ()
 
 let warn_degraded (opt : Sjos_core.Optimizer.result) =
   match opt.Sjos_core.Optimizer.degraded_from with
@@ -340,7 +341,7 @@ let domains_opt =
            environment variable, or 1.")
 
 let query_cmd =
-  let run pattern file algorithm engine limit show xpath trace trace_out json
+  let run pattern file algorithm engine max_tuples show xpath trace trace_out json
       no_cache deadline_ms max_expanded grid domains storage pool_pages
       page_size =
     guarded @@ fun () ->
@@ -354,9 +355,8 @@ let query_cmd =
     Fun.protect ~finally:(fun () -> Option.iter Sjos_par.Pool.shutdown pool)
     @@ fun () ->
     let opts =
-      Query_opts.make ~algorithm ~engine ?max_tuples:limit
-        ~use_cache:(not no_cache)
-        ~budget:(budget_of deadline_ms max_expanded)
+      Query_opts.make ~algorithm ~engine ~use_cache:(not no_cache)
+        ~budget:(budget_of deadline_ms max_expanded max_tuples)
         ?grid ?pool ()
     in
     let (prep, run), report =
@@ -422,13 +422,6 @@ let query_cmd =
       if trace then Fmt.pr "@.%s@." (Sjos_obs.Report.to_string ())
     end
   in
-  let limit =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-tuples" ] ~docv:"N"
-          ~doc:"Abort if an intermediate result exceeds N tuples.")
-  in
   let show =
     Arg.(
       value & opt int 10
@@ -437,10 +430,10 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Optimize and execute a pattern query")
     Term.(
-      const run $ pattern_arg $ file_arg $ algo_opt $ engine_opt $ limit $ show
-      $ xpath_flag $ trace_flag $ trace_out_opt $ json_flag $ no_cache_flag
-      $ deadline_opt $ max_expanded_opt $ grid_opt $ domains_opt
-      $ storage_backend_opt $ pool_pages_opt $ page_size_opt)
+      const run $ pattern_arg $ file_arg $ algo_opt $ engine_opt
+      $ max_tuples_opt $ show $ xpath_flag $ trace_flag $ trace_out_opt
+      $ json_flag $ no_cache_flag $ deadline_opt $ max_expanded_opt $ grid_opt
+      $ domains_opt $ storage_backend_opt $ pool_pages_opt $ page_size_opt)
 
 (* ---------- explain ---------- *)
 
@@ -461,7 +454,7 @@ let explain_cmd =
 (* ---------- analyze ---------- *)
 
 let analyze_cmd =
-  let run pattern file algorithm engine limit xpath trace trace_out json
+  let run pattern file algorithm engine max_tuples xpath trace trace_out json
       deadline_ms max_expanded storage pool_pages page_size =
     guarded @@ fun () ->
     let db =
@@ -471,8 +464,8 @@ let analyze_cmd =
     in
     let p = parse_pattern ~xpath pattern in
     let opts =
-      Query_opts.make ~algorithm ~engine ?max_tuples:limit
-        ~budget:(budget_of deadline_ms max_expanded)
+      Query_opts.make ~algorithm ~engine
+        ~budget:(budget_of deadline_ms max_expanded max_tuples)
         ()
     in
     let a, report =
@@ -517,13 +510,6 @@ let analyze_cmd =
       if trace then Fmt.pr "@.%s@." (Sjos_obs.Report.to_string ())
     end
   in
-  let limit =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-tuples" ] ~docv:"N"
-          ~doc:"Abort if an intermediate result exceeds N tuples.")
-  in
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
@@ -531,9 +517,9 @@ let analyze_cmd =
           table of estimated vs. actual cardinality, cost units and wall \
           time")
     Term.(
-      const run $ pattern_arg $ file_arg $ algo_opt $ engine_opt $ limit
-      $ xpath_flag $ trace_flag $ trace_out_opt $ json_flag $ deadline_opt
-      $ max_expanded_opt $ storage_backend_opt $ pool_pages_opt
+      const run $ pattern_arg $ file_arg $ algo_opt $ engine_opt
+      $ max_tuples_opt $ xpath_flag $ trace_flag $ trace_out_opt $ json_flag
+      $ deadline_opt $ max_expanded_opt $ storage_backend_opt $ pool_pages_opt
       $ page_size_opt)
 
 (* ---------- repl ---------- *)
@@ -545,7 +531,7 @@ let repl_cmd =
     (* the deadline is re-armed per query line, not for the whole session *)
     let opts_for () =
       Query_opts.make ~algorithm ~use_cache:(not no_cache)
-        ~budget:(budget_of deadline_ms max_expanded)
+        ~budget:(budget_of deadline_ms max_expanded None)
         ()
     in
     Fmt.pr "loaded %s: %d nodes, algorithm %s, plan cache %s@." file

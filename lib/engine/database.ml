@@ -337,8 +337,8 @@ let prepared_from_cache p = p.pcached
 
 type query_run = { opt : Optimizer.result; exec : Executor.run }
 
-let execute_plan ?budget ?max_tuples ?pool t pat plan =
-  Executor.execute ~factors:t.factors ?budget ?max_tuples ?pool ~store:t.store
+let execute_plan ?budget ?pool t pat plan =
+  Executor.execute ~factors:t.factors ?budget ?pool ~store:t.store
     t.index pat plan
 
 let exec p =
@@ -348,7 +348,6 @@ let exec p =
     Executor.execute
       ~factors:(eff_factors t p.popts)
       ~budget:p.popts.Query_opts.budget
-      ?max_tuples:p.popts.Query_opts.max_tuples
       ?fetch:(chaos_fetch t p.pchaos)
       ?pool:p.popts.Query_opts.pool
       ~store:(store_for t p.popts)
@@ -378,11 +377,3 @@ let analyze_prepared p =
   { opt = r.opt; exec = r.exec; rows }
 
 let run ?opts t pat = exec (prepare ?opts t pat)
-
-(* Result-returning surface: same pipeline, failures as values.  Anything
-   the pipeline raises that is not already structured is an engine bug and
-   comes back as [Internal]. *)
-let prepare_r ?opts t pat = Error.protect (fun () -> prepare ?opts t pat)
-let exec_r p = Error.protect (fun () -> exec p)
-let run_r ?opts t pat = Error.protect (fun () -> run ?opts t pat)
-let analyze_prepared_r p = Error.protect (fun () -> analyze_prepared p)

@@ -137,7 +137,13 @@ type query_run = { opt : Optimizer.result; exec : Executor.run }
 val exec : prepared -> query_run
 (** Execute the prepared plan.  [opt] is the resolution that produced the
     plan: a cache hit reports zero search work and only the lookup time
-    as [opt_seconds]. *)
+    as [opt_seconds].
+
+    Budget exhaustion during execution raises
+    {!Sjos_guard.Budget.Exhausted}, preserving the partial tuple count in
+    [Tuples_materialized { limit; count }]; wrapped in
+    {!Sjos_guard.Error.protect} it becomes
+    [Budget_exhausted { resource = Tuples_materialized _; _ }]. *)
 
 val explain_prepared : prepared -> string
 (** The prepared plan, rendered with estimated cardinalities and costs. *)
@@ -166,11 +172,21 @@ val prepared_from_cache : prepared -> bool
 (** Did the most recent plan resolution hit the cache? *)
 
 val run : ?opts:Query_opts.t -> t -> Pattern.t -> query_run
-(** [prepare] + [exec] in one call — the normal one-shot entry point. *)
+(** [prepare] + [exec] in one call — the normal one-shot entry point.
+    With a budget in [opts], an exact optimizer search that blows its
+    budget transparently degrades to DPAP-EB (see
+    {!Sjos_core.Optimizer.optimize_r}); check [(run.opt).degraded_from]
+    to detect it.
+
+    Failures raise: {!Sjos_guard.Error.Error} for parse/knob problems,
+    invalid plans and corruption detected at a trust boundary,
+    {!Sjos_guard.Budget.Exhausted} for budget exhaustion that no
+    degradation tier absorbed.  Services wrap the call in
+    {!Sjos_guard.Error.protect} to get every failure as a
+    {!Sjos_guard.Error.t} value. *)
 
 val execute_plan :
   ?budget:Sjos_guard.Budget.t ->
-  ?max_tuples:int ->
   ?pool:Sjos_par.Pool.t ->
   t ->
   Pattern.t ->
@@ -178,33 +194,3 @@ val execute_plan :
   Executor.run
 (** Execute an externally supplied plan ("plan hints"); bypasses the
     optimizer and the cache. *)
-
-(** {1 Result-returning surface}
-
-    The same pipeline with every failure mode as a value: parse/knob
-    problems, invalid plans, budget exhaustion that no degradation tier
-    absorbed, corruption detected at a trust boundary — all come back as
-    a {!Sjos_guard.Error.t} instead of an exception.  These are the
-    entry points services should use. *)
-
-val prepare_r :
-  ?opts:Query_opts.t ->
-  t ->
-  Pattern.t ->
-  (prepared, Sjos_guard.Error.t) result
-
-val exec_r : prepared -> (query_run, Sjos_guard.Error.t) result
-(** Budget exhaustion during execution preserves the partial tuple count
-    in [Budget_exhausted { resource = Tuples_materialized _; _ }]. *)
-
-val run_r :
-  ?opts:Query_opts.t ->
-  t ->
-  Pattern.t ->
-  (query_run, Sjos_guard.Error.t) result
-(** [prepare_r] + [exec_r] in one call.  With a budget in [opts], an
-    exact optimizer search that blows its budget transparently degrades
-    to DPAP-EB (see {!Sjos_core.Optimizer.optimize_r}); check
-    [(run.opt).degraded_from] to detect it. *)
-
-val analyze_prepared_r : prepared -> (analysis, Sjos_guard.Error.t) result

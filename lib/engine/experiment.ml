@@ -2,6 +2,7 @@ open Sjos_pattern
 open Sjos_core
 open Sjos_exec
 open Sjos_datagen
+open Sjos_guard
 
 type cell = {
   opt_seconds : float;
@@ -26,8 +27,8 @@ let run_cell ?(opts = Query_opts.default) db pat =
         est_cost = opt.Optimizer.est_cost;
       }
   | exception
-      Sjos_guard.Budget.Exhausted
-        { resource = Sjos_guard.Budget.Tuples_materialized _; _ } ->
+      Budget.Exhausted
+        { resource = Budget.Tuples_materialized _; _ } ->
       (* the chosen plan materializes too much to run safely (only heuristic
          algorithms ever get here); report the cost-model estimate, as the
          paper does for its ">4000 s" entries *)
@@ -43,7 +44,8 @@ let run_cell ?(opts = Query_opts.default) db pat =
 (* The table harnesses measure search effort, so they always run cold:
    a cache hit would report zero plans considered. *)
 let cold_opts ?max_tuples algorithm =
-  Query_opts.make ~algorithm ?max_tuples ~use_cache:false ()
+  Query_opts.make ~algorithm ~budget:(Budget.make ?max_tuples ())
+    ~use_cache:false ()
 
 let bad_plan_cell ?(seed = 42) ?(samples = 20) ?max_tuples db pat =
   let provider = Database.provider db pat in
@@ -52,7 +54,8 @@ let bad_plan_cell ?(seed = 42) ?(samples = 20) ?max_tuples db pat =
   let est_cost, plan = Random_plan.worst_of ~seed ctx samples in
   let opt_seconds = Sjos_obs.Clock.elapsed_seconds ~since:t0 in
   let considered = ctx.Search.work.Sjos_obs.Work.plans_considered in
-  match Database.execute_plan ?max_tuples db pat plan with
+  let budget = Budget.make ?max_tuples () in
+  match Database.execute_plan ~budget db pat plan with
   | exec ->
       {
         opt_seconds;
@@ -63,8 +66,8 @@ let bad_plan_cell ?(seed = 42) ?(samples = 20) ?max_tuples db pat =
         est_cost;
       }
   | exception
-      Sjos_guard.Budget.Exhausted
-        { resource = Sjos_guard.Budget.Tuples_materialized _; _ } ->
+      Budget.Exhausted
+        { resource = Budget.Tuples_materialized _; _ } ->
       (* too expensive to run safely: report the cost-model estimate *)
       {
         opt_seconds;

@@ -22,13 +22,14 @@ type cell = {
 
 val run_cell : ?opts:Query_opts.t -> Database.t -> Pattern.t -> cell
 (** Optimize (per [opts], default {!Query_opts.default}) and execute the
-    chosen plan.  If execution would exceed [opts.max_tuples],
+    chosen plan.  If execution would exceed the tuple ceiling of
+    [opts.budget],
     [eval_units] falls back to the cost-model estimate, [eval_seconds] is
     [nan] and [matches] is [-1]. *)
 
 val cold_opts : ?max_tuples:int -> Optimizer.algorithm -> Query_opts.t
 (** Options for a cold measurement cell: the given algorithm with plan
-    caching off, so [plans_considered]/[opt_seconds] always reflect a real
+    caching off and [max_tuples] as the budget's tuple ceiling, so [plans_considered]/[opt_seconds] always reflect a real
     search.  All table/figure harnesses below use this. *)
 
 val bad_plan_cell :

@@ -1,11 +1,9 @@
 open Sjos_core
 open Sjos_guard
-open Sjos_obs
 
 type t = {
   algorithm : Optimizer.algorithm;
   engine : Optimizer.engine;
-  max_tuples : int option;
   use_cache : bool;
   factors : Sjos_cost.Cost_model.factors option;
   grid : int option;
@@ -15,27 +13,12 @@ type t = {
   storage : Sjos_storage.Column_store.config option;
 }
 
-let default =
-  {
-    algorithm = Optimizer.Dpp;
-    engine = Optimizer.Binary;
-    max_tuples = None;
-    use_cache = true;
-    factors = None;
-    grid = None;
-    budget = Budget.unlimited;
-    chaos = None;
-    pool = None;
-    storage = None;
-  }
-
-let make ?(algorithm = Optimizer.Dpp) ?(engine = Optimizer.Binary) ?max_tuples
+let make ?(algorithm = Optimizer.Dpp) ?(engine = Optimizer.Binary)
     ?(use_cache = true) ?factors ?grid ?(budget = Budget.unlimited) ?chaos ?pool
     ?storage () =
   {
     algorithm;
     engine;
-    max_tuples;
     use_cache;
     factors;
     grid;
@@ -45,59 +28,5 @@ let make ?(algorithm = Optimizer.Dpp) ?(engine = Optimizer.Binary) ?max_tuples
     storage;
   }
 
-let with_algorithm t algorithm = { t with algorithm }
-let with_engine t engine = { t with engine }
-let with_max_tuples t max_tuples = { t with max_tuples }
-let with_use_cache t use_cache = { t with use_cache }
-let with_factors t factors = { t with factors }
-let with_grid t grid = { t with grid }
-let with_budget t budget = { t with budget }
-let with_chaos t chaos = { t with chaos }
-let with_pool t pool = { t with pool }
-let with_storage t storage = { t with storage }
+let default = make ()
 let cold t = { t with use_cache = false }
-
-let to_json t =
-  Json.Obj
-    [
-      ("algorithm", Json.Str (Optimizer.name t.algorithm));
-      ("engine", Json.Str (Optimizer.engine_name t.engine));
-      ( "max_tuples",
-        match t.max_tuples with Some n -> Json.Int n | None -> Json.Null );
-      ("use_cache", Json.Bool t.use_cache);
-      ("custom_factors", Json.Bool (Option.is_some t.factors));
-      ("grid", match t.grid with Some g -> Json.Int g | None -> Json.Null);
-      ( "budget",
-        if Budget.is_unlimited t.budget then Json.Null
-        else Budget.to_json t.budget );
-      ( "chaos",
-        match t.chaos with Some c -> Chaos.to_json c | None -> Json.Null );
-      ( "domains",
-        match t.pool with
-        | Some p -> Json.Int (Sjos_par.Pool.size p)
-        | None -> Json.Null );
-      ( "storage",
-        match t.storage with
-        | Some c -> Sjos_storage.Column_store.config_to_json c
-        | None -> Json.Null );
-    ]
-
-let pp ppf t =
-  Fmt.pf ppf "{algorithm=%s; engine=%s; max_tuples=%a; use_cache=%b%s%s%s%s%s%s}"
-    (Optimizer.name t.algorithm)
-    (Optimizer.engine_name t.engine)
-    Fmt.(option ~none:(any "none") int)
-    t.max_tuples t.use_cache
-    (if Option.is_some t.factors then "; custom factors" else "")
-    (match t.grid with Some g -> Printf.sprintf "; grid=%d" g | None -> "")
-    (if Budget.is_unlimited t.budget then ""
-     else Fmt.str "; budget=%a" Budget.pp t.budget)
-    (match t.chaos with
-    | Some c -> Fmt.str "; %a" Chaos.pp c
-    | None -> "")
-    (match t.pool with
-    | Some p -> Fmt.str "; domains=%d" (Sjos_par.Pool.size p)
-    | None -> "")
-    (match t.storage with
-    | Some c -> Fmt.str "; storage=%a" Sjos_storage.Column_store.pp_config c
-    | None -> "")

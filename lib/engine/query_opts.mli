@@ -1,7 +1,7 @@
 (** Per-query knobs, consolidated.
 
-    Earlier revisions scattered [?algorithm], [?max_tuples], [?factors] and
-    [?grid] across [Database], [Experiment], [Workload] and [Xquery] entry
+    Earlier revisions scattered [?algorithm], [?factors] and [?grid]
+    across [Database], [Experiment], [Workload] and [Xquery] entry
     points; this record is the single carrier.  Build one with {!make} (or
     start from {!default}) and pass it to [Database.prepare] / [run],
     [Experiment.run_cell], [Workload.run] or [Xquery.run]. *)
@@ -12,8 +12,6 @@ type t = {
   engine : Sjos_core.Optimizer.engine;
       (** physical algebra: binary Stack-Tree plans (the default),
           the holistic TwigStack operator, or cost-based [Auto] *)
-  max_tuples : int option;
-      (** abort execution past this many intermediate tuples *)
   use_cache : bool;  (** consult/populate the database's plan cache *)
   factors : Sjos_cost.Cost_model.factors option;
       (** override the database's cost factors for this query (disables
@@ -21,7 +19,8 @@ type t = {
   grid : int option;
       (** override the database's histogram grid (also disables caching) *)
   budget : Sjos_guard.Budget.t;
-      (** resource ceilings enforced across optimization and execution;
+      (** resource ceilings enforced across optimization and execution
+          — including the tuple ceiling, [Budget.make ~max_tuples];
           default {!Sjos_guard.Budget.unlimited}, which costs nothing *)
   chaos : Sjos_guard.Chaos.t option;
       (** seeded fault injection into candidate streams and cardinality
@@ -42,13 +41,12 @@ type t = {
 }
 
 val default : t
-(** [Dpp], no tuple limit, caching on, database-level factors and grid,
+(** [Dpp], caching on, database-level factors and grid,
     unlimited budget, no fault injection. *)
 
 val make :
   ?algorithm:Sjos_core.Optimizer.algorithm ->
   ?engine:Sjos_core.Optimizer.engine ->
-  ?max_tuples:int ->
   ?use_cache:bool ->
   ?factors:Sjos_cost.Cost_model.factors ->
   ?grid:int ->
@@ -59,19 +57,6 @@ val make :
   unit ->
   t
 
-val with_algorithm : t -> Sjos_core.Optimizer.algorithm -> t
-val with_engine : t -> Sjos_core.Optimizer.engine -> t
-val with_max_tuples : t -> int option -> t
-val with_use_cache : t -> bool -> t
-val with_factors : t -> Sjos_cost.Cost_model.factors option -> t
-val with_grid : t -> int option -> t
-val with_budget : t -> Sjos_guard.Budget.t -> t
-val with_chaos : t -> Sjos_guard.Chaos.t option -> t
-val with_pool : t -> Sjos_par.Pool.t option -> t
-val with_storage : t -> Sjos_storage.Column_store.config option -> t
-
 val cold : t -> t
 (** The same options with caching off — always a fresh optimizer search. *)
 
-val to_json : t -> Sjos_obs.Json.t
-val pp : t Fmt.t

@@ -74,7 +74,7 @@ let run_all ?(opts = Query_opts.default) ?pool db_for =
   let qs = Array.of_list queries in
   let dbs = Array.map (fun q -> db_for q.dataset) qs in
   Array.iter Database.warm dbs;
-  let opts = Query_opts.with_pool opts (Some pool) in
+  let opts = { opts with Query_opts.pool = Some pool } in
   let runs =
     Sjos_par.Pool.run pool (Array.length qs) (fun i ->
         Database.run ~opts dbs.(i) qs.(i).pattern)

@@ -2,6 +2,8 @@ open Sjos_xml
 open Sjos_storage
 open Sjos_pattern
 
+(* The compiler's own failure; {!compile} turns it into a structured
+   parse error at its boundary, so it never escapes this module. *)
 exception Error of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
@@ -320,10 +322,10 @@ let navigate doc node steps =
     [ node ] steps
 
 let constructor q compiled doc tuple builder =
+  (* [check_item] has bound every variable at compile time *)
   let node_of var =
-    match List.assoc_opt var compiled.bindings with
-    | Some slot -> Document.node doc (Sjos_exec.Tuple.get tuple slot)
-    | None -> fail "unbound variable $%s in return clause" var
+    Document.node doc
+      (Sjos_exec.Tuple.get tuple (List.assoc var compiled.bindings))
   in
   let rec render = function
     | Raw "" -> ()
@@ -350,10 +352,17 @@ let rec check_item bindings = function
   | Element (_, children) -> List.iter (check_item bindings) children
 
 let compile src =
-  let q = parse src in
-  let compiled = compile_clauses q in
-  check_item compiled.bindings q.return;
-  (compiled, fun doc tuple builder -> constructor q compiled doc tuple builder)
+  match
+    let q = parse src in
+    let compiled = compile_clauses q in
+    check_item compiled.bindings q.return;
+    (q, compiled)
+  with
+  | q, compiled ->
+      (compiled, fun doc tuple builder -> constructor q compiled doc tuple builder)
+  | exception Error message ->
+      Sjos_guard.Error.fail
+        (Sjos_guard.Error.Parse_error { input = src; message })
 
 let run ?opts db src =
   let compiled, construct = compile src in
@@ -368,14 +377,3 @@ let run ?opts db src =
   Builder.finish b
 
 let run_string ?opts db src = Serializer.to_string (run ?opts db src)
-
-(* The compiler's own failures and the XML/pattern parser's are all parse
-   errors from the caller's point of view; anything else unstructured that
-   escapes evaluation is an engine bug. *)
-let run_r ?opts db src =
-  Sjos_guard.Error.protect
-    ~map:(function
-      | Error msg ->
-          Some (Sjos_guard.Error.Parse_error { input = src; message = msg })
-      | _ -> None)
-    (fun () -> run ?opts db src)

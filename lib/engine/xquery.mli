@@ -39,8 +39,6 @@
 
 open Sjos_xml
 
-exception Error of string
-
 type compiled = {
   pattern : Sjos_pattern.Pattern.t;
   bindings : (string * int) list;  (** variable name -> pattern node *)
@@ -48,21 +46,14 @@ type compiled = {
 
 val compile : string -> compiled * (Document.t -> Sjos_exec.Tuple.t -> Builder.t -> unit)
 (** Parse and compile; returns the pattern plus the per-match constructor.
-    Raises {!Error} on unsupported input. *)
+    Raises [Sjos_guard.Error.Error (Parse_error { input = src; _ })] on
+    unsupported input. *)
 
 val run : ?opts:Query_opts.t -> Database.t -> string -> Document.t
 (** Compile, prepare (default {!Query_opts.default}: DPP through the plan
-    cache), execute, construct results. *)
+    cache), execute, construct results.  Raises like {!compile} and
+    {!Database.run}; wrap in {!Sjos_guard.Error.protect} for the Result
+    form. *)
 
 val run_string : ?opts:Query_opts.t -> Database.t -> string -> string
 (** {!run} rendered as XML text. *)
-
-val run_r :
-  ?opts:Query_opts.t ->
-  Database.t ->
-  string ->
-  (Document.t, Sjos_guard.Error.t) result
-(** {!run} with failures as values: {!Error} becomes
-    [Parse_error { input = src; _ }], budget exhaustion that survives
-    degradation becomes [Budget_exhausted], anything else unstructured
-    becomes [Internal]. *)

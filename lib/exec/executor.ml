@@ -59,11 +59,10 @@ let verify_document_order ~doc ~what candidates =
   candidates
 
 let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
-    ?max_tuples ?fetch ?pool ?store index pat plan =
+    ?fetch ?pool ?store index pat plan =
   (match Properties.validate pat plan with
   | Ok () -> ()
   | Error msg -> Error.fail (Error.Invalid_plan msg));
-  let budget = Budget.cap_tuples budget max_tuples in
   (* No explicit pool means the process-wide default, sized by
      SJOS_DOMAINS (size 1 unless the environment asks for more — the
      kernels then take their serial path unchanged). *)

@@ -27,7 +27,6 @@ type run = {
 val execute :
   ?factors:Sjos_cost.Cost_model.factors ->
   ?budget:Sjos_guard.Budget.t ->
-  ?max_tuples:int ->
   ?fetch:(Candidate.spec -> Sjos_xml.Node.t array) ->
   ?pool:Sjos_par.Pool.t ->
   ?store:Column_store.t ->
@@ -38,7 +37,7 @@ val execute :
 (** Execute a plan under a resource budget.
 
     [pool] supplies the domain pool the columnar join kernels shard
-    large joins over (see {!Stack_tree.join_batch}); it defaults to
+    large joins over (see {!Stack_tree.join_batch_in}); it defaults to
     {!Sjos_par.Pool.get_default}, whose size is read from the
     [SJOS_DOMAINS] environment variable (1 when unset — fully serial).
     Results are bit-identical for every pool size.
@@ -52,9 +51,8 @@ val execute :
     the deadline, the cancellation flag, or an operator output exceeding
     the tuple ceiling — raises {!Sjos_guard.Budget.Exhausted} with the
     partial tuple count preserved
-    ([Tuples_materialized { limit; count }]).  [max_tuples] is merged
-    into [budget] (minimum wins); both default to unlimited, which costs
-    nothing on the hot path.
+    ([Tuples_materialized { limit; count }]).  [budget] defaults to
+    unlimited, which costs nothing on the hot path.
 
     [store] supplies the column storage backend candidate streams are
     read through (defaulting to a Mem store over [index], which

@@ -790,15 +790,11 @@ let prepare ~doc ~anc:(anc_i, anc_slot) ~desc:(desc_i, desc_slot) =
 
 let force_input = function Rows _ -> () | Leaf l -> force_leaf l
 
-let join_batch_in ?(budget = Budget.unlimited) ?pool
-    ?(par_min_rows = default_par_min_rows) ~work ~doc ~axis ~algo ~anc ~desc
-    () =
+(* One driver for both output forms: shard when the pool and budget
+   allow (see [shard_cuts]), otherwise run the serial kernel once. *)
+let run_join ~budget ~pool ~par_min_rows ~work ~doc ~axis ~anc ~desc ~runner
+    ~concat =
   let width, adata, ddata, ag, dg = prepare ~doc ~anc ~desc in
-  let runner =
-    match algo with
-    | Plan.Stack_tree_desc -> run_desc
-    | Plan.Stack_tree_anc -> run_anc
-  in
   let force () =
     force_input (fst anc);
     force_input (fst desc)
@@ -806,45 +802,30 @@ let join_batch_in ?(budget = Budget.unlimited) ?pool
   match shard_cuts ~pool ~par_min_rows ~budget ~force ag dg with
   | Some cuts ->
       let pool = Option.get pool in
-      let parts =
-        run_sharded ~pool ~cuts ~work ag dg (fun ~work ~drain sag sdg ->
-            runner ~budget ~work ~axis ~drain ~width ~adata ~ddata sag sdg)
-      in
-      concat_batches ~width parts
+      concat ~width
+        (run_sharded ~pool ~cuts ~work ag dg (fun ~work ~drain sag sdg ->
+             runner ~budget ~work ~axis ~drain ~width ~adata ~ddata sag sdg))
   | None -> runner ~budget ~work ~axis ~drain:false ~width ~adata ~ddata ag dg
+
+let join_batch_in ?(budget = Budget.unlimited) ?pool
+    ?(par_min_rows = default_par_min_rows) ~work ~doc ~axis ~algo ~anc ~desc
+    () =
+  run_join ~budget ~pool ~par_min_rows ~work ~doc ~axis ~anc ~desc
+    ~concat:concat_batches
+    ~runner:
+      (match algo with
+      | Plan.Stack_tree_desc -> run_desc
+      | Plan.Stack_tree_anc -> run_anc)
 
 let join_root_in ?(budget = Budget.unlimited) ?pool
     ?(par_min_rows = default_par_min_rows) ~work ~doc ~axis ~algo ~anc ~desc
     () =
-  let width, adata, ddata, ag, dg = prepare ~doc ~anc ~desc in
-  let runner =
-    match algo with
-    | Plan.Stack_tree_desc -> run_desc_root
-    | Plan.Stack_tree_anc -> run_anc_root
-  in
-  let force () =
-    force_input (fst anc);
-    force_input (fst desc)
-  in
-  match shard_cuts ~pool ~par_min_rows ~budget ~force ag dg with
-  | Some cuts ->
-      let pool = Option.get pool in
-      let parts =
-        run_sharded ~pool ~cuts ~work ag dg (fun ~work ~drain sag sdg ->
-            runner ~budget ~work ~axis ~drain ~width ~adata ~ddata sag sdg)
-      in
-      Array.concat (Array.to_list parts)
-  | None -> runner ~budget ~work ~axis ~drain:false ~width ~adata ~ddata ag dg
-
-let join_batch ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
-    ~anc:(anc_b, anc_slot) ~desc:(desc_b, desc_slot) () =
-  join_batch_in ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
-    ~anc:(Rows anc_b, anc_slot) ~desc:(Rows desc_b, desc_slot) ()
-
-let join_root ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
-    ~anc:(anc_b, anc_slot) ~desc:(desc_b, desc_slot) () =
-  join_root_in ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
-    ~anc:(Rows anc_b, anc_slot) ~desc:(Rows desc_b, desc_slot) ()
+  run_join ~budget ~pool ~par_min_rows ~work ~doc ~axis ~anc ~desc
+    ~concat:(fun ~width:_ parts -> Array.concat (Array.to_list parts))
+    ~runner:
+      (match algo with
+      | Plan.Stack_tree_desc -> run_desc_root
+      | Plan.Stack_tree_anc -> run_anc_root)
 
 let join ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
     ~anc:(anc_tuples, anc_slot) ~desc:(desc_tuples, desc_slot) () =
@@ -856,5 +837,5 @@ let join ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
   let anc_b = Batch.of_tuples ~width anc_tuples in
   let desc_b = Batch.of_tuples ~width desc_tuples in
   Batch.to_tuples
-    (join_batch ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
-       ~anc:(anc_b, anc_slot) ~desc:(desc_b, desc_slot) ())
+    (join_batch_in ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
+       ~anc:(Rows anc_b, anc_slot) ~desc:(Rows desc_b, desc_slot) ())

@@ -124,9 +124,19 @@ val join_batch_in :
   desc:input * int ->
   unit ->
   Batch.t
-(** {!join_batch} generalized to lazy inputs.  A leaf joined on a slot
-    other than its own bound slot is materialized first (its other
-    slots are unbound, so such a join is degenerate anyway). *)
+(** [join_batch_in ~work ~doc ~axis ~algo ~anc:(a, sa) ~desc:(d, sd) ()]
+    joins the rows of [a] (whose slot [sa] holds the ancestor-side node,
+    sorted by it) with [d] (slot [sd], sorted by it), returning merged
+    rows ordered by the ancestor (STJ-Anc) or descendant (STJ-Desc) node.
+    Raises [Invalid_argument] if an input is not sorted by its join slot,
+    a join slot is unbound, or the input widths differ.  A leaf joined on
+    a slot other than its own bound slot is materialized first (its other
+    slots are unbound, so such a join is degenerate anyway).
+
+    [budget] (default unlimited, zero-cost) is polled from the merge
+    loops: every produced tuple is checked against the materialization
+    ceiling, and the deadline/cancellation flag every 256 merge steps —
+    raising {!Sjos_guard.Budget.Exhausted} with the partial output count. *)
 
 val join_root_in :
   ?budget:Sjos_guard.Budget.t ->
@@ -140,51 +150,13 @@ val join_root_in :
   desc:input * int ->
   unit ->
   Tuple.t array
-(** {!join_root} generalized to lazy inputs. *)
-
-val join_batch :
-  ?budget:Sjos_guard.Budget.t ->
-  ?pool:Sjos_par.Pool.t ->
-  ?par_min_rows:int ->
-  work:Sjos_obs.Work.t ->
-  doc:Document.t ->
-  axis:Axes.axis ->
-  algo:Plan.algo ->
-  anc:Batch.t * int ->
-  desc:Batch.t * int ->
-  unit ->
-  Batch.t
-(** [join_batch ~work ~doc ~axis ~algo ~anc:(ba, sa) ~desc:(bd, sd) ()]
-    joins the rows of [ba] (whose slot [sa] holds the ancestor-side node,
-    sorted by it) with [bd] (slot [sd], sorted by it), returning merged
-    rows ordered by the ancestor (STJ-Anc) or descendant (STJ-Desc) node.
-    Raises [Invalid_argument] if an input is not sorted by its join slot,
-    a join slot is unbound, or the batch widths differ.
-
-    [budget] (default unlimited, zero-cost) is polled from the merge
-    loops: every produced tuple is checked against the materialization
-    ceiling, and the deadline/cancellation flag every 256 merge steps —
-    raising {!Sjos_guard.Budget.Exhausted} with the partial output count. *)
-
-val join_root :
-  ?budget:Sjos_guard.Budget.t ->
-  ?pool:Sjos_par.Pool.t ->
-  ?par_min_rows:int ->
-  work:Sjos_obs.Work.t ->
-  doc:Document.t ->
-  axis:Axes.axis ->
-  algo:Plan.algo ->
-  anc:Batch.t * int ->
-  desc:Batch.t * int ->
-  unit ->
-  Tuple.t array
-(** Same join as {!join_batch} — same inputs, same order, same counters —
-    but each output tuple is built in boxed form exactly once instead of
-    being written to a flat batch and converted afterwards.  Use for the
-    last join of a plan, whose result is handed to the caller as
-    [Tuple.t array] anyway: materializing the root output twice is pure
-    overhead, and for join-heavy patterns the root output dominates the
-    run. *)
+(** Same join as {!join_batch_in} — same inputs, same order, same
+    counters — but each output tuple is built in boxed form exactly once
+    instead of being written to a flat batch and converted afterwards.
+    Use for the last join of a plan, whose result is handed to the caller
+    as [Tuple.t array] anyway: materializing the root output twice is
+    pure overhead, and for join-heavy patterns the root output dominates
+    the run. *)
 
 val join :
   ?budget:Sjos_guard.Budget.t ->
@@ -198,6 +170,6 @@ val join :
   desc:Tuple.t array * int ->
   unit ->
   Tuple.t array
-(** {!join_batch} behind the classic tuple-array surface: inputs are
+(** {!join_batch_in} behind the classic tuple-array surface: inputs are
     packed with {!Batch.of_tuples} and the result unpacked with
     {!Batch.to_tuples}.  Same contract and same counters. *)

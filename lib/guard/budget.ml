@@ -52,16 +52,6 @@ let cancel t =
    would silently become a no-op. *)
 let is_unlimited t = t == unlimited
 
-let cap_tuples t = function
-  | None -> t
-  | Some n ->
-      let merged =
-        match t.max_tuples with Some m -> min m n | None -> n
-      in
-      if t == unlimited then
-        { unlimited with max_tuples = Some merged; cancelled = Atomic.make false }
-      else { t with max_tuples = Some merged }
-
 let poll t =
   if t == unlimited then None
   else if Atomic.get t.cancelled then Some Cancelled

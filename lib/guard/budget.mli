@@ -63,10 +63,6 @@ val is_unlimited : t -> bool
     being polled so a cross-thread {!cancel} (client disconnect, server
     drain) can abort execution. *)
 
-val cap_tuples : t -> int option -> t
-(** Merge a legacy [?max_tuples] knob into the budget (minimum of the
-    two when both are set). *)
-
 val poll : t -> resource option
 (** Cheap poll of the time-like resources: cancellation first, then the
     deadline.  [None] while within budget. *)

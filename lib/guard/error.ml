@@ -84,19 +84,23 @@ let of_exn = function
   | Invalid_argument msg -> Some (Invalid_request msg)
   | Sjos_storage.Column_store.Io_error { path; reason } ->
       Some (Corrupt_input { source = path; reason })
+  | Sjos_xml.Parser.Parse_error { line; col; message } ->
+      Some
+        (Parse_error
+           {
+             input = "xml";
+             message = Printf.sprintf "line %d, col %d: %s" line col message;
+           })
   | _ -> None
 
-let protect ?map f =
+let protect f =
   match f () with
   | r -> Ok r
   | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
   | exception e -> (
       match of_exn e with
       | Some t -> Result.Error t
-      | None -> (
-          match Option.bind map (fun m -> m e) with
-          | Some t -> Result.Error t
-          | None -> Result.Error (Internal (Printexc.to_string e))))
+      | None -> Result.Error (Internal (Printexc.to_string e)))
 
 let to_json t =
   let base = [ ("class", Json.Str (class_name t)); ("message", Json.Str (message t)) ] in

@@ -3,9 +3,9 @@
     Every failure mode of the query pipeline maps to exactly one
     constructor, so callers can match on the class (and the CLI can map
     each class to a distinct exit code) instead of fishing a raw
-    [Invalid_argument] out of a backtrace.  The Result-returning entry
-    points ([Database.run_r] and friends) never let any other exception
-    escape: {!protect} converts stragglers to {!Internal}. *)
+    [Invalid_argument] out of a backtrace.  The engine raises {!Error};
+    wrapping a call in {!protect} gives the Result form, from which no
+    other exception escapes: stragglers become {!Internal}. *)
 
 type t =
   | Parse_error of { input : string; message : string }
@@ -37,7 +37,7 @@ type t =
           [retry_after_ms]; nothing about it was executed *)
 
 exception Error of t
-(** Carrier used by the raising (non-[_r]) compatibility surface. *)
+(** How the engine raises a structured error; {!protect} catches it. *)
 
 val fail : t -> 'a
 (** [raise (Error t)]. *)
@@ -63,14 +63,16 @@ val message : t -> string
 
 val of_exn : exn -> t option
 (** Map the exceptions this library owns ({!Error}, {!Budget.Exhausted})
-    and the storage layer's [Column_store.Io_error] (to
-    {!Corrupt_input}) to their value form. *)
+    and the boundary exceptions of the layers below it to their value
+    form: [Invalid_argument] to {!Invalid_request}, the storage layer's
+    [Column_store.Io_error] to {!Corrupt_input}, and the XML parser's
+    [Parse_error] to {!Parse_error} with [input = "xml"] and a
+    ["line L, col C: msg"] message.  [None] for anything else. *)
 
-val protect : ?map:(exn -> t option) -> (unit -> 'a) -> ('a, t) result
+val protect : (unit -> 'a) -> ('a, t) result
 (** Run the thunk, converting raised errors to values: {!of_exn} first,
-    then the caller's [map] (for boundary-specific exceptions such as
-    parser errors), then a catch-all to {!Internal}.  [Out_of_memory]
-    and [Stack_overflow] are re-raised — they are not query errors. *)
+    then a catch-all to {!Internal}.  [Out_of_memory] and
+    [Stack_overflow] are re-raised — they are not query errors. *)
 
 val to_json : t -> Sjos_obs.Json.t
 val pp : t Fmt.t

@@ -323,11 +323,9 @@ let exec_fields prep (run : Database.query_run) ~include_tuples =
   else base
 
 let prepare_handle t (tenant : Tenant.t) ~opts pat =
-  match Database.prepare_r ~opts t.db pat with
-  | Error e -> Error.fail e
-  | Ok prep ->
-      if Database.prepared_from_cache prep then Tenant.note_cache_hit tenant;
-      prep
+  let prep = Database.prepare ~opts t.db pat in
+  if Database.prepared_from_cache prep then Tenant.note_cache_hit tenant;
+  prep
 
 (* The guarded execution path every real op shares: tenant quota, then a
    bounded execution slot, then [Error.protect] around the work. *)
@@ -416,9 +414,7 @@ let handle_op t ~client req op =
           let pat, algorithm, engine = resolve_pattern t ~tenant:tenant_name req in
           let opts = query_opts t tenant ~algorithm ~engine ~budget in
           let prep = prepare_handle t tenant ~opts pat in
-          match Database.exec_r prep with
-          | Error e -> Error.fail e
-          | Ok run -> exec_fields prep run ~include_tuples)
+          exec_fields prep (Database.exec prep) ~include_tuples)
   | "explain" ->
       admitted t ~client tenant req (fun budget ->
           let pat, algorithm, engine = resolve_pattern t ~tenant:tenant_name req in
@@ -433,20 +429,13 @@ let handle_op t ~client req op =
           let pat, algorithm, engine = resolve_pattern t ~tenant:tenant_name req in
           let opts = query_opts t tenant ~algorithm ~engine ~budget in
           let prep = prepare_handle t tenant ~opts pat in
-          match Database.analyze_prepared_r prep with
-          | Error e -> Error.fail e
-          | Ok a ->
-              [
-                ( "matches",
-                  Json.Int
-                    (Array.length a.Database.exec.Sjos_exec.Executor.tuples) );
-                ( "digest",
-                  Json.Str
-                    (result_digest a.Database.exec.Sjos_exec.Executor.tuples)
-                );
-                ( "analysis",
-                  Sjos_plan.Explain.analysis_to_json pat a.Database.rows );
-              ])
+          let a = Database.analyze_prepared prep in
+          let tuples = a.Database.exec.Sjos_exec.Executor.tuples in
+          [
+            ("matches", Json.Int (Array.length tuples));
+            ("digest", Json.Str (result_digest tuples));
+            ("analysis", Sjos_plan.Explain.analysis_to_json pat a.Database.rows);
+          ])
   | other ->
       Error (Error.Invalid_request (Printf.sprintf "unknown op %S" other))
 

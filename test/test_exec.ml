@@ -237,7 +237,8 @@ let test_executor_limit () =
   let p = Helpers.pat "manager(//name)" in
   let provider = Helpers.exact_provider idx p in
   let r = Sjos_core.Optimizer.optimize ~provider Sjos_core.Optimizer.Dpp p in
-  match Executor.execute ~max_tuples:3 idx p r.Sjos_core.Optimizer.plan with
+  let budget = Sjos_guard.Budget.make ~max_tuples:3 () in
+  match Executor.execute ~budget idx p r.Sjos_core.Optimizer.plan with
   | exception
       Sjos_guard.Budget.Exhausted
         {

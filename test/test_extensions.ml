@@ -291,8 +291,10 @@ let test_xquery_errors () =
   List.iter
     (fun q ->
       match Xquery.run db q with
-      | exception Xquery.Error _ -> ()
-      | exception Sjos_pattern.Parse.Syntax_error _ -> ()
+      | exception
+          Sjos_guard.Error.Error (Sjos_guard.Error.Parse_error { input; _ })
+        when input = q ->
+          ()
       | _ -> Alcotest.fail ("expected failure: " ^ q))
     [
       "";
@@ -320,59 +322,6 @@ let test_xquery_optimized_consistently () =
     (fun a -> check ci "same result count" dp (count a))
     [ Optimizer.Dpp; Optimizer.Fp; Optimizer.Dpap_ld ]
 
-(* ---------- Streaming executor ---------- *)
-
-let test_stream_equals_executor () =
-  let idx = Lazy.force Helpers.pers_1k_index in
-  List.iter
-    (fun s ->
-      let p = Helpers.pat s in
-      let provider = Naive.exact_provider idx p in
-      List.iter
-        (fun algo ->
-          let r = Optimizer.optimize ~provider algo p in
-          let batch = Executor.execute idx p r.Optimizer.plan in
-          let streamed = List.of_seq (Stream_exec.stream idx p r.Optimizer.plan) in
-          check cb
-            (Printf.sprintf "%s via %s" s (Optimizer.name algo))
-            true
-            (Array.to_list batch.Executor.tuples = streamed))
-        [ Optimizer.Dpp; Optimizer.Fp; Optimizer.Dpap_ld ])
-    [
-      "manager(//employee(/name))";
-      "manager(//employee(/name),//department(/name))";
-      "manager(//employee(/name),//manager(/department(/name)))";
-    ]
-
-let test_stream_first_k () =
-  let idx = Lazy.force Helpers.pers_1k_index in
-  let p = Helpers.pat "manager(//employee(/name))" in
-  let provider = Naive.exact_provider idx p in
-  let r = Optimizer.optimize ~provider Optimizer.Fp p in
-  let all = Executor.execute idx p r.Optimizer.plan in
-  let k = min 5 (Array.length all.Executor.tuples) in
-  let firsts = Stream_exec.first_k idx p r.Optimizer.plan k in
-  check ci "k results" k (List.length firsts);
-  List.iteri
-    (fun i t -> check cb "prefix matches" true (t = all.Executor.tuples.(i)))
-    firsts;
-  check ci "zero results ok" 0 (List.length (Stream_exec.first_k idx p r.Optimizer.plan 0))
-
-let test_stream_rejects_invalid () =
-  let idx = Lazy.force Helpers.tiny_index in
-  let p = Helpers.pat "manager(//employee)" in
-  match Stream_exec.stream idx p (Plan.scan 0) with
-  | exception Invalid_argument _ -> ()
-  | (_ : Tuple.t Seq.t) -> Alcotest.fail "invalid plan must be rejected"
-
-let test_stream_time_to_first () =
-  let idx = Lazy.force Helpers.pers_1k_index in
-  let p = Helpers.pat "manager(//employee(/name))" in
-  let provider = Naive.exact_provider idx p in
-  let r = Optimizer.optimize ~provider Optimizer.Fp p in
-  let first, total = Stream_exec.time_to_first idx p r.Optimizer.plan in
-  check cb "timings nonnegative" true (first >= 0.0 && total >= 0.0)
-
 let suite =
   [
     ("plan_io roundtrip", `Quick, test_plan_io_roundtrip);
@@ -394,8 +343,4 @@ let suite =
     ("xquery existence and copy", `Quick, test_xquery_existence_and_copy);
     ("xquery errors", `Quick, test_xquery_errors);
     ("xquery all optimizers agree", `Quick, test_xquery_optimized_consistently);
-    ("streaming = materializing executor", `Quick, test_stream_equals_executor);
-    ("streaming first-k", `Quick, test_stream_first_k);
-    ("streaming rejects invalid plans", `Quick, test_stream_rejects_invalid);
-    ("streaming time-to-first", `Quick, test_stream_time_to_first);
   ]

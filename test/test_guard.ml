@@ -59,15 +59,19 @@ let test_budget_ceilings () =
   | exception Budget.Exhausted { resource = Budget.Wall_clock; _ } -> ()
   | () -> Alcotest.fail "zero deadline did not fire")
 
-let test_budget_cap_tuples () =
-  let b = Budget.cap_tuples Budget.unlimited (Some 5) in
-  check cb "cap on unlimited" true (b.Budget.max_tuples = Some 5);
-  let b2 = Budget.cap_tuples (Budget.make ~max_tuples:3 ()) (Some 5) in
-  check cb "min wins" true (b2.Budget.max_tuples = Some 3);
-  let b3 = Budget.cap_tuples (Budget.make ~max_tuples:7 ()) (Some 5) in
-  check cb "min wins (other side)" true (b3.Budget.max_tuples = Some 5);
-  check cb "None is identity" true
-    (Budget.cap_tuples Budget.unlimited None == Budget.unlimited)
+(* A tuple ceiling is the only knob on the CLI's and the experiment
+   harness's budgets: it must still be a budget of its own, with its own
+   cancellation flag, never the shared [unlimited]. *)
+let test_budget_tuple_ceiling_alone () =
+  let b = Budget.make ~max_tuples:5 () in
+  check cb "ceiling set" true (b.Budget.max_tuples = Some 5);
+  check cb "not unlimited" false (Budget.is_unlimited b);
+  check cb "no other ceiling" true
+    (b.Budget.deadline_ns = None && b.Budget.max_expanded = None);
+  Budget.cancel b;
+  check cb "own cancellation flag" true
+    (Budget.poll b = Some Budget.Cancelled
+    && Budget.poll Budget.unlimited = None)
 
 (* A budget with no ceilings but a cancel flag must never be mistaken
    for [unlimited] (the serve path builds exactly this shape so a
@@ -79,9 +83,8 @@ let test_budget_cancel_only_not_unlimited () =
   Budget.cancel b;
   let db = Lazy.force pers_db in
   let p = Helpers.pat "manager(//employee(/name))" in
-  match
-    Database.run_r ~opts:(Query_opts.make ~use_cache:false ~budget:b ()) db p
-  with
+  let opts = Query_opts.make ~use_cache:false ~budget:b () in
+  match Error.protect (fun () -> Database.run ~opts db p) with
   | Result.Error (Error.Budget_exhausted { resource = Budget.Cancelled; _ })
     ->
       ()
@@ -133,21 +136,22 @@ let test_error_protect () =
   | Result.Error (Error.Internal _) -> ()
   | _ -> Alcotest.fail "stray exception not mapped to Internal");
   match
-    Error.protect
-      ~map:(function
-        | Failure m -> Some (Error.Parse_error { input = ""; message = m })
-        | _ -> None)
-      (fun () -> failwith "syntax")
+    Error.protect (fun () ->
+        raise
+          (Sjos_xml.Parser.Parse_error { line = 3; col = 7; message = "bad" }))
   with
-  | Result.Error (Error.Parse_error { message = "syntax"; _ }) -> ()
-  | _ -> Alcotest.fail "map not consulted"
+  | Result.Error
+      (Error.Parse_error { input = "xml"; message = "line 3, col 7: bad" }) ->
+      ()
+  | _ -> Alcotest.fail "XML Parse_error not mapped"
 
 (* ---------- structured tuple limit ---------- *)
 
 let test_tuple_limit_structured () =
   let db = Lazy.force pers_db in
   let p = Helpers.pat "manager(//name)" in
-  match Database.run_r ~opts:(Query_opts.make ~max_tuples:3 ()) db p with
+  let opts = Query_opts.make ~budget:(Budget.make ~max_tuples:3 ()) () in
+  match Error.protect (fun () -> Database.run ~opts db p) with
   | Result.Error
       (Error.Budget_exhausted
          {
@@ -176,7 +180,7 @@ let test_degradation_to_dpap () =
       ()
   in
   let degraded = Sjos_obs.Registry.counter "guard.degraded" in
-  let result = Database.run_r ~opts db p in
+  let result = Error.protect (fun () -> Database.run ~opts db p) in
   let count = Sjos_obs.Registry.counter_value degraded in
   Sjos_obs.Registry.set_enabled false;
   match result with
@@ -203,7 +207,7 @@ let test_heuristic_tier_not_degraded () =
       ~budget:(Budget.make ~max_expanded:1 ())
       ()
   in
-  match Database.run_r ~opts db p with
+  match Error.protect (fun () -> Database.run ~opts db p) with
   | Result.Error (Error.Budget_exhausted { during = "optimize"; _ }) -> ()
   | Ok _ -> Alcotest.fail "Te=2 search should exceed one expansion"
   | Result.Error e -> Alcotest.fail ("wrong error: " ^ Error.class_name e)
@@ -212,7 +216,7 @@ let test_degraded_plan_not_cached () =
   let db = Database.of_document (Lazy.force Helpers.pers_1k) in
   let p = Helpers.pat "manager(//employee(/name))" in
   let opts = Query_opts.make ~budget:(Budget.make ~max_expanded:1 ()) () in
-  (match Database.run_r ~opts db p with
+  (match Error.protect (fun () -> Database.run ~opts db p) with
   | Ok run ->
       check cb "degraded" true
         (run.Database.opt.Sjos_core.Optimizer.degraded_from <> None)
@@ -271,11 +275,12 @@ let test_malformed_inputs () =
   | exception Sjos_xml.Parser.Parse_error _ -> ()
   | _ -> Alcotest.fail "unclosed tag accepted");
   (* malformed XQuery surfaces as a structured parse error *)
-  (match Xquery.run_r db "for $x in" with
-  | Result.Error (Error.Parse_error _) -> ()
+  (match Error.protect (fun () -> Xquery.run db "for $x in") with
+  | Result.Error (Error.Parse_error { input = "for $x in"; _ }) -> ()
   | _ -> Alcotest.fail "expected Parse_error from truncated XQuery");
-  (match Xquery.run_r db "for $m in //manager return <r>{$ghost}</r>" with
-  | Result.Error (Error.Parse_error _) -> ()
+  let ghost = "for $m in //manager return <r>{$ghost}</r>" in
+  (match Error.protect (fun () -> Xquery.run db ghost) with
+  | Result.Error (Error.Parse_error { input; _ }) when input = ghost -> ()
   | _ -> Alcotest.fail "expected Parse_error for unbound variable");
   (* oversized / nonsensical histogram grid *)
   (match Database.of_document ~grid:100_000 (Lazy.force Helpers.tiny_pers) with
@@ -285,7 +290,8 @@ let test_malformed_inputs () =
   | exception Error.Error (Error.Invalid_request _) -> ()
   | () -> Alcotest.fail "zero grid accepted");
   let p = Helpers.pat "manager(//name)" in
-  match Database.run_r ~opts:(Query_opts.make ~grid:(-3) ()) db p with
+  let opts = Query_opts.make ~grid:(-3) () in
+  match Error.protect (fun () -> Database.run ~opts db p) with
   | Result.Error (Error.Invalid_request _) -> ()
   | Ok _ -> Alcotest.fail "negative per-query grid accepted"
   | Result.Error e -> Alcotest.fail ("wrong error: " ^ Error.class_name e)
@@ -324,7 +330,8 @@ let chaos_patterns =
 
 let run_under_chaos ~faults ~seed db p =
   let chaos = Chaos.create ~faults ~seed () in
-  Database.run_r ~opts:(Query_opts.make ~chaos ~use_cache:false ()) db p
+  let opts = Query_opts.make ~chaos ~use_cache:false () in
+  Error.protect (fun () -> Database.run ~opts db p)
 
 (* Every query under full fault injection returns Ok or a structured
    error; nothing unstructured escapes, and the only corruption the
@@ -443,8 +450,8 @@ let suite =
       test_budget_unlimited;
     Alcotest.test_case "budget: ceilings fire with context" `Quick
       test_budget_ceilings;
-    Alcotest.test_case "budget: cap_tuples merges" `Quick
-      test_budget_cap_tuples;
+    Alcotest.test_case "budget: tuple ceiling alone" `Quick
+      test_budget_tuple_ceiling_alone;
     Alcotest.test_case "budget: cancel-only budget is polled" `Quick
       test_budget_cancel_only_not_unlimited;
     Alcotest.test_case "error: distinct classes and exit codes" `Quick

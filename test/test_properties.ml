@@ -85,10 +85,25 @@ let prop_executor_equals_naive =
       let idx = Element_index.build doc in
       let p = random_pattern seed in
       let provider = Naive.exact_provider idx p in
-      let r = Optimizer.optimize ~provider Optimizer.Dpp p in
-      let run = Executor.execute idx p r.Optimizer.plan in
-      Helpers.sorted_tuples (Array.to_list run.Executor.tuples)
-      = Helpers.sorted_tuples (Naive.matches idx p))
+      let expected = Helpers.sorted_tuples (Naive.matches idx p) in
+      (* the whole output, in order: sorted by the document position of
+         the node bound in the plan's [ordered_by] slot *)
+      let ordered plan tuples =
+        let slot = Plan.ordered_by plan in
+        let pos t = (Document.node doc (Tuple.get t slot)).Node.start_pos in
+        let rec go = function
+          | a :: (b :: _ as rest) -> pos a <= pos b && go rest
+          | _ -> true
+        in
+        go (Array.to_list tuples)
+      in
+      List.for_all
+        (fun algo ->
+          let plan = (Optimizer.optimize ~provider algo p).Optimizer.plan in
+          let run = Executor.execute idx p plan in
+          Helpers.sorted_tuples (Array.to_list run.Executor.tuples) = expected
+          && ordered plan run.Executor.tuples)
+        [ Optimizer.Dpp; Optimizer.Fp; Optimizer.Dpap_ld ])
 
 let prop_fp_equals_naive =
   Helpers.qtest ~count:40 "FP plans compute the same matches" seed_gen
@@ -249,18 +264,6 @@ let prop_mpmgjn_equals_stack_tree =
       Helpers.sorted_tuples (Array.to_list st)
       = Helpers.sorted_tuples (Array.to_list mj))
 
-let prop_stream_equals_executor =
-  Helpers.qtest ~count:50 "streaming executor = materializing executor"
-    seed_gen (fun seed ->
-      let doc = random_doc seed in
-      let idx = Element_index.build doc in
-      let p = random_pattern seed in
-      let provider = Naive.exact_provider idx p in
-      let r = Optimizer.optimize ~provider Optimizer.Dpp p in
-      let batch = Executor.execute idx p r.Optimizer.plan in
-      Array.to_list batch.Executor.tuples
-      = List.of_seq (Stream_exec.stream idx p r.Optimizer.plan))
-
 let prop_minimize_preserves_root_bindings =
   Helpers.qtest ~count:50 "minimization preserves root bindings" seed_gen
     (fun seed ->
@@ -324,7 +327,6 @@ let suite =
     prop_path_stack_equals_naive;
     prop_twig_join_equals_naive;
     prop_mpmgjn_equals_stack_tree;
-    prop_stream_equals_executor;
     prop_minimize_preserves_root_bindings;
     prop_folding_linear;
     prop_pq_sorts;

@@ -235,7 +235,10 @@ let test_chaos_differential () =
     let out =
       List.map
         (fun text ->
-          match Database.run_r ~opts db (Helpers.pat text) with
+          match
+            Sjos_guard.Error.protect (fun () ->
+                Database.run ~opts db (Helpers.pat text))
+          with
           | Ok r ->
               Ok
                 (Array.map Array.to_list r.Database.exec.Executor.tuples

@@ -217,7 +217,8 @@ let test_budget_truncation () =
   let idx = Database.index db in
   let hplan = Sjos_plan.Plan.holistic_of_pattern p in
   match
-    Error.protect (fun () -> Executor.execute ~max_tuples:(n - 1) idx p hplan)
+    let budget = Budget.make ~max_tuples:(n - 1) () in
+    Error.protect (fun () -> Executor.execute ~budget idx p hplan)
   with
   | Ok _ -> Alcotest.fail "truncated budget must fail"
   | Error (Error.Budget_exhausted { during; _ }) ->
@@ -290,11 +291,8 @@ let test_chaos_parity () =
                     [ Truncate_candidates; Unsort_candidates; Lie_cardinalities ]
                 ~seed ()
             in
-            match
-              Database.run_r
-                ~opts:(Query_opts.make ~engine ~chaos ~use_cache:false ())
-                db p
-            with
+            let opts = Query_opts.make ~engine ~chaos ~use_cache:false () in
+            match Error.protect (fun () -> Database.run ~opts db p) with
             | Ok run ->
                 (* whatever survives is a subset of the truth: chaos can
                    drop candidates, never invent matches *)
