@@ -87,12 +87,6 @@ let add t key value =
       push_front t n;
       evicted)
 
-let clear t =
-  locked t (fun () ->
-      Hashtbl.reset t.table;
-      t.head <- None;
-      t.tail <- None)
-
 let to_list t =
   locked t (fun () ->
       let rec go acc = function

@@ -29,7 +29,6 @@ val add : 'a t -> string -> 'a -> string option
     Returns the key evicted to make room, if any. *)
 
 val remove : 'a t -> string -> unit
-val clear : 'a t -> unit
 
 val to_list : 'a t -> (string * 'a) list
 (** Entries from most- to least-recently-used. *)

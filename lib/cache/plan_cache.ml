@@ -85,8 +85,6 @@ let add t key entry =
           observe "plan_cache.evictions"
       | None -> ())
 
-let clear t = locked t (fun () -> Lru.clear t.lru)
-
 let stats t =
   locked t (fun () ->
       {

@@ -54,8 +54,6 @@ val bump_epoch : t -> unit
 (** Invalidate every existing entry (lazily, on subsequent lookups). *)
 
 val epoch : t -> int
-val clear : t -> unit
 val stats : t -> stats
-val stats_to_json : stats -> Sjos_obs.Json.t
 val to_json : t -> Sjos_obs.Json.t
 val pp : t Fmt.t

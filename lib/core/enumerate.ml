@@ -16,5 +16,3 @@ let optimal ctx =
       List.fold_left
         (fun (bc, bp) (c, p) -> if c < bc then (c, p) else (bc, bp))
         first rest
-
-let count ctx = List.length (all_plans ctx)

@@ -2,17 +2,11 @@
 
     Intended for tests on small patterns: it walks every sequence of moves
     (all join orders, both Stack-Tree algorithms, every useful output
-    re-sort) and returns every finalized plan.  The minimum over this set is
-    the ground-truth optimum that DP and DPP must match.  Cost is
+    re-sort) over every finalized plan.  The minimum over this set is the
+    ground-truth optimum that DP and DPP must match.  Cost is
     exponential — keep patterns at or below ~6 nodes. *)
 
 open Sjos_plan
 
-val all_plans : Search.ctx -> (float * Plan.t) list
-(** Every complete finalized plan (duplicates possible when different move
-    interleavings build the same tree). *)
-
 val optimal : Search.ctx -> float * Plan.t
-(** The cheapest plan of {!all_plans}. *)
-
-val count : Search.ctx -> int
+(** The cheapest complete finalized plan. *)

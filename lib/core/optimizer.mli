@@ -99,16 +99,6 @@ val engine_name : engine -> string
 val engine_of_string : string -> engine option
 (** Case-insensitive inverse of {!engine_name}. *)
 
-val holistic_result :
-  ?factors:Sjos_cost.Cost_model.factors ->
-  provider:Costing.provider ->
-  algorithm ->
-  Pattern.t ->
-  result
-(** The (unique) holistic plan for a pattern, costed under the same
-    factors as the binary search; counts as one considered plan.  The
-    [algorithm] tag is carried through for reporting only. *)
-
 val optimize_e :
   ?factors:Sjos_cost.Cost_model.factors ->
   ?budget:Sjos_guard.Budget.t ->
@@ -117,7 +107,10 @@ val optimize_e :
   algorithm ->
   Pattern.t ->
   (result, Sjos_guard.Error.t) Stdlib.result
-(** {!optimize_r} generalized over the physical engine.  Under [Auto]
+(** {!optimize_r} generalized over the physical engine.  [Holistic]
+    returns the pattern's unique holistic plan, costed under the same
+    factors as the binary search and counted as one considered plan.
+    Under [Auto]
     the result's [work] is the binary search's work plus one considered
     plan (the holistic alternative), whichever plan wins — exactly what
     the call charges to {!Sjos_obs.Work.current}.  A budget error from

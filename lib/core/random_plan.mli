@@ -8,9 +8,6 @@
 
 open Sjos_plan
 
-val generate : Random.State.t -> Search.ctx -> float * Plan.t
-(** One random finalized plan with its estimated cost. *)
-
 val sample : ?seed:int -> Search.ctx -> int -> (float * Plan.t) list
 (** [sample ctx k] — [k] independent random plans (deterministic for a
     given seed; default seed [42]). *)

@@ -46,13 +46,6 @@ let joinable_m (cmap : Status.cluster Array.t) (e : Pattern.edge) =
   && cu.Status.order = e.Pattern.anc
   && cv.Status.order = e.Pattern.desc
 
-let edge_joinable (s : Status.t) (e : Pattern.edge) =
-  let cu = Status.cluster_of s e.Pattern.anc in
-  let cv = Status.cluster_of s e.Pattern.desc in
-  cu.Status.mask <> cv.Status.mask
-  && cu.Status.order = e.Pattern.anc
-  && cv.Status.order = e.Pattern.desc
-
 let is_deadend ctx (s : Status.t) =
   (not (Status.is_final s))
   &&

@@ -42,10 +42,6 @@ val check_budget : ctx -> unit
 val remaining_edges : ctx -> Status.t -> (int * Pattern.edge) list
 (** Indexed pattern edges not yet evaluated by the status. *)
 
-val edge_joinable : Status.t -> Pattern.edge -> bool
-(** Does the status satisfy the Stack-Tree input-order requirement for the
-    edge? *)
-
 val is_deadend : ctx -> Status.t -> bool
 (** Definition 6: non-final and no remaining edge is joinable. *)
 
@@ -66,10 +62,6 @@ val expand :
     Successors whose accumulated cost reaches [cost_bound] (the cost of
     the best complete plan found so far) are dead on arrival and are not
     generated either (the Pruning Rule; bumps [work.pruned_bound]). *)
-
-val useful_sort_targets : ctx -> joined:int -> merged_mask:int -> int list
-(** Nodes of the merged cluster that some remaining edge still needs as an
-    input order — the only worthwhile output re-sort targets. *)
 
 val finalize : ctx -> Status.t -> float * Plan.t
 (** Cost and plan of a final status, adding the result sort required by the

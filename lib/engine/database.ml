@@ -120,7 +120,6 @@ let warm t =
   Element_index.warm t.index;
   ignore (stats t)
 let factors t = t.factors
-let grid t = t.grid
 let plan_cache t = t.plan_cache
 let invalidate_plans t = Plan_cache.bump_epoch t.plan_cache
 
@@ -325,8 +324,6 @@ let refresh p =
     p.pepoch <- epoch
   end
 
-let prepared_pattern p = p.ppattern
-let prepared_opts p = p.popts
 let prepared_fingerprint p = p.pfingerprint
 
 let prepared_result p =

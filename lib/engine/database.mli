@@ -91,7 +91,6 @@ val warm : t -> unit
     purely a scheduling hint — parallel queries are correct without it. *)
 
 val factors : t -> Sjos_cost.Cost_model.factors
-val grid : t -> int
 
 val set_factors : t -> Sjos_cost.Cost_model.factors -> unit
 (** Change the database's cost factors.  Bumps the plan-cache epoch: every
@@ -162,8 +161,6 @@ val analyze_prepared : prepared -> analysis
     {!Sjos_plan.Explain.analysis_to_json}. *)
 
 val prepared_result : prepared -> Optimizer.result
-val prepared_pattern : prepared -> Pattern.t
-val prepared_opts : prepared -> Query_opts.t
 
 val prepared_fingerprint : prepared -> string
 (** Structural fingerprint of the pattern — the cache-key component. *)

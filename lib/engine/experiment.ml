@@ -101,15 +101,6 @@ let database_for ?sizes ds =
       Hashtbl.add database_cache (ds, size) db;
       db
 
-(* The parallel workload driver: resolve (and cache) the databases on
-   the calling domain — [database_cache] is a plain Hashtbl — then hand
-   the fan-out to [Workload.run_all]. *)
-let run_workload ?sizes ?opts ?pool () =
-  let dbs =
-    List.map (fun ds -> (ds, database_for ?sizes ds)) Workload.all_datasets
-  in
-  Workload.run_all ?opts ?pool (fun ds -> List.assoc ds dbs)
-
 let table1 ?sizes ?max_tuples () =
   List.map
     (fun (query : Workload.query) ->
@@ -135,23 +126,6 @@ let cell_to_json (c : cell) =
       ("eval_seconds", Float c.eval_seconds);
       ("matches", Int c.matches);
     ]
-
-let table1_to_json rows =
-  let open Sjos_obs.Json in
-  List
-    (List.map
-       (fun row ->
-         Obj
-           [
-             ("query", Str row.query.Workload.id);
-             ( "algorithms",
-               Obj
-                 (List.map
-                    (fun (algo, c) -> (Optimizer.name algo, cell_to_json c))
-                    row.cells) );
-             ("bad_plan", cell_to_json row.bad);
-           ])
-       rows)
 
 let print_table1 rows =
   let pr fmt = Printf.printf fmt in

@@ -38,17 +38,6 @@ val bad_plan_cell :
     plans.  If execution exceeds [max_tuples], [eval_units] is the
     cost-model estimate instead and [matches] is [-1]. *)
 
-val run_workload :
-  ?sizes:(Workload.dataset -> int) ->
-  ?opts:Query_opts.t ->
-  ?pool:Sjos_par.Pool.t ->
-  unit ->
-  (Workload.query * Database.query_run) array
-(** All eight workload queries through {!Workload.run_all}: databases
-    are resolved (and cached) serially on the calling domain, then the
-    queries fan out across the pool.  Results are in workload order and
-    bit-identical to a serial run for every pool size. *)
-
 (** {1 Table 1} — plan quality and optimization time, 8 queries × 5
     algorithms + bad plan *)
 
@@ -64,13 +53,6 @@ val table1 :
 val print_table1 : table1_row list -> unit
 
 val cell_to_json : cell -> Sjos_obs.Json.t
-
-val table1_to_json : table1_row list -> Sjos_obs.Json.t
-(** One object per query: the per-algorithm cells keyed by algorithm name
-    (est/actual cost units, plans considered, opt seconds, …) plus the bad
-    plan.  The bench's [paper] suite writes the same {!cell_to_json}
-    objects flat, one cell per query × algorithm, into
-    [BENCH_PAPER.json]. *)
 
 (** {1 Table 2} — optimization time and number of plans considered *)
 

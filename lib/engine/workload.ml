@@ -15,12 +15,6 @@ let default_size = function Mbench -> 60_000 | Dblp -> 50_000 | Pers -> 5_000
 (* the paper's §4.1 document sizes *)
 let paper_size = function Mbench -> 740_000 | Dblp -> 500_000 | Pers -> 5_000
 
-(* an order of magnitude past the paper, for out-of-core stress runs *)
-let stress_size = function
-  | Mbench -> 10_000_000
-  | Dblp -> 5_000_000
-  | Pers -> 500_000
-
 let generate ?size ds =
   let target_nodes = match size with Some s -> s | None -> default_size ds in
   match ds with

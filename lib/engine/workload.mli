@@ -20,10 +20,6 @@ val paper_size : dataset -> int
     elements.  The bench's [io] suite ([bench/main.exe io]) runs the Disk
     backend at this scale when asked ([SJOS_IO_PAPER=1]). *)
 
-val stress_size : dataset -> int
-(** An order of magnitude past the paper (Mbench 10M elements) for
-    out-of-core stress runs; generation alone takes a while. *)
-
 val generate : ?size:int -> dataset -> Document.t
 (** Deterministic synthetic document for the data set. *)
 

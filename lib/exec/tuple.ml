@@ -12,10 +12,6 @@ let singleton ~width slot (node : Node.t) =
 
 let get t slot = t.(slot)
 
-let unsafe_get t slot =
-  assert (slot >= 0 && slot < Array.length t);
-  Array.unsafe_get t slot
-
 let is_bound t slot = t.(slot) <> unbound
 
 (* Monomorphic int loop; no closure per slot. *)

@@ -18,10 +18,6 @@ val singleton : width:int -> int -> Node.t -> t
 
 val get : t -> int -> int
 
-val unsafe_get : t -> int -> int
-(** Bounds-unchecked slot read for the batch kernels' hot loops; guarded
-    by an [assert] so debug builds still bounds-check. *)
-
 val is_bound : t -> int -> bool
 
 val merge : t -> t -> t

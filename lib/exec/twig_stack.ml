@@ -417,6 +417,3 @@ let run ?(budget = Budget.unlimited) ~work ~doc ~pat ~inputs () =
       done)
     perm;
   Batch.unsafe_of_raw ~width ~len:result_rows (Ibuf.data buf)
-
-let run_tuples ?budget ~work ~doc ~pat ~inputs () =
-  Batch.to_tuples (run ?budget ~work ~doc ~pat ~inputs ())

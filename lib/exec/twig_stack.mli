@@ -49,13 +49,3 @@ val run :
     Raises [Invalid_argument] when the inputs do not form one candidate
     stream per node, and {!Budget.Exhausted} (via polls every 256
     arrivals and per materialized solution) when [budget] runs out. *)
-
-val run_tuples :
-  ?budget:Budget.t ->
-  work:Sjos_obs.Work.t ->
-  doc:Document.t ->
-  pat:Pattern.t ->
-  inputs:Stack_tree.input array ->
-  unit ->
-  Tuple.t array
-(** {!run} unpacked to the boxed tuple surface. *)

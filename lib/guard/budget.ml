@@ -95,33 +95,3 @@ let resource_name = function
   | Statuses_expanded -> "statuses_expanded"
   | Tuples_materialized _ -> "tuples_materialized"
   | Cancelled -> "cancelled"
-
-let pp_resource ppf = function
-  | Tuples_materialized { limit; count } ->
-      Fmt.pf ppf "tuples_materialized (%d produced, limit %d)" count limit
-  | r -> Fmt.string ppf (resource_name r)
-
-let to_json t =
-  Json.Obj
-    [
-      ( "deadline_ns",
-        match t.deadline_ns with
-        | Some d -> Json.Str (Int64.to_string d)
-        | None -> Json.Null );
-      ( "max_expanded",
-        match t.max_expanded with Some n -> Json.Int n | None -> Json.Null );
-      ( "max_tuples",
-        match t.max_tuples with Some n -> Json.Int n | None -> Json.Null );
-      ("cancelled", Json.Bool (Atomic.get t.cancelled));
-    ]
-
-let pp ppf t =
-  if is_unlimited t then Fmt.string ppf "unlimited"
-  else
-    Fmt.pf ppf "{deadline=%s; max_expanded=%a; max_tuples=%a%s}"
-      (match t.deadline_ns with Some _ -> "set" | None -> "none")
-      Fmt.(option ~none:(any "none") int)
-      t.max_expanded
-      Fmt.(option ~none:(any "none") int)
-      t.max_tuples
-      (if Atomic.get t.cancelled then "; cancelled" else "")

@@ -81,7 +81,3 @@ val check_tuples : t -> during:string -> count:int -> unit
 val resource_name : resource -> string
 (** Short stable name: ["wall_clock"], ["statuses_expanded"],
     ["tuples_materialized"], ["cancelled"]. *)
-
-val pp_resource : resource Fmt.t
-val to_json : t -> Sjos_obs.Json.t
-val pp : t Fmt.t

@@ -30,7 +30,6 @@ let create ?(faults = all_faults) ~seed () =
   }
 
 let seed t = t.seed
-let faults t = t.fault_list
 let injected t = Atomic.get t.injected
 
 (* An independent stream for [key], pure in (parent seed, key): the
@@ -128,9 +127,3 @@ let to_json t =
         Json.List (List.map (fun f -> Json.Str (fault_name f)) t.fault_list) );
       ("injected", Json.Int (Atomic.get t.injected));
     ]
-
-let pp ppf t =
-  Fmt.pf ppf "chaos{seed=%d; faults=%a; injected=%d}" t.seed
-    Fmt.(list ~sep:comma string)
-    (List.map fault_name t.fault_list)
-    (Atomic.get t.injected)

@@ -28,7 +28,6 @@ val create : ?faults:fault list -> seed:int -> unit -> t
     given stream is 1/2, decided by the seeded generator. *)
 
 val seed : t -> int
-val faults : t -> fault list
 
 val injected : t -> int
 (** Number of injections performed so far (monotone; diagnostic).  A
@@ -50,6 +49,4 @@ val wrap_provider :
 (** Possibly lie about cardinalities.  Lies are deterministic per mask,
     so the wrapped provider is still a function. *)
 
-val fault_name : fault -> string
 val to_json : t -> Sjos_obs.Json.t
-val pp : t Fmt.t

@@ -123,5 +123,3 @@ let to_json t =
     | _ -> []
   in
   Json.Obj (base @ extra)
-
-let pp ppf t = Fmt.pf ppf "%s: %s" (class_name t) (message t)

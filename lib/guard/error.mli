@@ -75,4 +75,3 @@ val protect : (unit -> 'a) -> ('a, t) result
     [Stack_overflow] are re-raised — they are not query errors. *)
 
 val to_json : t -> Sjos_obs.Json.t
-val pp : t Fmt.t

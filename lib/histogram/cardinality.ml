@@ -32,8 +32,6 @@ let create ?(grid = 32) index pat =
     cluster_memo = Hashtbl.create 64;
   }
 
-let pattern t = t.pat
-
 let candidates t i = Candidate.select t.index (Pattern.label t.pat i)
 
 let hist t i =

@@ -20,7 +20,6 @@ val create : ?grid:int -> Element_index.t -> Pattern.t -> t
 (** Build positional histograms for every pattern node's candidate set
     (lazily) and a memo table for cluster estimates. *)
 
-val pattern : t -> Pattern.t
 val node_card : t -> int -> float
 (** Candidate-set cardinality of a pattern node. *)
 

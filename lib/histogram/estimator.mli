@@ -40,13 +40,6 @@ val parent_child_by_level :
     exactly one level below their ancestors, e.g. every employee having
     its own name child. *)
 
-val pairs :
-  Sjos_xml.Axes.axis ->
-  anc:Position_histogram.t ->
-  desc:Position_histogram.t ->
-  float
-(** Dispatch on the edge axis. *)
-
 val selectivity :
   Sjos_xml.Axes.axis ->
   anc:Position_histogram.t ->

@@ -13,6 +13,3 @@ val elapsed_seconds : since:int64 -> float
 
 val seconds_of_ns : int64 -> float
 (** Convert a nanosecond interval to seconds. *)
-
-val time : (unit -> 'a) -> 'a * float
-(** Run a thunk and return its result with the elapsed seconds. *)

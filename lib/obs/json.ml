@@ -74,7 +74,6 @@ let to_buffer ~indent t =
 
 let to_string t = Buffer.contents (to_buffer ~indent:false t)
 let to_string_pretty t = Buffer.contents (to_buffer ~indent:true t)
-let pp ppf t = Fmt.string ppf (to_string_pretty t)
 
 (* ---------- parsing ---------- *)
 

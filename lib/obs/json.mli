@@ -22,9 +22,6 @@ val to_string : t -> string
 val to_string_pretty : t -> string
 (** Two-space-indented JSON, for humans. *)
 
-val pp : t Fmt.t
-(** Pretty form. *)
-
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; trailing non-whitespace is an error.
     Numbers parse as [Int] when they are integral literals without

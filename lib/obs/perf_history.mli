@@ -16,8 +16,6 @@
     — any tolerance-exceeding difference is a real behavior change, not
     noise. *)
 
-val schema_version : int
-
 type entry = {
   entry_id : string;
   work : Work.t;
@@ -33,7 +31,6 @@ type datapoint = {
 }
 
 val to_json : datapoint -> Json.t
-val of_json : Json.t -> (datapoint, string) result
 val of_string : string -> (datapoint, string) result
 
 val append : dir:string -> datapoint -> string
@@ -51,12 +48,6 @@ type verdict =
   | Bootstrap of string  (** fewer than two datapoints; passes *)
   | Fail of string list  (** one message per regressed entry *)
 
-val default_work_tolerance : float
-(** 1% — generous, since work scores are bit-deterministic. *)
-
-val default_alloc_tolerance : float
-(** 10% — allocation is deterministic only for serial runs. *)
-
 val compare_datapoints :
   ?work_tolerance:float ->
   ?alloc_tolerance:float ->
@@ -67,7 +58,9 @@ val compare_datapoints :
 (** Entry-by-entry comparison (matched by [entry_id]).  An entry present
     in the baseline but missing from the current run fails — a silently
     shrinking bench must not pass as an improvement.  New entries are
-    accepted. *)
+    accepted.  [work_tolerance] defaults to 1% (generous, since work
+    scores are bit-deterministic), [alloc_tolerance] to 10% (allocation
+    is deterministic only for serial runs). *)
 
 val gate :
   ?work_tolerance:float ->

@@ -3,20 +3,12 @@
    single registry mutex, while counters use [int Atomic.t] so the hot
    increment path stays lock-free and allocation-free (immediate ints).
    Uncontended [Mutex.lock] does not allocate either, so the
-   single-domain cost of a timer/histogram update is unchanged in
+   single-domain cost of a gauge/timer update is unchanged in
    kind: a branch, a lock word, a few field writes. *)
 
 type counter = { c_name : string; count : int Atomic.t }
 type gauge = { g_name : string; mutable value : float }
 type timer = { t_name : string; mutable seconds : float; mutable samples : int }
-
-type histogram = {
-  h_name : string;
-  bounds : float array;  (* upper bounds, ascending; +inf bucket implicit *)
-  bucket_counts : int array;  (* length = Array.length bounds + 1 *)
-  mutable h_count : int;
-  mutable h_sum : float;
-}
 
 let on = Atomic.make false
 let set_enabled b = Atomic.set on b
@@ -28,7 +20,6 @@ let m = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 16
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let timers : (string, timer) Hashtbl.t = Hashtbl.create 16
-let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 16
 
 let find_or_add table name make =
   Mutex.lock m;
@@ -59,12 +50,6 @@ let set_gauge g v =
     Mutex.unlock m
   end
 
-let gauge_value g =
-  Mutex.lock m;
-  let v = g.value in
-  Mutex.unlock m;
-  v
-
 let timer name =
   find_or_add timers name (fun () -> { t_name = name; seconds = 0.0; samples = 0 })
 
@@ -74,20 +59,6 @@ let add_seconds t s =
     t.seconds <- t.seconds +. s;
     t.samples <- t.samples + 1;
     Mutex.unlock m
-  end
-
-let time t f =
-  if not (Atomic.get on) then f ()
-  else begin
-    let t0 = Clock.now_ns () in
-    let record () = add_seconds t (Clock.elapsed_seconds ~since:t0) in
-    match f () with
-    | r ->
-        record ();
-        r
-    | exception e ->
-        record ();
-        raise e
   end
 
 let timer_total t =
@@ -102,37 +73,11 @@ let timer_count t =
   Mutex.unlock m;
   v
 
-let default_buckets =
-  [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0; 100.0; 1000.0 |]
-
-let histogram ?(buckets = default_buckets) name =
-  find_or_add histograms name (fun () ->
-      {
-        h_name = name;
-        bounds = Array.copy buckets;
-        bucket_counts = Array.make (Array.length buckets + 1) 0;
-        h_count = 0;
-        h_sum = 0.0;
-      })
-
-let observe h v =
-  if Atomic.get on then begin
-    let nb = Array.length h.bounds in
-    let rec slot i = if i >= nb || v <= h.bounds.(i) then i else slot (i + 1) in
-    let i = slot 0 in
-    Mutex.lock m;
-    h.bucket_counts.(i) <- h.bucket_counts.(i) + 1;
-    h.h_count <- h.h_count + 1;
-    h.h_sum <- h.h_sum +. v;
-    Mutex.unlock m
-  end
-
 let reset () =
   Mutex.lock m;
   Hashtbl.reset counters;
   Hashtbl.reset gauges;
   Hashtbl.reset timers;
-  Hashtbl.reset histograms;
   Mutex.unlock m
 
 let sorted_values table =
@@ -156,37 +101,12 @@ let to_json () =
              Json.Obj [ ("seconds", Json.Float t.seconds); ("count", Json.Int t.samples) ] ))
     |> by fst
   in
-  let histograms_j =
-    sorted_values histograms
-    |> List.map (fun h ->
-           let buckets =
-             List.init
-               (Array.length h.bucket_counts)
-               (fun i ->
-                 Json.Obj
-                   [
-                     ( "le",
-                       if i < Array.length h.bounds then Json.Float h.bounds.(i)
-                       else Json.Str "+inf" );
-                     ("count", Json.Int h.bucket_counts.(i));
-                   ])
-           in
-           ( h.h_name,
-             Json.Obj
-               [
-                 ("count", Json.Int h.h_count);
-                 ("sum", Json.Float h.h_sum);
-                 ("buckets", Json.List buckets);
-               ] ))
-    |> by fst
-  in
   Mutex.unlock m;
   Json.Obj
     [
       ("counters", Json.Obj counters_j);
       ("gauges", Json.Obj gauges_j);
       ("timers", Json.Obj timers_j);
-      ("histograms", Json.Obj histograms_j);
     ]
 
 let pp ppf () =
@@ -202,10 +122,6 @@ let pp ppf () =
     List.sort compare (sorted_values timers)
     |> List.map (fun t -> (t.t_name, t.seconds, t.samples))
   in
-  let hs =
-    List.sort compare (sorted_values histograms)
-    |> List.map (fun h -> (h.h_name, h.h_count, h.h_sum))
-  in
   Mutex.unlock m;
   let line fmt = Fmt.pf ppf fmt in
   List.iter (fun (name, count) -> line "counter %-40s %d@." name count) cs;
@@ -213,7 +129,4 @@ let pp ppf () =
   List.iter
     (fun (name, seconds, samples) ->
       line "timer   %-40s %.6fs over %d@." name seconds samples)
-    ts;
-  List.iter
-    (fun (name, count, sum) -> line "histo   %-40s n=%d sum=%g@." name count sum)
-    hs
+    ts

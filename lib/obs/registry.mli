@@ -1,5 +1,5 @@
-(** A process-global metrics registry: named counters, gauges, timers and
-    fixed-bucket histograms.
+(** A process-global metrics registry: named counters, gauges and
+    timers.
 
     Instruments are created (or found) by name; recording into them is a
     single branch plus a field write, and becomes a pure no-op when the
@@ -14,13 +14,12 @@
 
     Thread-safety: all operations are safe to call from any domain.
     Counter updates are atomic and lock-free; registration,
-    gauge/timer/histogram updates and snapshots are serialized by an
+    gauge/timer updates and snapshots are serialized by an
     internal mutex.  No increment is ever lost. *)
 
 type counter
 type gauge
 type timer
-type histogram
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
@@ -34,25 +33,14 @@ val counter_value : counter -> int
 
 val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val timer : string -> timer
 
 val add_seconds : timer -> float -> unit
 (** Record one observation of the given duration. *)
 
-val time : timer -> (unit -> 'a) -> 'a
-(** Run the thunk, recording its monotonic duration (even when an
-    exception escapes). *)
-
 val timer_total : timer -> float
 val timer_count : timer -> int
-
-val histogram : ?buckets:float array -> string -> histogram
-(** [buckets] are upper bounds of cumulative buckets (a final [+inf]
-    bucket is implicit).  Defaults to powers of ten from 1e-6 to 1e3. *)
-
-val observe : histogram -> float -> unit
 
 val reset : unit -> unit
 (** Drop every instrument (tests). *)
@@ -60,8 +48,7 @@ val reset : unit -> unit
 val to_json : unit -> Json.t
 (** Snapshot of every instrument:
     [{"counters": {..}, "gauges": {..},
-      "timers": {name: {"seconds": s, "count": n}, ..},
-      "histograms": {name: {"count": n, "sum": s, "buckets": [{"le": b, "count": n}..]}, ..}}] *)
+      "timers": {name: {"seconds": s, "count": n}, ..}}] *)
 
 val pp : unit Fmt.t
 (** Human-readable one-instrument-per-line dump. *)

@@ -83,8 +83,6 @@ let begin_span ?(attrs = []) name =
     s
   end
 
-let add_attr s key v = if not s.dummy then s.attrs <- s.attrs @ [ (key, v) ]
-
 let end_span ?(attrs = []) s =
   if not s.dummy && s.end_ns = None then begin
     let now = Clock.now_ns () in

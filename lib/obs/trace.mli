@@ -30,8 +30,6 @@ val end_span : ?attrs:(string * Json.t) list -> span -> unit
 (** Close a span, merging any extra attributes.  Closing also closes any
     still-open descendants.  Closing [null_span] is a no-op. *)
 
-val add_attr : span -> string -> Json.t -> unit
-
 val with_span : ?attrs:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
 (** [begin_span]/[end_span] around a thunk, exception-safe. *)
 

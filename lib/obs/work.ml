@@ -50,7 +50,7 @@ let zero () =
   }
 
 (* Every integer counter by name, with its accessors, in report order:
-   the bulk operations below (reset, merge, diff, JSON) walk this one
+   the bulk operations below (reset, merge, JSON) walk this one
    table, and [sort_cost], the only float, is handled beside it. *)
 let counters : (string * (t -> int) * (t -> int -> unit)) list =
   [
@@ -97,12 +97,6 @@ let merge_into dst src =
   dst.sort_cost <- dst.sort_cost +. src.sort_cost
 
 let absorb src = merge_into (current ()) src
-
-let diff ~after ~before =
-  let d = copy after in
-  List.iter (fun (_, get, set) -> set d (get after - get before)) counters;
-  d.sort_cost <- after.sort_cost -. before.sort_cost;
-  d
 
 let scoped f =
   let slot = Domain.DLS.get slot_key in
@@ -191,13 +185,6 @@ let gc_snapshot () =
     allocated_bytes = Gc.allocated_bytes ();
     minor_collections = s.Gc.minor_collections;
     major_collections = s.Gc.major_collections;
-  }
-
-let gc_diff ~after ~before =
-  {
-    allocated_bytes = after.allocated_bytes -. before.allocated_bytes;
-    minor_collections = after.minor_collections - before.minor_collections;
-    major_collections = after.major_collections - before.major_collections;
   }
 
 let gc_to_json g =

@@ -69,7 +69,6 @@ val copy : t -> t
 val snapshot : unit -> t
 (** An immutable copy of the calling domain's current totals. *)
 
-val diff : after:t -> before:t -> t
 val merge_into : t -> t -> unit
 (** [merge_into dst src] adds [src]'s counts into [dst]. *)
 
@@ -134,5 +133,4 @@ type gc_snapshot = {
 }
 
 val gc_snapshot : unit -> gc_snapshot
-val gc_diff : after:gc_snapshot -> before:gc_snapshot -> gc_snapshot
 val gc_to_json : gc_snapshot -> Json.t

@@ -180,6 +180,3 @@ let get_default () =
   in
   Mutex.unlock default_m;
   p
-
-let pp ppf t =
-  Fmt.pf ppf "pool(size=%d%s)" t.size (if t.stopped then ", stopped" else "")

@@ -26,8 +26,10 @@ type t
 
 val create : ?domains:int -> unit -> t
 (** [create ?domains ()] builds a pool of [domains] total workers
-    (including the caller of {!run}).  Defaults to
-    {!default_domains}[ ()].  Values are clamped to [\[1, 128\]]. *)
+    (including the caller of {!run}).  Defaults to [SJOS_DOMAINS] when
+    set to a positive integer, else 1 (unparsable values fall back to
+    1).  Values are clamped to
+    [\[1, 128\]]. *)
 
 val size : t -> int
 (** Total parallelism, including the calling domain. *)
@@ -36,13 +38,10 @@ val serial : t
 (** A shared size-1 pool: [run serial n f] is exactly a serial loop.
     Useful as an explicit "no parallelism" argument. *)
 
-val default_domains : unit -> int
-(** Pool size requested by the environment: [SJOS_DOMAINS] when set to
-    a positive integer, else 1.  Unparsable values fall back to 1. *)
-
 val get_default : unit -> t
-(** The lazily-created process-wide pool, sized by {!default_domains}.
-    Created once on first use; shut down automatically at exit. *)
+(** The lazily-created process-wide pool, sized like {!create}'s
+    default.  Created once on first use; shut down automatically at
+    exit. *)
 
 val run : t -> int -> (int -> 'a) -> 'a array
 (** [run pool n f] evaluates [f 0 .. f (n-1)], using up to [size pool]
@@ -55,5 +54,3 @@ val run : t -> int -> (int -> 'a) -> 'a array
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent.  Calling {!run}
     after [shutdown] falls back to serial execution. *)
-
-val pp : t Fmt.t

@@ -32,10 +32,6 @@ val fingerprint : ?minimize:bool -> Pattern.t -> string
 (** Hex digest of the canonical structure.  Equal for any two patterns
     with the same canonical form. *)
 
-val structure : Pattern.t -> string
-(** The un-hashed canonical structure string (labels length-prefixed,
-    children sorted), for debugging and tests. *)
-
 val short : string -> string
 (** First 12 hex characters of a fingerprint, for display. *)
 

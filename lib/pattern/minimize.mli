@@ -20,14 +20,6 @@ val label_subsumes :
 (** [label_subsumes general specific]: every element matching [specific]
     also matches [general]. *)
 
-val embeds : Pattern.t -> int -> int -> bool
-(** [embeds pat a b] — is there a homomorphism from the subtree rooted at
-    [a] into the subtree rooted at [b] mapping [a] to [b]? *)
-
-val redundant_child : Pattern.t -> keep:int list -> (int * int) option
-(** The first [(parent, child)] whose branch is redundant and free of kept
-    nodes, if any. *)
-
 val minimize : ?keep:int list -> Pattern.t -> Pattern.t * int array
 (** Remove redundant branches until none is left.  [keep] defaults to the
     pattern's order-by node (if any).  Returns the minimized pattern and a

@@ -145,5 +145,3 @@ let to_string t =
   | Some i -> Buffer.add_string buf (Printf.sprintf " order by %s" (name t i))
   | None -> ());
   Buffer.contents buf
-
-let pp ppf t = Fmt.string ppf (to_string t)

@@ -79,5 +79,3 @@ val depth : t -> int
 
 val to_string : t -> string
 (** Re-parseable textual form, e.g. ["manager(//employee(/name),//dept)"]. *)
-
-val pp : t Fmt.t

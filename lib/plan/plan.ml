@@ -17,7 +17,6 @@ let algo_to_string = function
   | Stack_tree_anc -> "STJ-Anc"
   | Stack_tree_desc -> "STJ-Desc"
 
-let pp_algo ppf a = Fmt.string ppf (algo_to_string a)
 let scan i = Index_scan i
 let join ~anc_side ~desc_side ~edge ~algo = Structural_join { anc_side; desc_side; edge; algo }
 let sort input ~by = Sort { input; by }

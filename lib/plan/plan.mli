@@ -29,7 +29,6 @@ type t =
           the root-to-leaf path masks (sorted) the cost model prices *)
 
 val algo_to_string : algo -> string
-val pp_algo : algo Fmt.t
 
 val scan : int -> t
 val join : anc_side:t -> desc_side:t -> edge:Pattern.edge -> algo:algo -> t

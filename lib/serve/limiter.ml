@@ -40,14 +40,3 @@ let try_take ?now_ns t =
     Mutex.unlock t.m;
     r
   end
-
-let tokens ?now_ns t =
-  if t.rate_per_sec <= 0.0 then t.burst
-  else begin
-    let now = match now_ns with Some n -> n | None -> Sjos_obs.Clock.now_ns () in
-    Mutex.lock t.m;
-    refill t now;
-    let v = t.tokens in
-    Mutex.unlock t.m;
-    v
-  end

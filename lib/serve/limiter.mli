@@ -22,6 +22,3 @@ val try_take : ?now_ns:int64 -> t -> (unit, float) result
     the caller should shed with that hint.  [now_ns] defaults to the
     monotonic clock and must be non-decreasing across calls (a stale
     value is treated as "no time has passed"). *)
-
-val tokens : ?now_ns:int64 -> t -> float
-(** Current token count after refill (diagnostic). *)

@@ -46,7 +46,6 @@ type t = {
 let obs_incr name =
   if Registry.enabled () then Registry.incr (Registry.counter name)
 
-let db t = t.db
 let tenants t = t.tenants
 let admission t = t.adm
 let draining t = Atomic.get t.draining

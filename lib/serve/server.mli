@@ -58,7 +58,6 @@ val create :
 (** The watcher thread starts here; {!shutdown} (or a completed {!run})
     stops it. *)
 
-val db : t -> Sjos_engine.Database.t
 val tenants : t -> Tenant.registry
 val admission : t -> Admission.t
 

@@ -8,5 +8,3 @@ let fields ?work ?io () =
     ("gc", Work.gc_to_json (Work.gc_snapshot ()));
     ("registry", Sjos_obs.Registry.to_json ());
   ]
-
-let to_json ?work ?io () = Json.Obj (fields ?work ?io ())

@@ -21,6 +21,3 @@ val fields :
 (** The shared field list, in the fixed order work/io/gc/registry.
     Callers prepend or append their own context fields (pattern, server
     uptime, tenants...) around it. *)
-
-val to_json :
-  ?work:Sjos_obs.Work.t -> ?io:Sjos_obs.Json.t -> unit -> Sjos_obs.Json.t

@@ -34,12 +34,6 @@ val default_quota : quota
 (** No rate limit, 8 concurrent queries, no tuple/deadline caps, no
     chaos. *)
 
-val quota_of_json : Sjos_obs.Json.t -> (quota, string) result
-(** Parse one tenant's quota object; absent fields keep the default.
-    Recognized fields: [max_concurrent], [rate_per_sec], [burst],
-    [max_tuples], [deadline_ms], [chaos_seed], [chaos_faults] (list of
-    fault names), [stall_ms]. *)
-
 type t = private {
   name : string;
   quota : quota;
@@ -84,6 +78,9 @@ val registry_of_json :
 (** Parse a config document:
     [{"default": {<quota>}, "max_ad_hoc": n,
       "tenants": {"<name>": {<quota>}, ...}}].
-    All fields optional. *)
+    All fields optional; an absent quota field keeps the default.
+    Recognized quota fields: [max_concurrent], [rate_per_sec], [burst],
+    [max_tuples], [deadline_ms], [chaos_seed], [chaos_faults] (list of
+    fault names), [stall_ms]. *)
 
 val to_json : t -> Sjos_obs.Json.t

@@ -75,9 +75,6 @@ let peer_closed fd =
         ->
           true)
 
-let str s = Json.Str s
-let int n = Json.Int n
-
 let field j name = Json.member name j
 let string_field j name =
   match field j name with Some (Json.Str s) -> Some s | _ -> None

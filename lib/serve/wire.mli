@@ -53,9 +53,6 @@ val peer_closed : Unix.file_descr -> bool
     with a connection error).  Pipelined request bytes do {e not} count
     as a close.  Never consumes data and never blocks. *)
 
-val str : string -> Sjos_obs.Json.t
-val int : int -> Sjos_obs.Json.t
-
 val field : Sjos_obs.Json.t -> string -> Sjos_obs.Json.t option
 val string_field : Sjos_obs.Json.t -> string -> string option
 val number_field : Sjos_obs.Json.t -> string -> float option

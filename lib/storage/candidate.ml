@@ -86,5 +86,3 @@ let spec_to_string spec =
     match spec.text with Some s -> Printf.sprintf "[.='%s']" s | None -> ""
   in
   tag ^ attr ^ text
-
-let pp_spec ppf spec = Fmt.string ppf (spec_to_string spec)

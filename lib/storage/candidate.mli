@@ -38,4 +38,3 @@ val is_pure_tag : spec -> bool
     column file in the disk store. *)
 
 val spec_to_string : spec -> string
-val pp_spec : spec Fmt.t

@@ -61,20 +61,6 @@ let config_of_env () =
     dir = None;
   }
 
-let config_to_json c =
-  Json.Obj
-    [
-      ("backend", Json.Str (backend_name c.backend));
-      ("page_size", Json.Int c.page_size);
-      ("pool_pages", Json.Int c.pool_pages);
-    ]
-
-let pp_config ppf c =
-  match c.backend with
-  | Mem -> Fmt.string ppf "mem"
-  | Disk ->
-      Fmt.pf ppf "disk(page_size=%d, pool_pages=%d)" c.page_size c.pool_pages
-
 (* Two configs select the same physical store when the backend and the
    pool geometry agree; [dir] is placement, not behavior, but distinct
    dirs are distinct files so it participates too. *)
@@ -273,7 +259,6 @@ let create ?(config = mem) index =
       { index; config; disk = Some d }
 
 let index t = t.index
-let document t = Element_index.document t.index
 let config t = t.config
 let is_disk t = t.disk <> None
 let dispose t = match t.disk with Some d -> dispose_disk d | None -> ()
@@ -454,7 +439,6 @@ let leaf t spec =
 
 let leaf_length l = l.entry.n
 let leaf_cols l = l.frames
-let leaf_tag l = l.entry.tag
 
 let clamp l lo hi = (max 0 lo, min l.entry.n hi)
 

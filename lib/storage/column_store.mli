@@ -43,18 +43,13 @@ type config = {
           directory that is removed at process exit *)
 }
 
-val default_page_size : int
-(** 1024 items = 8 KiB pages. *)
-
-val default_pool_pages : int
-(** 256 pages = 2 MiB pool. *)
-
 val mem : config
 (** The Mem backend (page/pool fields are carried but unused). *)
 
 val disk : ?page_size:int -> ?pool_pages:int -> ?dir:string -> unit -> config
-(** A Disk configuration.  Raises [Invalid_argument] on non-positive
-    sizes. *)
+(** A Disk configuration; [page_size] defaults to 1024 items (8 KiB
+    pages), [pool_pages] to 256 (a 2 MiB pool).  Raises
+    [Invalid_argument] on non-positive sizes. *)
 
 val backend_of_string : string -> (backend, string) result
 val backend_name : backend -> string
@@ -65,8 +60,6 @@ val config_of_env : unit -> config
     [SJOS_POOL_PAGES] tune the pool. *)
 
 val config_equal : config -> config -> bool
-val config_to_json : config -> Sjos_obs.Json.t
-val pp_config : config Fmt.t
 
 (** {1 Stores} *)
 
@@ -87,7 +80,6 @@ val create : ?config:config -> Element_index.t -> t
     read raises {!Io_error} at fault time. *)
 
 val index : t -> Element_index.t
-val document : t -> Document.t
 val config : t -> config
 val is_disk : t -> bool
 
@@ -147,8 +139,6 @@ val leaf_length : leaf -> int
 val leaf_cols : leaf -> Cols.t
 (** The tag's buffer frames.  Slots are meaningful only after an
     [ensure_*] call covering them; do not mutate. *)
-
-val leaf_tag : leaf -> string
 
 val ensure_probe : leaf -> int -> unit
 (** Fault in [starts.(i)] — one page touch; the gallop probe. *)

@@ -95,10 +95,6 @@ let charge_touches n =
   let w = Sjos_obs.Work.current () in
   w.Sjos_obs.Work.page_touches <- w.Sjos_obs.Work.page_touches + n
 
-let touch t page =
-  charge_touches 1;
-  ignore (touch_cell t page)
-
 let pages_for t items = max 1 ((items + t.page_size - 1) / t.page_size)
 
 let allocate t ~items =

@@ -44,11 +44,6 @@ val segment_base : segment -> int
 
 val segment_items : segment -> int
 
-val touch : t -> int -> unit
-(** Access one page by absolute id, charging one [Work.page_touches]
-    unit.  Prefer the batch entry points below on hot paths — they fetch
-    the work accumulator once per call, not once per page. *)
-
 val scan : t -> segment -> unit
 (** Touch all pages of a segment in order — a full sequential scan. *)
 

@@ -1,7 +1,6 @@
 type axis = Child | Descendant
 
 let axis_to_string = function Child -> "/" | Descendant -> "//"
-let pp_axis ppf a = Fmt.string ppf (axis_to_string a)
 
 let is_ancestor (a : Node.t) (d : Node.t) =
   a.Node.start_pos < d.Node.start_pos && d.Node.end_pos < a.Node.end_pos

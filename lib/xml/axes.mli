@@ -6,7 +6,6 @@ type axis =
   | Descendant  (** the [//] edge: ancestor-descendant, any depth *)
 
 val axis_to_string : axis -> string
-val pp_axis : axis Fmt.t
 
 val is_ancestor : Node.t -> Node.t -> bool
 (** [is_ancestor a d] — [a] properly contains [d]. *)

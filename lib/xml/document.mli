@@ -48,9 +48,6 @@ val ancestors : t -> Node.t -> Node.t list
 val iter : (Node.t -> unit) -> t -> unit
 (** Pre-order iteration over all nodes. *)
 
-val fold : ('a -> Node.t -> 'a) -> 'a -> t -> 'a
-(** Pre-order fold over all nodes. *)
-
 val tags : t -> string list
 (** Distinct tag names, sorted. *)
 

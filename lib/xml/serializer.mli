@@ -7,11 +7,10 @@ val escape_attr : string -> string
 (** Escape ampersand, angle brackets and double quotes for attribute
     values. *)
 
-val to_buffer : ?indent:bool -> Buffer.t -> Document.t -> unit
+val to_string : ?indent:bool -> Document.t -> string
 (** Serialize the whole document.  With [~indent:true] (default) each
     element starts on its own line, indented two spaces per level. *)
 
-val to_string : ?indent:bool -> Document.t -> string
 val to_file : ?indent:bool -> string -> Document.t -> unit
 
 val subtree_to_string : Document.t -> Node.t -> string
