@@ -341,8 +341,8 @@ let domains_opt =
            environment variable, or 1.")
 
 let query_cmd =
-  let run pattern file algorithm engine max_tuples show xpath trace trace_out json
-      no_cache deadline_ms max_expanded grid domains storage pool_pages
+  let run pattern file algorithm engine max_tuples show xpath trace trace_out
+      json no_cache deadline_ms max_expanded grid domains storage pool_pages
       page_size =
     guarded @@ fun () ->
     let db =

@@ -27,8 +27,7 @@ let run_cell ?(opts = Query_opts.default) db pat =
         est_cost = opt.Optimizer.est_cost;
       }
   | exception
-      Budget.Exhausted
-        { resource = Budget.Tuples_materialized _; _ } ->
+      Budget.Exhausted { resource = Budget.Tuples_materialized _; _ } ->
       (* the chosen plan materializes too much to run safely (only heuristic
          algorithms ever get here); report the cost-model estimate, as the
          paper does for its ">4000 s" entries *)
@@ -66,8 +65,7 @@ let bad_plan_cell ?(seed = 42) ?(samples = 20) ?max_tuples db pat =
         est_cost;
       }
   | exception
-      Budget.Exhausted
-        { resource = Budget.Tuples_materialized _; _ } ->
+      Budget.Exhausted { resource = Budget.Tuples_materialized _; _ } ->
       (* too expensive to run safely: report the cost-model estimate *)
       {
         opt_seconds;

@@ -2,7 +2,7 @@ open Sjos_xml
 open Sjos_storage
 open Sjos_pattern
 
-(* The compiler's own failure; {!compile} turns it into a structured
+(* The compiler's own failure; [compile] turns it into a structured
    parse error at its boundary, so it never escapes this module. *)
 exception Error of string
 
@@ -352,17 +352,17 @@ let rec check_item bindings = function
   | Element (_, children) -> List.iter (check_item bindings) children
 
 let compile src =
-  match
-    let q = parse src in
-    let compiled = compile_clauses q in
-    check_item compiled.bindings q.return;
-    (q, compiled)
-  with
-  | q, compiled ->
-      (compiled, fun doc tuple builder -> constructor q compiled doc tuple builder)
-  | exception Error message ->
+  let q, compiled =
+    try
+      let q = parse src in
+      let compiled = compile_clauses q in
+      check_item compiled.bindings q.return;
+      (q, compiled)
+    with Error message ->
       Sjos_guard.Error.fail
         (Sjos_guard.Error.Parse_error { input = src; message })
+  in
+  (compiled, fun doc tuple builder -> constructor q compiled doc tuple builder)
 
 let run ?opts db src =
   let compiled, construct = compile src in

@@ -790,7 +790,7 @@ let prepare ~doc ~anc:(anc_i, anc_slot) ~desc:(desc_i, desc_slot) =
 
 let force_input = function Rows _ -> () | Leaf l -> force_leaf l
 
-(* One driver for both output forms: shard when the pool and budget
+(* Shared by both output forms: shard when the pool and budget
    allow (see [shard_cuts]), otherwise run the serial kernel once. *)
 let run_join ~budget ~pool ~par_min_rows ~work ~doc ~axis ~anc ~desc ~runner
     ~concat =

@@ -12,7 +12,7 @@
     deliberately independent of where the bytes live.  {!Column_store}
     supplies the bytes: its [Disk] backend preads a page from its column
     file on every miss reported by {!fault_range}.  The older simulation
-    entry points ({!scan}, {!scan_range}, {!touch}) remain for access-
+    entry points ({!scan}, {!scan_range}) remain for access-
     pattern experiments that don't need data.
 
     Every access charges one [Work.page_touches] unit.  The batch entry

@@ -61,6 +61,8 @@ expect_exit 3 "grid out of range" \
 # budget_exhausted = 5: tuple ceiling fires during execution
 expect_exit 5 "tuple budget exhausted" \
   run_sjos query "manager(//employee(/name))" "$XML" --max-tuples 1
+expect_exit 5 "tuple budget exhausted (analyze)" \
+  run_sjos analyze "manager(//employee(/name))" "$XML" --max-tuples 1
 
 # degradation is NOT an error: an over-budget exact search falls back to
 # DPAP-EB, exits 0 and says so on stderr

@@ -59,8 +59,8 @@ let test_budget_ceilings () =
   | exception Budget.Exhausted { resource = Budget.Wall_clock; _ } -> ()
   | () -> Alcotest.fail "zero deadline did not fire")
 
-(* A tuple ceiling is the only knob on the CLI's and the experiment
-   harness's budgets: it must still be a budget of its own, with its own
+(* A budget holding only a tuple ceiling (what [--max-tuples] alone and
+   the experiment harness build) is a budget of its own, with its own
    cancellation flag, never the shared [unlimited]. *)
 let test_budget_tuple_ceiling_alone () =
   let b = Budget.make ~max_tuples:5 () in
