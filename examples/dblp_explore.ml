@@ -37,7 +37,7 @@ let () =
 
   (* Estimation quality per edge for one pattern *)
   let pattern = Parse.pattern "inproceedings(//cite(/title))" in
-  let cards = Sjos_histogram.Cardinality.create (Database.index db) pattern in
+  let cards = Sjos_histogram.Cardinality.create (Database.catalog db) pattern in
   Fmt.pr "@.Per-edge estimates for %s:@." (Pattern.to_string pattern);
   List.iter
     (fun (e : Pattern.edge) ->

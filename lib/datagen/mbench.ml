@@ -1,5 +1,14 @@
 open Sjos_xml
 
+(* The small-domain attributes take a few dozen distinct values across
+   hundreds of thousands of nodes: every node shares one immutable pair
+   per value instead of allocating its own. *)
+let pairs name n = Array.init n (fun v -> (name, string_of_int v))
+let level_attrs = pairs "aLevel" 15  (* eNest levels stop at 14 *)
+let four_attrs = pairs "aFour" 4
+let sixty_four_attrs = pairs "aSixtyFour" 64
+let ref_attrs = Array.map (fun a -> [ a ]) (pairs "aRef" 64)
+
 let generate ?(seed = 3) ~target_nodes () =
   if target_nodes < 4 then invalid_arg "Mbench.generate: target too small";
   let rng = Rng.create seed in
@@ -11,17 +20,16 @@ let generate ?(seed = 3) ~target_nodes () =
     incr unique;
     [
       ("aUnique", string_of_int u);
-      ("aLevel", string_of_int level);
-      ("aFour", string_of_int (u mod 4));
-      ("aSixtyFour", string_of_int (u mod 64));
+      level_attrs.(level);
+      four_attrs.(u mod 4);
+      sixty_four_attrs.(u mod 64);
     ]
   in
   let rec nest level =
     Builder.open_element b ~attrs:(attrs level) "eNest";
     decr budget;
     if Rng.float rng < 0.1 && !budget > 0 then begin
-      Builder.leaf ~attrs:[ ("aRef", string_of_int (Rng.int rng 64)) ] b
-        "eOccasional";
+      Builder.leaf ~attrs:ref_attrs.(Rng.int rng 64) b "eOccasional";
       decr budget
     end;
     (* fanout shrinks with depth so the tree is deep but bounded *)

@@ -19,7 +19,9 @@ type t = {
   stats_m : Mutex.t;
   mutable stats_v : Stats.t option;
   mutable factors : Cost_model.factors;
-  mutable grid : int;
+  (* Label statistics at the database's own grid, which is the catalog's
+     grid: one field, so [set_grid] swaps both in a single write. *)
+  mutable catalog : Stats_catalog.t;
   plan_cache : Plan_cache.t;
   store : Column_store.t;
   (* Per-query [Query_opts.storage] overrides resolve through a small
@@ -53,7 +55,7 @@ let of_document ?(factors = Cost_model.default) ?(grid = 32)
     stats_m = Mutex.create ();
     stats_v = None;
     factors;
-    grid;
+    catalog = Stats_catalog.create ~grid index;
     plan_cache = Plan_cache.create ~capacity:cache_capacity ();
     store = Column_store.create ~config:storage index;
     stores_m = Mutex.create ();
@@ -120,6 +122,7 @@ let warm t =
   Element_index.warm t.index;
   ignore (stats t)
 let factors t = t.factors
+let catalog t = t.catalog
 let plan_cache t = t.plan_cache
 let invalidate_plans t = Plan_cache.bump_epoch t.plan_cache
 
@@ -129,24 +132,20 @@ let set_factors t factors =
 
 let set_grid t grid =
   validate_grid grid;
-  t.grid <- grid;
+  t.catalog <- Stats_catalog.create ~grid t.index;
   invalidate_plans t
 
-let provider_with t ~grid pat =
-  validate_grid grid;
-  let cards = Cardinality.create ~grid t.index pat in
+let provider_of stats pat =
+  let cards = Cardinality.create stats pat in
   {
     Costing.node_card = Cardinality.node_card cards;
     cluster_card = Cardinality.cluster_card cards;
   }
 
-let provider t pat = provider_with t ~grid:t.grid pat
+let provider t pat = provider_of t.catalog pat
 
 let eff_factors t (opts : Query_opts.t) =
   Option.value opts.Query_opts.factors ~default:t.factors
-
-let eff_grid t (opts : Query_opts.t) =
-  Option.value opts.Query_opts.grid ~default:t.grid
 
 (* A query is cacheable only when it runs against the database's own
    statistics configuration: per-query factor/grid overrides would poison
@@ -264,7 +263,18 @@ type prepared = {
    (seed, query) alone — not of how many queries ran before it, nor of
    the domain scheduling of a parallel workload. *)
 let chaos_provider t ~(opts : Query_opts.t) ~chaos pat =
-  let p = provider_with t ~grid:(eff_grid t opts) pat in
+  (* Only the database's own statistics are retained.  A grid override
+     (up to 4096, so 16M cells per histogram) or a chaos run builds
+     private statistics that die with its provider. *)
+  let stats =
+    match (opts.Query_opts.grid, chaos) with
+    | None, None -> t.catalog
+    | grid, _ ->
+        let grid = Option.value grid ~default:(Stats_catalog.grid t.catalog) in
+        validate_grid grid;
+        Stats_catalog.create ~grid t.index
+  in
+  let p = provider_of stats pat in
   match chaos with Some c -> Chaos.wrap_provider c p | None -> p
 
 let chaos_fetch t chaos =

@@ -88,7 +88,9 @@ val warm : t -> unit
 (** Pre-build every lazily cached read-side structure (document position
     columns, per-tag candidate columns, statistics), so queries fanned
     out across domains afterwards touch only read paths.  Idempotent;
-    purely a scheduling hint — parallel queries are correct without it. *)
+    purely a scheduling hint — parallel queries are correct without it.
+    The label statistics {!catalog} is not pre-built: it fills on each
+    label's first use, under its own mutex. *)
 
 val factors : t -> Sjos_cost.Cost_model.factors
 
@@ -97,7 +99,14 @@ val set_factors : t -> Sjos_cost.Cost_model.factors -> unit
     cached plan was chosen under the old statistics and is invalidated. *)
 
 val set_grid : t -> int -> unit
-(** Change the histogram grid resolution.  Also bumps the epoch. *)
+(** Change the histogram grid resolution.  Drops the statistics catalog,
+    which only holds the database's own grid, and bumps the epoch. *)
+
+val catalog : t -> Sjos_histogram.Stats_catalog.t
+(** The label statistics queries at the database's own grid share:
+    candidate counts and positional histograms, filled on first use of
+    each label.  Queries with a [Query_opts.grid] override or chaos
+    build private statistics and leave it untouched. *)
 
 val invalidate_plans : t -> unit
 (** Bump the plan-cache epoch without changing configuration (e.g. tests,
@@ -107,8 +116,9 @@ val plan_cache : t -> Sjos_cache.Plan_cache.t
 (** The database's plan cache, for stats inspection. *)
 
 val provider : t -> Pattern.t -> Sjos_plan.Costing.provider
-(** Histogram-backed cardinality provider for a pattern (memoized per
-    pattern structure for the lifetime of the call result). *)
+(** Histogram-backed cardinality provider for a pattern, reading the
+    database's {!catalog}.  Creating it touches no candidates; edge and
+    cluster estimates are memoized for the lifetime of the result. *)
 
 (** {1 Prepared queries} *)
 

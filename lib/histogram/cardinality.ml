@@ -1,67 +1,49 @@
-open Sjos_xml
-open Sjos_storage
 open Sjos_pattern
 
 type t = {
   pat : Pattern.t;
-  grid : int;
-  max_pos : int;
-  index : Element_index.t;
-  hists : Position_histogram.t option array;  (* per pattern node, lazy *)
-  cards : float array;
+  stats : Stats_catalog.t;
+  cards : float array;  (* per pattern node; nan until first asked *)
   sel_memo : (int * int, float) Hashtbl.t;  (* (anc, desc) -> selectivity *)
   cluster_memo : (int, float) Hashtbl.t;
 }
 
-let create ?(grid = 32) index pat =
-  let doc = Element_index.document index in
-  let n = Pattern.node_count pat in
-  let cards = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    cards.(i) <-
-      float_of_int (Array.length (Candidate.select index (Pattern.label pat i)))
-  done;
+let create stats pat =
   {
     pat;
-    grid;
-    max_pos = Document.max_pos doc;
-    index;
-    hists = Array.make n None;
-    cards;
+    stats;
+    cards = Array.make (Pattern.node_count pat) Float.nan;
     sel_memo = Hashtbl.create 16;
     cluster_memo = Hashtbl.create 64;
   }
 
-let candidates t i = Candidate.select t.index (Pattern.label t.pat i)
-
-let hist t i =
-  match t.hists.(i) with
-  | Some h -> h
-  | None ->
-      let h =
-        Position_histogram.build ~grid:t.grid ~max_pos:t.max_pos (candidates t i)
-      in
-      t.hists.(i) <- Some h;
-      h
-
-let node_card t i = t.cards.(i)
+let node_card t i =
+  let c = t.cards.(i) in
+  if Float.is_nan c then begin
+    let c = float_of_int (Stats_catalog.count t.stats (Pattern.label t.pat i)) in
+    t.cards.(i) <- c;
+    c
+  end
+  else c
 
 let edge_selectivity t (e : Pattern.edge) =
   match Hashtbl.find_opt t.sel_memo (e.Pattern.anc, e.Pattern.desc) with
   | Some s -> s
   | None ->
+      let label i = Pattern.label t.pat i in
       let s =
         match e.Pattern.axis with
         | Sjos_xml.Axes.Descendant ->
-            Estimator.selectivity e.Pattern.axis ~anc:(hist t e.Pattern.anc)
-              ~desc:(hist t e.Pattern.desc)
+            Estimator.selectivity e.Pattern.axis
+              ~anc:(Stats_catalog.histogram t.stats (label e.Pattern.anc))
+              ~desc:(Stats_catalog.histogram t.stats (label e.Pattern.desc))
         | Sjos_xml.Axes.Child ->
             (* level-sliced histograms capture the parent-child correlation
                the global level factor misses *)
             let pairs =
-              Estimator.parent_child_by_level ~grid:t.grid ~max_pos:t.max_pos
-                ~anc:(candidates t e.Pattern.anc)
-                ~desc:(candidates t e.Pattern.desc)
+              Estimator.parent_child_by_level
+                ~anc:(Stats_catalog.level_slices t.stats (label e.Pattern.anc))
+                ~desc:(Stats_catalog.level_slices t.stats (label e.Pattern.desc))
             in
             let ca = node_card t e.Pattern.anc
             and cd = node_card t e.Pattern.desc in

@@ -11,14 +11,15 @@
     which assumes edge independence — the standard System-R style
     assumption, here with structural selectivities. *)
 
-open Sjos_storage
 open Sjos_pattern
 
 type t
 
-val create : ?grid:int -> Element_index.t -> Pattern.t -> t
-(** Build positional histograms for every pattern node's candidate set
-    (lazily) and a memo table for cluster estimates. *)
+val create : Stats_catalog.t -> Pattern.t -> t
+(** An estimator for one pattern that reads its labels' counts and
+    histograms from a statistics catalog, on first use, and memoizes edge
+    selectivities and cluster estimates.  Creating one touches no
+    candidates. *)
 
 val node_card : t -> int -> float
 (** Candidate-set cardinality of a pattern node. *)

@@ -61,7 +61,11 @@ let level_factor ~anc ~desc =
 let parent_child ~anc ~desc =
   ancestor_descendant ~anc ~desc *. level_factor ~anc ~desc
 
-let by_level nodes =
+(* Slices come out in the [Hashtbl.fold] order of the level table, and
+   [parent_child_by_level] sums in that order: float addition is not
+   associative, so a different order would move estimates in their last
+   bits. *)
+let level_slices ~grid ~max_pos nodes =
   let table : (int, Sjos_xml.Node.t list ref) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
     (fun (n : Sjos_xml.Node.t) ->
@@ -69,21 +73,23 @@ let by_level nodes =
       | Some l -> l := n :: !l
       | None -> Hashtbl.add table n.Sjos_xml.Node.level (ref [ n ]))
     nodes;
-  table
+  List.rev
+    (Hashtbl.fold
+       (fun level slice acc ->
+         ( level,
+           Position_histogram.build ~grid ~max_pos
+             (Array.of_list (List.rev !slice)) )
+         :: acc)
+       table [])
 
-let parent_child_by_level ~grid ~max_pos ~anc ~desc =
-  let anc_levels = by_level anc and desc_levels = by_level desc in
-  Hashtbl.fold
-    (fun level anc_slice acc ->
-      match Hashtbl.find_opt desc_levels (level + 1) with
+let parent_child_by_level ~anc ~desc =
+  List.fold_left
+    (fun acc (level, anc_slice) ->
+      match List.assoc_opt (level + 1) desc with
       | None -> acc
       | Some desc_slice ->
-          let h nodes =
-            Position_histogram.build ~grid ~max_pos
-              (Array.of_list (List.rev !nodes))
-          in
-          acc +. ancestor_descendant ~anc:(h anc_slice) ~desc:(h desc_slice))
-    anc_levels 0.0
+          acc +. ancestor_descendant ~anc:anc_slice ~desc:desc_slice)
+    0.0 anc
 
 let pairs axis ~anc ~desc =
   match axis with

@@ -24,21 +24,28 @@ val parent_child :
   anc:Position_histogram.t -> desc:Position_histogram.t -> float
 (** Ancestor-descendant estimate scaled by the level-compatibility factor
     [P(level_d = level_a + 1 | containment-compatible levels)].  A coarse
-    global correction — prefer {!parent_child_by_level} when the raw
-    candidate sets are available. *)
+    global correction — prefer {!parent_child_by_level} when the
+    candidate sets' {!level_slices} are available. *)
 
-val parent_child_by_level :
+val level_slices :
   grid:int ->
   max_pos:int ->
-  anc:Sjos_xml.Node.t array ->
-  desc:Sjos_xml.Node.t array ->
+  Sjos_xml.Node.t array ->
+  (int * Position_histogram.t) list
+(** Partition a candidate set by level and summarize each slice, in
+    document order, into a positional histogram: [(level, histogram)]
+    pairs, one per level present. *)
+
+val parent_child_by_level :
+  anc:(int * Position_histogram.t) list ->
+  desc:(int * Position_histogram.t) list ->
   float
-(** The level-sliced positional estimate: partition both candidate sets by
-    level and sum the ancestor-descendant estimates of the compatible
-    slices [(anc at level l, desc at level l+1)].  Unlike the global
-    factor, this captures the (common) correlation where descendants sit
-    exactly one level below their ancestors, e.g. every employee having
-    its own name child. *)
+(** The level-sliced positional estimate over two {!level_slices}
+    results: the sum of the ancestor-descendant estimates of the
+    compatible slices [(anc at level l, desc at level l+1)], in the order
+    of [anc].  Unlike the global factor, this captures the (common)
+    correlation where descendants sit exactly one level below their
+    ancestors, e.g. every employee having its own name child. *)
 
 val selectivity :
   Sjos_xml.Axes.axis ->

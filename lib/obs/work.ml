@@ -28,6 +28,7 @@ type t = {
   mutable pruned_bound : int;
   mutable pruned_deadend : int;
   mutable pruned_left_deep : int;
+  mutable histogram_items : int;
 }
 
 let zero () =
@@ -47,6 +48,7 @@ let zero () =
     pruned_bound = 0;
     pruned_deadend = 0;
     pruned_left_deep = 0;
+    histogram_items = 0;
   }
 
 (* Every integer counter by name, with its accessors, in report order:
@@ -76,6 +78,9 @@ let counters : (string * (t -> int) * (t -> int -> unit)) list =
     ( "pruned_left_deep",
       (fun w -> w.pruned_left_deep),
       fun w v -> w.pruned_left_deep <- v );
+    ( "histogram_items",
+      (fun w -> w.histogram_items),
+      fun w v -> w.histogram_items <- v );
   ]
 
 (* The calling domain's accumulator lives behind one extra indirection
@@ -114,7 +119,9 @@ let is_zero w = List.for_all (fun (_, v) -> v = 0) (fields w) && w.sort_cost = 0
 (* items_skipped is excluded by design: skip-ahead is work {e avoided},
    and a kernel that skips more while producing the same result must
    never score worse.  The search breakdown (generated, pruned) and
-   [sort_cost] re-count work that is already scored. *)
+   [sort_cost] re-count work that is already scored.  histogram_items is
+   paid once per database, not per query, so whether a query finds the
+   statistics already built must not move its score. *)
 let score w =
   w.comparisons + w.tuples_emitted + w.candidates_scanned + w.stack_ops
   + w.io_items + w.sorted_items + w.expansions + w.page_touches

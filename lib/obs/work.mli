@@ -11,10 +11,11 @@
       its operators' records, and {!Sjos_core.Optimizer.result} the
       record its search context charged;
     - a domain: each domain owns one accumulator ({!current}).  It is
-      charged only by the pager's page touches, by the executor and the
-      optimizer once a run or search completes (a search cut short by
-      its budget charges nothing), and by the domain pool's barrier,
-      which absorbs each task's delta.
+      charged only by the pager's page touches, by the statistics
+      catalog's histogram builds, by the executor and the optimizer once
+      a run or search completes (a search cut short by its budget
+      charges nothing), and by the domain pool's barrier, which absorbs
+      each task's delta.
 
     This is the currency the perf-history CI gate trades in.  Wall-clock
     seconds on a shared CI box swing by 2-3x; the number of containment
@@ -54,6 +55,10 @@ type t = {
       (** successors discarded by DPP's Lookahead Rule *)
   mutable pruned_left_deep : int;
       (** moves skipped by the DPAP-LD left-deep-only rule *)
+  mutable histogram_items : int;
+      (** candidate items summarized into positional histograms by the
+          statistics catalog ([Sjos_histogram.Stats_catalog]): non-zero
+          only for the query that first asks for a label's statistics *)
 }
 
 val current : unit -> t
@@ -93,7 +98,8 @@ val score : t -> int
     [tuples_emitted], [candidates_scanned], [stack_ops], [io_items],
     [sorted_items], [expansions] and [page_touches].  Skipping is avoided
     work; considered plans, the generated/pruned breakdown and
-    [sort_cost] re-count work these already score. *)
+    [sort_cost] re-count work these already score; [histogram_items] is
+    paid once per database, by whichever query first needs a label. *)
 
 val core_score : t -> int
 (** {!score} minus the IO counters ([io_items], [page_touches]) — the

@@ -1,14 +1,23 @@
-type t = { arr : Node.t array; cols_m : Mutex.t; mutable cols : Cols.t option }
+type t = {
+  arr : Node.t array;
+  max_pos : int;
+  cols_m : Mutex.t;
+  mutable cols : Cols.t option;
+}
 
+(* The id check already visits every node, so the extent of the position
+   space is taken in the same pass rather than by a fold per call. *)
 let of_nodes arr =
+  let max_end = ref 0 in
   Array.iteri
     (fun i (n : Node.t) ->
       if n.Node.id <> i then
         invalid_arg
           (Printf.sprintf "Document.of_nodes: node at index %d has id %d" i
-             n.Node.id))
+             n.Node.id);
+      if n.Node.end_pos > !max_end then max_end := n.Node.end_pos)
     arr;
-  { arr; cols_m = Mutex.create (); cols = None }
+  { arr; max_pos = !max_end + 1; cols_m = Mutex.create (); cols = None }
 
 (* The cache fill runs under [cols_m] so concurrent domains share one
    columns record instead of racing to build duplicates.  The unlocked
@@ -100,7 +109,7 @@ let count_tag t tag =
   fold (fun c (n : Node.t) -> if String.equal n.Node.tag tag then c + 1 else c) 0 t
 
 let max_level t = fold (fun m (n : Node.t) -> max m n.Node.level) 0 t
-let max_pos t = fold (fun m (n : Node.t) -> max m n.Node.end_pos) 0 t + 1
+let max_pos t = t.max_pos
 
 let validate t =
   let ( let* ) = Result.bind in

@@ -58,7 +58,8 @@ val max_level : t -> int
 (** Deepest level present (0 for a single-root document). *)
 
 val max_pos : t -> int
-(** One past the largest [end_pos]; the extent of the position space. *)
+(** One past the largest [end_pos]; the extent of the position space
+    (1 for an empty document).  Computed once by {!of_nodes}. *)
 
 val validate : t -> (unit, string) result
 (** Full structural validation of the interval encoding: intervals nest

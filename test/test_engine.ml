@@ -202,6 +202,92 @@ let test_mbench_attribute_query () =
   check ci "agrees with naive" (Naive.count (Database.index db) p)
     (Array.length run.Database.exec.Executor.tuples)
 
+(* ---------- per-database statistics ---------- *)
+
+module Stats_catalog = Sjos_histogram.Stats_catalog
+
+let one_node spec =
+  Pattern.create ~labels:[| spec |] ~edges:[||] ()
+
+(* Served patterns can carry any number of distinct text labels; the
+   catalog keeps at most its capacity of them. *)
+let test_catalog_bounded () =
+  let db = Database.of_document (Lazy.force Helpers.pers_1k) in
+  for i = 1 to 10_000 do
+    let spec =
+      { Sjos_storage.Candidate.any with
+        tag = Some "name"; text = Some (Printf.sprintf "t%d" i) }
+    in
+    let p = Database.provider db (one_node spec) in
+    ignore (p.Sjos_plan.Costing.node_card 0)
+  done;
+  let c = Database.catalog db in
+  check ci "catalog at capacity" Stats_catalog.capacity
+    (Stats_catalog.length c);
+  check ci "one selection per label" 10_000 (Stats_catalog.selects c)
+
+(* Grid overrides and chaos runs use private statistics; [set_grid]
+   replaces the catalog. *)
+let test_catalog_only_own_grid () =
+  let db = Database.of_document (Lazy.force Helpers.pers_1k) in
+  let p = Helpers.pat "manager(//employee(/name))" in
+  ignore (Database.prepare db p);
+  let c = Database.catalog db in
+  let held = Stats_catalog.length c and selects = Stats_catalog.selects c in
+  check cb "labels held" true (held > 0);
+  let untouched msg =
+    check cb (msg ^ ": same catalog") true (Database.catalog db == c);
+    check ci (msg ^ ": labels") held (Stats_catalog.length c);
+    check ci (msg ^ ": selections") selects (Stats_catalog.selects c)
+  in
+  (* one node, so no 4096x4096 histogram is built *)
+  ignore
+    (Database.prepare
+       ~opts:(Query_opts.make ~grid:4096 ())
+       db (Helpers.pat "department"));
+  untouched "grid 4096";
+  ignore
+    (Database.prepare ~opts:(Query_opts.make ~grid:64 ()) db
+       (Helpers.pat "department(/name)"));
+  untouched "grid 64";
+  ignore
+    (Database.prepare
+       ~opts:(Query_opts.make ~chaos:(Sjos_guard.Chaos.create ~seed:5 ()) ())
+       db (Helpers.pat "department(//employee)"));
+  untouched "chaos";
+  Database.set_grid db 16;
+  let c' = Database.catalog db in
+  check cb "set_grid drops the catalog" true (c' != c);
+  check ci "new grid" 16 (Stats_catalog.grid c');
+  check ci "new catalog empty" 0 (Stats_catalog.length c')
+
+(* Statistics are paid once: a repeated cold prepare builds no
+   histogram, and a plan-cache hit selects no candidates at all. *)
+let test_statistics_paid_once () =
+  let db = Database.of_document (Lazy.force Helpers.mbench_1k) in
+  let p = Helpers.pat "eNest[@aFour='1'](/eNest(//eOccasional),//eNest)" in
+  let histogram_items f =
+    match Work.scoped f with
+    | w, Ok _ -> w.Work.histogram_items
+    | _, Error e -> raise e
+  in
+  let cold () =
+    Database.prepare ~opts:(Query_opts.make ~use_cache:false ()) db p
+  in
+  check cb "first prepare builds histograms" true (histogram_items cold > 0);
+  check ci "repeated prepare builds none" 0 (histogram_items cold);
+  let c = Database.catalog db in
+  let cached () = Database.prepare db p in
+  ignore (cached ());
+  let selects = Stats_catalog.selects c in
+  let hit = ref false in
+  check ci "cache hit builds none" 0
+    (histogram_items (fun () ->
+         let h = cached () in
+         hit := Database.prepared_from_cache h));
+  check cb "served from the plan cache" true !hit;
+  check ci "cache hit selects no candidates" selects (Stats_catalog.selects c)
+
 let suite =
   [
     ("database basics", `Quick, test_database_basics);
@@ -219,4 +305,9 @@ let suite =
     ("experiment figure te", `Slow, test_experiment_figure_te);
     ("order-by end to end", `Quick, test_order_by_end_to_end);
     ("mbench attribute query", `Quick, test_mbench_attribute_query);
+    ("statistics catalog is bounded", `Quick, test_catalog_bounded);
+    ( "statistics catalog holds only its own grid",
+      `Quick,
+      test_catalog_only_own_grid );
+    ("statistics paid once per database", `Quick, test_statistics_paid_once);
   ]

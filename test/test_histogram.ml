@@ -124,7 +124,7 @@ let test_selectivity_bounds () =
 let test_cardinality_nodes () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name))" in
-  let c = Cardinality.create ~grid:8 idx p in
+  let c = Cardinality.create (Stats_catalog.create ~grid:8 idx) p in
   Helpers.checkf "node 0 card" 3.0 (Cardinality.node_card c 0);
   Helpers.checkf "node 1 card" 3.0 (Cardinality.node_card c 1);
   Helpers.checkf "node 2 card" 8.0 (Cardinality.node_card c 2);
@@ -134,7 +134,7 @@ let test_cardinality_nodes () =
 let test_cardinality_cluster_vs_exact () =
   let idx = Lazy.force Helpers.pers_1k_index in
   let p = Helpers.pat "manager(//employee(/name))" in
-  let c = Cardinality.create ~grid:32 idx p in
+  let c = Cardinality.create (Stats_catalog.create ~grid:32 idx) p in
   let est = Cardinality.cluster_card c 0b111 in
   let exact = float_of_int (Sjos_exec.Naive.cluster_count idx p 0b111) in
   check cb
@@ -145,7 +145,7 @@ let test_cardinality_cluster_vs_exact () =
 let test_cardinality_validation () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name))" in
-  let c = Cardinality.create idx p in
+  let c = Cardinality.create (Stats_catalog.create ~grid:32 idx) p in
   expect_invalid (fun () -> Cardinality.cluster_card c 0);
   (* nodes 0 and 2 are not adjacent: not a connected cluster *)
   expect_invalid (fun () -> Cardinality.cluster_card c 0b101);
@@ -157,7 +157,7 @@ let test_cardinality_validation () =
 let test_cardinality_edges () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee)" in
-  let c = Cardinality.create ~grid:8 idx p in
+  let c = Cardinality.create (Stats_catalog.create ~grid:8 idx) p in
   match Pattern.edges p with
   | [ e ] ->
       let pairs = Cardinality.edge_pairs c e in
@@ -167,6 +167,183 @@ let test_cardinality_edges () =
       Helpers.checkf "pairs = sel * |A| * |B|" pairs (s *. 3.0 *. 3.0);
       Helpers.checkf "full mask" 3.0 (float_of_int (Cardinality.full_mask c))
   | _ -> Alcotest.fail "expected one edge"
+
+(* ---------- the statistics catalog ---------- *)
+
+(* Bit-for-bit float equality, printed in hex so a last-bit drift shows. *)
+let bits = Alcotest.list (Alcotest.testable (Fmt.fmt "%h") Float.equal)
+
+(* Every estimate a search can ask for: each edge's selectivity and pair
+   count, then each connected cluster's cardinality. *)
+let estimates c p =
+  let edges =
+    List.concat_map
+      (fun e ->
+        [ Cardinality.edge_selectivity c e; Cardinality.edge_pairs c e ])
+      (Pattern.edges p)
+  in
+  let clusters = ref [] in
+  for mask = Cardinality.full_mask c downto 1 do
+    if Cardinality.is_connected p mask then
+      clusters := Cardinality.cluster_card c mask :: !clusters
+  done;
+  edges @ !clusters
+
+let fresh_estimates idx ~grid p =
+  estimates (Cardinality.create (Stats_catalog.create ~grid idx) p) p
+
+(* An edge's selectivity straight from the candidate arrays, as every
+   query computed it before statistics were kept per database: level
+   slices are grouped in a hash table and summed in its fold order. *)
+let selected_selectivity idx ~grid p (e : Pattern.edge) =
+  let max_pos = Document.max_pos (Element_index.document idx) in
+  let nodes i = Candidate.select idx (Pattern.label p i) in
+  let h nodes = Position_histogram.build ~grid ~max_pos nodes in
+  match e.Pattern.axis with
+  | Axes.Descendant ->
+      Estimator.selectivity Axes.Descendant
+        ~anc:(h (nodes e.Pattern.anc))
+        ~desc:(h (nodes e.Pattern.desc))
+  | Axes.Child ->
+      let by_level i =
+        let table = Hashtbl.create 16 in
+        Array.iter
+          (fun (n : Node.t) ->
+            match Hashtbl.find_opt table n.Node.level with
+            | Some l -> l := n :: !l
+            | None -> Hashtbl.add table n.Node.level (ref [ n ]))
+          (nodes i);
+        table
+      in
+      let slice l = h (Array.of_list (List.rev !l)) in
+      let desc = by_level e.Pattern.desc in
+      let pairs =
+        Hashtbl.fold
+          (fun level a acc ->
+            match Hashtbl.find_opt desc (level + 1) with
+            | None -> acc
+            | Some d ->
+                acc
+                +. Estimator.ancestor_descendant ~anc:(slice a) ~desc:(slice d))
+          (by_level e.Pattern.anc) 0.0
+      in
+      let ca = float_of_int (Array.length (nodes e.Pattern.anc))
+      and cd = float_of_int (Array.length (nodes e.Pattern.desc)) in
+      if ca <= 0.0 || cd <= 0.0 then 0.0
+      else Float.min 1.0 (Float.max 0.0 (pairs /. (ca *. cd)))
+
+(* [Shapes.generate] draws tags "a".."h" and wildcards.  Map the tags
+   onto the document's own, and "h" onto an attribute label of the
+   document, so that patterns have candidates. *)
+let relabel doc p =
+  let tags = Array.of_list (Document.tags doc) in
+  let attr_label =
+    match
+      Array.find_opt
+        (fun (n : Node.t) -> n.Node.attrs <> [])
+        (Document.nodes doc)
+    with
+    | Some n ->
+        { Candidate.any with
+          tag = Some n.Node.tag; attr = Some (List.hd n.Node.attrs) }
+    | None -> Candidate.of_tag tags.(0)
+  in
+  let label (spec : Candidate.spec) =
+    match spec.Candidate.tag with
+    | None -> spec
+    | Some "h" -> attr_label
+    | Some t ->
+        let k = Char.code t.[0] - Char.code 'a' in
+        Candidate.of_tag tags.(k * 5 mod Array.length tags)
+  in
+  let edge (e : Pattern.edge) =
+    (e.Pattern.anc, e.Pattern.axis, e.Pattern.desc)
+  in
+  Pattern.create ?order_by:(Pattern.order_by p)
+    ~labels:(Array.map label (Pattern.labels p))
+    ~edges:(Array.of_list (List.map edge (Pattern.edges p)))
+    ()
+
+let datagen_indexes () =
+  List.map
+    (fun (name, doc) -> (name, doc, Element_index.build (Lazy.force doc)))
+    [
+      ("pers", Helpers.pers_1k);
+      ("dblp", Helpers.dblp_1k);
+      ("mbench", Helpers.mbench_1k);
+    ]
+
+let generated_patterns doc =
+  List.concat_map
+    (fun shape ->
+      List.concat_map
+        (fun nodes ->
+          List.map
+            (fun seed -> relabel doc (Shapes.generate ~seed ~nodes shape))
+            [ 1; 2; 3 ])
+        [ 3; 5; 8 ])
+    Shapes.all_gen_shapes
+
+let test_catalog_equals_fresh () =
+  List.iter
+    (fun (name, doc, idx) ->
+      let pats = generated_patterns (Lazy.force doc) in
+      let has axis p =
+        List.exists
+          (fun (e : Pattern.edge) -> e.Pattern.axis = axis)
+          (Pattern.edges p)
+      in
+      check cb (name ^ ": mixed axes drawn") true
+        (List.exists (fun p -> has Axes.Child p && has Axes.Descendant p) pats);
+      List.iter
+        (fun grid ->
+          (* one catalog shared by every pattern, as a database keeps it *)
+          let shared = Stats_catalog.create ~grid idx in
+          List.iter
+            (fun p ->
+              let msg =
+                Printf.sprintf "%s grid %d %s" name grid (Pattern.to_string p)
+              in
+              let warm = Cardinality.create shared p in
+              check bits msg (fresh_estimates idx ~grid p) (estimates warm p);
+              let edges = Pattern.edges p in
+              check bits (msg ^ ": edges from the candidates")
+                (List.map (selected_selectivity idx ~grid p) edges)
+                (List.map (Cardinality.edge_selectivity warm) edges))
+            pats)
+        [ 8; 32 ])
+    (datagen_indexes ())
+
+(* Several domains fill one catalog at once: every estimate equals the
+   fresh one, and each histogram is built exactly once, so the items
+   charged equal those of a serial fill. *)
+let test_catalog_across_domains () =
+  let pool = Sjos_par.Pool.create ~domains:4 () in
+  Fun.protect ~finally:(fun () -> Sjos_par.Pool.shutdown pool) @@ fun () ->
+  List.iter
+    (fun (name, doc, idx) ->
+      let pats = Array.of_list (generated_patterns (Lazy.force doc)) in
+      let fill run =
+        let stats = Stats_catalog.create ~grid:32 idx in
+        match
+          Sjos_obs.Work.scoped (fun () ->
+              run (Array.length pats) (fun i ->
+                  estimates (Cardinality.create stats pats.(i)) pats.(i)))
+        with
+        | w, Ok r -> (w.Sjos_obs.Work.histogram_items, r)
+        | _, Error e -> raise e
+      in
+      let serial_items, _ = fill Array.init in
+      let items, pooled = fill (Sjos_par.Pool.run pool) in
+      Array.iteri
+        (fun i p ->
+          check bits
+            (Printf.sprintf "%s pattern %d" name i)
+            (fresh_estimates idx ~grid:32 p) pooled.(i))
+        pats;
+      check cb (name ^ ": items charged") true (items > 0);
+      check ci (name ^ ": each histogram built once") serial_items items)
+    (datagen_indexes ())
 
 let suite =
   [
@@ -182,4 +359,8 @@ let suite =
     ("cluster estimate vs exact", `Quick, test_cardinality_cluster_vs_exact);
     ("cardinality validation", `Quick, test_cardinality_validation);
     ("edge pairs and selectivity", `Quick, test_cardinality_edges);
+    ( "catalog estimates equal fresh estimates",
+      `Quick,
+      test_catalog_equals_fresh );
+    ("catalog filled from several domains", `Quick, test_catalog_across_domains);
   ]

@@ -270,8 +270,13 @@ let test_cold_prepare_work_is_charged () =
             Work.scoped (fun () -> Helpers.cold_result ~algorithm ~engine db p)
           in
           let r = match r with Ok r -> r | Error e -> raise e in
+          (* the statistics catalog charges the domain for the histograms
+             a first use builds; the search result never carries them *)
+          check ci (msg ^ ": no histogram items in the result") 0
+            r.Sjos_core.Optimizer.work.Work.histogram_items;
           check cb (msg ^ ": result work = charged work") true
-            (Work.equal delta r.Sjos_core.Optimizer.work))
+            (Work.equal { delta with Work.histogram_items = 0 }
+               r.Sjos_core.Optimizer.work))
         (Sjos_core.Optimizer.all p))
     Sjos_core.Optimizer.[ Binary; Holistic; Auto ]
 
@@ -478,22 +483,22 @@ let test_datapoint_json_roundtrip () =
    A kernel change that moves any counter moves this table. *)
 let pinned_workload_work =
   [
-    ("Q.Mbench.1.a", "binary", [| 7; 7; 0; 8; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x0p+0);
-    ("Q.Mbench.1.a", "holistic", [| 20; 4; 0; 8; 10; 8; 4; 0; 0; 0; 0; 0; 0; 0 |], 0x1p+3);
-    ("Q.Mbench.2.b", "binary", [| 94; 25; 67; 143; 48; 0; 1; 0; 0; 0; 0; 0; 0; 0 |], 0x0p+0);
-    ("Q.Mbench.2.b", "holistic", [| 283; 5; 40; 143; 115; 6; 5; 0; 0; 0; 0; 0; 0; 0 |], 0x1p+2);
-    ("Q.DBLP.1.b", "binary", [| 108; 122; 876; 1008; 262; 0; 30; 0; 0; 0; 0; 0; 0; 0 |], 0x1.2669d6eca7502p+7);
-    ("Q.DBLP.1.b", "holistic", [| 1665; 234; 688; 1008; 374; 344; 234; 0; 0; 0; 0; 0; 0; 0 |], 0x1.7ee861fa480dep+10);
-    ("Q.DBLP.2.c", "binary", [| 413; 6549; 399; 766; 412; 0; 238; 0; 0; 0; 0; 0; 0; 0 |], 0x1.b5397bc4c9285p+10);
-    ("Q.DBLP.2.c", "holistic", [| 2291; 6478; 310; 766; 589; 476; 6478; 0; 0; 0; 0; 0; 0; 0 |], 0x1.3a22a3ab979a7p+16);
-    ("Q.Pers.1.a", "binary", [| 2989; 5352; 279; 1055; 5652; 0; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x0p+0);
-    ("Q.Pers.1.a", "holistic", [| 2942; 2676; 177; 1055; 1227; 5352; 2676; 0; 0; 0; 0; 0; 0; 0 |], 0x1.dc124569330f1p+14);
-    ("Q.Pers.2.c", "binary", [| 4217; 133575; 763; 1776; 3496; 2312; 442; 0; 0; 0; 0; 0; 0; 0 |], 0x1.b5672cc504beep+11);
-    ("Q.Pers.2.c", "holistic", [| 9685; 135809; 742; 1776; 1613; 7664; 135809; 0; 0; 0; 0; 0; 0; 0 |], 0x1.17316f5813506p+21);
-    ("Q.Pers.3.d", "binary", [| 4904; 132079; 836; 1926; 3536; 2054; 442; 0; 0; 0; 0; 0; 0; 0 |], 0x1.b5672cc504beep+11);
-    ("Q.Pers.3.d", "holistic", [| 12554; 134184; 742; 1926; 1900; 7406; 134184; 0; 0; 0; 0; 0; 0; 0 |], 0x1.13a4a98e7f076p+21);
-    ("Q.Pers.4.d", "binary", [| 5425; 131477; 820; 1926; 3792; 2312; 442; 0; 0; 0; 0; 0; 0; 0 |], 0x1.b5672cc504beep+11);
-    ("Q.Pers.4.d", "holistic", [| 13700; 133085; 746; 1926; 1894; 7038; 133085; 0; 0; 0; 0; 0; 0; 0 |], 0x1.1147863923383p+21);
+    ("Q.Mbench.1.a", "binary", [| 7; 7; 0; 8; 8; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x0p+0);
+    ("Q.Mbench.1.a", "holistic", [| 20; 4; 0; 8; 10; 8; 4; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1p+3);
+    ("Q.Mbench.2.b", "binary", [| 94; 25; 67; 143; 48; 0; 1; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x0p+0);
+    ("Q.Mbench.2.b", "holistic", [| 283; 5; 40; 143; 115; 6; 5; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1p+2);
+    ("Q.DBLP.1.b", "binary", [| 108; 122; 876; 1008; 262; 0; 30; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.2669d6eca7502p+7);
+    ("Q.DBLP.1.b", "holistic", [| 1665; 234; 688; 1008; 374; 344; 234; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.7ee861fa480dep+10);
+    ("Q.DBLP.2.c", "binary", [| 413; 6549; 399; 766; 412; 0; 238; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.b5397bc4c9285p+10);
+    ("Q.DBLP.2.c", "holistic", [| 2291; 6478; 310; 766; 589; 476; 6478; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.3a22a3ab979a7p+16);
+    ("Q.Pers.1.a", "binary", [| 2989; 5352; 279; 1055; 5652; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x0p+0);
+    ("Q.Pers.1.a", "holistic", [| 2942; 2676; 177; 1055; 1227; 5352; 2676; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.dc124569330f1p+14);
+    ("Q.Pers.2.c", "binary", [| 4217; 133575; 763; 1776; 3496; 2312; 442; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.b5672cc504beep+11);
+    ("Q.Pers.2.c", "holistic", [| 9685; 135809; 742; 1776; 1613; 7664; 135809; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.17316f5813506p+21);
+    ("Q.Pers.3.d", "binary", [| 4904; 132079; 836; 1926; 3536; 2054; 442; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.b5672cc504beep+11);
+    ("Q.Pers.3.d", "holistic", [| 12554; 134184; 742; 1926; 1900; 7406; 134184; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.13a4a98e7f076p+21);
+    ("Q.Pers.4.d", "binary", [| 5425; 131477; 820; 1926; 3792; 2312; 442; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.b5672cc504beep+11);
+    ("Q.Pers.4.d", "holistic", [| 13700; 133085; 746; 1926; 1894; 7038; 133085; 0; 0; 0; 0; 0; 0; 0; 0 |], 0x1.1147863923383p+21);
   ]
 
 let test_workload_work_pinned () =

@@ -247,6 +247,39 @@ let test_node_helpers () =
   check ci "width" (a.Node.end_pos - a.Node.start_pos) (Node.width a);
   check cb "pp prints" true (String.length (Fmt.str "%a" Node.pp a) > 0)
 
+(* ---------- max_pos, computed at load ---------- *)
+
+(* The definition [Document.max_pos] had before it was taken in
+   [of_nodes]'s id-check pass. *)
+let max_pos_by_fold doc =
+  Array.fold_left
+    (fun m (n : Node.t) -> max m n.Node.end_pos)
+    0 (Document.nodes doc)
+  + 1
+
+let test_max_pos_at_load () =
+  let b = Builder.create () in
+  Builder.open_element b "a";
+  Builder.leaf b "b";
+  Builder.close_element b;
+  let docs =
+    [
+      ("built", Builder.finish b);
+      ( "parsed",
+        Parser.parse_string "<r><x a='1'><y/>text</x><x/><z><z><z/></z></z></r>" );
+      ("pers", Sjos_datagen.Pers.generate ~seed:3 ~target_nodes:500 ());
+      ("dblp", Sjos_datagen.Dblp.generate ~seed:4 ~target_nodes:500 ());
+      ("mbench", Sjos_datagen.Mbench.generate ~seed:5 ~target_nodes:500 ());
+      ("empty", Document.of_nodes [||]);
+    ]
+  in
+  List.iter
+    (fun (name, doc) ->
+      check ci (name ^ ": max_pos = fold") (max_pos_by_fold doc)
+        (Document.max_pos doc))
+    docs;
+  check ci "empty document: 1" 1 (Document.max_pos (Document.of_nodes [||]))
+
 let suite =
   [
     ("builder intervals", `Quick, test_builder_intervals);
@@ -266,4 +299,5 @@ let suite =
     ("serializer indent", `Quick, test_serializer_indent);
     ("axes predicates", `Quick, test_axes);
     ("node helpers", `Quick, test_node_helpers);
+    ("max_pos computed at load", `Quick, test_max_pos_at_load);
   ]
