@@ -118,23 +118,21 @@ let sub_groups (g : groups) lo hi =
 
 (* ---------- inputs: resident batches or disk-backed leaves ---------- *)
 
-(* A leaf input is one tag's candidate columns served lazily by a
+(* A leaf input is one candidate list served lazily by a
    {!Column_store.leaf}: the merge faults in group metadata for groups
    it actually examines, single [starts] probes for gallop skips, and
    [ids] only for rows that reach an emitted pair.  Row data is exposed
    to the shared emit machinery as the same flat [width * n] array a
    materialized scan would produce ([slot] bound, everything else
-   [Tuple.unbound]); the [ids] column is copied in chunk-at-a-time as
-   emits demand it, tracked by one fill flag per chunk. *)
-
-let leaf_chunk = 256
+   [Tuple.unbound]); the [ids] column is copied in one store page at a
+   time as emits demand it.  A row's bound slot doubles as its fill
+   flag: candidate ids are never [Tuple.unbound]. *)
 
 type leaf_input = {
   lf : Column_store.leaf;
   lwidth : int;
   lslot : int;
   ldata : int array;
-  lfill : Bytes.t;  (* per-chunk fill flags over [ldata] rows *)
 }
 
 type input = Rows of Batch.t | Leaf of leaf_input
@@ -149,44 +147,43 @@ let leaf ~width ~slot lf =
       lwidth = width;
       lslot = slot;
       ldata = Array.make (max 1 (n * width)) Tuple.unbound;
-      lfill = Bytes.make (max 1 ((n + leaf_chunk - 1) / leaf_chunk)) '\000';
     }
 
+let copy_ids (l : leaf_input) (ids : int array) lo hi =
+  let w = l.lwidth and slot = l.lslot in
+  for r = lo to hi - 1 do
+    Array.unsafe_set l.ldata ((r * w) + slot) (Array.unsafe_get ids r)
+  done
+
 let fill_rows (l : leaf_input) lo hi =
-  if hi > lo then begin
-    let n = Column_store.leaf_length l.lf in
-    let w = l.lwidth and slot = l.lslot in
-    let c0 = lo / leaf_chunk and c1 = (hi - 1) / leaf_chunk in
-    for c = c0 to c1 do
-      if Bytes.unsafe_get l.lfill c = '\000' then begin
-        let r0 = c * leaf_chunk in
-        let r1 = min n (r0 + leaf_chunk) in
-        Column_store.ensure_ids l.lf r0 r1;
-        let ids = (Column_store.leaf_cols l.lf).Cols.ids in
-        for r = r0 to r1 - 1 do
-          Array.unsafe_set l.ldata ((r * w) + slot) (Array.unsafe_get ids r)
-        done;
-        Bytes.unsafe_set l.lfill c '\001'
-      end
-    done
-  end
+  let w = l.lwidth and slot = l.lslot in
+  let r = ref lo in
+  while !r < hi do
+    if Array.unsafe_get l.ldata ((!r * w) + slot) <> Tuple.unbound then incr r
+    else begin
+      let plo, phi = Column_store.ensure_ids l.lf !r (!r + 1) in
+      copy_ids l (Column_store.leaf_cols l.lf).Cols.ids plo phi;
+      r := phi
+    end
+  done
 
 let force_leaf (l : leaf_input) =
-  ignore (Column_store.force l.lf);
-  fill_rows l 0 (Column_store.leaf_length l.lf)
+  copy_ids l (Column_store.force l.lf).Cols.ids 0 (Column_store.leaf_length l.lf)
 
 (* Candidate ids from the store are strictly increasing (document
    order), so every row is its own group and [off] is the identity —
    the exact grouping {!group} computes for the materialized scan.  The
    metadata columns alias the leaf's buffer frames; slots become
-   readable as the ensure closures fault them in.  [e_meta]/[e_probe]
-   memoize their last index: the merge re-ensures the current group on
-   every iteration, and one [ref] comparison keeps that re-entry off
-   the pool. *)
+   readable as the ensure closures fault them in.  Each closure keeps
+   the item range of the last page run it made resident and skips any
+   ensure inside it, so the merge touches a page once per run rather
+   than once per row (the pinning described in {!Column_store}).  A
+   probe only reads [starts], which a metadata ensure also decodes. *)
 let leaf_groups (l : leaf_input) =
   let c = Column_store.leaf_cols l.lf in
   let n = Column_store.leaf_length l.lf in
-  let last_meta = ref (-1) and last_probe = ref (-1) in
+  let meta_lo = ref 0 and meta_hi = ref 0 in
+  let probe_lo = ref 0 and probe_hi = ref 0 in
   {
     n;
     off = Array.init (n + 1) Fun.id;
@@ -195,15 +192,18 @@ let leaf_groups (l : leaf_input) =
     glevel = c.Cols.levels;
     e_meta =
       (fun g ->
-        if g <> !last_meta then begin
-          Column_store.ensure_meta l.lf g (g + 1);
-          last_meta := g
+        if g < !meta_lo || g >= !meta_hi then begin
+          let lo, hi = Column_store.ensure_meta l.lf g (g + 1) in
+          meta_lo := lo;
+          meta_hi := hi
         end);
     e_probe =
       (fun g ->
-        if g <> !last_probe then begin
-          Column_store.ensure_probe l.lf g;
-          last_probe := g
+        if (g < !probe_lo || g >= !probe_hi) && (g < !meta_lo || g >= !meta_hi)
+        then begin
+          let lo, hi = Column_store.ensure_probe l.lf g in
+          probe_lo := lo;
+          probe_hi := hi
         end);
     e_rows = (fun lo hi -> fill_rows l lo hi);
   }

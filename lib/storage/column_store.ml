@@ -78,8 +78,12 @@ let config_equal a b =
    Each int is 8 bytes little-endian; a page is [page_size] items, so
    [page_bytes = 8 * page_size] and a page id maps to the byte offset
    [page_id * page_bytes] (the pager allocates page ids sequentially and
-   the writer emits segments in the same order).  The final page of a
-   segment is zero-padded, so every physical read is a full page. *)
+   the writer seeks each segment to its own offset).  The final page of a
+   segment is zero-padded, so every physical read is a full page.
+
+   Posting lists for predicate specs ([eNest[@aLevel='2']]) are appended
+   past the tag segments on first use, in the same four-column layout,
+   through the same pager. *)
 
 type entry = {
   tag : string;
@@ -101,6 +105,12 @@ type disk = {
   auto_dir : string option;  (* a temp dir we created and must remove *)
   entries : (string, entry) Hashtbl.t;
   sorted_tags : string list;
+  (* Posting lists by spec.  [build] guards the table and serializes
+     building, so each posting is written once even when domains race
+     for it.  It is taken before [m], never while holding it: building
+     faults the tag's pages, which takes [m]. *)
+  postings : (Candidate.spec, entry) Hashtbl.t;
+  build : Mutex.t;
   (* One lock serializes the whole fault path: channel seeks, page-table
      updates, frame allocation and decode.  Faulting is the slow path by
      definition (it models physical IO); readers touch the decoded
@@ -126,11 +136,14 @@ let column_value which (node : Node.t) =
   | `Ends -> node.Node.end_pos
   | `Levels -> node.Node.level
 
-let write_segment oc ~page_size ~buf which (nodes : Node.t array) =
+(* Write one column of [nodes] as [seg]'s pages, each at its own offset
+   [page_id * page_bytes] rather than wherever the file happens to end. *)
+let write_segment oc ~buf seg which (nodes : Node.t array) =
+  let page_bytes = Bytes.length buf and page_size = Bytes.length buf / 8 in
   let n = Array.length nodes in
-  let pages = max 1 ((n + page_size - 1) / page_size) in
-  for p = 0 to pages - 1 do
-    Bytes.fill buf 0 (Bytes.length buf) '\000';
+  seek_out oc (Pager.segment_base seg * page_bytes);
+  for p = 0 to max 1 ((n + page_size - 1) / page_size) - 1 do
+    Bytes.fill buf 0 page_bytes '\000';
     let lo = p * page_size in
     let hi = min n (lo + page_size) in
     for i = lo to hi - 1 do
@@ -139,6 +152,29 @@ let write_segment oc ~page_size ~buf which (nodes : Node.t array) =
     done;
     output_bytes oc buf
   done
+
+(* Allocate the four segments of an [n]-item candidate list.  The pager
+   is shared with the fault path, so callers hold [m] when readers may
+   be running. *)
+let allocate_entry pager tag n =
+  let seg () = Pager.allocate pager ~items:n in
+  let seg_ids = seg () in
+  let seg_starts = seg () in
+  let seg_ends = seg () in
+  let seg_levels = seg () in
+  { tag; n; seg_ids; seg_starts; seg_ends; seg_levels; frames = None }
+
+let write_entry oc ~buf e nodes =
+  write_segment oc ~buf e.seg_ids `Ids nodes;
+  write_segment oc ~buf e.seg_starts `Starts nodes;
+  write_segment oc ~buf e.seg_ends `Ends nodes;
+  write_segment oc ~buf e.seg_levels `Levels nodes
+
+(* A failed write, like a failed read, is an [Io_error]: a temp
+   directory that cannot be created or a full disk is bad storage, not
+   an engine bug. *)
+let io_guard path f =
+  try f () with Sys_error reason -> raise (Io_error { path; reason })
 
 let fresh_dir () =
   let base = Filename.temp_file "sjos-store" "" in
@@ -178,63 +214,54 @@ let build_disk config index =
   let auto_dir, dir =
     match config.dir with
     | Some dir ->
-        if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
+        io_guard dir (fun () ->
+            if not (Sys.file_exists dir) then Sys.mkdir dir 0o700);
         (None, dir)
     | None ->
-        let dir = fresh_dir () in
+        let dir = io_guard (Filename.get_temp_dir_name ()) fresh_dir in
         (Some dir, dir)
   in
   let path = Filename.concat dir "columns.bin" in
   let catalog_path = Filename.concat dir "catalog.json" in
   let pager = Pager.create ~page_size ~pool_pages:config.pool_pages () in
   let page_bytes = 8 * page_size in
-  let buf = Bytes.create page_bytes in
   let tags = Element_index.tags index in
-  let oc = open_out_bin path in
-  let entries = Hashtbl.create 64 in
-  let ordered = ref [] in
-  List.iter
-    (fun tag ->
-      let nodes = Element_index.lookup index tag in
-      let n = Array.length nodes in
-      (* allocation order = write order, so page ids map to offsets *)
-      let seg which =
-        let seg = Pager.allocate pager ~items:n in
-        write_segment oc ~page_size ~buf which nodes;
-        seg
-      in
-      let seg_ids = seg `Ids in
-      let seg_starts = seg `Starts in
-      let seg_ends = seg `Ends in
-      let seg_levels = seg `Levels in
-      let e =
-        { tag; n; seg_ids; seg_starts; seg_ends; seg_levels; frames = None }
-      in
-      Hashtbl.replace entries tag e;
-      ordered := e :: !ordered)
-    tags;
-  close_out oc;
-  write_catalog catalog_path ~page_size (List.rev !ordered);
-  let d =
-    {
-      pager;
-      page_bytes;
-      path;
-      catalog_path;
-      auto_dir;
-      entries;
-      sorted_tags = tags;
-      m = Mutex.create ();
-      buf = Bytes.create page_bytes;
-      (* opened lazily on first fault: a store that never reads never
-         holds a descriptor, and a data file that has gone missing
-         between load and first query surfaces as a structured
-         [Io_error] instead of a success-then-crash *)
-      chan = None;
-      disposed = false;
-    }
+  let ordered =
+    List.map
+      (fun tag ->
+        allocate_entry pager tag (Element_index.cardinality index tag))
+      tags
   in
-  d
+  io_guard path (fun () ->
+      let oc = open_out_bin path in
+      let buf = Bytes.create page_bytes in
+      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+          List.iter
+            (fun e -> write_entry oc ~buf e (Element_index.lookup index e.tag))
+            ordered;
+          close_out oc));
+  io_guard catalog_path (fun () -> write_catalog catalog_path ~page_size ordered);
+  let entries = Hashtbl.create 64 in
+  List.iter (fun e -> Hashtbl.replace entries e.tag e) ordered;
+  {
+    pager;
+    page_bytes;
+    path;
+    catalog_path;
+    auto_dir;
+    entries;
+    sorted_tags = tags;
+    postings = Hashtbl.create 16;
+    build = Mutex.create ();
+    m = Mutex.create ();
+    buf = Bytes.create page_bytes;
+    (* opened lazily on first fault: a store that never reads never
+       holds a descriptor, and a data file that has gone missing
+       between load and first query surfaces as a structured
+       [Io_error] instead of a success-then-crash *)
+    chan = None;
+    disposed = false;
+  }
 
 let dispose_disk d =
   Mutex.lock d.m;
@@ -275,21 +302,18 @@ let pool_bytes t =
   | Some d -> Some (d.page_bytes * t.config.pool_pages)
   | None -> None
 
+(* The four segments of a list have the same item count, hence the same
+   page count. *)
 let total_column_bytes t =
-  match t.disk with
-  | Some d ->
+  Option.map
+    (fun d ->
+      let add _ e acc = acc + (4 * Pager.segment_pages d.pager e.seg_ids) in
       let pages =
-        Hashtbl.fold
-          (fun _ e acc ->
-            acc
-            + Pager.segment_pages d.pager e.seg_ids
-            + Pager.segment_pages d.pager e.seg_starts
-            + Pager.segment_pages d.pager e.seg_ends
-            + Pager.segment_pages d.pager e.seg_levels)
-          d.entries 0
+        Mutex.protect d.build (fun () ->
+            Hashtbl.fold add d.postings (Hashtbl.fold add d.entries 0))
       in
-      Some (pages * d.page_bytes)
-  | None -> None
+      pages * d.page_bytes)
+    t.disk
 
 (* ---------- the fault path ---------- *)
 
@@ -368,10 +392,7 @@ let ensure_seg d (dst : int array) seg lo hi =
     Mutex.unlock d.m
   end
 
-let entry_of d tag =
-  match Hashtbl.find_opt d.entries tag with
-  | Some e -> Some e
-  | None -> None
+let entry_of d tag = Hashtbl.find_opt d.entries tag
 
 let force_entry d e =
   let f = frames_of d e in
@@ -423,37 +444,99 @@ let select t spec =
         cols t (Option.get spec.Candidate.tag)
       else Candidate.select_cols t.index spec
 
+(* ---------- posting lists ---------- *)
+
+let posting_capacity = 256
+
+(* Write [spec]'s selection as a new posting: four segments allocated
+   past every page already handed out.  The file must already hold all
+   of those pages — a shorter one has been truncated, and writing at its
+   end would shift the page mapping — so that is checked before the
+   first byte goes out. *)
+let write_posting d spec (nodes : Node.t array) =
+  let e =
+    Mutex.protect d.m (fun () ->
+        if d.disposed then invalid_arg "Column_store: store has been disposed";
+        allocate_entry d.pager (Candidate.spec_to_string spec)
+          (Array.length nodes))
+  in
+  io_guard d.path (fun () ->
+      let oc = open_out_gen [ Open_wronly; Open_binary ] 0o600 d.path in
+      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
+          let base = Pager.segment_base e.seg_ids in
+          if out_channel_length oc < base * d.page_bytes then
+            raise
+              (Io_error
+                 {
+                   path = d.path;
+                   reason =
+                     Printf.sprintf
+                       "column file holds fewer than the %d pages allocated \
+                        (truncated)"
+                       base;
+                 });
+          write_entry oc ~buf:(Bytes.create d.page_bytes) e nodes;
+          close_out oc));
+  e
+
+(* The posting for a predicate spec, built on its first use.  That first
+   use charges the full scan of the tag's segments — what a
+   materializing {!select} charges — and selects from the in-memory
+   index, as {!select} does.  [None] once the store holds
+   [posting_capacity] postings. *)
+let posting t d tag_entry spec =
+  Mutex.protect d.build (fun () ->
+      match Hashtbl.find_opt d.postings spec with
+      | Some e -> Some e
+      | None when Hashtbl.length d.postings >= posting_capacity -> None
+      | None ->
+          ignore (force_entry d tag_entry);
+          let e = write_posting d spec (Candidate.select t.index spec) in
+          Hashtbl.replace d.postings spec e;
+          Some e)
+
 (* ---------- lazy leaves ---------- *)
 
 type leaf = { ld : disk; entry : entry; frames : Cols.t }
 
-let leaf t spec =
-  match t.disk with
-  | None -> None
-  | Some d ->
-      if Candidate.is_pure_tag spec then
-        match entry_of d (Option.get spec.Candidate.tag) with
-        | None -> None
-        | Some e -> Some { ld = d; entry = e; frames = frames_of d e }
-      else None
+let leaf t (spec : Candidate.spec) =
+  match (t.disk, spec.Candidate.tag) with
+  | Some d, Some tag -> (
+      let lazy_on e = { ld = d; entry = e; frames = frames_of d e } in
+      match entry_of d tag with
+      | None -> None
+      | Some e when Candidate.is_pure_tag spec -> Some (lazy_on e)
+      | Some e -> Option.map lazy_on (posting t d e spec))
+  | _ -> None
 
 let leaf_length l = l.entry.n
 let leaf_cols l = l.frames
 
-let clamp l lo hi = (max 0 lo, min l.entry.n hi)
+(* Fault in items [lo, hi) of the given columns and return the item range of
+   the pages covering it, all of which are now decoded.  An empty or
+   out-of-leaf request faults nothing and returns the empty range. *)
+let ensure l segs lo hi =
+  let n = l.entry.n in
+  let lo = max 0 lo and hi = min n hi in
+  if hi <= lo then (0, 0)
+  else begin
+    List.iter (fun (dst, seg) -> ensure_seg l.ld dst seg lo hi) segs;
+    let ps = Pager.page_size l.ld.pager in
+    (lo / ps * ps, min n (((hi - 1) / ps * ps) + ps))
+  end
 
 let ensure_probe l i =
-  if i >= 0 && i < l.entry.n then
-    ensure_seg l.ld l.frames.Cols.starts l.entry.seg_starts i (i + 1)
+  ensure l [ (l.frames.Cols.starts, l.entry.seg_starts) ] i (i + 1)
 
 let ensure_meta l lo hi =
-  let lo, hi = clamp l lo hi in
-  ensure_seg l.ld l.frames.Cols.starts l.entry.seg_starts lo hi;
-  ensure_seg l.ld l.frames.Cols.ends l.entry.seg_ends lo hi;
-  ensure_seg l.ld l.frames.Cols.levels l.entry.seg_levels lo hi
+  ensure l
+    [
+      (l.frames.Cols.starts, l.entry.seg_starts);
+      (l.frames.Cols.ends, l.entry.seg_ends);
+      (l.frames.Cols.levels, l.entry.seg_levels);
+    ]
+    lo hi
 
-let ensure_ids l lo hi =
-  let lo, hi = clamp l lo hi in
-  ensure_seg l.ld l.frames.Cols.ids l.entry.seg_ids lo hi
+let ensure_ids l lo hi = ensure l [ (l.frames.Cols.ids, l.entry.seg_ids) ] lo hi
 
 let force l = force_entry l.ld l.entry

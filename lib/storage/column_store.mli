@@ -14,7 +14,9 @@
       frames.  Candidate sets are {e lazily materialized} — a query
       faults in only the tags, columns and page ranges it actually
       touches, which is what lets the skip-ahead join kernels turn
-      skipped input runs into avoided page reads.
+      skipped input runs into avoided page reads.  A predicate spec
+      ([eNest[@aLevel='2']]) gets its own {e posting list}, appended
+      to [columns.bin] on first use (see {!leaf}).
 
     Correctness is backend-independent by construction: the disk file is
     written from the same index the Mem backend serves, and decode is
@@ -26,7 +28,8 @@
     Thread-safety: the entire fault path (pager LRU state, read buffer,
     channel position, frame allocation) runs under one per-store mutex;
     decoded frame slots are only ever rewritten with the value they
-    already hold.  Safe under any [SJOS_DOMAINS]. *)
+    already hold.  Posting builds are serialized by a second mutex.
+    Safe under any [SJOS_DOMAINS]. *)
 
 open Sjos_xml
 
@@ -66,18 +69,20 @@ val config_equal : config -> config -> bool
 type t
 
 exception Io_error of { path : string; reason : string }
-(** A physical read of the column data file failed: the file has gone
-    missing since load, or is truncated/corrupt.  Raised from the fault
-    path; {!Sjos_guard.Error.of_exn} maps it to [Corrupt_input], so CLI
-    and server boundaries report it structurally (exit code 7) instead
-    of leaking a [Sys_error]. *)
+(** Disk storage failed: the store directory or a file in it could not
+    be created or written, or the column data file has gone missing
+    since load, or is truncated/corrupt.  Raised at creation, from the
+    fault path and from a posting build; {!Sjos_guard.Error.of_exn}
+    maps it to [Corrupt_input], so CLI and server boundaries report it
+    structurally (exit code 7) instead of leaking a [Sys_error]. *)
 
 val create : ?config:config -> Element_index.t -> t
 (** [create ~config index] — for [Disk], writes the column file from the
     index's candidate lists (load-time cost, proportional to document
     size).  The read channel is opened lazily on the first page fault;
     a data file that disappears or is damaged between load and first
-    read raises {!Io_error} at fault time. *)
+    read raises {!Io_error} at fault time.  Raises {!Io_error} when the
+    directory or its files cannot be written. *)
 
 val index : t -> Element_index.t
 val config : t -> config
@@ -94,6 +99,8 @@ val reset_io : t -> unit
 val data_file : t -> string option
 val pool_bytes : t -> int option
 val total_column_bytes : t -> int option
+(** Bytes of [columns.bin]: every tag's segments plus the posting lists
+    built so far. *)
 
 val dispose : t -> unit
 (** Close and delete the Disk files (no-op for Mem).  Idempotent:
@@ -107,7 +114,10 @@ val dispose : t -> unit
 
     These return fully resident columns.  On Disk they charge the full
     sequential scan of every column segment they cover — this is the
-    full-scan baseline the lazy leaves are measured against. *)
+    full-scan baseline the lazy leaves are measured against.  The
+    executor reaches them only for specs that get no {!leaf}: a
+    wildcard, an unknown tag, or a predicate spec once the store holds
+    {!posting_capacity} postings. *)
 
 val cols : t -> string -> Cols.t
 (** One tag's complete candidate columns. *)
@@ -119,36 +129,65 @@ val select : t -> Candidate.spec -> Cols.t
 
 (** {1 Lazy leaves}
 
-    A leaf is a handle on one tag's on-disk columns that faults pages in
-    on demand.  The join kernels drive it range-by-range: group metadata
-    ([starts]/[ends]/[levels]) for groups actually examined, single
-    [starts] probes for gallop skip-ahead, and [ids] only for rows that
-    reach the output.  Reading a frame slot is only valid after an
-    [ensure_*] covering it. *)
+    A leaf is a handle on one candidate list's on-disk columns that
+    faults pages in on demand.  The join kernels drive it page run by
+    page run: group metadata ([starts]/[ends]/[levels]) for groups
+    actually examined, single [starts] probes for gallop skip-ahead, and
+    [ids] only for rows that reach the output.  Reading a frame slot is
+    only valid after an [ensure_*] covering it.
+
+    {b Pinning.}  Each [ensure_*] returns the item range of the pages it
+    made resident, and every slot in that range stays decoded even after
+    the pool evicts the page.  A cursor keeps the last range per column
+    and reads inside it without calling [ensure_*] again, so it touches
+    each page once per run, as if the page were pinned while the cursor
+    is on it.  The LRU therefore decides between runs, not between rows:
+    [page_touches] and pool hits count page runs, and a miss is a run
+    that starts on a page the pool no longer holds. *)
 
 type leaf
 
+val posting_capacity : int
+(** Posting lists one store holds at most (256). *)
+
 val leaf : t -> Candidate.spec -> leaf option
-(** [Some] only on Disk for a pure-tag spec (no attribute/text
-    predicate) of a known tag; callers fall back to {!select}
-    otherwise. *)
+(** [Some] only on Disk, for a spec with a known tag:
+
+    - a pure-tag spec reads the tag's own segments;
+    - a spec with an attribute and/or text predicate reads its posting
+      list.  The first use builds it: it charges the full scan of the
+      tag's segments (what {!select} charges), selects from the
+      in-memory index, and writes the selection as four page-aligned
+      segments at the pages the pager allocates next, each page at
+      [page_id * page_bytes].  A column file shorter than the pages
+      already allocated raises {!Io_error} before anything is written.
+      Each spec's posting is built exactly once, even when domains race
+      for it; later uses read only the posting's pages.
+
+    [None] — callers fall back to {!select} — for Mem, a wildcard, an
+    unknown tag, or a new predicate spec once the store holds
+    {!posting_capacity} postings. *)
 
 val leaf_length : leaf -> int
 (** Number of candidate rows — answered from the catalog, no IO. *)
 
 val leaf_cols : leaf -> Cols.t
-(** The tag's buffer frames.  Slots are meaningful only after an
+(** The list's buffer frames.  Slots are meaningful only after an
     [ensure_*] call covering them; do not mutate. *)
 
-val ensure_probe : leaf -> int -> unit
-(** Fault in [starts.(i)] — one page touch; the gallop probe. *)
+val ensure_probe : leaf -> int -> int * int
+(** Fault in [starts.(i)] — one page touch; the gallop probe.  Returns
+    the item range [\[lo, hi)] of the page holding [i] ([(0, 0)] when
+    [i] is outside the leaf). *)
 
-val ensure_meta : leaf -> int -> int -> unit
+val ensure_meta : leaf -> int -> int -> int * int
 (** Fault in [starts]/[ends]/[levels] for item range [\[lo, hi)]
-    (clamped to the leaf). *)
+    (clamped to the leaf).  Returns the item range of the pages covering
+    it, which contains [\[lo, hi)]; empty when nothing was asked for. *)
 
-val ensure_ids : leaf -> int -> int -> unit
-(** Fault in [ids] for item range [\[lo, hi)] (clamped). *)
+val ensure_ids : leaf -> int -> int -> int * int
+(** Fault in [ids] for item range [\[lo, hi)] (clamped); returns as
+    {!ensure_meta}. *)
 
 val force : leaf -> Cols.t
 (** Fault in everything; the result is fully resident. *)

@@ -23,7 +23,8 @@ REQUIRED = {
     "par": "identical_outputs counters_exact work_identical_across_domains "
     "sharding_active shard_balanced",
     "io": "identical_outputs_and_work nonzero_output_tuples table2_exact "
-    "pool_sweep_monotone lazy_never_worse skip_ahead_saves_misses f_io_grounded",
+    "pool_sweep_monotone lazy_never_worse skip_ahead_saves_misses f_io_grounded "
+    "postings_save_misses",
     "twig": "identical_outputs nonzero_output_tuples deterministic_work "
     "table2_exact holistic_wins_deep_chains auto_agrees",
     "bigopt": "cost_equality_small differential_at_most_10_nodes "

@@ -104,6 +104,12 @@ if [ ! -x "$BIN" ]; then
   esac
 fi
 if [ -x "$BIN" ]; then
+  # the write path fails structurally too: a store whose temp directory
+  # cannot be created is corrupt_input (exit 7), not an uncaught Sys_error
+  expect_exit 7 "disk store: temp dir cannot be created" \
+    env TMPDIR=/nonexistent "$BIN" query "manager(//employee(/name))" "$XML" \
+    --storage disk
+
   SOCK="${TMPDIR:-/tmp}/sjos_smoke_$$.sock"
   DIR="${TMPDIR:-/tmp}/sjos_smoke_store_$$"
 

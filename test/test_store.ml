@@ -50,8 +50,12 @@ let run_one db text =
 
 (* ---------- Mem vs Disk over the page/pool grid ---------- *)
 
-let test_differential () =
-  let doc = Lazy.force Helpers.pers_1k in
+let grid = [ (64, 2); (64, 8); (256, 8); (1024, 64) ]
+
+(* Run [texts] [rounds] times through a Mem and a Disk database per grid
+   point and require non-empty, identical tuple sequences, identical
+   executor work, equal work modulo IO, and equal core scores. *)
+let check_backends_agree ?(rounds = 1) doc texts =
   List.iter
     (fun (page_size, pool_pages) ->
       (* a fresh Mem baseline per config: both sides must pay the same
@@ -62,21 +66,27 @@ let test_differential () =
           ~storage:(Column_store.disk ~page_size ~pool_pages ())
           doc
       in
-      List.iter
-        (fun text ->
-          let msg =
-            Printf.sprintf "%s @ page=%d pool=%d" text page_size pool_pages
-          in
-          let tm, mm, wm = run_one db_mem text in
-          let td, md, wd = run_one db_disk text in
-          check_same_tuple_seq msg tm td;
-          check_work_identical msg mm md;
-          check cb (msg ^ ": work equal mod IO") true (Work.equal_mod_io wm wd);
-          check ci (msg ^ ": core score") (Work.core_score wm)
-            (Work.core_score wd);
-          check ci (msg ^ ": mem touches nothing") 0 wm.Work.page_touches;
-          check cb (msg ^ ": disk touches pages") true (wd.Work.page_touches > 0))
-        query_texts;
+      for round = 1 to rounds do
+        List.iter
+          (fun text ->
+            let msg =
+              Printf.sprintf "%s @ page=%d pool=%d round %d" text page_size
+                pool_pages round
+            in
+            let tm, mm, wm = run_one db_mem text in
+            let td, md, wd = run_one db_disk text in
+            check cb (msg ^ ": matches") true (Array.length tm > 0);
+            check_same_tuple_seq msg tm td;
+            check_work_identical msg mm md;
+            check cb (msg ^ ": work equal mod IO") true
+              (Work.equal_mod_io wm wd);
+            check ci (msg ^ ": core score") (Work.core_score wm)
+              (Work.core_score wd);
+            check ci (msg ^ ": mem touches nothing") 0 wm.Work.page_touches;
+            check cb (msg ^ ": disk touches pages") true
+              (wd.Work.page_touches > 0))
+          texts
+      done;
       (match Column_store.io_stats (Database.store db_disk) with
       | None -> Alcotest.fail "disk store has no io stats"
       | Some s ->
@@ -84,7 +94,10 @@ let test_differential () =
           if pool_pages = 2 then
             check cb "tiny pool evicts mid-join" true (s.Pager.evictions > 0));
       Database.dispose db_disk)
-    [ (64, 2); (64, 8); (256, 8); (1024, 64) ]
+    grid
+
+let test_differential () =
+  check_backends_agree (Lazy.force Helpers.pers_1k) query_texts
 
 (* ---------- lazy leaves feeding the kernels directly ---------- *)
 
@@ -202,23 +215,153 @@ let test_leaf_laziness_bounded () =
     (lazy_misses <= full_misses);
   check cb "full scan reads every page exactly once" true (full_misses > 0)
 
-(* ---------- predicate specs (no leaf path) stay identical ---------- *)
+(* ---------- predicate specs: posting lists ---------- *)
 
+let q_mbench_1a = "eNest[@aLevel='2'](//eNest[@aLevel='6'](/eNest[@aLevel='7']))"
+let q_lazy_leaf = "eNest[@aLevel='3'](//eOccasional)"
+
+(* Attribute predicates over Mbench and a text predicate over Pers read
+   posting lists on Disk; the wildcard stays on the materializing
+   [select].  Two rounds: the first use of a spec builds its posting,
+   the second reads it back through the pool. *)
 let test_predicate_spec_differential () =
-  let doc = Lazy.force Helpers.mbench_1k in
-  let db_mem = Database.of_document ~storage:Column_store.mem doc in
-  let db_disk =
-    Database.of_document
-      ~storage:(Column_store.disk ~page_size:256 ~pool_pages:8 ())
-      doc
+  check_backends_agree ~rounds:2 (Lazy.force Helpers.mbench_1k)
+    [
+      q_mbench_1a;
+      "eNest[@aLevel='1'](/eNest[@aLevel='2'],//eNest[@aSixtyFour='3'](/eOccasional))";
+      q_lazy_leaf;
+    ];
+  check_backends_agree ~rounds:2 (Lazy.force Helpers.pers_1k)
+    [ "manager(//department(/name[.='sales']))"; "manager(/*)" ]
+
+(* 64-item (512-byte) pages behind a pool that holds the whole file *)
+let page_bytes = 8 * 64
+
+let disk_db doc =
+  Database.of_document
+    ~storage:(Column_store.disk ~page_size:64 ~pool_pages:4096 ())
+    doc
+
+let column_bytes db =
+  Option.get (Column_store.total_column_bytes (Database.store db))
+
+let file_bytes db =
+  let ic = open_in_bin (Option.get (Column_store.data_file (Database.store db))) in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () -> in_channel_length ic)
+
+(* A cold first use pays the tag's full scan plus the posting; a cold
+   repeat reads the posting's pages and nothing else. *)
+let test_posting_repeat_misses () =
+  let db = disk_db (Lazy.force Helpers.mbench_1k) in
+  Fun.protect ~finally:(fun () -> Database.dispose db) @@ fun () ->
+  let store = Database.store db in
+  let cold_misses text =
+    Column_store.reset_io store;
+    ignore (run_one db text);
+    (Option.get (Column_store.io_stats store)).Pager.misses
   in
-  let text = "eNest[@aLevel='2'](//eNest[@aLevel='6'](/eNest[@aLevel='7']))" in
-  let tm, mm, wm = run_one db_mem text in
-  let td, md, wd = run_one db_disk text in
-  check_same_tuple_seq "mbench attr query" tm td;
-  check_work_identical "mbench attr query" mm md;
-  check cb "work equal mod IO" true (Work.equal_mod_io wm wd);
-  Database.dispose db_disk
+  let text = "eNest[@aLevel='3']" in
+  let bytes0 = column_bytes db in
+  let first = cold_misses text in
+  let posting_pages = (column_bytes db - bytes0) / page_bytes in
+  let repeat = cold_misses text in
+  Column_store.reset_io store;
+  ignore (Column_store.cols store "eNest");
+  let tag_scan = (Option.get (Column_store.io_stats store)).Pager.misses in
+  check cb "a posting was appended" true (posting_pages >= 4);
+  check ci "first use: the tag scan plus the posting" (tag_scan + posting_pages)
+    first;
+  check cb "repeat misses at most the posting's pages" true
+    (repeat <= posting_pages);
+  check cb "repeat misses fewer than the first run" true (repeat < first);
+  ignore (cold_misses text);
+  check ci "a repeat appends nothing" (bytes0 + (posting_pages * page_bytes))
+    (column_bytes db)
+
+(* Domains racing on a spec's first use build one posting. *)
+let test_posting_race () =
+  let doc = Lazy.force Helpers.mbench_1k in
+  let serial_db = disk_db doc in
+  let expected, _, _ = run_one serial_db q_mbench_1a in
+  let serial_bytes = file_bytes serial_db in
+  Database.dispose serial_db;
+  let db = disk_db doc in
+  let pool = Sjos_par.Pool.create ~domains:4 () in
+  Fun.protect ~finally:(fun () ->
+      Sjos_par.Pool.shutdown pool;
+      Database.dispose db)
+  @@ fun () ->
+  let opts = Query_opts.make ~pool:Sjos_par.Pool.serial () in
+  let results =
+    Sjos_par.Pool.run pool 4 (fun _ ->
+        (Database.run ~opts db (Helpers.pat q_mbench_1a)).Database.exec
+          .Executor.tuples)
+  in
+  Array.iteri
+    (fun i got ->
+      check_same_tuple_seq (Printf.sprintf "racer %d" i) expected got)
+    results;
+  check ci "the file grew once" serial_bytes (file_bytes db)
+
+(* Past [posting_capacity] postings a new spec gets no leaf and is
+   served by the materializing [select], with identical results. *)
+let test_posting_capacity () =
+  let doc = Lazy.force Helpers.mbench_1k in
+  let db = disk_db doc in
+  let db_mem = Database.of_document ~storage:Column_store.mem doc in
+  Fun.protect ~finally:(fun () -> Database.dispose db) @@ fun () ->
+  let store = Database.store db in
+  for i = 1 to Column_store.posting_capacity do
+    let spec =
+      { (Candidate.of_tag "eNest") with Candidate.text = Some (string_of_int i) }
+    in
+    if Column_store.leaf store spec = None then
+      Alcotest.failf "posting %d refused below capacity" i
+  done;
+  let full = column_bytes db in
+  check cb "spec 257 gets no leaf" true
+    (Column_store.leaf store
+       { (Candidate.of_tag "eNest") with Candidate.attr = Some ("aLevel", "3") }
+    = None);
+  let tm, mm, _ = run_one db_mem q_lazy_leaf in
+  let td, md, _ = run_one db q_lazy_leaf in
+  check_same_tuple_seq "select fallback" tm td;
+  check_work_identical "select fallback" mm md;
+  check ci "nothing appended past capacity" full (column_bytes db)
+
+(* A column file that is missing or shorter than the pages already
+   allocated fails the build with [Io_error] and is left as it was. *)
+let test_posting_damaged_file () =
+  let index = Element_index.build (Lazy.force Helpers.mbench_1k) in
+  List.iter
+    (fun (what, damage, after) ->
+      let store =
+        Column_store.create
+          ~config:(Column_store.disk ~page_size:64 ~pool_pages:4096 ())
+          index
+      in
+      Fun.protect ~finally:(fun () -> Column_store.dispose store) @@ fun () ->
+      let path = Option.get (Column_store.data_file store) in
+      (* the tag is resident, so only the posting write meets the damage *)
+      ignore (Column_store.cols store "eNest");
+      damage path;
+      (match
+         Column_store.leaf store
+           { (Candidate.of_tag "eNest") with Candidate.attr = Some ("aLevel", "3") }
+       with
+      | exception Column_store.Io_error _ -> ()
+      | _ -> Alcotest.failf "%s column file: posting built" what);
+      check cb (what ^ ": file untouched") true (after path))
+    [
+      ("missing", Sys.remove, fun p -> not (Sys.file_exists p));
+      ( "truncated",
+        (fun p -> close_out (open_out_gen [ Open_trunc; Open_binary ] 0o600 p)),
+        fun p ->
+          let ic = open_in_bin p in
+          let n = in_channel_length ic in
+          close_in ic;
+          n = 0 );
+    ]
 
 (* ---------- chaos faults are backend-independent ---------- *)
 
@@ -319,7 +462,17 @@ let test_store_lifecycle () =
   check ci "unknown tag is empty" 0 (Cols.length (Column_store.cols store "zz"));
   Column_store.dispose store;
   check cb "data file removed" false (Sys.file_exists path);
-  Column_store.dispose store (* idempotent *)
+  Column_store.dispose store (* idempotent *);
+  (* a store directory that cannot be created is an [Io_error] *)
+  let file = Filename.temp_file "sjos-not-a-dir" "" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  match
+    Column_store.create
+      ~config:(Column_store.disk ~dir:(Filename.concat file "store") ())
+      index
+  with
+  | exception Column_store.Io_error _ -> ()
+  | _ -> Alcotest.fail "store created under a regular file"
 
 (* The at_exit ordering fix: disk stores must dispose in the [`Dispose]
    stage, strictly before any [`Shutdown] hook (the domain pool's
@@ -455,6 +608,14 @@ let suite =
       test_leaf_laziness_bounded;
     Alcotest.test_case "predicate specs identical across backends" `Quick
       test_predicate_spec_differential;
+    Alcotest.test_case "posting: repeat misses only its pages" `Quick
+      test_posting_repeat_misses;
+    Alcotest.test_case "posting: raced first use builds once" `Quick
+      test_posting_race;
+    Alcotest.test_case "posting: past capacity falls back to select" `Quick
+      test_posting_capacity;
+    Alcotest.test_case "posting: damaged column file raises Io_error" `Quick
+      test_posting_damaged_file;
     Alcotest.test_case "chaos faults backend-independent" `Quick
       test_chaos_differential;
     Alcotest.test_case "multi-domain over disk" `Quick
