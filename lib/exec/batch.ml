@@ -108,6 +108,7 @@ let key_of_id ~what (starts : int array) id =
 let sort ~doc ~by b =
   let { Cols.starts; _ } = Document.positions doc in
   let n = b.len and w = b.width in
+  if n > 0 && (by < 0 || by >= w) then invalid_arg "Batch.sort: slot out of range";
   let keys = Array.make n 0 in
   for i = 0 to n - 1 do
     keys.(i) <-
@@ -119,15 +120,3 @@ let sort ~doc ~by b =
     Array.blit b.data (Array.unsafe_get perm i * w) data (i * w) w
   done;
   { width = w; len = n; data }
-
-let sort_tuples ~doc ~by (tuples : Tuple.t array) =
-  let { Cols.starts; _ } = Document.positions doc in
-  let n = Array.length tuples in
-  let keys = Array.make n 0 in
-  for i = 0 to n - 1 do
-    keys.(i) <-
-      key_of_id ~what:"Batch.sort_tuples" starts
-        (Tuple.get (Array.unsafe_get tuples i) by)
-  done;
-  let perm = sort_perm keys in
-  Array.init n (fun i -> tuples.(perm.(i)))

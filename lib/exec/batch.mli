@@ -4,9 +4,11 @@
     [int array] ([data.(row * width + slot)]), so the join and sort
     kernels move machine integers with [Array.blit]/unsafe loads instead
     of allocating a boxed [int array] per tuple and a cons cell per
-    output.  The classic {!Tuple.t array} surface is recovered with
-    {!to_tuples} at operator boundaries (EXPLAIN, plan cache, budgets and
-    chaos verification all keep seeing tuple arrays). *)
+    output.  Rows stay columnar between operators; {!to_tuples} recovers
+    the classic {!Tuple.t array} surface only for the result of a plan
+    whose root is not a join (a holistic twig, a sort or a lone scan) and
+    in the tuple-array {!Operators.sort}.  A root join builds its boxed
+    tuples directly ({!Stack_tree.out}). *)
 
 open Sjos_xml
 
@@ -77,7 +79,3 @@ val sort : doc:Document.t -> by:int -> t -> t
     monomorphic int comparator (no [Document.node] calls inside the
     comparator), and rows are blitted into place.  Raises
     [Invalid_argument] if a row's [by] slot is unbound or out of range. *)
-
-val sort_tuples : doc:Document.t -> by:int -> Tuple.t array -> Tuple.t array
-(** The same key-column permutation sort over a plain tuple array, shared
-    with the streaming interpreter. *)

@@ -114,8 +114,8 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
                  (Column_store.select store spec)))
   in
   let rows = Stack_tree.input_rows in
-  let check_output r =
-    Budget.check_tuples budget ~during:"execute" ~count:(rows r);
+  let check_output rows_of r =
+    Budget.check_tuples budget ~during:"execute" ~count:(rows_of r);
     r
   in
   (* Each operator gets its own work record and its own (monotonic) self
@@ -124,7 +124,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
   let rec eval plan : Stack_tree.input * Explain.measured =
     match plan with
     | Plan.Index_scan i ->
-        measure plan [] (fun own _ -> check_output (scan own i)) rows
+        measure plan [] (fun own _ -> check_output rows (scan own i)) rows
     | Plan.Sort { input; by } ->
         measure plan [ input ]
           (fun own -> function
@@ -134,19 +134,9 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
                      (Stack_tree.to_batch r))
             | _ -> assert false)
           rows
-    | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
-        measure plan
-          [ anc_side; desc_side ]
-          (fun own -> function
-            | [ (a, _); (d, _) ] ->
-                check_output
-                  (Stack_tree.Rows
-                     (Stack_tree.join_batch_in ~budget ~pool ~work:own ~doc
-                        ~axis:edge.Pattern.axis ~algo
-                        ~anc:(a, edge.Pattern.anc)
-                        ~desc:(d, edge.Pattern.desc) ()))
-            | _ -> assert false)
-          rows
+    | Plan.Structural_join _ ->
+        let b, m = join Stack_tree.Flat Batch.length plan in
+        (Stack_tree.Rows b, m)
     | Plan.Holistic _ ->
         (* candidate acquisition (and its accounting) belongs to the
            holistic operator, so it appears as one leaf operator in
@@ -154,10 +144,29 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
         measure plan []
           (fun own _ ->
             let inputs = Array.init width (fun i -> scan own i) in
-            check_output
+            check_output rows
               (Stack_tree.Rows
                  (Twig_stack.run ~budget ~work:own ~doc ~pat ~inputs ())))
           rows
+  (* A structural join in either output form: interior joins stay
+     columnar, the root join builds the caller-facing tuples directly. *)
+  and join :
+      'o. 'o Stack_tree.out -> ('o -> int) -> Plan.t -> 'o * Explain.measured
+      =
+   fun out rows_of plan ->
+    match plan with
+    | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
+        measure plan
+          [ anc_side; desc_side ]
+          (fun own -> function
+            | [ (a, _); (d, _) ] ->
+                check_output rows_of
+                  (Stack_tree.join_in out ~budget ~pool ~work:own ~doc
+                     ~axis:edge.Pattern.axis ~algo ~anc:(a, edge.Pattern.anc)
+                     ~desc:(d, edge.Pattern.desc) ())
+            | _ -> assert false)
+          rows_of
+    | _ -> assert false
   (* [measure] owns the span/work/profile bookkeeping; it is polymorphic
      in the produced value so the root operator can produce the
      caller-facing tuple array while interior operators stay in
@@ -197,27 +206,9 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
         inputs = List.map snd child_results;
       } )
   in
-  (* The root join runs straight to the caller-facing tuple format,
-     skipping one full materialization of the (often dominant) root
-     output. *)
   let tuples, profile =
     match plan with
-    | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
-        measure plan
-          [ anc_side; desc_side ]
-          (fun own -> function
-            | [ (a, _); (d, _) ] ->
-                let tuples =
-                  Stack_tree.join_root_in ~budget ~pool ~work:own ~doc
-                    ~axis:edge.Pattern.axis ~algo
-                    ~anc:(a, edge.Pattern.anc)
-                    ~desc:(d, edge.Pattern.desc) ()
-                in
-                Budget.check_tuples budget ~during:"execute"
-                  ~count:(Array.length tuples);
-                tuples
-            | _ -> assert false)
-          Array.length
+    | Plan.Structural_join _ -> join Stack_tree.Boxed Array.length plan
     | _ ->
         let r, profile = eval plan in
         (Batch.to_tuples (Stack_tree.to_batch r), profile)

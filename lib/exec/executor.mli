@@ -37,7 +37,7 @@ val execute :
 (** Execute a plan under a resource budget.
 
     [pool] supplies the domain pool the columnar join kernels shard
-    large joins over (see {!Stack_tree.join_batch_in}); it defaults to
+    large joins over (see {!Stack_tree.join_in}); it defaults to
     {!Sjos_par.Pool.get_default}, whose size is read from the
     [SJOS_DOMAINS] environment variable (1 when unset — fully serial).
     Results are bit-identical for every pool size.

@@ -18,12 +18,12 @@ let account_sort ~work n =
       work.Work.sort_cost
       +. (float_of_int n *. (Float.log (float_of_int n) /. Float.log 2.0))
 
-let sort ?(budget = Sjos_guard.Budget.unlimited) ~work ~doc ~by tuples =
-  Sjos_guard.Budget.check budget ~during:"execute";
-  account_sort ~work (Array.length tuples);
-  Batch.sort_tuples ~doc ~by tuples
-
 let sort_batch ?(budget = Sjos_guard.Budget.unlimited) ~work ~doc ~by b =
   Sjos_guard.Budget.check budget ~during:"execute";
   account_sort ~work (Batch.length b);
   Batch.sort ~doc ~by b
+
+let sort ?budget ~work ~doc ~by tuples =
+  let width = if Array.length tuples = 0 then 0 else Array.length tuples.(0) in
+  Batch.to_tuples
+    (sort_batch ?budget ~work ~doc ~by (Batch.of_tuples ~width tuples))

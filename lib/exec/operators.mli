@@ -33,10 +33,8 @@ val sort :
     [by]; accounts [n log2 n] sort cost.  This is the blocking operator:
     plans that contain it cannot pipeline.  The budget's deadline and
     cancellation flag are checked once before sorting (the sort itself is
-    bounded by its already-materialized input).  Since the batch engine,
-    keys are precomputed from the document's [starts] column and an index
-    permutation is sorted with a monomorphic int comparator — no
-    [Document.node] calls inside the comparator. *)
+    bounded by its already-materialized input).  The tuples are packed
+    into a batch and sorted by {!Batch.sort}, the engine's one sort. *)
 
 val sort_batch :
   ?budget:Sjos_guard.Budget.t ->

@@ -8,10 +8,11 @@ module Shard = Sjos_par.Shard
 module Work = Sjos_obs.Work
 module Registry = Sjos_obs.Registry
 
-(* Columnar Stack-Tree kernels.  The legacy group-list implementation is
-   preserved in {!Stack_tree_legacy}; this module must produce
-   bit-identical tuple sequences and counter totals (modulo
-   [items_skipped]) while touching only flat int arrays on the hot path.
+(* Columnar Stack-Tree kernels: one body per algorithm, generic over the
+   output form.  The legacy group-list implementation is preserved in
+   {!Stack_tree_legacy}; this module must produce bit-identical tuple
+   sequences and counter totals (modulo [items_skipped]) while touching
+   only flat int arrays on the hot path.
 
    With a domain pool, the join is additionally range-partitioned on the
    ancestor group column at forest-closed cut points (no ancestor
@@ -420,116 +421,180 @@ let merge_loop ~budget ~work ~axis ~drain (ag : groups) (dg : groups) ~emit =
     work.Work.items_skipped <- work.Work.items_skipped + items
   end
 
-(* --- Stack-Tree-Desc: stream output in descendant order --------------- *)
+(* ---------- output forms ---------- *)
 
-let run_desc ~budget ~work ~axis ~drain ~width ~adata ~ddata (ag : groups)
-    (dg : groups) =
-  let cap = ref (max 16 (width * 64)) in
-  let out = ref (Array.make !cap Tuple.unbound) in
-  let out_len = ref 0 in
-  let limited = not (Budget.is_unlimited budget) in
-  let emit g d =
-    let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
-    let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
-    ag.e_rows a_lo a_hi;
-    dg.e_rows d_lo d_hi;
-    let npairs = (a_hi - a_lo) * (d_hi - d_lo) in
-    let need = npairs * width in
-    if !out_len + need > !cap then begin
-      while !out_len + need > !cap do
-        cap := !cap * 2
-      done;
-      let bigger = Array.make !cap Tuple.unbound in
-      Array.blit !out 0 bigger 0 !out_len;
-      out := bigger
-    end;
-    let buf = !out in
-    if limited then
-      (* slow path: legacy per-tuple budget-check timing, so a capped run
-         stops after exactly the same tuple as the legacy engine *)
-      for ar = a_lo to a_hi - 1 do
-        let abase = ar * width in
-        for dr = d_lo to d_hi - 1 do
-          merge_rows adata abase ddata (dr * width) buf !out_len width;
-          out_len := !out_len + width;
-          work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
-          Budget.check_tuples budget ~during:"execute"
-            ~count:work.Work.tuples_emitted
+type _ out = Flat : Batch.t out | Boxed : Tuple.t array out
+
+(* Output rows under construction: [width] ints per row, or one boxed
+   tuple per row.  Boxed rows are built exactly once, never written flat
+   and converted afterwards: the root join's output is handed to the
+   caller as [Tuple.t array], and for join-heavy patterns it dominates
+   the run. *)
+type _ rows =
+  | Flat_rows : int array -> Batch.t rows
+  | Boxed_rows : Tuple.t array -> Tuple.t array rows
+
+let make_rows : type o. o out -> width:int -> int -> o rows =
+ fun out ~width n ->
+  match out with
+  | Flat -> Flat_rows (Array.make (n * width) Tuple.unbound)
+  | Boxed -> Boxed_rows (Array.make n [||])
+
+(* [rows] with room for [cap] rows, its first [len] rows kept. *)
+let grow_rows : type o. o rows -> width:int -> len:int -> int -> o rows =
+ fun r ~width ~len cap ->
+  match r with
+  | Flat_rows a ->
+      let b = Array.make (cap * width) Tuple.unbound in
+      Array.blit a 0 b 0 (len * width);
+      Flat_rows b
+  | Boxed_rows a ->
+      let b = Array.make cap [||] in
+      Array.blit a 0 b 0 len;
+      Boxed_rows b
+
+(* Write the merges of ancestor rows [alo, ahi) with descendant rows
+   [dlo, dhi), row-major, as output rows [row ..]. *)
+let write_rows : type o.
+    o rows -> width:int -> adata:int array -> ddata:int array -> int -> int ->
+    int -> int -> int -> unit =
+ fun r ~width ~adata ~ddata row alo ahi dlo dhi ->
+  match r with
+  | Flat_rows out ->
+      let o = ref (row * width) in
+      for ar = alo to ahi - 1 do
+        for dr = dlo to dhi - 1 do
+          merge_rows adata (ar * width) ddata (dr * width) out !o width;
+          o := !o + width
         done
       done
-    else begin
-      let ol = ref !out_len in
-      for ar = a_lo to a_hi - 1 do
-        let abase = ar * width in
-        for dr = d_lo to d_hi - 1 do
-          merge_rows adata abase ddata (dr * width) buf !ol width;
-          ol := !ol + width
+  | Boxed_rows out ->
+      let o = ref row in
+      for ar = alo to ahi - 1 do
+        for dr = dlo to dhi - 1 do
+          let t = Array.make width Tuple.unbound in
+          merge_rows adata (ar * width) ddata (dr * width) t 0 width;
+          Array.unsafe_set out !o t;
+          incr o
         done
+      done
+
+let finish_rows : type o. o rows -> width:int -> int -> o =
+ fun r ~width len ->
+  match r with
+  | Flat_rows a -> Batch.unsafe_of_raw ~width ~len a
+  | Boxed_rows a -> if len = Array.length a then a else Array.sub a 0 len
+
+let concat : type o. o out -> width:int -> o array -> o =
+ fun out ~width parts ->
+  match out with
+  | Boxed -> Array.concat (Array.to_list parts)
+  | Flat ->
+      let total = Array.fold_left (fun acc b -> acc + Batch.length b) 0 parts in
+      let data = Array.make (max 1 (total * width)) Tuple.unbound in
+      let pos = ref 0 in
+      Array.iter
+        (fun b ->
+          let n = Batch.length b * width in
+          Array.blit (Batch.data b) 0 data !pos n;
+          pos := !pos + n)
+        parts;
+      Batch.unsafe_of_raw ~width ~len:total data
+
+(* ---------- the pair emitter ---------- *)
+
+(* The tuple ceiling a kernel clamps its emits to, read once per kernel.
+   A negative ceiling stops at the first tuple, exactly like 0 (the
+   payload still reports the budget's own limit). *)
+let ceiling (budget : Budget.t) =
+  match budget.Budget.max_tuples with Some l -> max l 0 | None -> max_int
+
+(* Emit the pairs of one related (ancestor group [g], descendant group
+   [d]) as one [rect g alo ahi dlo dhi] call (ancestor rows [alo, ahi)
+   times descendant rows [dlo, dhi), row-major) and count them in
+   [tuples_emitted].  A group pair that would cross the ceiling stops
+   the join instead, counting up to the first tuple past [limit]: the
+   same stopping tuple and the same [Tuples_materialized { limit; count
+   = limit + 1 }] as the per-tuple check of {!Stack_tree_legacy}.  The
+   rows a stopped join would have written are never seen, so they are
+   not written. *)
+let emit_pairs ~budget ~limit ~work ~rect (ag : groups) (dg : groups) g d =
+  let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
+  let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
+  ag.e_rows a_lo a_hi;
+  dg.e_rows d_lo d_hi;
+  let npairs = (a_hi - a_lo) * (d_hi - d_lo) in
+  let room = limit - work.Work.tuples_emitted in
+  if npairs <= room then begin
+    rect g a_lo a_hi d_lo d_hi;
+    work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs
+  end
+  else begin
+    (* at least one: a work record already past the ceiling stops at the
+       next tuple *)
+    work.Work.tuples_emitted <- work.Work.tuples_emitted + max 1 (room + 1);
+    Budget.check_tuples budget ~during:"execute" ~count:work.Work.tuples_emitted
+  end
+
+(* --- Stack-Tree-Desc: stream output in descendant order --------------- *)
+
+let run_desc (type o) (out : o out) ~budget ~work ~axis ~drain ~width ~adata
+    ~ddata (ag : groups) (dg : groups) : o =
+  let cap = ref 64 in
+  let buf = ref (make_rows out ~width !cap) in
+  let len = ref 0 in
+  let rect _ alo ahi dlo dhi =
+    let n = (ahi - alo) * (dhi - dlo) in
+    if !len + n > !cap then begin
+      while !len + n > !cap do
+        cap := !cap * 2
       done;
-      out_len := !ol;
-      work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs
-    end
+      buf := grow_rows !buf ~width ~len:!len !cap
+    end;
+    write_rows !buf ~width ~adata ~ddata !len alo ahi dlo dhi;
+    len := !len + n
   in
+  let limit = ceiling budget in
+  let emit g d = emit_pairs ~budget ~limit ~work ~rect ag dg g d in
   merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
-  let len = if width = 0 then 0 else !out_len / width in
-  Batch.unsafe_of_raw ~width ~len !out
+  finish_rows !buf ~width !len
 
 (* --- Stack-Tree-Anc: buffer pairs until the ancestor pops ------------- *)
 
-let run_anc ~budget ~work ~axis ~drain ~width ~adata ~ddata (ag : groups)
-    (dg : groups) =
+let run_anc (type o) (out : o out) ~budget ~work ~axis ~drain ~width ~adata
+    ~ddata (ag : groups) (dg : groups) : o =
   (* Pairs are buffered as (anc group, anc row, desc row) triples in
      generation order, then laid out by a stable counting sort on the anc
      group index.  The legacy variant's self/inherit chunk chaining emits
      exactly this order: all pairs of group [g] (in generation order)
      before any pair of a later group.  Buffering |AB| pairs is what the
-     [2 |AB| f_IO] cost term prices, hence [io_items] at generation. *)
+     [2 |AB| f_IO] cost term prices, hence [io_items]. *)
   let pairs = Ibuf.create 256 in
   let counts = Array.make ag.n 0 in
-  let limited = not (Budget.is_unlimited budget) in
-  let emit g d =
-    let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
-    let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
-    ag.e_rows a_lo a_hi;
-    dg.e_rows d_lo d_hi;
-    let npairs = (a_hi - a_lo) * (d_hi - d_lo) in
-    Ibuf.reserve pairs (3 * npairs);
-    if limited then
-      (* slow path: legacy per-tuple budget-check timing *)
-      for ar = a_lo to a_hi - 1 do
-        for dr = d_lo to d_hi - 1 do
-          Ibuf.push pairs g;
-          Ibuf.push pairs ar;
-          Ibuf.push pairs dr;
-          counts.(g) <- counts.(g) + 1;
-          work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
-          Budget.check_tuples budget ~during:"execute"
-            ~count:work.Work.tuples_emitted;
-          work.Work.io_items <- work.Work.io_items + 2
-        done
+  let rect g alo ahi dlo dhi =
+    let n = (ahi - alo) * (dhi - dlo) in
+    Ibuf.reserve pairs (3 * n);
+    for ar = alo to ahi - 1 do
+      for dr = dlo to dhi - 1 do
+        Ibuf.push pairs g;
+        Ibuf.push pairs ar;
+        Ibuf.push pairs dr
       done
-    else begin
-      for ar = a_lo to a_hi - 1 do
-        for dr = d_lo to d_hi - 1 do
-          Ibuf.push pairs g;
-          Ibuf.push pairs ar;
-          Ibuf.push pairs dr
-        done
-      done;
-      counts.(g) <- counts.(g) + npairs;
-      work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs;
-      work.Work.io_items <- work.Work.io_items + (2 * npairs)
-    end
+    done;
+    counts.(g) <- counts.(g) + n
   in
+  let limit = ceiling budget in
+  let emit g d = emit_pairs ~budget ~limit ~work ~rect ag dg g d in
   merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
   let npairs = Ibuf.length pairs / 3 in
+  work.Work.io_items <- work.Work.io_items + (2 * npairs);
   let pos = Array.make ag.n 0 in
   let acc = ref 0 in
   for g = 0 to ag.n - 1 do
     pos.(g) <- !acc;
     acc := !acc + counts.(g)
   done;
-  let out = Array.make (npairs * width) Tuple.unbound in
+  let buf = make_rows out ~width npairs in
   let pdata = Ibuf.data pairs in
   for p = 0 to npairs - 1 do
     let g = Array.unsafe_get pdata (3 * p) in
@@ -537,127 +602,9 @@ let run_anc ~budget ~work ~axis ~drain ~width ~adata ~ddata (ag : groups)
     let dr = Array.unsafe_get pdata ((3 * p) + 2) in
     let row = pos.(g) in
     pos.(g) <- row + 1;
-    merge_rows adata (ar * width) ddata (dr * width) out (row * width) width
+    write_rows buf ~width ~adata ~ddata row ar (ar + 1) dr (dr + 1)
   done;
-  Batch.unsafe_of_raw ~width ~len:npairs out
-
-(* --- root variants: emit boxed tuples directly ----------------------- *)
-
-(* The last join of a plan is immediately converted to [Tuple.t array]
-   for the caller; materializing a flat batch first would pay for the
-   output twice (flat buffer with growth copies, then one boxed tuple
-   per row).  The root variants run the same grouping and skip-ahead
-   merge but build each output tuple in boxed form exactly once, like
-   the legacy kernels do — so the root join is never slower than legacy
-   and every interior operator keeps the columnar win. *)
-
-let merge_rows_boxed adata abase ddata dbase width =
-  let t = Array.make width Tuple.unbound in
-  for k = 0 to width - 1 do
-    let x = Array.unsafe_get adata (abase + k) in
-    let y = Array.unsafe_get ddata (dbase + k) in
-    if x = Tuple.unbound then Array.unsafe_set t k y
-    else if y = Tuple.unbound then Array.unsafe_set t k x
-    else invalid_arg "Tuple.merge: slot bound on both sides"
-  done;
-  t
-
-let run_desc_root ~budget ~work ~axis ~drain ~width ~adata ~ddata
-    (ag : groups) (dg : groups) =
-  let cap = ref 64 in
-  let out = ref (Array.make !cap ([||] : Tuple.t)) in
-  let out_len = ref 0 in
-  let limited = not (Budget.is_unlimited budget) in
-  let emit g d =
-    let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
-    let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
-    ag.e_rows a_lo a_hi;
-    dg.e_rows d_lo d_hi;
-    let npairs = (a_hi - a_lo) * (d_hi - d_lo) in
-    if !out_len + npairs > !cap then begin
-      while !out_len + npairs > !cap do
-        cap := !cap * 2
-      done;
-      let bigger = Array.make !cap ([||] : Tuple.t) in
-      Array.blit !out 0 bigger 0 !out_len;
-      out := bigger
-    end;
-    let buf = !out in
-    for ar = a_lo to a_hi - 1 do
-      let abase = ar * width in
-      for dr = d_lo to d_hi - 1 do
-        Array.unsafe_set buf !out_len
-          (merge_rows_boxed adata abase ddata (dr * width) width);
-        incr out_len;
-        work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
-        if limited then
-          Budget.check_tuples budget ~during:"execute"
-            ~count:work.Work.tuples_emitted
-      done
-    done
-  in
-  merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
-  Array.sub !out 0 !out_len
-
-let run_anc_root ~budget ~work ~axis ~drain ~width ~adata ~ddata
-    (ag : groups) (dg : groups) =
-  let pairs = Ibuf.create 256 in
-  let counts = Array.make ag.n 0 in
-  let limited = not (Budget.is_unlimited budget) in
-  let emit g d =
-    let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
-    let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
-    ag.e_rows a_lo a_hi;
-    dg.e_rows d_lo d_hi;
-    let npairs = (a_hi - a_lo) * (d_hi - d_lo) in
-    Ibuf.reserve pairs (3 * npairs);
-    if limited then
-      (* slow path: legacy per-tuple budget-check timing *)
-      for ar = a_lo to a_hi - 1 do
-        for dr = d_lo to d_hi - 1 do
-          Ibuf.push pairs g;
-          Ibuf.push pairs ar;
-          Ibuf.push pairs dr;
-          counts.(g) <- counts.(g) + 1;
-          work.Work.tuples_emitted <- work.Work.tuples_emitted + 1;
-          Budget.check_tuples budget ~during:"execute"
-            ~count:work.Work.tuples_emitted;
-          work.Work.io_items <- work.Work.io_items + 2
-        done
-      done
-    else begin
-      for ar = a_lo to a_hi - 1 do
-        for dr = d_lo to d_hi - 1 do
-          Ibuf.push pairs g;
-          Ibuf.push pairs ar;
-          Ibuf.push pairs dr
-        done
-      done;
-      counts.(g) <- counts.(g) + npairs;
-      work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs;
-      work.Work.io_items <- work.Work.io_items + (2 * npairs)
-    end
-  in
-  merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
-  let npairs = Ibuf.length pairs / 3 in
-  let pos = Array.make ag.n 0 in
-  let acc = ref 0 in
-  for g = 0 to ag.n - 1 do
-    pos.(g) <- !acc;
-    acc := !acc + counts.(g)
-  done;
-  let out = Array.make npairs ([||] : Tuple.t) in
-  let pdata = Ibuf.data pairs in
-  for p = 0 to npairs - 1 do
-    let g = Array.unsafe_get pdata (3 * p) in
-    let ar = Array.unsafe_get pdata ((3 * p) + 1) in
-    let dr = Array.unsafe_get pdata ((3 * p) + 2) in
-    let row = pos.(g) in
-    pos.(g) <- row + 1;
-    Array.unsafe_set out row
-      (merge_rows_boxed adata (ar * width) ddata (dr * width) width)
-  done;
-  out
+  finish_rows buf ~width npairs
 
 (* ---------- sharded dispatch ---------- *)
 
@@ -702,11 +649,18 @@ let shard_cuts ~pool ~par_min_rows ~budget ~force (ag : groups) (dg : groups) =
    at the barrier (integer counters are order-independent sums), and
    hand the per-shard outputs back in shard order.  Each shard gets the
    ancestor slice [cuts.(k), cuts.(k+1)) and exactly the descendant
-   groups whose start falls at-or-after its first ancestor's start and
-   before the next shard's — containment pairs never cross a valid cut,
-   so every pair is produced by exactly one shard. *)
+   groups [dcuts.(k), dcuts.(k+1)): those whose start falls at-or-after
+   its first ancestor's start and before the next shard's — containment
+   pairs never cross a valid cut, so every pair is produced by exactly
+   one shard. *)
 let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
   let m = Array.length cuts - 1 in
+  let dcuts =
+    Array.init (m + 1) (fun k ->
+        if k = 0 then 0
+        else if k = m then dg.n
+        else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(cuts.(k)))
+  in
   (if Registry.enabled () then begin
      (* Shard-balance accounting, computed from the cuts alone — fully
         deterministic for a given pool size and input, independent of
@@ -714,16 +668,11 @@ let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
         perfectly even split; the parallel bench gates on this ratio. *)
      let total = ref 0 and max_rows = ref 0 in
      for k = 0 to m - 1 do
-       let alo = cuts.(k) and ahi = cuts.(k + 1) in
-       let dlo =
-         if k = 0 then 0
-         else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(alo)
+       let rows =
+         ag.off.(cuts.(k + 1))
+         - ag.off.(cuts.(k))
+         + (dg.off.(dcuts.(k + 1)) - dg.off.(dcuts.(k)))
        in
-       let dhi =
-         if k = m - 1 then dg.n
-         else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(ahi)
-       in
-       let rows = ag.off.(ahi) - ag.off.(alo) + (dg.off.(dhi) - dg.off.(dlo)) in
        total := !total + rows;
        if rows > !max_rows then max_rows := rows
      done;
@@ -734,36 +683,17 @@ let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
    end);
   let results =
     Pool.run pool m (fun k ->
-        let alo = cuts.(k) and ahi = cuts.(k + 1) in
-        let dlo =
-          if k = 0 then 0
-          else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(alo)
-        in
-        let dhi =
-          if k = m - 1 then dg.n
-          else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(ahi)
-        in
+        let dhi = dcuts.(k + 1) in
         let shard_work = Work.zero () in
         let out =
           runner ~work:shard_work ~drain:(dhi < dg.n)
-            (sub_groups ag alo ahi) (sub_groups dg dlo dhi)
+            (sub_groups ag cuts.(k) cuts.(k + 1))
+            (sub_groups dg dcuts.(k) dhi)
         in
         (shard_work, out))
   in
   Array.iter (fun (sw, _) -> Work.merge_into work sw) results;
   Array.map snd results
-
-let concat_batches ~width (parts : Batch.t array) =
-  let total = Array.fold_left (fun acc b -> acc + Batch.length b) 0 parts in
-  let data = Array.make (max 1 (total * width)) Tuple.unbound in
-  let pos = ref 0 in
-  Array.iter
-    (fun b ->
-      let n = Batch.length b * width in
-      Array.blit (Batch.data b) 0 data !pos n;
-      pos := !pos + n)
-    parts;
-  Batch.unsafe_of_raw ~width ~len:total data
 
 (* ---------- entry points ---------- *)
 
@@ -779,53 +709,36 @@ let group_input ~cols (i : input) slot =
       if slot = l.lslot then leaf_groups l
       else group ~cols:(Lazy.force cols) (to_batch i) slot
 
-let prepare ~doc ~anc:(anc_i, anc_slot) ~desc:(desc_i, desc_slot) =
+let force_input = function Rows _ -> () | Leaf l -> force_leaf l
+
+(* Shard when the pool and budget allow (see [shard_cuts]), otherwise
+   run the serial kernel once. *)
+let join_in (type o) (out : o out) ?(budget = Budget.unlimited) ?pool
+    ?(par_min_rows = default_par_min_rows) ~work ~doc ~axis ~algo
+    ~anc:(anc_i, anc_slot) ~desc:(desc_i, desc_slot) () : o =
   let width = input_width anc_i in
   if input_width desc_i <> width then
     invalid_arg "Stack_tree: input batch widths differ";
   let cols = lazy (Document.positions doc) in
   let ag = group_input ~cols anc_i anc_slot in
   let dg = group_input ~cols desc_i desc_slot in
-  (width, input_data anc_i, input_data desc_i, ag, dg)
-
-let force_input = function Rows _ -> () | Leaf l -> force_leaf l
-
-(* Shared by both output forms: shard when the pool and budget
-   allow (see [shard_cuts]), otherwise run the serial kernel once. *)
-let run_join ~budget ~pool ~par_min_rows ~work ~doc ~axis ~anc ~desc ~runner
-    ~concat =
-  let width, adata, ddata, ag, dg = prepare ~doc ~anc ~desc in
+  let adata = input_data anc_i and ddata = input_data desc_i in
+  let run ~work ~drain ag dg =
+    match algo with
+    | Plan.Stack_tree_desc ->
+        run_desc out ~budget ~work ~axis ~drain ~width ~adata ~ddata ag dg
+    | Plan.Stack_tree_anc ->
+        run_anc out ~budget ~work ~axis ~drain ~width ~adata ~ddata ag dg
+  in
   let force () =
-    force_input (fst anc);
-    force_input (fst desc)
+    force_input anc_i;
+    force_input desc_i
   in
   match shard_cuts ~pool ~par_min_rows ~budget ~force ag dg with
   | Some cuts ->
-      let pool = Option.get pool in
-      concat ~width
-        (run_sharded ~pool ~cuts ~work ag dg (fun ~work ~drain sag sdg ->
-             runner ~budget ~work ~axis ~drain ~width ~adata ~ddata sag sdg))
-  | None -> runner ~budget ~work ~axis ~drain:false ~width ~adata ~ddata ag dg
-
-let join_batch_in ?(budget = Budget.unlimited) ?pool
-    ?(par_min_rows = default_par_min_rows) ~work ~doc ~axis ~algo ~anc ~desc
-    () =
-  run_join ~budget ~pool ~par_min_rows ~work ~doc ~axis ~anc ~desc
-    ~concat:concat_batches
-    ~runner:
-      (match algo with
-      | Plan.Stack_tree_desc -> run_desc
-      | Plan.Stack_tree_anc -> run_anc)
-
-let join_root_in ?(budget = Budget.unlimited) ?pool
-    ?(par_min_rows = default_par_min_rows) ~work ~doc ~axis ~algo ~anc ~desc
-    () =
-  run_join ~budget ~pool ~par_min_rows ~work ~doc ~axis ~anc ~desc
-    ~concat:(fun ~width:_ parts -> Array.concat (Array.to_list parts))
-    ~runner:
-      (match algo with
-      | Plan.Stack_tree_desc -> run_desc_root
-      | Plan.Stack_tree_anc -> run_anc_root)
+      concat out ~width
+        (run_sharded ~pool:(Option.get pool) ~cuts ~work ag dg run)
+  | None -> run ~work ~drain:false ag dg
 
 let join ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
     ~anc:(anc_tuples, anc_slot) ~desc:(desc_tuples, desc_slot) () =
@@ -834,8 +747,6 @@ let join ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
     else if Array.length desc_tuples > 0 then Array.length desc_tuples.(0)
     else 0
   in
-  let anc_b = Batch.of_tuples ~width anc_tuples in
-  let desc_b = Batch.of_tuples ~width desc_tuples in
-  Batch.to_tuples
-    (join_batch_in ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
-       ~anc:(Rows anc_b, anc_slot) ~desc:(Rows desc_b, desc_slot) ())
+  let rows tuples = Rows (Batch.of_tuples ~width tuples) in
+  join_in Boxed ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
+    ~anc:(rows anc_tuples, anc_slot) ~desc:(rows desc_tuples, desc_slot) ()

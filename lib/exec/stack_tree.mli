@@ -21,6 +21,18 @@
     Outputs, orderings and all other counters are bit-identical to the
     reference implementation kept in {!Stack_tree_legacy}.
 
+    Each algorithm has one kernel body.  The output form — a flat
+    {!Batch.t} for interior joins, boxed {!Tuple.t} rows for the plan's
+    root join — is a type argument ({!out}) that only decides how rows
+    are written, and every related (ancestor group, descendant group)
+    pair goes through one emitter that writes its rows and counts them.
+
+    {b Budgets.}  The [max_tuples] ceiling is a clamp in that emitter,
+    worked out once per join: the group pair that would cross it stops
+    the join with the count of its first tuple past the ceiling, exactly
+    where a per-tuple check would.  Deadline and cancellation are polled
+    every 256 merge steps.
+
     Inputs sorted by their join node keep equal nodes adjacent;
     consecutive rows sharing the join node are processed as one group, so
     duplicate join-node values (the normal case for intermediate results)
@@ -112,7 +124,17 @@ val gallop : probe:(int -> unit) -> int array -> int -> int -> int -> int
     value is [>= target] ([hi] if none), by exponential probe plus
     binary search; [probe i] is called before [a.(i)] is read. *)
 
-val join_batch_in :
+(** {1 Joining} *)
+
+(** The output form of a join: a columnar batch for an interior join,
+    boxed tuples for the plan's root join.  Both forms come out of the
+    same kernel; boxed rows are built exactly once, not written flat and
+    converted afterwards, because the root output is handed to the
+    caller as [Tuple.t array] and dominates join-heavy runs. *)
+type _ out = Flat : Batch.t out | Boxed : Tuple.t array out
+
+val join_in :
+  'o out ->
   ?budget:Sjos_guard.Budget.t ->
   ?pool:Sjos_par.Pool.t ->
   ?par_min_rows:int ->
@@ -123,40 +145,24 @@ val join_batch_in :
   anc:input * int ->
   desc:input * int ->
   unit ->
-  Batch.t
-(** [join_batch_in ~work ~doc ~axis ~algo ~anc:(a, sa) ~desc:(d, sd) ()]
+  'o
+(** [join_in out ~work ~doc ~axis ~algo ~anc:(a, sa) ~desc:(d, sd) ()]
     joins the rows of [a] (whose slot [sa] holds the ancestor-side node,
     sorted by it) with [d] (slot [sd], sorted by it), returning merged
-    rows ordered by the ancestor (STJ-Anc) or descendant (STJ-Desc) node.
-    Raises [Invalid_argument] if an input is not sorted by its join slot,
-    a join slot is unbound, or the input widths differ.  A leaf joined on
-    a slot other than its own bound slot is materialized first (its other
-    slots are unbound, so such a join is degenerate anyway).
+    rows in form [out], ordered by the ancestor (STJ-Anc) or descendant
+    (STJ-Desc) node.  Raises [Invalid_argument] if an input is not
+    sorted by its join slot, a join slot is unbound, or the input widths
+    differ.  A leaf joined on a slot other than its own bound slot is
+    materialized first (its other slots are unbound, so such a join is
+    degenerate anyway).
 
     [budget] (default unlimited, zero-cost) is polled from the merge
-    loops: every produced tuple is checked against the materialization
-    ceiling, and the deadline/cancellation flag every 256 merge steps —
-    raising {!Sjos_guard.Budget.Exhausted} with the partial output count. *)
-
-val join_root_in :
-  ?budget:Sjos_guard.Budget.t ->
-  ?pool:Sjos_par.Pool.t ->
-  ?par_min_rows:int ->
-  work:Sjos_obs.Work.t ->
-  doc:Document.t ->
-  axis:Axes.axis ->
-  algo:Plan.algo ->
-  anc:input * int ->
-  desc:input * int ->
-  unit ->
-  Tuple.t array
-(** Same join as {!join_batch_in} — same inputs, same order, same
-    counters — but each output tuple is built in boxed form exactly once
-    instead of being written to a flat batch and converted afterwards.
-    Use for the last join of a plan, whose result is handed to the caller
-    as [Tuple.t array] anyway: materializing the root output twice is
-    pure overhead, and for join-heavy patterns the root output dominates
-    the run. *)
+    loop: the deadline/cancellation flag every 256 merge steps, and the
+    [max_tuples] ceiling as a clamp on each emitted group pair: the pair
+    that would cross the ceiling raises {!Sjos_guard.Budget.Exhausted}
+    with [Tuples_materialized { limit; count = limit + 1 }], the same
+    stopping tuple as a per-tuple check.  The work record of a raising
+    join is partial. *)
 
 val join :
   ?budget:Sjos_guard.Budget.t ->
@@ -170,6 +176,5 @@ val join :
   desc:Tuple.t array * int ->
   unit ->
   Tuple.t array
-(** {!join_batch_in} behind the classic tuple-array surface: inputs are
-    packed with {!Batch.of_tuples} and the result unpacked with
-    {!Batch.to_tuples}.  Same contract and same counters. *)
+(** [join_in Boxed] behind the classic tuple-array surface: inputs are
+    packed with {!Batch.of_tuples}.  Same contract and same counters. *)

@@ -63,6 +63,23 @@ expect_exit 5 "tuple budget exhausted" \
   run_sjos query "manager(//employee(/name))" "$XML" --max-tuples 1
 expect_exit 5 "tuple budget exhausted (analyze)" \
   run_sjos analyze "manager(//employee(/name))" "$XML" --max-tuples 1
+# the ceiling is exact: 3 managers and 8 names scan within a ceiling of
+# 8, and the 11-tuple join stops at its 9th tuple
+TINY="${TMPDIR:-/tmp}/sjos_smoke_tiny.xml"
+printf '%s' '<company><manager><name>ann</name><employee><name>bob</name>'\
+'</employee><manager><name>cid</name><department><name>sales</name>'\
+'</department><employee><name>dan</name></employee></manager><department>'\
+'<name>ops</name></department></manager><manager><name>eve</name>'\
+'<employee><name>fay</name></employee></manager></company>' > "$TINY"
+expect_exit 5 "tuple budget exhausted at tuple 9" \
+  run_sjos query "manager(//name)" "$TINY" --max-tuples 8
+exact=$(run_sjos query "manager(//name)" "$TINY" --max-tuples 8 2>&1 >/dev/null)
+if printf '%s' "$exact" | grep -q '9 tuples produced, limit 8'; then
+  say "ok   tuple ceiling reports the exact count"
+else
+  say "FAIL tuple ceiling count: stderr: $exact"
+  fails=$((fails + 1))
+fi
 
 # degradation is NOT an error: an over-budget exact search falls back to
 # DPAP-EB, exits 0 and says so on stderr
@@ -185,7 +202,7 @@ else
   say "skip disk failure paths: no built binary at $BIN"
 fi
 
-rm -f "$BAD"
+rm -f "$BAD" "$TINY"
 if [ "$fails" -eq 0 ]; then
   say "cli error smoke: all checks passed"
 else

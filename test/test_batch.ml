@@ -20,6 +20,7 @@ open Sjos_core
 open Sjos_exec
 module Pattern = Sjos_pattern.Pattern
 module Work = Sjos_obs.Work
+module Budget = Sjos_guard.Budget
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -234,6 +235,103 @@ let test_unsorted_rejected_identically () =
   | exception Invalid_argument m -> check Alcotest.string "batch rejects" expected m
   | _ -> Alcotest.fail "batch accepted unsorted input"
 
+(* ---------- the tuple ceiling is exact ---------- *)
+
+(* Row [i] of [tuples] repeated [1 + i mod k] times: still sorted by its
+   bound slot, but with multi-row groups, so a ceiling can fall inside a
+   group pair's block of rows. *)
+let repeat k tuples =
+  Array.concat
+    (List.mapi (fun i t -> Array.make (1 + (i mod k)) t) (Array.to_list tuples))
+
+let capped f =
+  match f () with
+  | tuples -> Ok tuples
+  | exception
+      Budget.Exhausted
+        { resource = Budget.Tuples_materialized { limit; count }; _ } ->
+      Error (limit, count)
+
+(* Under [max_tuples:k] for each [k] in [ks], both output forms of the
+   columnar kernel return the legacy kernel's tuples, or stop with its
+   [Tuples_materialized] payload. *)
+let check_ceilings msg ~doc ~anc ~desc ks =
+  let rows t = Stack_tree.Rows (Batch.of_tuples ~width:2 t) in
+  List.iter
+    (fun axis ->
+      List.iter
+        (fun algo ->
+          List.iter
+            (fun k ->
+              let budget = Budget.make ~max_tuples:k () in
+              let legacy =
+                capped (fun () ->
+                    Stack_tree_legacy.join ~budget ~work:(Work.zero ()) ~doc
+                      ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ())
+              in
+              let run out =
+                Stack_tree.join_in out ~budget ~work:(Work.zero ()) ~doc ~axis
+                  ~algo ~anc:(rows anc, 0) ~desc:(rows desc, 1) ()
+              in
+              List.iter
+                (fun (form, got) ->
+                  let msg =
+                    Printf.sprintf "%s %s %s %s k=%d" msg
+                      (Axes.axis_to_string axis)
+                      (Plan.algo_to_string algo) form k
+                  in
+                  match (legacy, got) with
+                  | Ok e, Ok a -> check_same_tuple_seq msg e a
+                  | Error e, Error a ->
+                      check Alcotest.(pair int int) msg e a
+                  | _ -> Alcotest.failf "%s: only one kernel stopped" msg)
+                [
+                  ( "flat",
+                    capped (fun () -> Batch.to_tuples (run Stack_tree.Flat)) );
+                  ("boxed", capped (fun () -> run Stack_tree.Boxed));
+                ])
+            ks)
+        all_cases)
+    all_axes
+
+let total_pairs ~doc ~anc ~desc =
+  Array.length
+    (Stack_tree_legacy.join ~work:(Work.zero ()) ~doc ~axis:Axes.Descendant
+       ~algo:Plan.Stack_tree_desc ~anc:(anc, 0) ~desc:(desc, 1) ())
+
+let test_ceiling_exact () =
+  let doc = Lazy.force Helpers.tiny_pers in
+  let idx = Lazy.force Helpers.tiny_index in
+  let work = Work.zero () in
+  List.iter
+    (fun (atag, dtag, ka, kd) ->
+      let anc = repeat ka (scan idx atag 0 2 ~work) in
+      let desc = repeat kd (scan idx dtag 1 2 ~work) in
+      let total = total_pairs ~doc ~anc ~desc in
+      check_ceilings
+        (Printf.sprintf "tiny %s->%s x%d/x%d" atag dtag ka kd)
+        ~doc ~anc ~desc
+        (List.init (total + 2) Fun.id))
+    [
+      ("manager", "name", 1, 1);
+      ("manager", "name", 3, 2);
+      ("manager", "employee", 2, 3);
+    ];
+  let doc = Sjos_datagen.Pers.generate ~seed:seed_base ~target_nodes:600 () in
+  let idx = Element_index.build doc in
+  let rng = Sjos_datagen.Rng.create (seed_base + 31) in
+  List.iter
+    (fun (atag, dtag) ->
+      let anc = repeat 3 (scan idx atag 0 2 ~work) in
+      let desc = repeat 2 (scan idx dtag 1 2 ~work) in
+      let total = total_pairs ~doc ~anc ~desc in
+      check_ceilings
+        (Printf.sprintf "pers %s->%s" atag dtag)
+        ~doc ~anc ~desc
+        ([ 0; 1; total - 1; total; total + 1 ]
+        @ List.init 8 (fun _ -> Sjos_datagen.Rng.int rng (total + 1))))
+    [ ("manager", "name"); ("employee", "name") ]
+
 (* ---------- executor-level: both algebras = naive ---------- *)
 
 (* The binary DPP plan (exact-cardinality provider) and the holistic
@@ -366,8 +464,8 @@ let test_batch_sort_matches_tuple_sort () =
      legacy comparator sort (both stable) *)
   let reference = Array.copy tuples in
   Array.stable_sort (Tuple.compare_by_slot doc 1) reference;
-  let via_tuples = Batch.sort_tuples ~doc ~by:1 tuples in
-  check_same_tuple_seq "sort_tuples" reference via_tuples;
+  let via_operator = Operators.sort ~work ~doc ~by:1 tuples in
+  check_same_tuple_seq "Operators.sort" reference via_operator;
   let via_batch =
     Batch.to_tuples
       (Batch.sort ~doc ~by:1 (Batch.of_tuples ~width:2 tuples))
@@ -382,6 +480,8 @@ let suite =
     Alcotest.test_case "truncated inputs agree" `Quick test_truncated_inputs;
     Alcotest.test_case "unsorted input rejected identically" `Quick
       test_unsorted_rejected_identically;
+    Alcotest.test_case "tuple ceiling stops where legacy stops" `Quick
+      test_ceiling_exact;
     Alcotest.test_case "executor kernels agree on the workload" `Slow
       test_executor_kernel_differential;
     Alcotest.test_case "executor kernels agree under degraded fetch" `Quick

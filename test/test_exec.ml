@@ -232,7 +232,39 @@ let test_executor_rejects_invalid () =
   | exception Sjos_guard.Error.Error (Sjos_guard.Error.Invalid_plan _) -> ()
   | _ -> Alcotest.fail "partial plan must be rejected"
 
+(* On the tiny document the scans have 3 and 8 rows and the join 11, so a
+   ceiling of 8 lets both scans through and stops the join at exactly
+   its 9th tuple — as the root join and as an interior one. *)
+let check_limit_exact () =
+  let idx = Lazy.force Helpers.tiny_index in
+  let p = Helpers.pat "manager(//name)" in
+  let edge = List.hd (Pattern.edges p) in
+  List.iter
+    (fun algo ->
+      let join =
+        Plan.join ~anc_side:(Plan.scan 0) ~desc_side:(Plan.scan 1) ~edge ~algo
+      in
+      List.iter
+        (fun (where, plan) ->
+          let budget = Sjos_guard.Budget.make ~max_tuples:8 () in
+          match Executor.execute ~budget idx p plan with
+          | exception
+              Sjos_guard.Budget.Exhausted
+                {
+                  resource =
+                    Sjos_guard.Budget.Tuples_materialized { limit; count };
+                  _;
+                } ->
+              check (Alcotest.pair ci ci)
+                (Printf.sprintf "%s %s join stops at tuple 9"
+                   (Plan.algo_to_string algo) where)
+                (8, 9) (limit, count)
+          | _ -> Alcotest.fail "expected Budget.Exhausted (Tuples_materialized)")
+        [ ("root", join); ("interior", Plan.sort join ~by:0) ])
+    [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ]
+
 let test_executor_limit () =
+  check_limit_exact ();
   let idx = Lazy.force Helpers.pers_1k_index in
   let p = Helpers.pat "manager(//name)" in
   let provider = Helpers.exact_provider idx p in

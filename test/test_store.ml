@@ -143,7 +143,7 @@ let test_leaf_kernel () =
             let anc = rows_scan index ~width:2 ~slot:0 "manager" m in
             let desc = rows_scan index ~width:2 ~slot:1 "employee" m in
             let b =
-              Stack_tree.join_batch_in ~work:m ~doc ~axis ~algo
+              Stack_tree.join_in Stack_tree.Flat ~work:m ~doc ~axis ~algo
                 ~anc:(anc, 0) ~desc:(desc, 1) ()
             in
             (Batch.to_tuples b, m)
@@ -175,8 +175,8 @@ let test_leaf_kernel () =
               let m = Work.zero () in
               let anc, desc, pool, par_min_rows = build m in
               let b =
-                Stack_tree.join_batch_in ?pool ?par_min_rows ~work:m ~doc
-                  ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ()
+                Stack_tree.join_in Stack_tree.Flat ?pool ?par_min_rows
+                  ~work:m ~doc ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ()
               in
               let msg = name ^ " " ^ vname in
               check_same_tuple_seq msg (fst reference) (Batch.to_tuples b);
@@ -202,7 +202,7 @@ let test_leaf_laziness_bounded () =
   let anc = leaf_scan store ~width:2 ~slot:0 "manager" m in
   let desc = leaf_scan store ~width:2 ~slot:1 "employee" m in
   ignore
-    (Stack_tree.join_batch_in ~work:m ~doc ~axis:Axes.Descendant
+    (Stack_tree.join_in Stack_tree.Flat ~work:m ~doc ~axis:Axes.Descendant
        ~algo:Plan.Stack_tree_desc ~anc:(anc, 0) ~desc:(desc, 1) ());
   let lazy_misses =
     (Option.get (Column_store.io_stats store)).Pager.misses
