@@ -21,8 +21,7 @@
       full tag scans that build the postings.
 
    Wall-clock numbers are measured and reported but advisory; the
-   perf-history entries (<query>:disk) are scored by deterministic work
-   units, so `sjos perf-gate io` compares runs without timing noise.
+   baselined work cells (<query>:disk) carry deterministic work units.
 
    SJOS_BENCH_SCALE defaults to 0.5 (1.0 = full).  SJOS_IO_PAPER=1
    additionally loads Mbench at the paper's 740k elements under Disk
@@ -48,7 +47,11 @@ let misses db =
   | Some s -> s.Pager.misses
   | None -> 0
 
-let accounted db pattern = Harness.timed (fun () -> Database.run db pattern)
+(* every query runs on the serial pool: a sharded Disk join touches
+   pages in another order, so SJOS_DOMAINS would move page counts *)
+let serial = Query_opts.make ~pool:Sjos_par.Pool.serial ()
+let run_serial db pattern = Database.run ~opts:serial db pattern
+let accounted db pattern = Harness.timed (fun () -> run_serial db pattern)
 
 (* ---------- gate 1: Mem/Disk differential over the workload ---------- *)
 
@@ -113,7 +116,7 @@ let sweep_query (query : Workload.query) =
           ~storage:(Column_store.disk ~page_size ~pool_pages ())
           doc
       in
-      ignore (Database.run db query.Workload.pattern);
+      ignore (run_serial db query.Workload.pattern);
       let s = Option.get (Column_store.io_stats (Database.store db)) in
       Database.dispose db;
       (pool_pages, s))
@@ -148,7 +151,7 @@ let savings_query (query : Workload.query) =
   in
   let store = Database.store db in
   Column_store.reset_io store;
-  let run = Database.run db query.Workload.pattern in
+  let run = run_serial db query.Workload.pattern in
   let lazy_misses = misses db in
   Column_store.reset_io store;
   List.iter
@@ -187,7 +190,7 @@ let postings_query (query : Workload.query) =
   let store = Database.store db in
   let run_misses () =
     let before = misses db in
-    ignore (Database.run db query.Workload.pattern);
+    ignore (run_serial db query.Workload.pattern);
     misses db - before
   in
   let bytes0 = Option.get (Column_store.total_column_bytes store) in

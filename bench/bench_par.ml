@@ -23,7 +23,7 @@
      to shard, so sharding_active fails there.
 
    Wall-clock speedups are still measured and recorded as advisory
-   data; no gate reads them.  The perf-history entries are
+   data; no gate reads them.  The baselined work cells are
    workload@serial and workload@<domains>.
 
    SJOS_BENCH_SCALE defaults to 0.5 (1.0 = full); SJOS_BENCH_REPS sets

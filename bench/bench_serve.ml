@@ -22,7 +22,7 @@
 
    Wall-clock observables (p50/p99 latency, saturation throughput,
    organic shed rate) are recorded as advisory data; no gate reads
-   them.  The perf-history entry mix@serial-reference is scored by a
+   them.  The baselined work cell mix@serial-reference is scored by a
    serial reference pass over the same seeded query mix — fully
    deterministic for a fixed SJOS_SERVE_SEED (default 11).
    SJOS_BENCH_REQS sets the open-loop requests (default 640, min 500);
@@ -305,7 +305,7 @@ let run () =
   in
   let counters_exact = Harness.table2_exact () in
 
-  (* ---------- serial reference pass for the perf-history work score ----- *)
+  (* ---------- serial reference pass for the baselined work score ---------- *)
   (* handler threads share one domain (and its Work accumulator), so the
      deterministic score comes from replaying the same seeded query
      multiset serially — bit-stable for a fixed seed *)

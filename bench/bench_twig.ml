@@ -17,7 +17,7 @@
       (every [`Holistic] cell, no [`Binary] cell), and Auto's result
       set matches both engines everywhere.
 
-   Perf-history entries are <cell>:binary and <cell>:holistic.
+   Baselined work cells are <cell>:binary and <cell>:holistic.
    SJOS_BENCH_SCALE defaults to 0.5 (1.0 = full).
 
    Run with: dune exec bench/main.exe -- twig *)

@@ -1,7 +1,8 @@
 (* What every bench suite shares: the environment, read once at startup;
    memoised documents and databases; and [finish], the one place a
-   suite's report becomes BENCH_<SUITE>.json, a perf-history datapoint,
-   a printed gate table and a verdict.
+   suite's report becomes BENCH_<SUITE>.json, a printed gate table and a
+   verdict.  The cells that carry [work] are what
+   scripts/check_bench.py compares against bench/baseline/<suite>.json.
 
    Environment knobs (all optional; an unparsable value exits 2):
      SJOS_BENCH_SCALE   scale data set sizes (per-suite default)
@@ -11,8 +12,7 @@
      SJOS_BENCH_REQS    serve: open-loop requests (default 640, min 500)
      SJOS_BIGOPT_SEED   bigopt: pattern generator seed (default 42)
      SJOS_SERVE_SEED    serve: arrival/mix seed (default 11)
-     SJOS_IO_PAPER      io: when "1", also load Mbench at 740k under Disk
-     SJOS_RESULTS_DIR   perf-history directory (default results) *)
+     SJOS_IO_PAPER      io: when "1", also load Mbench at 740k under Disk *)
 
 open Sjos_engine
 module Json = Sjos_obs.Json
@@ -50,11 +50,6 @@ let reqs = max 500 (Option.value (int_env "SJOS_BENCH_REQS") ~default:640)
 let bigopt_seed = Option.value (int_env "SJOS_BIGOPT_SEED") ~default:42
 let serve_seed = Option.value (int_env "SJOS_SERVE_SEED") ~default:11
 let io_paper = Sys.getenv_opt "SJOS_IO_PAPER" = Some "1"
-
-let results_dir =
-  match Sys.getenv_opt "SJOS_RESULTS_DIR" with
-  | Some d when d <> "" -> d
-  | _ -> "results"
 
 let scale ~default = Option.value scale_env ~default
 
@@ -101,8 +96,8 @@ let table2_exact () = Experiment.table2_matches (Experiment.table2 ())
 
 type cell = {
   id : string;
-  work : Work.t option;  (** present: the cell is a perf-history entry *)
-  alloc : float;  (** allocated bytes; 0 = not measured *)
+  work : Work.t option;  (** present: the cell is in the committed baseline *)
+  alloc : float;  (** allocated bytes, advisory; 0 = not measured *)
   seconds : float option;  (** advisory wall clock *)
   data : (string * Json.t) list;
 }
@@ -131,20 +126,8 @@ let cell_json c =
     @ opt (fun s -> [ ("seconds", Json.Float s) ]) c.seconds
     @ c.data)
 
-let entry c =
-  Option.map
-    (fun work ->
-      {
-        Sjos_obs.Perf_history.entry_id = c.id;
-        work;
-        allocated_bytes = c.alloc;
-        seconds = Option.value c.seconds ~default:0.;
-      })
-    c.work
-
-(* Write BENCH_<SUITE>.json, append a perf-history datapoint keyed by the
-   suite name when any cell carries work, print the gate table, and
-   return whether every gate holds. *)
+(* Write BENCH_<SUITE>.json, print the gate table, and return whether
+   every gate holds. *)
 let finish r =
   let file = Printf.sprintf "BENCH_%s.json" (String.uppercase_ascii r.suite) in
   Sjos_obs.Report.write_file file
@@ -156,19 +139,6 @@ let finish r =
          ("gates", Json.Obj (List.map (fun (g, ok) -> (g, Json.Bool ok)) r.gates));
        ]);
   Printf.printf "\nwrote %s (%d cells)\n" file (List.length r.cells);
-  (match List.filter_map entry r.cells with
-  | [] -> ()
-  | entries ->
-      let path =
-        Sjos_obs.Perf_history.append ~dir:results_dir
-          {
-            Sjos_obs.Perf_history.bench = r.suite;
-            timestamp = int_of_float (Unix.time ());
-            meta = r.meta;
-            entries;
-          }
-      in
-      Printf.printf "appended perf-history datapoint %s\n" path);
   List.iter
     (fun (g, ok) -> Printf.printf "  gate %-32s %s\n" g (if ok then "PASS" else "FAIL"))
     r.gates;

@@ -1,9 +1,9 @@
 (* The one bench driver: [main.exe [SUITE...]] runs each named suite in
    order and hands its report to [Harness.finish], which writes
-   BENCH_<SUITE>.json, appends the perf-history datapoint and prints the
-   gate table.  With no argument it runs the paper's evaluation:
-   [paper cache guard].  Exits 1 if any gate of any suite failed, 2 on an
-   unknown suite or a malformed environment variable (see harness.ml).
+   BENCH_<SUITE>.json and prints the gate table.  With no argument it
+   runs the paper's evaluation: [paper cache guard].  Exits 1 if any
+   gate of any suite failed, 2 on an unknown suite or a malformed
+   environment variable (see harness.ml).
 
    Run with: dune exec bench/main.exe -- [SUITE...] *)
 

@@ -648,56 +648,6 @@ let metrics_cmd =
       $ no_cache_flag $ domains_opt $ storage_backend_opt $ pool_pages_opt
       $ page_size_opt)
 
-(* ---------- perf-gate ---------- *)
-
-let perf_gate_cmd =
-  let run dir bench work_tol alloc_tol =
-    match
-      Sjos_obs.Perf_history.gate ?work_tolerance:work_tol
-        ?alloc_tolerance:alloc_tol ~dir ~bench ()
-    with
-    | Sjos_obs.Perf_history.Pass msg ->
-        Fmt.pr "perf-gate %s: PASS — %s@." bench msg
-    | Sjos_obs.Perf_history.Bootstrap msg ->
-        Fmt.pr "perf-gate %s: BOOTSTRAP — %s@." bench msg
-    | Sjos_obs.Perf_history.Fail msgs ->
-        List.iter (fun m -> Fmt.epr "perf-gate %s: FAIL — %s@." bench m) msgs;
-        exit 1
-  in
-  let dir =
-    Arg.(
-      value & opt string "results"
-      & info [ "dir" ] ~docv:"DIR"
-          ~doc:"Perf-history directory (default: results).")
-  in
-  let bench =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"BENCH" ~doc:"Store key, e.g. perf or par.")
-  in
-  let work_tol =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "work-tol" ] ~docv:"FRAC"
-          ~doc:"Work-score tolerance as a fraction (default 0.01).")
-  in
-  let alloc_tol =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "alloc-tol" ] ~docv:"FRAC"
-          ~doc:"Allocation tolerance as a fraction (default 0.10).")
-  in
-  Cmd.v
-    (Cmd.info "perf-gate"
-       ~doc:
-         "Compare the two newest datapoints of a perf-history store; exit 1 \
-          when deterministic work units or allocation regressed beyond \
-          tolerance.  Wall-clock is never gated.")
-    Term.(const run $ dir $ bench $ work_tol $ alloc_tol)
-
 (* ---------- serve ---------- *)
 
 let socket_opt =
@@ -1025,7 +975,6 @@ let main =
       serve_cmd;
       client_cmd;
       selftest_error_cmd;
-      perf_gate_cmd;
       table1_cmd;
       table2_cmd;
       table3_cmd;

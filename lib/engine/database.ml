@@ -24,12 +24,6 @@ type t = {
   mutable catalog : Stats_catalog.t;
   plan_cache : Plan_cache.t;
   store : Column_store.t;
-  (* Per-query [Query_opts.storage] overrides resolve through a small
-     config-keyed memo, so repeated overridden queries share one store
-     (and, for Disk, one on-disk file set) instead of rewriting the
-     column file per query. *)
-  stores_m : Mutex.t;
-  mutable extra_stores : (Column_store.config * Column_store.t) list;
 }
 
 (* A grid of g costs O(g^2) cells per histogram: an absurd request is an
@@ -58,8 +52,6 @@ let of_document ?(factors = Cost_model.default) ?(grid = 32)
     catalog = Stats_catalog.create ~grid index;
     plan_cache = Plan_cache.create ~capacity:cache_capacity ();
     store = Column_store.create ~config:storage index;
-    stores_m = Mutex.create ();
-    extra_stores = [];
   }
 
 let of_string ?factors ?grid ?cache_capacity ?storage s =
@@ -72,35 +64,7 @@ let document t = t.doc
 let index t = t.index
 let store t = t.store
 
-let store_for t (opts : Query_opts.t) =
-  match opts.Query_opts.storage with
-  | None -> t.store
-  | Some c when Column_store.config_equal c (Column_store.config t.store) ->
-      t.store
-  | Some c ->
-      Mutex.lock t.stores_m;
-      let s =
-        match
-          List.find_opt
-            (fun (c', _) -> Column_store.config_equal c c')
-            t.extra_stores
-        with
-        | Some (_, s) -> s
-        | None ->
-            let s = Column_store.create ~config:c t.index in
-            t.extra_stores <- (c, s) :: t.extra_stores;
-            s
-      in
-      Mutex.unlock t.stores_m;
-      s
-
-let dispose t =
-  Mutex.lock t.stores_m;
-  let extras = t.extra_stores in
-  t.extra_stores <- [];
-  Mutex.unlock t.stores_m;
-  List.iter (fun (_, s) -> Column_store.dispose s) extras;
-  Column_store.dispose t.store
+let dispose t = Column_store.dispose t.store
 
 let stats t =
   Mutex.lock t.stats_m;
@@ -144,22 +108,17 @@ let provider_of stats pat =
 
 let provider t pat = provider_of t.catalog pat
 
-let eff_factors t (opts : Query_opts.t) =
-  Option.value opts.Query_opts.factors ~default:t.factors
-
 (* A query is cacheable only when it runs against the database's own
-   statistics configuration: per-query factor/grid overrides would poison
+   statistics configuration: a per-query grid override would poison
    entries keyed purely on algorithm + structure.  Chaos runs are never
    cached either way — a plan chosen under lying statistics must not leak
    into healthy queries. *)
-let cache_key t (opts : Query_opts.t) ~pat ~fingerprint =
+let cache_key (opts : Query_opts.t) ~pat ~fingerprint =
   if
     opts.Query_opts.use_cache
-    && Option.is_none opts.Query_opts.factors
     && Option.is_none opts.Query_opts.grid
     && Option.is_none opts.Query_opts.chaos
   then begin
-    ignore t;
     (* the engine is part of the key: Auto and Binary may pick different
        plans for the same (algorithm, structure).  The algorithm is the
        *effective* one — a DPP request on a large pattern runs (and
@@ -188,7 +147,7 @@ let resolve t ~(opts : Query_opts.t) ~pat ~canon ~from_canon ~to_canon ~key
   let t0 = Clock.now_ns () in
   let fresh ~store () =
     match
-      Optimizer.optimize_e ~factors:(eff_factors t opts)
+      Optimizer.optimize_e ~factors:t.factors
         ~budget:opts.Query_opts.budget ~provider
         ~engine:opts.Query_opts.engine opts.Query_opts.algorithm pat
     with
@@ -295,7 +254,7 @@ let prepare ?(opts = Query_opts.default) t pat =
       (fun c -> Chaos.derive c ~key:fingerprint)
       opts.Query_opts.chaos
   in
-  let key = cache_key t opts ~pat ~fingerprint in
+  let key = cache_key opts ~pat ~fingerprint in
   let provider = chaos_provider t ~opts ~chaos pat in
   let result, cached =
     resolve t ~opts ~pat ~canon ~from_canon ~to_canon ~key ~provider
@@ -353,11 +312,11 @@ let exec p =
   let t = p.pdb in
   let exec =
     Executor.execute
-      ~factors:(eff_factors t p.popts)
+      ~factors:t.factors
       ~budget:p.popts.Query_opts.budget
       ?fetch:(chaos_fetch t p.pchaos)
       ?pool:p.popts.Query_opts.pool
-      ~store:(store_for t p.popts)
+      ~store:t.store
       t.index p.ppattern p.presult.Optimizer.plan
   in
   { opt = p.presult; exec }
@@ -365,8 +324,7 @@ let exec p =
 let explain_prepared p =
   refresh p;
   Explain.with_costs
-    (eff_factors p.pdb p.popts)
-    p.pprovider p.ppattern p.presult.Optimizer.plan
+    p.pdb.factors p.pprovider p.ppattern p.presult.Optimizer.plan
 
 type analysis = {
   opt : Optimizer.result;
@@ -378,8 +336,7 @@ let analyze_prepared p =
   let r = exec p in
   let rows =
     Explain.analyze
-      (eff_factors p.pdb p.popts)
-      p.pprovider p.ppattern r.exec.Executor.profile
+      p.pdb.factors p.pprovider p.ppattern r.exec.Executor.profile
   in
   { opt = r.opt; exec = r.exec; rows }
 

@@ -75,10 +75,9 @@ val store : t -> Column_store.t
     pool. *)
 
 val dispose : t -> unit
-(** Dispose the database's store and every memoized per-query override
-    store (deleting Disk files).  The database must not be queried
-    afterwards under a Disk configuration; Mem queries are unaffected.
-    Idempotent. *)
+(** Dispose the database's store (deleting Disk files).  The database
+    must not be queried afterwards under a Disk configuration; Mem
+    queries are unaffected.  Idempotent. *)
 
 val stats : t -> Stats.t
 (** Document statistics, computed once on first use (mutex-guarded memo —

@@ -144,30 +144,6 @@ let to_json w =
     (List.map (fun (k, v) -> (k, Json.Int v)) (fields w)
     @ [ ("sort_cost", Json.Float w.sort_cost); ("score", Json.Int (score w)) ])
 
-(* A counter the writer did not know yet (a datapoint older than the
-   field) reads as 0. *)
-let of_json j =
-  let w = zero () in
-  let rec ints = function
-    | [] -> Ok ()
-    | (name, _, set) :: rest -> (
-        match Json.member name j with
-        | None -> ints rest
-        | Some (Json.Int v) ->
-            set w v;
-            ints rest
-        | Some _ -> Error (Printf.sprintf "work field %S is not an integer" name))
-  in
-  match (ints counters, Json.member "sort_cost" j) with
-  | (Error _ as e), _ -> e
-  | Ok (), None -> Ok w
-  | Ok (), Some v -> (
-      match Json.number v with
-      | Some f ->
-          w.sort_cost <- f;
-          Ok w
-      | None -> Error "work field \"sort_cost\" is not a number")
-
 let publish ?(prefix = "work") w =
   if Registry.enabled () then
     List.iter

@@ -17,7 +17,8 @@
       charges nothing), and by the domain pool's barrier, which absorbs
       each task's delta.
 
-    This is the currency the perf-history CI gate trades in.  Wall-clock
+    This is the currency the committed bench baseline gates on
+    ([bench/baseline/], checked by [scripts/check_bench.py]).  Wall-clock
     seconds on a shared CI box swing by 2-3x; the number of containment
     comparisons a join performs, tuples it emits, candidate rows it
     scans, statuses the optimizer expands and pages the pager touches do
@@ -94,7 +95,7 @@ val equal : t -> t -> bool
 val is_zero : t -> bool
 
 val score : t -> int
-(** The single work-unit figure the perf gate compares: [comparisons],
+(** The single work-unit figure: [comparisons],
     [tuples_emitted], [candidates_scanned], [stack_ops], [io_items],
     [sorted_items], [expansions] and [page_touches].  Skipping is avoided
     work; considered plans, the generated/pruned breakdown and
@@ -113,11 +114,6 @@ val equal_mod_io : t -> t -> bool
 val to_json : t -> Json.t
 (** Every field plus the derived ["score"]. *)
 
-val of_json : Json.t -> (t, string) result
-(** Inverse of {!to_json} (the ["score"] field is ignored).  A counter
-    absent from the object reads as 0, so datapoints written before a
-    counter existed still load. *)
-
 val publish : ?prefix:string -> t -> unit
 (** Copy the counters into the metrics registry as [work.comparisons]
     etc. (no-op while the registry is disabled). *)
@@ -128,9 +124,8 @@ val pp : t Fmt.t
 
     Allocation and collection counts ride along with work snapshots in
     bench reports.  They are process-global and deterministic only for
-    serial runs of a deterministic program, so the perf gate treats them
-    with a looser threshold than work units, and wall-clock stays purely
-    advisory. *)
+    serial runs of a deterministic program, so no gate reads them:
+    like wall-clock, they are advisory data. *)
 
 type gc_snapshot = {
   allocated_bytes : float;

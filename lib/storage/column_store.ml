@@ -61,13 +61,6 @@ let config_of_env () =
     dir = None;
   }
 
-(* Two configs select the same physical store when the backend and the
-   pool geometry agree; [dir] is placement, not behavior, but distinct
-   dirs are distinct files so it participates too. *)
-let config_equal a b =
-  a.backend = b.backend && a.page_size = b.page_size
-  && a.pool_pages = b.pool_pages && a.dir = b.dir
-
 (* ---------- disk layout ---------- *)
 
 (* One data file holds every tag's candidate list as four page-aligned
@@ -286,7 +279,6 @@ let create ?(config = mem) index =
       { index; config; disk = Some d }
 
 let index t = t.index
-let config t = t.config
 let is_disk t = t.disk <> None
 let dispose t = match t.disk with Some d -> dispose_disk d | None -> ()
 

@@ -62,8 +62,6 @@ val config_of_env : unit -> config
     backend (mem when unset or unparsable), [SJOS_PAGE_SIZE] and
     [SJOS_POOL_PAGES] tune the pool. *)
 
-val config_equal : config -> config -> bool
-
 (** {1 Stores} *)
 
 type t
@@ -85,7 +83,6 @@ val create : ?config:config -> Element_index.t -> t
     directory or its files cannot be written. *)
 
 val index : t -> Element_index.t
-val config : t -> config
 val is_disk : t -> bool
 
 val io_stats : t -> Pager.stats option

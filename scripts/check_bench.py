@@ -8,11 +8,26 @@ integer counters and a positive score, and every gate is a bool that
 holds.  REQUIRED lists the gates each suite must report, so a suite that
 silently drops a gate fails.
 
-Usage: check_bench.py FILE [FILE...]
+A report with any `work` cell is also held to its committed baseline,
+bench/baseline/<suite>.json: the same set of `work` cells, each with a
+`work` object equal to the baseline's, counter for counter (sort_cost
+and score included).  Work counters are deterministic, so there is no
+tolerance; a change that moves work on purpose regenerates the baseline
+in its diff:
+
+    dune exec bench/main.exe -- <suite>
+    python3 scripts/check_bench.py --write-baseline BENCH_<SUITE>.json
+
+Usage: check_bench.py [--write-baseline] FILE [FILE...]
 """
 
 import json
+import os
 import sys
+
+BASELINE_DIR = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench", "baseline"
+)
 
 REQUIRED = {
     "paper": "every_cell_executed dpp_estimate_equals_dp no_estimate_below_dp "
@@ -28,7 +43,7 @@ REQUIRED = {
     "twig": "identical_outputs nonzero_output_tuples deterministic_work "
     "table2_exact holistic_wins_deep_chains auto_agrees",
     "bigopt": "cost_equality_small differential_at_most_10_nodes "
-    "has_30_node_cell subsecond_at_30 search_ran_every_cell "
+    "has_30_node_cell expansions_capped_at_30 search_ran_every_cell "
     "deterministic_work dp_infeasible_at_30 table2_exact",
     "serve": "zero_escaped some_admitted sheds_structured burst_accounted "
     "digests_exact enough_chaos counters_exact p99_at_least_p50",
@@ -97,17 +112,81 @@ def work_problems(work):
         yield "work score is zero: nothing executed"
 
 
+def cut(doc):
+    """The baseline of a well-formed report: its `work` cells only."""
+    return {
+        "suite": doc["suite"],
+        "meta": doc["meta"],
+        "cells": [
+            {"id": c["id"], "work": c["work"]} for c in doc["cells"] if "work" in c
+        ],
+    }
+
+
+def baseline_path(suite):
+    return os.path.normpath(os.path.join(BASELINE_DIR, f"{suite}.json"))
+
+
+def baseline_problems(doc):
+    """Yield one message per difference from the committed baseline."""
+    report = {c["id"]: c["work"] for c in cut(doc)["cells"]}
+    path = baseline_path(doc["suite"])
+    if not os.path.exists(path):
+        if report:
+            yield f"{len(report)} work cells but no baseline {path}"
+        return
+    with open(path) as fh:
+        base = json.load(fh)
+    expected = {c["id"]: c["work"] for c in base["cells"]}
+    found = [f"{cid}: in the baseline, missing from the report"
+             for cid in expected if cid not in report]
+    found += [f"{cid}: work cell not in the baseline"
+              for cid in report if cid not in expected]
+    for cid, work in expected.items():
+        got = report.get(cid)
+        if got is not None and got != work:
+            diffs = ", ".join(
+                f"{k} {work.get(k)!r} -> {got.get(k)!r}"
+                for k in sorted(set(work) | set(got))
+                if work.get(k) != got.get(k)
+            )
+            found.append(f"{cid}: work differs from the baseline: {diffs}")
+    yield from found
+    if found:
+        yield (f"baseline meta {json.dumps(base['meta'])}; "
+               f"report meta {json.dumps(doc['meta'])}")
+
+
+def write_baseline(doc):
+    path = baseline_path(doc["suite"])
+    base = cut(doc)
+    if not base["cells"]:
+        return f"no work cells, {path} not written"
+    with open(path, "w") as fh:
+        json.dump(base, fh, indent=2)
+        fh.write("\n")
+    return f"wrote {path} ({len(base['cells'])} work cells)"
+
+
 def main(argv):
-    if len(argv) < 2:
+    write = "--write-baseline" in argv[1:]
+    paths = [a for a in argv[1:] if a != "--write-baseline"]
+    if not paths:
         print(__doc__, file=sys.stderr)
         return 2
     failed = False
-    for path in argv[1:]:
+    for path in paths:
         try:
             with open(path) as fh:
-                found = list(problems(json.load(fh), path.rsplit("/", 1)[-1]))
+                doc = json.load(fh)
+            found = list(problems(doc, path.rsplit("/", 1)[-1]))
         except (OSError, json.JSONDecodeError) as exc:
             found = [str(exc)]
+        if not found:
+            if write:
+                print(f"check_bench: {path}: {write_baseline(doc)}")
+            else:
+                found = list(baseline_problems(doc))
         for msg in found:
             print(f"check_bench: {path}: FAIL: {msg}", file=sys.stderr)
         if not found:

@@ -568,36 +568,9 @@ let test_config_parsing () =
     (Column_store.backend_of_string "disk" = Ok Column_store.Disk);
   check cb "garbage rejected" true
     (Result.is_error (Column_store.backend_of_string "tape"));
-  check cb "disk config equal" true
-    (Column_store.config_equal
-       (Column_store.disk ~page_size:64 ~pool_pages:2 ())
-       (Column_store.disk ~page_size:64 ~pool_pages:2 ()));
-  check cb "configs differ" false
-    (Column_store.config_equal Column_store.mem
-       (Column_store.disk ()));
   (match Column_store.disk ~page_size:0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "page_size 0 accepted")
-
-(* Per-query storage override resolves through the database's memo — two
-   overridden runs share a store, and results match the default. *)
-let test_query_opts_storage_override () =
-  let doc = Lazy.force Helpers.pers_1k in
-  let db = Database.of_document ~storage:Column_store.mem doc in
-  let opts =
-    Query_opts.make
-      ~storage:(Column_store.disk ~page_size:64 ~pool_pages:4 ())
-      ()
-  in
-  let text = List.hd query_texts in
-  let base = Database.run db (Helpers.pat text) in
-  let o1 = Database.run ~opts db (Helpers.pat text) in
-  let o2 = Database.run ~opts db (Helpers.pat text) in
-  check_same_tuple_seq "override vs default" base.Database.exec.Executor.tuples
-    o1.Database.exec.Executor.tuples;
-  check_same_tuple_seq "override repeat" o1.Database.exec.Executor.tuples
-    o2.Database.exec.Executor.tuples;
-  Database.dispose db
 
 let suite =
   [
@@ -631,6 +604,4 @@ let suite =
     Alcotest.test_case "truncated column file fails loudly" `Quick
       test_truncated_file_fails_loudly;
     Alcotest.test_case "config parsing" `Quick test_config_parsing;
-    Alcotest.test_case "per-query storage override" `Quick
-      test_query_opts_storage_override;
   ]
