@@ -23,8 +23,7 @@
    The suite also gates its own coverage: a 30-node scaling cell
    exists, every differential cell has at most 10 nodes, and every
    scaling cell expanded and considered plans.  Baselined work cells
-   are bigopt:<shape><nodes>.  SJOS_BIGOPT_SEED sets the generator seed
-   (default 42).
+   are bigopt:<shape><nodes>, generated from seed 42.
 
    Run with: dune exec bench/main.exe -- bigopt *)
 
@@ -35,7 +34,8 @@ module Costing = Sjos_plan.Costing
 module Work = Sjos_obs.Work
 module Json = Sjos_obs.Json
 
-let seed = Harness.bigopt_seed
+(* The generator seed bench/baseline/bigopt.json pins. *)
+let seed = 42
 
 (* The deterministic synthetic provider shared with test_bigopt: a pure
    function of the node index / cluster mask, spread over three orders

@@ -24,7 +24,7 @@
    organic shed rate) are recorded as advisory data; no gate reads
    them.  The baselined work cell mix@serial-reference is scored by a
    serial reference pass over the same seeded query mix — fully
-   deterministic for a fixed SJOS_SERVE_SEED (default 11).
+   deterministic for its fixed seed, 11.
    SJOS_BENCH_REQS sets the open-loop requests (default 640, min 500);
    SJOS_BENCH_SCALE the document scale (default 0.2).
 
@@ -40,7 +40,8 @@ module Tenant = Sjos_serve.Tenant
 module Admission = Sjos_serve.Admission
 module Error = Sjos_guard.Error
 
-let seed = Harness.serve_seed
+(* The arrival/mix seed bench/baseline/serve.json pins. *)
+let seed = 11
 let total_requests = Harness.reqs
 let scale = Harness.scale ~default:0.2
 

@@ -10,8 +10,6 @@
                         guard runs a shorter chaos sweep
      SJOS_BENCH_REPS    par: timed repetitions per pool size (default 5)
      SJOS_BENCH_REQS    serve: open-loop requests (default 640, min 500)
-     SJOS_BIGOPT_SEED   bigopt: pattern generator seed (default 42)
-     SJOS_SERVE_SEED    serve: arrival/mix seed (default 11)
      SJOS_IO_PAPER      io: when "1", also load Mbench at 740k under Disk *)
 
 open Sjos_engine
@@ -47,8 +45,6 @@ let scale_env =
 let fast = Sys.getenv_opt "SJOS_BENCH_FAST" <> None
 let reps = max 1 (Option.value (int_env "SJOS_BENCH_REPS") ~default:5)
 let reqs = max 500 (Option.value (int_env "SJOS_BENCH_REQS") ~default:640)
-let bigopt_seed = Option.value (int_env "SJOS_BIGOPT_SEED") ~default:42
-let serve_seed = Option.value (int_env "SJOS_SERVE_SEED") ~default:11
 let io_paper = Sys.getenv_opt "SJOS_IO_PAPER" = Some "1"
 
 let scale ~default = Option.value scale_env ~default

@@ -4,7 +4,6 @@
     surface. *)
 
 open Sjos_xml
-open Sjos_storage
 
 val index_scan :
   work:Sjos_obs.Work.t -> width:int -> slot:int -> Node.t array -> Tuple.t array

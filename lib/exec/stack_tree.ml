@@ -10,9 +10,9 @@ module Registry = Sjos_obs.Registry
 
 (* Columnar Stack-Tree kernels: one body per algorithm, generic over the
    output form.  The legacy group-list implementation is preserved in
-   {!Stack_tree_legacy}; this module must produce bit-identical tuple
-   sequences and counter totals (modulo [items_skipped]) while touching
-   only flat int arrays on the hot path.
+   the tests as [Stack_tree_legacy]; this module must produce
+   bit-identical tuple sequences and counter totals (modulo
+   [items_skipped]) while touching only flat int arrays on the hot path.
 
    With a domain pool, the join is additionally range-partitioned on the
    ancestor group column at forest-closed cut points (no ancestor
@@ -515,7 +515,7 @@ let ceiling (budget : Budget.t) =
    [tuples_emitted].  A group pair that would cross the ceiling stops
    the join instead, counting up to the first tuple past [limit]: the
    same stopping tuple and the same [Tuples_materialized { limit; count
-   = limit + 1 }] as the per-tuple check of {!Stack_tree_legacy}.  The
+   = limit + 1 }] as the per-tuple check of [Stack_tree_legacy].  The
    rows a stopped join would have written are never seen, so they are
    not written. *)
 let emit_pairs ~budget ~limit ~work ~rect (ag : groups) (dg : groups) g d =

@@ -19,7 +19,7 @@
     (galloping the descendant start column, batch-dropping dead ancestor
     groups), counting what it skipped in {!Sjos_obs.Work.t.items_skipped}.
     Outputs, orderings and all other counters are bit-identical to the
-    reference implementation kept in {!Stack_tree_legacy}.
+    reference implementation kept in the tests' [Stack_tree_legacy].
 
     Each algorithm has one kernel body.  The output form — a flat
     {!Batch.t} for interior joins, boxed {!Tuple.t} rows for the plan's

@@ -37,7 +37,7 @@ val derive : t -> key:string -> t
 (** An independent fault stream for [key] (in practice a query's
     structural fingerprint), pure in (parent seed, key): the parent's
     generator state is neither read nor advanced, so per-query faults
-    replay from [SJOS_GUARD_SEED] regardless of how many other queries
+    replay from the parent seed regardless of how many other queries
     ran first, in what order, or on which domains. *)
 
 val wrap_candidates : t -> Sjos_xml.Node.t array -> Sjos_xml.Node.t array

@@ -1,5 +1,4 @@
 open Sjos_xml
-module Json = Sjos_obs.Json
 
 (* ---------- configuration ---------- *)
 
@@ -94,7 +93,6 @@ type disk = {
   pager : Pager.t;
   page_bytes : int;
   path : string;  (* the columns.bin data file *)
-  catalog_path : string;
   auto_dir : string option;  (* a temp dir we created and must remove *)
   entries : (string, entry) Hashtbl.t;
   sorted_tags : string list;
@@ -183,25 +181,6 @@ let fresh_dir () =
    depends on which subsystem initialized first. *)
 let register_auto_disposal f = Sjos_obs.Lifecycle.on_exit `Dispose f
 
-let write_catalog d ~page_size entries =
-  let oc = open_out_bin d in
-  let tags =
-    List.map
-      (fun e ->
-        Json.Obj
-          [
-            ("tag", Json.Str e.tag);
-            ("items", Json.Int e.n);
-            ("first_page", Json.Int (Pager.segment_base e.seg_ids));
-          ])
-      entries
-  in
-  output_string oc
-    (Json.to_string
-       (Json.Obj
-          [ ("page_size", Json.Int page_size); ("tags", Json.List tags) ]));
-  close_out oc
-
 let build_disk config index =
   let page_size = config.page_size in
   let auto_dir, dir =
@@ -215,7 +194,6 @@ let build_disk config index =
         (Some dir, dir)
   in
   let path = Filename.concat dir "columns.bin" in
-  let catalog_path = Filename.concat dir "catalog.json" in
   let pager = Pager.create ~page_size ~pool_pages:config.pool_pages () in
   let page_bytes = 8 * page_size in
   let tags = Element_index.tags index in
@@ -233,14 +211,12 @@ let build_disk config index =
             (fun e -> write_entry oc ~buf e (Element_index.lookup index e.tag))
             ordered;
           close_out oc));
-  io_guard catalog_path (fun () -> write_catalog catalog_path ~page_size ordered);
   let entries = Hashtbl.create 64 in
   List.iter (fun e -> Hashtbl.replace entries e.tag e) ordered;
   {
     pager;
     page_bytes;
     path;
-    catalog_path;
     auto_dir;
     entries;
     sorted_tags = tags;
@@ -263,7 +239,6 @@ let dispose_disk d =
     (match d.chan with Some c -> close_in_noerr c | None -> ());
     d.chan <- None;
     (try Sys.remove d.path with Sys_error _ -> ());
-    (try Sys.remove d.catalog_path with Sys_error _ -> ());
     match d.auto_dir with
     | Some dir -> ( try Sys.rmdir dir with Sys_error _ -> ())
     | None -> ()

@@ -1,8 +1,28 @@
-(* Shared fixtures and utilities for the test suites. *)
+(* Shared fixtures and utilities for the test suites, and the one source
+   of test randomness: every randomized test derives its stream from
+   [seed], so a failure replays from the single SJOS_SEED value. *)
 
 open Sjos_xml
 open Sjos_storage
 open Sjos_pattern
+open Sjos_exec
+module Rng = Sjos_datagen.Rng
+module Work = Sjos_obs.Work
+module Pool = Sjos_par.Pool
+
+(* ---------- the seed ---------- *)
+
+(* SJOS_SEED (default 7).  A value that is not an integer stops the run
+   instead of silently testing the default. *)
+let seed =
+  match Sys.getenv_opt "SJOS_SEED" with
+  | None | Some "" -> 7
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some n -> n
+      | None ->
+          Printf.eprintf "SJOS_SEED=%S is not an integer\n%!" s;
+          exit 2)
 
 (* A small personnel document with known structure, used throughout:
 
@@ -69,9 +89,12 @@ let cold_result ?algorithm ?engine db p =
        ~opts:(Query_opts.make ?algorithm ?engine ~use_cache:false ())
        db p)
 
-let qtest ?(count = 100) name gen prop =
+(* A QCheck property drawing from its own generator state seeded with
+   [seed]: results depend on neither test order nor qcheck's own seed. *)
+let qtest ?(count = 100) ?print name gen prop =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count ~name gen prop)
+    ~rand:(Random.State.make [| seed |])
+    (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* Substring test (Stdlib has none). *)
 let contains haystack needle =
@@ -82,3 +105,81 @@ let contains haystack needle =
     else go (i + 1)
   in
   nn = 0 || go 0
+
+(* ---------- random documents and patterns ---------- *)
+
+let tags = [| "a"; "b"; "c"; "d" |]
+let random_label rng = Candidate.of_tag tags.(Rng.int rng (Array.length tags))
+let random_axis rng = if Rng.bool rng then Axes.Child else Axes.Descendant
+
+(* A random document of at most 30-120 elements over a tiny tag
+   alphabet: bushy and nested enough that about half of the random
+   patterns below have matches. *)
+let random_doc seed =
+  let rng = Rng.create seed in
+  let b = Builder.create () in
+  let budget = ref (30 + Rng.int rng 90) in
+  let rec node depth =
+    decr budget;
+    Builder.open_element b tags.(Rng.int rng (Array.length tags));
+    let kids = if depth >= 6 then 0 else Rng.geometric rng ~p:0.75 ~max:4 in
+    for _ = 1 to kids do
+      if !budget > 0 then node (depth + 1)
+    done;
+    Builder.close_element b
+  in
+  node 0;
+  Builder.finish b
+
+(* A random pattern tree with 2-5 nodes over the same alphabet. *)
+let random_pattern seed =
+  let rng = Rng.create ((seed * 31) + 17) in
+  let n = 2 + Rng.int rng 4 in
+  let labels = Array.init n (fun _ -> random_label rng) in
+  let edges =
+    Array.init (n - 1) (fun i ->
+        let child = i + 1 in
+        (Rng.int rng child, random_axis rng, child))
+  in
+  Pattern.create ~labels ~edges ()
+
+(* One generated document per data set, each from its own offset. *)
+let docs_under_test seed =
+  [
+    ("pers", Sjos_datagen.Pers.generate ~seed ~target_nodes:600 ());
+    ("dblp", Sjos_datagen.Dblp.generate ~seed:(seed + 1) ~target_nodes:600 ());
+    ( "mbench",
+      Sjos_datagen.Mbench.generate ~seed:(seed + 2) ~target_nodes:600 () );
+  ]
+
+(* ---------- kernels and pools ---------- *)
+
+let scan idx tag slot width ~work =
+  Operators.index_scan ~work ~width ~slot (Element_index.lookup idx tag)
+
+let with_pool n f =
+  let p = Pool.create ~domains:n () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+
+(* ---------- checkers ---------- *)
+
+(* Same tuples in the same order. *)
+let check_same_tuple_seq msg (expected : Tuple.t array) (actual : Tuple.t array)
+    =
+  Alcotest.(check int) (msg ^ ": length") (Array.length expected)
+    (Array.length actual);
+  Array.iteri
+    (fun i t ->
+      if not (Tuple.equal t actual.(i)) then
+        Alcotest.failf "%s: tuple %d differs: %s vs %s" msg i
+          (Tuple.to_string t)
+          (Tuple.to_string actual.(i)))
+    expected
+
+(* Every counter, [sort_cost] included; a mismatch names the counter. *)
+let check_work_equal msg (a : Work.t) (b : Work.t) =
+  List.iter2
+    (fun (name, av) (_, bv) -> Alcotest.(check int) (msg ^ ": " ^ name) av bv)
+    (Work.fields a) (Work.fields b);
+  Alcotest.(check bool) (msg ^ ": sort_cost") true
+    (Float.equal a.Work.sort_cost b.Work.sort_cost)

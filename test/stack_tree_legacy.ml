@@ -1,5 +1,6 @@
 open Sjos_xml
 open Sjos_plan
+open Sjos_exec
 open Sjos_guard
 module Work = Sjos_obs.Work
 

@@ -2,16 +2,15 @@
    randomized documents x tag pairs x axes x both Stack-Tree variants, the
    flat-array kernels must produce exactly the tuple sequence (same
    tuples, same order) and exactly the counters of the list-based
-   reference kernels kept in {!Sjos_exec.Stack_tree_legacy} — including
+   reference kernels kept in {!Stack_tree_legacy} — including
    on chaos-truncated inputs.  [Work.items_skipped] is deliberately
    excluded from the comparison: it is the batch engine's own diagnostic
    and is always 0 for the reference kernels.  At executor level, the
    binary and holistic plans of every workload query must both return
    exactly the naive matcher's answer, also under a truncating fetch.
 
-   Seeds are deterministic; CI varies the base via the SJOS_BATCH_SEED
-   environment variable so different runs explore different documents
-   while any failure stays replayable from its seed. *)
+   Seeds derive from [Helpers.seed] (SJOS_SEED), so different runs can
+   explore different documents while any failure stays replayable. *)
 
 open Sjos_xml
 open Sjos_storage
@@ -26,55 +25,23 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let seed_base =
-  match Sys.getenv_opt "SJOS_BATCH_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 7)
-  | None -> 7
-
-(* ---------- comparison helpers ---------- *)
-
-let check_same_tuple_seq msg (expected : Tuple.t array) (actual : Tuple.t array)
-    =
-  check ci (msg ^ ": length") (Array.length expected) (Array.length actual);
-  Array.iteri
-    (fun i t ->
-      if not (Tuple.equal t actual.(i)) then
-        Alcotest.failf "%s: tuple %d differs: %s vs %s" msg i
-          (Tuple.to_string t)
-          (Tuple.to_string actual.(i)))
-    expected
-
-(* items_skipped deliberately not compared; see the header comment. *)
-let check_work_equal msg (legacy : Work.t) (batch : Work.t) =
-  check ci (msg ^ ": legacy items_skipped = 0") 0 legacy.Work.items_skipped;
-  Alcotest.(check bool)
-    (msg ^ ": work equal mod skips")
-    true
-    (Work.equal legacy { batch with Work.items_skipped = 0 })
-
-let docs_under_test seed =
-  [
-    ("pers", Sjos_datagen.Pers.generate ~seed ~target_nodes:600 ());
-    ("dblp", Sjos_datagen.Dblp.generate ~seed:(seed + 1) ~target_nodes:600 ());
-    ( "mbench",
-      Sjos_datagen.Mbench.generate ~seed:(seed + 2) ~target_nodes:600 () );
-  ]
-
-let scan idx tag slot width ~work =
-  Operators.index_scan ~work ~width ~slot (Element_index.lookup idx tag)
+(* The legacy kernel never skips, so its work must equal the columnar
+   work with [items_skipped] zeroed; see the header comment. *)
+let check_legacy_work msg (legacy : Work.t) (batch : Work.t) =
+  Helpers.check_work_equal msg legacy { batch with Work.items_skipped = 0 }
 
 (* Run one (anc tag, desc tag, axis, algo) case through both engines. *)
 let join_both ~doc ~idx ~atag ~dtag ~axis ~algo =
   let legacy_work = Work.zero () in
-  let anc_l = scan idx atag 0 2 ~work:legacy_work in
-  let desc_l = scan idx dtag 1 2 ~work:legacy_work in
+  let anc_l = Helpers.scan idx atag 0 2 ~work:legacy_work in
+  let desc_l = Helpers.scan idx dtag 1 2 ~work:legacy_work in
   let legacy =
     Stack_tree_legacy.join ~work:legacy_work ~doc ~axis ~algo
       ~anc:(anc_l, 0) ~desc:(desc_l, 1) ()
   in
   let batch_work = Work.zero () in
-  let anc_b = scan idx atag 0 2 ~work:batch_work in
-  let desc_b = scan idx dtag 1 2 ~work:batch_work in
+  let anc_b = Helpers.scan idx atag 0 2 ~work:batch_work in
+  let desc_b = Helpers.scan idx dtag 1 2 ~work:batch_work in
   let batch =
     Stack_tree.join ~work:batch_work ~doc ~axis ~algo ~anc:(anc_b, 0)
       ~desc:(desc_b, 1) ()
@@ -91,7 +58,7 @@ let test_kernel_differential () =
     (fun (name, doc) ->
       let idx = Element_index.build doc in
       let tags = Array.of_list (Document.tags doc) in
-      let rng = Sjos_datagen.Rng.create (seed_base + 11) in
+      let rng = Sjos_datagen.Rng.create (Helpers.seed + 11) in
       for _ = 1 to 24 do
         let atag = tags.(Sjos_datagen.Rng.int rng (Array.length tags)) in
         let dtag = tags.(Sjos_datagen.Rng.int rng (Array.length tags)) in
@@ -109,12 +76,12 @@ let test_kernel_differential () =
                 let legacy, lm, batch, bm =
                   join_both ~doc ~idx ~atag ~dtag ~axis ~algo
                 in
-                check_same_tuple_seq msg legacy batch;
-                check_work_equal msg lm bm)
+                Helpers.check_same_tuple_seq msg legacy batch;
+                check_legacy_work msg lm bm)
               all_cases)
           all_axes
       done)
-    (docs_under_test seed_base)
+    (Helpers.docs_under_test Helpers.seed)
 
 (* ---------- multi-join chains (duplicate join values) ---------- *)
 
@@ -128,14 +95,14 @@ let reference_sort ~work ~doc ~by tuples =
 
 let chain_legacy ~doc ~idx (t0, t1, t2) ~axis ~algo =
   let work = Work.zero () in
-  let a = scan idx t0 0 3 ~work in
-  let b = scan idx t1 1 3 ~work in
+  let a = Helpers.scan idx t0 0 3 ~work in
+  let b = Helpers.scan idx t1 1 3 ~work in
   let j1 =
     Stack_tree_legacy.join ~work ~doc ~axis ~algo ~anc:(a, 0) ~desc:(b, 1)
       ()
   in
   let sorted = reference_sort ~work ~doc ~by:1 j1 in
-  let c = scan idx t2 2 3 ~work in
+  let c = Helpers.scan idx t2 2 3 ~work in
   let out =
     Stack_tree_legacy.join ~work ~doc ~axis ~algo ~anc:(sorted, 1)
       ~desc:(c, 2) ()
@@ -144,13 +111,13 @@ let chain_legacy ~doc ~idx (t0, t1, t2) ~axis ~algo =
 
 let chain_batch ~doc ~idx (t0, t1, t2) ~axis ~algo =
   let work = Work.zero () in
-  let a = scan idx t0 0 3 ~work in
-  let b = scan idx t1 1 3 ~work in
+  let a = Helpers.scan idx t0 0 3 ~work in
+  let b = Helpers.scan idx t1 1 3 ~work in
   let j1 =
     Stack_tree.join ~work ~doc ~axis ~algo ~anc:(a, 0) ~desc:(b, 1) ()
   in
   let sorted = Operators.sort ~work ~doc ~by:1 j1 in
-  let c = scan idx t2 2 3 ~work in
+  let c = Helpers.scan idx t2 2 3 ~work in
   let out =
     Stack_tree.join ~work ~doc ~axis ~algo ~anc:(sorted, 1) ~desc:(c, 2) ()
   in
@@ -170,8 +137,8 @@ let test_multi_join_chain () =
             (fun algo ->
               let legacy, lm = chain_legacy ~doc ~idx chain ~axis ~algo in
               let batch, bm = chain_batch ~doc ~idx chain ~axis ~algo in
-              check_same_tuple_seq "chain" legacy batch;
-              check_work_equal "chain" lm bm)
+              Helpers.check_same_tuple_seq "chain" legacy batch;
+              check_legacy_work "chain" lm bm)
             all_cases)
         all_axes)
     chains
@@ -181,11 +148,11 @@ let test_multi_join_chain () =
 let test_truncated_inputs () =
   let doc = Lazy.force Helpers.pers_1k in
   let idx = Element_index.build doc in
-  let rng = Sjos_datagen.Rng.create (seed_base + 23) in
+  let rng = Sjos_datagen.Rng.create (Helpers.seed + 23) in
   for _ = 1 to 12 do
     let work = Work.zero () in
-    let anc = scan idx "manager" 0 2 ~work in
-    let desc = scan idx "name" 1 2 ~work in
+    let anc = Helpers.scan idx "manager" 0 2 ~work in
+    let desc = Helpers.scan idx "name" 1 2 ~work in
     (* truncation keeps a sorted prefix — both engines must agree *)
     let anc = Array.sub anc 0 (Sjos_datagen.Rng.int rng (Array.length anc + 1)) in
     let desc =
@@ -202,8 +169,8 @@ let test_truncated_inputs () =
           Stack_tree.join ~work:bm ~doc ~axis:Axes.Descendant ~algo
             ~anc:(anc, 0) ~desc:(desc, 1) ()
         in
-        check_same_tuple_seq "truncated" legacy batch;
-        check_work_equal "truncated" lm bm)
+        Helpers.check_same_tuple_seq "truncated" legacy batch;
+        check_legacy_work "truncated" lm bm)
       all_cases
   done
 
@@ -211,8 +178,8 @@ let test_unsorted_rejected_identically () =
   let doc = Lazy.force Helpers.pers_1k in
   let idx = Element_index.build doc in
   let work = Work.zero () in
-  let anc = scan idx "manager" 0 2 ~work in
-  let desc = scan idx "name" 1 2 ~work in
+  let anc = Helpers.scan idx "manager" 0 2 ~work in
+  let desc = Helpers.scan idx "name" 1 2 ~work in
   let n = Array.length anc in
   Alcotest.(check bool) "enough managers" true (n > 2);
   (* swap two tuples with distinct join nodes: unsorted input *)
@@ -281,7 +248,7 @@ let check_ceilings msg ~doc ~anc ~desc ks =
                       (Plan.algo_to_string algo) form k
                   in
                   match (legacy, got) with
-                  | Ok e, Ok a -> check_same_tuple_seq msg e a
+                  | Ok e, Ok a -> Helpers.check_same_tuple_seq msg e a
                   | Error e, Error a ->
                       check Alcotest.(pair int int) msg e a
                   | _ -> Alcotest.failf "%s: only one kernel stopped" msg)
@@ -305,8 +272,8 @@ let test_ceiling_exact () =
   let work = Work.zero () in
   List.iter
     (fun (atag, dtag, ka, kd) ->
-      let anc = repeat ka (scan idx atag 0 2 ~work) in
-      let desc = repeat kd (scan idx dtag 1 2 ~work) in
+      let anc = repeat ka (Helpers.scan idx atag 0 2 ~work) in
+      let desc = repeat kd (Helpers.scan idx dtag 1 2 ~work) in
       let total = total_pairs ~doc ~anc ~desc in
       check_ceilings
         (Printf.sprintf "tiny %s->%s x%d/x%d" atag dtag ka kd)
@@ -317,13 +284,15 @@ let test_ceiling_exact () =
       ("manager", "name", 3, 2);
       ("manager", "employee", 2, 3);
     ];
-  let doc = Sjos_datagen.Pers.generate ~seed:seed_base ~target_nodes:600 () in
+  let doc =
+    Sjos_datagen.Pers.generate ~seed:Helpers.seed ~target_nodes:600 ()
+  in
   let idx = Element_index.build doc in
-  let rng = Sjos_datagen.Rng.create (seed_base + 31) in
+  let rng = Sjos_datagen.Rng.create (Helpers.seed + 31) in
   List.iter
     (fun (atag, dtag) ->
-      let anc = repeat 3 (scan idx atag 0 2 ~work) in
-      let desc = repeat 2 (scan idx dtag 1 2 ~work) in
+      let anc = repeat 3 (Helpers.scan idx atag 0 2 ~work) in
+      let desc = repeat 2 (Helpers.scan idx dtag 1 2 ~work) in
       let total = total_pairs ~doc ~anc ~desc in
       check_ceilings
         (Printf.sprintf "pers %s->%s" atag dtag)
@@ -456,8 +425,8 @@ let test_batch_sort_matches_tuple_sort () =
   let tuples =
     Stack_tree.join ~work ~doc ~axis:Axes.Descendant
       ~algo:Plan.Stack_tree_anc
-      ~anc:(scan idx "manager" 0 2 ~work, 0)
-      ~desc:(scan idx "name" 1 2 ~work, 1)
+      ~anc:(Helpers.scan idx "manager" 0 2 ~work, 0)
+      ~desc:(Helpers.scan idx "name" 1 2 ~work, 1)
       ()
   in
   (* result is ordered by slot 0; re-sorting by slot 1 must agree with the
@@ -465,12 +434,12 @@ let test_batch_sort_matches_tuple_sort () =
   let reference = Array.copy tuples in
   Array.stable_sort (Tuple.compare_by_slot doc 1) reference;
   let via_operator = Operators.sort ~work ~doc ~by:1 tuples in
-  check_same_tuple_seq "Operators.sort" reference via_operator;
+  Helpers.check_same_tuple_seq "Operators.sort" reference via_operator;
   let via_batch =
     Batch.to_tuples
       (Batch.sort ~doc ~by:1 (Batch.of_tuples ~width:2 tuples))
   in
-  check_same_tuple_seq "Batch.sort" reference via_batch
+  Helpers.check_same_tuple_seq "Batch.sort" reference via_batch
 
 let suite =
   [

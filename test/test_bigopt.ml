@@ -10,7 +10,7 @@
      rework, pinned on the paper's Pers.3.d query;
    - BigDP differential: plan-cost equality with DP and DPP on every
      generated pattern <= 10 nodes, across the generator's four shape
-     classes (seed via SJOS_BIGOPT_SEED, default 42);
+     classes (seed [Helpers.seed]);
    - budget truncation degrades structurally (Ok + degraded_from),
      never crashes;
    - generator shape invariants and determinism;
@@ -30,10 +30,7 @@ let ci = Alcotest.int
 let cb = Alcotest.bool
 let cs = Alcotest.string
 
-let seed =
-  match Sys.getenv_opt "SJOS_BIGOPT_SEED" with
-  | Some s -> ( try int_of_string s with _ -> 42)
-  | None -> 42
+let seed = Helpers.seed
 
 (* A deterministic synthetic cardinality provider: cheap (no document),
    spread over three orders of magnitude, and a pure function of the

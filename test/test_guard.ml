@@ -2,10 +2,9 @@
    errors, degradation to DPAP-EB, corrupt-cache recovery, the
    malformed-input matrix, and the seeded fault-injection property suite.
 
-   The chaos properties run over a deterministic seed range; CI varies the
-   base via the SJOS_GUARD_SEED environment variable so different runs
-   explore different corruption sequences while any failure stays
-   replayable from its seed. *)
+   The chaos properties run over a deterministic seed range based at
+   [Helpers.seed] (SJOS_SEED), so different runs can explore different
+   corruption sequences while any failure stays replayable. *)
 
 open Sjos_guard
 open Sjos_engine
@@ -14,11 +13,6 @@ module Work = Sjos_obs.Work
 let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
-
-let seed_base =
-  match Sys.getenv_opt "SJOS_GUARD_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 7)
-  | None -> 7
 
 let pers_db = lazy (Database.of_document (Lazy.force Helpers.pers_1k))
 
@@ -312,10 +306,11 @@ let test_chaos_deterministic () =
     in
     (outs, Chaos.injected c)
   in
-  let o1, i1 = drive (seed_base * 31) and o2, i2 = drive (seed_base * 31) in
+  let o1, i1 = drive (Helpers.seed * 31)
+  and o2, i2 = drive (Helpers.seed * 31) in
   check cb "same seed, same corruption sequence" true (o1 = o2);
   check ci "same injection count" i1 i2;
-  let o3, _ = drive ((seed_base * 31) + 1) in
+  let o3, _ = drive ((Helpers.seed * 31) + 1) in
   check cb "different seed, different sequence" true (o1 <> o3)
 
 (* ---------- chaos: the engine contract under injection ---------- *)
@@ -339,7 +334,7 @@ let run_under_chaos ~faults ~seed db p =
 let test_chaos_ok_or_structured () =
   let db = Lazy.force pers_db in
   for i = 0 to 19 do
-    let seed = (seed_base * 1000) + i in
+    let seed = (Helpers.seed * 1000) + i in
     List.iter
       (fun src ->
         let p = Helpers.pat src in
@@ -371,7 +366,7 @@ let test_chaos_lies_preserve_results () =
       let p = Helpers.pat src in
       let truth = Database.run ~opts:(Query_opts.cold Query_opts.default) db p in
       for i = 0 to 9 do
-        let seed = (seed_base * 100) + i in
+        let seed = (Helpers.seed * 100) + i in
         match
           run_under_chaos ~faults:[ Chaos.Lie_cardinalities ] ~seed db p
         with
@@ -404,7 +399,7 @@ let test_chaos_truncation_yields_subset () =
       let truth = Database.run ~opts:(Query_opts.cold Query_opts.default) db p in
       let full = Helpers.sorted_tuples (matches_of truth) in
       for i = 0 to 9 do
-        let seed = (seed_base * 10) + i in
+        let seed = (Helpers.seed * 10) + i in
         match
           run_under_chaos ~faults:[ Chaos.Truncate_candidates ] ~seed db p
         with
@@ -426,7 +421,7 @@ let test_chaos_unsorted_detected () =
   let p = Helpers.pat "manager(//employee(/name))" in
   let saw_corrupt = ref false in
   for i = 0 to 29 do
-    let seed = (seed_base * 7) + i in
+    let seed = (Helpers.seed * 7) + i in
     match run_under_chaos ~faults:[ Chaos.Unsort_candidates ] ~seed db p with
     | Ok run ->
         (* no injection this time: the result must then be the truth *)

@@ -318,8 +318,7 @@ let test_catalog_equals_fresh () =
    fresh one, and each histogram is built exactly once, so the items
    charged equal those of a serial fill. *)
 let test_catalog_across_domains () =
-  let pool = Sjos_par.Pool.create ~domains:4 () in
-  Fun.protect ~finally:(fun () -> Sjos_par.Pool.shutdown pool) @@ fun () ->
+  Helpers.with_pool 4 @@ fun pool ->
   List.iter
     (fun (name, doc, idx) ->
       let pats = Array.of_list (generated_patterns (Lazy.force doc)) in

@@ -12,9 +12,8 @@
    out exact, cancellation must be visible across domains, and fault
    injection must not depend on query order or domain scheduling.
 
-   Seeds are deterministic; CI varies the base via SJOS_PAR_SEED so
-   different runs explore different documents while any failure stays
-   replayable from its seed. *)
+   Seeds derive from [Helpers.seed] (SJOS_SEED), so different runs can
+   explore different documents while any failure stays replayable. *)
 
 open Sjos_xml
 open Sjos_storage
@@ -32,37 +31,10 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let seed_base =
-  match Sys.getenv_opt "SJOS_PAR_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 7)
-  | None -> 7
-
-let with_pool n f =
-  let p = Pool.create ~domains:n () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-(* ---------- comparison helpers ---------- *)
-
-let check_same_tuple_seq msg (expected : Tuple.t array) (actual : Tuple.t array)
-    =
-  check ci (msg ^ ": length") (Array.length expected) (Array.length actual);
-  Array.iteri
-    (fun i t ->
-      if not (Tuple.equal t actual.(i)) then
-        Alcotest.failf "%s: tuple %d differs: %s vs %s" msg i
-          (Tuple.to_string t)
-          (Tuple.to_string actual.(i)))
-    expected
-
-(* Every counter, [items_skipped] included: the sharded kernels claim
-   bit-identical accounting, not just bit-identical output. *)
-let check_work_identical msg (a : Work.t) (b : Work.t) =
-  check cb (msg ^ ": work identical") true (Work.equal a b)
-
 (* ---------- the pool itself ---------- *)
 
 let test_pool_basics () =
-  with_pool 4 @@ fun p ->
+  Helpers.with_pool 4 @@ fun p ->
   check ci "size" 4 (Pool.size p);
   let r = Pool.run p 100 (fun i -> (i * i) + 1) in
   Array.iteri (fun i v -> check ci "result order" ((i * i) + 1) v) r;
@@ -79,7 +51,7 @@ let test_pool_basics () =
 exception Boom of int
 
 let test_pool_exceptions () =
-  with_pool 3 @@ fun p ->
+  Helpers.with_pool 3 @@ fun p ->
   let ran = Atomic.make 0 in
   (match
      Pool.run p 8 (fun i ->
@@ -108,21 +80,10 @@ let test_default_pool () =
 
 (* ---------- sharded kernels: differential vs. serial ---------- *)
 
-let docs_under_test seed =
-  [
-    ("pers", Sjos_datagen.Pers.generate ~seed ~target_nodes:600 ());
-    ("dblp", Sjos_datagen.Dblp.generate ~seed:(seed + 1) ~target_nodes:600 ());
-    ( "mbench",
-      Sjos_datagen.Mbench.generate ~seed:(seed + 2) ~target_nodes:600 () );
-  ]
-
-let scan idx tag slot width ~work =
-  Operators.index_scan ~work ~width ~slot (Element_index.lookup idx tag)
-
 let join_with ?pool ~doc ~idx ~atag ~dtag ~axis ~algo () =
   let work = Work.zero () in
-  let anc = scan idx atag 0 2 ~work in
-  let desc = scan idx dtag 1 2 ~work in
+  let anc = Helpers.scan idx atag 0 2 ~work in
+  let desc = Helpers.scan idx dtag 1 2 ~work in
   let out =
     Stack_tree.join ?pool ~par_min_rows:0 ~work ~doc ~axis ~algo
       ~anc:(anc, 0) ~desc:(desc, 1) ()
@@ -132,12 +93,12 @@ let join_with ?pool ~doc ~idx ~atag ~dtag ~axis ~algo () =
 let test_kernel_shard_differential () =
   [ 2; 4 ]
   |> List.iter @@ fun domains ->
-     with_pool domains @@ fun pool ->
+     Helpers.with_pool domains @@ fun pool ->
      List.iter
        (fun (name, doc) ->
          let idx = Element_index.build doc in
          let tags = Array.of_list (Document.tags doc) in
-         let rng = Sjos_datagen.Rng.create (seed_base + 31 + domains) in
+         let rng = Sjos_datagen.Rng.create (Helpers.seed + 31 + domains) in
          for case = 0 to 11 do
            let atag = tags.(Sjos_datagen.Rng.int rng (Array.length tags)) in
            let dtag =
@@ -164,12 +125,12 @@ let test_kernel_shard_differential () =
                    let par, pm =
                      join_with ~pool ~doc ~idx ~atag ~dtag ~axis ~algo ()
                    in
-                   check_same_tuple_seq msg serial par;
-                   check_work_identical msg sm pm)
+                   Helpers.check_same_tuple_seq msg serial par;
+                   Helpers.check_work_equal msg sm pm)
                  [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ])
              [ Axes.Descendant; Axes.Child ]
          done)
-       (docs_under_test (seed_base + domains))
+       (Helpers.docs_under_test (Helpers.seed + domains))
 
 (* ---------- whole-workload differential ---------- *)
 
@@ -192,7 +153,7 @@ let test_workload_differential () =
   let reference = Workload.run_all ~opts ~pool:Pool.serial db_for in
   [ 2; 4 ]
   |> List.iter @@ fun domains ->
-     with_pool domains @@ fun pool ->
+     Helpers.with_pool domains @@ fun pool ->
      let par = Workload.run_all ~opts ~pool db_for in
      check ci "same query count" (Array.length reference) (Array.length par);
      Array.iteri
@@ -200,12 +161,12 @@ let test_workload_differential () =
          let q', r' = par.(i) in
          let msg = Printf.sprintf "%dd %s" domains q.Workload.id in
          check Alcotest.string (msg ^ ": order") q.Workload.id q'.Workload.id;
-         check_work_identical (msg ^ ": search")
+         Helpers.check_work_equal (msg ^ ": search")
            r.Database.opt.Sjos_core.Optimizer.work
            r'.Database.opt.Sjos_core.Optimizer.work;
-         check_same_tuple_seq msg r.Database.exec.Executor.tuples
+         Helpers.check_same_tuple_seq msg r.Database.exec.Executor.tuples
            r'.Database.exec.Executor.tuples;
-         check_work_identical msg r.Database.exec.Executor.work
+         Helpers.check_work_equal msg r.Database.exec.Executor.work
            r'.Database.exec.Executor.work)
        reference
 
@@ -218,7 +179,7 @@ let test_registry_concurrent () =
       Registry.reset ();
       Registry.set_enabled false)
   @@ fun () ->
-  with_pool 4 @@ fun p ->
+  Helpers.with_pool 4 @@ fun p ->
   let per = 25_000 in
   (* find_or_add raced from every domain must yield one shared counter,
      and no increment may be lost *)
@@ -246,7 +207,7 @@ let test_registry_concurrent () =
 (* ---------- regression: Lru / Plan_cache under concurrency ---------- *)
 
 let test_lru_concurrent () =
-  with_pool 2 @@ fun p ->
+  Helpers.with_pool 2 @@ fun p ->
   let lru = Lru.create ~capacity:16 in
   ignore
     (Pool.run p 2 (fun d ->
@@ -265,7 +226,7 @@ let test_lru_concurrent () =
   check ci "keys unique" len (List.length (List.sort_uniq compare keys))
 
 let test_plan_cache_concurrent () =
-  with_pool 2 @@ fun p ->
+  Helpers.with_pool 2 @@ fun p ->
   let pc = Sjos_cache.Plan_cache.create ~capacity:8 () in
   let entry =
     { Sjos_cache.Plan_cache.plan_text = "t"; est_cost = 1.0; algorithm = "DPP" }
@@ -299,7 +260,7 @@ let test_budget_cross_domain_cancel () =
   (* an explicit flag: [make ()] with no ceilings normalizes to the
      uncancellable [unlimited] *)
   let b = Budget.make ~cancelled:(Atomic.make false) () in
-  with_pool 2 @@ fun p ->
+  Helpers.with_pool 2 @@ fun p ->
   let r =
     Pool.run p 2 (fun i ->
         if i = 0 then begin
@@ -330,7 +291,7 @@ let test_budget_cancel_aborts_execution () =
   let db_for = workload_dbs () in
   let q = Workload.q_pers_3_d in
   let db = db_for q.Workload.dataset in
-  with_pool 2 @@ fun pool ->
+  Helpers.with_pool 2 @@ fun pool ->
   let b = Budget.make ~cancelled:(Atomic.make false) () in
   let opts = Query_opts.make ~use_cache:false ~budget:b ~pool () in
   let prep = Database.prepare ~opts db q.Workload.pattern in
@@ -346,7 +307,7 @@ let chaos_faults = [ Chaos.Truncate_candidates; Chaos.Lie_cardinalities ]
 (* Matches per query id, plus the shared injection total, for one parent
    chaos instance consumed by the given driver. *)
 let chaos_run driver =
-  let c = Chaos.create ~faults:chaos_faults ~seed:(seed_base + 41) () in
+  let c = Chaos.create ~faults:chaos_faults ~seed:(Helpers.seed + 41) () in
   let opts = Query_opts.make ~chaos:c () in
   let outcomes = driver opts in
   (outcomes, Chaos.injected c)
@@ -365,7 +326,7 @@ let test_chaos_schedule_independent () =
   let backward, inj_bwd = chaos_run (serial (List.rev Workload.queries)) in
   let parallel, inj_par =
     chaos_run (fun opts ->
-        with_pool 4 @@ fun pool ->
+        Helpers.with_pool 4 @@ fun pool ->
         Workload.run_all ~opts ~pool db_for
         |> Array.to_list
         |> List.map (fun ((q : Workload.query), (r : Database.query_run)) ->
@@ -387,7 +348,7 @@ let test_chaos_schedule_independent () =
     forward parallel
 
 let test_chaos_derive_pure () =
-  let c = Chaos.create ~faults:chaos_faults ~seed:(seed_base + 43) () in
+  let c = Chaos.create ~faults:chaos_faults ~seed:(Helpers.seed + 43) () in
   let a1 = Chaos.derive c ~key:"fp-a" in
   (* drawing from one child must not perturb a sibling derived later *)
   ignore (Chaos.wrap_candidates a1 [||]);

@@ -7,59 +7,24 @@ open Sjos_plan
 open Sjos_core
 open Sjos_exec
 open Sjos_datagen
+open Sjos_engine
+open Helpers
 module Work = Sjos_obs.Work
-
-(* ---------- deterministic random structures from an integer seed ------- *)
-
-let tags = [| "a"; "b"; "c"; "d" |]
-
-(* A random document over a tiny tag alphabet: nested enough that
-   containment joins are non-trivial. *)
-let random_doc seed =
-  let rng = Rng.create seed in
-  let b = Builder.create () in
-  let budget = ref (20 + Rng.int rng 60) in
-  let rec node depth =
-    decr budget;
-    Builder.open_element b tags.(Rng.int rng (Array.length tags));
-    let kids = if depth >= 6 then 0 else Rng.geometric rng ~p:0.55 ~max:4 in
-    for _ = 1 to kids do
-      if !budget > 0 then node (depth + 1)
-    done;
-    Builder.close_element b
-  in
-  node 0;
-  Builder.finish b
-
-(* A random pattern tree with 2-5 nodes over the same alphabet. *)
-let random_pattern seed =
-  let rng = Rng.create (seed * 31 + 17) in
-  let n = 2 + Rng.int rng 4 in
-  let labels =
-    Array.init n (fun _ -> Candidate.of_tag tags.(Rng.int rng (Array.length tags)))
-  in
-  let edges =
-    Array.init (n - 1) (fun i ->
-        let child = i + 1 in
-        let parent = Rng.int rng child in
-        let axis = if Rng.bool rng then Axes.Child else Axes.Descendant in
-        (parent, axis, child))
-  in
-  Pattern.create ~labels ~edges ()
+module Budget = Sjos_guard.Budget
 
 let seed_gen = QCheck2.Gen.int_range 0 100_000
 
 (* ---------- properties ---------- *)
 
 let prop_doc_valid =
-  Helpers.qtest "random documents satisfy the interval encoding" seed_gen
+  qtest "random documents satisfy the interval encoding" seed_gen
     (fun seed ->
       match Document.validate (random_doc seed) with
       | Ok () -> true
       | Error _ -> false)
 
 let prop_nest_or_disjoint =
-  Helpers.qtest "any two nodes nest or are disjoint" seed_gen (fun seed ->
+  qtest "any two nodes nest or are disjoint" seed_gen (fun seed ->
       let doc = random_doc seed in
       let nodes = Document.nodes doc in
       Array.for_all
@@ -73,40 +38,132 @@ let prop_nest_or_disjoint =
         nodes)
 
 let prop_parse_serialize_id =
-  Helpers.qtest "parse . serialize = id" seed_gen (fun seed ->
+  qtest "parse . serialize = id" seed_gen (fun seed ->
       let doc = random_doc seed in
       let doc' = Parser.parse_string (Serializer.to_string ~indent:false doc) in
       Document.nodes doc = Document.nodes doc')
 
-let prop_executor_equals_naive =
-  Helpers.qtest ~count:60 "optimized execution equals naive matching" seed_gen
-    (fun seed ->
-      let doc = random_doc seed in
-      let idx = Element_index.build doc in
-      let p = random_pattern seed in
-      let provider = Naive.exact_provider idx p in
-      let expected = Helpers.sorted_tuples (Naive.matches idx p) in
-      (* the whole output, in order: sorted by the document position of
-         the node bound in the plan's [ordered_by] slot *)
-      let ordered plan tuples =
-        let slot = Plan.ordered_by plan in
-        let pos t = (Document.node doc (Tuple.get t slot)).Node.start_pos in
-        let rec go = function
-          | a :: (b :: _ as rest) -> pos a <= pos b && go rest
-          | _ -> true
-        in
-        go (Array.to_list tuples)
+(* ---------- every configuration computes Naive's matches ---------- *)
+
+(* A plan choice may change cost but never the matches.  One drawn case:
+   the document and pattern come from [doc_seed] through the shared
+   recipes; the rest picks the engine, the search algorithm, the storage
+   backend ([Some (page_size, pool_pages)] is Disk) and the tuple
+   ceiling ([None] is unlimited). *)
+type config = {
+  doc_seed : int;
+  engine : Optimizer.engine;
+  algorithm : Optimizer.algorithm;
+  disk : (int * int) option;
+  max_tuples : int option;
+}
+
+let config_gen =
+  let open QCheck2.Gen in
+  let* doc_seed = seed_gen in
+  let nodes = Pattern.node_count (random_pattern doc_seed) in
+  let* engine = oneofl Optimizer.[ Binary; Holistic; Auto ] in
+  let* te = int_range 1 nodes in
+  let* algorithm =
+    oneofl Optimizer.[ Dp; Dpp; Dpp_no_lookahead; Dpap_eb te; Dpap_ld; Fp ]
+  in
+  let* disk = option ~ratio:0.5 (pair (oneofl [ 16; 64 ]) (oneofl [ 2; 8 ])) in
+  let+ max_tuples = option ~ratio:0.3 (int_range 0 40) in
+  { doc_seed; engine; algorithm; disk; max_tuples }
+
+let config_to_string c =
+  Printf.sprintf "SJOS_SEED=%d, doc seed %d, pattern %s, engine %s, %s, %s, %s"
+    Helpers.seed c.doc_seed
+    (Pattern.to_string (random_pattern c.doc_seed))
+    (Optimizer.engine_name c.engine)
+    (Optimizer.name c.algorithm)
+    (match c.disk with
+    | None -> "mem"
+    | Some (page_size, pool_pages) ->
+        Printf.sprintf "disk page_size=%d pool_pages=%d" page_size pool_pages)
+    (match c.max_tuples with
+    | None -> "unlimited"
+    | Some k -> Printf.sprintf "max_tuples=%d" k)
+
+(* Is [tuples] sorted by the document position of the node in [slot]? *)
+let ordered_by doc slot tuples =
+  let pos t = (Document.node doc (Tuple.get t slot)).Node.start_pos in
+  let ok = ref true in
+  Array.iteri
+    (fun i t -> if i > 0 && pos tuples.(i - 1) > pos t then ok := false)
+    tuples;
+  !ok
+
+let prop_every_configuration =
+  qtest ~count:200 ~print:config_to_string
+    "every configuration computes Naive's matches" config_gen (fun c ->
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let doc = random_doc c.doc_seed in
+      let p = random_pattern c.doc_seed in
+      let naive = sorted_tuples (Naive.matches (Element_index.build doc) p) in
+      let budget =
+        match c.max_tuples with
+        | None -> Budget.unlimited
+        | Some k -> Budget.make ~max_tuples:k ()
       in
-      List.for_all
-        (fun algo ->
-          let plan = (Optimizer.optimize ~provider algo p).Optimizer.plan in
-          let run = Executor.execute idx p plan in
-          Helpers.sorted_tuples (Array.to_list run.Executor.tuples) = expected
-          && ordered plan run.Executor.tuples)
-        [ Optimizer.Dpp; Optimizer.Fp; Optimizer.Dpap_ld ])
+      let opts =
+        Query_opts.make ~engine:c.engine ~algorithm:c.algorithm ~budget
+          ~use_cache:false ()
+      in
+      let run storage =
+        let db = Database.of_document ~storage doc in
+        Fun.protect
+          ~finally:(fun () -> Database.dispose db)
+          (fun () -> Work.scoped (fun () -> Database.run ~opts db p))
+      in
+      let mem_work, mem = run Column_store.mem in
+      (match (mem, c.max_tuples) with
+      | Ok r, _ ->
+          let plan = r.Database.opt.Optimizer.plan in
+          let tuples = r.Database.exec.Executor.tuples in
+          let got = sorted_tuples (Array.to_list tuples) in
+          if got <> naive then
+            fail "%d matches, Naive finds %d" (List.length got)
+              (List.length naive);
+          if Plan.uses_holistic plan then begin
+            if List.map Array.to_list (Array.to_list tuples) <> naive then
+              fail "holistic output is not the sorted Naive sequence"
+          end
+          else if not (ordered_by doc (Plan.ordered_by plan) tuples) then
+            fail "binary output is not ordered by slot %d"
+              (Plan.ordered_by plan);
+          (match c.max_tuples with
+          | Some k when List.length naive > k ->
+              fail "%d matches passed max_tuples=%d" (List.length naive) k
+          | _ -> ())
+      | ( Error
+            (Budget.Exhausted
+              { resource = Budget.Tuples_materialized { limit; count }; _ }),
+          Some k ) ->
+          if limit <> k || count <= k then
+            fail "Tuples_materialized {limit = %d; count = %d} under \
+                  max_tuples=%d"
+              limit count k
+      | Error e, _ -> fail "raised %s" (Printexc.to_string e));
+      (match c.disk with
+      | None -> ()
+      | Some (page_size, pool_pages) -> (
+          let disk_work, disk =
+            run (Column_store.disk ~page_size ~pool_pages ())
+          in
+          (match (mem, disk) with
+          | Ok m, Ok d ->
+              let tuples (r : Database.query_run) = r.Database.exec.Executor.tuples in
+              if tuples m <> tuples d then
+                fail "Disk tuple sequence differs from Mem"
+          | Error a, Error b when a = b -> ()
+          | _ -> fail "Mem and Disk disagree on whether the run stops");
+          if not (Work.equal_mod_io mem_work disk_work) then
+            fail "Disk work differs from Mem beyond page accounting"));
+      true)
 
 let prop_fp_equals_naive =
-  Helpers.qtest ~count:40 "FP plans compute the same matches" seed_gen
+  qtest ~count:40 "FP plans compute the same matches" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
@@ -115,12 +172,12 @@ let prop_fp_equals_naive =
       let _, plan = Fp.run (Search.make_ctx ~provider p) in
       Properties.is_fully_pipelined plan
       && Properties.is_valid p plan
-      && Helpers.sorted_tuples
+      && sorted_tuples
            (Array.to_list (Executor.execute idx p plan).Executor.tuples)
-         = Helpers.sorted_tuples (Naive.matches idx p))
+         = sorted_tuples (Naive.matches idx p))
 
 let prop_dp_optimal_vs_random =
-  Helpers.qtest ~count:40 "DP cost is a lower bound on random plans" seed_gen
+  qtest ~count:40 "DP cost is a lower bound on random plans" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
@@ -132,7 +189,7 @@ let prop_dp_optimal_vs_random =
         (Random_plan.sample ~seed (Search.make_ctx ~provider p) 10))
 
 let prop_dpp_equals_dp =
-  Helpers.qtest ~count:40 "DPP finds the DP optimum" seed_gen (fun seed ->
+  qtest ~count:40 "DPP finds the DP optimum" seed_gen (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let p = random_pattern seed in
@@ -142,7 +199,7 @@ let prop_dpp_equals_dp =
       Float.abs (dp_cost -. dpp_cost) < 1e-6)
 
 let prop_estimator_bounds =
-  Helpers.qtest ~count:60 "pair estimates lie within [0, |A|*|D|]" seed_gen
+  qtest ~count:60 "pair estimates lie within [0, |A|*|D|]" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
@@ -160,7 +217,7 @@ let prop_estimator_bounds =
       est >= 0.0 && est <= bound +. 1e-9)
 
 let prop_stack_tree_equals_filter =
-  Helpers.qtest ~count:60 "stack-tree join = filtered cross product" seed_gen
+  qtest ~count:60 "stack-tree join = filtered cross product" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
@@ -183,11 +240,11 @@ let prop_stack_tree_equals_filter =
                         Some (Tuple.merge ta tb)
                       else None))
       in
-      Helpers.sorted_tuples (Array.to_list joined)
-      = Helpers.sorted_tuples expected)
+      sorted_tuples (Array.to_list joined)
+      = sorted_tuples expected)
 
 let prop_join_output_ordered =
-  Helpers.qtest ~count:60 "join output is ordered as advertised" seed_gen
+  qtest ~count:60 "join output is ordered as advertised" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
@@ -211,39 +268,34 @@ let prop_join_output_ordered =
 
 (* random *path* pattern: a chain over the alphabet *)
 let random_path_pattern seed =
-  let rng = Rng.create (seed * 73 + 5) in
+  let rng = Rng.create ((seed * 73) + 5) in
   let n = 1 + Rng.int rng 4 in
-  let labels =
-    List.init n (fun _ -> Candidate.of_tag tags.(Rng.int rng (Array.length tags)))
-  in
-  let axes =
-    List.init (max 0 (n - 1)) (fun _ ->
-        if Rng.bool rng then Axes.Child else Axes.Descendant)
-  in
+  let labels = List.init n (fun _ -> random_label rng) in
+  let axes = List.init (n - 1) (fun _ -> random_axis rng) in
   Shapes.path labels axes
 
 let prop_path_stack_equals_naive =
-  Helpers.qtest ~count:60 "PathStack equals naive matching on paths" seed_gen
+  qtest ~count:60 "PathStack equals naive matching on paths" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let p = random_path_pattern seed in
       let out = Executor.execute idx p (Plan.holistic_of_pattern p) in
-      Helpers.sorted_tuples (Array.to_list out.Executor.tuples)
-      = Helpers.sorted_tuples (Naive.matches idx p))
+      sorted_tuples (Array.to_list out.Executor.tuples)
+      = sorted_tuples (Naive.matches idx p))
 
 let prop_twig_join_equals_naive =
-  Helpers.qtest ~count:60 "TwigStack-style join equals naive matching"
+  qtest ~count:60 "TwigStack-style join equals naive matching"
     seed_gen (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let p = random_pattern seed in
       let out = Executor.execute idx p (Plan.holistic_of_pattern p) in
-      Helpers.sorted_tuples (Array.to_list out.Executor.tuples)
-      = Helpers.sorted_tuples (Naive.matches idx p))
+      sorted_tuples (Array.to_list out.Executor.tuples)
+      = sorted_tuples (Naive.matches idx p))
 
 let prop_mpmgjn_equals_stack_tree =
-  Helpers.qtest ~count:60 "MPMGJN = Stack-Tree join results" seed_gen
+  qtest ~count:60 "MPMGJN = Stack-Tree join results" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
@@ -261,11 +313,11 @@ let prop_mpmgjn_equals_stack_tree =
         Merge_join.join ~work:m2 ~doc ~axis ~anc:(scan m2 0 "a", 0)
           ~desc:(scan m2 1 "b", 1)
       in
-      Helpers.sorted_tuples (Array.to_list st)
-      = Helpers.sorted_tuples (Array.to_list mj))
+      sorted_tuples (Array.to_list st)
+      = sorted_tuples (Array.to_list mj))
 
 let prop_minimize_preserves_root_bindings =
-  Helpers.qtest ~count:50 "minimization preserves root bindings" seed_gen
+  qtest ~count:50 "minimization preserves root bindings" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
@@ -279,7 +331,7 @@ let prop_minimize_preserves_root_bindings =
       mapping.(0) = 0 && roots p = roots p')
 
 let prop_folding_linear =
-  Helpers.qtest ~count:15 "folding multiplies match counts" seed_gen
+  qtest ~count:15 "folding multiplies match counts" seed_gen
     (fun seed ->
       let doc = random_doc seed in
       let p = random_pattern seed in
@@ -288,7 +340,7 @@ let prop_folding_linear =
       Naive.count (Element_index.build folded) p = 3 * base)
 
 let prop_pq_sorts =
-  Helpers.qtest "priority queue pops in priority order"
+  qtest "priority queue pops in priority order"
     QCheck2.Gen.(list_size (int_range 0 50) (float_range (-1000.) 1000.))
     (fun floats ->
       let q = Pq.create () in
@@ -302,7 +354,7 @@ let prop_pq_sorts =
       popped = List.sort compare floats)
 
 let prop_random_plans_valid =
-  Helpers.qtest ~count:40 "random plans are always valid" seed_gen (fun seed ->
+  qtest ~count:40 "random plans are always valid" seed_gen (fun seed ->
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let p = random_pattern seed in
@@ -317,7 +369,7 @@ let suite =
     prop_doc_valid;
     prop_nest_or_disjoint;
     prop_parse_serialize_id;
-    prop_executor_equals_naive;
+    prop_every_configuration;
     prop_fp_equals_naive;
     prop_dp_optimal_vs_random;
     prop_dpp_equals_dp;

@@ -4,8 +4,8 @@
 
    Protocol tests drive [Server.handle_connection] directly over a
    socketpair — no real listening socket, no subprocess — so they run in
-   the normal alcotest binary at any SJOS_DOMAINS.  Seeded bits honor
-   SJOS_SERVE_SEED (default 11). *)
+   the normal alcotest binary at any SJOS_DOMAINS.  Seeded bits use
+   [Helpers.seed]. *)
 
 open Sjos_engine
 module Json = Sjos_obs.Json
@@ -21,11 +21,6 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 let cs = Alcotest.string
-
-let seed =
-  match Sys.getenv_opt "SJOS_SERVE_SEED" with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 11)
-  | None -> 11
 
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
@@ -128,7 +123,7 @@ let tenant_config =
          "slow":      {"stall_ms": 3000},
          "draindemo": {"stall_ms": 300},
          "chaotic":   {"chaos_seed": %d, "stall_ms": 1}}}|}
-    seed
+    Helpers.seed
 
 let make_server ?(max_active = 2) ?(max_queue = 2) () =
   let tenants =

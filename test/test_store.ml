@@ -17,20 +17,6 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let check_same_tuple_seq msg (expected : Tuple.t array) (actual : Tuple.t array)
-    =
-  check ci (msg ^ ": length") (Array.length expected) (Array.length actual);
-  Array.iteri
-    (fun i t ->
-      if not (Tuple.equal t actual.(i)) then
-        Alcotest.failf "%s: tuple %d differs: %s vs %s" msg i
-          (Tuple.to_string t)
-          (Tuple.to_string actual.(i)))
-    expected
-
-let check_work_identical msg (a : Work.t) (b : Work.t) =
-  check cb (msg ^ ": work identical") true (Work.equal a b)
-
 (* The workload slice used throughout: pure-tag leaves (served lazily on
    Disk) and one child-axis query. *)
 let query_texts =
@@ -76,8 +62,8 @@ let check_backends_agree ?(rounds = 1) doc texts =
             let tm, mm, wm = run_one db_mem text in
             let td, md, wd = run_one db_disk text in
             check cb (msg ^ ": matches") true (Array.length tm > 0);
-            check_same_tuple_seq msg tm td;
-            check_work_identical msg mm md;
+            Helpers.check_same_tuple_seq msg tm td;
+            Helpers.check_work_equal msg mm md;
             check cb (msg ^ ": work equal mod IO") true
               (Work.equal_mod_io wm wd);
             check ci (msg ^ ": core score") (Work.core_score wm)
@@ -126,11 +112,8 @@ let test_leaf_kernel () =
       ~config:(Column_store.disk ~page_size:64 ~pool_pages:4 ())
       index
   in
-  let pool = Sjos_par.Pool.create ~domains:2 () in
-  Fun.protect ~finally:(fun () ->
-      Sjos_par.Pool.shutdown pool;
-      Column_store.dispose store)
-  @@ fun () ->
+  Helpers.with_pool 2 @@ fun pool ->
+  Fun.protect ~finally:(fun () -> Column_store.dispose store) @@ fun () ->
   List.iter
     (fun algo ->
       List.iter
@@ -179,8 +162,9 @@ let test_leaf_kernel () =
                   ~work:m ~doc ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ()
               in
               let msg = name ^ " " ^ vname in
-              check_same_tuple_seq msg (fst reference) (Batch.to_tuples b);
-              check_work_identical msg (snd reference) m)
+              Helpers.check_same_tuple_seq msg (fst reference)
+                (Batch.to_tuples b);
+              Helpers.check_work_equal msg (snd reference) m)
             variants)
         [ Axes.Descendant; Axes.Child ])
     [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ]
@@ -286,11 +270,8 @@ let test_posting_race () =
   let serial_bytes = file_bytes serial_db in
   Database.dispose serial_db;
   let db = disk_db doc in
-  let pool = Sjos_par.Pool.create ~domains:4 () in
-  Fun.protect ~finally:(fun () ->
-      Sjos_par.Pool.shutdown pool;
-      Database.dispose db)
-  @@ fun () ->
+  Helpers.with_pool 4 @@ fun pool ->
+  Fun.protect ~finally:(fun () -> Database.dispose db) @@ fun () ->
   let opts = Query_opts.make ~pool:Sjos_par.Pool.serial () in
   let results =
     Sjos_par.Pool.run pool 4 (fun _ ->
@@ -299,7 +280,7 @@ let test_posting_race () =
   in
   Array.iteri
     (fun i got ->
-      check_same_tuple_seq (Printf.sprintf "racer %d" i) expected got)
+      Helpers.check_same_tuple_seq (Printf.sprintf "racer %d" i) expected got)
     results;
   check ci "the file grew once" serial_bytes (file_bytes db)
 
@@ -325,8 +306,8 @@ let test_posting_capacity () =
     = None);
   let tm, mm, _ = run_one db_mem q_lazy_leaf in
   let td, md, _ = run_one db q_lazy_leaf in
-  check_same_tuple_seq "select fallback" tm td;
-  check_work_identical "select fallback" mm md;
+  Helpers.check_same_tuple_seq "select fallback" tm td;
+  Helpers.check_work_equal "select fallback" mm md;
   check ci "nothing appended past capacity" full (column_bytes db)
 
 (* A column file that is missing or shorter than the pages already
@@ -420,9 +401,7 @@ let test_domains_differential () =
   in
   List.iter
     (fun domains ->
-      let pool = Sjos_par.Pool.create ~domains () in
-      Fun.protect ~finally:(fun () -> Sjos_par.Pool.shutdown pool)
-      @@ fun () ->
+      Helpers.with_pool domains @@ fun pool ->
       let db =
         Database.of_document
           ~storage:(Column_store.disk ~page_size:64 ~pool_pages:8 ())
@@ -452,6 +431,10 @@ let test_store_lifecycle () =
   let store = Column_store.create ~config index in
   let path = Option.get (Column_store.data_file store) in
   check cb "data file exists" true (Sys.file_exists path);
+  check
+    Alcotest.(list string)
+    "the store directory holds only the column file" [ "columns.bin" ]
+    (Array.to_list (Sys.readdir (Filename.dirname path)));
   check cb "is disk" true (Column_store.is_disk store);
   let total = Option.get (Column_store.total_column_bytes store) in
   check cb "column bytes > 0" true (total > 0);

@@ -1,9 +1,8 @@
-(* Differential tests for the holistic twig engine: the columnar
-   TwigStack kernel against the naive matcher and the binary Stack-Tree
-   plans — on randomized documents and patterns (base seed via
-   SJOS_TWIG_SEED), both storage backends, externally fetched candidate
-   streams, and under budget truncation and chaos fault injection
-   (structured errors only). *)
+(* The holistic twig engine beyond the shared configuration property
+   (test_properties.ml, which runs it against the naive matcher on both
+   storage backends): deterministic work, engine selection, externally
+   fetched candidate streams, and budget truncation and chaos fault
+   injection (structured errors only), seeded from [Helpers.seed]. *)
 
 open Sjos_xml
 open Sjos_storage
@@ -12,146 +11,52 @@ open Sjos_core
 open Sjos_exec
 open Sjos_engine
 open Sjos_guard
-open Sjos_datagen
 module Work = Sjos_obs.Work
 
 let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let seed_base =
-  match Sys.getenv_opt "SJOS_TWIG_SEED" with
-  | Some s -> ( try int_of_string s with _ -> 7)
-  | None -> 7
-
-(* ---------- deterministic random structures (independent of the
-   test_properties streams, so the suites don't couple) ---------- *)
-
-let tags = [| "a"; "b"; "c"; "d" |]
-
-let random_doc seed =
-  let rng = Rng.create (seed * 37 + 11) in
-  let b = Builder.create () in
-  let budget = ref (25 + Rng.int rng 80) in
-  let rec node depth =
-    decr budget;
-    Builder.open_element b tags.(Rng.int rng (Array.length tags));
-    let kids = if depth >= 7 then 0 else Rng.geometric rng ~p:0.5 ~max:4 in
-    for _ = 1 to kids do
-      if !budget > 0 then node (depth + 1)
-    done;
-    Builder.close_element b
-  in
-  node 0;
-  Builder.finish b
-
-let random_pattern seed =
-  let rng = Rng.create (seed * 41 + 23) in
-  let n = 2 + Rng.int rng 4 in
-  let labels =
-    Array.init n (fun _ ->
-        Candidate.of_tag tags.(Rng.int rng (Array.length tags)))
-  in
-  let edges =
-    Array.init (n - 1) (fun i ->
-        let child = i + 1 in
-        let parent = Rng.int rng child in
-        let axis = if Rng.bool rng then Axes.Child else Axes.Descendant in
-        (parent, axis, child))
-  in
-  Pattern.create ~labels ~edges ()
-
 let tuple_lists run = List.map Array.to_list (Array.to_list run)
 let matches_of (run : Database.query_run) =
   Array.to_list run.Database.exec.Executor.tuples
 
-(* ---------- three-way differential on random inputs ---------- *)
-
-let test_differential_random () =
-  for i = 0 to 29 do
-    let seed = seed_base + i in
-    let doc = random_doc seed in
-    let idx = Element_index.build doc in
-    let p = random_pattern seed in
-    let msg s = Printf.sprintf "seed %d %s: %s" seed (Pattern.to_string p) s in
-    let naive = Naive.matches idx p in
-    let hplan = Sjos_plan.Plan.holistic_of_pattern p in
-    let col = Executor.execute idx p hplan in
-    let opt =
-      Optimizer.optimize ~provider:(Naive.exact_provider idx p) Optimizer.Dpp p
-    in
-    let bin = Executor.execute idx p opt.Optimizer.plan in
-    (* the twig kernel's canonical order is lexicographic by slot
-       value, so it equals the sorted naive matches as a sequence *)
-    check
-      (Alcotest.list (Alcotest.list ci))
-      (msg "columnar twig = sorted naive")
-      (Helpers.sorted_tuples naive)
-      (tuple_lists col.Executor.tuples);
-    Helpers.check_same_matches (msg "binary = naive") naive
-      (Array.to_list bin.Executor.tuples)
-  done
-
 (* The twig counters are deterministic: same query, same counters, every
    time — and path solutions are priced as buffered IO. *)
 let test_columnar_work_deterministic () =
-  let doc = random_doc (seed_base * 3) in
+  let doc = Helpers.random_doc (Helpers.seed * 3) in
   let idx = Element_index.build doc in
-  let p = random_pattern (seed_base * 3) in
+  let p = Helpers.random_pattern (Helpers.seed * 3) in
   let hplan = Sjos_plan.Plan.holistic_of_pattern p in
   let once () =
-    let w, r = Sjos_obs.Work.scoped (fun () -> Executor.execute idx p hplan) in
+    let w, r = Work.scoped (fun () -> Executor.execute idx p hplan) in
     match r with Ok run -> (w, run) | Error e -> raise e
   in
   let w1, r1 = once () in
   let w2, r2 = once () in
-  check cb "work identical across runs" true (Sjos_obs.Work.equal w1 w2);
+  Helpers.check_work_equal "work identical across runs" w1 w2;
   check ci "tuples identical" (Array.length r1.Executor.tuples)
     (Array.length r2.Executor.tuples);
+  (* each match projects onto one path solution per leaf, and every path
+     solution is written and read once *)
+  let rec root_path i =
+    match Pattern.parent_of p i with
+    | Some (j, _) -> i :: root_path j
+    | None -> [ i ]
+  in
+  let solutions leaf =
+    Array.to_list r1.Executor.tuples
+    |> List.map (fun t -> List.map (Tuple.get t) (root_path leaf))
+    |> List.sort_uniq compare |> List.length
+  in
+  let leaves =
+    List.filter
+      (fun i -> Pattern.children_of p i = [])
+      (List.init (Pattern.node_count p) Fun.id)
+  in
   check cb "io_items covers path solutions" true
-    (r1.Executor.work.Work.io_items >= 2 * Array.length r1.Executor.tuples
-    || Array.length r1.Executor.tuples = 0
-    || Pattern.edge_count p = 0)
-
-(* ---------- storage backends: identical output and logical work ------ *)
-
-let test_backend_parity () =
-  let doc = Lazy.force Helpers.pers_1k in
-  List.iter
-    (fun src ->
-      let p = Helpers.pat src in
-      let run_with config =
-        let db = Database.of_document ~storage:config doc in
-        let w, r =
-          Sjos_obs.Work.scoped (fun () ->
-              Database.run
-                ~opts:
-                  (Query_opts.make ~engine:Optimizer.Holistic ~use_cache:false
-                     ())
-                db p)
-        in
-        let run = match r with Ok run -> run | Error e -> raise e in
-        let out = tuple_lists run.Database.exec.Executor.tuples in
-        Database.dispose db;
-        (out, w)
-      in
-      let out_m, w_m = run_with Column_store.mem in
-      let out_d, w_d =
-        run_with (Column_store.disk ~page_size:128 ~pool_pages:8 ())
-      in
-      check
-        (Alcotest.list (Alcotest.list ci))
-        (src ^ ": mem and disk produce identical ordered tuples")
-        out_m out_d;
-      check cb
-        (src ^ ": work identical modulo page accounting")
-        true
-        (Sjos_obs.Work.equal_mod_io w_m w_d))
-    [
-      "manager(//employee(/name))";
-      "manager(//employee(//name),//department)";
-      "manager(/name,//employee)";
-    ]
+    (r1.Executor.work.Work.io_items
+    >= 2 * List.fold_left (fun n leaf -> n + solutions leaf) 0 leaves)
 
 (* ---------- engine selection ---------- *)
 
@@ -280,7 +185,7 @@ let test_chaos_parity () =
   List.iter
     (fun engine ->
       for i = 0 to 14 do
-        let seed = (seed_base * 1000) + i in
+        let seed = (Helpers.seed * 1000) + i in
         List.iter
           (fun src ->
             let p = Helpers.pat src in
@@ -333,12 +238,8 @@ let test_chaos_parity () =
 
 let suite =
   [
-    Alcotest.test_case "differential: twig/binary/naive" `Quick
-      test_differential_random;
     Alcotest.test_case "columnar twig work is deterministic" `Quick
       test_columnar_work_deterministic;
-    Alcotest.test_case "mem and disk backends agree bit-for-bit" `Quick
-      test_backend_parity;
     Alcotest.test_case "engine=holistic forces the twig plan" `Quick
       test_holistic_engine_forced;
     Alcotest.test_case "engine=auto matches binary results" `Quick

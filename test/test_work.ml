@@ -27,15 +27,6 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 
-let with_pool n f =
-  let p = Pool.create ~domains:n () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
-
-let check_work_equal msg (a : Work.t) (b : Work.t) =
-  List.iter2
-    (fun (name, av) (_, bv) -> check ci (msg ^ ": " ^ name) av bv)
-    (Work.fields a) (Work.fields b)
-
 (* ---------- accumulator mechanics ---------- *)
 
 let test_scoped_isolation () =
@@ -69,7 +60,7 @@ let test_scoped_isolation () =
 let test_pool_absorbs_task_work () =
   [ 1; 2; 4 ]
   |> List.iter @@ fun domains ->
-     with_pool domains @@ fun pool ->
+     Helpers.with_pool domains @@ fun pool ->
      Work.reset ();
      let results =
        Pool.run pool 32 (fun i ->
@@ -172,13 +163,13 @@ let test_work_identical_across_domains () =
         (serial_work.Work.comparisons > 0);
       [ 1; 2; 4 ]
       |> List.iter (fun domains ->
-             with_pool domains @@ fun pool ->
+             Helpers.with_pool domains @@ fun pool ->
              let work, r =
                columnar_join ~pool ~doc ~idx ~atag:"article" ~dtag:"author"
                  ~algo ()
              in
              (match r with Ok _ -> () | Error e -> raise e);
-             check_work_equal
+             Helpers.check_work_equal
                (Printf.sprintf "pool of %d vs serial" domains)
                serial_work work))
     algos
@@ -216,7 +207,7 @@ let test_repeat_run_determinism () =
     (match r with Ok _ -> () | Error e -> raise e);
     w
   in
-  check_work_equal "two consecutive runs" (run ()) (run ())
+  Helpers.check_work_equal "two consecutive runs" (run ()) (run ())
 
 let test_pager_page_touches () =
   let before = (Work.snapshot ()).Work.page_touches in
