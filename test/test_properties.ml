@@ -49,7 +49,9 @@ let prop_parse_serialize_id =
    the document and pattern come from [doc_seed] through the shared
    recipes; the rest picks the engine, the search algorithm, the storage
    backend ([Some (page_size, pool_pages)] is Disk) and the tuple
-   ceiling ([None] is unlimited). *)
+   ceiling ([None] is unlimited).  [configuration_test] runs one slice of
+   this space; three slices cover it: binary on Mem (below), holistic
+   and auto on Mem, and every engine on Disk (both in test_twig.ml). *)
 type config = {
   doc_seed : int;
   engine : Optimizer.engine;
@@ -58,16 +60,19 @@ type config = {
   max_tuples : int option;
 }
 
-let config_gen =
+let config_gen ~engines ~disk =
   let open QCheck2.Gen in
   let* doc_seed = seed_gen in
   let nodes = Pattern.node_count (random_pattern doc_seed) in
-  let* engine = oneofl Optimizer.[ Binary; Holistic; Auto ] in
+  let* engine = oneofl engines in
   let* te = int_range 1 nodes in
   let* algorithm =
     oneofl Optimizer.[ Dp; Dpp; Dpp_no_lookahead; Dpap_eb te; Dpap_ld; Fp ]
   in
-  let* disk = option ~ratio:0.5 (pair (oneofl [ 16; 64 ]) (oneofl [ 2; 8 ])) in
+  let* disk =
+    if disk then map Option.some (pair (oneofl [ 16; 64 ]) (oneofl [ 2; 8 ]))
+    else return None
+  in
   let+ max_tuples = option ~ratio:0.3 (int_range 0 40) in
   { doc_seed; engine; algorithm; disk; max_tuples }
 
@@ -94,9 +99,11 @@ let ordered_by doc slot tuples =
     tuples;
   !ok
 
-let prop_every_configuration =
-  qtest ~count:200 ~print:config_to_string
-    "every configuration computes Naive's matches" config_gen (fun c ->
+(* Mem runs are checked against Naive; a Disk run also repeats its Mem
+   twin's tuple sequence and work, page accounting aside. *)
+let configuration_test ~count name ~engines ~disk =
+  qtest ~count ~print:config_to_string name (config_gen ~engines ~disk)
+    (fun c ->
       let fail fmt = QCheck2.Test.fail_reportf fmt in
       let doc = random_doc c.doc_seed in
       let p = random_pattern c.doc_seed in
@@ -161,6 +168,10 @@ let prop_every_configuration =
           if not (Work.equal_mod_io mem_work disk_work) then
             fail "Disk work differs from Mem beyond page accounting"));
       true)
+
+let prop_binary_configurations =
+  configuration_test ~count:80 "optimized execution equals naive matching"
+    ~engines:[ Optimizer.Binary ] ~disk:false
 
 let prop_fp_equals_naive =
   qtest ~count:40 "FP plans compute the same matches" seed_gen
@@ -369,7 +380,7 @@ let suite =
     prop_doc_valid;
     prop_nest_or_disjoint;
     prop_parse_serialize_id;
-    prop_every_configuration;
+    prop_binary_configurations;
     prop_fp_equals_naive;
     prop_dp_optimal_vs_random;
     prop_dpp_equals_dp;

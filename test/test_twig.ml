@@ -1,8 +1,9 @@
-(* The holistic twig engine beyond the shared configuration property
-   (test_properties.ml, which runs it against the naive matcher on both
-   storage backends): deterministic work, engine selection, externally
-   fetched candidate streams, and budget truncation and chaos fault
-   injection (structured errors only), seeded from [Helpers.seed]. *)
+(* The holistic twig engine: two slices of the shared configuration
+   property (test_properties.ml) run it against the naive matcher and on
+   both storage backends; the other tests cover deterministic work,
+   engine selection, externally fetched candidate streams, and budget
+   truncation and chaos fault injection (structured errors only), seeded
+   from [Helpers.seed]. *)
 
 open Sjos_xml
 open Sjos_storage
@@ -250,4 +251,12 @@ let suite =
       test_external_streams_verified;
     Alcotest.test_case "chaos: structured errors, no invented matches" `Quick
       test_chaos_parity;
+    Test_properties.configuration_test ~count:60
+      "differential: twig/binary/naive"
+      ~engines:[ Optimizer.Holistic; Optimizer.Auto ]
+      ~disk:false;
+    Test_properties.configuration_test ~count:100
+      "mem and disk backends agree bit-for-bit"
+      ~engines:[ Optimizer.Binary; Optimizer.Holistic; Optimizer.Auto ]
+      ~disk:true;
   ]
