@@ -6,6 +6,11 @@
      query     optimize + execute a pattern against an XML file
      explain   print the chosen plan without executing it
      analyze   EXPLAIN ANALYZE: execute and compare estimates vs. actuals
+     repl      interactive query loop over one document (plan cache on)
+     metrics   run one query and print the metrics snapshot as JSON
+     serve     multi-tenant query server on a Unix-domain socket
+     client    send one request to a running server
+     selftest-error   raise one error class (exit-code table check)
      table1/2/3, fig7, fig8   regenerate the paper's experiments *)
 
 open Cmdliner
@@ -23,26 +28,7 @@ let dataset_conv =
 
 let algorithm_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "dp" -> Ok Sjos_core.Optimizer.Dp
-    | "dpp" -> Ok Sjos_core.Optimizer.Dpp
-    | "dpp-nl" | "dpp'" -> Ok Sjos_core.Optimizer.Dpp_no_lookahead
-    | "dpap-ld" | "ld" -> Ok Sjos_core.Optimizer.Dpap_ld
-    | "fp" -> Ok Sjos_core.Optimizer.Fp
-    | "bigdp" -> Ok (Sjos_core.Optimizer.Big_dp Sjos_core.Bigdp.default_width)
-    | s when String.length s > 8 && String.sub s 0 8 = "dpap-eb:" -> (
-        match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
-        | Some te when te > 0 -> Ok (Sjos_core.Optimizer.Dpap_eb te)
-        | _ -> Error (`Msg "expected dpap-eb:<positive Te>"))
-    | s when String.length s > 6 && String.sub s 0 6 = "bigdp:" -> (
-        match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
-        | Some w when w > 0 -> Ok (Sjos_core.Optimizer.Big_dp w)
-        | _ -> Error (`Msg "expected bigdp:<positive layer width>"))
-    | _ ->
-        Error
-          (`Msg
-             "expected dp, dpp, dpp-nl, dpap-eb:<Te>, dpap-ld, fp or \
-              bigdp[:<width>]")
+    Result.map_error (fun m -> `Msg m) (Sjos_core.Optimizer.algorithm_of_string s)
   in
   Arg.conv (parse, fun ppf a -> Fmt.string ppf (Sjos_core.Optimizer.name a))
 
@@ -152,17 +138,6 @@ let guarded f =
     match Sjos_guard.Error.of_exn e with
     | Some t -> die t
     | None -> Printexc.raise_with_backtrace e bt)
-
-let parse_pattern ~xpath s =
-  let result =
-    if xpath then Result.map fst (Sjos_pattern.Xpath.compile_opt s)
-    else Sjos_pattern.Parse.pattern_opt s
-  in
-  match result with
-  | Ok p -> p
-  | Error msg ->
-      Sjos_guard.Error.fail
-        (Sjos_guard.Error.Parse_error { input = s; message = msg })
 
 (* ---------- budget flags ---------- *)
 
@@ -310,20 +285,14 @@ let storage_config ?dir backend pool_pages page_size =
   | Some Sjos_storage.Column_store.Disk ->
       Some (Sjos_storage.Column_store.disk ?page_size ?pool_pages ?dir ())
 
-let io_stats_json db =
-  match Sjos_storage.Column_store.io_stats (Database.store db) with
-  | None -> Sjos_obs.Json.Null
-  | Some s ->
-      Sjos_obs.Json.Obj
-        [
-          ("accesses", Sjos_obs.Json.Int s.Sjos_storage.Pager.accesses);
-          ("hits", Sjos_obs.Json.Int s.Sjos_storage.Pager.hits);
-          ("misses", Sjos_obs.Json.Int s.Sjos_storage.Pager.misses);
-          ("evictions", Sjos_obs.Json.Int s.Sjos_storage.Pager.evictions);
-        ]
+let io_stats db = Sjos_storage.Column_store.io_stats (Database.store db)
+
+let io_json db =
+  Option.fold (io_stats db) ~none:Sjos_obs.Json.Null
+    ~some:Sjos_storage.Pager.stats_to_json
 
 let print_io_stats db =
-  match Sjos_storage.Column_store.io_stats (Database.store db) with
+  match io_stats db with
   | None -> ()
   | Some s ->
       Fmt.pr "io: %d page accesses, %d hits, %d misses, %d evictions@."
@@ -350,7 +319,7 @@ let query_cmd =
         ?storage:(storage_config storage pool_pages page_size)
         file
     in
-    let p = parse_pattern ~xpath pattern in
+    let p = Database.parse_pattern ~xpath pattern in
     let pool = Option.map (fun n -> Sjos_par.Pool.create ~domains:n ()) domains in
     Fun.protect ~finally:(fun () -> Option.iter Sjos_par.Pool.shutdown pool)
     @@ fun () ->
@@ -380,7 +349,7 @@ let query_cmd =
             Sjos_core.Optimizer.result_to_json p run.Database.opt );
           ( "work",
             Sjos_obs.Work.to_json run.Database.exec.Sjos_exec.Executor.work );
-          ("io", io_stats_json db);
+          ("io", io_json db);
         ]
       in
       let fields =
@@ -441,7 +410,7 @@ let explain_cmd =
   let run pattern file algorithm engine xpath =
     guarded @@ fun () ->
     let db = Database.load_file file in
-    let p = parse_pattern ~xpath pattern in
+    let p = Database.parse_pattern ~xpath pattern in
     Fmt.pr "%s@."
       (Database.explain_prepared
          (Database.prepare ~opts:(Query_opts.make ~algorithm ~engine ()) db p))
@@ -462,7 +431,7 @@ let analyze_cmd =
         ?storage:(storage_config storage pool_pages page_size)
         file
     in
-    let p = parse_pattern ~xpath pattern in
+    let p = Database.parse_pattern ~xpath pattern in
     let opts =
       Query_opts.make ~algorithm ~engine
         ~budget:(budget_of deadline_ms max_expanded max_tuples)
@@ -484,7 +453,7 @@ let analyze_cmd =
           ("optimizer", Sjos_core.Optimizer.result_to_json p a.Database.opt);
           ("operators", Sjos_plan.Explain.analysis_to_json p a.Database.rows);
           ("work", Sjos_obs.Work.to_json exec.Sjos_exec.Executor.work);
-          ("io", io_stats_json db);
+          ("io", io_json db);
         ]
       in
       let fields =
@@ -540,32 +509,26 @@ let repl_cmd =
       (if no_cache then "off" else "on");
     Fmt.pr "enter a pattern per line; :stats shows the cache, :quit exits@.";
     let run_line line =
-      let parsed =
-        if xpath then Result.map fst (Sjos_pattern.Xpath.compile_opt line)
-        else Sjos_pattern.Parse.pattern_opt line
-      in
-      match parsed with
-      | Error msg -> Fmt.pr "error: %s@." msg
-      | Ok p -> (
-          match
-            Sjos_guard.Error.protect (fun () ->
-                let prep = Database.prepare ~opts:(opts_for ()) db p in
-                (prep, Database.exec prep))
-          with
-          | Ok (prep, run) ->
-              warn_degraded run.Database.opt;
-              Fmt.pr "%d matches  opt %.3f ms (%s, fp %s)  exec %.3f ms@."
-                (Array.length run.Database.exec.Sjos_exec.Executor.tuples)
-                (run.Database.opt.Sjos_core.Optimizer.opt_seconds *. 1000.)
-                (if Database.prepared_from_cache prep then "cache hit"
-                 else "cache miss")
-                (Sjos_pattern.Fingerprint.short
-                   (Database.prepared_fingerprint prep))
-                (run.Database.exec.Sjos_exec.Executor.seconds *. 1000.)
-          | Error e ->
-              Fmt.pr "error (%s): %s@."
-                (Sjos_guard.Error.class_name e)
-                (Sjos_guard.Error.message e))
+      match
+        Sjos_guard.Error.protect (fun () ->
+            let p = Database.parse_pattern ~xpath line in
+            let prep = Database.prepare ~opts:(opts_for ()) db p in
+            (prep, Database.exec prep))
+      with
+      | Ok (prep, run) ->
+          warn_degraded run.Database.opt;
+          Fmt.pr "%d matches  opt %.3f ms (%s, fp %s)  exec %.3f ms@."
+            (Array.length run.Database.exec.Sjos_exec.Executor.tuples)
+            (run.Database.opt.Sjos_core.Optimizer.opt_seconds *. 1000.)
+            (if Database.prepared_from_cache prep then "cache hit"
+             else "cache miss")
+            (Sjos_pattern.Fingerprint.short
+               (Database.prepared_fingerprint prep))
+            (run.Database.exec.Sjos_exec.Executor.seconds *. 1000.)
+      | Error e ->
+          Fmt.pr "error (%s): %s@."
+            (Sjos_guard.Error.class_name e)
+            (Sjos_guard.Error.message e)
     in
     let rec loop () =
       Fmt.pr "sjos> %!";
@@ -610,7 +573,7 @@ let metrics_cmd =
         ?storage:(storage_config storage pool_pages page_size)
         file
     in
-    let p = parse_pattern ~xpath pattern in
+    let p = Database.parse_pattern ~xpath pattern in
     let pool = Option.map (fun n -> Sjos_par.Pool.create ~domains:n ()) domains in
     Fun.protect ~finally:(fun () -> Option.iter Sjos_par.Pool.shutdown pool)
     @@ fun () ->
@@ -634,7 +597,7 @@ let metrics_cmd =
             :: ( "matches",
                  Int (Array.length run.Database.exec.Sjos_exec.Executor.tuples)
                )
-            :: Sjos_serve.Snapshot.fields ~work ~io:(io_stats_json db) ())))
+            :: Sjos_serve.Snapshot.fields ~work ?io:(io_stats db) ())))
   in
   Cmd.v
     (Cmd.info "metrics"

@@ -55,14 +55,6 @@ let find t key =
 
 let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
 
-let remove t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | None -> ()
-      | Some n ->
-          unlink t n;
-          Hashtbl.remove t.table key)
-
 let add t key value =
   locked t (fun () ->
   match Hashtbl.find_opt t.table key with

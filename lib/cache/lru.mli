@@ -1,6 +1,6 @@
 (** A size-bounded least-recently-used map with string keys.
 
-    O(1) find/add/remove via a hash table over an intrusive doubly-linked
+    O(1) find/add via a hash table over an intrusive doubly-linked
     recency list.  [find] and [add] both promote the entry to
     most-recently-used; inserting into a full cache evicts the
     least-recently-used entry and reports its key.
@@ -27,8 +27,6 @@ val mem : 'a t -> string -> bool
 val add : 'a t -> string -> 'a -> string option
 (** Insert or replace (either way the entry becomes most-recently-used).
     Returns the key evicted to make room, if any. *)
-
-val remove : 'a t -> string -> unit
 
 val to_list : 'a t -> (string * 'a) list
 (** Entries from most- to least-recently-used. *)

@@ -154,6 +154,30 @@ let engine_of_string s =
   | "auto" -> Some Auto
   | _ -> None
 
+let algorithm_of_string s =
+  let s = String.lowercase_ascii s in
+  let positive prefix what make =
+    let n = String.length prefix in
+    match int_of_string_opt (String.sub s n (String.length s - n)) with
+    | Some k when k > 0 -> Ok (make k)
+    | _ -> Error (Printf.sprintf "expected %s<positive %s>" prefix what)
+  in
+  match s with
+  | "dp" -> Ok Dp
+  | "dpp" -> Ok Dpp
+  | "dpp-nl" | "dpp'" -> Ok Dpp_no_lookahead
+  | "dpap-ld" | "ld" -> Ok Dpap_ld
+  | "fp" -> Ok Fp
+  | "bigdp" -> Ok (Big_dp Bigdp.default_width)
+  | _ when String.starts_with ~prefix:"dpap-eb:" s ->
+      positive "dpap-eb:" "Te" (fun te -> Dpap_eb te)
+  | _ when String.starts_with ~prefix:"bigdp:" s ->
+      positive "bigdp:" "layer width" (fun w -> Big_dp w)
+  | _ ->
+      Error
+        "expected dp, dpp, dpp-nl, dpap-eb:<Te>, dpap-ld, fp or \
+         bigdp[:<width>]"
+
 (* The holistic "search": there is exactly one holistic plan per
    pattern, so producing it is O(pattern) — but it still gets costed
    (under the same factors that price the binary plans), counted as one

@@ -99,6 +99,13 @@ val engine_name : engine -> string
 val engine_of_string : string -> engine option
 (** Case-insensitive inverse of {!engine_name}. *)
 
+val algorithm_of_string : string -> (algorithm, string) Stdlib.result
+(** The algorithm names [sjos query -a] and the server's ["algorithm"]
+    request field accept, case-insensitively: [dp], [dpp], [dpp-nl]
+    (or [dpp']), [dpap-eb:<Te>], [dpap-ld] (or [ld]), [fp], [bigdp]
+    (width {!Bigdp.default_width}) and [bigdp:<width>].  [Error]
+    carries a message naming the expected forms. *)
+
 val optimize_e :
   ?factors:Sjos_cost.Cost_model.factors ->
   ?budget:Sjos_guard.Budget.t ->

@@ -18,10 +18,8 @@ type t = {
      gives the same compute-once behavior safely. *)
   stats_m : Mutex.t;
   mutable stats_v : Stats.t option;
-  mutable factors : Cost_model.factors;
-  (* Label statistics at the database's own grid, which is the catalog's
-     grid: one field, so [set_grid] swaps both in a single write. *)
-  mutable catalog : Stats_catalog.t;
+  (* Label statistics at the database's own grid, [grid] below. *)
+  catalog : Stats_catalog.t;
   plan_cache : Plan_cache.t;
   store : Column_store.t;
 }
@@ -36,9 +34,11 @@ let validate_grid grid =
       (Error.Invalid_request
          (Printf.sprintf "histogram grid %d out of range 1..%d" grid max_grid))
 
-let of_document ?(factors = Cost_model.default) ?(grid = 32)
-    ?(cache_capacity = 256) ?storage doc =
-  validate_grid grid;
+(* The positional-histogram resolution every database's own statistics
+   use; a query may override it through [Query_opts.grid]. *)
+let grid = 32
+
+let of_document ?storage doc =
   let storage =
     match storage with Some c -> c | None -> Column_store.config_of_env ()
   in
@@ -48,17 +48,13 @@ let of_document ?(factors = Cost_model.default) ?(grid = 32)
     index;
     stats_m = Mutex.create ();
     stats_v = None;
-    factors;
     catalog = Stats_catalog.create ~grid index;
-    plan_cache = Plan_cache.create ~capacity:cache_capacity ();
+    plan_cache = Plan_cache.create ();
     store = Column_store.create ~config:storage index;
   }
 
-let of_string ?factors ?grid ?cache_capacity ?storage s =
-  of_document ?factors ?grid ?cache_capacity ?storage (Parser.parse_string s)
-
-let load_file ?factors ?grid ?cache_capacity ?storage p =
-  of_document ?factors ?grid ?cache_capacity ?storage (Parser.parse_file p)
+let of_string ?storage s = of_document ?storage (Parser.parse_string s)
+let load_file ?storage p = of_document ?storage (Parser.parse_file p)
 
 let document t = t.doc
 let index t = t.index
@@ -85,19 +81,10 @@ let warm t =
   ignore (Document.positions t.doc);
   Element_index.warm t.index;
   ignore (stats t)
-let factors t = t.factors
+
+let factors _ = Cost_model.default
 let catalog t = t.catalog
 let plan_cache t = t.plan_cache
-let invalidate_plans t = Plan_cache.bump_epoch t.plan_cache
-
-let set_factors t factors =
-  t.factors <- factors;
-  invalidate_plans t
-
-let set_grid t grid =
-  validate_grid grid;
-  t.catalog <- Stats_catalog.create ~grid t.index;
-  invalidate_plans t
 
 let provider_of stats pat =
   let cards = Cardinality.create stats pat in
@@ -147,8 +134,7 @@ let resolve t ~(opts : Query_opts.t) ~pat ~canon ~from_canon ~to_canon ~key
   let t0 = Clock.now_ns () in
   let fresh ~store () =
     match
-      Optimizer.optimize_e ~factors:t.factors
-        ~budget:opts.Query_opts.budget ~provider
+      Optimizer.optimize_e ~budget:opts.Query_opts.budget ~provider
         ~engine:opts.Query_opts.engine opts.Query_opts.algorithm pat
     with
     | Error e -> Error.fail e
@@ -160,9 +146,6 @@ let resolve t ~(opts : Query_opts.t) ~pat ~canon ~from_canon ~to_canon ~key
               {
                 Plan_cache.plan_text = Plan_io.to_string canon cplan;
                 est_cost = r.Optimizer.est_cost;
-                algorithm =
-                  Optimizer.name
-                    (Optimizer.effective pat opts.Query_opts.algorithm);
               }
         | _ -> ());
         (r, false)
@@ -203,15 +186,10 @@ type prepared = {
   ppattern : Pattern.t;
   popts : Query_opts.t;
   pfingerprint : string;
-  pkey : string option;
-  pcanon : Pattern.t;
-  pto_canon : int -> int;
-  pfrom_canon : int -> int;
-  pchaos : Chaos.t option;
-  mutable pprovider : Costing.provider;
-  mutable presult : Optimizer.result;
-  mutable pcached : bool;
-  mutable pepoch : int;
+  pfetch : (Candidate.spec -> Node.t array) option;
+  pprovider : Costing.provider;
+  presult : Optimizer.result;
+  pcached : bool;
 }
 
 (* Fault injection hooks in at the two trust boundaries: the cardinality
@@ -242,6 +220,14 @@ let chaos_fetch t chaos =
       Some (fun spec -> Chaos.wrap_candidates c (Candidate.select t.index spec))
   | None -> None
 
+let parse_pattern ~xpath s =
+  let parsed =
+    if xpath then Result.map fst (Xpath.compile_opt s) else Parse.pattern_opt s
+  in
+  match parsed with
+  | Ok p -> p
+  | Error message -> Error.fail (Error.Parse_error { input = s; message })
+
 let prepare ?(opts = Query_opts.default) t pat =
   let canon, mapping = Fingerprint.canonical pat in
   let inverse = Array.make (Array.length mapping) 0 in
@@ -264,57 +250,28 @@ let prepare ?(opts = Query_opts.default) t pat =
     ppattern = pat;
     popts = opts;
     pfingerprint = fingerprint;
-    pkey = key;
-    pcanon = canon;
-    pto_canon = to_canon;
-    pfrom_canon = from_canon;
-    pchaos = chaos;
+    pfetch = chaos_fetch t chaos;
     pprovider = provider;
     presult = result;
     pcached = cached;
-    pepoch = Plan_cache.epoch t.plan_cache;
   }
 
-(* The handle survives configuration changes on its database: when the
-   cache epoch has moved since the last resolve, rebuild the cardinality
-   provider (the grid may have changed) and re-optimize. *)
-let refresh p =
-  let t = p.pdb in
-  let epoch = Plan_cache.epoch t.plan_cache in
-  if epoch <> p.pepoch then begin
-    p.pprovider <- chaos_provider t ~opts:p.popts ~chaos:p.pchaos p.ppattern;
-    let result, cached =
-      resolve t ~opts:p.popts ~pat:p.ppattern ~canon:p.pcanon
-        ~from_canon:p.pfrom_canon ~to_canon:p.pto_canon ~key:p.pkey
-        ~provider:p.pprovider
-    in
-    p.presult <- result;
-    p.pcached <- cached;
-    p.pepoch <- epoch
-  end
-
 let prepared_fingerprint p = p.pfingerprint
-
-let prepared_result p =
-  refresh p;
-  p.presult
+let prepared_result p = p.presult
 
 let prepared_from_cache p = p.pcached
 
 type query_run = { opt : Optimizer.result; exec : Executor.run }
 
 let execute_plan ?budget ?pool t pat plan =
-  Executor.execute ~factors:t.factors ?budget ?pool ~store:t.store
-    t.index pat plan
+  Executor.execute ?budget ?pool ~store:t.store t.index pat plan
 
 let exec p =
-  refresh p;
   let t = p.pdb in
   let exec =
     Executor.execute
-      ~factors:t.factors
       ~budget:p.popts.Query_opts.budget
-      ?fetch:(chaos_fetch t p.pchaos)
+      ?fetch:p.pfetch
       ?pool:p.popts.Query_opts.pool
       ~store:t.store
       t.index p.ppattern p.presult.Optimizer.plan
@@ -322,9 +279,8 @@ let exec p =
   { opt = p.presult; exec }
 
 let explain_prepared p =
-  refresh p;
   Explain.with_costs
-    p.pdb.factors p.pprovider p.ppattern p.presult.Optimizer.plan
+    Cost_model.default p.pprovider p.ppattern p.presult.Optimizer.plan
 
 type analysis = {
   opt : Optimizer.result;
@@ -336,7 +292,7 @@ let analyze_prepared p =
   let r = exec p in
   let rows =
     Explain.analyze
-      p.pdb.factors p.pprovider p.ppattern r.exec.Executor.profile
+      Cost_model.default p.pprovider p.ppattern r.exec.Executor.profile
   in
   { opt = r.opt; exec = r.exec; rows }
 

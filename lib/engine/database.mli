@@ -32,16 +32,12 @@ open Sjos_exec
 
 type t
 
-val of_document :
-  ?factors:Sjos_cost.Cost_model.factors ->
-  ?grid:int ->
-  ?cache_capacity:int ->
-  ?storage:Column_store.config ->
-  Document.t ->
-  t
-(** Index a document and prepare it for querying.  [grid] is the
-    positional-histogram resolution (default 32); [cache_capacity] bounds
-    the plan cache (default 256 entries).
+val of_document : ?storage:Column_store.config -> Document.t -> t
+(** Index a document and prepare it for querying.  A database's
+    configuration is settled here and never changes: plans are priced
+    under {!Sjos_cost.Cost_model.default}, its own statistics use a
+    positional-histogram grid of 32, and the plan cache holds 256
+    entries.
 
     [storage] selects the column storage backend queries read candidate
     streams through, defaulting to
@@ -49,22 +45,10 @@ val of_document :
     mem when unset).  A [Disk] store writes the per-tag column file at
     this point — a load-time cost proportional to document size. *)
 
-val of_string :
-  ?factors:Sjos_cost.Cost_model.factors ->
-  ?grid:int ->
-  ?cache_capacity:int ->
-  ?storage:Column_store.config ->
-  string ->
-  t
+val of_string : ?storage:Column_store.config -> string -> t
 (** Parse XML text and index it. *)
 
-val load_file :
-  ?factors:Sjos_cost.Cost_model.factors ->
-  ?grid:int ->
-  ?cache_capacity:int ->
-  ?storage:Column_store.config ->
-  string ->
-  t
+val load_file : ?storage:Column_store.config -> string -> t
 
 val document : t -> Document.t
 val index : t -> Element_index.t
@@ -92,24 +76,13 @@ val warm : t -> unit
     label's first use, under its own mutex. *)
 
 val factors : t -> Sjos_cost.Cost_model.factors
-
-val set_factors : t -> Sjos_cost.Cost_model.factors -> unit
-(** Change the database's cost factors.  Bumps the plan-cache epoch: every
-    cached plan was chosen under the old statistics and is invalidated. *)
-
-val set_grid : t -> int -> unit
-(** Change the histogram grid resolution.  Drops the statistics catalog,
-    which only holds the database's own grid, and bumps the epoch. *)
+(** The cost factors every plan of the database is priced under. *)
 
 val catalog : t -> Sjos_histogram.Stats_catalog.t
 (** The label statistics queries at the database's own grid share:
     candidate counts and positional histograms, filled on first use of
     each label.  Queries with a [Query_opts.grid] override or chaos
     build private statistics and leave it untouched. *)
-
-val invalidate_plans : t -> unit
-(** Bump the plan-cache epoch without changing configuration (e.g. tests,
-    or after external document mutation). *)
 
 val plan_cache : t -> Sjos_cache.Plan_cache.t
 (** The database's plan cache, for stats inspection. *)
@@ -121,11 +94,15 @@ val provider : t -> Pattern.t -> Sjos_plan.Costing.provider
 
 (** {1 Prepared queries} *)
 
+val parse_pattern : xpath:bool -> string -> Pattern.t
+(** Read a query pattern from text: the native pattern syntax, or an
+    XPath expression when [xpath].  Raises {!Sjos_guard.Error.Error}
+    [(Parse_error { input; message })] on malformed text. *)
+
 type prepared
 (** A pattern bound to a database with its options, fingerprint, memoized
     cardinality provider and chosen plan.  Re-executing a prepared query
-    costs no optimizer search; if the database's configuration changes
-    after preparation, the handle transparently re-optimizes on next use. *)
+    costs no optimizer search.  The handle is immutable. *)
 
 val prepare : ?opts:Query_opts.t -> t -> Pattern.t -> prepared
 (** Canonicalize, fingerprint and optimize (through the plan cache when
@@ -175,7 +152,7 @@ val prepared_fingerprint : prepared -> string
 (** Structural fingerprint of the pattern — the cache-key component. *)
 
 val prepared_from_cache : prepared -> bool
-(** Did the most recent plan resolution hit the cache? *)
+(** Did {!prepare} find the plan in the cache? *)
 
 val run : ?opts:Query_opts.t -> t -> Pattern.t -> query_run
 (** [prepare] + [exec] in one call — the normal one-shot entry point.

@@ -8,9 +8,10 @@
     for metrics.
 
     The registry is deliberately not the source of truth for quantities
-    the system's behavior depends on (search-effort counters, executor
-    cost accounting keep their own always-on structures); it is the
-    aggregation and export layer above them.
+    the system's behavior depends on: the work counters ({!Work}, the
+    one counter vocabulary of search and execution) keep their own
+    always-on accumulators; the registry is the aggregation and export
+    layer above them.
 
     Thread-safety: all operations are safe to call from any domain.
     Counter updates are atomic and lock-free; registration,

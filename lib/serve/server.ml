@@ -150,33 +150,11 @@ let result_digest tuples =
 
 (* ---------- request parsing helpers ---------- *)
 
-let algorithm_of_string s =
-  match String.lowercase_ascii s with
-  | "dp" -> Ok Optimizer.Dp
-  | "dpp" -> Ok Optimizer.Dpp
-  | "dpp-nl" | "dpp'" -> Ok Optimizer.Dpp_no_lookahead
-  | "dpap-ld" | "ld" -> Ok Optimizer.Dpap_ld
-  | "fp" -> Ok Optimizer.Fp
-  | s when String.length s > 8 && String.sub s 0 8 = "dpap-eb:" -> (
-      match int_of_string_opt (String.sub s 8 (String.length s - 8)) with
-      | Some te when te > 0 -> Ok (Optimizer.Dpap_eb te)
-      | _ -> Error "expected dpap-eb:<positive Te>")
-  | _ -> Error "expected dp, dpp, dpp-nl, dpap-eb:<Te>, dpap-ld or fp"
-
-let parse_pattern ~xpath s =
-  let result =
-    if xpath then Result.map fst (Sjos_pattern.Xpath.compile_opt s)
-    else Sjos_pattern.Parse.pattern_opt s
-  in
-  match result with
-  | Ok p -> p
-  | Error msg -> Error.fail (Error.Parse_error { input = s; message = msg })
-
 let request_algorithm req =
   match Wire.string_field req "algorithm" with
   | None -> Optimizer.Dpp
   | Some s -> (
-      match algorithm_of_string s with
+      match Optimizer.algorithm_of_string s with
       | Ok a -> a
       | Error msg -> Error.fail (Error.Invalid_request msg))
 
@@ -212,7 +190,7 @@ let resolve_pattern t ~tenant req =
           let xpath =
             Option.value (Wire.bool_field req "xpath") ~default:false
           in
-          (parse_pattern ~xpath s, request_algorithm req, request_engine req)
+          (Database.parse_pattern ~xpath s, request_algorithm req, request_engine req)
       | None ->
           Error.fail
             (Error.Invalid_request "request needs \"pattern\" or \"name\""))
@@ -262,18 +240,6 @@ let query_opts t (tenant : Tenant.t) ~algorithm ~engine ~budget =
 
 (* ---------- metrics ---------- *)
 
-let io_json t =
-  match Sjos_storage.Column_store.io_stats (Database.store t.db) with
-  | None -> Json.Null
-  | Some s ->
-      Json.Obj
-        [
-          ("accesses", Json.Int s.Sjos_storage.Pager.accesses);
-          ("hits", Json.Int s.Sjos_storage.Pager.hits);
-          ("misses", Json.Int s.Sjos_storage.Pager.misses);
-          ("evictions", Json.Int s.Sjos_storage.Pager.evictions);
-        ]
-
 let serve_json t =
   Json.Obj
     [
@@ -287,7 +253,8 @@ let serve_json t =
     ]
 
 let metrics_fields t =
-  Snapshot.fields ~io:(io_json t) () @ [ ("serve", serve_json t) ]
+  Snapshot.fields ?io:(Sjos_storage.Column_store.io_stats (Database.store t.db)) ()
+  @ [ ("serve", serve_json t) ]
 
 (* ---------- the ops ---------- *)
 
@@ -394,7 +361,7 @@ let handle_op t ~client req op =
           let xpath =
             Option.value (Wire.bool_field req "xpath") ~default:false
           in
-          let pat = parse_pattern ~xpath pattern in
+          let pat = Database.parse_pattern ~xpath pattern in
           let algorithm = request_algorithm req in
           let engine = request_engine req in
           let opts = query_opts t tenant ~algorithm ~engine ~budget in

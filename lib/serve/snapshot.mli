@@ -15,7 +15,7 @@
 
 val fields :
   ?work:Sjos_obs.Work.t ->
-  ?io:Sjos_obs.Json.t ->
+  ?io:Sjos_storage.Pager.stats ->
   unit ->
   (string * Sjos_obs.Json.t) list
 (** The shared field list, in the fixed order work/io/gc/registry.

@@ -36,29 +36,14 @@ let backend_of_string s =
   | "disk" -> Ok Disk
   | other -> Error (Printf.sprintf "unknown storage backend %S" other)
 
-(* SJOS_STORAGE=mem|disk selects the process-wide default backend;
-   SJOS_PAGE_SIZE / SJOS_POOL_PAGES tune the disk pool.  Unset or
-   unparsable values fall back to [mem] — the environment must never be
-   able to break a run, only to redirect it. *)
+(* SJOS_STORAGE=mem|disk selects the process-wide default backend, with
+   the default pool.  An unset or unparsable value falls back to [mem] —
+   the environment must never be able to break a run, only to redirect
+   it. *)
 let config_of_env () =
-  let int_env name default =
-    match Sys.getenv_opt name with
-    | Some s -> ( match int_of_string_opt (String.trim s) with
-                  | Some n when n > 0 -> n
-                  | _ -> default)
-    | None -> default
-  in
-  let backend =
-    match Sys.getenv_opt "SJOS_STORAGE" with
-    | Some s -> ( match backend_of_string s with Ok b -> b | Error _ -> Mem)
-    | None -> Mem
-  in
-  {
-    backend;
-    page_size = int_env "SJOS_PAGE_SIZE" default_page_size;
-    pool_pages = int_env "SJOS_POOL_PAGES" default_pool_pages;
-    dir = None;
-  }
+  match Option.map backend_of_string (Sys.getenv_opt "SJOS_STORAGE") with
+  | Some (Ok Disk) -> disk ()
+  | _ -> mem
 
 (* ---------- disk layout ---------- *)
 

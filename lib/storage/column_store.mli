@@ -59,8 +59,8 @@ val backend_name : backend -> string
 
 val config_of_env : unit -> config
 (** The process-wide default: [SJOS_STORAGE=mem|disk] selects the
-    backend (mem when unset or unparsable), [SJOS_PAGE_SIZE] and
-    [SJOS_POOL_PAGES] tune the pool. *)
+    backend (mem when unset or unparsable); a disk store gets the
+    default pool of {!disk}. *)
 
 (** {1 Stores} *)
 

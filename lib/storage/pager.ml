@@ -142,6 +142,15 @@ let fault_range t seg ~first_item ~n_items ~on_miss =
 let stats t : stats =
   { accesses = t.accesses; hits = t.hits; misses = t.misses; evictions = t.evictions }
 
+let stats_to_json (s : stats) =
+  Sjos_obs.Json.Obj
+    [
+      ("accesses", Sjos_obs.Json.Int s.accesses);
+      ("hits", Sjos_obs.Json.Int s.hits);
+      ("misses", Sjos_obs.Json.Int s.misses);
+      ("evictions", Sjos_obs.Json.Int s.evictions);
+    ]
+
 let reset_stats t =
   t.accesses <- 0;
   t.hits <- 0;

@@ -63,6 +63,10 @@ type stats = { accesses : int; hits : int; misses : int; evictions : int }
 val stats : t -> stats
 val reset_stats : t -> unit
 
+val stats_to_json : stats -> Sjos_obs.Json.t
+(** The four counters as one JSON object — the ["io"] object of the
+    CLI's JSON reports and of the metrics snapshot. *)
+
 val reset : t -> unit
 (** {!reset_stats} plus dropping every resident page: the pool becomes
     cold (the next access to any page is a miss) while keeping its

@@ -80,6 +80,17 @@ check "repeat exec reuses the cached plan"
 ok=$?
 check "prepare/exec-by-name/explain/analyze round-trips"
 
+# the server reads the same algorithm names as `sjos query -a`
+printf '%s' "$("$BIN" client exec --socket "$SOCK" --pattern "$Q" \
+  --algorithm bigdp:64)" | grep -q '"algorithm": "BigDP(64)"'; ok=$?
+check "exec --algorithm bigdp:64 runs BigDP(64)"
+
+# an unknown algorithm is a structured invalid_request -> exit 3
+"$BIN" client exec --socket "$SOCK" --pattern "$Q" --algorithm nope \
+  > /dev/null 2>&1
+[ $? -eq 3 ]; ok=$?
+check "unknown algorithm maps to exit 3"
+
 # tenant quota: the capped tenant's 5-tuple ceiling fires as a
 # structured budget_exhausted wire error -> client exits 5
 "$BIN" client exec --socket "$SOCK" --pattern "$Q" --tenant capped \

@@ -215,8 +215,7 @@ let test_lru_concurrent () =
            let key = string_of_int ((k * ((7 * d) + 3)) mod 64) in
            (match Lru.find lru key with
            | Some _ -> ()
-           | None -> ignore (Lru.add lru key (k, d)));
-           if k mod 97 = 0 then Lru.remove lru key
+           | None -> ignore (Lru.add lru key (k, d)))
          done));
   let len = Lru.length lru in
   check cb "within capacity" true (len <= 16);
@@ -229,7 +228,7 @@ let test_plan_cache_concurrent () =
   Helpers.with_pool 2 @@ fun p ->
   let pc = Sjos_cache.Plan_cache.create ~capacity:8 () in
   let entry =
-    { Sjos_cache.Plan_cache.plan_text = "t"; est_cost = 1.0; algorithm = "DPP" }
+    { Sjos_cache.Plan_cache.plan_text = "t"; est_cost = 1.0 }
   in
   let finds =
     Pool.run p 2 (fun d ->
@@ -239,9 +238,7 @@ let test_plan_cache_concurrent () =
           incr n;
           (match Sjos_cache.Plan_cache.find pc key with
           | Some _ -> ()
-          | None -> Sjos_cache.Plan_cache.add pc key entry);
-          if d = 0 && k mod 1_000 = 0 then
-            Sjos_cache.Plan_cache.bump_epoch pc
+          | None -> Sjos_cache.Plan_cache.add pc key entry)
         done;
         !n)
   in
@@ -250,9 +247,7 @@ let test_plan_cache_concurrent () =
   check ci "hits + misses = finds" total_finds
     (s.Sjos_cache.Plan_cache.hits + s.Sjos_cache.Plan_cache.misses);
   check cb "entries within capacity" true
-    (s.Sjos_cache.Plan_cache.entries <= s.Sjos_cache.Plan_cache.capacity);
-  check cb "invalidations counted as misses" true
-    (s.Sjos_cache.Plan_cache.invalidations <= s.Sjos_cache.Plan_cache.misses)
+    (s.Sjos_cache.Plan_cache.entries <= s.Sjos_cache.Plan_cache.capacity)
 
 (* ---------- regression: Budget cancellation across domains ---------- *)
 

@@ -228,6 +228,25 @@ let test_exec_matches_direct_all_ops () =
         (str_field resp "digest"))
     [ q1; q2; "employee(/name)"; "manager(//department)" ]
 
+(* The "algorithm" field reads the same names as [sjos query -a]. *)
+let test_exec_algorithm_names () =
+  let srv = make_server () in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let exec_with algorithm =
+    Server.handle_request srv
+      (request "exec"
+         [ ("pattern", Json.Str q1); ("algorithm", Json.Str algorithm) ])
+  in
+  List.iter
+    (fun (name, shown) ->
+      let resp = exec_with name in
+      check cb (name ^ " ok") true (ok_of resp);
+      check (Alcotest.option cs) (name ^ " runs as " ^ shown) (Some shown)
+        (str_field resp "algorithm"))
+    [ ("bigdp:64", "BigDP(64)"); ("dpap-eb:2", "DPAP-EB(2)") ];
+  check cs "unknown algorithm class" "invalid_request"
+    (error_class (exec_with "nope"))
+
 (* Plan-cache hit statistics are namespaced per tenant, but the cached
    plan itself is keyed by the structural fingerprint and shared: the
    second tenant to ask an identical query reuses the first tenant's
@@ -572,6 +591,8 @@ let suite =
       `Quick test_cross_tenant_cache_reuse;
     Alcotest.test_case "served results identical to direct exec" `Quick
       test_exec_matches_direct_all_ops;
+    Alcotest.test_case "exec accepts the CLI algorithm names" `Quick
+      test_exec_algorithm_names;
     Alcotest.test_case "full queue sheds with overloaded" `Quick
       test_queue_overflow_sheds;
     Alcotest.test_case "queued request proceeds when a slot frees" `Quick
