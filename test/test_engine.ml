@@ -136,6 +136,136 @@ let test_experiment_table2_pinned () =
        (fun r -> (r.Experiment.algo_name, r.Experiment.considered))
        (Experiment.table2 ()))
 
+(* Every plan builder's estimate, plan and search effort on the paper's
+   workload, pinned to the float bits: a refactor of the search, the
+   costing or the random walk must leave each line unchanged.  A line is
+   [query algorithm est_cost-bits plans_considered plan-digest]. *)
+let estimate_pins () =
+  let line id name cost plan considered pat =
+    Printf.sprintf "%s %s %Lx %d %s" id name (Int64.bits_of_float cost)
+      considered
+      (String.sub
+         (Digest.to_hex (Digest.string (Sjos_plan.Plan_io.to_string pat plan)))
+         0 8)
+  in
+  List.concat_map
+    (fun (q : Workload.query) ->
+      let pat = q.Workload.pattern in
+      let db =
+        Database.of_document (Workload.generate ~size:1500 q.Workload.dataset)
+      in
+      let provider = Database.provider db pat in
+      let algos =
+        Optimizer.
+          [
+            Dp; Dpp; Dpp_no_lookahead; Dpap_eb (default_te pat); Dpap_ld; Fp;
+            Big_dp Bigdp.default_width;
+          ]
+      in
+      let searched =
+        List.map
+          (fun algo ->
+            let r = Optimizer.optimize ~provider algo pat in
+            line q.Workload.id (Optimizer.name algo) r.Optimizer.est_cost
+              r.Optimizer.plan r.Optimizer.work.Work.plans_considered pat)
+          algos
+      in
+      let walk name run =
+        let ctx = Search.make_ctx ~provider pat in
+        let cost, plan = run ctx in
+        line q.Workload.id name cost plan ctx.Search.work.Work.plans_considered
+          pat
+      in
+      let random =
+        [ walk "worst-of-20" (fun ctx -> Random_plan.worst_of ~seed:42 ctx 20) ]
+      in
+      let local =
+        if q.Workload.id <> "Q.Pers.3.d" then []
+        else
+          [
+            walk "II" (Randomized.iterative_improvement ~seed:17);
+            walk "SA" (Randomized.simulated_annealing ~seed:18);
+          ]
+      in
+      searched @ random @ local)
+    Workload.queries
+
+let expected_estimate_pins =
+  [
+    "Q.Mbench.1.a DP 402c000000000000 10 9d646c1b";
+    "Q.Mbench.1.a DPP 402c000000000000 6 9d646c1b";
+    "Q.Mbench.1.a DPP' 402c000000000000 8 9d646c1b";
+    "Q.Mbench.1.a DPAP-EB(2) 402c000000000000 6 9d646c1b";
+    "Q.Mbench.1.a DPAP-LD 402c000000000000 6 9d646c1b";
+    "Q.Mbench.1.a FP 402c000000000000 6 9d646c1b";
+    "Q.Mbench.1.a BigDP(1024) 402c000000000000 6 9d646c1b";
+    "Q.Mbench.1.a worst-of-20 4051d55555555555 40 bcbc5bc5";
+    "Q.Mbench.2.b DP 4062200000000000 42 1f481222";
+    "Q.Mbench.2.b DPP 4062200000000000 16 07ff9abc";
+    "Q.Mbench.2.b DPP' 4062200000000000 21 07ff9abc";
+    "Q.Mbench.2.b DPAP-EB(3) 4062200000000000 16 07ff9abc";
+    "Q.Mbench.2.b DPAP-LD 4062200000000000 14 07ff9abc";
+    "Q.Mbench.2.b FP 4062200000000000 10 2aa5ddc3";
+    "Q.Mbench.2.b BigDP(1024) 4062200000000000 10 ca1cf339";
+    "Q.Mbench.2.b worst-of-20 408cc892a05a0aa7 60 41c08fc4";
+    "Q.DBLP.1.b DP 40968c5fc242acb7 42 8f5689e7";
+    "Q.DBLP.1.b DPP 40968c5fc242acb7 14 8f5689e7";
+    "Q.DBLP.1.b DPP' 40968c5fc242acb7 18 8f5689e7";
+    "Q.DBLP.1.b DPAP-EB(3) 40968c5fc242acb7 14 8f5689e7";
+    "Q.DBLP.1.b DPAP-LD 40968c5fc242acb7 14 8f5689e7";
+    "Q.DBLP.1.b FP 40a3123e1eb9eec7 10 4e698651";
+    "Q.DBLP.1.b BigDP(1024) 40968c5fc242acb7 15 8f5689e7";
+    "Q.DBLP.1.b worst-of-20 40ccc8d89c5fa542 60 ca1cf339";
+    "Q.DBLP.2.c DP 40bebf531ee37106 154 ca277f9e";
+    "Q.DBLP.2.c DPP 40bebf531ee37106 89 ca277f9e";
+    "Q.DBLP.2.c DPP' 40bebf531ee37106 136 ca277f9e";
+    "Q.DBLP.2.c DPAP-EB(4) 40c0449359b3219c 56 c9af5b0f";
+    "Q.DBLP.2.c DPAP-LD 40c7a6d7dae743be 43 1620b1d2";
+    "Q.DBLP.2.c FP 40c47d151ba7f33e 14 4be1de0a";
+    "Q.DBLP.2.c BigDP(1024) 40bebf531ee37106 34 ca277f9e";
+    "Q.DBLP.2.c worst-of-20 413af07eb39f82b2 80 e7c3d3f8";
+    "Q.Pers.1.a DP 40b1a854b1928152 10 73be7a0b";
+    "Q.Pers.1.a DPP 40b1a854b1928152 6 73be7a0b";
+    "Q.Pers.1.a DPP' 40b1a854b1928152 8 73be7a0b";
+    "Q.Pers.1.a DPAP-EB(2) 40b1a854b1928152 6 73be7a0b";
+    "Q.Pers.1.a DPAP-LD 40b1a854b1928152 6 73be7a0b";
+    "Q.Pers.1.a FP 40b51bbcaae4ffa9 6 3d478460";
+    "Q.Pers.1.a BigDP(1024) 40b1a854b1928152 6 73be7a0b";
+    "Q.Pers.1.a worst-of-20 4102888bd62642c5 40 bcbc5bc5";
+    "Q.Pers.2.c DP 40c38b8f4c75ec52 154 dcd03181";
+    "Q.Pers.2.c DPP 40c38b8f4c75ec52 56 dcd03181";
+    "Q.Pers.2.c DPP' 40c38b8f4c75ec52 87 dcd03181";
+    "Q.Pers.2.c DPAP-EB(4) 40c38b8f4c75ec52 46 dcd03181";
+    "Q.Pers.2.c DPAP-LD 40ce303c3c9cfe50 29 9ed12fd1";
+    "Q.Pers.2.c FP 40c7c5afe55f0b38 14 4be1de0a";
+    "Q.Pers.2.c BigDP(1024) 40c38b8f4c75ec52 22 dcd03181";
+    "Q.Pers.2.c worst-of-20 41348337b16127fe 80 73bb524f";
+    "Q.Pers.3.d DP 40c07ce6cf617335 520 94a57bc3";
+    "Q.Pers.3.d DPP 40c07ce6cf617335 162 94a57bc3";
+    "Q.Pers.3.d DPP' 40c07ce6cf617335 231 94a57bc3";
+    "Q.Pers.3.d DPAP-EB(5) 40c07ce6cf617336 69 94a57bc3";
+    "Q.Pers.3.d DPAP-LD 40c482029aa64d9e 41 0c8e9954";
+    "Q.Pers.3.d FP 40c5656fb68a4503 18 6df407d8";
+    "Q.Pers.3.d BigDP(1024) 40c07ce6cf617336 35 94a57bc3";
+    "Q.Pers.3.d worst-of-20 4134898c1f4b80ce 100 66ba91aa";
+    "Q.Pers.3.d II 40c11553118e62ec 275 8cde82a7";
+    "Q.Pers.3.d SA 40c147e1f952032e 201 b572fc51";
+    "Q.Pers.4.d DP 40c291225a0c7c9c 520 db462864";
+    "Q.Pers.4.d DPP 40c291225a0c7c9c 177 db462864";
+    "Q.Pers.4.d DPP' 40c291225a0c7c9c 261 db462864";
+    "Q.Pers.4.d DPAP-EB(5) 40c291225a0c7c9d 80 db462864";
+    "Q.Pers.4.d DPAP-LD 40ce962260fcb7c0 52 dc5832af";
+    "Q.Pers.4.d FP 40cd90662f8dcae8 18 fd9a87a6";
+    "Q.Pers.4.d BigDP(1024) 40c291225a0c7c9c 37 db462864";
+    "Q.Pers.4.d worst-of-20 412ac7474afabba6 100 336bed10";
+  ]
+
+let test_estimates_pinned () =
+  check
+    Alcotest.(list string)
+    "estimates, plans and plan counts at size 1500" expected_estimate_pins
+    (estimate_pins ())
+
 let test_experiment_table3_scaling () =
   let rows =
     Experiment.table3 ~base_size:400 ~folds:[ 1; 3 ] ~max_tuples:5_000_000 ()
@@ -295,6 +425,7 @@ let suite =
     ("experiment bad-plan limit", `Quick, test_experiment_bad_plan_limit);
     ("experiment table2", `Quick, test_experiment_table2);
     ("experiment table2 pinned", `Quick, test_experiment_table2_pinned);
+    ("optimizer estimates pinned", `Quick, test_estimates_pinned);
     ("experiment table3 scaling", `Slow, test_experiment_table3_scaling);
     ("experiment figure te", `Slow, test_experiment_figure_te);
     ("order-by end to end", `Quick, test_order_by_end_to_end);
