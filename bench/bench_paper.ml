@@ -392,8 +392,8 @@ let ablation_randomized () =
       (Sjos_obs.Clock.elapsed_seconds ~since:t0 *. 1000.)
   in
   report "DPP (optimal)" Dpp.run;
-  report "Iterative Improvement" (Randomized.iterative_improvement ~seed:17);
-  report "Simulated Annealing" (Randomized.simulated_annealing ~seed:18);
+  report "Iterative Improvement" (Random_plan.iterative_improvement ~seed:17);
+  report "Simulated Annealing" (Random_plan.simulated_annealing ~seed:18);
   report "FP" Fp.run
 
 (* Extension G: estimation accuracy of the positional histograms. *)

@@ -96,7 +96,6 @@ let run ?(width = default_width) (ctx : Search.ctx) =
      tier exists for. *)
   let greedy_from start =
     let mask = ref (1 lsl start) in
-    let order = ref start in
     let plan = ref (Plan.scan start) in
     let cost = ref (Cost_model.index_access factors (card !mask)) in
     while !mask <> full do
@@ -111,7 +110,7 @@ let run ?(width = default_width) (ctx : Search.ctx) =
             let scan_cost = Cost_model.index_access factors (card (1 lsl other)) in
             let need = if a_in then e.Pattern.anc else e.Pattern.desc in
             let presort =
-              if !order <> need then Cost_model.sort factors cluster_card
+              if Plan.ordered_by !plan <> need then Cost_model.sort factors cluster_card
               else 0.0
             in
             let merged = !mask lor (1 lsl other) in
@@ -121,12 +120,8 @@ let run ?(width = default_width) (ctx : Search.ctx) =
             List.iter
               (fun algo ->
                 let join_cost =
-                  match algo with
-                  | Plan.Stack_tree_anc ->
-                      Cost_model.stack_tree_anc factors ~anc:anc_card
-                        ~output:(card merged)
-                  | Plan.Stack_tree_desc ->
-                      Cost_model.stack_tree_desc factors ~anc:anc_card
+                  Costing.join_cost factors algo ~anc:anc_card
+                    ~output:(card merged)
                 in
                 let total = presort +. scan_cost +. join_cost in
                 match !best with
@@ -141,28 +136,18 @@ let run ?(width = default_width) (ctx : Search.ctx) =
           let a_in = other = e.Pattern.desc in
           let need = if a_in then e.Pattern.anc else e.Pattern.desc in
           let cluster_plan =
-            if !order <> need then Plan.sort !plan ~by:need else !plan
+            if Plan.ordered_by !plan <> need then Plan.sort !plan ~by:need else !plan
           in
           let anc_side, desc_side =
             if a_in then (cluster_plan, Plan.scan other)
             else (Plan.scan other, cluster_plan)
           in
           plan := Plan.join ~anc_side ~desc_side ~edge:e ~algo;
-          order :=
-            (match algo with
-            | Plan.Stack_tree_anc -> e.Pattern.anc
-            | Plan.Stack_tree_desc -> e.Pattern.desc);
           mask := !mask lor (1 lsl other);
           cost := !cost +. move_cost
     done;
-    (* final order-by sort, mirroring [Search.finalize] *)
-    (match Pattern.order_by pat with
-    | Some r when !order <> r ->
-        cost := !cost +. Cost_model.sort factors (card full);
-        plan := Plan.sort !plan ~by:r
-    | _ -> ());
     w.Work.plans_considered <- w.Work.plans_considered + 1;
-    (!cost, !plan)
+    Search.sort_for_order_by ctx ~card:(card full) (!cost, !plan)
   in
   let incumbent = ref (greedy_from 0) in
   for c = 1 to n - 1 do
@@ -178,7 +163,8 @@ let run ?(width = default_width) (ctx : Search.ctx) =
   else begin
     (* ---------- the subset DP ---------- *)
     let tbl : (int * int, entry) Hashtbl.t = Hashtbl.create 1024 in
-    let emit mask order cost plan =
+    let emit mask cost plan =
+      let order = Plan.ordered_by plan in
       if cost >= !ub then
         w.Work.pruned_bound <- w.Work.pruned_bound + 1
       else begin
@@ -241,21 +227,10 @@ let run ?(width = default_width) (ctx : Search.ctx) =
             | Some ea, Some ed ->
                 let out_card = card mask in
                 let join algo =
-                  let join_cost =
-                    match algo with
-                    | Plan.Stack_tree_anc ->
-                        Cost_model.stack_tree_anc factors ~anc:ea.card
-                          ~output:out_card
-                    | Plan.Stack_tree_desc ->
-                        Cost_model.stack_tree_desc factors ~anc:ea.card
-                  in
-                  let order =
-                    match algo with
-                    | Plan.Stack_tree_anc -> e.Pattern.anc
-                    | Plan.Stack_tree_desc -> e.Pattern.desc
-                  in
-                  emit mask order
-                    (ea.cost +. ed.cost +. join_cost)
+                  emit mask
+                    (ea.cost +. ed.cost
+                    +. Costing.join_cost factors algo ~anc:ea.card
+                         ~output:out_card)
                     (Plan.join ~anc_side:ea.plan ~desc_side:ed.plan ~edge:e
                        ~algo)
                 in
@@ -276,7 +251,7 @@ let run ?(width = default_width) (ctx : Search.ctx) =
             List.iter
               (fun o ->
                 if o <> bo && adj.(o) land lnot mask <> 0 then
-                  emit mask o scost (Plan.sort be.plan ~by:o))
+                  emit mask scost (Plan.sort be.plan ~by:o))
               bits
     in
     (* Layered enumeration: layer k holds the expanded connected masks
@@ -331,20 +306,16 @@ let run ?(width = default_width) (ctx : Search.ctx) =
       layer := List.map snd kept
     done;
     (* finalize the full mask against the incumbent: the cheapest entry
-       after the order-by sort, if any, mirroring [Search.finalize] *)
-    let finalized o (e : entry) =
-      match Pattern.order_by pat with
-      | Some r when o <> r ->
-          (e.cost +. Cost_model.sort factors e.card, Plan.sort e.plan ~by:r)
-      | _ -> (e.cost, e.plan)
-    in
+       after the order-by sort, if any *)
     let final =
       List.fold_left
         (fun best o ->
           match Hashtbl.find_opt tbl (full, o) with
           | None -> best
           | Some e -> (
-              let ((c, _) as f) = finalized o e in
+              let ((c, _) as f) =
+                Search.sort_for_order_by ctx ~card:e.card (e.cost, e.plan)
+              in
               match best with
               | Some (bc, _) when bc <= c -> best
               | _ -> Some f))

@@ -10,10 +10,7 @@ let update_min table status =
   | _ -> Hashtbl.replace table key status
 
 let run ctx =
-  let start =
-    Status.start ~factors:ctx.Search.factors ~provider:ctx.Search.provider
-      ctx.Search.pat
-  in
+  let start = Search.start ctx in
   let levels = Pattern.edge_count ctx.Search.pat in
   let current : (Status.key, Status.t) Hashtbl.t = Hashtbl.create 64 in
   Hashtbl.replace current (Status.key start) start;

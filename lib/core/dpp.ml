@@ -3,10 +3,7 @@ open Sjos_obs
 
 let run ?(lookahead = true) ?(expansion_bound = None) ?(left_deep = false)
     ?(prioritize_by_ub = true) ctx =
-  let start =
-    Status.start ~factors:ctx.Search.factors ~provider:ctx.Search.provider
-      ctx.Search.pat
-  in
+  let start = Search.start ctx in
   let levels = Pattern.edge_count ctx.Search.pat in
   let peak_queue = ref 0 in
   let best_cost : (Status.key, float) Hashtbl.t = Hashtbl.create 64 in

@@ -4,9 +4,7 @@ let all_plans ctx =
     if Status.is_final s then acc := Search.finalize ctx s :: !acc
     else List.iter go (Search.expand ctx s)
   in
-  go
-    (Status.start ~factors:ctx.Search.factors ~provider:ctx.Search.provider
-       ctx.Search.pat);
+  go (Search.start ctx);
   !acc
 
 let optimal ctx =

@@ -56,19 +56,21 @@ let best ctx =
                   let merged_card =
                     ctx.Search.provider.Costing.cluster_card merged_mask
                   in
-                  let plan, join_cost =
+                  (* an accumulated cluster on the ancestor side keeps
+                     its order under Stack-Tree-Anc; on the descendant
+                     side, under Stack-Tree-Desc *)
+                  let algo, (anc : sub), (desc : sub) =
                     if e.Pattern.anc = center then
-                      (* the accumulated cluster is the ancestor side;
-                         Stack-Tree-Anc keeps the output ordered by it *)
-                      ( Plan.join ~anc_side:!acc.plan ~desc_side:sub.plan
-                          ~edge:e ~algo:Plan.Stack_tree_anc,
-                        Cost_model.stack_tree_anc ctx.Search.factors
-                          ~anc:!acc.card ~output:merged_card )
-                    else
-                      ( Plan.join ~anc_side:sub.plan ~desc_side:!acc.plan
-                          ~edge:e ~algo:Plan.Stack_tree_desc,
-                        Cost_model.stack_tree_desc ctx.Search.factors
-                          ~anc:sub.card )
+                      (Plan.Stack_tree_anc, !acc, sub)
+                    else (Plan.Stack_tree_desc, sub, !acc)
+                  in
+                  let plan =
+                    Plan.join ~anc_side:anc.plan ~desc_side:desc.plan ~edge:e
+                      ~algo
+                  in
+                  let join_cost =
+                    Costing.join_cost ctx.Search.factors algo ~anc:anc.card
+                      ~output:merged_card
                   in
                   acc :=
                     {

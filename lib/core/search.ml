@@ -65,6 +65,9 @@ let useful_sort_targets ctx ~joined ~merged_mask =
     ctx.edges;
   List.sort_uniq compare !useful
 
+let start ctx =
+  Status.start ~factors:ctx.factors ~provider:ctx.provider ctx.pat
+
 (* Replace the two input clusters by the merged one, keeping the list
    sorted by mask. *)
 let merge_clusters (s : Status.t) (cu : Status.cluster) (cv : Status.cluster)
@@ -78,6 +81,21 @@ let merge_clusters (s : Status.t) (cu : Status.cluster) (cv : Status.cluster)
   List.sort
     (fun (a : Status.cluster) b -> compare a.Status.mask b.Status.mask)
     (merged :: rest)
+
+let step (s : Status.t) ~edge_idx (cu : Status.cluster) (cv : Status.cluster)
+    ~card ~plan ~cost =
+  {
+    Status.clusters =
+      merge_clusters s cu cv
+        {
+          Status.mask = cu.Status.mask lor cv.Status.mask;
+          order = Plan.ordered_by plan;
+          plan;
+          card;
+        };
+    joined = s.Status.joined lor (1 lsl edge_idx);
+    cost;
+  }
 
 let expand ?(left_deep = false) ?(lookahead = false) ?(cost_bound = infinity)
     ctx (s : Status.t) =
@@ -128,46 +146,27 @@ let expand ?(left_deep = false) ?(lookahead = false) ?(cost_bound = infinity)
           let will_be_final = merged_mask = (1 lsl Pattern.node_count ctx.pat) - 1 in
           let variants algo =
             let join_cost =
-              match algo with
-              | Plan.Stack_tree_anc ->
-                  Cost_model.stack_tree_anc ctx.factors ~anc:cu.Status.card
-                    ~output:merged_card
-              | Plan.Stack_tree_desc ->
-                  Cost_model.stack_tree_desc ctx.factors ~anc:cu.Status.card
-            in
-            let natural_order =
-              match algo with
-              | Plan.Stack_tree_anc -> e.Pattern.anc
-              | Plan.Stack_tree_desc -> e.Pattern.desc
+              Costing.join_cost ctx.factors algo ~anc:cu.Status.card
+                ~output:merged_card
             in
             let join_plan =
               Plan.join ~anc_side:cu.Status.plan ~desc_side:cv.Status.plan
                 ~edge:e ~algo
             in
-            let mk order plan extra =
+            let mk plan extra =
               emit
-                {
-                  Status.clusters =
-                    merge_clusters s cu cv
-                      {
-                        Status.mask = merged_mask;
-                        order;
-                        plan;
-                        card = merged_card;
-                      };
-                  joined;
-                  cost = s.Status.cost +. join_cost +. extra;
-                }
+                (step s ~edge_idx cu cv ~card:merged_card ~plan
+                   ~cost:(s.Status.cost +. join_cost +. extra))
             in
-            mk natural_order join_plan 0.0;
+            mk join_plan 0.0;
             (* Output re-sorts are only worthwhile toward orders a later
                join can still consume; a final status needs none (the
                order-by sort, if any, is added by [finalize]). *)
             if not will_be_final then
               List.iter
                 (fun target ->
-                  if target <> natural_order then
-                    mk target
+                  if target <> Plan.ordered_by join_plan then
+                    mk
                       (Plan.sort join_plan ~by:target)
                       (Cost_model.sort ctx.factors merged_card))
                 (useful_sort_targets ctx ~joined ~merged_mask)
@@ -179,14 +178,15 @@ let expand ?(left_deep = false) ?(lookahead = false) ?(cost_bound = infinity)
     (remaining_edges ctx s);
   !successors
 
+let sort_for_order_by ctx ~card (cost, plan) =
+  match Pattern.order_by ctx.pat with
+  | Some r when Plan.ordered_by plan <> r ->
+      (cost +. Cost_model.sort ctx.factors card, Plan.sort plan ~by:r)
+  | _ -> (cost, plan)
+
 let finalize ctx (s : Status.t) =
   match s.Status.clusters with
-  | [ c ] -> (
-      match Pattern.order_by ctx.pat with
-      | Some r when c.Status.order <> r ->
-          ( s.Status.cost +. Cost_model.sort ctx.factors c.Status.card,
-            Plan.sort c.Status.plan ~by:r )
-      | _ -> (s.Status.cost, c.Status.plan))
+  | [ c ] -> sort_for_order_by ctx ~card:c.Status.card (s.Status.cost, c.Status.plan)
   | _ -> invalid_arg "Search.finalize: status is not final"
 
 let ub_cost ctx (s : Status.t) =
@@ -200,6 +200,7 @@ let ub_cost ctx (s : Status.t) =
         let merged = cu.Status.mask lor cv.Status.mask in
         let out = ctx.provider.Costing.cluster_card merged in
         acc
-        +. Cost_model.stack_tree_anc ctx.factors ~anc:cu.Status.card ~output:out
+        +. Costing.join_cost ctx.factors Plan.Stack_tree_anc
+             ~anc:cu.Status.card ~output:out
         +. Cost_model.sort ctx.factors out)
     0.0 (remaining_edges ctx s)

@@ -39,11 +39,30 @@ val check_budget : ctx -> unit
     {!expand}; algorithms with their own inner loops (FP's permutation
     scan) call it directly. *)
 
+val start : ctx -> Status.t
+(** The start status of the context's pattern under its factors and
+    provider ({!Status.start}). *)
+
 val remaining_edges : ctx -> Status.t -> (int * Pattern.edge) list
 (** Indexed pattern edges not yet evaluated by the status. *)
 
 val is_deadend : ctx -> Status.t -> bool
 (** Definition 6: non-final and no remaining edge is joinable. *)
+
+val step :
+  Status.t ->
+  edge_idx:int ->
+  Status.cluster ->
+  Status.cluster ->
+  card:float ->
+  plan:Plan.t ->
+  cost:float ->
+  Status.t
+(** [step s ~edge_idx cu cv ~card ~plan ~cost] — the successor of [s]
+    after a move over edge [edge_idx] that merges clusters [cu] and [cv]
+    into one cluster of [card] items computed by [plan] (ordered by
+    {!Plan.ordered_by} [plan]), at accumulated cost [cost].  The one way
+    every search and random walk builds a successor status. *)
 
 val expand :
   ?left_deep:bool ->
@@ -63,10 +82,15 @@ val expand :
     the best complete plan found so far) are dead on arrival and are not
     generated either (the Pruning Rule; bumps [work.pruned_bound]). *)
 
+val sort_for_order_by : ctx -> card:float -> float * Plan.t -> float * Plan.t
+(** [sort_for_order_by ctx ~card (cost, plan)] — a complete plan of
+    [card] result items and its cost, with the result sort the pattern's
+    order-by node requires added (and priced) when [plan]'s output is
+    ordered by another node. *)
+
 val finalize : ctx -> Status.t -> float * Plan.t
-(** Cost and plan of a final status, adding the result sort required by the
-    pattern's order-by node, if any.  Raises [Invalid_argument] on a
-    non-final status. *)
+(** Cost and plan of a final status, through {!sort_for_order_by}.
+    Raises [Invalid_argument] on a non-final status. *)
 
 val ub_cost : ctx -> Status.t -> float
 (** DPP's [ubCost]: a quick upper-bound style estimate of the cost needed

@@ -13,6 +13,11 @@ let mask_nodes mask =
   in
   go 0 []
 
+let join_cost factors algo ~anc ~output =
+  match algo with
+  | Plan.Stack_tree_anc -> Cost_model.stack_tree_anc factors ~anc ~output
+  | Plan.Stack_tree_desc -> Cost_model.stack_tree_desc factors ~anc
+
 let operator_cost factors provider = function
   | Plan.Index_scan i -> Cost_model.index_access factors (provider.node_card i)
   | Plan.Holistic { mask; paths; _ } ->
@@ -35,9 +40,7 @@ let operator_cost factors provider = function
         provider.cluster_card
           (Plan.nodes_mask anc_side lor Plan.nodes_mask desc_side)
       in
-      (match algo with
-      | Plan.Stack_tree_anc -> Cost_model.stack_tree_anc factors ~anc ~output
-      | Plan.Stack_tree_desc -> Cost_model.stack_tree_desc factors ~anc)
+      join_cost factors algo ~anc ~output
 
 let cost factors provider _pat plan =
   Plan.fold (fun acc op -> acc +. operator_cost factors provider op) 0.0 plan

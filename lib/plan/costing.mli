@@ -14,6 +14,14 @@ type provider = {
 val constant_provider : float -> provider
 (** Every node and cluster has the given cardinality; for tests. *)
 
+val join_cost :
+  Sjos_cost.Cost_model.factors -> Plan.algo -> anc:float -> output:float ->
+  float
+(** [join_cost f algo ~anc ~output] — price of one Stack-Tree join whose
+    ancestor-side input has [anc] items and whose output has [output]
+    items (§2.2.2).  The one place a join is priced: {!cost}, every
+    search and every plan builder call it. *)
+
 val cost : Sjos_cost.Cost_model.factors -> provider -> Pattern.t -> Plan.t -> float
 (** Total estimated cost: index access for every scan, the Stack-Tree
     formula for every join (with [|A|] the ancestor-side cluster

@@ -84,9 +84,7 @@ let test_popcount_and_cluster_map () =
     [ 0; 1; 0b10101; 0xFF; 0xDEADBEEF; max_int; (1 lsl 60) - 1; 1 lsl 60 ];
   let p = Helpers.pat "a(//b(/c),//d)" in
   let ctx = Search.make_ctx ~provider:(Costing.constant_provider 5.0) p in
-  let s =
-    Status.start ~factors:ctx.Search.factors ~provider:ctx.Search.provider p
-  in
+  let s = Search.start ctx in
   let map = Status.cluster_map ~n:4 s in
   for i = 0 to 3 do
     check cb "map agrees with cluster_of" true

@@ -183,8 +183,8 @@ let estimate_pins () =
         if q.Workload.id <> "Q.Pers.3.d" then []
         else
           [
-            walk "II" (Randomized.iterative_improvement ~seed:17);
-            walk "SA" (Randomized.simulated_annealing ~seed:18);
+            walk "II" (Random_plan.iterative_improvement ~seed:17);
+            walk "SA" (Random_plan.simulated_annealing ~seed:18);
           ]
       in
       searched @ random @ local)

@@ -137,12 +137,12 @@ let test_randomized_valid_and_bounded () =
   let provider = Naive.exact_provider idx p in
   let dp_cost, _ = Dp.run (Search.make_ctx ~provider p) in
   let ii_cost, ii_plan =
-    Randomized.iterative_improvement ~seed:3 (Search.make_ctx ~provider p)
+    Random_plan.iterative_improvement ~seed:3 (Search.make_ctx ~provider p)
   in
   check cb "II plan valid" true (Properties.is_valid p ii_plan);
   check cb "II >= optimal" true (ii_cost >= dp_cost -. 1e-6);
   let sa_cost, sa_plan =
-    Randomized.simulated_annealing ~seed:4 (Search.make_ctx ~provider p)
+    Random_plan.simulated_annealing ~seed:4 (Search.make_ctx ~provider p)
   in
   check cb "SA plan valid" true (Properties.is_valid p sa_plan);
   check cb "SA >= optimal" true (sa_cost >= dp_cost -. 1e-6);
@@ -155,8 +155,8 @@ let test_randomized_deterministic () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name))" in
   let provider = Naive.exact_provider idx p in
-  let c1, _ = Randomized.iterative_improvement ~seed:7 (Search.make_ctx ~provider p) in
-  let c2, _ = Randomized.iterative_improvement ~seed:7 (Search.make_ctx ~provider p) in
+  let c1, _ = Random_plan.iterative_improvement ~seed:7 (Search.make_ctx ~provider p) in
+  let c2, _ = Random_plan.iterative_improvement ~seed:7 (Search.make_ctx ~provider p) in
   Helpers.checkf "same seed same result" c1 c2
 
 (* ---------- Calibrate ---------- *)

@@ -15,7 +15,7 @@ let ctx_for ?(provider = Costing.constant_provider 10.0) p =
 let test_status_start () =
   let p = Helpers.pat "a(//b(/c))" in
   let ctx = ctx_for p in
-  let s = Status.start ~factors:ctx.Search.factors ~provider:ctx.Search.provider p in
+  let s = Search.start ctx in
   check ci "three clusters" 3 (List.length s.Status.clusters);
   check ci "level 0" 0 (Status.level s);
   check cb "not final" false (Status.is_final s);
@@ -34,7 +34,7 @@ let test_status_start () =
 let test_expand_moves () =
   let p = Helpers.pat "a(//b(/c))" in
   let ctx = ctx_for p in
-  let s = Status.start ~factors:ctx.Search.factors ~provider:ctx.Search.provider p in
+  let s = Search.start ctx in
   let succs = Search.expand ctx s in
   (* 2 edges x 2 algorithms x (1 natural + useful sorts) *)
   check cb "successors exist" true (List.length succs >= 4);
@@ -51,7 +51,7 @@ let test_expand_moves () =
 let test_deadend_detection () =
   let p = Helpers.pat "a(//b,//c)" in
   let ctx = ctx_for p in
-  let s = Status.start ~factors:ctx.Search.factors ~provider:ctx.Search.provider p in
+  let s = Search.start ctx in
   (* Join A-B with STJ-Desc and no re-sort: cluster {A,B} ordered by B.
      Remaining edge A-C needs {A,B} ordered by A: deadend. *)
   let deadends, alive =
@@ -61,7 +61,7 @@ let test_deadend_detection () =
   check cb "some alive" true (alive <> []);
   (* With lookahead, none are generated. *)
   let ctx2 = ctx_for p in
-  let s2 = Status.start ~factors:ctx2.Search.factors ~provider:ctx2.Search.provider p in
+  let s2 = Search.start ctx2 in
   let filtered = Search.expand ~lookahead:true ctx2 s2 in
   check cb "lookahead filters deadends" true
     (List.for_all (fun x -> not (Search.is_deadend ctx2 x)) filtered);
