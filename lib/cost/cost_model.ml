@@ -28,15 +28,14 @@ let twig f ~candidates ~path_solutions =
   +. (2.0 *. candidates *. f.f_stack)
   +. (2.0 *. path_solutions *. f.f_io)
 
-let ground_io ?(per_miss = default.f_io) f ~page_misses ~io_items =
+let ground_io f ~page_misses ~io_items =
   if page_misses < 0 || io_items < 0 then
     invalid_arg "Cost_model.ground_io: negative counter";
-  if per_miss < 0. then invalid_arg "Cost_model.ground_io: negative per_miss";
   if page_misses = 0 || io_items = 0 then f
   else
     {
       f with
-      f_io = per_miss *. float_of_int page_misses /. float_of_int io_items;
+      f_io = default.f_io *. float_of_int page_misses /. float_of_int io_items;
     }
 
 let cost_units f (w : Sjos_obs.Work.t) =

@@ -53,15 +53,13 @@ val twig : factors -> candidates:float -> path_solutions:float -> float
     weight as Stack-Tree-Anc, so {!ground_io} recalibrates both
     formulas from the same measured run). *)
 
-val ground_io :
-  ?per_miss:float -> factors -> page_misses:int -> io_items:int -> factors
+val ground_io : factors -> page_misses:int -> io_items:int -> factors
 (** [ground_io f ~page_misses ~io_items] recalibrates the abstract
     [f_io] factor from a measured run on the Disk column store: if
     buffering [io_items] intermediate items caused [page_misses]
     physical page reads (see {!Sjos_storage.Column_store.io_stats}),
-    one buffered item costs [per_miss * page_misses / io_items]
-    (default [per_miss] = {!default}'s [f_io], i.e. one miss keeps the
-    default per-page weight).  Returns [f] unchanged when either
+    one buffered item costs [10 * page_misses / io_items] ({!default}'s
+    [f_io] per miss, i.e. one miss keeps the default per-page weight).  Returns [f] unchanged when either
     counter is zero — no measurement, no recalibration.  Raises
     [Invalid_argument] on negative inputs. *)
 

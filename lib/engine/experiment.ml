@@ -154,7 +154,8 @@ let print_table1 rows =
 
 type table2_row = { algo_name : string; opt_seconds : float; considered : int }
 
-let table2 ?size ?(query = Workload.q_pers_3_d) () =
+let table2 ?size () =
+  let query = Workload.q_pers_3_d in
   let sizes =
     match size with Some s -> Some (fun _ -> s) | None -> None
   in
@@ -210,7 +211,8 @@ let print_table2 rows =
 type table3_row = { label : string; per_fold : (int * float * float) list }
 
 let table3 ?(base_size = 2_000) ?(folds = [ 1; 10; 100; 500 ])
-    ?(query = Workload.q_pers_3_d) ?(max_tuples = 20_000_000) () =
+    ?(max_tuples = 20_000_000) () =
+  let query = Workload.q_pers_3_d in
   let base = Workload.generate ~size:base_size query.Workload.dataset in
   let pat = query.Workload.pattern in
   let dbs =
@@ -276,8 +278,8 @@ let print_table3 rows =
 
 type te_point = { setting : string; opt_units_s : float; eval_units_s : float }
 
-let figure_te ?(base_size = 2_000) ?(fold = 1) ?(query = Workload.q_pers_3_d)
-    () =
+let figure_te ?(base_size = 2_000) ?(fold = 1) () =
+  let query = Workload.q_pers_3_d in
   let base = Workload.generate ~size:base_size query.Workload.dataset in
   let db = Database.of_document (Folding.replicate base fold) in
   let pat = query.Workload.pattern in

@@ -58,8 +58,8 @@ val cell_to_json : cell -> Sjos_obs.Json.t
 
 type table2_row = { algo_name : string; opt_seconds : float; considered : int }
 
-val table2 : ?size:int -> ?query:Workload.query -> unit -> table2_row list
-(** Plans considered by each algorithm on [query] (default Q.Pers.3.d),
+val table2 : ?size:int -> unit -> table2_row list
+(** Plans considered by each algorithm on Q.Pers.3.d,
     each a fresh search ({!cold_opts}) over the data set at [size]
     (default {!Workload.default_size}). *)
 
@@ -84,10 +84,12 @@ type table3_row = {
 val table3 :
   ?base_size:int ->
   ?folds:int list ->
-  ?query:Workload.query ->
   ?max_tuples:int ->
   unit ->
   table3_row list
+(** Evaluation cost units and seconds of each algorithm's plan, and of
+    the bad plan, on Q.Pers.3.d over its data set replicated by each
+    folding factor. *)
 
 val print_table3 : table3_row list -> unit
 
@@ -97,9 +99,9 @@ type te_point = { setting : string; opt_units_s : float; eval_units_s : float }
 (** One bar of the figure: optimization and execution components of total
     query evaluation time (seconds). *)
 
-val figure_te :
-  ?base_size:int -> ?fold:int -> ?query:Workload.query -> unit -> te_point list
-(** Runs DPAP-EB for [Te = 1 .. node count], plus DP, DPP, DPAP-LD and FP
-    for comparison, on the query's data set replicated [fold] times. *)
+val figure_te : ?base_size:int -> ?fold:int -> unit -> te_point list
+(** Runs DPAP-EB for [Te = 1 .. node count] of Q.Pers.3.d, plus DP, DPP,
+    DPAP-LD and FP for comparison, on its data set replicated [fold]
+    times. *)
 
 val print_figure : title:string -> te_point list -> unit

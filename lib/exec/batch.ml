@@ -35,8 +35,8 @@ end
 
 type t = { width : int; mutable len : int; mutable data : int array }
 
-let create ?(cap = 64) width =
-  { width; len = 0; data = Array.make (max width (cap * width)) Tuple.unbound }
+let create width =
+  { width; len = 0; data = Array.make (max width (64 * width)) Tuple.unbound }
 
 let width b = b.width
 let length b = b.len

@@ -40,9 +40,9 @@ end
 
 type t
 
-val create : ?cap:int -> int -> t
-(** [create width] — an empty batch of the given tuple width; [cap] is
-    the initial row capacity. *)
+val create : int -> t
+(** [create width] — an empty batch of the given tuple width, with room
+    for 64 rows before it grows. *)
 
 val width : t -> int
 val length : t -> int

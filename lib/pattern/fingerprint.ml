@@ -21,14 +21,9 @@ let node_code pat =
 
 let structure pat = node_code pat 0
 
-let minimize_map pat minimize =
-  if minimize then Minimize.minimize pat
-  else (pat, Array.init (Pattern.node_count pat) Fun.id)
-
-let canonical ?(minimize = false) pat =
-  let pat0, pre = minimize_map pat minimize in
-  let n = Pattern.node_count pat0 in
-  let code = node_code pat0 in
+let canonical pat =
+  let n = Pattern.node_count pat in
+  let code = node_code pat in
   (* memoize per node: code is recomputed along every root path otherwise *)
   let codes = Array.init n code in
   let to_new = Array.make n (-1) in
@@ -36,7 +31,7 @@ let canonical ?(minimize = false) pat =
   let rec assign i =
     to_new.(i) <- !next;
     incr next;
-    Pattern.children_of pat0 i
+    Pattern.children_of pat i
     |> List.map (fun (j, (e : Pattern.edge)) ->
            (Axes.axis_to_string e.Pattern.axis ^ codes.(j), j))
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -45,26 +40,21 @@ let canonical ?(minimize = false) pat =
   assign 0;
   let from_new = Array.make n 0 in
   Array.iteri (fun old nw -> from_new.(nw) <- old) to_new;
-  let labels = Array.init n (fun nw -> Pattern.label pat0 from_new.(nw)) in
+  let labels = Array.init n (fun nw -> Pattern.label pat from_new.(nw)) in
   let edges =
-    Pattern.edges pat0
+    Pattern.edges pat
     |> List.map (fun (e : Pattern.edge) ->
            (to_new.(e.Pattern.anc), e.Pattern.axis, to_new.(e.Pattern.desc)))
     |> List.sort compare |> Array.of_list
   in
   let order_by =
-    Option.map (fun o -> to_new.(o)) (Pattern.order_by pat0)
+    Option.map (fun o -> to_new.(o)) (Pattern.order_by pat)
   in
-  let canon = Pattern.create ?order_by ~labels ~edges () in
-  let mapping =
-    Array.map (fun v -> if v < 0 then -1 else to_new.(v)) pre
-  in
-  (canon, mapping)
+  (Pattern.create ?order_by ~labels ~edges (), to_new)
 
-let fingerprint ?(minimize = false) pat =
-  let pat0, _ = minimize_map pat minimize in
+let fingerprint pat =
   let payload =
-    string_of_int (Pattern.node_count pat0) ^ "#" ^ structure pat0
+    string_of_int (Pattern.node_count pat) ^ "#" ^ structure pat
   in
   Digest.to_hex (Digest.string payload)
 

@@ -16,19 +16,15 @@
     The fingerprint covers labels (tag, attribute and text predicates),
     edge axes, tree shape and the order-by node; it is invariant under node
     renumbering and sibling reordering, and changes whenever any of those
-    ingredients changes.  With [~minimize:true] both operations first apply
-    tree-pattern minimization ({!Minimize.minimize}), fingerprinting the
-    redundancy-free core instead — note that minimization changes the match
-    tuple width, so plan caches keyed on minimized fingerprints must also
-    evaluate the minimized pattern. *)
+    ingredients changes.  Patterns are not minimized first: two patterns
+    that differ only by redundant nodes have different fingerprints (and
+    different match tuple widths). *)
 
-val canonical : ?minimize:bool -> Pattern.t -> Pattern.t * int array
+val canonical : Pattern.t -> Pattern.t * int array
 (** [canonical pat] — the canonical renumbering of [pat] and the mapping
-    from [pat]'s node indexes to canonical indexes.  With [~minimize:true]
-    the pattern is minimized first and dropped nodes map to [-1] (default
-    [false]). *)
+    from [pat]'s node indexes to canonical indexes. *)
 
-val fingerprint : ?minimize:bool -> Pattern.t -> string
+val fingerprint : Pattern.t -> string
 (** Hex digest of the canonical structure.  Equal for any two patterns
     with the same canonical form. *)
 

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""List every `val` in lib/**/*.mli that has no caller outside its own module.
+"""List every `val` in lib/**/*.mli that has no caller outside its own
+module, and every optional argument of such a `val` that no caller passes.
 
 A value counts as called when some .ml file under lib/, bin/, bench/,
 examples/ or test/ -- other than the module's own .ml -- names it
 qualified (`Module.name`, or through a `module X = Module` alias), or
 opens the module (`open Module`, `Module.( ... )`, `include Module`)
-and names it bare.  Comments are ignored.  The check is textual, so it
-can miss a dead export whose name coincides with a live one.
+and names it bare.  An optional argument `?label:` of a `val` counts as
+passed when one of those files other than the module's own .ml
+contains `~label` or `?label`.  Comments are ignored.  The check is
+textual, so it can miss a dead export or option whose name coincides
+with a live one.
 
 Usage: python3 scripts/dead_exports.py [REPO_ROOT]
-Prints one `path: Module.name` line per uncalled export; exits 1 if any.
+Prints one `path: Module.name` line per uncalled export and one
+`path: Module.name ?label` line per option nobody passes; exits 1 if any.
 """
 import os
 import re
@@ -53,21 +58,33 @@ def called(name, quals, own):
     return False
 
 
+def passed(label, own):
+    flag = re.compile(r"[~?]%s\b" % re.escape(label))
+    return any(flag.search(text) for path, text in sources.items() if path != own)
+
+
 dead = []
 for mli in (p for p in ml_files("lib") if p.endswith(".mli")):
     module = os.path.basename(mli)[:-4].capitalize()
     submodule = None
-    for line in open(mli):
-        m = re.match(r"\s*module\s+(\w+)\s*:\s*sig", line)
+    text = re.sub(r"\(\*.*?\*\)", " ", open(mli).read(), flags=re.S)
+    # each item runs from its keyword to the next item's keyword
+    items = re.split(r"\n(?=\s*(?:val|type|module|end|exception|external|include|open)\b)", text)
+    for item in items:
+        m = re.match(r"\s*module\s+(\w+)\s*:\s*sig", item)
         if m:
             submodule = m.group(1)
-        elif submodule and re.match(r"\s*end\b", line):
+        elif submodule and re.match(r"\s*end\b", item):
             submodule = None
-        v = re.match(r"\s*val\s+([a-z_][\w']*)", line)
+        v = re.match(r"\s*val\s+([a-z_][\w']*)", item)
         if v:
             quals = [module] + ([submodule] if submodule else [])
+            name = "%s.%s" % (module, v.group(1))
             if not called(v.group(1), quals, mli[:-1]):
-                dead.append("%s: %s.%s" % (mli, module, v.group(1)))
+                dead.append("%s: %s" % (mli, name))
+            for label in re.findall(r"\?(\w+)\s*:", item):
+                if not passed(label, mli[:-1]):
+                    dead.append("%s: %s ?%s" % (mli, name, label))
 
 if dead:
     print("\n".join(dead))
