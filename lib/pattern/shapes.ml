@@ -92,12 +92,25 @@ let generate ~seed ~nodes shape =
     | Chain -> if rand 4 < 3 then Axes.Descendant else Axes.Child
     | _ -> if rand 2 = 0 then Axes.Descendant else Axes.Child
   in
+  let hub_children = ref 0 in
   let parent i =
     match shape with
     | Chain -> i - 1
     | Star ->
-        (* bushy: most nodes hang off the hub, a few extend short arms *)
-        if i = 1 || rand 10 < 7 then 0 else 1 + rand (i - 1)
+        (* bushy: most nodes hang off the hub, a few extend short arms.
+           Once the nodes left are only just enough to give the hub a
+           third of them as children, they all join the hub (the draw
+           still happens, so the stream does not shift). *)
+        let to_hub =
+          i = 1
+          || (let drawn = rand 10 < 7 in
+              drawn || !hub_children + (nodes - i) <= nodes / 3)
+        in
+        if to_hub then begin
+          incr hub_children;
+          0
+        end
+        else 1 + rand (i - 1)
     | Balanced -> (i - 1) / 2
     | Mixed -> rand i
   in

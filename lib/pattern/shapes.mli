@@ -57,5 +57,5 @@ val generate : seed:int -> nodes:int -> gen_shape -> Pattern.t
 (** [generate ~seed ~nodes shape] builds a valid [nodes]-node pattern of
     the class, deterministically from [(seed, nodes, shape)] — an inline
     splitmix64 stream, bit-stable across platforms and OCaml versions.
-    Raises [Invalid_argument] when [nodes < 1] or above
+    A [Star] pattern's root has at least [nodes / 3] children.  Raises [Invalid_argument] when [nodes < 1] or above
     {!Pattern.max_nodes} (via {!Pattern.create}). *)

@@ -226,14 +226,24 @@ let test_budget_degrades () =
 
 (* ---------- generator invariants ---------- *)
 
+(* Seeds whose Star pattern at 15 nodes once fell short of the hub
+   share, before the generator guaranteed it. *)
+let short_hub_seeds =
+  [ 1267; 1268; 1269; 8968; 8969; 14120; 14121; 14128; 14129; 14134; 14135 ]
+
 let test_generator_invariants () =
+  let inputs =
+    List.map (fun nodes -> (seed, nodes)) [ 15; 25; 40 ]
+    @ List.map (fun s -> (s, 15)) short_hub_seeds
+  in
   List.iter
     (fun shape ->
       List.iter
-        (fun nodes ->
+        (fun (seed, nodes) ->
           let p = Shapes.generate ~seed ~nodes shape in
           let id =
-            Printf.sprintf "%s/%d" (Shapes.gen_shape_name shape) nodes
+            Printf.sprintf "%s/%d/seed %d" (Shapes.gen_shape_name shape) nodes
+              seed
           in
           (* Pattern.create already validates tree-ness/connectivity and
              root-to-leaf edge direction; surviving construction is the
@@ -265,7 +275,7 @@ let test_generator_invariants () =
           (* distinct seeds disagree somewhere across the batch — the
              stream actually depends on the seed *)
           ())
-        [ 15; 25; 40 ])
+        inputs)
     Shapes.all_gen_shapes;
   let batch s =
     List.map
