@@ -53,8 +53,6 @@ let find t key =
           push_front t n;
           Some n.value)
 
-let mem t key = locked t (fun () -> Hashtbl.mem t.table key)
-
 let add t key value =
   locked t (fun () ->
   match Hashtbl.find_opt t.table key with
@@ -78,11 +76,3 @@ let add t key value =
       Hashtbl.replace t.table key n;
       push_front t n;
       evicted)
-
-let to_list t =
-  locked t (fun () ->
-      let rec go acc = function
-        | None -> List.rev acc
-        | Some n -> go ((n.key, n.value) :: acc) n.next
-      in
-      go [] t.head)

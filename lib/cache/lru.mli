@@ -21,12 +21,6 @@ val length : 'a t -> int
 val find : 'a t -> string -> 'a option
 (** Lookup; a hit promotes the entry to most-recently-used. *)
 
-val mem : 'a t -> string -> bool
-(** Presence test without promoting. *)
-
 val add : 'a t -> string -> 'a -> string option
 (** Insert or replace (either way the entry becomes most-recently-used).
     Returns the key evicted to make room, if any. *)
-
-val to_list : 'a t -> (string * 'a) list
-(** Entries from most- to least-recently-used. *)

@@ -24,9 +24,9 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(capacity = 256) () =
+let create () =
   {
-    lru = Lru.create ~capacity;
+    lru = Lru.create ~capacity:256;
     m = Mutex.create ();
     hits = 0;
     misses = 0;

@@ -34,8 +34,8 @@ type stats = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** [capacity] defaults to 256 entries. *)
+val create : unit -> t
+(** An empty cache holding at most 256 plans. *)
 
 val find : t -> string -> entry option
 (** A hit promotes the entry to most-recently-used. *)

@@ -94,26 +94,31 @@ let test_lru_eviction_order () =
   (* touching "a" makes "b" the least recently used *)
   check cb "hit" true (Lru.find l "a" = Some 1);
   check cb "evicts the LRU key" true (Lru.add l "c" 3 = Some "b");
-  check cb "b gone" false (Lru.mem l "b");
-  check cb "a survives" true (Lru.mem l "a");
+  check cb "b gone" true (Lru.find l "b" = None);
   check ci "still at capacity" 2 (Lru.length l);
-  check cb "MRU order" true (Lru.to_list l = [ ("c", 3); ("a", 1) ]);
-  (* replacing an existing key never evicts *)
-  check cb "replace is not an insert" true (Lru.add l "a" 9 = None);
-  check cb "replaced value" true (Lru.find l "a" = Some 9)
+  (* "a" survived the eviction and is now the least recently used *)
+  check cb "a evicted next" true (Lru.add l "d" 4 = Some "a");
+  (* replacing an existing key never evicts, and promotes it *)
+  check cb "replace is not an insert" true (Lru.add l "c" 9 = None);
+  check cb "replaced value" true (Lru.find l "c" = Some 9);
+  check cb "replace promoted c" true (Lru.add l "e" 5 = Some "d")
 
 let test_plan_cache_counters () =
-  let c = Plan_cache.create ~capacity:2 () in
+  let c = Plan_cache.create () in
   let entry = { Plan_cache.plan_text = "(scan A)"; est_cost = 1. } in
   check cb "miss on empty" true (Plan_cache.find c "k1" = None);
   Plan_cache.add c "k1" entry;
   check cb "hit" true (Plan_cache.find c "k1" <> None);
-  Plan_cache.add c "k2" entry;
-  Plan_cache.add c "k3" entry (* evicts k1's slot: k1 was MRU, k2 LRU... *);
+  (* 257 distinct keys into 256 slots: exactly one eviction *)
+  for i = 2 to 257 do
+    Plan_cache.add c ("k" ^ string_of_int i) entry
+  done;
   let s = Plan_cache.stats c in
   check ci "one eviction" 1 s.Plan_cache.evictions;
   check ci "one hit" 1 s.Plan_cache.hits;
-  check ci "one miss" 1 s.Plan_cache.misses
+  check ci "one miss" 1 s.Plan_cache.misses;
+  check ci "full" 256 s.Plan_cache.entries;
+  check ci "capacity" 256 s.Plan_cache.capacity
 
 (* ---------- prepared queries against a database ---------- *)
 

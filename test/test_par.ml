@@ -219,14 +219,24 @@ let test_lru_concurrent () =
          done));
   let len = Lru.length lru in
   check cb "within capacity" true (len <= 16);
-  let l = Lru.to_list lru in
-  check ci "to_list agrees with length" len (List.length l);
-  let keys = List.map fst l in
-  check ci "keys unique" len (List.length (List.sort_uniq compare keys))
+  (* push every survivor out with fresh keys: the recency list must hand
+     back each of the [len] entries the table holds exactly once *)
+  let evicted =
+    List.filter_map
+      (fun i -> Lru.add lru ("fresh" ^ string_of_int i) (i, -1))
+      (List.init 16 Fun.id)
+  in
+  check ci "one eviction per entry" len (List.length evicted);
+  check ci "keys unique" len (List.length (List.sort_uniq compare evicted));
+  check cb "no fresh key evicted" true
+    (List.for_all
+       (fun k -> not (String.starts_with ~prefix:"fresh" k))
+       evicted);
+  check ci "full of fresh keys" 16 (Lru.length lru)
 
 let test_plan_cache_concurrent () =
   Helpers.with_pool 2 @@ fun p ->
-  let pc = Sjos_cache.Plan_cache.create ~capacity:8 () in
+  let pc = Sjos_cache.Plan_cache.create () in
   let entry =
     { Sjos_cache.Plan_cache.plan_text = "t"; est_cost = 1.0 }
   in
@@ -234,7 +244,8 @@ let test_plan_cache_concurrent () =
     Pool.run p 2 (fun d ->
         let n = ref 0 in
         for k = 0 to 4_000 do
-          let key = string_of_int ((k * ((5 * d) + 1)) mod 24) in
+          (* 600 keys against 256 slots keep the cache evicting *)
+          let key = string_of_int ((k * ((5 * d) + 1)) mod 600) in
           incr n;
           (match Sjos_cache.Plan_cache.find pc key with
           | Some _ -> ()
@@ -246,8 +257,9 @@ let test_plan_cache_concurrent () =
   let s = Sjos_cache.Plan_cache.stats pc in
   check ci "hits + misses = finds" total_finds
     (s.Sjos_cache.Plan_cache.hits + s.Sjos_cache.Plan_cache.misses);
-  check cb "entries within capacity" true
-    (s.Sjos_cache.Plan_cache.entries <= s.Sjos_cache.Plan_cache.capacity)
+  check cb "evictions happened" true (s.Sjos_cache.Plan_cache.evictions > 0);
+  check ci "entries fill the capacity" s.Sjos_cache.Plan_cache.capacity
+    s.Sjos_cache.Plan_cache.entries
 
 (* ---------- regression: Budget cancellation across domains ---------- *)
 
