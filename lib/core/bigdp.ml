@@ -117,11 +117,12 @@ let run ?(width = default_width) (ctx : Search.ctx) =
             let anc_card =
               if a_in then cluster_card else card (1 lsl e.Pattern.anc)
             in
+            let merged_card = card merged in
             List.iter
               (fun algo ->
                 let join_cost =
                   Costing.join_cost factors algo ~anc:anc_card
-                    ~output:(card merged)
+                    ~output:merged_card
                 in
                 let total = presort +. scan_cost +. join_cost in
                 match !best with

@@ -159,13 +159,14 @@ let expand ?(left_deep = false) ?(lookahead = false) ?(cost_bound = infinity)
                    ~cost:(s.Status.cost +. join_cost +. extra))
             in
             mk join_plan 0.0;
+            let natural_order = Plan.ordered_by join_plan in
             (* Output re-sorts are only worthwhile toward orders a later
                join can still consume; a final status needs none (the
                order-by sort, if any, is added by [finalize]). *)
             if not will_be_final then
               List.iter
                 (fun target ->
-                  if target <> Plan.ordered_by join_plan then
+                  if target <> natural_order then
                     mk
                       (Plan.sort join_plan ~by:target)
                       (Cost_model.sort ctx.factors merged_card))
