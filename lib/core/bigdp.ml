@@ -110,7 +110,8 @@ let run ?(width = default_width) (ctx : Search.ctx) =
             let scan_cost = Cost_model.index_access factors (card (1 lsl other)) in
             let need = if a_in then e.Pattern.anc else e.Pattern.desc in
             let presort =
-              if Plan.ordered_by !plan <> need then Cost_model.sort factors cluster_card
+              if Plan.ordered_by !plan <> need then
+                Cost_model.sort factors cluster_card
               else 0.0
             in
             let merged = !mask lor (1 lsl other) in
@@ -137,7 +138,8 @@ let run ?(width = default_width) (ctx : Search.ctx) =
           let a_in = other = e.Pattern.desc in
           let need = if a_in then e.Pattern.anc else e.Pattern.desc in
           let cluster_plan =
-            if Plan.ordered_by !plan <> need then Plan.sort !plan ~by:need else !plan
+            if Plan.ordered_by !plan <> need then Plan.sort !plan ~by:need
+            else !plan
           in
           let anc_side, desc_side =
             if a_in then (cluster_plan, Plan.scan other)
@@ -165,10 +167,10 @@ let run ?(width = default_width) (ctx : Search.ctx) =
     (* ---------- the subset DP ---------- *)
     let tbl : (int * int, entry) Hashtbl.t = Hashtbl.create 1024 in
     let emit mask cost plan =
-      let order = Plan.ordered_by plan in
       if cost >= !ub then
         w.Work.pruned_bound <- w.Work.pruned_bound + 1
       else begin
+        let order = Plan.ordered_by plan in
         w.Work.plans_considered <- w.Work.plans_considered + 1;
         w.Work.statuses_generated <- w.Work.statuses_generated + 1;
         match Hashtbl.find_opt tbl (mask, order) with

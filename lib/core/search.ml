@@ -187,7 +187,8 @@ let sort_for_order_by ctx ~card (cost, plan) =
 
 let finalize ctx (s : Status.t) =
   match s.Status.clusters with
-  | [ c ] -> sort_for_order_by ctx ~card:c.Status.card (s.Status.cost, c.Status.plan)
+  | [ c ] ->
+      sort_for_order_by ctx ~card:c.Status.card (s.Status.cost, c.Status.plan)
   | _ -> invalid_arg "Search.finalize: status is not final"
 
 let ub_cost ctx (s : Status.t) =
