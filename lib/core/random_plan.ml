@@ -22,7 +22,7 @@ let walk ctx ~choose_edge ~choose_algo =
       (* Sort any input that is not ordered by its join node — this is what
          makes arbitrary join orders legal, and expensive. *)
       let prepare (c : Status.cluster) node =
-        if c.Status.order = node then (c.Status.plan, 0.0)
+        if Plan.ordered_by c.Status.plan = node then (c.Status.plan, 0.0)
         else
           ( Plan.sort c.Status.plan ~by:node,
             Cost_model.sort ctx.Search.factors c.Status.card )

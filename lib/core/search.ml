@@ -43,8 +43,8 @@ let joinable_m (cmap : Status.cluster Array.t) (e : Pattern.edge) =
   let cu = cmap.(e.Pattern.anc) in
   let cv = cmap.(e.Pattern.desc) in
   cu.Status.mask <> cv.Status.mask
-  && cu.Status.order = e.Pattern.anc
-  && cv.Status.order = e.Pattern.desc
+  && Plan.ordered_by cu.Status.plan = e.Pattern.anc
+  && Plan.ordered_by cv.Status.plan = e.Pattern.desc
 
 let is_deadend ctx (s : Status.t) =
   (not (Status.is_final s))
@@ -87,12 +87,7 @@ let step (s : Status.t) ~edge_idx (cu : Status.cluster) (cv : Status.cluster)
   {
     Status.clusters =
       merge_clusters s cu cv
-        {
-          Status.mask = cu.Status.mask lor cv.Status.mask;
-          order = Plan.ordered_by plan;
-          plan;
-          card;
-        };
+        { Status.mask = cu.Status.mask lor cv.Status.mask; plan; card };
     joined = s.Status.joined lor (1 lsl edge_idx);
     cost;
   }

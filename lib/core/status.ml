@@ -2,12 +2,12 @@ open Sjos_pattern
 open Sjos_cost
 open Sjos_plan
 
-type cluster = { mask : int; order : int; plan : Plan.t; card : float }
+type cluster = { mask : int; plan : Plan.t; card : float }
 type t = { clusters : cluster list; joined : int; cost : float }
 type key = { parts : (int * int) list; kjoined : int }
 
 let key t =
-  { parts = List.map (fun c -> (c.mask, c.order)) t.clusters;
+  { parts = List.map (fun c -> (c.mask, Plan.ordered_by c.plan)) t.clusters;
     kjoined = t.joined }
 
 (* Word-parallel popcount (SWAR): O(1) per word instead of one loop
@@ -51,7 +51,7 @@ let start ~factors ~provider pat =
     let card = provider.Costing.node_card i in
     cost := !cost +. Cost_model.index_access factors card;
     clusters :=
-      { mask = 1 lsl i; order = i; plan = Plan.scan i; card } :: !clusters
+      { mask = 1 lsl i; plan = Plan.scan i; card } :: !clusters
   done;
   { clusters = !clusters; joined = 0; cost = !cost }
 
@@ -66,7 +66,8 @@ let pp pat ppf t =
           if c.mask land (1 lsl i) <> 0 then Some (Pattern.name pat i) else None)
         (List.init (Pattern.node_count pat) Fun.id)
     in
-    Fmt.pf ppf "{%s|by %s}" (String.concat "" members) (Pattern.name pat c.order)
+    Fmt.pf ppf "{%s|by %s}" (String.concat "" members)
+      (Pattern.name pat (Plan.ordered_by c.plan))
   in
   Fmt.pf ppf "@[%a cost=%.1f@]" (Fmt.list ~sep:Fmt.sp pp_cluster) t.clusters
     t.cost

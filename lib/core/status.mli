@@ -1,9 +1,9 @@
 (** Statuses: the optimizer's search states (Definitions 1-3 of the paper).
 
     A status partitions the pattern nodes into connected clusters — each an
-    already-evaluated sub-pattern — and records, per cluster, the node its
-    intermediate result is ordered by, the sub-plan that computes it, and
-    its estimated cardinality.  The accumulated [cost] counts every
+    already-evaluated sub-pattern — and records, per cluster, the sub-plan
+    that computes it (whose {!Plan.ordered_by} is the node its
+    intermediate result is ordered by) and its estimated cardinality.  The accumulated [cost] counts every
     operation performed so far (index scans included, so plan costs are
     comparable across shapes). *)
 
@@ -12,7 +12,6 @@ open Sjos_plan
 
 type cluster = {
   mask : int;  (** pattern nodes in the cluster (bit [i] = node [i]) *)
-  order : int;  (** the node the cluster's result is ordered by *)
   plan : Plan.t;  (** sub-plan producing the cluster *)
   card : float;  (** estimated cardinality of the sub-plan's result *)
 }
@@ -24,7 +23,8 @@ type t = {
 }
 
 type key = { parts : (int * int) list; kjoined : int }
-(** Canonical identity of a status: the sorted [(mask, order)] pairs plus
+(** Canonical identity of a status: the sorted [(mask, order)] pairs
+    ([order] is {!Plan.ordered_by} of the cluster's plan) plus
     the consumed-edge mask.  Two statuses with equal keys are the same
     search state and only the cheaper is worth keeping.
 

@@ -52,13 +52,12 @@ let test_status_key_regression () =
      directly: equal partitions, different [joined].  Such a pair is
      unreachable for tree patterns (a connected cluster determines its
      internal edges) but the key must not rely on reachability. *)
-  let plan = Plan.scan 0 in
   let mk joined =
     {
       Status.clusters =
         [
-          { Status.mask = 0b011; order = 0; plan; card = 1.0 };
-          { Status.mask = 0b100; order = 2; plan; card = 1.0 };
+          { Status.mask = 0b011; plan = Plan.scan 0; card = 1.0 };
+          { Status.mask = 0b100; plan = Plan.scan 2; card = 1.0 };
         ];
       joined;
       cost = 1.0;

@@ -24,7 +24,7 @@ let test_status_start () =
   List.iter
     (fun (c : Status.cluster) ->
       check ci "singleton ordered by itself"
-        (c.Status.mask land (1 lsl c.Status.order))
+        (c.Status.mask land (1 lsl Plan.ordered_by c.Status.plan))
         (c.Status.mask))
     s.Status.clusters;
   check ci "popcount" 3 (Status.popcount 0b10101);
