@@ -216,13 +216,13 @@ let gen_cmd =
 let stats_cmd =
   let run file =
     guarded @@ fun () ->
-    let db = Database.load_file file in
-    Fmt.pr "%a@." Sjos_storage.Stats.pp (Database.stats db);
+    let stats = Database.stats (Database.load_file file) in
+    Fmt.pr "%a@." Sjos_storage.Stats.pp stats;
     Fmt.pr "@.top tags:@.";
     List.iteri
       (fun i (tag, count) ->
         if i < 15 then Fmt.pr "  %-20s %d@." tag count)
-      (Database.stats db).Sjos_storage.Stats.tag_counts
+      stats.Sjos_storage.Stats.tag_counts
   in
   let file =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"XML file.")
@@ -236,15 +236,6 @@ let no_cache_flag =
     value & flag
     & info [ "no-cache" ]
         ~doc:"Bypass the plan cache: always run a fresh optimizer search.")
-
-let grid_opt =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "grid" ] ~docv:"G"
-        ~doc:
-          "Per-query positional-histogram grid override (1-4096; out of \
-           range is rejected with exit code 3).")
 
 let backend_conv =
   Arg.conv
@@ -311,7 +302,7 @@ let domains_opt =
 
 let query_cmd =
   let run pattern file algorithm engine max_tuples show xpath trace trace_out
-      json no_cache deadline_ms max_expanded grid domains storage pool_pages
+      json no_cache deadline_ms max_expanded domains storage pool_pages
       page_size =
     guarded @@ fun () ->
     let db =
@@ -326,7 +317,7 @@ let query_cmd =
     let opts =
       Query_opts.make ~algorithm ~engine ~use_cache:(not no_cache)
         ~budget:(budget_of deadline_ms max_expanded max_tuples)
-        ?grid ?pool ()
+        ?pool ()
     in
     let (prep, run), report =
       with_obs ~trace ?trace_out (fun () ->
@@ -401,7 +392,7 @@ let query_cmd =
     Term.(
       const run $ pattern_arg $ file_arg $ algo_opt $ engine_opt
       $ max_tuples_opt $ show $ xpath_flag $ trace_flag $ trace_out_opt
-      $ json_flag $ no_cache_flag $ deadline_opt $ max_expanded_opt $ grid_opt
+      $ json_flag $ no_cache_flag $ deadline_opt $ max_expanded_opt
       $ domains_opt $ storage_backend_opt $ pool_pages_opt $ page_size_opt)
 
 (* ---------- explain ---------- *)
@@ -837,8 +828,6 @@ let selftest_error_cmd =
       | "budget_exhausted" ->
           Error.Budget_exhausted
             { resource = Budget.Wall_clock; during = "selftest" }
-      | "corrupt_cache_entry" ->
-          Error.Corrupt_cache_entry { key = "selftest"; reason = "selftest" }
       | "corrupt_input" ->
           Error.Corrupt_input { source = "selftest"; reason = "selftest" }
       | "internal" -> Error.Internal "selftest"

@@ -1,7 +1,5 @@
 open Sjos_obs
 
-type entry = { plan_text : string; est_cost : float }
-
 type stats = {
   hits : int;
   misses : int;
@@ -10,8 +8,8 @@ type stats = {
   capacity : int;
 }
 
-type t = {
-  lru : entry Lru.t;
+type 'a t = {
+  lru : 'a Lru.t;
   (* Serializes each lookup or insertion with the counter it bumps, so
      an outcome and its counter can never disagree under concurrency.
      Always taken before the Lru's own lock; never the other way

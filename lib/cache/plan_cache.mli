@@ -1,10 +1,11 @@
 (** A size-bounded LRU cache of chosen plans, keyed by strings (in practice
     ["<engine>|<algorithm>|<structural fingerprint>"]).
 
-    Entries store the plan serialized with [Plan_io] against the pattern's
-    {e canonical} numbering, so any pattern with the same fingerprint can
-    deserialize and transport it back to its own numbering — the cache layer
-    itself stays independent of the pattern and plan types.
+    The cache is polymorphic in what it stores, so it stays independent
+    of the pattern and plan types.  The engine stores each chosen plan
+    with its estimated cost, in the pattern's {e canonical} numbering:
+    any pattern with the same fingerprint maps it back to its own
+    numbering.
 
     Entries are never invalidated: a database's statistics and cost
     factors are fixed when it is built, so a plan chosen once stays the
@@ -19,11 +20,6 @@
     counters always agree with outcomes and [stats] snapshots are
     consistent. *)
 
-type entry = {
-  plan_text : string;  (** [Plan_io] serialization in canonical numbering *)
-  est_cost : float;  (** optimizer's estimated cost of the cached plan *)
-}
-
 type stats = {
   hits : int;
   misses : int;
@@ -32,18 +28,18 @@ type stats = {
   capacity : int;
 }
 
-type t
+type 'a t
 
-val create : unit -> t
+val create : unit -> 'a t
 (** An empty cache holding at most 256 plans. *)
 
-val find : t -> string -> entry option
+val find : 'a t -> string -> 'a option
 (** A hit promotes the entry to most-recently-used. *)
 
-val add : t -> string -> entry -> unit
+val add : 'a t -> string -> 'a -> unit
 (** Insert (or replace), evicting the least-recently-used entry when
     full. *)
 
-val stats : t -> stats
-val to_json : t -> Sjos_obs.Json.t
-val pp : t Fmt.t
+val stats : 'a t -> stats
+val to_json : 'a t -> Sjos_obs.Json.t
+val pp : 'a t Fmt.t

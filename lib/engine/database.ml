@@ -10,32 +10,18 @@ open Sjos_cache
 open Sjos_obs
 open Sjos_guard
 
+type cached_plan = { plan : Plan.t; est_cost : float }
+
 type t = {
   doc : Document.t;
   index : Element_index.t;
-  (* Not a [Lazy.t]: forcing a lazy from two domains at once raises
-     [CamlinternalLazy.Undefined] in one of them.  A mutex-guarded memo
-     gives the same compute-once behavior safely. *)
-  stats_m : Mutex.t;
-  mutable stats_v : Stats.t option;
   (* Label statistics at the database's own grid, [grid] below. *)
   catalog : Stats_catalog.t;
-  plan_cache : Plan_cache.t;
+  plan_cache : cached_plan Plan_cache.t;
   store : Column_store.t;
 }
 
-(* A grid of g costs O(g^2) cells per histogram: an absurd request is an
-   out-of-range knob (Invalid_request), not an allocation failure later. *)
-let max_grid = 4096
-
-let validate_grid grid =
-  if grid < 1 || grid > max_grid then
-    Error.fail
-      (Error.Invalid_request
-         (Printf.sprintf "histogram grid %d out of range 1..%d" grid max_grid))
-
-(* The positional-histogram resolution every database's own statistics
-   use; a query may override it through [Query_opts.grid]. *)
+(* The positional-histogram resolution every database's statistics use. *)
 let grid = 32
 
 let of_document ?storage doc =
@@ -46,8 +32,6 @@ let of_document ?storage doc =
   {
     doc;
     index;
-    stats_m = Mutex.create ();
-    stats_v = None;
     catalog = Stats_catalog.create ~grid index;
     plan_cache = Plan_cache.create ();
     store = Column_store.create ~config:storage index;
@@ -62,25 +46,13 @@ let store t = t.store
 
 let dispose t = Column_store.dispose t.store
 
-let stats t =
-  Mutex.lock t.stats_m;
-  let s =
-    match t.stats_v with
-    | Some s -> s
-    | None ->
-        let s = Stats.compute t.doc in
-        t.stats_v <- Some s;
-        s
-  in
-  Mutex.unlock t.stats_m;
-  s
+let stats t = Stats.compute t.doc
 
 (* Build every lazily cached read-side structure up front, so that
    queries fanned out across domains afterwards touch only read paths. *)
 let warm t =
   ignore (Document.positions t.doc);
-  Element_index.warm t.index;
-  ignore (stats t)
+  Element_index.warm t.index
 
 let factors _ = Cost_model.default
 let catalog t = t.catalog
@@ -95,17 +67,10 @@ let provider_of stats pat =
 
 let provider t pat = provider_of t.catalog pat
 
-(* A query is cacheable only when it runs against the database's own
-   statistics configuration: a per-query grid override would poison
-   entries keyed purely on algorithm + structure.  Chaos runs are never
-   cached either way — a plan chosen under lying statistics must not leak
-   into healthy queries. *)
+(* Chaos runs are never cached — a plan chosen under lying statistics
+   must not leak into healthy queries. *)
 let cache_key (opts : Query_opts.t) ~pat ~fingerprint =
-  if
-    opts.Query_opts.use_cache
-    && Option.is_none opts.Query_opts.grid
-    && Option.is_none opts.Query_opts.chaos
-  then begin
+  if opts.Query_opts.use_cache && Option.is_none opts.Query_opts.chaos then
     (* the engine is part of the key: Auto and Binary may pick different
        plans for the same (algorithm, structure).  The algorithm is the
        *effective* one — a DPP request on a large pattern runs (and
@@ -115,21 +80,20 @@ let cache_key (opts : Query_opts.t) ~pat ~fingerprint =
       ^ "|"
       ^ Optimizer.name (Optimizer.effective pat opts.Query_opts.algorithm)
       ^ "|" ^ fingerprint)
-  end
   else None
 
 (* Run the optimizer through the plan cache.  On a hit the stored plan —
-   serialized against the canonical numbering — is parsed and transported
-   back to the caller's numbering; the synthesized result reports zero
-   search work and the (tiny) lookup time as [opt_seconds].  Returns the
-   result and whether it came from the cache.
+   kept in the canonical numbering — is mapped back to the caller's
+   numbering; the synthesized result reports zero search work and the
+   (tiny) lookup time as [opt_seconds].  Returns the result and whether it
+   came from the cache.
 
    Budget exhaustion goes through {!Optimizer.optimize_r}, so an exact
    search degrades to DPAP-EB instead of failing; a degraded plan is never
-   stored (the budget, not the statistics, chose it).  A cached entry that
-   fails to deserialize or no longer evaluates the pattern is treated as
+   stored (the budget, not the statistics, chose it).  A cached plan that
+   does not evaluate the pattern (a fingerprint collision) is treated as
    corruption: counted, overwritten by a fresh optimization, never served. *)
-let resolve t ~(opts : Query_opts.t) ~pat ~canon ~from_canon ~to_canon ~key
+let resolve t ~(opts : Query_opts.t) ~pat ~from_canon ~to_canon ~key
     ~provider =
   let t0 = Clock.now_ns () in
   let fresh ~store () =
@@ -141,21 +105,13 @@ let resolve t ~(opts : Query_opts.t) ~pat ~canon ~from_canon ~to_canon ~key
     | Ok r ->
         (match (store, key) with
         | true, Some key when r.Optimizer.degraded_from = None ->
-            let cplan = Plan.map_nodes to_canon r.Optimizer.plan in
             Plan_cache.add t.plan_cache key
               {
-                Plan_cache.plan_text = Plan_io.to_string canon cplan;
+                plan = Plan.map_nodes to_canon r.Optimizer.plan;
                 est_cost = r.Optimizer.est_cost;
               }
         | _ -> ());
         (r, false)
-  in
-  let corrupt k reason =
-    if Registry.enabled () then
-      Registry.incr (Registry.counter "guard.corrupt_cache");
-    Trace.event "plan_cache.corrupt"
-      ~attrs:[ ("key", Json.Str k); ("reason", Json.Str reason) ];
-    fresh ~store:true ()
   in
   match key with
   | None -> fresh ~store:false ()
@@ -163,23 +119,25 @@ let resolve t ~(opts : Query_opts.t) ~pat ~canon ~from_canon ~to_canon ~key
       match Plan_cache.find t.plan_cache k with
       | None -> fresh ~store:true ()
       | Some entry -> (
-          match Plan_io.of_string canon entry.Plan_cache.plan_text with
-          | Error msg -> corrupt k msg
-          | Ok cplan -> (
-              let plan = Plan.map_nodes from_canon cplan in
-              match Properties.validate pat plan with
-              | Error msg -> corrupt k msg
-              | Ok () ->
-                  ( {
-                      Optimizer.algorithm =
-                        Optimizer.effective pat opts.Query_opts.algorithm;
-                      plan;
-                      est_cost = entry.Plan_cache.est_cost;
-                      opt_seconds = Clock.elapsed_seconds ~since:t0;
-                      work = Work.zero ();
-                      degraded_from = None;
-                    },
-                    true ))))
+          let plan = Plan.map_nodes from_canon entry.plan in
+          match Properties.validate pat plan with
+          | Error reason ->
+              if Registry.enabled () then
+                Registry.incr (Registry.counter "guard.corrupt_cache");
+              Trace.event "plan_cache.corrupt"
+                ~attrs:[ ("key", Json.Str k); ("reason", Json.Str reason) ];
+              fresh ~store:true ()
+          | Ok () ->
+              ( {
+                  Optimizer.algorithm =
+                    Optimizer.effective pat opts.Query_opts.algorithm;
+                  plan;
+                  est_cost = entry.est_cost;
+                  opt_seconds = Clock.elapsed_seconds ~since:t0;
+                  work = Work.zero ();
+                  degraded_from = None;
+                },
+                true )))
 
 type prepared = {
   pdb : t;
@@ -199,20 +157,14 @@ type prepared = {
    ({!Chaos.derive}), so which faults a query sees is a function of
    (seed, query) alone — not of how many queries ran before it, nor of
    the domain scheduling of a parallel workload. *)
-let chaos_provider t ~(opts : Query_opts.t) ~chaos pat =
-  (* Only the database's own statistics are retained.  A grid override
-     (up to 4096, so 16M cells per histogram) or a chaos run builds
-     private statistics that die with its provider. *)
-  let stats =
-    match (opts.Query_opts.grid, chaos) with
-    | None, None -> t.catalog
-    | grid, _ ->
-        let grid = Option.value grid ~default:(Stats_catalog.grid t.catalog) in
-        validate_grid grid;
-        Stats_catalog.create ~grid t.index
-  in
-  let p = provider_of stats pat in
-  match chaos with Some c -> Chaos.wrap_provider c p | None -> p
+let chaos_provider t ~chaos pat =
+  match chaos with
+  | None -> provider t pat
+  | Some c ->
+      (* Only the database's own statistics are retained: a chaos run
+         builds private statistics that die with its provider. *)
+      Chaos.wrap_provider c
+        (provider_of (Stats_catalog.create ~grid t.index) pat)
 
 let chaos_fetch t chaos =
   match chaos with
@@ -229,7 +181,7 @@ let parse_pattern ~xpath s =
   | Error message -> Error.fail (Error.Parse_error { input = s; message })
 
 let prepare ?(opts = Query_opts.default) t pat =
-  let canon, mapping = Fingerprint.canonical pat in
+  let _, mapping = Fingerprint.canonical pat in
   let inverse = Array.make (Array.length mapping) 0 in
   Array.iteri (fun old nw -> inverse.(nw) <- old) mapping;
   let to_canon i = mapping.(i) in
@@ -241,9 +193,9 @@ let prepare ?(opts = Query_opts.default) t pat =
       opts.Query_opts.chaos
   in
   let key = cache_key opts ~pat ~fingerprint in
-  let provider = chaos_provider t ~opts ~chaos pat in
+  let provider = chaos_provider t ~chaos pat in
   let result, cached =
-    resolve t ~opts ~pat ~canon ~from_canon ~to_canon ~key ~provider
+    resolve t ~opts ~pat ~from_canon ~to_canon ~key ~provider
   in
   {
     pdb = t;

@@ -6,7 +6,10 @@
     canonicalizes the pattern ({!Sjos_pattern.Fingerprint}), picks a plan —
     consulting the database's LRU plan cache first, so repeated structures
     skip the optimizer search entirely — and returns a handle off which
-    {!exec}, {!explain_prepared} and {!analyze_prepared} run.
+    {!exec}, {!explain_prepared} and {!analyze_prepared} run.  The cache
+    holds each chosen plan, in canonical numbering, with its estimated
+    cost; a hit maps it back to the caller's numbering and re-validates
+    it.
 
     {[
       let db = Database.of_document doc in
@@ -64,12 +67,13 @@ val dispose : t -> unit
     queries are unaffected.  Idempotent. *)
 
 val stats : t -> Stats.t
-(** Document statistics, computed once on first use (mutex-guarded memo —
-    safe to race from several domains). *)
+(** Document statistics, computed afresh on each call by a walk over
+    every node.  No query reads them: the optimizer's estimates come
+    from the label statistics {!catalog}. *)
 
 val warm : t -> unit
 (** Pre-build every lazily cached read-side structure (document position
-    columns, per-tag candidate columns, statistics), so queries fanned
+    columns, per-tag candidate columns), so queries fanned
     out across domains afterwards touch only read paths.  Idempotent;
     purely a scheduling hint — parallel queries are correct without it.
     The label statistics {!catalog} is not pre-built: it fills on each
@@ -79,12 +83,17 @@ val factors : t -> Sjos_cost.Cost_model.factors
 (** The cost factors every plan of the database is priced under. *)
 
 val catalog : t -> Sjos_histogram.Stats_catalog.t
-(** The label statistics queries at the database's own grid share:
-    candidate counts and positional histograms, filled on first use of
-    each label.  Queries with a [Query_opts.grid] override or chaos
-    build private statistics and leave it untouched. *)
+(** The label statistics queries share: candidate counts and positional
+    histograms at the database's grid, filled on first use of each label.
+    Queries with chaos build private statistics and leave it
+    untouched. *)
 
-val plan_cache : t -> Sjos_cache.Plan_cache.t
+type cached_plan = {
+  plan : Sjos_plan.Plan.t;  (** in the pattern's canonical numbering *)
+  est_cost : float;  (** the optimizer's estimated cost of [plan] *)
+}
+
+val plan_cache : t -> cached_plan Sjos_cache.Plan_cache.t
 (** The database's plan cache, for stats inspection. *)
 
 val provider : t -> Pattern.t -> Sjos_plan.Costing.provider

@@ -1,10 +1,11 @@
 (** Per-query knobs, consolidated.
 
-    Earlier revisions scattered [?algorithm] and [?grid] across
-    [Database], [Experiment], [Workload] and [Xquery] entry points; this
-    record is the single carrier.  Build one with {!make} (or
-    start from {!default}) and pass it to [Database.prepare] / [run],
-    [Experiment.run_cell], [Workload.run] or [Xquery.run]. *)
+    This record is the single carrier of what may differ between two
+    queries on one database; what a database fixes when it is built
+    (cost factors, statistics grid, plan-cache size) is not here.  Build
+    one with {!make} (or start from {!default}) and pass it to
+    [Database.prepare] / [run], [Experiment.run_cell], [Workload.run] or
+    [Xquery.run]. *)
 
 type t = {
   algorithm : Sjos_core.Optimizer.algorithm;
@@ -13,8 +14,6 @@ type t = {
       (** physical algebra: binary Stack-Tree plans (the default),
           the holistic TwigStack operator, or cost-based [Auto] *)
   use_cache : bool;  (** consult/populate the database's plan cache *)
-  grid : int option;
-      (** override the database's histogram grid (also disables caching) *)
   budget : Sjos_guard.Budget.t;
       (** resource ceilings enforced across optimization and execution
           — including the tuple ceiling, [Budget.make ~max_tuples];
@@ -30,14 +29,13 @@ type t = {
 }
 
 val default : t
-(** [Dpp], caching on, the database's own grid,
-    unlimited budget, no fault injection. *)
+(** [Dpp], binary engine, caching on, unlimited budget, no fault
+    injection, the default pool. *)
 
 val make :
   ?algorithm:Sjos_core.Optimizer.algorithm ->
   ?engine:Sjos_core.Optimizer.engine ->
   ?use_cache:bool ->
-  ?grid:int ->
   ?budget:Sjos_guard.Budget.t ->
   ?chaos:Sjos_guard.Chaos.t ->
   ?pool:Sjos_par.Pool.t ->

@@ -5,7 +5,6 @@ type t =
   | Invalid_request of string
   | Invalid_plan of string
   | Budget_exhausted of { resource : Budget.resource; during : string }
-  | Corrupt_cache_entry of { key : string; reason : string }
   | Corrupt_input of { source : string; reason : string }
   | Internal of string
   | Overloaded of { reason : string; retry_after_ms : float }
@@ -19,39 +18,26 @@ let class_name = function
   | Invalid_request _ -> "invalid_request"
   | Invalid_plan _ -> "invalid_plan"
   | Budget_exhausted _ -> "budget_exhausted"
-  | Corrupt_cache_entry _ -> "corrupt_cache_entry"
   | Corrupt_input _ -> "corrupt_input"
   | Internal _ -> "internal"
   | Overloaded _ -> "overloaded"
 
-let exit_code = function
-  | Parse_error _ -> 2
-  | Invalid_request _ -> 3
-  | Invalid_plan _ -> 4
-  | Budget_exhausted _ -> 5
-  | Corrupt_cache_entry _ -> 6
-  | Corrupt_input _ -> 7
-  | Internal _ -> 8
-  | Overloaded _ -> 9
-
-let all_class_names =
+(* Scripts match on these codes, so a code is never reassigned: 6 is
+   unused. *)
+let classes =
   [
-    "parse_error";
-    "invalid_request";
-    "invalid_plan";
-    "budget_exhausted";
-    "corrupt_cache_entry";
-    "corrupt_input";
-    "internal";
-    "overloaded";
+    ("parse_error", 2);
+    ("invalid_request", 3);
+    ("invalid_plan", 4);
+    ("budget_exhausted", 5);
+    ("corrupt_input", 7);
+    ("internal", 8);
+    ("overloaded", 9);
   ]
 
-let exit_code_of_class name =
-  let rec find code = function
-    | [] -> None
-    | c :: rest -> if String.equal c name then Some code else find (code + 1) rest
-  in
-  find 2 all_class_names
+let exit_code t = List.assoc (class_name t) classes
+let all_class_names = List.map fst classes
+let exit_code_of_class name = List.assoc_opt name classes
 
 let message = function
   | Parse_error { message; _ } -> message
@@ -65,8 +51,6 @@ let message = function
       | Budget.Tuples_materialized { limit; count } ->
           Fmt.str " (%d tuples produced, limit %d)" count limit
       | _ -> "")
-  | Corrupt_cache_entry { key; reason } ->
-      Fmt.str "corrupt cached plan under %S: %s" key reason
   | Corrupt_input { source; reason } -> Fmt.str "%s: %s" source reason
   | Internal m -> m
   | Overloaded { reason; retry_after_ms } ->
@@ -116,7 +100,6 @@ let to_json t =
               [ ("limit", Json.Int limit); ("count", Json.Int count) ]
           | _ -> [])
     | Parse_error { input; _ } -> [ ("input", Json.Str input) ]
-    | Corrupt_cache_entry { key; _ } -> [ ("key", Json.Str key) ]
     | Corrupt_input { source; _ } -> [ ("source", Json.Str source) ]
     | Overloaded { retry_after_ms; _ } ->
         [ ("retry_after_ms", Json.Float retry_after_ms) ]

@@ -11,18 +11,14 @@ type t =
   | Parse_error of { input : string; message : string }
       (** malformed pattern / XPath / XQuery / XML text *)
   | Invalid_request of string
-      (** a well-formed query with out-of-range knobs (e.g. an absurd
-          histogram grid or a non-positive [Te]) *)
+      (** a well-formed query with out-of-range knobs (e.g. a
+          non-positive [Te]) *)
   | Invalid_plan of string
       (** a plan that does not evaluate the pattern (externally supplied
           or corrupted in transport) *)
   | Budget_exhausted of { resource : Budget.resource; during : string }
       (** a resource ceiling fired and no degradation tier could absorb
           it; [during] is ["optimize"] or ["execute"] *)
-  | Corrupt_cache_entry of { key : string; reason : string }
-      (** a cached plan failed to deserialize or validate {e and}
-          re-optimization failed too (a lone corrupt entry is repaired
-          transparently) *)
   | Corrupt_input of { source : string; reason : string }
       (** corrupt data detected at a trust boundary, e.g. an externally
           supplied candidate stream out of document order, or a column
@@ -47,8 +43,8 @@ val class_name : t -> string
 
 val exit_code : t -> int
 (** Distinct non-zero process exit code per class: parse 2, request 3,
-    plan 4, budget 5, corrupt cache 6, corrupt input 7, internal 8,
-    overloaded 9. *)
+    plan 4, budget 5, corrupt input 7, internal 8, overloaded 9.  Code 6
+    is unused. *)
 
 val exit_code_of_class : string -> int option
 (** Inverse lookup from a {!class_name} tag — used by wire clients that
@@ -56,7 +52,7 @@ val exit_code_of_class : string -> int option
     would. *)
 
 val all_class_names : string list
-(** Every class tag, in exit-code order (2..9). *)
+(** Every class tag, in exit-code order (2..5, 7..9). *)
 
 val message : t -> string
 (** One-line human message (no backtrace, no class prefix). *)

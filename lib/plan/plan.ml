@@ -22,8 +22,8 @@ let join ~anc_side ~desc_side ~edge ~algo = Structural_join { anc_side; desc_sid
 let sort input ~by = Sort { input; by }
 
 (* Root-to-leaf path masks, sorted for a canonical representation: the
-   holistic operator's cost (and its serialized identity) depends only on
-   the set of paths, not on leaf enumeration order. *)
+   holistic operator's cost (and its identity under [equal]) depends only
+   on the set of paths, not on leaf enumeration order. *)
 let path_masks pat =
   let n = Pattern.node_count pat in
   let rec up j acc =
@@ -35,16 +35,15 @@ let path_masks pat =
   |> List.map (fun leaf -> up leaf 0)
   |> List.sort_uniq compare
 
-let holistic_node ?(order = 0) pat =
-  Holistic
-    {
-      mask = (1 lsl Pattern.node_count pat) - 1;
-      order;
-      paths = path_masks pat;
-    }
-
 let holistic_of_pattern pat =
-  let h = holistic_node pat in
+  let h =
+    Holistic
+      {
+        mask = (1 lsl Pattern.node_count pat) - 1;
+        order = 0;
+        paths = path_masks pat;
+      }
+  in
   match Pattern.order_by pat with
   | Some by when by <> 0 -> Sort { input = h; by }
   | _ -> h

@@ -37,13 +37,10 @@ val sort : t -> by:int -> t
 val path_masks : Pattern.t -> int list
 (** Masks of the pattern's root-to-leaf paths, sorted. *)
 
-val holistic_node : ?order:int -> Pattern.t -> t
-(** The bare holistic operator for a pattern: full node mask,
-    [paths = path_masks pat], ordered by [order] (default the root). *)
-
 val holistic_of_pattern : Pattern.t -> t
-(** {!holistic_node}, wrapped in a {!Sort} when the pattern requests an
-    ordering by a non-root node. *)
+(** The holistic operator for a pattern — full node mask, ordered by the
+    root, [paths = path_masks pat] — wrapped in a {!Sort} when the pattern
+    requests an ordering by a non-root node. *)
 
 val uses_holistic : t -> bool
 (** Whether any operator in the plan is {!Holistic}. *)

@@ -25,10 +25,12 @@ let validate pat plan =
     | Plan.Structural_join { anc_side; desc_side; edge; _ } ->
         let* () = check anc_side in
         let* () = check desc_side in
-        let { Pattern.anc; desc; _ } = edge in
+        let { Pattern.anc; desc; axis } = edge in
         let* () =
           match Pattern.edge_between pat anc desc with
-          | Some e when e.Pattern.anc = anc -> Ok ()
+          | Some e when e.Pattern.anc = anc && e.Pattern.axis = axis -> Ok ()
+          | Some e when e.Pattern.anc = anc ->
+              err "join on edge %d-%d with the wrong axis" anc desc
           | _ -> err "join on a non-edge %d-%d" anc desc
         in
         let ma = Plan.nodes_mask anc_side and md = Plan.nodes_mask desc_side in

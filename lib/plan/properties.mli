@@ -6,7 +6,7 @@ open Sjos_pattern
 val validate : Pattern.t -> Plan.t -> (unit, string) result
 (** A plan is valid for a pattern when:
     - each pattern node is scanned exactly once and each edge joined
-      exactly once;
+      exactly once, with the pattern's axis;
     - each join's ancestor side binds [edge.anc] ordered by it, and its
       descendant side binds [edge.desc] ordered by it (the Stack-Tree input
       requirement);

@@ -54,9 +54,9 @@ printf '<a><b></a>' > "$BAD"
 expect_exit 2 "malformed xml" \
   run_sjos query "manager(//name)" "$BAD"
 
-# invalid_request = 3: per-query knob out of range
-expect_exit 3 "grid out of range" \
-  run_sjos query "manager(//name)" "$XML" --grid 0
+# invalid_request = 3: a client pointed at a socket nobody listens on
+expect_exit 3 "client without a server" \
+  run_sjos client health --socket "${TMPDIR:-/tmp}/sjos_smoke_absent_$$.sock"
 
 # budget_exhausted = 5: tuple ceiling fires during execution
 expect_exit 5 "tuple budget exhausted" \
@@ -93,14 +93,13 @@ else
   fails=$((fails + 1))
 fi
 
-# the complete class-to-exit-code table, 2..9, via the selftest boundary:
-# every class must map to its documented code even when no organic
-# failing query exists for it in this script
-code=2
-for cls in parse_error invalid_request invalid_plan budget_exhausted \
-  corrupt_cache_entry corrupt_input internal overloaded; do
-  expect_exit "$code" "selftest-error $cls" run_sjos selftest-error "$cls"
-  code=$((code + 1))
+# the complete class-to-exit-code table via the selftest boundary: every
+# class must map to its documented code even when no organic failing
+# query exists for it in this script (6 is unused)
+for pair in parse_error:2 invalid_request:3 invalid_plan:4 \
+  budget_exhausted:5 corrupt_input:7 internal:8 overloaded:9; do
+  cls=${pair%:*}
+  expect_exit "${pair#*:}" "selftest-error $cls" run_sjos selftest-error "$cls"
 done
 expect_exit 3 "selftest-error rejects unknown class" \
   run_sjos selftest-error no_such_class

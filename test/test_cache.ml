@@ -105,7 +105,7 @@ let test_lru_eviction_order () =
 
 let test_plan_cache_counters () =
   let c = Plan_cache.create () in
-  let entry = { Plan_cache.plan_text = "(scan A)"; est_cost = 1. } in
+  let entry = "plan" in
   check cb "miss on empty" true (Plan_cache.find c "k1" = None);
   Plan_cache.add c "k1" entry;
   check cb "hit" true (Plan_cache.find c "k1" <> None);
@@ -143,17 +143,43 @@ let test_warm_run_skips_search () =
   check cb "identical tuples" true
     (cold.Database.exec.Executor.tuples = warm.Database.exec.Executor.tuples)
 
+(* Same structure, different construction order: one optimizer search
+   serves both, and the hit is the first pattern's plan carried through
+   the two canonical mappings.  The holistic engine's plan also carries
+   node masks and path masks to transport. *)
 let test_warm_hit_across_numbering () =
-  let db = db () in
-  (* same structure, different construction order: one optimizer search
-     serves both *)
-  ignore (Database.run db pat_ordered);
-  let p = Database.prepare db pat_scrambled in
-  check cb "renumbered pattern hits the cache" true
-    (Database.prepared_from_cache p);
-  let run = Database.exec p in
-  check cb "and still finds matches" true
-    (Array.length run.Database.exec.Executor.tuples > 0)
+  let _, ordered_to_canon = Fingerprint.canonical pat_ordered in
+  let _, scrambled_to_canon = Fingerprint.canonical pat_scrambled in
+  let canon_to_scrambled = Array.make (Array.length scrambled_to_canon) 0 in
+  Array.iteri (fun i c -> canon_to_scrambled.(c) <- i) scrambled_to_canon;
+  let transport =
+    Sjos_plan.Plan.map_nodes (fun i ->
+        canon_to_scrambled.(ordered_to_canon.(i)))
+  in
+  List.iter
+    (fun engine ->
+      let name = Optimizer.engine_name engine ^ ": " in
+      let db = db () in
+      let opts = Query_opts.make ~engine () in
+      let first = (Database.run ~opts db pat_ordered).Database.opt in
+      let p = Database.prepare ~opts db pat_scrambled in
+      check cb (name ^ "renumbered pattern hits the cache") true
+        (Database.prepared_from_cache p);
+      let hit = Database.prepared_result p in
+      check cb (name ^ "the first plan, transported") true
+        (Sjos_plan.Plan.equal (transport first.Optimizer.plan)
+           hit.Optimizer.plan);
+      check cb (name ^ "the plan's own engine") true
+        (Sjos_plan.Plan.uses_holistic hit.Optimizer.plan
+        = (engine = Optimizer.Holistic));
+      check cb (name ^ "the same estimate, to the bit") true
+        (Int64.equal
+           (Int64.bits_of_float first.Optimizer.est_cost)
+           (Int64.bits_of_float hit.Optimizer.est_cost));
+      let run = Database.exec p in
+      check cb (name ^ "and still finds matches") true
+        (Array.length run.Database.exec.Executor.tuples > 0))
+    [ Optimizer.Binary; Optimizer.Holistic ]
 
 let test_cold_opts_bypass () =
   let db = db () in
@@ -167,8 +193,7 @@ let test_cold_opts_bypass () =
   check cb "cold prepare never reads the cache" true (considered r > 0)
 
 (* A database is configured by its constructor alone: its plan cache
-   holds 256 plans, its own statistics use grid 32, a per-query grid
-   override neither reads nor fills the cache, and a prepared handle
+   holds 256 plans, its statistics use grid 32, and a prepared handle
    keeps the plan it was prepared with. *)
 let test_configured_once () =
   let db = db () in
@@ -177,14 +202,6 @@ let test_configured_once () =
   check ci "own grid" 32
     (Sjos_histogram.Stats_catalog.grid (Database.catalog db));
   let p = Helpers.pat pers_pat in
-  let before = Plan_cache.stats cache in
-  ignore (Database.run ~opts:(Query_opts.make ~grid:16 ()) db p);
-  let after = Plan_cache.stats cache in
-  check ci "grid override stores no plan" before.Plan_cache.entries
-    after.Plan_cache.entries;
-  check ci "grid override looks nothing up"
-    (before.Plan_cache.hits + before.Plan_cache.misses)
-    (after.Plan_cache.hits + after.Plan_cache.misses);
   let prep = Database.prepare db p in
   let first = Database.exec prep in
   let second = Database.exec prep in

@@ -105,7 +105,24 @@ let test_plan_validate_rejects () =
       ~edge:{ Pattern.anc = 0; desc = 2; axis = Axes.Descendant }
       ~algo:Plan.Stack_tree_anc
   in
-  check cb "non-edge rejected" true (not (Properties.is_valid p non_edge))
+  check cb "non-edge rejected" true (not (Properties.is_valid p non_edge));
+  (* join on an edge, with the other axis *)
+  let flip (e : Pattern.edge) =
+    {
+      e with
+      Pattern.axis =
+        (if e.Pattern.axis = Axes.Child then Axes.Descendant else Axes.Child);
+    }
+  in
+  let wrong_axis =
+    Plan.join
+      ~anc_side:
+        (Plan.join ~anc_side:(Plan.scan 0) ~desc_side:(Plan.scan 1)
+           ~edge:(flip (edge p 0 1)) ~algo:Plan.Stack_tree_desc)
+      ~desc_side:(Plan.scan 2) ~edge:(edge p 1 2) ~algo:Plan.Stack_tree_desc
+  in
+  check cb "wrong axis rejected" true
+    (not (Properties.is_valid p wrong_axis))
 
 let test_plan_shapes () =
   let p = p3 () in

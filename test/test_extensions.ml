@@ -1,6 +1,6 @@
-(* Tests for the extension modules: plan serialization, pattern
-   minimization, randomized optimizers, cost calibration, attribute index,
-   and the FLWOR front end. *)
+(* Tests for the extension modules: pattern minimization, randomized
+   optimizers, cost calibration, attribute index, and the FLWOR front
+   end. *)
 
 open Sjos_xml
 open Sjos_storage
@@ -15,53 +15,6 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 let cs = Alcotest.string
-
-(* ---------- Plan_io ---------- *)
-
-let test_plan_io_roundtrip () =
-  let idx = Lazy.force Helpers.pers_1k_index in
-  List.iter
-    (fun s ->
-      let p = Helpers.pat s in
-      let provider = Naive.exact_provider idx p in
-      List.iter
-        (fun algo ->
-          let r = Optimizer.optimize ~provider algo p in
-          let text = Plan_io.to_string p r.Optimizer.plan in
-          match Plan_io.of_string p text with
-          | Ok plan ->
-              check cb ("roundtrip " ^ text) true (Plan.equal plan r.Optimizer.plan)
-          | Error e -> Alcotest.fail (text ^ ": " ^ e))
-        [ Optimizer.Dp; Optimizer.Fp; Optimizer.Dpap_ld ])
-    [
-      "manager(//employee(/name))";
-      "manager(//employee(/name),//manager(/department(/name)))";
-    ]
-
-let test_plan_io_format () =
-  let p = Helpers.pat "manager(//employee)" in
-  let edge = List.hd (Pattern.edges p) in
-  let plan =
-    Plan.sort
-      (Plan.join ~anc_side:(Plan.scan 0) ~desc_side:(Plan.scan 1) ~edge
-         ~algo:Plan.Stack_tree_desc)
-      ~by:0
-  in
-  check cs "rendered" "(sort A (desc A B (scan A) (scan B)))"
-    (Plan_io.to_string p plan)
-
-let test_plan_io_errors () =
-  let p = Helpers.pat "manager(//employee)" in
-  List.iter
-    (fun s -> check cb s true (Result.is_error (Plan_io.of_string p s)))
-    [
-      "";
-      "(scan Z)";
-      "(anc B A (scan B) (scan A))";
-      "(scan A";
-      "(bogus A)";
-      "(scan A) extra";
-    ]
 
 (* ---------- Minimize ---------- *)
 
@@ -324,9 +277,6 @@ let test_xquery_optimized_consistently () =
 
 let suite =
   [
-    ("plan_io roundtrip", `Quick, test_plan_io_roundtrip);
-    ("plan_io format", `Quick, test_plan_io_format);
-    ("plan_io errors", `Quick, test_plan_io_errors);
     ("minimize label subsumption", `Quick, test_label_subsumes);
     ("minimize removes duplicates", `Quick, test_minimize_removes_duplicates);
     ("minimize keeps kept nodes", `Quick, test_minimize_keeps_kept_nodes);

@@ -94,20 +94,29 @@ let all_errors =
     Error.Invalid_request "m";
     Error.Invalid_plan "m";
     Error.Budget_exhausted { resource = Budget.Wall_clock; during = "t" };
-    Error.Corrupt_cache_entry { key = "k"; reason = "r" };
     Error.Corrupt_input { source = "s"; reason = "r" };
     Error.Internal "m";
+    Error.Overloaded { reason = "m"; retry_after_ms = 1.0 };
   ]
 
 let test_error_exit_codes () =
-  let codes = List.map Error.exit_code all_errors in
-  check ci "seven classes" 7 (List.length (List.sort_uniq compare codes));
-  List.iter
-    (fun c -> check cb "nonzero, distinct from cmdliner's 124/125" true
-        (c >= 2 && c <= 8))
-    codes;
+  (* codes never move: 6 stays unused, none collides with cmdliner's
+     124/125 *)
+  check
+    Alcotest.(list int)
+    "exit codes" [ 2; 3; 4; 5; 7; 8; 9 ]
+    (List.map Error.exit_code all_errors);
   let names = List.map Error.class_name all_errors in
-  check ci "distinct names" 7 (List.length (List.sort_uniq compare names));
+  check Alcotest.(list string) "class names in code order"
+    Error.all_class_names names;
+  List.iter
+    (fun e ->
+      check
+        Alcotest.(option int)
+        ("code of " ^ Error.class_name e)
+        (Some (Error.exit_code e))
+        (Error.exit_code_of_class (Error.class_name e)))
+    all_errors;
   List.iter
     (fun e -> check cb "non-empty message" true (Error.message e <> ""))
     all_errors
@@ -231,9 +240,9 @@ let test_corrupt_cache_recovery () =
   let full = Database.run ~opts:(Query_opts.cold Query_opts.default) db p in
   let prep = Database.prepare db p in
   let key = "binary|DPP|" ^ Database.prepared_fingerprint prep in
-  let poison plan_text =
+  let poison plan =
     Sjos_cache.Plan_cache.add (Database.plan_cache db) key
-      { Sjos_cache.Plan_cache.plan_text; est_cost = 1.0 };
+      { Database.plan; est_cost = 1.0 };
     Sjos_obs.Registry.set_enabled true;
     Sjos_obs.Registry.reset ();
     let corrupt = Sjos_obs.Registry.counter "guard.corrupt_cache" in
@@ -244,10 +253,33 @@ let test_corrupt_cache_recovery () =
     Helpers.check_same_matches "re-optimized result is correct"
       (matches_of full) (matches_of run)
   in
-  (* unparseable text, then a well-formed plan that doesn't evaluate the
-     pattern (deserializes fine, fails validation) *)
-  poison "not a plan";
-  poison (Sjos_plan.Plan_io.to_string p (Sjos_plan.Plan.scan 0));
+  (* a well-formed plan that doesn't evaluate the pattern fails
+     validation, as a fingerprint collision's entry would *)
+  poison (Sjos_plan.Plan.scan 0);
+  (* so does the right plan with its top join's axis flipped: the
+     executor reads each join's axis from the plan *)
+  let rec flip_axis = function
+    | Sjos_plan.Plan.Structural_join j ->
+        let e = j.edge in
+        Sjos_plan.Plan.Structural_join
+          {
+            j with
+            edge =
+              {
+                e with
+                axis =
+                  (if e.axis = Sjos_xml.Axes.Child then
+                     Sjos_xml.Axes.Descendant
+                   else Sjos_xml.Axes.Child);
+              };
+          }
+    | Sjos_plan.Plan.Sort s ->
+        Sjos_plan.Plan.Sort { s with input = flip_axis s.input }
+    | plan -> plan
+  in
+  (match Sjos_cache.Plan_cache.find (Database.plan_cache db) key with
+  | Some entry -> poison (flip_axis entry.Database.plan)
+  | None -> Alcotest.fail "no cached plan to poison");
   (* the corrupt entry was overwritten: next lookup is a healthy hit *)
   let prep2 = Database.prepare db p in
   check cb "cache repaired" true (Database.prepared_from_cache prep2)
@@ -273,16 +305,9 @@ let test_malformed_inputs () =
   | Result.Error (Error.Parse_error { input = "for $x in"; _ }) -> ()
   | _ -> Alcotest.fail "expected Parse_error from truncated XQuery");
   let ghost = "for $m in //manager return <r>{$ghost}</r>" in
-  (match Error.protect (fun () -> Xquery.run db ghost) with
+  match Error.protect (fun () -> Xquery.run db ghost) with
   | Result.Error (Error.Parse_error { input; _ }) when input = ghost -> ()
-  | _ -> Alcotest.fail "expected Parse_error for unbound variable");
-  (* nonsensical per-query histogram grid *)
-  let p = Helpers.pat "manager(//name)" in
-  let opts = Query_opts.make ~grid:(-3) () in
-  match Error.protect (fun () -> Database.run ~opts db p) with
-  | Result.Error (Error.Invalid_request _) -> ()
-  | Ok _ -> Alcotest.fail "negative per-query grid accepted"
-  | Result.Error e -> Alcotest.fail ("wrong error: " ^ Error.class_name e)
+  | _ -> Alcotest.fail "expected Parse_error for unbound variable"
 
 (* ---------- chaos: determinism ---------- *)
 

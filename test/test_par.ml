@@ -237,9 +237,6 @@ let test_lru_concurrent () =
 let test_plan_cache_concurrent () =
   Helpers.with_pool 2 @@ fun p ->
   let pc = Sjos_cache.Plan_cache.create () in
-  let entry =
-    { Sjos_cache.Plan_cache.plan_text = "t"; est_cost = 1.0 }
-  in
   let finds =
     Pool.run p 2 (fun d ->
         let n = ref 0 in
@@ -249,7 +246,7 @@ let test_plan_cache_concurrent () =
           incr n;
           (match Sjos_cache.Plan_cache.find pc key with
           | Some _ -> ()
-          | None -> Sjos_cache.Plan_cache.add pc key entry)
+          | None -> Sjos_cache.Plan_cache.add pc key k)
         done;
         !n)
   in
