@@ -3,9 +3,9 @@
     A status partitions the pattern nodes into connected clusters — each an
     already-evaluated sub-pattern — and records, per cluster, the sub-plan
     that computes it (whose {!Plan.ordered_by} is the node its
-    intermediate result is ordered by) and its estimated cardinality.  The accumulated [cost] counts every
-    operation performed so far (index scans included, so plan costs are
-    comparable across shapes). *)
+    intermediate result is ordered by) and its estimated cardinality.
+    The accumulated [cost] counts every operation performed so far (index
+    scans included, so plan costs are comparable across shapes). *)
 
 open Sjos_pattern
 open Sjos_plan

@@ -73,8 +73,8 @@ val stats : t -> Stats.t
 
 val warm : t -> unit
 (** Pre-build every lazily cached read-side structure (document position
-    columns, per-tag candidate columns), so queries fanned
-    out across domains afterwards touch only read paths.  Idempotent;
+    columns, per-tag candidate columns), so queries fanned out across
+    domains afterwards touch only read paths.  Idempotent;
     purely a scheduling hint — parallel queries are correct without it.
     The label statistics {!catalog} is not pre-built: it fills on each
     label's first use, under its own mutex. *)
