@@ -143,8 +143,8 @@ module Plan = Sjos_plan.Plan
 let rec plan_to_string pat = function
   | Plan.Index_scan i -> Printf.sprintf "(scan %s)" (Pattern.name pat i)
   | Plan.Holistic { order; _ } ->
-      (* mask and paths are derivable from the pattern, so the stored
-         form carries only the ordering node (the root) *)
+      (* mask and paths are derivable from the pattern, so the text
+         carries only the ordering node (the root) *)
       Printf.sprintf "(twig %s)" (Pattern.name pat order)
   | Plan.Sort { input; by } ->
       Printf.sprintf "(sort %s %s)" (Pattern.name pat by)
