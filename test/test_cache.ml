@@ -85,6 +85,47 @@ let test_canonical_mapping () =
     mapping;
   check ci "root maps to root" 0 mapping.(0)
 
+(* Fingerprints are plan-cache keys, and [Chaos.derive] keys each query's
+   fault stream on them: every fingerprint string and canonical mapping
+   below must stay byte-identical across refactors.  Each row is a
+   workload query id or a pattern text (the five serve-mix classes, then
+   order-by and twin cases), its fingerprint and its [to_canon] array. *)
+let pinned_keys =
+  [
+    ("Q.Mbench.1.a", "b4f074f7e69ad334046809eaf88632ec", [| 0; 1; 2 |]);
+    ("Q.Mbench.2.b", "a592d767e7cfd309ecd9cf9829e584d8", [| 0; 3; 1; 2 |]);
+    ("Q.DBLP.1.b", "27756421482f49a4a28c84f426c5b372", [| 0; 3; 1; 2 |]);
+    ("Q.DBLP.2.c", "a65d289e61f688152598f3acc09950ac", [| 0; 3; 4; 1; 2 |]);
+    ("Q.Pers.1.a", "1aeedf876ec63424d7a67cbe2fcc46ed", [| 0; 1; 2 |]);
+    ("Q.Pers.2.c", "b532ff96fa747dcbeb389b124f3e8e07", [| 0; 3; 4; 1; 2 |]);
+    ("Q.Pers.3.d", "848c815a90ac145bfef7ac2f28646ad4", [| 0; 4; 5; 1; 2; 3 |]);
+    ("Q.Pers.4.d", "74fb00af7ae751a819d33e18ca81d03f", [| 0; 1; 2; 3; 4; 5 |]);
+    ("manager(/department(/name))", "0a5e684107b94f9bc9e667c798ae3513", [| 0; 1; 2 |]);
+    ("employee(/name)", "379d80b022a479754edbb64930a16a20", [| 0; 1 |]);
+    ("manager(//department)", "50bf01754252c2a658a1210871ee80a4", [| 0; 1 |]);
+    ("department(/name)", "bf549f7a160ce237533db3e73700f765", [| 0; 1 |]);
+    ("manager(/employee(/salary))", "ea3dde90a87b38c305af697c99e3f19d", [| 0; 1; 2 |]);
+    ("a(/b,/c) order by B", "f2a5f11044242c108b94bc0c2a128a34", [| 0; 1; 2 |]);
+    ("a(/b,/c) order by C", "33d5faf9683a697ea94a01fd5d375f65", [| 0; 2; 1 |]);
+    ("a(/b,/c)", "9605fc3969d2671b4339fc43e51cacb2", [| 0; 1; 2 |]);
+    ("a(/b,/b)", "5e1c95118a74718b345a4cb4129546b0", [| 0; 1; 2 |]);
+    ("a(/b,/b) order by B", "eafc65b83d0c39aec85c99c9f2a09155", [| 0; 1; 2 |]);
+    ("a(/b,/b) order by C", "eafc65b83d0c39aec85c99c9f2a09155", [| 0; 2; 1 |]);
+  ]
+
+let test_pinned_keys () =
+  List.iter
+    (fun (name, fp, to_canon) ->
+      let p =
+        match List.find_opt (fun q -> q.Workload.id = name) Workload.queries with
+        | Some q -> q.Workload.pattern
+        | None -> Parse.pattern name
+      in
+      check cs (name ^ " fingerprint") fp (Fingerprint.fingerprint p);
+      check (Alcotest.array ci) (name ^ " to_canon") to_canon
+        (snd (Fingerprint.canonical p)))
+    pinned_keys
+
 (* ---------- LRU ---------- *)
 
 let test_lru_eviction_order () =
@@ -313,6 +354,7 @@ let suite =
       test_fingerprint_sensitivity;
     Alcotest.test_case "canonical mapping preserves labels" `Quick
       test_canonical_mapping;
+    Alcotest.test_case "cache keys pinned" `Quick test_pinned_keys;
     Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "plan-cache counters" `Quick test_plan_cache_counters;
     Alcotest.test_case "warm run skips the search" `Quick
