@@ -69,7 +69,7 @@ let provider t pat = provider_of t.catalog pat
 
 (* Chaos runs are never cached — a plan chosen under lying statistics
    must not leak into healthy queries. *)
-let cache_key (opts : Query_opts.t) ~pat ~fingerprint =
+let cache_key (opts : Query_opts.t) ~algorithm ~fingerprint =
   if opts.Query_opts.use_cache && Option.is_none opts.Query_opts.chaos then
     (* the engine is part of the key: Auto and Binary may pick different
        plans for the same (algorithm, structure).  The algorithm is the
@@ -77,9 +77,7 @@ let cache_key (opts : Query_opts.t) ~pat ~fingerprint =
        caches) as the BigDP tier, and the entry must say so. *)
     Some
       (Optimizer.engine_name opts.Query_opts.engine
-      ^ "|"
-      ^ Optimizer.name (Optimizer.effective pat opts.Query_opts.algorithm)
-      ^ "|" ^ fingerprint)
+      ^ "|" ^ Optimizer.name algorithm ^ "|" ^ fingerprint)
   else None
 
 (* Run the optimizer through the plan cache.  On a hit the stored plan —
@@ -93,8 +91,8 @@ let cache_key (opts : Query_opts.t) ~pat ~fingerprint =
    stored (the budget, not the statistics, chose it).  A cached plan that
    does not evaluate the pattern (a fingerprint collision) is treated as
    corruption: counted, overwritten by a fresh optimization, never served. *)
-let resolve t ~(opts : Query_opts.t) ~pat ~from_canon ~to_canon ~key
-    ~provider =
+let resolve t ~(opts : Query_opts.t) ~pat ~(canon : Fingerprint.canonical)
+    ~algorithm ~key ~provider =
   let t0 = Clock.now_ns () in
   let fresh ~store () =
     match
@@ -107,7 +105,8 @@ let resolve t ~(opts : Query_opts.t) ~pat ~from_canon ~to_canon ~key
         | true, Some key when r.Optimizer.degraded_from = None ->
             Plan_cache.add t.plan_cache key
               {
-                plan = Plan.map_nodes to_canon r.Optimizer.plan;
+                plan =
+                  Plan.map_nodes (Array.get canon.to_canon) r.Optimizer.plan;
                 est_cost = r.Optimizer.est_cost;
               }
         | _ -> ());
@@ -119,7 +118,7 @@ let resolve t ~(opts : Query_opts.t) ~pat ~from_canon ~to_canon ~key
       match Plan_cache.find t.plan_cache k with
       | None -> fresh ~store:true ()
       | Some entry -> (
-          let plan = Plan.map_nodes from_canon entry.plan in
+          let plan = Plan.map_nodes (Array.get canon.of_canon) entry.plan in
           match Properties.validate pat plan with
           | Error reason ->
               if Registry.enabled () then
@@ -129,8 +128,7 @@ let resolve t ~(opts : Query_opts.t) ~pat ~from_canon ~to_canon ~key
               fresh ~store:true ()
           | Ok () ->
               ( {
-                  Optimizer.algorithm =
-                    Optimizer.effective pat opts.Query_opts.algorithm;
+                  Optimizer.algorithm;
                   plan;
                   est_cost = entry.est_cost;
                   opt_seconds = Clock.elapsed_seconds ~since:t0;
@@ -181,21 +179,18 @@ let parse_pattern ~xpath s =
   | Error message -> Error.fail (Error.Parse_error { input = s; message })
 
 let prepare ?(opts = Query_opts.default) t pat =
-  let _, mapping = Fingerprint.canonical pat in
-  let inverse = Array.make (Array.length mapping) 0 in
-  Array.iteri (fun old nw -> inverse.(nw) <- old) mapping;
-  let to_canon i = mapping.(i) in
-  let from_canon i = inverse.(i) in
-  let fingerprint = Fingerprint.fingerprint pat in
+  let canon = Fingerprint.canonical pat in
+  let fingerprint = canon.Fingerprint.fingerprint in
   let chaos =
     Option.map
       (fun c -> Chaos.derive c ~key:fingerprint)
       opts.Query_opts.chaos
   in
-  let key = cache_key opts ~pat ~fingerprint in
+  let algorithm = Optimizer.effective pat opts.Query_opts.algorithm in
+  let key = cache_key opts ~algorithm ~fingerprint in
   let provider = chaos_provider t ~chaos pat in
   let result, cached =
-    resolve t ~opts ~pat ~from_canon ~to_canon ~key ~provider
+    resolve t ~opts ~pat ~canon ~algorithm ~key ~provider
   in
   {
     pdb = t;

@@ -3,7 +3,8 @@
     in the paper.
 
     The primary query interface is {e prepared queries}: {!prepare}
-    canonicalizes the pattern ({!Sjos_pattern.Fingerprint}), picks a plan —
+    numbers the pattern canonically and fingerprints it
+    ({!Sjos_pattern.Fingerprint}), picks a plan —
     consulting the database's LRU plan cache first, so repeated structures
     skip the optimizer search entirely — and returns a handle off which
     {!exec}, {!explain_prepared} and {!analyze_prepared} run.  The cache
@@ -114,8 +115,9 @@ type prepared
     costs no optimizer search.  The handle is immutable. *)
 
 val prepare : ?opts:Query_opts.t -> t -> Pattern.t -> prepared
-(** Canonicalize, fingerprint and optimize (through the plan cache when
-    [opts.use_cache], the default).  [opts] defaults to
+(** Number the pattern canonically and fingerprint it in one walk
+    ({!Sjos_pattern.Fingerprint.canonical}), then optimize (through the
+    plan cache when [opts.use_cache], the default).  [opts] defaults to
     {!Query_opts.default}.
 
     When [opts.chaos] is set, the query does not draw faults from the

@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
-"""List every `val` in lib/**/*.mli that has no caller outside its own
-module, and every optional argument of such a `val` that no caller passes.
+"""List every lib/ module that only tests use, every `val` in
+lib/**/*.mli that has no caller outside its own module, and every
+optional argument of such a `val` that no caller passes.
 
+A module counts as used when some .ml file under lib/ (other than its
+own), bin/, bench/ or examples/ names it qualified (`Module.`), opens or
+includes it, or aliases it (`module X = ...Module`); test/ does not
+count, so a module kept alive by its tests alone is reported.
 A value counts as called when some .ml file under lib/, bin/, bench/,
 examples/ or test/ -- other than the module's own .ml -- names it
 qualified (`Module.name`, or through a `module X = Module` alias), or
@@ -13,7 +18,8 @@ textual, so it can miss a dead export or option whose name coincides
 with a live one.
 
 Usage: python3 scripts/dead_exports.py [REPO_ROOT]
-Prints one `path: Module.name` line per uncalled export and one
+Prints one `path: Module` line per module only tests use, one
+`path: Module.name` line per uncalled export and one
 `path: Module.name ?label` line per option nobody passes; exits 1 if any.
 """
 import os
@@ -63,7 +69,27 @@ def passed(label, own):
     return any(flag.search(text) for path, text in sources.items() if path != own)
 
 
+def used(module, own):
+    ref = re.compile(
+        r"(?<![\w'])%s\s*\.|(?:open!?|include|module\s+\w+\s*=)\s+(?:\w+\.)*%s\b"
+        % (module, module)
+    )
+    return any(
+        ref.search(text)
+        for path, text in sources.items()
+        if path != own and not path.startswith(os.path.join(root, "test"))
+    )
+
+
+# Enumerate is the exhaustive reference test_optimizer checks DP/DPP against.
+test_only_allowed = {"Enumerate"}
+
 dead = []
+for ml in (p for p in ml_files("lib") if p.endswith(".ml")):
+    module = os.path.basename(ml)[:-3].capitalize()
+    if module not in test_only_allowed and not used(module, ml):
+        dead.append("%s: %s" % (ml, module))
+
 for mli in (p for p in ml_files("lib") if p.endswith(".mli")):
     module = os.path.basename(mli)[:-4].capitalize()
     submodule = None

@@ -43,8 +43,6 @@ let test_fingerprint_renumbering () =
   check cs "renumbered isomorphs share a fingerprint"
     (Fingerprint.fingerprint pat_ordered)
     (Fingerprint.fingerprint pat_scrambled);
-  check cb "structurally_equal agrees" true
-    (Fingerprint.structurally_equal pat_ordered pat_scrambled);
   (* sibling order in the parse string is also numbering, not structure *)
   check cs "permuted branches share a fingerprint"
     (Fingerprint.fingerprint (Parse.pattern "a(/b,//c(/d))"))
@@ -70,20 +68,22 @@ let test_fingerprint_sensitivity () =
     (Fingerprint.fingerprint (Pattern.with_order_by twin (Some 1)))
     (Fingerprint.fingerprint (Pattern.with_order_by twin (Some 2)))
 
+(* The two numberings agree label for label at every canonical index,
+   and each mapping is the other's inverse and fixes the root. *)
 let test_canonical_mapping () =
-  let canon, mapping = Fingerprint.canonical pat_scrambled in
-  check cs "canonical form has the same fingerprint"
-    (Fingerprint.fingerprint pat_scrambled)
-    (Fingerprint.fingerprint canon);
-  check ci "same node count" (Pattern.node_count pat_scrambled)
-    (Pattern.node_count canon);
-  (* the mapping transports labels old -> canonical *)
-  Array.iteri
-    (fun old nw ->
-      check cb "label preserved through mapping" true
-        (Pattern.label pat_scrambled old = Pattern.label canon nw))
-    mapping;
-  check ci "root maps to root" 0 mapping.(0)
+  let o = Fingerprint.canonical pat_ordered in
+  let s = Fingerprint.canonical pat_scrambled in
+  for k = 0 to Pattern.node_count pat_ordered - 1 do
+    check cb "label preserved through mapping" true
+      (Pattern.label pat_ordered o.Fingerprint.of_canon.(k)
+      = Pattern.label pat_scrambled s.Fingerprint.of_canon.(k));
+    List.iter
+      (fun (c : Fingerprint.canonical) ->
+        check ci "of_canon inverts to_canon" k c.to_canon.(c.of_canon.(k)))
+      [ o; s ]
+  done;
+  check ci "root maps to root" 0 s.Fingerprint.to_canon.(0);
+  check ci "root maps from root" 0 s.Fingerprint.of_canon.(0)
 
 (* Fingerprints are plan-cache keys, and [Chaos.derive] keys each query's
    fault stream on them: every fingerprint string and canonical mapping
@@ -123,7 +123,7 @@ let test_pinned_keys () =
       in
       check cs (name ^ " fingerprint") fp (Fingerprint.fingerprint p);
       check (Alcotest.array ci) (name ^ " to_canon") to_canon
-        (snd (Fingerprint.canonical p)))
+        (Fingerprint.canonical p).Fingerprint.to_canon)
     pinned_keys
 
 (* ---------- LRU ---------- *)
@@ -189,13 +189,11 @@ let test_warm_run_skips_search () =
    the two canonical mappings.  The holistic engine's plan also carries
    node masks and path masks to transport. *)
 let test_warm_hit_across_numbering () =
-  let _, ordered_to_canon = Fingerprint.canonical pat_ordered in
-  let _, scrambled_to_canon = Fingerprint.canonical pat_scrambled in
-  let canon_to_scrambled = Array.make (Array.length scrambled_to_canon) 0 in
-  Array.iteri (fun i c -> canon_to_scrambled.(c) <- i) scrambled_to_canon;
+  let ordered = Fingerprint.canonical pat_ordered in
+  let scrambled = Fingerprint.canonical pat_scrambled in
   let transport =
     Sjos_plan.Plan.map_nodes (fun i ->
-        canon_to_scrambled.(ordered_to_canon.(i)))
+        scrambled.Fingerprint.of_canon.(ordered.Fingerprint.to_canon.(i)))
   in
   List.iter
     (fun engine ->

@@ -1,10 +1,8 @@
-(* Tests for the extension modules: pattern minimization, randomized
-   optimizers, cost calibration, attribute index, and the FLWOR front
-   end. *)
+(* Tests for the extension modules: randomized optimizers, cost
+   calibration, attribute index, and the FLWOR front end. *)
 
 open Sjos_xml
 open Sjos_storage
-open Sjos_pattern
 open Sjos_plan
 open Sjos_core
 open Sjos_exec
@@ -15,72 +13,6 @@ let check = Alcotest.check
 let ci = Alcotest.int
 let cb = Alcotest.bool
 let cs = Alcotest.string
-
-(* ---------- Minimize ---------- *)
-
-let test_label_subsumes () =
-  let open Candidate in
-  check cb "any subsumes tag" true (Minimize.label_subsumes any (of_tag "a"));
-  check cb "tag subsumes same tag" true
-    (Minimize.label_subsumes (of_tag "a") (of_tag "a"));
-  check cb "tag vs other" false (Minimize.label_subsumes (of_tag "a") (of_tag "b"));
-  check cb "attr more specific" true
-    (Minimize.label_subsumes (of_tag "a")
-       { (of_tag "a") with attr = Some ("k", "v") });
-  check cb "not the other way" false
-    (Minimize.label_subsumes
-       { (of_tag "a") with attr = Some ("k", "v") }
-       (of_tag "a"))
-
-let minimize_nodes s =
-  let p, _ = Minimize.minimize (Helpers.pat s) in
-  Pattern.node_count p
-
-let test_minimize_removes_duplicates () =
-  check ci "a(//b,//b)" 2 (minimize_nodes "a(//b,//b)");
-  check ci "a(//b(/c),//b)" 3 (minimize_nodes "a(//b(/c),//b)");
-  check ci "a(/b,//b) drops the weaker" 2 (minimize_nodes "a(/b,//b)");
-  check ci "a(//b,//c) stays" 3 (minimize_nodes "a(//b,//c)");
-  check ci "a(/b,/b)" 2 (minimize_nodes "a(/b,/b)");
-  (* the // branch embeds into the deeper chain *)
-  check ci "a(//c,//b(//c))" 3 (minimize_nodes "a(//c,//b(//c))")
-
-let test_minimize_keeps_kept_nodes () =
-  let p = Helpers.pat "a(//b,//b)" in
-  (* keeping node 2 (the second b) forces the redundant branch to be the
-     first b *)
-  let p', mapping = Minimize.minimize ~keep:[ 2 ] p in
-  check ci "still two nodes" 2 (Pattern.node_count p');
-  check cb "kept survives" true (mapping.(2) >= 0);
-  (* keeping both prevents any removal *)
-  let p'', _ = Minimize.minimize ~keep:[ 1; 2 ] p in
-  check ci "no removal" 3 (Pattern.node_count p'')
-
-let test_minimize_preserves_matches () =
-  let idx = Lazy.force Helpers.tiny_index in
-  List.iter
-    (fun s ->
-      let p = Helpers.pat s in
-      let p', mapping = Minimize.minimize ~keep:[ 0 ] p in
-      (* bindings of the root must be identical *)
-      let roots pat' =
-        Naive.matches idx pat'
-        |> List.map (fun t -> Tuple.get t 0)
-        |> List.sort_uniq compare
-      in
-      check cb "root mapped to root" true (mapping.(0) = 0);
-      check (Alcotest.list ci) ("root bindings " ^ s) (roots p) (roots p'))
-    [
-      "manager(//employee,//employee)";
-      "manager(//name,//employee(/name))";
-      "manager(//employee(/name),//employee)";
-    ]
-
-let test_minimize_order_by_kept () =
-  let p = Helpers.pat "a(//b,//b) order by A" in
-  let p', _ = Minimize.minimize p in
-  check ci "minimized" 2 (Pattern.node_count p');
-  check (Alcotest.option ci) "order-by remapped" (Some 0) (Pattern.order_by p')
 
 (* ---------- Randomized optimizers ---------- *)
 
@@ -277,11 +209,6 @@ let test_xquery_optimized_consistently () =
 
 let suite =
   [
-    ("minimize label subsumption", `Quick, test_label_subsumes);
-    ("minimize removes duplicates", `Quick, test_minimize_removes_duplicates);
-    ("minimize keeps kept nodes", `Quick, test_minimize_keeps_kept_nodes);
-    ("minimize preserves root bindings", `Quick, test_minimize_preserves_matches);
-    ("minimize remaps order-by", `Quick, test_minimize_order_by_kept);
     ("randomized optimizers valid & bounded", `Quick, test_randomized_valid_and_bounded);
     ("randomized deterministic", `Quick, test_randomized_deterministic);
     ("calibrate recovers factors", `Quick, test_calibrate_recovers_factors);

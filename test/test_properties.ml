@@ -327,19 +327,59 @@ let prop_mpmgjn_equals_stack_tree =
       sorted_tuples (Array.to_list st)
       = sorted_tuples (Array.to_list mj))
 
-let prop_minimize_preserves_root_bindings =
-  qtest ~count:50 "minimization preserves root bindings" seed_gen
+(* Renumbering a pattern (root kept at 0) and listing its edges in
+   another order changes neither its fingerprint nor what sits at each
+   canonical index, and the order-by node travels with the numbering. *)
+let prop_canonical_ignores_numbering =
+  qtest ~print:string_of_int "canonical numbering ignores renumbering" seed_gen
     (fun seed ->
-      let doc = random_doc seed in
-      let idx = Element_index.build doc in
-      let p = random_pattern seed in
-      let p', mapping = Minimize.minimize ~keep:[ 0 ] p in
-      let roots pat' =
-        Naive.matches idx pat'
-        |> List.map (fun t -> Tuple.get t 0)
-        |> List.sort_uniq compare
+      let rng = Rng.create seed in
+      let base = random_pattern seed in
+      let n = Pattern.node_count base in
+      let order_by =
+        match Rng.int rng (n + 1) with k when k = n -> None | k -> Some k
       in
-      mapping.(0) = 0 && roots p = roots p')
+      let p = Pattern.with_order_by base order_by in
+      let swap a i j =
+        let x = a.(i) in
+        a.(i) <- a.(j);
+        a.(j) <- x
+      in
+      let perm = Array.init n Fun.id in
+      for i = n - 1 downto 2 do
+        swap perm i (1 + Rng.int rng i)
+      done;
+      let labels = Array.make n Candidate.any in
+      Array.iteri (fun i l -> labels.(perm.(i)) <- l) (Pattern.labels p);
+      let edges =
+        Pattern.edges p
+        |> List.map (fun (e : Pattern.edge) ->
+               (perm.(e.Pattern.anc), e.Pattern.axis, perm.(e.Pattern.desc)))
+        |> Array.of_list
+      in
+      for i = Array.length edges - 1 downto 1 do
+        swap edges i (Rng.int rng (i + 1))
+      done;
+      let q =
+        Pattern.create ?order_by:(Option.map (Array.get perm) order_by) ~labels
+          ~edges ()
+      in
+      let cp = Fingerprint.canonical p and cq = Fingerprint.canonical q in
+      let axis_up pat i =
+        Option.map (fun (_, (e : Pattern.edge)) -> e.Pattern.axis)
+          (Pattern.parent_of pat i)
+      in
+      let agree k =
+        let i = cp.Fingerprint.of_canon.(k) and j = cq.Fingerprint.of_canon.(k) in
+        Pattern.label p i = Pattern.label q j
+        && axis_up p i = axis_up q j
+        && cp.Fingerprint.to_canon.(i) = k
+        && cq.Fingerprint.to_canon.(j) = k
+      in
+      String.equal cp.Fingerprint.fingerprint cq.Fingerprint.fingerprint
+      && List.for_all agree (List.init n Fun.id)
+      && Option.map (Array.get cp.Fingerprint.to_canon) order_by
+         = Option.map (Array.get cq.Fingerprint.to_canon) (Pattern.order_by q))
 
 let prop_folding_linear =
   qtest ~count:15 "folding multiplies match counts" seed_gen
@@ -390,7 +430,7 @@ let suite =
     prop_path_stack_equals_naive;
     prop_twig_join_equals_naive;
     prop_mpmgjn_equals_stack_tree;
-    prop_minimize_preserves_root_bindings;
+    prop_canonical_ignores_numbering;
     prop_folding_linear;
     prop_pq_sorts;
     prop_random_plans_valid;
