@@ -352,7 +352,6 @@ let suite =
       test_fingerprint_sensitivity;
     Alcotest.test_case "canonical mapping preserves labels" `Quick
       test_canonical_mapping;
-    Alcotest.test_case "cache keys pinned" `Quick test_pinned_keys;
     Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "plan-cache counters" `Quick test_plan_cache_counters;
     Alcotest.test_case "warm run skips the search" `Quick
@@ -369,4 +368,5 @@ let suite =
       test_engine_in_cache_key;
     Alcotest.test_case "pattern names distinct past 26 nodes" `Quick
       test_pattern_names_distinct;
+    Alcotest.test_case "cache keys pinned" `Quick test_pinned_keys;
   ]
