@@ -337,7 +337,9 @@ let query_cmd =
           ( "exec_seconds",
             Float run.Database.exec.Sjos_exec.Executor.seconds );
           ( "optimizer",
-            Sjos_core.Optimizer.result_to_json p run.Database.opt );
+            Sjos_core.Optimizer.result_to_json
+              ~fingerprint:(Database.prepared_fingerprint prep)
+              p run.Database.opt );
           ( "work",
             Sjos_obs.Work.to_json run.Database.exec.Sjos_exec.Executor.work );
           ("io", io_json db);
@@ -428,9 +430,10 @@ let analyze_cmd =
         ~budget:(budget_of deadline_ms max_expanded max_tuples)
         ()
     in
-    let a, report =
+    let (prep, a), report =
       with_obs ~trace ?trace_out (fun () ->
-          Database.analyze_prepared (Database.prepare ~opts db p))
+          let prep = Database.prepare ~opts db p in
+          (prep, Database.analyze_prepared prep))
     in
     warn_degraded a.Database.opt;
     let exec = a.Database.exec in
@@ -441,7 +444,10 @@ let analyze_cmd =
           ("pattern", Str pattern);
           ("matches", Int (Array.length exec.Sjos_exec.Executor.tuples));
           ("exec_seconds", Float exec.Sjos_exec.Executor.seconds);
-          ("optimizer", Sjos_core.Optimizer.result_to_json p a.Database.opt);
+          ( "optimizer",
+            Sjos_core.Optimizer.result_to_json
+              ~fingerprint:(Database.prepared_fingerprint prep)
+              p a.Database.opt );
           ("operators", Sjos_plan.Explain.analysis_to_json p a.Database.rows);
           ("work", Sjos_obs.Work.to_json exec.Sjos_exec.Executor.work);
           ("io", io_json db);

@@ -219,20 +219,11 @@ let optimize_e ?factors ?budget ~provider ~engine algorithm pat =
           Work.merge_into work holistic.work;
           Ok { winner with work })
 
-let pp_result pat ppf r =
-  Fmt.pf ppf "@[<v>%s: est_cost=%.1f considered=%d opt=%.4fs fp=%s%s@,%s@]"
-    (name r.algorithm) r.est_cost r.work.Work.plans_considered r.opt_seconds
-    (Fingerprint.short (Fingerprint.fingerprint pat))
-    (match r.degraded_from with
-    | Some a -> Printf.sprintf " (degraded from %s)" (name a)
-    | None -> "")
-    (Explain.to_string pat r.plan)
-
-let result_to_json pat r =
+let result_to_json ~fingerprint pat r =
   Json.Obj
     [
       ("algorithm", Json.Str (name r.algorithm));
-      ("fingerprint", Json.Str (Fingerprint.fingerprint pat));
+      ("fingerprint", Json.Str fingerprint);
       ("est_cost", Json.Float r.est_cost);
       ("opt_seconds", Json.Float r.opt_seconds);
       ("work", Work.to_json r.work);

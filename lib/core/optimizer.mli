@@ -123,8 +123,8 @@ val optimize_e :
     the call charges to {!Sjos_obs.Work.current}.  A budget error from
     the binary search propagates even under [Auto]. *)
 
-val pp_result : Pattern.t -> result Fmt.t
-
-val result_to_json : Pattern.t -> result -> Sjos_obs.Json.t
-(** Machine-readable counterpart of {!pp_result}: algorithm, estimated
-    cost, search work, optimization seconds and the one-line plan. *)
+val result_to_json : fingerprint:string -> Pattern.t -> result -> Sjos_obs.Json.t
+(** A result as JSON: algorithm, the pattern's [fingerprint] (the
+    caller's, e.g. [Database.prepared_fingerprint], not
+    recomputed), estimated cost, search work, optimization seconds and
+    the one-line plan. *)

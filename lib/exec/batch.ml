@@ -7,28 +7,17 @@ module Ibuf = struct
 
   let create cap = { len = 0; data = Array.make (max cap 16) 0 }
   let length b = b.len
-  let clear b = b.len <- 0
-
-  let grow b needed =
-    let cap = ref (Array.length b.data) in
-    while !cap < needed do
-      cap := !cap * 2
-    done;
-    let data = Array.make !cap 0 in
-    Array.blit b.data 0 data 0 b.len;
-    b.data <- data
-
-  let reserve b extra = if b.len + extra > Array.length b.data then grow b (b.len + extra)
 
   let push b v =
-    if b.len = Array.length b.data then grow b (b.len + 1);
+    if b.len = Array.length b.data then begin
+      let data = Array.make (2 * b.len) 0 in
+      Array.blit b.data 0 data 0 b.len;
+      b.data <- data
+    end;
     Array.unsafe_set b.data b.len v;
     b.len <- b.len + 1
 
-  let get b i = b.data.(i)
   let data b = b.data
-
-  let to_array b = Array.sub b.data 0 b.len
 end
 
 (* ---------- columnar tuple batches ---------- *)
@@ -61,22 +50,14 @@ let of_tuples ~width (tuples : Tuple.t array) =
   { width; len = n; data }
 
 let to_tuples b =
-  (* hand-rolled: one [Array.init]+[Array.sub] per row costs two extra
-     C calls on what is the single hottest conversion in the engine *)
   let { width; len; data } = b in
-  if len = 0 then [||]
-  else begin
-    let out = Array.make len ([||] : Tuple.t) in
-    for i = 0 to len - 1 do
-      let t = Array.make width Tuple.unbound in
-      let base = i * width in
-      for k = 0 to width - 1 do
-        Array.unsafe_set t k (Array.unsafe_get data (base + k))
-      done;
-      Array.unsafe_set out i t
-    done;
-    out
-  end
+  (* not [Array.init]: its first row, young, would force a minor GC
+     whenever the result is allocated straight in the major heap *)
+  let out = Array.make len ([||] : Tuple.t) in
+  for i = 0 to len - 1 do
+    Array.unsafe_set out i (Tuple.of_slice data (i * width) width)
+  done;
+  out
 
 let of_ids ~width ~slot (ids : int array) =
   if slot < 0 || slot >= width then invalid_arg "Batch.of_ids: slot out of range";

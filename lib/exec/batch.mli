@@ -8,12 +8,14 @@
     the classic {!Tuple.t array} surface only for the result of a plan
     whose root is not a join (a holistic twig, a sort or a lone scan) and
     in the tuple-array {!Operators.sort}.  A root join builds its boxed
-    tuples directly ({!Stack_tree.out}). *)
+    tuples directly ({!Stack_tree.out}); both allocate each row with
+    {!Tuple.of_slice}. *)
 
 open Sjos_xml
 
-(** Reusable growable int buffers — the allocation discipline of the
-    kernels: output grows by doubling, never through list conses. *)
+(** Reusable growable int buffers, grown by doubling, never through list
+    conses: the join kernel's rectangle record and the twig kernel's
+    buffers. *)
 module Ibuf : sig
   type t
 
@@ -22,20 +24,11 @@ module Ibuf : sig
       (clamped to at least 16). *)
 
   val length : t -> int
-  val clear : t -> unit
-  (** Reset to length 0, keeping the allocated storage for reuse. *)
-
-  val reserve : t -> int -> unit
-  (** [reserve b extra] ensures capacity for [extra] more ints. *)
-
   val push : t -> int -> unit
-  val get : t -> int -> int
 
   val data : t -> int array
   (** Backing storage; entries [0 .. length-1] are live.  Exposed for the
       join kernels; do not mutate elsewhere. *)
-
-  val to_array : t -> int array
 end
 
 type t
@@ -67,7 +60,7 @@ val of_tuples : width:int -> Tuple.t array -> t
 
 val to_tuples : t -> Tuple.t array
 (** The thin conversion back to the legacy surface: one fresh [Tuple.t]
-    per row. *)
+    per row, allocated by {!Tuple.of_slice}. *)
 
 val of_ids : width:int -> slot:int -> int array -> t
 (** Index-scan constructor: row [i] binds only [slot], to [ids.(i)]. *)

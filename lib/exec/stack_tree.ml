@@ -8,11 +8,14 @@ module Shard = Sjos_par.Shard
 module Work = Sjos_obs.Work
 module Registry = Sjos_obs.Registry
 
-(* Columnar Stack-Tree kernels: one body per algorithm, generic over the
-   output form.  The legacy group-list implementation is preserved in
-   the tests as [Stack_tree_legacy]; this module must produce
-   bit-identical tuple sequences and counter totals (modulo
-   [items_skipped]) while touching only flat int arrays on the hot path.
+(* Columnar Stack-Tree kernel: one body for both algorithms and both
+   output forms ({!run}).  The merge records each related group pair as
+   a rectangle; the output is then allocated once at its exact size and
+   written in the algorithm's order.  The legacy group-list
+   implementation is preserved in the tests as [Stack_tree_legacy]; this
+   module must produce bit-identical tuple sequences and counter totals
+   (modulo [items_skipped]) while touching only flat int arrays on the
+   hot path.
 
    With a domain pool, the join is additionally range-partitioned on the
    ancestor group column at forest-closed cut points (no ancestor
@@ -425,33 +428,21 @@ let merge_loop ~budget ~work ~axis ~drain (ag : groups) (dg : groups) ~emit =
 
 type _ out = Flat : Batch.t out | Boxed : Tuple.t array out
 
-(* Output rows under construction: [width] ints per row, or one boxed
-   tuple per row.  Boxed rows are built exactly once, never written flat
-   and converted afterwards: the root join's output is handed to the
-   caller as [Tuple.t array], and for join-heavy patterns it dominates
-   the run. *)
+(* Output rows, allocated once at their exact count: [width] ints per
+   row, or one boxed tuple per row.  A boxed row is merged into
+   [scratch] and copied out by {!Tuple.of_slice}, the allocator every
+   boxed result shares; it is never written flat and converted
+   afterwards, because the root join's output is handed to the caller as
+   [Tuple.t array] and for join-heavy patterns it dominates the run. *)
 type _ rows =
   | Flat_rows : int array -> Batch.t rows
-  | Boxed_rows : Tuple.t array -> Tuple.t array rows
+  | Boxed_rows : Tuple.t array * int array -> Tuple.t array rows
 
 let make_rows : type o. o out -> width:int -> int -> o rows =
  fun out ~width n ->
   match out with
   | Flat -> Flat_rows (Array.make (n * width) Tuple.unbound)
-  | Boxed -> Boxed_rows (Array.make n [||])
-
-(* [rows] with room for [cap] rows, its first [len] rows kept. *)
-let grow_rows : type o. o rows -> width:int -> len:int -> int -> o rows =
- fun r ~width ~len cap ->
-  match r with
-  | Flat_rows a ->
-      let b = Array.make (cap * width) Tuple.unbound in
-      Array.blit a 0 b 0 (len * width);
-      Flat_rows b
-  | Boxed_rows a ->
-      let b = Array.make cap [||] in
-      Array.blit a 0 b 0 len;
-      Boxed_rows b
+  | Boxed -> Boxed_rows (Array.make n [||], Array.make width Tuple.unbound)
 
 (* Write the merges of ancestor rows [alo, ahi) with descendant rows
    [dlo, dhi), row-major, as output rows [row ..]. *)
@@ -468,13 +459,12 @@ let write_rows : type o.
           o := !o + width
         done
       done
-  | Boxed_rows out ->
+  | Boxed_rows (out, scratch) ->
       let o = ref row in
       for ar = alo to ahi - 1 do
         for dr = dlo to dhi - 1 do
-          let t = Array.make width Tuple.unbound in
-          merge_rows adata (ar * width) ddata (dr * width) t 0 width;
-          Array.unsafe_set out !o t;
+          merge_rows adata (ar * width) ddata (dr * width) scratch 0 width;
+          Array.unsafe_set out !o (Tuple.of_slice scratch 0 width);
           incr o
         done
       done
@@ -483,7 +473,7 @@ let finish_rows : type o. o rows -> width:int -> int -> o =
  fun r ~width len ->
   match r with
   | Flat_rows a -> Batch.unsafe_of_raw ~width ~len a
-  | Boxed_rows a -> if len = Array.length a then a else Array.sub a 0 len
+  | Boxed_rows (a, _) -> a
 
 let concat : type o. o out -> width:int -> o array -> o =
  fun out ~width parts ->
@@ -501,7 +491,7 @@ let concat : type o. o out -> width:int -> o array -> o =
         parts;
       Batch.unsafe_of_raw ~width ~len:total data
 
-(* ---------- the pair emitter ---------- *)
+(* ---------- the kernel ---------- *)
 
 (* The tuple ceiling a kernel clamps its emits to, read once per kernel.
    A negative ceiling stops at the first tuple, exactly like 0 (the
@@ -509,102 +499,91 @@ let concat : type o. o out -> width:int -> o array -> o =
 let ceiling (budget : Budget.t) =
   match budget.Budget.max_tuples with Some l -> max l 0 | None -> max_int
 
-(* Emit the pairs of one related (ancestor group [g], descendant group
-   [d]) as one [rect g alo ahi dlo dhi] call (ancestor rows [alo, ahi)
-   times descendant rows [dlo, dhi), row-major) and count them in
-   [tuples_emitted].  A group pair that would cross the ceiling stops
-   the join instead, counting up to the first tuple past [limit]: the
-   same stopping tuple and the same [Tuples_materialized { limit; count
-   = limit + 1 }] as the per-tuple check of [Stack_tree_legacy].  The
-   rows a stopped join would have written are never seen, so they are
-   not written. *)
-let emit_pairs ~budget ~limit ~work ~rect (ag : groups) (dg : groups) g d =
-  let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
-  let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
-  ag.e_rows a_lo a_hi;
-  dg.e_rows d_lo d_hi;
-  let npairs = (a_hi - a_lo) * (d_hi - d_lo) in
-  let room = limit - work.Work.tuples_emitted in
-  if npairs <= room then begin
-    rect g a_lo a_hi d_lo d_hi;
-    work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs
-  end
-  else begin
-    (* at least one: a work record already past the ceiling stops at the
-       next tuple *)
-    work.Work.tuples_emitted <- work.Work.tuples_emitted + max 1 (room + 1);
-    Budget.check_tuples budget ~during:"execute" ~count:work.Work.tuples_emitted
-  end
+(* One body for both algorithms, in three steps.
 
-(* --- Stack-Tree-Desc: stream output in descendant order --------------- *)
+   Record.  The merge calls [emit g d] for every related (ancestor
+   group, descendant group) pair; [emit] faults the pair's rows in (so
+   page touches happen in merge order), counts its pairs in
+   [tuples_emitted] and records the rectangle (g, d, d + 1): the rows of
+   ancestor group [g] times those of descendant groups [d, d + 1), read
+   back from [off] when written.  When [g] has one row and the previous
+   rectangle is (g, _, d), that rectangle grows to end at [d + 1]
+   instead: its rows stay in generation order.  Lazy leaves make every
+   descendant group one row, so without this an out-of-core join
+   records a rectangle per output pair.  A group pair that would cross
+   the ceiling stops the join, counting up to the first tuple past
+   [limit]: the same stopping tuple and the same [Tuples_materialized {
+   limit; count = limit + 1 }] as the per-tuple check of
+   [Stack_tree_legacy].
 
-let run_desc (type o) (out : o out) ~budget ~work ~axis ~drain ~width ~adata
+   Size.  Each rectangle has a key: 0 for Desc, which writes rectangles
+   in generation order, and its ancestor group for Anc, which writes
+   every pair of group [g] before any pair of a later group — the order
+   the legacy variant's self/inherit chunk chaining emits.  Pair counts
+   per key turn into row offsets (a stable counting sort), and the
+   output is allocated once at its exact size.  Holding |AB| pairs until
+   their ancestor pops is what the [2 |AB| f_IO] cost term prices, hence
+   Anc's [io_items].
+
+   Write.  Rectangles are written in generation order, each at its
+   key's next row; deadline and cancellation are polled every 256
+   rectangles. *)
+let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~adata
     ~ddata (ag : groups) (dg : groups) : o =
-  let cap = ref 64 in
-  let buf = ref (make_rows out ~width !cap) in
-  let len = ref 0 in
-  let rect _ alo ahi dlo dhi =
-    let n = (ahi - alo) * (dhi - dlo) in
-    if !len + n > !cap then begin
-      while !len + n > !cap do
-        cap := !cap * 2
-      done;
-      buf := grow_rows !buf ~width ~len:!len !cap
-    end;
-    write_rows !buf ~width ~adata ~ddata !len alo ahi dlo dhi;
-    len := !len + n
+  let by_anc =
+    match algo with Plan.Stack_tree_anc -> true | Plan.Stack_tree_desc -> false
   in
+  let rects = Ibuf.create 256 in
+  let next = Array.make (if by_anc then ag.n else 1) 0 in
   let limit = ceiling budget in
-  let emit g d = emit_pairs ~budget ~limit ~work ~rect ag dg g d in
-  merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
-  finish_rows !buf ~width !len
-
-(* --- Stack-Tree-Anc: buffer pairs until the ancestor pops ------------- *)
-
-let run_anc (type o) (out : o out) ~budget ~work ~axis ~drain ~width ~adata
-    ~ddata (ag : groups) (dg : groups) : o =
-  (* Pairs are buffered as (anc group, anc row, desc row) triples in
-     generation order, then laid out by a stable counting sort on the anc
-     group index.  The legacy variant's self/inherit chunk chaining emits
-     exactly this order: all pairs of group [g] (in generation order)
-     before any pair of a later group.  Buffering |AB| pairs is what the
-     [2 |AB| f_IO] cost term prices, hence [io_items]. *)
-  let pairs = Ibuf.create 256 in
-  let counts = Array.make ag.n 0 in
-  let rect g alo ahi dlo dhi =
-    let n = (ahi - alo) * (dhi - dlo) in
-    Ibuf.reserve pairs (3 * n);
-    for ar = alo to ahi - 1 do
-      for dr = dlo to dhi - 1 do
-        Ibuf.push pairs g;
-        Ibuf.push pairs ar;
-        Ibuf.push pairs dr
-      done
-    done;
-    counts.(g) <- counts.(g) + n
+  let emit g d =
+    let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
+    let d_lo = dg.off.(d) and d_hi = dg.off.(d + 1) in
+    ag.e_rows a_lo a_hi;
+    dg.e_rows d_lo d_hi;
+    let npairs = (a_hi - a_lo) * (d_hi - d_lo) in
+    let room = limit - work.Work.tuples_emitted in
+    if npairs <= room then begin
+      let n = Ibuf.length rects and r = Ibuf.data rects in
+      if a_hi - a_lo = 1 && n > 0 && r.(n - 3) = g && r.(n - 1) = d then
+        r.(n - 1) <- d + 1
+      else begin
+        Ibuf.push rects g;
+        Ibuf.push rects d;
+        Ibuf.push rects (d + 1)
+      end;
+      let k = if by_anc then g else 0 in
+      next.(k) <- next.(k) + npairs;
+      work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs
+    end
+    else begin
+      (* at least one: a work record already past the ceiling stops at the
+         next tuple *)
+      work.Work.tuples_emitted <- work.Work.tuples_emitted + max 1 (room + 1);
+      Budget.check_tuples budget ~during:"execute" ~count:work.Work.tuples_emitted
+    end
   in
-  let limit = ceiling budget in
-  let emit g d = emit_pairs ~budget ~limit ~work ~rect ag dg g d in
   merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
-  let npairs = Ibuf.length pairs / 3 in
-  work.Work.io_items <- work.Work.io_items + (2 * npairs);
-  let pos = Array.make ag.n 0 in
-  let acc = ref 0 in
-  for g = 0 to ag.n - 1 do
-    pos.(g) <- !acc;
-    acc := !acc + counts.(g)
+  let total = ref 0 in
+  Array.iteri
+    (fun k c ->
+      next.(k) <- !total;
+      total := !total + c)
+    next;
+  if by_anc then work.Work.io_items <- work.Work.io_items + (2 * !total);
+  let rows = make_rows out ~width !total in
+  let r = Ibuf.data rects in
+  for i = 0 to (Ibuf.length rects / 3) - 1 do
+    if i land poll_mask = poll_mask then Budget.check budget ~during:"execute";
+    let g = r.(3 * i) in
+    let alo = ag.off.(g) and ahi = ag.off.(g + 1) in
+    let dlo = dg.off.(r.((3 * i) + 1)) and dhi = dg.off.(r.((3 * i) + 2)) in
+    let k = if by_anc then g else 0 in
+    let row = next.(k) in
+    write_rows rows ~width ~adata ~ddata row alo ahi dlo dhi;
+    next.(k) <- row + ((ahi - alo) * (dhi - dlo))
   done;
-  let buf = make_rows out ~width npairs in
-  let pdata = Ibuf.data pairs in
-  for p = 0 to npairs - 1 do
-    let g = Array.unsafe_get pdata (3 * p) in
-    let ar = Array.unsafe_get pdata ((3 * p) + 1) in
-    let dr = Array.unsafe_get pdata ((3 * p) + 2) in
-    let row = pos.(g) in
-    pos.(g) <- row + 1;
-    write_rows buf ~width ~adata ~ddata row ar (ar + 1) dr (dr + 1)
-  done;
-  finish_rows buf ~width npairs
+  finish_rows rows ~width !total
 
 (* ---------- sharded dispatch ---------- *)
 
@@ -724,11 +703,7 @@ let join_in (type o) (out : o out) ?(budget = Budget.unlimited) ?pool
   let dg = group_input ~cols desc_i desc_slot in
   let adata = input_data anc_i and ddata = input_data desc_i in
   let run ~work ~drain ag dg =
-    match algo with
-    | Plan.Stack_tree_desc ->
-        run_desc out ~budget ~work ~axis ~drain ~width ~adata ~ddata ag dg
-    | Plan.Stack_tree_anc ->
-        run_anc out ~budget ~work ~axis ~drain ~width ~adata ~ddata ag dg
+    run out ~algo ~budget ~work ~axis ~drain ~width ~adata ~ddata ag dg
   in
   let force () =
     force_input anc_i;

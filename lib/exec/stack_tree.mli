@@ -21,17 +21,22 @@
     Outputs, orderings and all other counters are bit-identical to the
     reference implementation kept in the tests' [Stack_tree_legacy].
 
-    Each algorithm has one kernel body.  The output form — a flat
-    {!Batch.t} for interior joins, boxed {!Tuple.t} rows for the plan's
-    root join — is a type argument ({!out}) that only decides how rows
-    are written, and every related (ancestor group, descendant group)
-    pair goes through one emitter that writes its rows and counts them.
+    Both algorithms share one kernel body.  The merge records every
+    related (ancestor group, descendant group) pair as a rectangle of
+    rows, extending the previous rectangle while a one-row ancestor
+    group meets consecutive descendant groups; the output is then
+    allocated once at its exact size and the rectangles are written in
+    the algorithm's order (generation order for Desc, grouped by
+    ancestor for Anc).  The output form — a flat {!Batch.t} for interior
+    joins, boxed {!Tuple.t} rows for the plan's root join — is a type
+    argument ({!out}) that only decides how rows are written.
 
-    {b Budgets.}  The [max_tuples] ceiling is a clamp in that emitter,
-    worked out once per join: the group pair that would cross it stops
-    the join with the count of its first tuple past the ceiling, exactly
-    where a per-tuple check would.  Deadline and cancellation are polled
-    every 256 merge steps.
+    {b Budgets.}  The [max_tuples] ceiling is a clamp on each recorded
+    group pair, worked out once per join: the pair that would cross it
+    stops the join with the count of its first tuple past the ceiling,
+    exactly where a per-tuple check would, before any row is written.
+    Deadline and cancellation are polled every 256 merge steps and every
+    256 written rectangles.
 
     Inputs sorted by their join node keep equal nodes adjacent;
     consecutive rows sharing the join node are processed as one group, so
@@ -128,9 +133,10 @@ val gallop : probe:(int -> unit) -> int array -> int -> int -> int -> int
 
 (** The output form of a join: a columnar batch for an interior join,
     boxed tuples for the plan's root join.  Both forms come out of the
-    same kernel; boxed rows are built exactly once, not written flat and
-    converted afterwards, because the root output is handed to the
-    caller as [Tuple.t array] and dominates join-heavy runs. *)
+    same kernel at their exact size; boxed rows are built exactly once
+    by {!Tuple.of_slice}, not written flat and converted afterwards,
+    because the root output is handed to the caller as [Tuple.t array]
+    and dominates join-heavy runs. *)
 type _ out = Flat : Batch.t out | Boxed : Tuple.t array out
 
 val join_in :

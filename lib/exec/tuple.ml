@@ -27,6 +27,30 @@ let merge a b =
   done;
   out
 
+(* Inline array literals are minor-heap allocations with no C call; every
+   workload pattern has at most 8 nodes, so [Array.sub]'s C call is left
+   to wider rows.  [at] is closed, so it inlines; a getter capturing [a]
+   would cost a closure allocation per row without flambda. *)
+let at (a : int array) i = Array.unsafe_get a i
+
+let of_slice a b width : t =
+  match width with
+  | 1 -> [| at a b |]
+  | 2 -> [| at a b; at a (b + 1) |]
+  | 3 -> [| at a b; at a (b + 1); at a (b + 2) |]
+  | 4 -> [| at a b; at a (b + 1); at a (b + 2); at a (b + 3) |]
+  | 5 -> [| at a b; at a (b + 1); at a (b + 2); at a (b + 3); at a (b + 4) |]
+  | 6 ->
+      [| at a b; at a (b + 1); at a (b + 2); at a (b + 3); at a (b + 4);
+         at a (b + 5) |]
+  | 7 ->
+      [| at a b; at a (b + 1); at a (b + 2); at a (b + 3); at a (b + 4);
+         at a (b + 5); at a (b + 6) |]
+  | 8 ->
+      [| at a b; at a (b + 1); at a (b + 2); at a (b + 3); at a (b + 4);
+         at a (b + 5); at a (b + 6); at a (b + 7) |]
+  | _ -> Array.sub a b width
+
 let bound_mask t =
   let m = ref 0 in
   Array.iteri (fun i v -> if v <> unbound then m := !m lor (1 lsl i)) t;

@@ -25,6 +25,12 @@ val merge : t -> t -> t
     [Invalid_argument] when a slot is bound on both sides.  Implemented
     as a monomorphic int loop (no per-slot closure). *)
 
+val of_slice : int array -> int -> int -> t
+(** [of_slice a base width] — a fresh tuple holding
+    [a.(base) .. a.(base + width - 1)], the one allocator of every boxed
+    result row (root joins and {!Batch.to_tuples}).  Widths 1–8 are
+    allocated inline; the range is not bounds-checked below width 9. *)
+
 val bound_mask : t -> int
 val to_string : t -> string
 

@@ -389,12 +389,8 @@ let test_ibuf () =
     Batch.Ibuf.push b i
   done;
   check ci "len" 100 (Batch.Ibuf.length b);
-  check ci "get" 42 (Batch.Ibuf.get b 42);
-  check ci "to_array" 99 (Batch.Ibuf.to_array b).(99);
-  Batch.Ibuf.clear b;
-  check ci "cleared" 0 (Batch.Ibuf.length b);
-  Batch.Ibuf.reserve b 1000;
-  check ci "reserve keeps len" 0 (Batch.Ibuf.length b)
+  check ci "data" 42 (Batch.Ibuf.data b).(42);
+  check ci "last" 99 (Batch.Ibuf.data b).(99)
 
 let test_batch_roundtrip () =
   let tuples =
@@ -441,6 +437,146 @@ let test_batch_sort_matches_tuple_sort () =
   in
   Helpers.check_same_tuple_seq "Batch.sort" reference via_batch
 
+(* ---------- coalesced rectangles: group-size boundaries ---------- *)
+
+(* The kernel records one rectangle per related group pair and extends
+   the previous one while a one-row ancestor group meets consecutive
+   descendant groups.  Here one-row ancestor groups sit next to multi-row
+   ones ([a1], [a4]), one of them nested in another ([a3] holds [a4]),
+   and the descendant side comes both as one-row groups and with every
+   other group doubled: every ceiling, both forms, both algorithms and
+   both axes must stop or finish exactly as the legacy kernel does, with
+   the same counters. *)
+let test_coalescing_boundaries () =
+  let doc =
+    Parser.parse_string
+      "<r><a><b/><b/><b/></a><a><b/><b/></a><a><b/><c><b/></c><b/></a>\
+       <a><a><b/><b/></a><b/></a><a><b/></a></r>"
+  in
+  let idx = Element_index.build doc in
+  let work = Work.zero () in
+  let times counts tuples =
+    Array.concat
+      (List.mapi
+         (fun i t -> Array.make (counts i) t)
+         (Array.to_list tuples))
+  in
+  let anc =
+    times (fun i -> [| 1; 2; 1; 1; 3; 1 |].(i)) (Helpers.scan idx "a" 0 2 ~work)
+  in
+  List.iter
+    (fun (name, desc) ->
+      let total = total_pairs ~doc ~anc ~desc in
+      check_ceilings ("coalescing " ^ name) ~doc ~anc ~desc
+        (List.init (total + 2) Fun.id);
+      List.iter
+        (fun axis ->
+          List.iter
+            (fun algo ->
+              let lw = Work.zero () and bw = Work.zero () in
+              let legacy =
+                Stack_tree_legacy.join ~work:lw ~doc ~axis ~algo ~anc:(anc, 0)
+                  ~desc:(desc, 1) ()
+              in
+              let boxed =
+                Stack_tree.join ~work:bw ~doc ~axis ~algo ~anc:(anc, 0)
+                  ~desc:(desc, 1) ()
+              in
+              let msg =
+                Printf.sprintf "coalescing %s %s %s" name
+                  (Axes.axis_to_string axis) (Plan.algo_to_string algo)
+              in
+              Helpers.check_same_tuple_seq msg legacy boxed;
+              check_legacy_work msg lw bw)
+            all_cases)
+        all_axes)
+    (let b = Helpers.scan idx "b" 1 2 ~work in
+     [ ("one-row b", b); ("doubled b", times (fun i -> 1 + (i mod 2)) b) ])
+
+(* ---------- boxed rows = flat rows at every width ---------- *)
+
+type 'a outcome = Rows of 'a | Stopped of (int * int) | Invalid of string
+
+let outcome f =
+  match f () with
+  | rows -> Rows rows
+  | exception
+      Budget.Exhausted
+        { resource = Budget.Tuples_materialized { limit; count }; _ } ->
+      Stopped (limit, count)
+  | exception Invalid_argument m -> Invalid m
+
+(* Widths 1-10 cover every inline arity of [Tuple.of_slice] and its
+   fallback.  Each non-join slot is bound on the ancestor side, on the
+   descendant side or on neither; width 1 puts both join slots on slot 0,
+   so any emitted pair must fail the slot merge identically in both
+   forms. *)
+let prop_boxed_equals_flat =
+  Helpers.qtest ~count:30 "boxed root rows = flat rows, widths 1-10"
+    QCheck2.Gen.small_nat (fun seed ->
+      let doc = Helpers.random_doc (Helpers.seed + seed) in
+      let idx = Element_index.build doc in
+      let rng = Sjos_datagen.Rng.create (Helpers.seed + seed) in
+      let pick () = Helpers.tags.(Sjos_datagen.Rng.int rng 4) in
+      let ok = ref true in
+      for width = 1 to 10 do
+        let sa = Sjos_datagen.Rng.int rng width in
+        let sd = if width = 1 then 0 else (sa + 1) mod width in
+        let side = Array.init width (fun _ -> Sjos_datagen.Rng.int rng 3) in
+        let rows slot own tag =
+          let ids = Element_index.lookup idx tag in
+          let data = Array.make (Array.length ids * width) Tuple.unbound in
+          Array.iteri
+            (fun r (n : Node.t) ->
+              for k = 0 to width - 1 do
+                if k = slot then data.((r * width) + k) <- n.Node.id
+                else if side.(k) = own && k <> sa && k <> sd then
+                  data.((r * width) + k) <- (1000 * k) + r
+              done)
+            ids;
+          Stack_tree.Rows
+            (Batch.unsafe_of_raw ~width ~len:(Array.length ids) data)
+        in
+        let anc = rows sa 0 (pick ()) and desc = rows sd 1 (pick ()) in
+        List.iter
+          (fun axis ->
+            List.iter
+              (fun algo ->
+                let run budget out () =
+                  Stack_tree.join_in out ~budget ~work:(Work.zero ()) ~doc
+                    ~axis ~algo ~anc:(anc, sa) ~desc:(desc, sd) ()
+                in
+                let k = Sjos_datagen.Rng.int rng 40 in
+                List.iter
+                  (fun budget ->
+                    let boxed = outcome (run budget Stack_tree.Boxed) in
+                    let flat = outcome (run budget Stack_tree.Flat) in
+                    (* cell by cell through [Batch.get], which does not
+                       share the boxed form's allocator, then through
+                       [Batch.to_tuples], which does *)
+                    let same =
+                      match (boxed, flat) with
+                      | Rows a, Rows b ->
+                          let row i t =
+                            Array.length t = width
+                            && List.for_all
+                                 (fun k -> t.(k) = Batch.get b i k)
+                                 (List.init width Fun.id)
+                          in
+                          Array.length a = Batch.length b
+                          && Array.for_all Fun.id (Array.mapi row a)
+                          && Array.for_all2 Tuple.equal a (Batch.to_tuples b)
+                      | Stopped x, Stopped y -> x = y
+                      | Invalid x, Invalid y -> x = y
+                      | _ -> false
+                    in
+                    if not same then ok := false)
+                  [ Budget.unlimited; Budget.make ~max_tuples:k () ])
+              all_cases)
+          all_axes
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "kernel differential: legacy = columnar" `Slow
@@ -461,4 +597,7 @@ let suite =
     Alcotest.test_case "batch round-trips" `Quick test_batch_roundtrip;
     Alcotest.test_case "key-column sort = comparator sort" `Quick
       test_batch_sort_matches_tuple_sort;
+    Alcotest.test_case "coalesced rectangles agree with legacy" `Quick
+      test_coalescing_boundaries;
+    prop_boxed_equals_flat;
   ]

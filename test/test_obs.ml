@@ -258,7 +258,11 @@ let test_optimizer_result_json () =
   let db = Database.of_string Helpers.tiny_pers_xml in
   let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
   let r = Helpers.cold_result ~algorithm:Sjos_core.Optimizer.Dpp db pat in
-  let json = Sjos_core.Optimizer.result_to_json pat r in
+  let json =
+    Sjos_core.Optimizer.result_to_json
+      ~fingerprint:(Sjos_pattern.Fingerprint.fingerprint pat)
+      pat r
+  in
   check cb "algorithm present" true
     (Json.member "algorithm" json = Some (Json.Str "DPP"));
   (match Json.member "work" json with

@@ -294,9 +294,7 @@ let test_optimizer_facade () =
       check cb "plan valid" true (Properties.is_valid p r.Optimizer.plan);
       check cb "considered positive" true
         (r.Optimizer.work.Work.plans_considered > 0);
-      check cb "time recorded" true (r.Optimizer.opt_seconds >= 0.0);
-      check cb "pp works" true
-        (String.length (Fmt.str "%a" (Optimizer.pp_result p) r) > 0))
+      check cb "time recorded" true (r.Optimizer.opt_seconds >= 0.0))
     (Optimizer.all p @ [ Optimizer.Dpp_no_lookahead ]);
   check Alcotest.string "names" "DPAP-EB(3)" (Optimizer.name (Optimizer.Dpap_eb 3));
   check ci "default te" (Pattern.edge_count p) (Optimizer.default_te p)
