@@ -137,13 +137,19 @@ let test_budget_truncation () =
    an out-of-order stream or an id the document does not know is a
    structured [Corrupt_input], and honest external streams reproduce the
    default result exactly. *)
-let test_external_streams_verified () =
+(* DPP's binary plan and the holistic twig plan of one pattern over the
+   tiny document: the plans the external-stream tests run. *)
+let tiny_plans p =
   let idx = Lazy.force Helpers.tiny_index in
-  let p = Helpers.pat "manager(//employee(/name))" in
   let binary =
     (Optimizer.optimize ~provider:(Naive.exact_provider idx p) Optimizer.Dpp p)
       .Optimizer.plan
   in
+  [ ("binary", binary); ("holistic", Sjos_plan.Plan.holistic_of_pattern p) ]
+
+let test_external_streams_verified () =
+  let idx = Lazy.force Helpers.tiny_index in
+  let p = Helpers.pat "manager(//employee(/name))" in
   let reversed spec =
     let a = Candidate.select idx spec in
     let n = Array.length a in
@@ -169,12 +175,94 @@ let test_external_streams_verified () =
       in
       corrupt "reversed" reversed "document order";
       corrupt "out-of-document id" bogus "999";
+      let own = Executor.execute idx p plan in
+      let fetched = Executor.execute ~fetch:honest idx p plan in
       check
         (Alcotest.list (Alcotest.list ci))
         (name ^ ": honest external streams change nothing")
-        (tuple_lists (Executor.execute idx p plan).Executor.tuples)
-        (tuple_lists (Executor.execute ~fetch:honest idx p plan).Executor.tuples))
-    [ ("binary", binary); ("holistic", Sjos_plan.Plan.holistic_of_pattern p) ]
+        (tuple_lists own.Executor.tuples)
+        (tuple_lists fetched.Executor.tuples);
+      Helpers.check_work_equal
+        (name ^ ": honest external streams change no counter")
+        own.Executor.work fetched.Executor.work)
+    (tiny_plans p)
+
+(* A fetched node is trusted for its id only: the joins take start, end
+   and level from the document by id, so a stream whose records carry
+   other positions joins exactly like the honest one. *)
+let test_fetch_positions_ignored () =
+  let idx = Lazy.force Helpers.tiny_index in
+  let p = Helpers.pat "manager(//employee(/name))" in
+  let altered spec =
+    Array.map
+      (fun (n : Node.t) ->
+        {
+          n with
+          Node.start_pos = 1000 - n.Node.end_pos;
+          end_pos = 1000 - n.Node.start_pos;
+          level = n.Node.level + 3;
+        })
+      (Candidate.select idx spec)
+  in
+  List.iter
+    (fun (name, plan) ->
+      let own = Executor.execute idx p plan in
+      let fetched = Executor.execute ~fetch:altered idx p plan in
+      check
+        (Alcotest.list (Alcotest.list ci))
+        (name ^ ": altered positions give the honest tuples")
+        (tuple_lists own.Executor.tuples)
+        (tuple_lists fetched.Executor.tuples);
+      Helpers.check_work_equal
+        (name ^ ": altered positions give the honest counters")
+        own.Executor.work fetched.Executor.work)
+    (tiny_plans p)
+
+(* A fetch that repeats its first candidate: the binary engine groups
+   the two equal rows into one join group, so every match of that node
+   comes out twice; the holistic engine rejects the stream as not a
+   candidate stream.  Tuples and counters are pinned. *)
+let test_fetch_repeated_id () =
+  let idx = Lazy.force Helpers.tiny_index in
+  let p = Helpers.pat "manager(//employee(/name))" in
+  let repeat spec =
+    let a = Candidate.select idx spec in
+    Array.append [| a.(0) |] a
+  in
+  List.iter
+    (fun (name, plan) ->
+      match
+        Error.protect (fun () -> Executor.execute ~fetch:repeat idx p plan)
+      with
+      | Ok run when name = "binary" ->
+          check
+            (Alcotest.list (Alcotest.list ci))
+            "binary: repeated id doubles its matches"
+            [
+              [ 1; 3; 4 ]; [ 1; 3; 4 ]; [ 1; 3; 4 ]; [ 1; 3; 4 ]; [ 1; 9; 10 ];
+              [ 1; 9; 10 ]; [ 5; 9; 10 ]; [ 13; 15; 16 ];
+            ]
+            (tuple_lists run.Executor.tuples);
+          List.iter
+            (fun (k, v) ->
+              check ci ("binary: repeated id " ^ k)
+                (Option.value ~default:0
+                   (List.assoc_opt k
+                      [
+                        ("comparisons", 7);
+                        ("tuples_emitted", 16);
+                        ("items_skipped", 6);
+                        ("candidates_scanned", 17);
+                        ("stack_ops", 24);
+                      ]))
+                v)
+            (Work.fields run.Executor.work)
+      | Error (Error.Invalid_request _) when name = "holistic" -> ()
+      | Ok _ -> Alcotest.failf "%s: repeated id must be rejected" name
+      | Error e ->
+          Alcotest.failf "%s: unexpected error class %s" name
+            (Error.class_name e))
+    (tiny_plans p)
 
 (* ---------- chaos: structured errors only, results never invented ----- *)
 
@@ -259,4 +347,8 @@ let suite =
       "mem and disk backends agree bit-for-bit"
       ~engines:[ Optimizer.Binary; Optimizer.Holistic; Optimizer.Auto ]
       ~disk:true;
+    Alcotest.test_case "fetch: altered positions give the honest result"
+      `Quick test_fetch_positions_ignored;
+    Alcotest.test_case "fetch: a repeated id keeps its pinned result" `Quick
+      test_fetch_repeated_id;
   ]
