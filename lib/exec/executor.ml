@@ -85,11 +85,14 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
   let width = Pattern.node_count pat in
   let work = Work.zero () in
   let t0 = Clock.now_ns () in
-  (* Rows travel between operators as {!Stack_tree.input}s: a leaf scan
-     on the Disk backend stays a lazy handle all the way into the join,
-     so only the pages the skip-ahead merge examines are ever read.
+  (* Rows travel between operators as {!Stack_tree.input}s.  Every index
+     scan of our own store enters the kernels as a leaf over its
+     candidate columns: lazy on Disk, so only the pages the skip-ahead
+     merge examines are ever read, resident otherwise, so the join needs
+     no grouping pass.  A fetched stream is untrusted: it is verified
+     and joined as rows, so positions come from the document by id.
      Scan accounting is identical either way — one index item per
-     candidate, leaf length answered from the catalog. *)
+     candidate, a lazy leaf's length answered from the catalog. *)
   let scan own i =
     let spec = Pattern.label pat i in
     match fetch with
@@ -102,16 +105,17 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
                      (Printf.sprintf "candidates(%s)"
                         (Candidate.spec_to_string spec))
                    (f spec))))
-    | None -> (
-        match Column_store.leaf store spec with
-        | Some lf ->
-            own.Work.candidates_scanned <-
-              own.Work.candidates_scanned + Column_store.leaf_length lf;
-            Stack_tree.leaf ~width ~slot:i lf
-        | None ->
-            Stack_tree.Rows
-              (Operators.index_scan_batch ~work:own ~width ~slot:i
-                 (Column_store.select store spec)))
+    | None ->
+        let input =
+          match Column_store.leaf store spec with
+          | Some lf -> Stack_tree.leaf ~width ~slot:i lf
+          | None ->
+              Stack_tree.resident ~width ~slot:i
+                (Column_store.select store spec)
+        in
+        own.Work.candidates_scanned <-
+          own.Work.candidates_scanned + Stack_tree.input_rows input;
+        input
   in
   let rows = Stack_tree.input_rows in
   let check_output rows_of r =

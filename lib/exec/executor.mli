@@ -55,21 +55,25 @@ val execute :
     unlimited, which costs nothing on the hot path.
 
     [store] supplies the column storage backend candidate streams are
-    read through (defaulting to a Mem store over [index], which
-    reproduces the pre-{!Column_store} behavior exactly).  With a Disk
-    store, the columnar engine keeps pure-tag leaf scans lazy into the
-    join kernels — only the pages the skip-ahead merge examines are
-    read — while predicate scans charge a full scan of their tag's
-    segments.  Outputs and all counters except page/IO accounting are
-    backend-independent.  Raises [Invalid_argument] if the store was
-    built over a different index.
+    read through (defaulting to a Mem store over [index]).  Every index
+    scan enters the join kernels as a {!Stack_tree.Leaf} over its
+    candidate columns, so joins read start, end and level straight from
+    them with no grouping pass.  With a Disk store a scan that gets a
+    {!Column_store.leaf} (a known tag, or a predicate spec with a
+    posting list) stays lazy — only the pages the skip-ahead merge
+    examines are read; every other scan is a resident leaf over
+    {!Column_store.select}'s columns.  Outputs and all counters except
+    page/IO accounting are backend-independent.  Raises
+    [Invalid_argument] if the store was built over a different index.
 
     [fetch] overrides where candidate streams come from (fault
     injection, plan hints, alternative storage tiers).  Externally
     fetched streams are verified against the document's position columns:
     an out-of-order stream, or a node id the document does not know,
     raises [Error (Corrupt_input _)] instead of silently joining
-    garbage. *)
+    garbage.  They are trusted for node ids only: they join as rows
+    whose positions come from the document by id, so a repeated id forms
+    one join group (and the holistic operator rejects the stream). *)
 
 val count_matches :
   ?factors:Sjos_cost.Cost_model.factors ->

@@ -9,13 +9,15 @@ module Work = Sjos_obs.Work
 module Registry = Sjos_obs.Registry
 
 (* Columnar Stack-Tree kernel: one body for both algorithms and both
-   output forms ({!run}).  The merge records each related group pair as
-   a rectangle; the output is then allocated once at its exact size and
-   written in the algorithm's order.  The legacy group-list
-   implementation is preserved in the tests as [Stack_tree_legacy]; this
-   module must produce bit-identical tuple sequences and counter totals
-   (modulo [items_skipped]) while touching only flat int arrays on the
-   hot path.
+   output forms ({!run}).  An index scan enters as a leaf whose
+   candidate columns are its groups; operator outputs and fetched
+   streams are grouped row by row ({!group}).  The merge records each
+   related group pair as a rectangle; the output is then allocated once
+   at its exact size and written in the algorithm's order.  The legacy
+   group-list implementation is preserved in the tests as
+   [Stack_tree_legacy]; this module must produce bit-identical tuple
+   sequences and counter totals (modulo [items_skipped]) while touching
+   only flat int arrays on the hot path.
 
    With a domain pool, the join is additionally range-partitioned on the
    ancestor group column at forest-closed cut points (no ancestor
@@ -27,9 +29,11 @@ module Registry = Sjos_obs.Registry
 
 (* ---------- grouping: batch rows -> flat group columns ---------- *)
 
-(* Consecutive rows with the same node in the join slot form one group;
+(* Rows inputs — join, sort and twig outputs, and fetched streams — are
+   grouped here; a leaf is its own grouping ({!leaf_groups}).
+   Consecutive rows with the same node in the join slot form one group;
    [off] has [n + 1] meaningful entries delimiting each group's row
-   range.  The arrays are sized for the worst case (one group per row)
+   range, and the positions are looked up in the document by node id.  The arrays are sized for the worst case (one group per row)
    and filled in one pass — growth-free, so grouping costs a handful of
    ns per input row; entries past [n] are unused.
 
@@ -120,113 +124,182 @@ let sub_groups (g : groups) lo hi =
     e_rows = no_ensure2;
   }
 
-(* ---------- inputs: resident batches or disk-backed leaves ---------- *)
+(* ---------- inputs: operator outputs or index-scan leaves ---------- *)
 
-(* A leaf input is one candidate list served lazily by a
-   {!Column_store.leaf}: the merge faults in group metadata for groups
-   it actually examines, single [starts] probes for gallop skips, and
-   [ids] only for rows that reach an emitted pair.  Row data is exposed
-   to the shared emit machinery as the same flat [width * n] array a
-   materialized scan would produce ([slot] bound, everything else
-   [Tuple.unbound]); the [ids] column is copied in one store page at a
-   time as emits demand it.  A row's bound slot doubles as its fill
-   flag: candidate ids are never [Tuple.unbound]. *)
+(* A leaf input is one index scan: a candidate list's columns, either
+   resident ({!Column_store.select}'s result) or served lazily by a
+   Disk {!Column_store.leaf} whose buffer frames [lcols] are.  A lazy
+   leaf's merge faults in group metadata for groups it actually
+   examines, single [starts] probes for gallop skips, and [ids] only
+   for rows that reach an emitted pair; a resident leaf's columns are
+   all readable already.
+
+   The writer reads a leaf row as a row of the [width]-slot join, [slot]
+   bound and everything else [Tuple.unbound].  A resident leaf's row is
+   its id, set into a one-row buffer as the row is written (see
+   {!side}).  A lazy leaf keeps the flat [width * n] rows a materialized
+   scan would produce and copies its [ids] in one store page at a time
+   as emits demand them; a row's bound slot doubles as its fill flag,
+   since candidate ids are never [Tuple.unbound]. *)
 
 type leaf_input = {
-  lf : Column_store.leaf;
+  lcols : Cols.t;
   lwidth : int;
   lslot : int;
-  ldata : int array;
+  lf : Column_store.leaf option;  (* faults [lcols] in; [None]: resident *)
+  ldata : int array;  (* a lazy leaf's rows, filled on emit; resident: [||] *)
 }
 
 type input = Rows of Batch.t | Leaf of leaf_input
 
-let leaf ~width ~slot lf =
+let leaf_of ~width ~slot lf lcols ldata =
   if slot < 0 || slot >= width then
     invalid_arg "Stack_tree: join slot out of range";
-  let n = Column_store.leaf_length lf in
-  Leaf
-    {
-      lf;
-      lwidth = width;
-      lslot = slot;
-      ldata = Array.make (max 1 (n * width)) Tuple.unbound;
-    }
+  Leaf { lcols; lwidth = width; lslot = slot; lf; ldata }
 
-let copy_ids (l : leaf_input) (ids : int array) lo hi =
-  let w = l.lwidth and slot = l.lslot in
+let leaf ~width ~slot lf =
+  let n = Column_store.leaf_length lf in
+  leaf_of ~width ~slot (Some lf) (Column_store.leaf_cols lf)
+    (Array.make (max 1 (n * width)) Tuple.unbound)
+
+let resident ~width ~slot cols = leaf_of ~width ~slot None cols [||]
+
+let copy_ids (l : leaf_input) lo hi =
+  let w = l.lwidth and slot = l.lslot and ids = l.lcols.Cols.ids in
   for r = lo to hi - 1 do
     Array.unsafe_set l.ldata ((r * w) + slot) (Array.unsafe_get ids r)
   done
 
-let fill_rows (l : leaf_input) lo hi =
+let fill_rows lf (l : leaf_input) lo hi =
   let w = l.lwidth and slot = l.lslot in
   let r = ref lo in
   while !r < hi do
     if Array.unsafe_get l.ldata ((!r * w) + slot) <> Tuple.unbound then incr r
     else begin
-      let plo, phi = Column_store.ensure_ids l.lf !r (!r + 1) in
-      copy_ids l (Column_store.leaf_cols l.lf).Cols.ids plo phi;
+      let plo, phi = Column_store.ensure_ids lf !r (!r + 1) in
+      copy_ids l plo phi;
       r := phi
     end
   done
 
 let force_leaf (l : leaf_input) =
-  copy_ids l (Column_store.force l.lf).Cols.ids 0 (Column_store.leaf_length l.lf)
+  match l.lf with
+  | None -> ()
+  | Some lf ->
+      ignore (Column_store.force lf);
+      copy_ids l 0 (Cols.length l.lcols)
+
+(* The identity offsets every leaf's groups share: the first [n + 1]
+   entries of [identity_offsets n] are [0 .. n].  One process-wide array,
+   as long as the longest leaf seen so far plus one, so a leaf allocates
+   no offsets of its own.  A published array is never written again, so
+   domains read it freely; two domains growing it at once each build a
+   correct array and either may stay published. *)
+let identity = Atomic.make [| 0 |]
+
+let identity_offsets n =
+  let a = Atomic.get identity in
+  if Array.length a > n then a
+  else begin
+    let a = Array.make (n + 1) 0 in
+    for i = 1 to n do
+      Array.unsafe_set a i i
+    done;
+    Atomic.set identity a;
+    a
+  end
 
 (* Candidate ids from the store are strictly increasing (document
    order), so every row is its own group and [off] is the identity —
    the exact grouping {!group} computes for the materialized scan.  The
-   metadata columns alias the leaf's buffer frames; slots become
-   readable as the ensure closures fault them in.  Each closure keeps
-   the item range of the last page run it made resident and skips any
-   ensure inside it, so the merge touches a page once per run rather
+   metadata columns alias the leaf's columns, so a leaf needs no
+   grouping pass.  A resident leaf's ensure closures are the no-ops.  A
+   lazy leaf's slots become readable as its closures fault them in: each
+   keeps the item range of the last page run it made resident and skips
+   any ensure inside it, so the merge touches a page once per run rather
    than once per row (the pinning described in {!Column_store}).  A
    probe only reads [starts], which a metadata ensure also decodes. *)
 let leaf_groups (l : leaf_input) =
-  let c = Column_store.leaf_cols l.lf in
-  let n = Column_store.leaf_length l.lf in
-  let meta_lo = ref 0 and meta_hi = ref 0 in
-  let probe_lo = ref 0 and probe_hi = ref 0 in
+  let c = l.lcols in
+  let n = Cols.length c in
+  let e_meta, e_probe, e_rows =
+    match l.lf with
+    | None -> (no_ensure, no_ensure, no_ensure2)
+    | Some lf ->
+        let meta_lo = ref 0 and meta_hi = ref 0 in
+        let probe_lo = ref 0 and probe_hi = ref 0 in
+        ( (fun g ->
+            if g < !meta_lo || g >= !meta_hi then begin
+              let lo, hi = Column_store.ensure_meta lf g (g + 1) in
+              meta_lo := lo;
+              meta_hi := hi
+            end),
+          (fun g ->
+            if
+              (g < !probe_lo || g >= !probe_hi)
+              && (g < !meta_lo || g >= !meta_hi)
+            then begin
+              let lo, hi = Column_store.ensure_probe lf g in
+              probe_lo := lo;
+              probe_hi := hi
+            end),
+          fill_rows lf l )
+  in
   {
     n;
-    off = Array.init (n + 1) Fun.id;
+    off = identity_offsets n;
     gstart = c.Cols.starts;
     gend = c.Cols.ends;
     glevel = c.Cols.levels;
-    e_meta =
-      (fun g ->
-        if g < !meta_lo || g >= !meta_hi then begin
-          let lo, hi = Column_store.ensure_meta l.lf g (g + 1) in
-          meta_lo := lo;
-          meta_hi := hi
-        end);
-    e_probe =
-      (fun g ->
-        if (g < !probe_lo || g >= !probe_hi) && (g < !meta_lo || g >= !meta_hi)
-        then begin
-          let lo, hi = Column_store.ensure_probe l.lf g in
-          probe_lo := lo;
-          probe_hi := hi
-        end);
-    e_rows = (fun lo hi -> fill_rows l lo hi);
+    e_meta;
+    e_probe;
+    e_rows;
   }
 
 let input_width = function Rows b -> Batch.width b | Leaf l -> l.lwidth
 
 let input_rows = function
   | Rows b -> Batch.length b
-  | Leaf l -> Column_store.leaf_length l.lf
+  | Leaf l -> Cols.length l.lcols
 
-let input_data = function Rows b -> Batch.data b | Leaf l -> l.ldata
+let input_id i r slot =
+  match i with
+  | Rows b -> (Batch.data b).((r * Batch.width b) + slot)
+  | Leaf { lf = None; lcols; lslot; _ } ->
+      if slot = lslot then lcols.Cols.ids.(r) else Tuple.unbound
+  | Leaf l -> l.ldata.((r * l.lwidth) + slot)
 
 let to_batch = function
   | Rows b -> b
+  | Leaf ({ lf = None; _ } as l) ->
+      Batch.of_ids ~width:l.lwidth ~slot:l.lslot l.lcols.Cols.ids
   | Leaf l ->
       force_leaf l;
-      Batch.unsafe_of_raw ~width:l.lwidth
-        ~len:(Column_store.leaf_length l.lf)
-        l.ldata
+      Batch.unsafe_of_raw ~width:l.lwidth ~len:(Cols.length l.lcols) l.ldata
+
+(* How one join reads an input's rows: row [r] sits at [base side r] in
+   [side.data], which holds a batch's or a lazy leaf's flat rows.  A
+   resident leaf has no rows: its side assembles each row in a one-row
+   buffer, [slot] set to the row's id and every other slot unbound, so
+   each kernel call (each shard, too) makes its own sides. *)
+type side = { data : int array; slot : int; ids : int array }
+
+let side ~width = function
+  | Rows b -> { data = Batch.data b; slot = -1; ids = [||] }
+  | Leaf { lf = None; lslot; lcols; _ } ->
+      {
+        data = Array.make width Tuple.unbound;
+        slot = lslot;
+        ids = lcols.Cols.ids;
+      }
+  | Leaf l -> { data = l.ldata; slot = -1; ids = [||] }
+
+let[@inline] base (s : side) ~width r =
+  if s.slot < 0 then r * width
+  else begin
+    Array.unsafe_set s.data s.slot (Array.unsafe_get s.ids r);
+    0
+  end
 
 (* ---------- shared merge machinery ---------- *)
 
@@ -447,23 +520,26 @@ let make_rows : type o. o out -> width:int -> int -> o rows =
 (* Write the merges of ancestor rows [alo, ahi) with descendant rows
    [dlo, dhi), row-major, as output rows [row ..]. *)
 let write_rows : type o.
-    o rows -> width:int -> adata:int array -> ddata:int array -> int -> int ->
-    int -> int -> int -> unit =
- fun r ~width ~adata ~ddata row alo ahi dlo dhi ->
+    o rows -> width:int -> anc:side -> desc:side -> int -> int -> int -> int ->
+    int -> unit =
+ fun r ~width ~anc ~desc row alo ahi dlo dhi ->
   match r with
   | Flat_rows out ->
       let o = ref (row * width) in
       for ar = alo to ahi - 1 do
+        let ab = base anc ~width ar in
         for dr = dlo to dhi - 1 do
-          merge_rows adata (ar * width) ddata (dr * width) out !o width;
+          merge_rows anc.data ab desc.data (base desc ~width dr) out !o width;
           o := !o + width
         done
       done
   | Boxed_rows (out, scratch) ->
       let o = ref row in
       for ar = alo to ahi - 1 do
+        let ab = base anc ~width ar in
         for dr = dlo to dhi - 1 do
-          merge_rows adata (ar * width) ddata (dr * width) scratch 0 width;
+          merge_rows anc.data ab desc.data (base desc ~width dr) scratch 0
+            width;
           Array.unsafe_set out !o (Tuple.of_slice scratch 0 width);
           incr o
         done
@@ -499,6 +575,12 @@ let concat : type o. o out -> width:int -> o array -> o =
 let ceiling (budget : Budget.t) =
   match budget.Budget.max_tuples with Some l -> max l 0 | None -> max_int
 
+(* The rectangle buffer starts at one rectangle per group of the smaller
+   input, which holds a child join whose parents each meet one run of
+   children without growing; the cap bounds what a selective join over
+   large inputs allocates up front. *)
+let rects_cap = 4096
+
 (* One body for both algorithms, in three steps.
 
    Record.  The merge calls [emit g d] for every related (ancestor
@@ -528,12 +610,12 @@ let ceiling (budget : Budget.t) =
    Write.  Rectangles are written in generation order, each at its
    key's next row; deadline and cancellation are polled every 256
    rectangles. *)
-let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~adata
-    ~ddata (ag : groups) (dg : groups) : o =
+let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
+    ~desc_i (ag : groups) (dg : groups) : o =
   let by_anc =
     match algo with Plan.Stack_tree_anc -> true | Plan.Stack_tree_desc -> false
   in
-  let rects = Ibuf.create 256 in
+  let rects = Ibuf.create (3 * min rects_cap (min ag.n dg.n)) in
   let next = Array.make (if by_anc then ag.n else 1) 0 in
   let limit = ceiling budget in
   let emit g d =
@@ -572,6 +654,7 @@ let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~adata
     next;
   if by_anc then work.Work.io_items <- work.Work.io_items + (2 * !total);
   let rows = make_rows out ~width !total in
+  let anc = side ~width anc_i and desc = side ~width desc_i in
   let r = Ibuf.data rects in
   for i = 0 to (Ibuf.length rects / 3) - 1 do
     if i land poll_mask = poll_mask then Budget.check budget ~during:"execute";
@@ -580,7 +663,7 @@ let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~adata
     let dlo = dg.off.(r.((3 * i) + 1)) and dhi = dg.off.(r.((3 * i) + 2)) in
     let k = if by_anc then g else 0 in
     let row = next.(k) in
-    write_rows rows ~width ~adata ~ddata row alo ahi dlo dhi;
+    write_rows rows ~width ~anc ~desc row alo ahi dlo dhi;
     next.(k) <- row + ((ahi - alo) * (dhi - dlo))
   done;
   finish_rows rows ~width !total
@@ -701,9 +784,8 @@ let join_in (type o) (out : o out) ?(budget = Budget.unlimited) ?pool
   let cols = lazy (Document.positions doc) in
   let ag = group_input ~cols anc_i anc_slot in
   let dg = group_input ~cols desc_i desc_slot in
-  let adata = input_data anc_i and ddata = input_data desc_i in
   let run ~work ~drain ag dg =
-    run out ~algo ~budget ~work ~axis ~drain ~width ~adata ~ddata ag dg
+    run out ~algo ~budget ~work ~axis ~drain ~width ~anc_i ~desc_i ag dg
   in
   let force () =
     force_input anc_i;

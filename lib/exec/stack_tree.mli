@@ -12,12 +12,13 @@
       node, which requires buffering result pairs until the ancestor is
       popped — the source of the [2 |AB| f_IO] term in the cost model.
 
-    The kernels operate over flat int columns ({!Batch.t} rows plus the
-    document's position columns): grouping, the merge stack and the
-    output are all reusable int arrays — no list conses on the hot path —
-    and the merge skips ahead over provably unproductive input runs
-    (galloping the descendant start column, batch-dropping dead ancestor
-    groups), counting what it skipped in {!Sjos_obs.Work.t.items_skipped}.
+    The kernels operate over flat int columns (an index scan's candidate
+    columns, or {!Batch.t} rows plus the document's position columns):
+    grouping, the merge stack and the output are all int arrays — no
+    list conses on the hot path — and the merge skips ahead over
+    provably unproductive input runs (galloping the descendant start
+    column, batch-dropping dead ancestor groups), counting what it
+    skipped in {!Sjos_obs.Work.t.items_skipped}.
     Outputs, orderings and all other counters are bit-identical to the
     reference implementation kept in the tests' [Stack_tree_legacy].
 
@@ -62,15 +63,25 @@ open Sjos_plan
 
 (** {1 Join inputs}
 
-    The kernels accept either a resident columnar batch or a lazy
-    disk-backed leaf — one tag's candidate columns served page-at-a-time
-    by a {!Sjos_storage.Column_store.leaf}.  A leaf input faults in only
-    what the merge examines: group metadata for groups actually
-    compared, single [starts] probes for gallop skip-ahead (an O(log d)
-    page cost for a skip over [d] items), and the [ids] column only for
-    rows that reach an emitted pair.  Outputs and all counters except
-    page/IO accounting are bit-identical to running the same join over
-    the materialized batch.
+    An input is either [Rows], a resident columnar batch — the output of
+    a join, sort or twig operator, or an externally fetched candidate
+    stream — or a [Leaf], one index scan's candidate columns bound in
+    one slot.  [Rows] are grouped by the join slot with their positions
+    looked up in the document by node id.  A leaf is its own grouping:
+    candidate ids are strictly increasing, so every row is a group and
+    the group columns alias the candidate columns.
+
+    A leaf is either resident ({!resident}, over the columns
+    {!Sjos_storage.Column_store.select} returns) or lazy ({!leaf}, one
+    list's on-disk columns served page-at-a-time by a
+    {!Sjos_storage.Column_store.leaf}).  A lazy leaf faults in only what
+    the merge examines: group metadata for groups actually compared,
+    single [starts] probes for gallop skip-ahead (an O(log d) page cost
+    for a skip over [d] items), and the [ids] column only for rows that
+    reach an emitted pair.  A resident leaf has no row data of its own:
+    its ids are written straight into the output rows.  Outputs and all
+    counters except page/IO accounting are bit-identical to running the
+    same join over the materialized batch.
 
     Sharded (multi-domain) runs force leaf inputs resident before
     cutting, so their page accounting is a deterministic full scan
@@ -81,15 +92,25 @@ type leaf_input
 type input = Rows of Batch.t | Leaf of leaf_input
 
 val leaf : width:int -> slot:int -> Sjos_storage.Column_store.leaf -> input
-(** A lazy scan of the leaf's tag bound in [slot] of a width-[width]
-    row.  Raises [Invalid_argument] if [slot] is out of range. *)
+(** A lazy scan of the leaf's candidate list bound in [slot] of a
+    width-[width] row.  Raises [Invalid_argument] if [slot] is out of
+    range. *)
+
+val resident : width:int -> slot:int -> Cols.t -> input
+(** A scan of resident candidate columns bound in [slot] of a
+    width-[width] row.  The columns must be a candidate list of the
+    document the input is joined over: ids strictly increasing, each
+    row's positions those of its node, as the element index builds
+    them.  The join trusts them and aliases them, so an external stream
+    must go through {!Rows} instead.  Raises [Invalid_argument] if
+    [slot] is out of range. *)
 
 val input_rows : input -> int
 (** Row count — answered without IO for a leaf. *)
 
 val to_batch : input -> Batch.t
-(** The input as a resident batch; forces a leaf fully (charging its
-    full-scan page touches). *)
+(** The input as a resident batch; a lazy leaf is forced fully first
+    (charging its full-scan page touches). *)
 
 (** {1 Kernel internals shared with the holistic twig kernel}
 
@@ -100,7 +121,9 @@ val to_batch : input -> Batch.t
 
 type groups = {
   n : int;  (** number of groups *)
-  off : int array;  (** [n + 1] row offsets delimiting each group *)
+  off : int array;
+      (** row offsets delimiting each group, in the first [n + 1]
+          entries (a leaf's identity offsets are shared and may run on) *)
   gstart : int array;  (** join-node start positions, strictly increasing *)
   gend : int array;
   glevel : int array;
@@ -110,19 +133,24 @@ type groups = {
 }
 (** One input grouped by its join slot: consecutive rows sharing the
     join node form a group; the [e_*] closures fault a disk-backed
-    leaf's pages in before the corresponding array slots are read
-    (no-ops for resident inputs). *)
+    leaf's pages in before the corresponding array slots are read, and
+    [e_rows] also fills its row data (no-ops for [Rows] and resident
+    leaves). *)
 
 val group_input : cols:Cols.t Lazy.t -> input -> int -> groups
-(** Group an input by slot.  Raises [Invalid_argument] when the input is
-    not sorted by the slot, the slot is unbound, or an id is out of the
-    document's range. *)
+(** Group an input by slot: a leaf on its own slot as described above,
+    [Rows] (and a leaf on another slot, materialized first) by a pass
+    over the rows that reads positions from [cols], the document's
+    position columns, forced only then.  Raises [Invalid_argument] when
+    the input is not sorted by the slot, the slot is unbound, or an id
+    is out of the document's range. *)
 
 val input_width : input -> int
 
-val input_data : input -> int array
-(** The input's flat row-major data.  For a leaf, slots are readable
-    only after the covering {!groups.e_rows} call. *)
+val input_id : input -> int -> int -> int
+(** [input_id i r slot] — the node id row [r] binds in [slot]
+    ([Tuple.unbound] if none).  For a lazy leaf it is readable only
+    after the covering {!groups.e_rows} call. *)
 
 val gallop : probe:(int -> unit) -> int array -> int -> int -> int -> int
 (** [gallop ~probe a lo hi target] — first index in [[lo, hi)] whose

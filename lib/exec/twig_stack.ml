@@ -122,7 +122,6 @@ let run ?(budget = Budget.unlimited) ~work ~doc ~pat ~inputs () =
       if gi.Stack_tree.off.(gi.Stack_tree.n) <> gi.Stack_tree.n then
         invalid_arg "Twig_stack.run: input is not a candidate stream")
     g;
-  let data = Array.map Stack_tree.input_data inputs in
   let pa = parent_axis pat in
   let topo = topo_order pat in
   let paths = paths_to pat in
@@ -284,7 +283,7 @@ let run ?(budget = Budget.unlimited) ~work ~doc ~pat ~inputs () =
         if p < 0 || parent_top >= 0 then begin
           work.Work.stack_ops <- work.Work.stack_ops + 1;
           g.(k).Stack_tree.e_rows r (r + 1);
-          let id = data.(k).((r * width) + k) in
+          let id = Stack_tree.input_id inputs.(k) r k in
           if is_leaf.(k) then emit k ~start ~end_ ~level ~id ~parent_top
           else push stacks.(k) ~start ~end_ ~level ~id ~parent_top
         end;

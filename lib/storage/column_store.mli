@@ -112,9 +112,12 @@ val dispose : t -> unit
     These return fully resident columns.  On Disk they charge the full
     sequential scan of every column segment they cover — this is the
     full-scan baseline the lazy leaves are measured against.  The
-    executor reaches them only for specs that get no {!leaf}: a
-    wildcard, an unknown tag, or a predicate spec once the store holds
-    {!posting_capacity} postings. *)
+    executor reads every Mem scan through {!select}, and a Disk scan
+    only when its spec gets no {!leaf}: a wildcard, an unknown tag, or
+    a predicate spec once the store holds {!posting_capacity} postings.
+    It joins the result as a resident leaf
+    ([Sjos_exec.Stack_tree.resident]), whose group columns alias these
+    arrays: they are in document order, and no caller may mutate them. *)
 
 val cols : t -> string -> Cols.t
 (** One tag's complete candidate columns. *)

@@ -6,7 +6,9 @@ usage: ab_e2e.py PARENT_TREE CHANGE_TREE --workload NAME -n N
                  [--out runs.jsonl]
 
 Each tree is a checkout whose `_build/default/bench/e2e/main.exe` is
-already built (`dune build @all` in it).  Pair i runs the workload once
+already built (`dune build @all` in it); a relative tree path is taken
+from the directory the script is started in, and a tree without that
+executable exits 2 before any run.  Pair i runs the workload once
 in each tree with seed `--seed + i`, in a fresh process whose working
 directory is that tree; even pairs run the parent first, odd pairs the
 change first, so drift on a shared host falls on both sides alike.
@@ -100,7 +102,13 @@ def main():
 
     with open(args.spec) as f:
         metrics = json.load(f)["end_to_end"]
-    sides = {"parent": args.parent, "change": args.change}
+    sides = {"parent": os.path.abspath(args.parent),
+             "change": os.path.abspath(args.change)}
+    for tree in sides.values():
+        if not os.path.isfile(os.path.join(tree, EXE)):
+            print(f"ab_e2e.py: {os.path.join(tree, EXE)} not found "
+                  "(run `dune build @all` in that tree)", file=sys.stderr)
+            sys.exit(2)
     values = {s: {m["name"]: [] for m in metrics} for s in sides}
     ok = True
     for i in range(args.n):

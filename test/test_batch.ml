@@ -577,6 +577,83 @@ let prop_boxed_equals_flat =
       done;
       !ok)
 
+(* A resident leaf is its own grouping: its groups must be exactly what
+   [group] computes over the materialized scan of the same columns —
+   group count, row offsets and the position columns, field by field —
+   with the position columns aliasing the candidate columns.  Pure tags,
+   the wildcard, an unknown tag and attribute/text predicates, bound in
+   every slot of a width-3 row. *)
+let test_resident_leaf_groups () =
+  let cases =
+    [
+      ( Lazy.force Helpers.pers_1k,
+        [
+          Candidate.of_tag "employee";
+          Candidate.of_tag "name";
+          Candidate.any;
+          Candidate.of_tag "no-such-tag";
+          { (Candidate.of_tag "name") with Candidate.text = Some "ann" };
+        ] );
+      ( Lazy.force Helpers.mbench_1k,
+        [
+          Candidate.of_tag "eNest";
+          Candidate.of_tag "eOccasional";
+          {
+            (Candidate.of_tag "eNest") with
+            Candidate.attr = Some ("aLevel", "2");
+          };
+          {
+            (Candidate.of_tag "eNest") with
+            Candidate.attr = Some ("aSixtyFour", "3");
+          };
+        ] );
+    ]
+  in
+  List.iter
+    (fun (doc, specs) ->
+      let idx = Element_index.build doc in
+      let positions = lazy (Document.positions doc) in
+      List.iter
+        (fun spec ->
+          let cols = Candidate.select_cols idx spec in
+          for slot = 0 to 2 do
+            let msg =
+              Printf.sprintf "%s in slot %d" (Candidate.spec_to_string spec)
+                slot
+            in
+            let leaf =
+              Stack_tree.group_input ~cols:positions
+                (Stack_tree.resident ~width:3 ~slot cols)
+                slot
+            in
+            let rows =
+              Stack_tree.group_input ~cols:positions
+                (Stack_tree.Rows
+                   (Batch.of_ids ~width:3 ~slot cols.Sjos_xml.Cols.ids))
+                slot
+            in
+            let n = rows.Stack_tree.n in
+            check ci (msg ^ ": n") n leaf.Stack_tree.n;
+            check ci (msg ^ ": one group per candidate") (Cols.length cols) n;
+            let prefix k a = Array.to_list (Array.sub a 0 k) in
+            let field name get k =
+              check (Alcotest.list ci) (msg ^ ": " ^ name) (prefix k (get rows))
+                (prefix k (get leaf))
+            in
+            field "off" (fun g -> g.Stack_tree.off) (n + 1);
+            field "gstart" (fun g -> g.Stack_tree.gstart) n;
+            field "gend" (fun g -> g.Stack_tree.gend) n;
+            field "glevel" (fun g -> g.Stack_tree.glevel) n;
+            check cb (msg ^ ": gstart aliases starts") true
+              (leaf.Stack_tree.gstart == cols.Cols.starts);
+            check cb (msg ^ ": gend aliases ends") true
+              (leaf.Stack_tree.gend == cols.Cols.ends);
+            check cb (msg ^ ": glevel aliases levels") true
+              (leaf.Stack_tree.glevel == cols.Cols.levels)
+          done)
+        specs)
+    cases
+
 let suite =
   [
     Alcotest.test_case "kernel differential: legacy = columnar" `Slow
@@ -600,4 +677,6 @@ let suite =
     Alcotest.test_case "coalesced rectangles agree with legacy" `Quick
       test_coalescing_boundaries;
     prop_boxed_equals_flat;
+    Alcotest.test_case "resident leaf groups = grouped scan" `Quick
+      test_resident_leaf_groups;
   ]

@@ -100,6 +100,12 @@ let rows_scan index ~width ~slot tag (m : Sjos_obs.Work.t) =
     (Operators.index_scan_batch ~work:m ~width ~slot
        (Element_index.cols index tag))
 
+(* The executor's Mem scan: a resident leaf over [Column_store.select]. *)
+let resident_scan store ~width ~slot tag (m : Sjos_obs.Work.t) =
+  let cols = Column_store.select store (Candidate.of_tag tag) in
+  m.Work.candidates_scanned <- m.Work.candidates_scanned + Cols.length cols;
+  Stack_tree.resident ~width ~slot cols
+
 let algo_name = function
   | Plan.Stack_tree_desc -> "stj-desc"
   | Plan.Stack_tree_anc -> "stj-anc"
@@ -112,6 +118,7 @@ let test_leaf_kernel () =
       ~config:(Column_store.disk ~page_size:64 ~pool_pages:4 ())
       index
   in
+  let mem = Column_store.create ~config:Column_store.mem index in
   Helpers.with_pool 2 @@ fun pool ->
   Fun.protect ~finally:(fun () -> Column_store.dispose store) @@ fun () ->
   List.iter
@@ -131,8 +138,45 @@ let test_leaf_kernel () =
             in
             (Batch.to_tuples b, m)
           in
+          (* the rows scan agrees with the list-based reference kernel,
+             which never skips *)
+          (let m = Work.zero () in
+           let anc = Helpers.scan index "manager" 0 2 ~work:m in
+           let desc = Helpers.scan index "employee" 1 2 ~work:m in
+           let legacy =
+             Stack_tree_legacy.join ~work:m ~doc ~axis ~algo ~anc:(anc, 0)
+               ~desc:(desc, 1) ()
+           in
+           let msg = name ^ " rows vs legacy" in
+           Helpers.check_same_tuple_seq msg legacy (fst reference);
+           Helpers.check_work_equal msg m
+             { (snd reference) with Work.items_skipped = 0 });
           let variants =
             [
+              ( "resident leaves",
+                fun m ->
+                  ( resident_scan mem ~width:2 ~slot:0 "manager" m,
+                    resident_scan mem ~width:2 ~slot:1 "employee" m,
+                    None,
+                    None ) );
+              ( "resident anc, lazy desc",
+                fun m ->
+                  ( resident_scan mem ~width:2 ~slot:0 "manager" m,
+                    leaf_scan store ~width:2 ~slot:1 "employee" m,
+                    None,
+                    None ) );
+              ( "rows anc, resident desc",
+                fun m ->
+                  ( rows_scan index ~width:2 ~slot:0 "manager" m,
+                    resident_scan mem ~width:2 ~slot:1 "employee" m,
+                    None,
+                    None ) );
+              ( "sharded resident leaves",
+                fun m ->
+                  ( resident_scan mem ~width:2 ~slot:0 "manager" m,
+                    resident_scan mem ~width:2 ~slot:1 "employee" m,
+                    Some pool,
+                    Some 1 ) );
               ( "lazy leaves",
                 fun m ->
                   ( leaf_scan store ~width:2 ~slot:0 "manager" m,
