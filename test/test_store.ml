@@ -243,6 +243,123 @@ let test_leaf_laziness_bounded () =
     (lazy_misses <= full_misses);
   check cb "full scan reads every page exactly once" true (full_misses > 0)
 
+(* ---------- lazy-leaf page accounting, pinned ---------- *)
+
+(* Each case runs from a cold pool on Pers 1K behind an explicit store
+   of 64-item pages and a 4-page pool, so the pool evicts mid-join and
+   the numbers hold whatever SJOS_STORAGE or SJOS_DOMAINS say.  A row
+   is [page_touches; accesses; hits; misses; evictions].  The
+   differential suites only require Disk to agree with Mem modulo IO;
+   this pins the IO itself: a leaf faults each ids page at most once
+   per scan, metadata and probes once per page run. *)
+let io_pin_cases store ~doc ~pool =
+  let both anc desc m =
+    (leaf_scan store ~width:2 ~slot:0 anc m, leaf_scan store ~width:2 ~slot:1 desc m)
+  in
+  let join ?pool ?par_min_rows ~algo ~axis (anc, desc) () =
+    let m = Work.zero () in
+    let a, d = both anc desc m in
+    ignore
+      (Stack_tree.join_in Stack_tree.Flat ?pool ?par_min_rows ~work:m ~doc
+         ~axis ~algo ~anc:(a, 0) ~desc:(d, 1) ())
+  in
+  let pairs =
+    [ ("manager", "employee"); ("department", "name"); ("manager", "name") ]
+  in
+  let joins =
+    List.concat_map
+      (fun ((a, d) as pair) ->
+        List.concat_map
+          (fun algo ->
+            List.map
+              (fun axis ->
+                ( Printf.sprintf "%s-%s %s %s" a d (algo_name algo)
+                    (match axis with
+                    | Axes.Descendant -> "desc"
+                    | Axes.Child -> "child"),
+                  join ~algo ~axis pair ))
+              [ Axes.Descendant; Axes.Child ])
+          [ Plan.Stack_tree_desc; Plan.Stack_tree_anc ])
+      pairs
+  in
+  let twig () =
+    let pat = Helpers.pat "manager(//employee(/name),//department(/name))" in
+    let width = Sjos_pattern.Pattern.node_count pat in
+    let m = Work.zero () in
+    let inputs =
+      Array.init width (fun i ->
+          match
+            Column_store.leaf store (Sjos_pattern.Pattern.label pat i)
+          with
+          | Some lf -> Stack_tree.leaf ~width ~slot:i lf
+          | None -> Alcotest.fail "twig: no leaf for a pure tag")
+    in
+    ignore (Twig_stack.run ~work:m ~doc ~pat ~inputs ())
+  in
+  (* a leaf joined off its own slot is forced, then rejected: its other
+     slots are unbound *)
+  let off_slot () =
+    let m = Work.zero () in
+    let a, d = both "manager" "employee" m in
+    match
+      Stack_tree.join_in Stack_tree.Flat ~work:m ~doc ~axis:Axes.Descendant
+        ~algo:Plan.Stack_tree_desc ~anc:(a, 0) ~desc:(d, 0) ()
+    with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail "off-slot leaf join accepted"
+  in
+  joins
+  @ [
+      ("twig", twig);
+      ("off-slot leaf", off_slot);
+      ( "sharded, 2 domains",
+        join ~pool ~par_min_rows:1 ~algo:Plan.Stack_tree_desc
+          ~axis:Axes.Descendant ("manager", "employee") );
+    ]
+
+let leaf_io_expected =
+  [
+    ("manager-employee stj-desc desc", [ 28; 28; 4; 24; 20 ]);
+    ("manager-employee stj-desc child", [ 28; 28; 4; 24; 20 ]);
+    ("manager-employee stj-anc desc", [ 28; 28; 4; 24; 20 ]);
+    ("manager-employee stj-anc child", [ 28; 28; 4; 24; 20 ]);
+    ("department-name stj-desc desc", [ 43; 43; 7; 36; 32 ]);
+    ("department-name stj-desc child", [ 43; 43; 7; 36; 32 ]);
+    ("department-name stj-anc desc", [ 43; 43; 7; 36; 32 ]);
+    ("department-name stj-anc child", [ 43; 43; 7; 36; 32 ]);
+    ("manager-name stj-desc desc", [ 43; 43; 7; 36; 32 ]);
+    ("manager-name stj-desc child", [ 43; 43; 7; 36; 32 ]);
+    ("manager-name stj-anc desc", [ 43; 43; 7; 36; 32 ]);
+    ("manager-name stj-anc child", [ 43; 43; 7; 36; 32 ]);
+    ("twig", [ 110; 110; 41; 69; 65 ]);
+    ("off-slot leaf", [ 16; 16; 0; 16; 12 ]);
+    ("sharded, 2 domains", [ 46; 46; 4; 42; 38 ]);
+  ]
+
+let test_leaf_io_pinned () =
+  let doc = Lazy.force Helpers.pers_1k in
+  let store =
+    Column_store.create
+      ~config:(Column_store.disk ~page_size:64 ~pool_pages:4 ())
+      (Element_index.build doc)
+  in
+  Helpers.with_pool 2 @@ fun pool ->
+  Fun.protect ~finally:(fun () -> Column_store.dispose store) @@ fun () ->
+  let measure f =
+    Column_store.reset_io store;
+    let w, r = Work.scoped f in
+    Result.iter_error raise r;
+    let s = Option.get (Column_store.io_stats store) in
+    [ w.Work.page_touches; s.Pager.accesses; s.hits; s.misses; s.evictions ]
+  in
+  let cases = io_pin_cases store ~doc ~pool in
+  check ci "case count" (List.length leaf_io_expected) (List.length cases);
+  List.iter2
+    (fun (name, f) (ename, expected) ->
+      check Alcotest.string "case" ename name;
+      check Alcotest.(list int) name expected (measure f))
+    cases leaf_io_expected
+
 (* ---------- predicate specs: posting lists ---------- *)
 
 let q_mbench_1a = "eNest[@aLevel='2'](//eNest[@aLevel='6'](/eNest[@aLevel='7']))"
@@ -606,6 +723,8 @@ let suite =
     Alcotest.test_case "lazy leaves vs rows kernels" `Quick test_leaf_kernel;
     Alcotest.test_case "lazy join misses bounded by full scan" `Quick
       test_leaf_laziness_bounded;
+    Alcotest.test_case "lazy-leaf page accounting pinned" `Quick
+      test_leaf_io_pinned;
     Alcotest.test_case "predicate specs identical across backends" `Quick
       test_predicate_spec_differential;
     Alcotest.test_case "posting: repeat misses only its pages" `Quick
