@@ -99,7 +99,8 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
     | Some f ->
         Stack_tree.Rows
           (Operators.index_scan_batch ~work:own ~width ~slot:i
-             (Sjos_xml.Cols.of_nodes
+             (Array.map
+                (fun n -> n.Sjos_xml.Node.id)
                 (verify_document_order ~doc
                    ~what:
                      (Printf.sprintf "candidates(%s)"

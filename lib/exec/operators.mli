@@ -11,10 +11,10 @@ val index_scan :
     Accounts one index item per candidate. *)
 
 val index_scan_batch :
-  work:Sjos_obs.Work.t -> width:int -> slot:int -> Cols.t -> Batch.t
-(** The columnar equivalent: binds the candidate [ids] column directly
-    into batch rows without materializing per-tuple arrays.  Same
-    accounting as {!index_scan}. *)
+  work:Sjos_obs.Work.t -> width:int -> slot:int -> int array -> Batch.t
+(** The columnar equivalent over candidate ids in document order: binds
+    them directly into batch rows without materializing per-tuple
+    arrays.  Same accounting as {!index_scan}. *)
 
 val account_sort : work:Sjos_obs.Work.t -> int -> unit
 (** Charge one sort of [n] items: [sorted_items += n] and the

@@ -10,8 +10,8 @@ module Registry = Sjos_obs.Registry
 
 (* Columnar Stack-Tree kernel: one body for both algorithms and both
    output forms ({!run}).  An index scan enters as a leaf whose
-   candidate columns are its groups; operator outputs and fetched
-   streams are grouped row by row ({!group}).  The merge records each
+   candidate columns are its groups and its rows; operator outputs and
+   fetched streams are grouped row by row ({!group}).  The merge records each
    related group pair as a rectangle; the output is then allocated once
    at its exact size and written in the algorithm's order.  The legacy
    group-list implementation is preserved in the tests as
@@ -33,14 +33,16 @@ module Registry = Sjos_obs.Registry
    grouped here; a leaf is its own grouping ({!leaf_groups}).
    Consecutive rows with the same node in the join slot form one group;
    [off] has [n + 1] meaningful entries delimiting each group's row
-   range, and the positions are looked up in the document by node id.  The arrays are sized for the worst case (one group per row)
-   and filled in one pass — growth-free, so grouping costs a handful of
+   range, and the positions are looked up in the document by node id.
+   The arrays are sized for the worst case (one group per row) and
+   filled in one pass — growth-free, so grouping costs a handful of
    ns per input row; entries past [n] are unused.
 
    The [e_*] closures are the out-of-core hook: before the merge reads a
    group's metadata or a row range it calls the matching closure, which
-   for a disk-backed leaf faults the covering pages in through the
-   buffer pool ({!Column_store.ensure_meta} and friends).  In-memory
+   for a disk-backed leaf is its {!Column_store.leaf}'s ensure: it
+   faults the covering pages in through the buffer pool and keeps the
+   page-run state.  In-memory
    groups carry shared no-op closures, so the resident hot path pays one
    indirect call per ensured access and nothing else.  Once a slot has
    been decoded its value persists even if the pool later evicts the
@@ -132,62 +134,29 @@ let sub_groups (g : groups) lo hi =
    leaf's merge faults in group metadata for groups it actually
    examines, single [starts] probes for gallop skips, and [ids] only
    for rows that reach an emitted pair; a resident leaf's columns are
-   all readable already.
-
-   The writer reads a leaf row as a row of the [width]-slot join, [slot]
-   bound and everything else [Tuple.unbound].  A resident leaf's row is
-   its id, set into a one-row buffer as the row is written (see
-   {!side}).  A lazy leaf keeps the flat [width * n] rows a materialized
-   scan would produce and copies its [ids] in one store page at a time
-   as emits demand them; a row's bound slot doubles as its fill flag,
-   since candidate ids are never [Tuple.unbound]. *)
+   all readable already.  Either way a leaf keeps no rows: the writer
+   reads row [r] as [lcols.ids.(r)] bound in [slot] of a [width]-slot
+   row, everything else [Tuple.unbound] (see {!side}). *)
 
 type leaf_input = {
   lcols : Cols.t;
   lwidth : int;
   lslot : int;
   lf : Column_store.leaf option;  (* faults [lcols] in; [None]: resident *)
-  ldata : int array;  (* a lazy leaf's rows, filled on emit; resident: [||] *)
 }
 
 type input = Rows of Batch.t | Leaf of leaf_input
 
-let leaf_of ~width ~slot lf lcols ldata =
+let leaf_of ~width ~slot lf lcols =
   if slot < 0 || slot >= width then
     invalid_arg "Stack_tree: join slot out of range";
-  Leaf { lcols; lwidth = width; lslot = slot; lf; ldata }
+  Leaf { lcols; lwidth = width; lslot = slot; lf }
 
 let leaf ~width ~slot lf =
-  let n = Column_store.leaf_length lf in
   leaf_of ~width ~slot (Some lf) (Column_store.leaf_cols lf)
-    (Array.make (max 1 (n * width)) Tuple.unbound)
 
-let resident ~width ~slot cols = leaf_of ~width ~slot None cols [||]
-
-let copy_ids (l : leaf_input) lo hi =
-  let w = l.lwidth and slot = l.lslot and ids = l.lcols.Cols.ids in
-  for r = lo to hi - 1 do
-    Array.unsafe_set l.ldata ((r * w) + slot) (Array.unsafe_get ids r)
-  done
-
-let fill_rows lf (l : leaf_input) lo hi =
-  let w = l.lwidth and slot = l.lslot in
-  let r = ref lo in
-  while !r < hi do
-    if Array.unsafe_get l.ldata ((!r * w) + slot) <> Tuple.unbound then incr r
-    else begin
-      let plo, phi = Column_store.ensure_ids lf !r (!r + 1) in
-      copy_ids l plo phi;
-      r := phi
-    end
-  done
-
-let force_leaf (l : leaf_input) =
-  match l.lf with
-  | None -> ()
-  | Some lf ->
-      ignore (Column_store.force lf);
-      copy_ids l 0 (Cols.length l.lcols)
+let resident ~width ~slot cols = leaf_of ~width ~slot None cols
+let force_leaf (l : leaf_input) = Option.iter Column_store.force l.lf
 
 (* The identity offsets every leaf's groups share: the first [n + 1]
    entries of [identity_offsets n] are [0 .. n].  One process-wide array,
@@ -213,12 +182,8 @@ let identity_offsets n =
    order), so every row is its own group and [off] is the identity —
    the exact grouping {!group} computes for the materialized scan.  The
    metadata columns alias the leaf's columns, so a leaf needs no
-   grouping pass.  A resident leaf's ensure closures are the no-ops.  A
-   lazy leaf's slots become readable as its closures fault them in: each
-   keeps the item range of the last page run it made resident and skips
-   any ensure inside it, so the merge touches a page once per run rather
-   than once per row (the pinning described in {!Column_store}).  A
-   probe only reads [starts], which a metadata ensure also decodes. *)
+   grouping pass.  A resident leaf's ensure closures are the no-ops; a
+   lazy leaf's are its {!Column_store.leaf}'s, which pin page runs. *)
 let leaf_groups (l : leaf_input) =
   let c = l.lcols in
   let n = Cols.length c in
@@ -226,24 +191,7 @@ let leaf_groups (l : leaf_input) =
     match l.lf with
     | None -> (no_ensure, no_ensure, no_ensure2)
     | Some lf ->
-        let meta_lo = ref 0 and meta_hi = ref 0 in
-        let probe_lo = ref 0 and probe_hi = ref 0 in
-        ( (fun g ->
-            if g < !meta_lo || g >= !meta_hi then begin
-              let lo, hi = Column_store.ensure_meta lf g (g + 1) in
-              meta_lo := lo;
-              meta_hi := hi
-            end),
-          (fun g ->
-            if
-              (g < !probe_lo || g >= !probe_hi)
-              && (g < !meta_lo || g >= !meta_hi)
-            then begin
-              let lo, hi = Column_store.ensure_probe lf g in
-              probe_lo := lo;
-              probe_hi := hi
-            end),
-          fill_rows lf l )
+        Column_store.(ensure_meta lf, ensure_probe lf, ensure_ids lf)
   in
   {
     n;
@@ -265,34 +213,29 @@ let input_rows = function
 let input_id i r slot =
   match i with
   | Rows b -> (Batch.data b).((r * Batch.width b) + slot)
-  | Leaf { lf = None; lcols; lslot; _ } ->
-      if slot = lslot then lcols.Cols.ids.(r) else Tuple.unbound
-  | Leaf l -> l.ldata.((r * l.lwidth) + slot)
+  | Leaf l -> if slot = l.lslot then l.lcols.Cols.ids.(r) else Tuple.unbound
 
 let to_batch = function
   | Rows b -> b
-  | Leaf ({ lf = None; _ } as l) ->
-      Batch.of_ids ~width:l.lwidth ~slot:l.lslot l.lcols.Cols.ids
   | Leaf l ->
       force_leaf l;
-      Batch.unsafe_of_raw ~width:l.lwidth ~len:(Cols.length l.lcols) l.ldata
+      Batch.of_ids ~width:l.lwidth ~slot:l.lslot l.lcols.Cols.ids
 
 (* How one join reads an input's rows: row [r] sits at [base side r] in
-   [side.data], which holds a batch's or a lazy leaf's flat rows.  A
-   resident leaf has no rows: its side assembles each row in a one-row
-   buffer, [slot] set to the row's id and every other slot unbound, so
-   each kernel call (each shard, too) makes its own sides. *)
+   [side.data].  A batch's side is its flat rows.  A leaf has no rows:
+   its side assembles each row in a one-row buffer, [slot] set to the
+   row's id and every other slot unbound, so each kernel call (each
+   shard, too) makes its own sides. *)
 type side = { data : int array; slot : int; ids : int array }
 
 let side ~width = function
   | Rows b -> { data = Batch.data b; slot = -1; ids = [||] }
-  | Leaf { lf = None; lslot; lcols; _ } ->
+  | Leaf l ->
       {
         data = Array.make width Tuple.unbound;
-        slot = lslot;
-        ids = lcols.Cols.ids;
+        slot = l.lslot;
+        ids = l.lcols.Cols.ids;
       }
-  | Leaf l -> { data = l.ldata; slot = -1; ids = [||] }
 
 let[@inline] base (s : side) ~width r =
   if s.slot < 0 then r * width

@@ -78,8 +78,10 @@ open Sjos_plan
     the merge examines: group metadata for groups actually compared,
     single [starts] probes for gallop skip-ahead (an O(log d) page cost
     for a skip over [d] items), and the [ids] column only for rows that
-    reach an emitted pair.  A resident leaf has no row data of its own:
-    its ids are written straight into the output rows.  Outputs and all
+    reach an emitted pair.  Neither kind keeps rows of its own: a leaf's
+    ids are written straight from its [ids] column into the output
+    rows, and the page runs a lazy leaf has read are its
+    {!Sjos_storage.Column_store.leaf}'s to track.  Outputs and all
     counters except page/IO accounting are bit-identical to running the
     same join over the materialized batch.
 
@@ -93,8 +95,9 @@ type input = Rows of Batch.t | Leaf of leaf_input
 
 val leaf : width:int -> slot:int -> Sjos_storage.Column_store.leaf -> input
 (** A lazy scan of the leaf's candidate list bound in [slot] of a
-    width-[width] row.  Raises [Invalid_argument] if [slot] is out of
-    range. *)
+    width-[width] row.  The handle's page-run state becomes this
+    input's, so each scan takes its own handle.  Raises
+    [Invalid_argument] if [slot] is out of range. *)
 
 val resident : width:int -> slot:int -> Cols.t -> input
 (** A scan of resident candidate columns bound in [slot] of a
@@ -133,9 +136,8 @@ type groups = {
 }
 (** One input grouped by its join slot: consecutive rows sharing the
     join node form a group; the [e_*] closures fault a disk-backed
-    leaf's pages in before the corresponding array slots are read, and
-    [e_rows] also fills its row data (no-ops for [Rows] and resident
-    leaves). *)
+    leaf's pages in before the corresponding array slots, or the ids of
+    the rows, are read (no-ops for [Rows] and resident leaves). *)
 
 val group_input : cols:Cols.t Lazy.t -> input -> int -> groups
 (** Group an input by slot: a leaf on its own slot as described above,

@@ -449,46 +449,102 @@ let posting t d tag_entry spec =
 
 (* ---------- lazy leaves ---------- *)
 
-type leaf = { ld : disk; entry : entry; frames : Cols.t }
+(* One scan's cursor over a list's shared buffer frames.  Metadata and
+   probes keep the item range of the last page run they made resident
+   and skip any ensure inside it, so the merge touches a page once per
+   run rather than once per row; a probe only reads [starts], which a
+   metadata run also decodes.  Ids pages are faulted at most once per
+   scan: [ids_done] holds one flag per page, and [ids_lo]/[ids_hi] the
+   last run, so the per-emit check is two compares.  A decoded slot
+   stays readable after the pool evicts its page (re-reads are
+   idempotent), so nothing is faulted twice for the reader's sake. *)
+type leaf = {
+  ld : disk;
+  entry : entry;
+  frames : Cols.t;
+  mutable meta_lo : int;
+  mutable meta_hi : int;
+  mutable probe_lo : int;
+  mutable probe_hi : int;
+  mutable ids_lo : int;
+  mutable ids_hi : int;
+  ids_done : Bytes.t;
+}
 
 let leaf t (spec : Candidate.spec) =
   match (t.disk, spec.Candidate.tag) with
   | Some d, Some tag -> (
-      let lazy_on e = { ld = d; entry = e; frames = frames_of d e } in
+      let lazy_on e =
+        {
+          ld = d;
+          entry = e;
+          frames = frames_of d e;
+          meta_lo = 0;
+          meta_hi = 0;
+          probe_lo = 0;
+          probe_hi = 0;
+          ids_lo = 0;
+          ids_hi = 0;
+          ids_done = Bytes.make (Pager.segment_pages d.pager e.seg_ids) '\000';
+        }
+      in
       match entry_of d tag with
       | None -> None
       | Some e when Candidate.is_pure_tag spec -> Some (lazy_on e)
       | Some e -> Option.map lazy_on (posting t d e spec))
   | _ -> None
 
-let leaf_length l = l.entry.n
 let leaf_cols l = l.frames
 
-(* Fault in items [lo, hi) of the given columns and return the item range of
-   the pages covering it, all of which are now decoded.  An empty or
-   out-of-leaf request faults nothing and returns the empty range. *)
-let ensure l segs lo hi =
-  let n = l.entry.n in
-  let lo = max 0 lo and hi = min n hi in
-  if hi <= lo then (0, 0)
-  else begin
-    List.iter (fun (dst, seg) -> ensure_seg l.ld dst seg lo hi) segs;
-    let ps = Pager.page_size l.ld.pager in
-    (lo / ps * ps, min n (((hi - 1) / ps * ps) + ps))
+(* The item range of the page holding item [i]. *)
+let page_run l i =
+  let ps = Pager.page_size l.ld.pager in
+  let lo = i / ps * ps in
+  (lo, min l.entry.n (lo + ps))
+
+let inside l i = i >= 0 && i < l.entry.n
+
+let ensure_meta l i =
+  if (i < l.meta_lo || i >= l.meta_hi) && inside l i then begin
+    let lo, hi = page_run l i and e = l.entry and f = l.frames in
+    ensure_seg l.ld f.Cols.starts e.seg_starts lo hi;
+    ensure_seg l.ld f.Cols.ends e.seg_ends lo hi;
+    ensure_seg l.ld f.Cols.levels e.seg_levels lo hi;
+    l.meta_lo <- lo;
+    l.meta_hi <- hi
   end
 
 let ensure_probe l i =
-  ensure l [ (l.frames.Cols.starts, l.entry.seg_starts) ] i (i + 1)
+  if
+    (i < l.probe_lo || i >= l.probe_hi)
+    && (i < l.meta_lo || i >= l.meta_hi)
+    && inside l i
+  then begin
+    let lo, hi = page_run l i in
+    ensure_seg l.ld l.frames.Cols.starts l.entry.seg_starts lo hi;
+    l.probe_lo <- lo;
+    l.probe_hi <- hi
+  end
 
-let ensure_meta l lo hi =
-  ensure l
-    [
-      (l.frames.Cols.starts, l.entry.seg_starts);
-      (l.frames.Cols.ends, l.entry.seg_ends);
-      (l.frames.Cols.levels, l.entry.seg_levels);
-    ]
-    lo hi
+let ensure_ids l lo hi =
+  if lo < l.ids_lo || hi > l.ids_hi then begin
+    let lo = max 0 lo and hi = min l.entry.n hi in
+    if hi > lo then begin
+      let ps = Pager.page_size l.ld.pager in
+      for p = lo / ps to (hi - 1) / ps do
+        if Bytes.get l.ids_done p = '\000' then begin
+          let plo, phi = page_run l (p * ps) in
+          ensure_seg l.ld l.frames.Cols.ids l.entry.seg_ids plo phi;
+          Bytes.set l.ids_done p '\001'
+        end
+      done;
+      l.ids_lo <- fst (page_run l lo);
+      l.ids_hi <- snd (page_run l (hi - 1))
+    end
+  end
 
-let ensure_ids l lo hi = ensure l [ (l.frames.Cols.ids, l.entry.seg_ids) ] lo hi
-
-let force l = force_entry l.ld l.entry
+let force l =
+  ignore (force_entry l.ld l.entry);
+  Bytes.fill l.ids_done 0 (Bytes.length l.ids_done) '\001';
+  l.ids_lo <- 0;
+  l.ids_hi <- l.entry.n

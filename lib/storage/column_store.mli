@@ -129,21 +129,22 @@ val select : t -> Candidate.spec -> Cols.t
 
 (** {1 Lazy leaves}
 
-    A leaf is a handle on one candidate list's on-disk columns that
-    faults pages in on demand.  The join kernels drive it page run by
-    page run: group metadata ([starts]/[ends]/[levels]) for groups
-    actually examined, single [starts] probes for gallop skip-ahead, and
-    [ids] only for rows that reach the output.  Reading a frame slot is
-    only valid after an [ensure_*] covering it.
+    A leaf is one scan's handle on one candidate list's on-disk columns:
+    it faults pages in on demand and remembers what it has read.  Group
+    metadata ([starts]/[ends]/[levels]) is faulted for groups the join
+    examines, single [starts] probes for gallop skip-ahead, and [ids]
+    only for rows that reach the output.  A frame slot is readable once
+    an [ensure_*] call has covered it.
 
-    {b Pinning.}  Each [ensure_*] returns the item range of the pages it
-    made resident, and every slot in that range stays decoded even after
-    the pool evicts the page.  A cursor keeps the last range per column
-    and reads inside it without calling [ensure_*] again, so it touches
-    each page once per run, as if the page were pinned while the cursor
-    is on it.  The LRU therefore decides between runs, not between rows:
-    [page_touches] and pool hits count page runs, and a miss is a run
-    that starts on a page the pool no longer holds. *)
+    {b Pinning.}  Metadata and probes each keep the page run they made
+    resident last, and an item inside it costs no touch, as if the page
+    were pinned while that cursor is on it.  The LRU therefore decides
+    between runs, not between rows: [page_touches] and pool hits count
+    page runs, and a miss is a run that starts on a page the pool no
+    longer holds.  Ids pages are faulted at most once per leaf, whatever
+    order the output reads them in.  A decoded slot stays readable after
+    the pool evicts its page.  A leaf belongs to one join at a time: its
+    cursors are not shared between domains. *)
 
 type leaf
 
@@ -151,7 +152,8 @@ val posting_capacity : int
 (** Posting lists one store holds at most (256). *)
 
 val leaf : t -> Candidate.spec -> leaf option
-(** [Some] only on Disk, for a spec with a known tag:
+(** A fresh leaf, nothing read yet.  [Some] only on Disk, for a spec
+    with a known tag:
 
     - a pure-tag spec reads the tag's own segments;
     - a spec with an attribute and/or text predicate reads its posting
@@ -168,26 +170,25 @@ val leaf : t -> Candidate.spec -> leaf option
     unknown tag, or a new predicate spec once the store holds
     {!posting_capacity} postings. *)
 
-val leaf_length : leaf -> int
-(** Number of candidate rows — answered from the catalog, no IO. *)
-
 val leaf_cols : leaf -> Cols.t
-(** The list's buffer frames.  Slots are meaningful only after an
-    [ensure_*] call covering them; do not mutate. *)
+(** The list's buffer frames, shared by every leaf over the list and
+    allocated at its length, so {!Cols.length} needs no IO.  Slots are
+    meaningful only after an [ensure_*] call covering them; do not
+    mutate. *)
 
-val ensure_probe : leaf -> int -> int * int
-(** Fault in [starts.(i)] — one page touch; the gallop probe.  Returns
-    the item range [\[lo, hi)] of the page holding [i] ([(0, 0)] when
-    [i] is outside the leaf). *)
+val ensure_probe : leaf -> int -> unit
+(** Fault in [starts.(i)] — the gallop probe: one page touch unless
+    item [i] lies in the page run last faulted for metadata or probes.
+    An [i] outside the leaf faults nothing. *)
 
-val ensure_meta : leaf -> int -> int -> int * int
-(** Fault in [starts]/[ends]/[levels] for item range [\[lo, hi)]
-    (clamped to the leaf).  Returns the item range of the pages covering
-    it, which contains [\[lo, hi)]; empty when nothing was asked for. *)
+val ensure_meta : leaf -> int -> unit
+(** Fault in [starts]/[ends]/[levels] for item [i]: one touch per column
+    unless [i] lies in the metadata cursor's last page run. *)
 
-val ensure_ids : leaf -> int -> int -> int * int
-(** Fault in [ids] for item range [\[lo, hi)] (clamped); returns as
-    {!ensure_meta}. *)
+val ensure_ids : leaf -> int -> int -> unit
+(** Fault in [ids] for item range [\[lo, hi)] (clamped to the leaf):
+    each ids page not yet faulted by this leaf costs one touch. *)
 
-val force : leaf -> Cols.t
-(** Fault in everything; the result is fully resident. *)
+val force : leaf -> unit
+(** Fault in every column in full and mark every ids page as read:
+    {!leaf_cols} is then fully resident. *)

@@ -121,15 +121,6 @@ let page_span t seg ~first_item ~n_items =
   let p1 = seg.first_page + ((first_item + n_items - 1) / t.page_size) in
   (p0, p1)
 
-let scan_range t seg ~first_item ~n_items =
-  if n_items > 0 then begin
-    let p0, p1 = page_span t seg ~first_item ~n_items in
-    charge_touches (p1 - p0 + 1);
-    for p = p0 to p1 do
-      ignore (touch_cell t p)
-    done
-  end
-
 let fault_range t seg ~first_item ~n_items ~on_miss =
   if n_items > 0 then begin
     let p0, p1 = page_span t seg ~first_item ~n_items in
@@ -138,6 +129,9 @@ let fault_range t seg ~first_item ~n_items ~on_miss =
       if not (touch_cell t p) then on_miss p
     done
   end
+
+let scan_range t seg ~first_item ~n_items =
+  fault_range t seg ~first_item ~n_items ~on_miss:ignore
 
 let stats t : stats =
   { accesses = t.accesses; hits = t.hits; misses = t.misses; evictions = t.evictions }

@@ -48,13 +48,13 @@ val scan : t -> segment -> unit
 (** Touch all pages of a segment in order — a full sequential scan. *)
 
 val scan_range : t -> segment -> first_item:int -> n_items:int -> unit
-(** Touch the pages covering an item range.  Raises [Invalid_argument] if
-    the range exceeds the segment. *)
+(** Touch the pages covering an item range: {!fault_range} with no miss
+    hook.  Raises [Invalid_argument] if the range exceeds the segment. *)
 
 val fault_range :
   t -> segment -> first_item:int -> n_items:int -> on_miss:(int -> unit) -> unit
-(** Like {!scan_range}, but calls [on_miss page_id] for every touched
-    page that was not resident — the hook where a real backend performs
+(** Touch the pages covering an item range, calling [on_miss page_id]
+    for every touched page that was not resident — the hook where a real backend performs
     the physical read.  Misses are reported in LRU-decision order.
     Raises [Invalid_argument] if the range exceeds the segment. *)
 

@@ -92,13 +92,13 @@ let leaf_scan store ~width ~slot tag (m : Sjos_obs.Work.t) =
   | None -> Alcotest.failf "no leaf for pure tag %s" tag
   | Some lf ->
       m.Work.candidates_scanned <-
-        m.Work.candidates_scanned + Column_store.leaf_length lf;
+        m.Work.candidates_scanned + Cols.length (Column_store.leaf_cols lf);
       Stack_tree.leaf ~width ~slot lf
 
 let rows_scan index ~width ~slot tag (m : Sjos_obs.Work.t) =
   Stack_tree.Rows
     (Operators.index_scan_batch ~work:m ~width ~slot
-       (Element_index.cols index tag))
+       (Element_index.cols index tag).Cols.ids)
 
 (* The executor's Mem scan: a resident leaf over [Column_store.select]. *)
 let resident_scan store ~width ~slot tag (m : Sjos_obs.Work.t) =
