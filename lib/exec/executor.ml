@@ -92,7 +92,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
      no grouping pass.  A fetched stream is untrusted: it is verified
      and joined as rows, so positions come from the document by id.
      Scan accounting is identical either way — one index item per
-     candidate, a lazy leaf's length answered from the catalog. *)
+     candidate, a lazy leaf's length read off its frames with no IO. *)
   let scan own i =
     let spec = Pattern.label pat i in
     match fetch with

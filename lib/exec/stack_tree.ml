@@ -11,10 +11,10 @@ module Registry = Sjos_obs.Registry
 (* Columnar Stack-Tree kernel: one body for both algorithms and both
    output forms ({!run}).  An index scan enters as a leaf whose
    candidate columns are its groups and its rows; operator outputs and
-   fetched streams are grouped row by row ({!group}).  The merge records each
-   related group pair as a rectangle; the output is then allocated once
-   at its exact size and written in the algorithm's order.  The legacy
-   group-list implementation is preserved in the tests as
+   fetched streams are grouped row by row ({!group}).  The merge records
+   each related group pair as a rectangle; the output is then allocated
+   once at its exact size and written in the algorithm's order.  The
+   legacy group-list implementation is preserved in the tests as
    [Stack_tree_legacy]; this module must produce bit-identical tuple
    sequences and counter totals (modulo [items_skipped]) while touching
    only flat int arrays on the hot path.
@@ -42,12 +42,12 @@ module Registry = Sjos_obs.Registry
    group's metadata or a row range it calls the matching closure, which
    for a disk-backed leaf is its {!Column_store.leaf}'s ensure: it
    faults the covering pages in through the buffer pool and keeps the
-   page-run state.  In-memory
-   groups carry shared no-op closures, so the resident hot path pays one
-   indirect call per ensured access and nothing else.  Once a slot has
-   been decoded its value persists even if the pool later evicts the
-   backing page (re-reads are idempotent), so stacked ancestor groups
-   ensured at push time stay readable for the whole merge. *)
+   page-run state.  In-memory groups carry shared no-op closures, so
+   the resident hot path pays one indirect call per ensured access and
+   nothing else.  Once a slot has been decoded its value persists even
+   if the pool later evicts the backing page (re-reads are idempotent),
+   so stacked ancestor groups ensured at push time stay readable for
+   the whole merge. *)
 type groups = {
   n : int;
   off : int array;

@@ -545,6 +545,4 @@ let ensure_ids l lo hi =
 
 let force l =
   ignore (force_entry l.ld l.entry);
-  Bytes.fill l.ids_done 0 (Bytes.length l.ids_done) '\001';
-  l.ids_lo <- 0;
-  l.ids_hi <- l.entry.n
+  Bytes.fill l.ids_done 0 (Bytes.length l.ids_done) '\001'

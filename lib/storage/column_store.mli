@@ -183,7 +183,8 @@ val ensure_probe : leaf -> int -> unit
 
 val ensure_meta : leaf -> int -> unit
 (** Fault in [starts]/[ends]/[levels] for item [i]: one touch per column
-    unless [i] lies in the metadata cursor's last page run. *)
+    unless [i] lies in the metadata cursor's last page run.  An [i]
+    outside the leaf faults nothing. *)
 
 val ensure_ids : leaf -> int -> int -> unit
 (** Fault in [ids] for item range [\[lo, hi)] (clamped to the leaf):
