@@ -110,6 +110,27 @@ let test_stats_single () =
   check ci "one leaf" 1 s.Stats.leaf_count;
   Helpers.checkf "fanout zero" 0.0 s.Stats.avg_fanout
 
+(* Queries name attributes and values the document does not hold: the
+   index must not grow by one structure per name or value a client
+   invents, so its reachable size after warming is its size for good. *)
+let test_index_growth_bounded () =
+  let open Sjos_engine in
+  let db =
+    Database.of_document
+      (Sjos_datagen.Mbench.generate ~seed:11 ~target_nodes:600 ())
+  in
+  Database.warm db;
+  let words () = Obj.reachable_words (Obj.repr (Database.index db)) in
+  let before = words () in
+  let run q = ignore (Database.run db (Helpers.pat q)) in
+  for i = 0 to 1999 do
+    run (Printf.sprintf "eNest[@x%d='1']" i)
+  done;
+  for i = 0 to 1999 do
+    run (Printf.sprintf "eNest[@aLevel='v%d']" i)
+  done;
+  check ci "index reachable words" before (words ())
+
 let suite =
   [
     ("index lookup", `Quick, test_index_lookup);
@@ -122,4 +143,5 @@ let suite =
     ("candidate to_string", `Quick, test_candidate_to_string);
     ("stats", `Quick, test_stats);
     ("stats single node", `Quick, test_stats_single);
+    ("index does not grow with absent names", `Quick, test_index_growth_bounded);
   ]
