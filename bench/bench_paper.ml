@@ -311,7 +311,7 @@ let ablation_mpmgjn () =
       let idx = Sjos_storage.Element_index.build doc in
       let scan m slot tag =
         Sjos_exec.Operators.index_scan ~work:m ~width:2 ~slot
-          (Sjos_storage.Element_index.lookup idx tag)
+          (Sjos_storage.Element_index.cols idx tag).Sjos_xml.Cols.ids
       in
       let m1 = Sjos_obs.Work.zero () in
       let st =

@@ -48,11 +48,10 @@ let dispose t = Column_store.dispose t.store
 
 let stats t = Stats.compute t.doc
 
-(* Build every lazily cached read-side structure up front, so that
-   queries fanned out across domains afterwards touch only read paths. *)
-let warm t =
-  ignore (Document.positions t.doc);
-  Element_index.warm t.index
+(* The document's position columns are the one lazily built read-side
+   structure; build them up front, so that queries fanned out across
+   domains afterwards touch only read paths. *)
+let warm t = ignore (Document.positions t.doc)
 
 let factors _ = Cost_model.default
 let catalog t = t.catalog
@@ -142,7 +141,7 @@ type prepared = {
   ppattern : Pattern.t;
   popts : Query_opts.t;
   pfingerprint : string;
-  pfetch : (Candidate.spec -> Node.t array) option;
+  pfetch : (Candidate.spec -> int array) option;
   pprovider : Costing.provider;
   presult : Optimizer.result;
   pcached : bool;
@@ -167,7 +166,9 @@ let chaos_provider t ~chaos pat =
 let chaos_fetch t chaos =
   match chaos with
   | Some c ->
-      Some (fun spec -> Chaos.wrap_candidates c (Candidate.select t.index spec))
+      Some
+        (fun spec ->
+          Chaos.wrap_candidates c (Candidate.select t.index spec).Cols.ids)
   | None -> None
 
 let parse_pattern ~xpath s =

@@ -73,9 +73,10 @@ val stats : t -> Stats.t
     from the label statistics {!catalog}. *)
 
 val warm : t -> unit
-(** Pre-build every lazily cached read-side structure (document position
-    columns, per-tag candidate columns), so queries fanned out across
-    domains afterwards touch only read paths.  Idempotent;
+(** Pre-build the document's position columns, the one lazily built
+    read-side structure (the per-tag candidate columns are built with the
+    database), so queries fanned out across domains afterwards touch
+    only read paths.  Idempotent;
     purely a scheduling hint — parallel queries are correct without it.
     The label statistics {!catalog} is not pre-built: it fills on each
     label's first use, under its own mutex. *)

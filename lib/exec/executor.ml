@@ -19,22 +19,21 @@ let op_span_name = function
   | Plan.Structural_join _ -> "exec.join"
   | Plan.Holistic _ -> "exec.twig"
 
-(* Candidate arrays from our own element index are sorted by construction;
-   an externally supplied fetch (plan hints, fault injection, a remote
-   storage tier) is a trust boundary and gets verified — the joins silently
-   produce garbage on unsorted input otherwise.  The check reads the
-   document's [starts] column instead of chasing one [Node.t] record per
-   element: that is also exactly what the join kernels will see, since
-   they resolve positions through the document, not through the fetched
-   records.  An id the document does not know is reported as corrupt
-   rather than joined blindly. *)
-let verify_document_order ~doc ~what candidates =
+(* Candidate columns from our own element index are sorted by
+   construction; an externally supplied fetch (plan hints, fault
+   injection, a remote storage tier) is a trust boundary and gets
+   verified — the joins silently produce garbage on unsorted input
+   otherwise.  The check reads the document's [starts] column, which is
+   also exactly what the join kernels will see, since they resolve a
+   fetched id's positions through the document.  An id the document does
+   not know is reported as corrupt rather than joined blindly. *)
+let verify_document_order ~doc ~what ids =
   let { Sjos_xml.Cols.starts; _ } = Sjos_xml.Document.positions doc in
   let size = Array.length starts in
-  let n = Array.length candidates in
+  let n = Array.length ids in
   let prev = ref min_int in
   for i = 0 to n - 1 do
-    let id = candidates.(i).Sjos_xml.Node.id in
+    let id = ids.(i) in
     if id < 0 || id >= size then
       Error.fail
         (Error.Corrupt_input
@@ -56,7 +55,7 @@ let verify_document_order ~doc ~what candidates =
            });
     prev := s
   done;
-  candidates
+  ids
 
 let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
     ?fetch ?pool ?store index pat plan =
@@ -99,13 +98,11 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
     | Some f ->
         Stack_tree.Rows
           (Operators.index_scan_batch ~work:own ~width ~slot:i
-             (Array.map
-                (fun n -> n.Sjos_xml.Node.id)
-                (verify_document_order ~doc
-                   ~what:
-                     (Printf.sprintf "candidates(%s)"
-                        (Candidate.spec_to_string spec))
-                   (f spec))))
+             (verify_document_order ~doc
+                ~what:
+                  (Printf.sprintf "candidates(%s)"
+                     (Candidate.spec_to_string spec))
+                (f spec)))
     | None ->
         let input =
           match Column_store.leaf store spec with

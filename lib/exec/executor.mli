@@ -27,7 +27,7 @@ type run = {
 val execute :
   ?factors:Sjos_cost.Cost_model.factors ->
   ?budget:Sjos_guard.Budget.t ->
-  ?fetch:(Candidate.spec -> Sjos_xml.Node.t array) ->
+  ?fetch:(Candidate.spec -> int array) ->
   ?pool:Sjos_par.Pool.t ->
   ?store:Column_store.t ->
   Element_index.t ->
@@ -67,13 +67,14 @@ val execute :
     [Invalid_argument] if the store was built over a different index.
 
     [fetch] overrides where candidate streams come from (fault
-    injection, plan hints, alternative storage tiers).  Externally
-    fetched streams are verified against the document's position columns:
-    an out-of-order stream, or a node id the document does not know,
-    raises [Error (Corrupt_input _)] instead of silently joining
-    garbage.  They are trusted for node ids only: they join as rows
-    whose positions come from the document by id, so a repeated id forms
-    one join group (and the holistic operator rejects the stream). *)
+    injection, plan hints, alternative storage tiers): it returns a
+    spec's candidate node ids.  Externally fetched ids are verified
+    against the document's position columns: an out-of-order stream, or
+    a node id the document does not know, raises
+    [Error (Corrupt_input _)] instead of silently joining garbage.  They
+    join as rows whose positions come from the document by id, so a
+    repeated id forms one join group (and the holistic operator rejects
+    the stream). *)
 
 val count_matches :
   ?factors:Sjos_cost.Cost_model.factors ->

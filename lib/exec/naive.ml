@@ -3,12 +3,22 @@ open Sjos_storage
 open Sjos_pattern
 open Sjos_plan
 
+(* The oracle reads only the document: a pattern node's candidates are
+   the document's nodes that satisfy its label, found by a filter, never
+   by the element index the engine scans. *)
+let satisfying index spec =
+  List.filter (Candidate.matches spec)
+    (Array.to_list (Document.nodes (Element_index.document index)))
+
 (* Matches of the sub-pattern induced by [mask] (or the whole pattern),
    computed by recursive search from each candidate of the cluster root. *)
 let cluster_matches index pat mask =
   let width = Pattern.node_count pat in
   let in_mask i = mask land (1 lsl i) <> 0 in
-  let candidates i = Candidate.select index (Pattern.label pat i) in
+  let candidates =
+    Array.init width (fun i ->
+        if in_mask i then satisfying index (Pattern.label pat i) else [])
+  in
   (* root of the cluster: the member whose tree parent is outside *)
   let root =
     let rec first i = if in_mask i then i else first (i + 1) in
@@ -26,7 +36,7 @@ let cluster_matches index pat mask =
         if not (in_mask c) then acc
         else begin
           let child_tuples =
-            Array.to_list (candidates c)
+            candidates.(c)
             |> List.filter (fun y -> Axes.related e.Pattern.axis ~anc:x ~desc:y)
             |> List.concat_map (sub c)
           in
@@ -37,7 +47,7 @@ let cluster_matches index pat mask =
       [ base ]
       (Pattern.children_of pat u)
   in
-  Array.to_list (candidates root) |> List.concat_map (sub root)
+  List.concat_map (sub root) candidates.(root)
 
 let matches index pat =
   cluster_matches index pat ((1 lsl Pattern.node_count pat) - 1)
@@ -58,6 +68,6 @@ let exact_provider index pat =
   {
     Costing.node_card =
       (fun i ->
-        float_of_int (Array.length (Candidate.select index (Pattern.label pat i))));
+        float_of_int (List.length (satisfying index (Pattern.label pat i))));
     cluster_card;
   }

@@ -1,13 +1,11 @@
 module Work = Sjos_obs.Work
 
-let index_scan ~work ~width ~slot candidates =
-  work.Work.candidates_scanned <-
-    work.Work.candidates_scanned + Array.length candidates;
-  Array.map (fun node -> Tuple.singleton ~width slot node) candidates
-
 let index_scan_batch ~work ~width ~slot ids =
   work.Work.candidates_scanned <- work.Work.candidates_scanned + Array.length ids;
   Batch.of_ids ~width ~slot ids
+
+let index_scan ~work ~width ~slot ids =
+  Batch.to_tuples (index_scan_batch ~work ~width ~slot ids)
 
 let account_sort ~work n =
   work.Work.sorted_items <- work.Work.sorted_items + n;

@@ -6,15 +6,15 @@
 open Sjos_xml
 
 val index_scan :
-  work:Sjos_obs.Work.t -> width:int -> slot:int -> Node.t array -> Tuple.t array
-(** Turn a document-ordered candidate array into single-binding tuples.
-    Accounts one index item per candidate. *)
+  work:Sjos_obs.Work.t -> width:int -> slot:int -> int array -> Tuple.t array
+(** Turn document-ordered candidate ids (the [ids] column of a
+    {!Cols.t}) into single-binding tuples.  Accounts one index item per candidate. *)
 
 val index_scan_batch :
   work:Sjos_obs.Work.t -> width:int -> slot:int -> int array -> Batch.t
-(** The columnar equivalent over candidate ids in document order: binds
-    them directly into batch rows without materializing per-tuple
-    arrays.  Same accounting as {!index_scan}. *)
+(** The columnar equivalent: binds the ids directly into batch rows
+    without materializing per-tuple arrays.  Same accounting as
+    {!index_scan}. *)
 
 val account_sort : work:Sjos_obs.Work.t -> int -> unit
 (** Charge one sort of [n] items: [sorted_items += n] and the

@@ -703,16 +703,21 @@ let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
 (* ---------- entry points ---------- *)
 
 (* Group an input for a join on [slot].  A leaf joined on its own bound
-   slot is served lazily; any other slot is unbound in a leaf's rows, so
-   {!group} would reject it anyway — materialize and let it raise the
-   same diagnostics a batch input gets.  Document position columns are
-   only built when a batch input actually needs them. *)
+   slot is served lazily.  Any other slot is unbound in every row of a
+   leaf, so {!group} over one such row raises what it would raise over
+   the whole leaf, without reading the leaf at all; an empty leaf has
+   no groups.  Document position columns are only built when a batch
+   input actually needs them. *)
 let group_input ~cols (i : input) slot =
   match i with
   | Rows b -> group ~cols:(Lazy.force cols) b slot
+  | Leaf l when slot = l.lslot -> leaf_groups l
   | Leaf l ->
-      if slot = l.lslot then leaf_groups l
-      else group ~cols:(Lazy.force cols) (to_batch i) slot
+      let len = min 1 (Cols.length l.lcols) in
+      group ~cols:Cols.empty
+        (Batch.unsafe_of_raw ~width:l.lwidth ~len
+           (Array.make (len * l.lwidth) Tuple.unbound))
+        slot
 
 let force_input = function Rows _ -> () | Leaf l -> force_leaf l
 

@@ -141,11 +141,12 @@ type groups = {
 
 val group_input : cols:Cols.t Lazy.t -> input -> int -> groups
 (** Group an input by slot: a leaf on its own slot as described above,
-    [Rows] (and a leaf on another slot, materialized first) by a pass
-    over the rows that reads positions from [cols], the document's
-    position columns, forced only then.  Raises [Invalid_argument] when
-    the input is not sorted by the slot, the slot is unbound, or an id
-    is out of the document's range. *)
+    [Rows] by a pass over the rows that reads positions from [cols], the
+    document's position columns, forced only then.  Raises
+    [Invalid_argument] when the input is not sorted by the slot, the
+    slot is unbound, or an id is out of the document's range.  A leaf on
+    another slot is unbound there: a non-empty one raises without any
+    IO, an empty one has no groups. *)
 
 val input_width : input -> int
 

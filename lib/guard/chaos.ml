@@ -83,7 +83,7 @@ let wrap_candidates t candidates =
         else begin
           let i = next_int t n in
           let j = (i + 1 + next_int t (n - 1)) mod n in
-          if candidates.(i) == candidates.(j) then candidates
+          if candidates.(i) = candidates.(j) then candidates
           else begin
             Atomic.incr t.injected;
             let c = Array.copy candidates in

@@ -40,9 +40,9 @@ val derive : t -> key:string -> t
     replay from the parent seed regardless of how many other queries
     ran first, in what order, or on which domains. *)
 
-val wrap_candidates : t -> Sjos_xml.Node.t array -> Sjos_xml.Node.t array
-(** Possibly corrupt one candidate stream (fresh array; the input is
-    never mutated). *)
+val wrap_candidates : t -> int array -> int array
+(** Possibly corrupt one candidate stream of node ids (fresh array; the
+    input is never mutated). *)
 
 val wrap_provider :
   t -> Sjos_plan.Costing.provider -> Sjos_plan.Costing.provider

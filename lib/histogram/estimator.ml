@@ -65,20 +65,21 @@ let parent_child ~anc ~desc =
    [parent_child_by_level] sums in that order: float addition is not
    associative, so a different order would move estimates in their last
    bits. *)
-let level_slices ~grid ~max_pos nodes =
-  let table : (int, Sjos_xml.Node.t list ref) Hashtbl.t = Hashtbl.create 16 in
+let level_slices ~grid ~max_pos (c : Sjos_xml.Cols.t) =
+  (* a level enters the table at its first row, which fixes the fold
+     order *)
+  let table : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   Array.iter
-    (fun (n : Sjos_xml.Node.t) ->
-      match Hashtbl.find_opt table n.Sjos_xml.Node.level with
-      | Some l -> l := n :: !l
-      | None -> Hashtbl.add table n.Sjos_xml.Node.level (ref [ n ]))
-    nodes;
+    (fun l -> if not (Hashtbl.mem table l) then Hashtbl.add table l ())
+    c.Sjos_xml.Cols.levels;
   List.rev
     (Hashtbl.fold
-       (fun level slice acc ->
+       (fun level () acc ->
          ( level,
            Position_histogram.build ~grid ~max_pos
-             (Array.of_list (List.rev !slice)) )
+             (Sjos_xml.Cols.filter
+                (fun i -> c.Sjos_xml.Cols.levels.(i) = level)
+                c) )
          :: acc)
        table [])
 

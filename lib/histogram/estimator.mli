@@ -30,10 +30,10 @@ val parent_child :
 val level_slices :
   grid:int ->
   max_pos:int ->
-  Sjos_xml.Node.t array ->
+  Sjos_xml.Cols.t ->
   (int * Position_histogram.t) list
-(** Partition a candidate set by level and summarize each slice, in
-    document order, into a positional histogram: [(level, histogram)]
+(** Partition a candidate set's columns by level and summarize each
+    slice, in row order, into a positional histogram: [(level, histogram)]
     pairs, one per level present. *)
 
 val parent_child_by_level :

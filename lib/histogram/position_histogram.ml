@@ -13,34 +13,33 @@ type t = {
   levels : float array;
 }
 
-let build ?(grid = 32) ~max_pos nodes =
+let build ?(grid = 32) ~max_pos (c : Cols.t) =
   if max_pos < 1 then invalid_arg "Position_histogram.build: bad max_pos";
   let g = Grid.create grid in
   let bucket_width = float_of_int max_pos /. float_of_int grid in
   let bucket pos =
     min (grid - 1) (int_of_float (float_of_int pos /. bucket_width))
   in
-  let max_level =
-    Array.fold_left (fun m (n : Node.t) -> max m n.Node.level) 0 nodes
-  in
+  let max_level = Array.fold_left max 0 c.Cols.levels in
   let levels = Array.make (max_level + 2) 0.0 in
   let diag_mass = Array.make (grid * grid) 0.0 in
-  Array.iter
-    (fun (n : Node.t) ->
-      let i = bucket n.Node.start_pos and j = bucket n.Node.end_pos in
-      Grid.add g i j;
-      if i = j then begin
-        (* XML intervals nest or are disjoint, so a node whose start falls
-           strictly inside [n] is contained in it: the containment
-           probability for a same-cell node is linear in the width *)
-        let w = float_of_int (Node.width n) /. bucket_width in
-        diag_mass.((i * grid) + j) <-
-          diag_mass.((i * grid) + j) +. Float.min 1.0 w
-      end;
-      levels.(n.Node.level) <- levels.(n.Node.level) +. 1.0)
-    nodes;
+  for r = 0 to Cols.length c - 1 do
+    let s = c.Cols.starts.(r) and e = c.Cols.ends.(r) in
+    let i = bucket s and j = bucket e in
+    Grid.add g i j;
+    if i = j then begin
+      (* XML intervals nest or are disjoint, so a node whose start falls
+         strictly inside this row's interval is contained in it: the containment
+         probability for a same-cell node is linear in the width *)
+      let w = float_of_int (e - s) /. bucket_width in
+      diag_mass.((i * grid) + j) <-
+        diag_mass.((i * grid) + j) +. Float.min 1.0 w
+    end;
+    let l = c.Cols.levels.(r) in
+    levels.(l) <- levels.(l) +. 1.0
+  done;
   Grid.seal g;
-  { grid = g; diag_mass; bucket_width; card = float_of_int (Array.length nodes); levels }
+  { grid = g; diag_mass; bucket_width; card = float_of_int (Cols.length c); levels }
 
 let grid_size t = Grid.size t.grid
 let cardinality t = t.card

@@ -11,8 +11,8 @@ open Sjos_xml
 
 type t
 
-val build : ?grid:int -> max_pos:int -> Node.t array -> t
-(** Summarize a candidate set.  [grid] defaults to 32.  [max_pos] is the
+val build : ?grid:int -> max_pos:int -> Cols.t -> t
+(** Summarize a candidate set's columns, in row order.  [grid] defaults to 32.  [max_pos] is the
     extent of the document's position space ({!Document.max_pos}). *)
 
 val grid_size : t -> int

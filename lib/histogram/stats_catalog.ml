@@ -51,13 +51,13 @@ let select t spec =
   t.selects <- t.selects + 1;
   Candidate.select t.index spec
 
-let charge nodes =
+let charge c =
   let w = Sjos_obs.Work.current () in
   w.Sjos_obs.Work.histogram_items <-
-    w.Sjos_obs.Work.histogram_items + Array.length nodes
+    w.Sjos_obs.Work.histogram_items + Cols.length c
 
 (* [f] gets the entry and its candidates, selected at most once per call:
-   a label seen for the first time is counted from the same array its
+   a label seen for the first time is counted from the same columns its
    first histogram summarizes. *)
 let with_entry t spec f =
   Mutex.protect t.m (fun () ->
@@ -65,29 +65,29 @@ let with_entry t spec f =
       match Sjos_cache.Lru.find t.entries k with
       | Some e -> f e (lazy (select t spec))
       | None ->
-          let nodes = select t spec in
-          let e = { count = Array.length nodes; hist = None; slices = None } in
+          let c = select t spec in
+          let e = { count = Cols.length c; hist = None; slices = None } in
           ignore (Sjos_cache.Lru.add t.entries k e);
-          f e (Lazy.from_val nodes))
+          f e (Lazy.from_val c))
 
 let count t spec = with_entry t spec (fun e _ -> e.count)
 
 (* A part is built from the candidates once, and charged to the query
    that builds it. *)
 let part t spec get set build =
-  with_entry t spec (fun e nodes ->
+  with_entry t spec (fun e c ->
       match get e with
       | Some v -> v
       | None ->
-          let nodes = Lazy.force nodes in
-          charge nodes;
-          let v = build ~grid:t.grid ~max_pos:t.max_pos nodes in
+          let c = Lazy.force c in
+          charge c;
+          let v = build ~grid:t.grid ~max_pos:t.max_pos c in
           set e v;
           v)
 
 let histogram t spec =
   part t spec (fun e -> e.hist) (fun e h -> e.hist <- Some h)
-    (fun ~grid ~max_pos nodes -> Position_histogram.build ~grid ~max_pos nodes)
+    (fun ~grid ~max_pos c -> Position_histogram.build ~grid ~max_pos c)
 
 let level_slices t spec =
   part t spec (fun e -> e.slices) (fun e s -> e.slices <- Some s)

@@ -16,59 +16,26 @@ let matches spec (n : Node.t) =
      | None -> true)
   && match spec.text with Some s -> String.equal s n.Node.text | None -> true
 
-(* Single-pass count-and-fill: the filtered array is allocated at its
-   exact size, with no intermediate lists. *)
-let filter_nodes pred (base : Node.t array) =
-  let n = Array.length base in
-  let count = ref 0 in
-  for i = 0 to n - 1 do
-    if pred (Array.unsafe_get base i) then incr count
-  done;
-  if !count = n then base
-  else begin
-    let out = Array.make !count base.(0) in
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      let node = Array.unsafe_get base i in
-      if pred node then begin
-        Array.unsafe_set out !j node;
-        incr j
-      end
-    done;
-    out
-  end
-
-let base_and_residual index spec =
-  let base =
-    match (spec.tag, spec.attr) with
-    | Some tag, Some (attr, value) ->
-        Element_index.lookup_attr index ~tag ~attr ~value
-    | Some tag, None -> Element_index.lookup index tag
-    | None, _ -> Document.nodes (Element_index.document index)
-  in
-  (* the attribute predicate is already satisfied when the secondary index
-     answered; only residual predicates need filtering *)
-  let residual =
-    match spec.tag with
-    | Some _ -> { spec with attr = None }
-    | None -> spec
-  in
-  (base, residual)
-
+(* A tag's candidates come from the index (its attribute cache answers
+   an attribute predicate); a text predicate, or any predicate on the
+   wildcard, filters those rows on every request. *)
 let select index spec =
-  let base, residual = base_and_residual index spec in
-  if residual.attr = None && residual.text = None then base
-  else filter_nodes (matches residual) base
-
-let select_cols index spec =
-  let base, residual = base_and_residual index spec in
-  if residual.attr = None && residual.text = None then
-    match spec.tag with
-    | Some tag when spec.attr = None ->
-        (* the common case hits the per-tag column cache *)
-        Element_index.cols index tag
-    | _ -> Cols.of_nodes base
-  else Cols.of_nodes (filter_nodes (matches residual) base)
+  let doc = Element_index.document index in
+  let filter keep (c : Cols.t) =
+    Cols.filter (fun i -> keep (Document.node doc c.Cols.ids.(i))) c
+  in
+  match spec with
+  | { tag = None; attr = None; text = None } -> Document.positions doc
+  | { tag = None; _ } -> filter (matches spec) (Document.positions doc)
+  | { tag = Some tag; attr; text } -> (
+      let base =
+        match attr with
+        | None -> Element_index.cols index tag
+        | Some (attr, value) -> Element_index.attr_cols index ~tag ~attr ~value
+      in
+      match text with
+      | None -> base
+      | Some s -> filter (fun n -> String.equal s n.Node.text) base)
 
 let is_pure_tag spec =
   match spec with

@@ -2,9 +2,9 @@
 
     A pattern node's label is a predicate (tag test plus optional attribute
     and text-content tests).  Its candidate set is the document-ordered
-    array of elements satisfying the predicate — the paper assumes these
-    sets "can be found efficiently, for instance, through an index scan"
-    (§2.2.1); this module is that index scan. *)
+    columns ({!Cols.t}) of the elements satisfying the predicate — the
+    paper assumes these sets "can be found efficiently, for instance,
+    through an index scan" (§2.2.1); this module is that index scan. *)
 
 open Sjos_xml
 
@@ -22,15 +22,13 @@ val of_tag : string -> spec
 val matches : spec -> Node.t -> bool
 (** Does the node satisfy the predicate? *)
 
-val select : Element_index.t -> spec -> Node.t array
-(** Document-ordered candidate array for a spec.  Tag lookups hit the
-    element index; attribute/text predicates filter the tag bucket with a
-    single-pass count-and-fill (no intermediate lists). *)
-
-val select_cols : Element_index.t -> spec -> Cols.t
-(** Flat-column counterpart of {!select} for the batch execution engine.
-    Plain tag lookups reuse the per-tag column cache; residual predicates
-    filter then extract fresh columns. *)
+val select : Element_index.t -> spec -> Cols.t
+(** Document-ordered candidate columns for a spec.  A plain tag is its
+    {!Element_index.cols}, a tag with an attribute predicate its
+    {!Element_index.attr_cols}; a text predicate filters those rows, and
+    the wildcard filters the document's {!Document.positions} (the
+    unfiltered wildcard is those columns themselves), on every call.
+    Callers must not mutate the result. *)
 
 val is_pure_tag : spec -> bool
 (** [true] when the spec is a plain tag test with no attribute or text

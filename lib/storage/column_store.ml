@@ -105,26 +105,18 @@ exception Io_error of { path : string; reason : string }
 
 (* -- writing ----------------------------------------------------------- *)
 
-let column_value which (node : Node.t) =
-  match which with
-  | `Ids -> node.Node.id
-  | `Starts -> node.Node.start_pos
-  | `Ends -> node.Node.end_pos
-  | `Levels -> node.Node.level
-
-(* Write one column of [nodes] as [seg]'s pages, each at its own offset
+(* Write one column as [seg]'s pages, each at its own offset
    [page_id * page_bytes] rather than wherever the file happens to end. *)
-let write_segment oc ~buf seg which (nodes : Node.t array) =
+let write_segment oc ~buf seg (col : int array) =
   let page_bytes = Bytes.length buf and page_size = Bytes.length buf / 8 in
-  let n = Array.length nodes in
+  let n = Array.length col in
   seek_out oc (Pager.segment_base seg * page_bytes);
   for p = 0 to max 1 ((n + page_size - 1) / page_size) - 1 do
     Bytes.fill buf 0 page_bytes '\000';
     let lo = p * page_size in
     let hi = min n (lo + page_size) in
     for i = lo to hi - 1 do
-      Bytes.set_int64_le buf ((i - lo) * 8)
-        (Int64.of_int (column_value which nodes.(i)))
+      Bytes.set_int64_le buf ((i - lo) * 8) (Int64.of_int col.(i))
     done;
     output_bytes oc buf
   done
@@ -140,11 +132,11 @@ let allocate_entry pager tag n =
   let seg_levels = seg () in
   { tag; n; seg_ids; seg_starts; seg_ends; seg_levels; frames = None }
 
-let write_entry oc ~buf e nodes =
-  write_segment oc ~buf e.seg_ids `Ids nodes;
-  write_segment oc ~buf e.seg_starts `Starts nodes;
-  write_segment oc ~buf e.seg_ends `Ends nodes;
-  write_segment oc ~buf e.seg_levels `Levels nodes
+let write_entry oc ~buf e (c : Cols.t) =
+  write_segment oc ~buf e.seg_ids c.Cols.ids;
+  write_segment oc ~buf e.seg_starts c.Cols.starts;
+  write_segment oc ~buf e.seg_ends c.Cols.ends;
+  write_segment oc ~buf e.seg_levels c.Cols.levels
 
 (* A failed write, like a failed read, is an [Io_error]: a temp
    directory that cannot be created or a full disk is bad storage, not
@@ -193,7 +185,7 @@ let build_disk config index =
       let buf = Bytes.create page_bytes in
       Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
           List.iter
-            (fun e -> write_entry oc ~buf e (Element_index.lookup index e.tag))
+            (fun e -> write_entry oc ~buf e (Element_index.cols index e.tag))
             ordered;
           close_out oc));
   let entries = Hashtbl.create 64 in
@@ -389,12 +381,12 @@ let charge_spec_scan t (spec : Candidate.spec) =
 
 let select t spec =
   match t.disk with
-  | None -> Candidate.select_cols t.index spec
+  | None -> Candidate.select t.index spec
   | Some _ ->
       charge_spec_scan t spec;
       if Candidate.is_pure_tag spec then
         cols t (Option.get spec.Candidate.tag)
-      else Candidate.select_cols t.index spec
+      else Candidate.select t.index spec
 
 (* ---------- posting lists ---------- *)
 
@@ -405,12 +397,12 @@ let posting_capacity = 256
    of those pages — a shorter one has been truncated, and writing at its
    end would shift the page mapping — so that is checked before the
    first byte goes out. *)
-let write_posting d spec (nodes : Node.t array) =
+let write_posting d spec (c : Cols.t) =
   let e =
     Mutex.protect d.m (fun () ->
         if d.disposed then invalid_arg "Column_store: store has been disposed";
         allocate_entry d.pager (Candidate.spec_to_string spec)
-          (Array.length nodes))
+          (Cols.length c))
   in
   io_guard d.path (fun () ->
       let oc = open_out_gen [ Open_wronly; Open_binary ] 0o600 d.path in
@@ -427,7 +419,7 @@ let write_posting d spec (nodes : Node.t array) =
                         (truncated)"
                        base;
                  });
-          write_entry oc ~buf:(Bytes.create d.page_bytes) e nodes;
+          write_entry oc ~buf:(Bytes.create d.page_bytes) e c;
           close_out oc));
   e
 

@@ -3,8 +3,8 @@
     Every query reads its per-tag candidate columns ({!Cols.t}) through
     this one API.  Two backends implement it:
 
-    - {b Mem} — today's behavior: the element index's cached flat
-      arrays, no page accounting.  The default.
+    - {b Mem} — the element index's columns ({!Candidate.select}), no
+      page accounting.  The default.
     - {b Disk} — an out-of-core store.  At creation the per-tag
       [(id, start, end, level)] columns are written to a binary page
       file ([columns.bin]: 8-byte little-endian ints, each column a

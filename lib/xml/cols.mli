@@ -3,8 +3,10 @@
     Row [i] describes the node [ids.(i)]: its interval encoding
     ([starts], [ends]) and depth ([levels]).  This one type replaces the
     two structurally identical records that used to live in [Document]
-    and [Element_index]; every consumer of flat columns — the batch join
-    kernels, the sort operators, the column store — reads this shape.
+    and [Element_index]; it is the only form a candidate list takes, and
+    every consumer of one — the element index, the statistics, the batch
+    join kernels, the sort operators, the column store — reads this
+    shape.
     Callers must never mutate the arrays.
 
     For a {e document-wide} view ({!Document.positions}) [ids] is the
@@ -24,8 +26,10 @@ val empty : t
 val length : t -> int
 (** Number of rows. *)
 
-val of_nodes : Node.t array -> t
-(** Extract fresh columns from a (document-ordered) node array. *)
+val filter : (int -> bool) -> t -> t
+(** [filter keep c] — the rows [i] of [c] with [keep i], in order, in
+    fresh exact-size columns; [c] itself when every row is kept.  [keep]
+    is called twice per row and must give the same answer both times. *)
 
 val equal : t -> t -> bool
 (** Structural equality of all four columns. *)

@@ -114,14 +114,34 @@ let random_axis rng = if Rng.bool rng then Axes.Child else Axes.Descendant
 
 (* A random document of at most 30-120 elements over a tiny tag
    alphabet: bushy and nested enough that about half of the random
-   patterns below have matches. *)
-let random_doc seed =
+   patterns below have matches.  [decorated] gives each element up to
+   two of the attributes [k], [m] (values "1"-"3") and a text of "x",
+   "y" or none, drawn from a second stream, so the shape is the same as
+   without. *)
+let attr_names = [| "k"; "m" |]
+let attr_values = [| "1"; "2"; "3" |]
+let texts = [| "x"; "y" |]
+
+let random_doc ?(decorated = false) seed =
   let rng = Rng.create seed in
+  let deco = Rng.create ((seed * 7) + 3) in
+  let pick a = a.(Rng.int deco (Array.length a)) in
   let b = Builder.create () in
   let budget = ref (30 + Rng.int rng 90) in
   let rec node depth =
     decr budget;
-    Builder.open_element b tags.(Rng.int rng (Array.length tags));
+    let tag = tags.(Rng.int rng (Array.length tags)) in
+    if decorated then begin
+      let attrs =
+        List.filter_map
+          (fun name ->
+            if Rng.bool deco then Some (name, pick attr_values) else None)
+          (Array.to_list attr_names)
+      in
+      Builder.open_element b ~attrs tag;
+      if Rng.bool deco then Builder.text b (pick texts)
+    end
+    else Builder.open_element b tag;
     let kids = if depth >= 6 then 0 else Rng.geometric rng ~p:0.75 ~max:4 in
     for _ = 1 to kids do
       if !budget > 0 then node (depth + 1)
@@ -154,8 +174,14 @@ let docs_under_test seed =
 
 (* ---------- kernels and pools ---------- *)
 
+(* A tag's candidate ids, and the same candidates as node records. *)
+let ids idx tag = (Element_index.cols idx tag).Cols.ids
+
+let nodes idx tag =
+  Array.map (Document.node (Element_index.document idx)) (ids idx tag)
+
 let scan idx tag slot width ~work =
-  Operators.index_scan ~work ~width ~slot (Element_index.lookup idx tag)
+  Operators.index_scan ~work ~width ~slot (ids idx tag)
 
 let with_pool n f =
   let p = Pool.create ~domains:n () in

@@ -343,14 +343,14 @@ let test_executor_fetch_differential () =
   let doc = Sjos_engine.Workload.generate ~size:1500 Sjos_engine.Workload.Pers in
   let index = Element_index.build doc in
   let fetch spec =
-    let base = Candidate.select index spec in
+    let base = (Candidate.select index spec).Cols.ids in
     Array.sub base 0 (2 * Array.length base / 3)
   in
   let fetched =
     Array.init (Pattern.node_count pattern) (fun i ->
         let ids = Hashtbl.create 64 in
         Array.iter
-          (fun (n : Node.t) -> Hashtbl.replace ids n.Node.id ())
+          (fun id -> Hashtbl.replace ids id ())
           (fetch (Pattern.label pattern i));
         ids)
   in
@@ -524,12 +524,12 @@ let prop_boxed_equals_flat =
         let sd = if width = 1 then 0 else (sa + 1) mod width in
         let side = Array.init width (fun _ -> Sjos_datagen.Rng.int rng 3) in
         let rows slot own tag =
-          let ids = Element_index.lookup idx tag in
+          let ids = (Element_index.cols idx tag).Cols.ids in
           let data = Array.make (Array.length ids * width) Tuple.unbound in
           Array.iteri
-            (fun r (n : Node.t) ->
+            (fun r id ->
               for k = 0 to width - 1 do
-                if k = slot then data.((r * width) + k) <- n.Node.id
+                if k = slot then data.((r * width) + k) <- id
                 else if side.(k) = own && k <> sa && k <> sd then
                   data.((r * width) + k) <- (1000 * k) + r
               done)
@@ -615,7 +615,7 @@ let test_resident_leaf_groups () =
       let positions = lazy (Document.positions doc) in
       List.iter
         (fun spec ->
-          let cols = Candidate.select_cols idx spec in
+          let cols = Candidate.select idx spec in
           for slot = 0 to 2 do
             let msg =
               Printf.sprintf "%s in slot %d" (Candidate.spec_to_string spec)

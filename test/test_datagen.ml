@@ -102,7 +102,7 @@ let test_pers_structure () =
       check cb (tag ^ " present") true (Element_index.cardinality idx tag > 0))
     [ "manager"; "employee"; "department"; "name"; "salary" ];
   (* recursion: some manager under another manager *)
-  let managers = Element_index.lookup idx "manager" in
+  let managers = Helpers.nodes idx "manager" in
   let nested =
     Array.exists
       (fun m ->
@@ -134,7 +134,7 @@ let test_mbench_structure () =
       match Node.attr n "aLevel" with
       | Some l -> check ci "aLevel = level" n.Node.level (int_of_string l)
       | None -> Alcotest.fail "eNest without aLevel")
-    (Element_index.lookup idx "eNest");
+    (Helpers.nodes idx "eNest");
   (* aUnique values are unique *)
   let seen = Hashtbl.create 64 in
   Array.iter
@@ -142,7 +142,7 @@ let test_mbench_structure () =
       let u = Option.get (Node.attr n "aUnique") in
       check cb "aUnique unique" false (Hashtbl.mem seen u);
       Hashtbl.add seen u ())
-    (Element_index.lookup idx "eNest")
+    (Helpers.nodes idx "eNest")
 
 (* ---------- Folding ---------- *)
 

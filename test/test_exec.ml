@@ -37,7 +37,7 @@ let test_tuple () =
 let st_doc = lazy (Parser.parse_string "<a><a><b/></a><b/><c><b/></c></a>")
 
 let scan_tuples _doc idx tag slot width ~work =
-  Operators.index_scan ~work ~width ~slot (Element_index.lookup idx tag)
+  Operators.index_scan ~work ~width ~slot (Helpers.ids idx tag)
 
 let run_join algo axis =
   let doc = Lazy.force st_doc in
@@ -120,14 +120,14 @@ let test_stj_duplicate_join_values () =
   let idx = Element_index.build doc in
   let work = Work.zero () in
   let width = 3 in
-  let a = Operators.index_scan ~work ~width ~slot:0 (Element_index.lookup idx "a") in
-  let b = Operators.index_scan ~work ~width ~slot:1 (Element_index.lookup idx "b") in
+  let a = Operators.index_scan ~work ~width ~slot:0 (Helpers.ids idx "a") in
+  let b = Operators.index_scan ~work ~width ~slot:1 (Helpers.ids idx "b") in
   let ab =
     Stack_tree.join ~work ~doc ~axis:Axes.Descendant
       ~algo:Plan.Stack_tree_anc ~anc:(a, 0) ~desc:(b, 1) ()
   in
   (* ab ordered by a (slot 0), with a=0 appearing three times *)
-  let c = Operators.index_scan ~work ~width ~slot:2 (Element_index.lookup idx "c") in
+  let c = Operators.index_scan ~work ~width ~slot:2 (Helpers.ids idx "c") in
   let abc =
     Stack_tree.join ~work ~doc ~axis:Axes.Descendant
       ~algo:Plan.Stack_tree_desc ~anc:(ab, 0) ~desc:(c, 2) ()

@@ -312,16 +312,11 @@ let test_malformed_inputs () =
 (* ---------- chaos: determinism ---------- *)
 
 let test_chaos_deterministic () =
-  let candidates =
-    Sjos_storage.Element_index.lookup (Lazy.force Helpers.pers_1k_index) "name"
-  in
+  let candidates = Helpers.ids (Lazy.force Helpers.pers_1k_index) "name" in
   let drive seed =
     let c = Chaos.create ~seed () in
     let outs =
-      List.init 50 (fun _ ->
-          Array.map
-            (fun n -> n.Sjos_xml.Node.start_pos)
-            (Chaos.wrap_candidates c candidates))
+      List.init 50 (fun _ -> Chaos.wrap_candidates c candidates)
     in
     (outs, Chaos.injected c)
   in

@@ -43,7 +43,7 @@ let test_grid_errors () =
 let test_position_histogram () =
   let doc = Lazy.force Helpers.tiny_pers in
   let idx = Lazy.force Helpers.tiny_index in
-  let names = Element_index.lookup idx "name" in
+  let names = Element_index.cols idx "name" in
   let h =
     Position_histogram.build ~grid:8 ~max_pos:(Document.max_pos doc) names
   in
@@ -70,12 +70,10 @@ let pair_fixture tag_a tag_b =
   let doc = Lazy.force Helpers.pers_1k in
   let idx = Lazy.force Helpers.pers_1k_index in
   let max_pos = Document.max_pos doc in
-  let a = Element_index.lookup idx tag_a in
-  let b = Element_index.lookup idx tag_b in
-  ( Position_histogram.build ~grid:32 ~max_pos a,
-    Position_histogram.build ~grid:32 ~max_pos b,
-    a,
-    b )
+  ( Position_histogram.build ~grid:32 ~max_pos (Element_index.cols idx tag_a),
+    Position_histogram.build ~grid:32 ~max_pos (Element_index.cols idx tag_b),
+    Helpers.nodes idx tag_a,
+    Helpers.nodes idx tag_b )
 
 let test_estimate_ad_reasonable () =
   let ha, hb, a, b = pair_fixture "manager" "employee" in
@@ -97,7 +95,7 @@ let test_estimate_pc_le_ad () =
 let test_estimate_empty_side () =
   let doc = Lazy.force Helpers.pers_1k in
   let max_pos = Document.max_pos doc in
-  let empty = Position_histogram.build ~grid:32 ~max_pos [||] in
+  let empty = Position_histogram.build ~grid:32 ~max_pos Cols.empty in
   let ha, _, _, _ = pair_fixture "manager" "employee" in
   Helpers.checkf "empty desc" 0.0 (Estimator.ancestor_descendant ~anc:ha ~desc:empty);
   Helpers.checkf "empty anc" 0.0 (Estimator.ancestor_descendant ~anc:empty ~desc:ha);
@@ -107,8 +105,8 @@ let test_estimate_empty_side () =
 let test_estimate_grid_mismatch () =
   let doc = Lazy.force Helpers.pers_1k in
   let max_pos = Document.max_pos doc in
-  let h1 = Position_histogram.build ~grid:8 ~max_pos [||] in
-  let h2 = Position_histogram.build ~grid:16 ~max_pos [||] in
+  let h1 = Position_histogram.build ~grid:8 ~max_pos Cols.empty in
+  let h2 = Position_histogram.build ~grid:16 ~max_pos Cols.empty in
   expect_invalid (fun () -> Estimator.ancestor_descendant ~anc:h1 ~desc:h2)
 
 let test_selectivity_bounds () =
@@ -206,29 +204,41 @@ let selected_selectivity idx ~grid p (e : Pattern.edge) =
         ~desc:(h (nodes e.Pattern.desc))
   | Axes.Child ->
       let by_level i =
+        let c = nodes i in
         let table = Hashtbl.create 16 in
-        Array.iter
-          (fun (n : Node.t) ->
-            match Hashtbl.find_opt table n.Node.level with
-            | Some l -> l := n :: !l
-            | None -> Hashtbl.add table n.Node.level (ref [ n ]))
-          (nodes i);
-        table
+        Array.iteri
+          (fun r level ->
+            match Hashtbl.find_opt table level with
+            | Some l -> l := r :: !l
+            | None -> Hashtbl.add table level (ref [ r ]))
+          c.Cols.levels;
+        (c, table)
       in
-      let slice l = h (Array.of_list (List.rev !l)) in
-      let desc = by_level e.Pattern.desc in
+      let slice (c, _) l =
+        let rows = Array.of_list (List.rev !l) in
+        let col a = Array.map (Array.get a) rows in
+        h
+          {
+            Cols.ids = col c.Cols.ids;
+            starts = col c.Cols.starts;
+            ends = col c.Cols.ends;
+            levels = col c.Cols.levels;
+          }
+      in
+      let desc = by_level e.Pattern.desc and anc = by_level e.Pattern.anc in
       let pairs =
         Hashtbl.fold
           (fun level a acc ->
-            match Hashtbl.find_opt desc (level + 1) with
+            match Hashtbl.find_opt (snd desc) (level + 1) with
             | None -> acc
             | Some d ->
                 acc
-                +. Estimator.ancestor_descendant ~anc:(slice a) ~desc:(slice d))
-          (by_level e.Pattern.anc) 0.0
+                +. Estimator.ancestor_descendant ~anc:(slice anc a)
+                     ~desc:(slice desc d))
+          (snd anc) 0.0
       in
-      let ca = float_of_int (Array.length (nodes e.Pattern.anc))
-      and cd = float_of_int (Array.length (nodes e.Pattern.desc)) in
+      let ca = float_of_int (Cols.length (nodes e.Pattern.anc))
+      and cd = float_of_int (Cols.length (nodes e.Pattern.desc)) in
       if ca <= 0.0 || cd <= 0.0 then 0.0
       else Float.min 1.0 (Float.max 0.0 (pairs /. (ca *. cd)))
 

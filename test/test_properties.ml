@@ -217,7 +217,7 @@ let prop_estimator_bounds =
       let max_pos = Document.max_pos doc in
       let h tag =
         Sjos_histogram.Position_histogram.build ~grid:16 ~max_pos
-          (Element_index.lookup idx tag)
+          (Element_index.cols idx tag)
       in
       let ha = h "a" and hb = h "b" in
       let est = Sjos_histogram.Estimator.ancestor_descendant ~anc:ha ~desc:hb in
@@ -233,8 +233,8 @@ let prop_stack_tree_equals_filter =
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let work = Work.zero () in
-      let a = Operators.index_scan ~work ~width:2 ~slot:0 (Element_index.lookup idx "a") in
-      let b = Operators.index_scan ~work ~width:2 ~slot:1 (Element_index.lookup idx "b") in
+      let a = Operators.index_scan ~work ~width:2 ~slot:0 (Helpers.ids idx "a") in
+      let b = Operators.index_scan ~work ~width:2 ~slot:1 (Helpers.ids idx "b") in
       let axis = if seed mod 2 = 0 then Axes.Descendant else Axes.Child in
       let algo = if seed mod 3 = 0 then Plan.Stack_tree_anc else Plan.Stack_tree_desc in
       let joined =
@@ -260,8 +260,8 @@ let prop_join_output_ordered =
       let doc = random_doc seed in
       let idx = Element_index.build doc in
       let work = Work.zero () in
-      let a = Operators.index_scan ~work ~width:2 ~slot:0 (Element_index.lookup idx "a") in
-      let b = Operators.index_scan ~work ~width:2 ~slot:1 (Element_index.lookup idx "b") in
+      let a = Operators.index_scan ~work ~width:2 ~slot:0 (Helpers.ids idx "a") in
+      let b = Operators.index_scan ~work ~width:2 ~slot:1 (Helpers.ids idx "b") in
       let check_sorted algo slot =
         let out =
           Stack_tree.join ~work ~doc ~axis:Axes.Descendant ~algo ~anc:(a, 0)
@@ -314,7 +314,7 @@ let prop_mpmgjn_equals_stack_tree =
       let m1 = Work.zero () and m2 = Work.zero () in
       let scan m slot tag =
         Operators.index_scan ~work:m ~width:2 ~slot
-          (Element_index.lookup idx tag)
+          (Helpers.ids idx tag)
       in
       let st =
         Stack_tree.join ~work:m1 ~doc ~axis ~algo:Plan.Stack_tree_anc

@@ -21,13 +21,11 @@ let test_index_sorted () =
   let idx = index () in
   List.iter
     (fun tag ->
-      let arr = Element_index.lookup idx tag in
+      let starts = (Element_index.cols idx tag).Cols.starts in
       Array.iteri
-        (fun i (n : Node.t) ->
-          if i > 0 then
-            check cb "sorted by start" true
-              (arr.(i - 1).Node.start_pos < n.Node.start_pos))
-        arr)
+        (fun i s ->
+          if i > 0 then check cb "sorted by start" true (starts.(i - 1) < s))
+        starts)
     (Element_index.tags idx)
 
 let test_index_tags () =
@@ -39,16 +37,17 @@ let test_index_tags () =
 let test_candidate_tag () =
   let idx = index () in
   let spec = Candidate.of_tag "manager" in
-  check ci "managers" 3 (Array.length (Candidate.select idx spec));
+  check ci "managers" 3 (Cols.length (Candidate.select idx spec));
   check ci "wildcard = all" (Document.size (doc ()))
-    (Array.length (Candidate.select idx Candidate.any))
+    (Cols.length (Candidate.select idx Candidate.any))
 
 let test_candidate_text () =
   let idx = index () in
   let spec = { (Candidate.of_tag "name") with Candidate.text = Some "ann" } in
   let hits = Candidate.select idx spec in
-  check ci "one ann" 1 (Array.length hits);
-  check Alcotest.string "text matches" "ann" hits.(0).Node.text
+  check ci "one ann" 1 (Cols.length hits);
+  check Alcotest.string "text matches" "ann"
+    (Document.node (doc ()) hits.Cols.ids.(0)).Node.text
 
 let test_candidate_attr () =
   let d =
@@ -56,11 +55,11 @@ let test_candidate_attr () =
   in
   let idx = Element_index.build d in
   let spec = { (Candidate.of_tag "x") with Candidate.attr = Some ("k", "1") } in
-  check ci "two k=1" 2 (Array.length (Candidate.select idx spec));
+  check ci "two k=1" 2 (Cols.length (Candidate.select idx spec));
   let both =
     { Candidate.tag = None; attr = Some ("k", "2"); text = None }
   in
-  check ci "wildcard with attr" 1 (Array.length (Candidate.select idx both))
+  check ci "wildcard with attr" 1 (Cols.length (Candidate.select idx both))
 
 let test_candidate_matches () =
   let d = Parser.parse_string "<r><x k='1'>t</x></r>" in

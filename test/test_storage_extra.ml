@@ -87,8 +87,8 @@ let test_mpmgjn_pairs () =
   let doc = Lazy.force mj_doc in
   let idx = Element_index.build doc in
   let work = Work.zero () in
-  let a = Operators.index_scan ~work ~width:2 ~slot:0 (Element_index.lookup idx "a") in
-  let b = Operators.index_scan ~work ~width:2 ~slot:1 (Element_index.lookup idx "b") in
+  let a = Operators.index_scan ~work ~width:2 ~slot:0 (Helpers.ids idx "a") in
+  let b = Operators.index_scan ~work ~width:2 ~slot:1 (Helpers.ids idx "b") in
   let out =
     Merge_join.join ~work ~doc ~axis:Axes.Descendant ~anc:(a, 0) ~desc:(b, 1)
   in
@@ -108,7 +108,7 @@ let test_mpmgjn_matches_stack_tree () =
       let m1 = Work.zero () and m2 = Work.zero () in
       let scan m slot tag =
         Operators.index_scan ~work:m ~width:2 ~slot
-          (Element_index.lookup idx tag)
+          (Helpers.ids idx tag)
       in
       let st =
         Stack_tree.join ~work:m1 ~doc ~axis ~algo:Sjos_plan.Plan.Stack_tree_anc
@@ -138,7 +138,7 @@ let test_mpmgjn_rescans_nested () =
   let doc = Element_index.document idx in
   let m1 = Work.zero () and m2 = Work.zero () in
   let scan m slot tag =
-    Operators.index_scan ~work:m ~width:2 ~slot (Element_index.lookup idx tag)
+    Operators.index_scan ~work:m ~width:2 ~slot (Helpers.ids idx tag)
   in
   ignore
     (Stack_tree.join ~work:m1 ~doc ~axis:Axes.Descendant
@@ -161,7 +161,7 @@ let test_mpmgjn_unsorted_rejected () =
   let idx = Element_index.build doc in
   let work = Work.zero () in
   let a =
-    Operators.index_scan ~work ~width:2 ~slot:0 (Element_index.lookup idx "a")
+    Operators.index_scan ~work ~width:2 ~slot:0 (Helpers.ids idx "a")
   in
   let reversed = Array.of_list (List.rev (Array.to_list a)) in
   expect_invalid (fun () ->

@@ -296,8 +296,8 @@ let io_pin_cases store ~doc ~pool =
     in
     ignore (Twig_stack.run ~work:m ~doc ~pat ~inputs ())
   in
-  (* a leaf joined off its own slot is forced, then rejected: its other
-     slots are unbound *)
+  (* a leaf joined off its own slot is rejected before any read: its
+     other slots are unbound *)
   let off_slot () =
     let m = Work.zero () in
     let a, d = both "manager" "employee" m in
@@ -332,7 +332,7 @@ let leaf_io_expected =
     ("manager-name stj-anc desc", [ 43; 43; 7; 36; 32 ]);
     ("manager-name stj-anc child", [ 43; 43; 7; 36; 32 ]);
     ("twig", [ 110; 110; 41; 69; 65 ]);
-    ("off-slot leaf", [ 16; 16; 0; 16; 12 ]);
+    ("off-slot leaf", [ 0; 0; 0; 0; 0 ]);
     ("sharded, 2 domains", [ 46; 46; 4; 42; 38 ]);
   ]
 
@@ -359,6 +359,115 @@ let test_leaf_io_pinned () =
       check Alcotest.string "case" ename name;
       check Alcotest.(list int) name expected (measure f))
     cases leaf_io_expected
+
+(* A leaf grouped on a slot other than its own: a non-empty one raises
+   what grouping its materialized rows raises, and reads nothing; an
+   empty one has no groups. *)
+let test_off_slot_leaf () =
+  let doc = Lazy.force Helpers.pers_1k in
+  let store =
+    Column_store.create
+      ~config:(Column_store.disk ~page_size:64 ~pool_pages:4 ())
+      (Element_index.build doc)
+  in
+  Fun.protect ~finally:(fun () -> Column_store.dispose store) @@ fun () ->
+  let cols = lazy (Document.positions doc) in
+  let leaf spec =
+    match Column_store.leaf store spec with
+    | Some lf -> Stack_tree.leaf ~width:2 ~slot:0 lf
+    | None -> Alcotest.fail "no leaf"
+  in
+  let error f =
+    match f () with
+    | _ -> Alcotest.fail "off-slot group accepted"
+    | exception Invalid_argument m -> m
+  in
+  let employee = Candidate.of_tag "employee" in
+  List.iter
+    (fun slot ->
+      let expected =
+        error (fun () ->
+            Stack_tree.group_input ~cols
+              (Stack_tree.Rows (Stack_tree.to_batch (leaf employee)))
+              slot)
+      in
+      Column_store.reset_io store;
+      check Alcotest.string
+        (Printf.sprintf "slot %d: group's error" slot)
+        expected
+        (error (fun () -> Stack_tree.group_input ~cols (leaf employee) slot));
+      check ci
+        (Printf.sprintf "slot %d: no page access" slot)
+        0 (Option.get (Column_store.io_stats store)).Pager.accesses)
+    [ 1; 2 ];
+  let empty = leaf { employee with Candidate.attr = Some ("x", "1") } in
+  Column_store.reset_io store;
+  List.iter
+    (fun input ->
+      check ci "empty leaf: no groups" 0
+        (Stack_tree.group_input ~cols input 1).Stack_tree.n)
+    [ empty; Stack_tree.resident ~width:2 ~slot:0 Cols.empty ];
+  check ci "empty leaf: no page access" 0
+    (Option.get (Column_store.io_stats store)).Pager.accesses
+
+(* ---------- every spec: one answer, every backend ---------- *)
+
+(* Random specs over a decorated random document, each part present or
+   absent: a tag the document has, one it lacks, or the wildcard; an
+   attribute name it has or lacks with a value it has or lacks; a text
+   it has or lacks.  The index's columns must be the document's nodes
+   filtered by [Candidate.matches], and Mem, Disk and a forced Disk
+   leaf must return those columns. *)
+let prop_select_is_filter =
+  Helpers.qtest ~count:25 "select = filtered document, every backend"
+    QCheck2.Gen.small_nat (fun seed ->
+      let doc = Helpers.random_doc ~decorated:true (Helpers.seed + seed) in
+      let index = Element_index.build doc in
+      let mem = Column_store.create ~config:Column_store.mem index in
+      let disk =
+        Column_store.create
+          ~config:(Column_store.disk ~page_size:8 ~pool_pages:4 ())
+          index
+      in
+      Fun.protect ~finally:(fun () -> Column_store.dispose disk) @@ fun () ->
+      let rng = Sjos_datagen.Rng.create (Helpers.seed + (31 * seed)) in
+      let pick a = a.(Sjos_datagen.Rng.int rng (Array.length a)) in
+      let maybe a = if Sjos_datagen.Rng.bool rng then Some (pick a) else None in
+      let spec () =
+        {
+          Candidate.tag = maybe (Array.append Helpers.tags [| "z" |]);
+          attr =
+            Option.map
+              (fun name -> (name, pick (Array.append Helpers.attr_values [| "9" |])))
+              (maybe (Array.append Helpers.attr_names [| "q" |]));
+          text = maybe (Array.append Helpers.texts [| "w" |]);
+        }
+      in
+      let expected spec =
+        let rows =
+          List.filter (Candidate.matches spec) (Array.to_list (Document.nodes doc))
+        in
+        let col f = Array.of_list (List.map f rows) in
+        {
+          Cols.ids = col (fun n -> n.Node.id);
+          starts = col (fun n -> n.Node.start_pos);
+          ends = col (fun n -> n.Node.end_pos);
+          levels = col (fun n -> n.Node.level);
+        }
+      in
+      List.for_all
+        (fun spec ->
+          let e = expected spec in
+          Cols.equal e (Candidate.select index spec)
+          && Cols.equal e (Column_store.select mem spec)
+          && Cols.equal e (Column_store.select disk spec)
+          &&
+          match Column_store.leaf disk spec with
+          | None -> true
+          | Some lf ->
+              Column_store.force lf;
+              Cols.equal e (Column_store.leaf_cols lf))
+        (List.init 30 (fun _ -> spec ())))
 
 (* ---------- predicate specs: posting lists ---------- *)
 
@@ -725,6 +834,9 @@ let suite =
       test_leaf_laziness_bounded;
     Alcotest.test_case "lazy-leaf page accounting pinned" `Quick
       test_leaf_io_pinned;
+    Alcotest.test_case "off-slot leaf: group's error, no IO" `Quick
+      test_off_slot_leaf;
+    prop_select_is_filter;
     Alcotest.test_case "predicate specs identical across backends" `Quick
       test_predicate_spec_differential;
     Alcotest.test_case "posting: repeat misses only its pages" `Quick

@@ -151,14 +151,12 @@ let test_external_streams_verified () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name))" in
   let reversed spec =
-    let a = Candidate.select idx spec in
+    let a = (Candidate.select idx spec).Cols.ids in
     let n = Array.length a in
     Array.init n (fun j -> a.(n - 1 - j))
   in
-  let bogus _ =
-    [| { (Document.node (Lazy.force Helpers.tiny_pers) 0) with Node.id = 999 } |]
-  in
-  let honest spec = Candidate.select idx spec in
+  let bogus _ = [| 999 |] in
+  let honest spec = (Candidate.select idx spec).Cols.ids in
   List.iter
     (fun (name, plan) ->
       let corrupt what fetch expect =
@@ -187,37 +185,6 @@ let test_external_streams_verified () =
         own.Executor.work fetched.Executor.work)
     (tiny_plans p)
 
-(* A fetched node is trusted for its id only: the joins take start, end
-   and level from the document by id, so a stream whose records carry
-   other positions joins exactly like the honest one. *)
-let test_fetch_positions_ignored () =
-  let idx = Lazy.force Helpers.tiny_index in
-  let p = Helpers.pat "manager(//employee(/name))" in
-  let altered spec =
-    Array.map
-      (fun (n : Node.t) ->
-        {
-          n with
-          Node.start_pos = 1000 - n.Node.end_pos;
-          end_pos = 1000 - n.Node.start_pos;
-          level = n.Node.level + 3;
-        })
-      (Candidate.select idx spec)
-  in
-  List.iter
-    (fun (name, plan) ->
-      let own = Executor.execute idx p plan in
-      let fetched = Executor.execute ~fetch:altered idx p plan in
-      check
-        (Alcotest.list (Alcotest.list ci))
-        (name ^ ": altered positions give the honest tuples")
-        (tuple_lists own.Executor.tuples)
-        (tuple_lists fetched.Executor.tuples);
-      Helpers.check_work_equal
-        (name ^ ": altered positions give the honest counters")
-        own.Executor.work fetched.Executor.work)
-    (tiny_plans p)
-
 (* A fetch that repeats its first candidate: the binary engine groups
    the two equal rows into one join group, so every match of that node
    comes out twice; the holistic engine rejects the stream as not a
@@ -226,7 +193,7 @@ let test_fetch_repeated_id () =
   let idx = Lazy.force Helpers.tiny_index in
   let p = Helpers.pat "manager(//employee(/name))" in
   let repeat spec =
-    let a = Candidate.select idx spec in
+    let a = (Candidate.select idx spec).Cols.ids in
     Array.append [| a.(0) |] a
   in
   List.iter
@@ -347,8 +314,6 @@ let suite =
       "mem and disk backends agree bit-for-bit"
       ~engines:[ Optimizer.Binary; Optimizer.Holistic; Optimizer.Auto ]
       ~disk:true;
-    Alcotest.test_case "fetch: altered positions give the honest result"
-      `Quick test_fetch_positions_ignored;
     Alcotest.test_case "fetch: a repeated id keeps its pinned result" `Quick
       test_fetch_repeated_id;
   ]

@@ -123,11 +123,11 @@ let columnar_join ?pool ~doc ~idx ~atag ~dtag ~algo () =
   let work = Work.zero () in
   let anc =
     Operators.index_scan ~work ~width:2 ~slot:0
-      (Element_index.lookup idx atag)
+      (Helpers.ids idx atag)
   in
   let desc =
     Operators.index_scan ~work ~width:2 ~slot:1
-      (Element_index.lookup idx dtag)
+      (Helpers.ids idx dtag)
   in
   charged work (fun () ->
       Stack_tree.join ?pool ~par_min_rows:0 ~work ~doc
@@ -138,11 +138,11 @@ let legacy_join ~doc ~idx ~atag ~dtag ~algo () =
   let work = Work.zero () in
   let anc =
     Operators.index_scan ~work ~width:2 ~slot:0
-      (Element_index.lookup idx atag)
+      (Helpers.ids idx atag)
   in
   let desc =
     Operators.index_scan ~work ~width:2 ~slot:1
-      (Element_index.lookup idx dtag)
+      (Helpers.ids idx dtag)
   in
   charged work (fun () ->
       Stack_tree_legacy.join ~work ~doc
