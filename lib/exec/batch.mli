@@ -13,9 +13,8 @@
 
 open Sjos_xml
 
-(** Reusable growable int buffers, grown by doubling, never through list
-    conses: the join kernel's rectangle record and the twig kernel's
-    buffers. *)
+(** Growable int buffers, grown by doubling, never through list conses:
+    the twig kernel's path-solution blocks and output. *)
 module Ibuf : sig
   type t
 
@@ -31,11 +30,27 @@ module Ibuf : sig
       join kernels; do not mutate elsewhere. *)
 end
 
-type t
+(** The groups of one slot in rows sorted by it: consecutive rows binding
+    the same node form a group.  Group [k] spans rows
+    [[off.(k), off.(k + 1))] and its node's start, end and level are
+    [gstart.(k)], [gend.(k)] and [glevel.(k)]; starts strictly increase.
+    These are the entries the join kernels group an input into, carried
+    by the operators that already know them so the next join need not
+    look them up again. *)
+type groups = {
+  slot : int;
+  n : int;
+  off : int array;  (** [n + 1] entries, [off.(n)] the row count *)
+  gstart : int array;
+  gend : int array;
+  glevel : int array;
+}
 
-val create : int -> t
-(** [create width] — an empty batch of the given tuple width, with room
-    for 64 rows before it grows. *)
+val make_groups : slot:int -> rows:int -> int -> groups
+(** [make_groups ~slot ~rows n] — room for [n] groups, every offset
+    [rows], every position 0, for an operator to fill in. *)
+
+type t
 
 val width : t -> int
 val length : t -> int
@@ -49,10 +64,17 @@ val data : t -> int array
 val get : t -> int -> int -> int
 (** [get b row slot] — bounds-checked single-cell read. *)
 
-val unsafe_of_raw : width:int -> len:int -> int array -> t
+val grouped : t -> groups option
+(** The groups the batch carries: a join's output carries those of its
+    output order's slot, a sort's those of its sort slot; a batch built
+    any other way carries none. *)
+
+val unsafe_of_raw : ?groups:groups -> width:int -> len:int -> int array -> t
 (** Wrap kernel-produced row-major storage without copying.  [data] may
     carry spare capacity past [len * width] rows; it must not be mutated
-    afterwards.  Raises [Invalid_argument] if the array is too short. *)
+    afterwards.  [groups], if given, must be the groups of [data]'s rows
+    in their slot; they are trusted.  Raises [Invalid_argument] if the
+    array is too short or the groups do not end at [len]. *)
 
 val of_tuples : width:int -> Tuple.t array -> t
 (** Pack an existing tuple array.  Raises [Invalid_argument] on a width
@@ -67,8 +89,12 @@ val of_ids : width:int -> slot:int -> int array -> t
 
 val sort : doc:Document.t -> by:int -> t -> t
 (** Stable sort of the rows by the document order of the node bound in
-    slot [by].  Keys are read once from the document's [starts] column
-    into a flat key array, an index permutation is sorted with a
-    monomorphic int comparator (no [Document.node] calls inside the
-    comparator), and rows are blitted into place.  Raises
-    [Invalid_argument] if a row's [by] slot is unbound or out of range. *)
+    slot [by], carrying that slot's groups.  Pre-order ids are document
+    order, so the sort is a stable LSD radix sort on the ids themselves
+    (passes of at most 11 bits over the id range, keys packed with their
+    row index in {!Scratch} arrays) and reads no position to order
+    rows; each group's positions are read once, in id order.  Rows
+    already in order are shared, not copied.  Raises
+    [Invalid_argument] if a row's [by] slot is unbound or out of range
+    (["Batch.sort: id %d out of range"]), or if [by] is not a slot of a
+    non-empty batch (["Batch.sort: slot out of range"]). *)

@@ -2,7 +2,7 @@
     and collect both the matches and the operation accounting.
 
     One columnar interpreter serves both physical algebras — binary
-    Stack-Tree plans (index scans, key-column permutation sorts and the
+    Stack-Tree plans (index scans, radix sorts on node ids and the
     skip-ahead {!Stack_tree} joins) and the holistic {!Twig_stack}
     operator.  Rows flow between operators as {!Stack_tree.input}s. *)
 

@@ -2,7 +2,6 @@ open Sjos_xml
 open Sjos_storage
 open Sjos_plan
 open Sjos_guard
-module Ibuf = Batch.Ibuf
 module Pool = Sjos_par.Pool
 module Shard = Sjos_par.Shard
 module Work = Sjos_obs.Work
@@ -10,14 +9,18 @@ module Registry = Sjos_obs.Registry
 
 (* Columnar Stack-Tree kernel: one body for both algorithms and both
    output forms ({!run}).  An index scan enters as a leaf whose
-   candidate columns are its groups and its rows; operator outputs and
+   candidate columns are its groups and its rows; a join's or a sort's
+   output carries the groups of the slot it is ordered by, so only
    fetched streams are grouped row by row ({!group}).  The merge records
-   each related group pair as a rectangle; the output is then allocated
-   once at its exact size and written in the algorithm's order.  The
-   legacy group-list implementation is preserved in the tests as
-   [Stack_tree_legacy]; this module must produce bit-identical tuple
-   sequences and counter totals (modulo [items_skipped]) while touching
-   only flat int arrays on the hot path.
+   each related group pair as a rectangle; the output, and for a flat
+   output the groups of its order, are then allocated once at their
+   exact size and written in the algorithm's order.  Everything else a
+   call needs (rectangles, per-group counts, the merge stack) lives in a
+   {!Scratch} set the call owns until it returns, so a join allocates
+   only what it returns.  The legacy group-list implementation is
+   preserved in the tests as [Stack_tree_legacy]; this module must
+   produce bit-identical tuple sequences and counter totals (modulo
+   [items_skipped]) while touching only flat int arrays on the hot path.
 
    With a domain pool, the join is additionally range-partitioned on the
    ancestor group column at forest-closed cut points (no ancestor
@@ -29,14 +32,15 @@ module Registry = Sjos_obs.Registry
 
 (* ---------- grouping: batch rows -> flat group columns ---------- *)
 
-(* Rows inputs — join, sort and twig outputs, and fetched streams — are
-   grouped here; a leaf is its own grouping ({!leaf_groups}).
-   Consecutive rows with the same node in the join slot form one group;
+(* Consecutive rows with the same node in the join slot form one group;
    [off] has [n + 1] meaningful entries delimiting each group's row
-   range, and the positions are looked up in the document by node id.
-   The arrays are sized for the worst case (one group per row) and
-   filled in one pass — growth-free, so grouping costs a handful of
-   ns per input row; entries past [n] are unused.
+   range.  A leaf is its own grouping ({!leaf_groups}), and a join's or
+   a sort's output arrives with the groups of the slot it is ordered by
+   ({!carried}), which is the slot every valid plan joins it on.  Only
+   a fetched stream, and a batch joined on a slot it carries no groups
+   for, is grouped here, in one pass that looks each group's positions
+   up in the document by node id.  The arrays are sized for the worst
+   case (one group per row); entries past [n] are unused.
 
    The [e_*] closures are the out-of-core hook: before the merge reads a
    group's metadata or a row range it calls the matching closure, which
@@ -103,6 +107,19 @@ let group ~(cols : Cols.t) (b : Batch.t) slot =
     gstart;
     gend;
     glevel;
+    e_meta = no_ensure;
+    e_probe = no_ensure;
+    e_rows = no_ensure2;
+  }
+
+(* The groups an operator output carries ({!Batch.grouped}). *)
+let carried (c : Batch.groups) =
+  {
+    n = c.n;
+    off = c.off;
+    gstart = c.gstart;
+    gend = c.gend;
+    glevel = c.glevel;
     e_meta = no_ensure;
     e_probe = no_ensure;
     e_rows = no_ensure2;
@@ -332,15 +349,18 @@ let merge_rows adata abase ddata dbase out obase width =
    next cut, hence before any later descendant's start.  The serial
    (unsharded) call passes [drain:false]: with no later descendants the
    serial loop leaves those groups untouched, and so do we. *)
-let merge_loop ~budget ~work ~axis ~drain (ag : groups) (dg : groups) ~emit =
+let merge_loop ~budget ~work ~axis ~drain ~(scratch : Scratch.t) (ag : groups)
+    (dg : groups) ~emit =
   let iters = ref 0 in
-  let stack = ref (Array.make 64 0) in
+  let stack = ref (Scratch.reserve scratch.Scratch.stack 64) in
+  scratch.Scratch.stack <- !stack;
   let sp = ref 0 in
   let push g =
     if !sp = Array.length !stack then begin
       let bigger = Array.make (2 * !sp) 0 in
       Array.blit !stack 0 bigger 0 !sp;
-      stack := bigger
+      stack := bigger;
+      scratch.Scratch.stack <- bigger
     end;
     Array.unsafe_set !stack !sp g;
     incr sp
@@ -488,11 +508,34 @@ let write_rows : type o.
         done
       done
 
-let finish_rows : type o. o rows -> width:int -> int -> o =
- fun r ~width len ->
+let finish_rows : type o. o rows -> width:int -> ?groups:Batch.groups -> int -> o
+    =
+ fun r ~width ?groups len ->
   match r with
-  | Flat_rows a -> Batch.unsafe_of_raw ~width ~len a
+  | Flat_rows a -> Batch.unsafe_of_raw ?groups ~width ~len a
   | Boxed_rows (a, _) -> a
+
+(* Shard outputs in shard order.  Shards own disjoint ranges of groups on
+   both sides, so no group spans two parts: the carried groups are the
+   parts' groups end to end, each part's offsets shifted by the rows
+   before it.  Every part is a flat {!run} output, so it carries them. *)
+let concat_groups parts total =
+  let gs = Array.map (fun b -> Option.get (Batch.grouped b)) parts in
+  let ng = Array.fold_left (fun acc (g : Batch.groups) -> acc + g.n) 0 gs in
+  let c = Batch.make_groups ~slot:gs.(0).slot ~rows:total ng in
+  let at = ref 0 and rows = ref 0 in
+  Array.iteri
+    (fun i (g : Batch.groups) ->
+      for k = 0 to g.n - 1 do
+        c.off.(!at + k) <- !rows + g.off.(k)
+      done;
+      Array.blit g.gstart 0 c.gstart !at g.n;
+      Array.blit g.gend 0 c.gend !at g.n;
+      Array.blit g.glevel 0 c.glevel !at g.n;
+      at := !at + g.n;
+      rows := !rows + Batch.length parts.(i))
+    gs;
+  c
 
 let concat : type o. o out -> width:int -> o array -> o =
  fun out ~width parts ->
@@ -508,7 +551,8 @@ let concat : type o. o out -> width:int -> o array -> o =
           Array.blit (Batch.data b) 0 data !pos n;
           pos := !pos + n)
         parts;
-      Batch.unsafe_of_raw ~width ~len:total data
+      Batch.unsafe_of_raw ~groups:(concat_groups parts total) ~width
+        ~len:total data
 
 (* ---------- the kernel ---------- *)
 
@@ -518,11 +562,49 @@ let concat : type o. o out -> width:int -> o array -> o =
 let ceiling (budget : Budget.t) =
   match budget.Budget.max_tuples with Some l -> max l 0 | None -> max_int
 
-(* The rectangle buffer starts at one rectangle per group of the smaller
-   input, which holds a child join whose parents each meet one run of
-   children without growing; the cap bounds what a selective join over
-   large inputs allocates up front. *)
-let rects_cap = 4096
+(* The groups a Flat output carries, in its output order's slot: the
+   [ng] groups of that side that met at least one pair, counted by
+   [emit].  For Anc, [next.(g)] is ancestor group [g]'s first output row
+   and its rows end where the next group's begin. *)
+let anc_carried ~slot ~ng (ag : groups) next ~total =
+  let c = Batch.make_groups ~slot ~rows:total ng in
+  let k = ref 0 in
+  for g = 0 to ag.n - 1 do
+    if (if g + 1 < ag.n then next.(g + 1) else total) > next.(g) then begin
+      c.off.(!k) <- next.(g);
+      c.gstart.(!k) <- ag.gstart.(g);
+      c.gend.(!k) <- ag.gend.(g);
+      c.glevel.(!k) <- ag.glevel.(g);
+      incr k
+    end
+  done;
+  c
+
+(* For Desc they are read off the [nr / 3] rectangles in generation
+   order: rectangle (g, d0, d1) writes ancestor [g]'s rows times
+   descendant groups [d0, d1) in turn, and one descendant group's
+   rectangles are consecutive.  Every group here met a pair, so its
+   metadata was faulted in before the merge emitted it. *)
+let desc_carried ~slot ~ng (ag : groups) (dg : groups) r nr =
+  let c = Batch.make_groups ~slot ~rows:0 ng in
+  let k = ref (-1) and last = ref (-1) and row = ref 0 in
+  for i = 0 to (nr / 3) - 1 do
+    let g = r.(3 * i) in
+    let arows = ag.off.(g + 1) - ag.off.(g) in
+    for d = r.((3 * i) + 1) to r.((3 * i) + 2) - 1 do
+      if d <> !last then begin
+        incr k;
+        c.off.(!k) <- !row;
+        c.gstart.(!k) <- dg.gstart.(d);
+        c.gend.(!k) <- dg.gend.(d);
+        c.glevel.(!k) <- dg.glevel.(d);
+        last := d
+      end;
+      row := !row + (arows * (dg.off.(d + 1) - dg.off.(d)))
+    done
+  done;
+  c.off.(ng) <- !row;
+  c
 
 (* One body for both algorithms, in three steps.
 
@@ -539,7 +621,10 @@ let rects_cap = 4096
    the ceiling stops the join, counting up to the first tuple past
    [limit]: the same stopping tuple and the same [Tuples_materialized {
    limit; count = limit + 1 }] as the per-tuple check of
-   [Stack_tree_legacy].
+   [Stack_tree_legacy].  The rectangles go into the call's scratch set,
+   which starts empty whatever its last holder left in it (the length
+   [nr] is this call's), and grows by doubling only past its largest
+   earlier use.
 
    Size.  Each rectangle has a key: 0 for Desc, which writes rectangles
    in generation order, and its ancestor group for Anc, which writes
@@ -548,18 +633,27 @@ let rects_cap = 4096
    per key turn into row offsets (a stable counting sort), and the
    output is allocated once at its exact size.  Holding |AB| pairs until
    their ancestor pops is what the [2 |AB| f_IO] cost term prices, hence
-   Anc's [io_items].
+   Anc's [io_items].  A flat output's groups ({!anc_carried},
+   {!desc_carried}) are sized and filled from the same counts and
+   rectangles, before any row is written.
 
    Write.  Rectangles are written in generation order, each at its
    key's next row; deadline and cancellation are polled every 256
    rectangles. *)
 let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
-    ~desc_i (ag : groups) (dg : groups) : o =
+    ~desc_i ~out_slot (ag : groups) (dg : groups) : o =
+  Scratch.with_set @@ fun scratch ->
   let by_anc =
     match algo with Plan.Stack_tree_anc -> true | Plan.Stack_tree_desc -> false
   in
-  let rects = Ibuf.create (3 * min rects_cap (min ag.n dg.n)) in
-  let next = Array.make (if by_anc then ag.n else 1) 0 in
+  let keys = if by_anc then ag.n else 1 in
+  let next = Scratch.reserve scratch.Scratch.counts keys in
+  scratch.Scratch.counts <- next;
+  Array.fill next 0 keys 0;
+  let rects = ref scratch.Scratch.rects and nr = ref 0 in
+  (* the output-order groups that met a pair: an Anc group's first pair,
+     or a new descendant group (they come in order) *)
+  let ng = ref 0 and last_d = ref (-1) in
   let limit = ceiling budget in
   let emit g d =
     let a_lo = ag.off.(g) and a_hi = ag.off.(g + 1) in
@@ -569,15 +663,28 @@ let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
     let npairs = (a_hi - a_lo) * (d_hi - d_lo) in
     let room = limit - work.Work.tuples_emitted in
     if npairs <= room then begin
-      let n = Ibuf.length rects and r = Ibuf.data rects in
+      let n = !nr and r = !rects in
       if a_hi - a_lo = 1 && n > 0 && r.(n - 3) = g && r.(n - 1) = d then
         r.(n - 1) <- d + 1
       else begin
-        Ibuf.push rects g;
-        Ibuf.push rects d;
-        Ibuf.push rects (d + 1)
+        let r =
+          if n + 3 <= Array.length r then r
+          else begin
+            let bigger = Array.make (max 3072 (2 * n)) 0 in
+            Array.blit r 0 bigger 0 n;
+            rects := bigger;
+            scratch.Scratch.rects <- bigger;
+            bigger
+          end
+        in
+        r.(n) <- g;
+        r.(n + 1) <- d;
+        r.(n + 2) <- d + 1;
+        nr := n + 3
       end;
       let k = if by_anc then g else 0 in
+      if (if by_anc then next.(k) = 0 else d <> !last_d) then incr ng;
+      last_d := d;
       next.(k) <- next.(k) + npairs;
       work.Work.tuples_emitted <- work.Work.tuples_emitted + npairs
     end
@@ -588,18 +695,24 @@ let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
       Budget.check_tuples budget ~during:"execute" ~count:work.Work.tuples_emitted
     end
   in
-  merge_loop ~budget ~work ~axis ~drain ag dg ~emit;
+  merge_loop ~budget ~work ~axis ~drain ~scratch ag dg ~emit;
   let total = ref 0 in
-  Array.iteri
-    (fun k c ->
-      next.(k) <- !total;
-      total := !total + c)
-    next;
-  if by_anc then work.Work.io_items <- work.Work.io_items + (2 * !total);
-  let rows = make_rows out ~width !total in
+  for k = 0 to keys - 1 do
+    let c = next.(k) in
+    next.(k) <- !total;
+    total := !total + c
+  done;
+  let total = !total and r = !rects and nr = !nr and ng = !ng in
+  if by_anc then work.Work.io_items <- work.Work.io_items + (2 * total);
+  let groups =
+    match out with
+    | Boxed -> None
+    | Flat when by_anc -> Some (anc_carried ~slot:out_slot ~ng ag next ~total)
+    | Flat -> Some (desc_carried ~slot:out_slot ~ng ag dg r nr)
+  in
+  let rows = make_rows out ~width total in
   let anc = side ~width anc_i and desc = side ~width desc_i in
-  let r = Ibuf.data rects in
-  for i = 0 to (Ibuf.length rects / 3) - 1 do
+  for i = 0 to (nr / 3) - 1 do
     if i land poll_mask = poll_mask then Budget.check budget ~during:"execute";
     let g = r.(3 * i) in
     let alo = ag.off.(g) and ahi = ag.off.(g + 1) in
@@ -609,7 +722,7 @@ let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
     write_rows rows ~width ~anc ~desc row alo ahi dlo dhi;
     next.(k) <- row + ((ahi - alo) * (dhi - dlo))
   done;
-  finish_rows rows ~width !total
+  finish_rows rows ~width ?groups total
 
 (* ---------- sharded dispatch ---------- *)
 
@@ -702,15 +815,21 @@ let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
 
 (* ---------- entry points ---------- *)
 
-(* Group an input for a join on [slot].  A leaf joined on its own bound
-   slot is served lazily.  Any other slot is unbound in every row of a
-   leaf, so {!group} over one such row raises what it would raise over
-   the whole leaf, without reading the leaf at all; an empty leaf has
-   no groups.  Document position columns are only built when a batch
-   input actually needs them. *)
+(* Group an input for a join on [slot].  A batch that carries the groups
+   of [slot] (a join's or a sort's output, joined on the slot it is
+   ordered by) is not read again; only a fetched stream, or a batch
+   joined on another slot, is grouped by {!group}.  A leaf joined on its
+   own bound slot is served lazily.  Any other slot is unbound in every
+   row of a leaf, so {!group} over one such row raises what it would
+   raise over the whole leaf, without reading the leaf at all; an empty
+   leaf has no groups.  Document position columns are only built when a
+   batch input actually needs them. *)
 let group_input ~cols (i : input) slot =
   match i with
-  | Rows b -> group ~cols:(Lazy.force cols) b slot
+  | Rows b -> (
+      match Batch.grouped b with
+      | Some c when c.Batch.slot = slot -> carried c
+      | _ -> group ~cols:(Lazy.force cols) b slot)
   | Leaf l when slot = l.lslot -> leaf_groups l
   | Leaf l ->
       let len = min 1 (Cols.length l.lcols) in
@@ -732,8 +851,14 @@ let join_in (type o) (out : o out) ?(budget = Budget.unlimited) ?pool
   let cols = lazy (Document.positions doc) in
   let ag = group_input ~cols anc_i anc_slot in
   let dg = group_input ~cols desc_i desc_slot in
+  let out_slot =
+    match algo with
+    | Plan.Stack_tree_anc -> anc_slot
+    | Plan.Stack_tree_desc -> desc_slot
+  in
   let run ~work ~drain ag dg =
-    run out ~algo ~budget ~work ~axis ~drain ~width ~anc_i ~desc_i ag dg
+    run out ~algo ~budget ~work ~axis ~drain ~width ~anc_i ~desc_i ~out_slot ag
+      dg
   in
   let force () =
     force_input anc_i;

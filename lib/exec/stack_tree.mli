@@ -30,7 +30,12 @@
     the algorithm's order (generation order for Desc, grouped by
     ancestor for Anc).  The output form — a flat {!Batch.t} for interior
     joins, boxed {!Tuple.t} rows for the plan's root join — is a type
-    argument ({!out}) that only decides how rows are written.
+    argument ({!out}) that only decides how rows are written.  A flat
+    output carries the groups of its order's slot ({!Batch.grouped}):
+    the descendant groups that met a pair for Desc, the ancestor groups
+    for Anc.  The rectangles, per-group counts and merge stack live in a
+    {!Scratch} set the call owns while it runs, so a join allocates only
+    its output.
 
     {b Budgets.}  The [max_tuples] ceiling is a clamp on each recorded
     group pair, worked out once per join: the pair that would cross it
@@ -66,10 +71,14 @@ open Sjos_plan
     An input is either [Rows], a resident columnar batch — the output of
     a join, sort or twig operator, or an externally fetched candidate
     stream — or a [Leaf], one index scan's candidate columns bound in
-    one slot.  [Rows] are grouped by the join slot with their positions
-    looked up in the document by node id.  A leaf is its own grouping:
-    candidate ids are strictly increasing, so every row is a group and
-    the group columns alias the candidate columns.
+    one slot.  A join's or a sort's batch carries the groups of the slot
+    it is ordered by, which is the slot a valid plan joins it on, and
+    those are reused as they are.  Any other [Rows] (a fetched stream, or
+    a batch joined on a slot it carries no groups for) is grouped by the
+    join slot with its positions looked up in the document by node id.
+    A leaf is its own grouping: candidate ids are strictly increasing,
+    so every row is a group and the group columns alias the candidate
+    columns.
 
     A leaf is either resident ({!resident}, over the columns
     {!Sjos_storage.Column_store.select} returns) or lazy ({!leaf}, one
@@ -137,16 +146,18 @@ type groups = {
 (** One input grouped by its join slot: consecutive rows sharing the
     join node form a group; the [e_*] closures fault a disk-backed
     leaf's pages in before the corresponding array slots, or the ids of
-    the rows, are read (no-ops for [Rows] and resident leaves). *)
+    the rows, are read (no-ops for [Rows] and resident leaves).  The
+    same entries as the {!Batch.groups} an operator output carries. *)
 
 val group_input : cols:Cols.t Lazy.t -> input -> int -> groups
 (** Group an input by slot: a leaf on its own slot as described above,
-    [Rows] by a pass over the rows that reads positions from [cols], the
-    document's position columns, forced only then.  Raises
-    [Invalid_argument] when the input is not sorted by the slot, the
-    slot is unbound, or an id is out of the document's range.  A leaf on
-    another slot is unbound there: a non-empty one raises without any
-    IO, an empty one has no groups. *)
+    [Rows] that carry groups for [slot] by those groups (no pass, no
+    document read), other [Rows] by a pass over the rows that reads
+    positions from [cols], the document's position columns, forced only
+    then.  That pass raises [Invalid_argument] when the input is not
+    sorted by the slot, the slot is unbound, or an id is out of the
+    document's range.  A leaf on another slot is unbound there: a
+    non-empty one raises without any IO, an empty one has no groups. *)
 
 val input_width : input -> int
 

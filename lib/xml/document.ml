@@ -6,15 +6,23 @@ type t = {
 }
 
 (* The id check already visits every node, so the extent of the position
-   space is taken in the same pass rather than by a fold per call. *)
+   space is taken in the same pass rather than by a fold per call, and so
+   is the check that starts increase with ids: the kernels order rows by
+   node id where they mean document order. *)
 let of_nodes arr =
-  let max_end = ref 0 in
+  let max_end = ref 0 and last_start = ref min_int in
   Array.iteri
     (fun i (n : Node.t) ->
       if n.Node.id <> i then
         invalid_arg
           (Printf.sprintf "Document.of_nodes: node at index %d has id %d" i
              n.Node.id);
+      if n.Node.start_pos <= !last_start then
+        invalid_arg
+          (Printf.sprintf
+             "Document.of_nodes: node %d starts at %d, not after node %d" i
+             n.Node.start_pos (i - 1));
+      last_start := n.Node.start_pos;
       if n.Node.end_pos > !max_end then max_end := n.Node.end_pos)
     arr;
   { arr; max_pos = !max_end + 1; cols_m = Mutex.create (); cols = None }

@@ -9,8 +9,10 @@ type t
 
 val of_nodes : Node.t array -> t
 (** [of_nodes nodes] wraps a pre-order node array.  Raises
-    [Invalid_argument] if ids are not consecutive from 0 or the interval
-    encoding is inconsistent (checked shallowly). *)
+    [Invalid_argument] if ids are not consecutive from 0 or a node's
+    [start_pos] is not greater than the previous node's, so ids are
+    document order.  The rest of the interval encoding is checked by
+    {!validate}. *)
 
 val size : t -> int
 (** Number of element nodes. *)

@@ -11,7 +11,9 @@ A value counts as called when some .ml file under lib/, bin/, bench/,
 examples/ or test/ -- other than the module's own .ml -- names it
 qualified (`Module.name`, or through a `module X = Module` alias), or
 opens the module (`open Module`, `Module.( ... )`, `include Module`)
-and names it bare.  An optional argument `?label:` of a `val` counts as
+and names it bare.  A path that goes on past the module names one of
+its submodules: `module Ibuf = Batch.Ibuf` aliases `Batch.Ibuf`, so
+`Ibuf.create` calls the submodule's `create`, not `Batch.create`.  An optional argument `?label:` of a `val` counts as
 passed when one of those files other than the module's own .ml
 contains `~label` or `?label`.  Comments are ignored.  The check is
 textual, so it can miss a dead export or option whose name coincides
@@ -51,12 +53,18 @@ def called(name, quals, own):
         if path == own:
             continue
         names = list(quals)
+        # a path ending in a submodule (`module Ibuf = Batch.Ibuf`,
+        # `open Batch.Ibuf`) aliases or opens that submodule, not Batch
         for q in quals:
-            names += re.findall(r"module\s+(\w+)\s*=\s*(?:\w+\.)*%s\b" % q, text)
+            names += re.findall(r"module\s+(\w+)\s*=\s*(?:\w+\.)*%s\b(?!\.)" % q, text)
         if any(re.search(r"\b%s\.%s\b" % (q, re.escape(name)), text) for q in names):
             return True
         opened = any(
-            re.search(r"open!?\s+(\w+\.)*%s\b|\b%s\.\(|include\s+(\w+\.)*%s\b" % (q, q, q), text)
+            re.search(
+                r"open!?\s+(\w+\.)*%s\b(?!\.)|\b%s\.\(|include\s+(\w+\.)*%s\b(?!\.)"
+                % (q, q, q),
+                text,
+            )
             for q in quals
         )
         if opened and bare.search(text):

@@ -654,6 +654,89 @@ let test_resident_leaf_groups () =
         specs)
     cases
 
+(* [Batch.sort] is a radix sort on node ids: on random batches whose
+   sort slot repeats ids (and whose other slots hold anything, unbound
+   included) it must equal a stable sort of the rows by their node's
+   start position, carry exactly the groups [group] finds in its sort
+   slot, and keep its error messages for an unbound or out-of-range id
+   and for a slot the rows do not have. *)
+let prop_sort_equals_stable_start_sort =
+  Helpers.qtest ~count:60 "radix sort = stable sort by start position"
+    QCheck2.Gen.small_nat (fun seed ->
+      let doc = Helpers.random_doc (Helpers.seed + seed) in
+      let size = Document.size doc in
+      let starts = (Document.positions doc).Cols.starts in
+      let rng = Sjos_datagen.Rng.create (Helpers.seed + 97 + seed) in
+      let width = 1 + Sjos_datagen.Rng.int rng 4 in
+      let by = Sjos_datagen.Rng.int rng width in
+      let n = Sjos_datagen.Rng.int rng (if seed mod 5 = 0 then 3 else 400) in
+      (* few distinct ids, so runs of one id are long and interleaved *)
+      let distinct = 1 + Sjos_datagen.Rng.int rng size in
+      let data =
+        Array.init (n * width) (fun c ->
+            if c mod width = by then Sjos_datagen.Rng.int rng distinct
+            else Sjos_datagen.Rng.int rng 1000 - 1)
+      in
+      let b = Batch.unsafe_of_raw ~width ~len:n data in
+      let sorted = Batch.sort ~doc ~by b in
+      let order =
+        List.stable_sort
+          (fun i j ->
+            Int.compare starts.(data.((i * width) + by))
+              starts.(data.((j * width) + by)))
+          (List.init n Fun.id)
+      in
+      let rows_ok =
+        Batch.length sorted = n
+        && List.for_all2
+             (fun i r ->
+               List.for_all
+                 (fun k -> Batch.get sorted i k = data.((r * width) + k))
+                 (List.init width Fun.id))
+             (List.init n Fun.id) order
+      in
+      let positions = lazy (Document.positions doc) in
+      let carried =
+        Stack_tree.group_input ~cols:positions (Stack_tree.Rows sorted) by
+      in
+      let bare =
+        Stack_tree.group_input ~cols:positions
+          (Stack_tree.Rows
+             (Batch.unsafe_of_raw ~width ~len:n (Batch.data sorted)))
+          by
+      in
+      let prefix k a = Array.sub a 0 k in
+      let g = carried.Stack_tree.n in
+      let groups_ok =
+        (match Batch.grouped sorted with
+        | Some c -> c.Batch.slot = by
+        | None -> false)
+        && g = bare.Stack_tree.n
+        && prefix (g + 1) carried.Stack_tree.off
+           = prefix (g + 1) bare.Stack_tree.off
+        && prefix g carried.Stack_tree.gstart = prefix g bare.Stack_tree.gstart
+        && prefix g carried.Stack_tree.gend = prefix g bare.Stack_tree.gend
+        && prefix g carried.Stack_tree.glevel = prefix g bare.Stack_tree.glevel
+      in
+      let message f =
+        match f () with exception Invalid_argument m -> m | _ -> "accepted"
+      in
+      let with_id id =
+        let d = Array.copy data in
+        if n > 0 then d.(((n - 1) * width) + by) <- id;
+        Batch.unsafe_of_raw ~width ~len:n d
+      in
+      let errors_ok =
+        n = 0
+        || message (fun () -> Batch.sort ~doc ~by (with_id Tuple.unbound))
+           = "Batch.sort: id -1 out of range"
+           && message (fun () -> Batch.sort ~doc ~by (with_id size))
+              = Printf.sprintf "Batch.sort: id %d out of range" size
+           && message (fun () -> Batch.sort ~doc ~by:width b)
+              = "Batch.sort: slot out of range"
+      in
+      rows_ok && groups_ok && errors_ok)
+
 let suite =
   [
     Alcotest.test_case "kernel differential: legacy = columnar" `Slow
@@ -679,4 +762,5 @@ let suite =
     prop_boxed_equals_flat;
     Alcotest.test_case "resident leaf groups = grouped scan" `Quick
       test_resident_leaf_groups;
+    prop_sort_equals_stable_start_sort;
   ]

@@ -361,6 +361,95 @@ let test_chaos_derive_pure () =
   check ci "same key, same stream" (Chaos.seed a1) (Chaos.seed a2);
   check cb "distinct keys, distinct streams" true (Chaos.seed a1 <> Chaos.seed b)
 
+(* ---------- kernel scratch: never shared, always emptied ---------- *)
+
+(* The join and sort kernels take their buffers from one process-wide
+   free list.  Four threads on this domain and a two-domain pool run the
+   workload queries at once over shared databases; every result must
+   equal the serial one tuple for tuple, and the list may gain at most
+   one set per kernel that could have run at once (one per thread, one
+   on the worker domain).  A join stopped by its tuple ceiling leaves
+   its buffers half written, and the same plan with no budget must still
+   return every tuple.  A buffer longer than [Scratch.max_kept] is
+   dropped when its set goes back. *)
+let test_scratch_concurrent () =
+  let db_for = workload_dbs () in
+  let serial = Query_opts.make ~use_cache:false ~pool:Pool.serial () in
+  let qs = Array.of_list Workload.queries in
+  let nq = Array.length qs in
+  let run opts (q : Workload.query) =
+    (Workload.run ~opts (db_for q.Workload.dataset) q).Database.exec
+      .Executor.tuples
+  in
+  let reference = Array.map (run serial) qs in
+  let before = Scratch.free_sets () in
+  let threads = 4 in
+  let results = Array.make_matrix threads nq [||] in
+  let failures = Atomic.make [] in
+  Helpers.with_pool 2 (fun pool ->
+      let opts = Query_opts.make ~use_cache:false ~pool () in
+      List.init threads (fun t ->
+          Thread.create
+            (fun () ->
+              try
+                for k = 0 to nq - 1 do
+                  let i = (k + (2 * t)) mod nq in
+                  results.(t).(i) <- run opts qs.(i)
+                done
+              with e ->
+                let rec add () =
+                  let l = Atomic.get failures in
+                  if not (Atomic.compare_and_set failures l (e :: l)) then
+                    add ()
+                in
+                add ())
+            ())
+      |> List.iter Thread.join);
+  (match Atomic.get failures with
+  | [] -> ()
+  | e :: _ -> Alcotest.failf "a thread raised %s" (Printexc.to_string e));
+  Array.iteri
+    (fun t row ->
+      Array.iteri
+        (fun i tuples ->
+          Helpers.check_same_tuple_seq
+            (Printf.sprintf "thread %d %s" t qs.(i).Workload.id)
+            reference.(i) tuples)
+        row)
+    results;
+  check cb "at most one new set per concurrent kernel" true
+    (Scratch.free_sets () <= before + threads + 1);
+  (* a stopped join, then the same plan unbudgeted *)
+  Array.iteri
+    (fun i (q : Workload.query) ->
+      let db = db_for q.Workload.dataset in
+      let pat = q.Workload.pattern in
+      let plan =
+        (Database.prepared_result (Database.prepare ~opts:serial db pat))
+          .Sjos_core.Optimizer.plan
+      in
+      let exec ?budget () =
+        (Database.execute_plan ?budget ~pool:Pool.serial db pat plan)
+          .Executor.tuples
+      in
+      let limit = Array.length reference.(i) / 2 in
+      if limit > 0 then begin
+        (match exec ~budget:(Budget.make ~max_tuples:limit ()) () with
+        | exception Budget.Exhausted _ -> ()
+        | _ -> Alcotest.failf "%s: ceiling %d did not stop" q.Workload.id limit);
+        Helpers.check_same_tuple_seq
+          (q.Workload.id ^ ": after a stopped run")
+          reference.(i) (exec ())
+      end)
+    qs;
+  (* a sort whose keys outgrow the kept size gives them back *)
+  let doc = Database.document (db_for Workload.Pers) in
+  let rows = Scratch.max_kept + 1 in
+  let ids = Array.init rows (fun r -> (r * 7919) mod Document.size doc) in
+  ignore (Batch.sort ~doc ~by:0 (Batch.of_ids ~width:1 ~slot:0 ids));
+  check cb "no kept buffer past max_kept" true
+    (Scratch.longest_kept () <= Scratch.max_kept)
+
 let suite =
   [
     Alcotest.test_case "pool: results in index order" `Quick test_pool_basics;
@@ -386,4 +475,6 @@ let suite =
       `Quick test_chaos_schedule_independent;
     Alcotest.test_case "chaos: derivation is pure and keyed" `Quick
       test_chaos_derive_pure;
+    Alcotest.test_case "kernel scratch: threads and domains, stopped joins"
+      `Quick test_scratch_concurrent;
   ]

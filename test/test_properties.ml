@@ -415,6 +415,96 @@ let prop_random_plans_valid =
         (fun (_, plan) -> Properties.is_valid p plan)
         (Random_plan.sample ~seed ctx 5))
 
+(* A join's Flat output carries the groups of its output order's slot
+   and a sort's those of its sort slot.  Evaluating random plans node by
+   node (scans as resident leaves, as the executor runs them), every
+   operator's carried groups must equal what [group] computes over the
+   same rows stripped of them, field for field, with both algorithms and
+   both axes, serially and sharded over two domains with [par_min_rows]
+   at 0; the root's rows must equal the executor's. *)
+let prop_carried_groups_equal_group =
+  qtest ~count:30 "carried groups = group over the same rows" seed_gen
+    (fun seed ->
+      let doc = random_doc seed in
+      let idx = Element_index.build doc in
+      let p = random_pattern seed in
+      let width = Pattern.node_count p in
+      let positions = lazy (Document.positions doc) in
+      let provider = Naive.exact_provider idx p in
+      let plans = Random_plan.sample ~seed (Search.make_ctx ~provider p) 6 in
+      let fail fmt = QCheck2.Test.fail_reportf fmt in
+      let same_groups what b slot =
+        let c = Stack_tree.group_input ~cols:positions (Stack_tree.Rows b) slot
+        and g =
+          Stack_tree.group_input ~cols:positions
+            (Stack_tree.Rows
+               (Batch.unsafe_of_raw ~width ~len:(Batch.length b) (Batch.data b)))
+            slot
+        in
+        let n = c.Stack_tree.n in
+        let field name get k =
+          if Array.sub (get c) 0 k <> Array.sub (get g) 0 k then
+            fail "seed %d, %s: %s differs" seed what name
+        in
+        (match Batch.grouped b with
+        | Some carried when carried.Batch.slot = slot -> ()
+        | _ -> fail "seed %d, %s: no groups carried for slot %d" seed what slot);
+        if n <> g.Stack_tree.n then
+          fail "seed %d, %s: n %d vs %d" seed what n g.Stack_tree.n;
+        field "off" (fun x -> x.Stack_tree.off) (n + 1);
+        field "gstart" (fun x -> x.Stack_tree.gstart) n;
+        field "gend" (fun x -> x.Stack_tree.gend) n;
+        field "glevel" (fun x -> x.Stack_tree.glevel) n
+      in
+      let rec eval ?pool plan =
+        let work = Work.zero () in
+        match plan with
+        | Plan.Index_scan i ->
+            Stack_tree.resident ~width ~slot:i
+              (Candidate.select idx (Pattern.label p i))
+        | Plan.Sort { input; by } ->
+            let b =
+              Operators.sort_batch ~work ~doc ~by
+                (Stack_tree.to_batch (eval ?pool input))
+            in
+            same_groups "sort" b by;
+            Stack_tree.Rows b
+        | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
+            let b =
+              Stack_tree.join_in Stack_tree.Flat ?pool ~par_min_rows:0 ~work
+                ~doc ~axis:edge.Pattern.axis ~algo
+                ~anc:(eval ?pool anc_side, edge.Pattern.anc)
+                ~desc:(eval ?pool desc_side, edge.Pattern.desc)
+                ()
+            in
+            same_groups
+              (Printf.sprintf "join %s %s"
+                 (match algo with
+                 | Plan.Stack_tree_anc -> "STJ-A"
+                 | Plan.Stack_tree_desc -> "STJ-D")
+                 (match edge.Pattern.axis with
+                 | Axes.Child -> "child"
+                 | Axes.Descendant -> "desc"))
+              b (Plan.ordered_by plan);
+            Stack_tree.Rows b
+        | Plan.Holistic _ -> fail "seed %d: holistic plan sampled" seed
+      in
+      Helpers.with_pool 2 (fun pool ->
+          List.iter
+            (fun (_, plan) ->
+              let expected = (Executor.execute idx p plan).Executor.tuples in
+              List.iter
+                (fun pool ->
+                  let got =
+                    Batch.to_tuples (Stack_tree.to_batch (eval ?pool plan))
+                  in
+                  if not (Array.length got = Array.length expected
+                          && Array.for_all2 Tuple.equal got expected)
+                  then fail "seed %d: rows differ from the executor's" seed)
+                [ None; Some pool ])
+            plans);
+      true)
+
 let suite =
   [
     prop_doc_valid;
@@ -434,4 +524,5 @@ let suite =
     prop_folding_linear;
     prop_pq_sorts;
     prop_random_plans_valid;
+    prop_carried_groups_equal_group;
   ]

@@ -280,6 +280,29 @@ let test_max_pos_at_load () =
     docs;
   check ci "empty document: 1" 1 (Document.max_pos (Document.of_nodes [||]))
 
+(* Ids are document order: a node that does not start after the one
+   before it (a tie or a step back) is rejected while the ids are
+   checked, naming both nodes. *)
+let test_of_nodes_start_order () =
+  let nodes = Document.nodes (nested_doc ()) in
+  let with_start i s =
+    let a = Array.copy nodes in
+    a.(i) <- { a.(i) with Node.start_pos = s };
+    a
+  in
+  ignore (Document.of_nodes (Array.copy nodes));
+  List.iter
+    (fun (what, a) ->
+      match Document.of_nodes a with
+      | exception Invalid_argument m ->
+          check cb (what ^ ": message names the node") true
+            (Helpers.contains m "node 2 starts at")
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("tie", with_start 2 nodes.(1).Node.start_pos);
+      ("step back", with_start 2 (nodes.(1).Node.start_pos - 1));
+    ]
+
 let suite =
   [
     ("builder intervals", `Quick, test_builder_intervals);
@@ -300,4 +323,5 @@ let suite =
     ("axes predicates", `Quick, test_axes);
     ("node helpers", `Quick, test_node_helpers);
     ("max_pos computed at load", `Quick, test_max_pos_at_load);
+    ("of_nodes: starts increase with ids", `Quick, test_of_nodes_start_order);
   ]
