@@ -35,7 +35,6 @@ open Sjos_engine
 open Sjos_exec
 module Pool = Sjos_par.Pool
 module Work = Sjos_obs.Work
-module Registry = Sjos_obs.Registry
 module Json = Sjos_obs.Json
 
 let scale = Harness.scale ~default:0.5
@@ -74,8 +73,8 @@ let time_best pool =
 
 (* One dedicated accounting run per pool size, outside the timing loop:
    the scoped accumulator captures the workload's deterministic work
-   (every shard's delta absorbed at the pool barrier), and the registry
-   shard-balance counters are snapshotted around the run.  Allocation is
+   (every shard's delta absorbed at the pool barrier), and
+   [Stack_tree.shard_stats] is read around the run.  Allocation is
    measured only for the serial run — Gc.allocated_bytes is per-domain,
    so a parallel figure would depend on scheduling. *)
 type accounting = {
@@ -87,33 +86,20 @@ type accounting = {
 }
 
 let account pool ~measure_alloc =
-  Registry.set_enabled true;
-  let joins0 = Registry.counter_value (Registry.counter "par.sharded_joins") in
-  let total0 =
-    Registry.counter_value (Registry.counter "par.shard_rows_total")
-  in
-  let maxw0 =
-    Registry.counter_value (Registry.counter "par.shard_rows_max_weighted")
-  in
+  let s0 = Stack_tree.shard_stats () in
   let bytes0 = if measure_alloc then Gc.allocated_bytes () else 0.0 in
   let work, outcome = Work.scoped (fun () -> run_workload pool) in
   let allocated =
     if measure_alloc then Gc.allocated_bytes () -. bytes0 else 0.0
   in
-  let joins1 = Registry.counter_value (Registry.counter "par.sharded_joins") in
-  let total1 =
-    Registry.counter_value (Registry.counter "par.shard_rows_total")
-  in
-  let maxw1 =
-    Registry.counter_value (Registry.counter "par.shard_rows_max_weighted")
-  in
-  Registry.set_enabled false;
+  let s1 = Stack_tree.shard_stats () in
   (match outcome with Ok _ -> () | Error e -> raise e);
   {
     work;
-    sharded_joins = joins1 - joins0;
-    shard_rows_total = total1 - total0;
-    shard_rows_max_weighted = maxw1 - maxw0;
+    sharded_joins = s1.sharded_joins - s0.sharded_joins;
+    shard_rows_total = s1.shard_rows_total - s0.shard_rows_total;
+    shard_rows_max_weighted =
+      s1.shard_rows_max_weighted - s0.shard_rows_max_weighted;
     allocated;
   }
 

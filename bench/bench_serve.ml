@@ -33,7 +33,6 @@
 open Sjos_engine
 module Json = Sjos_obs.Json
 module Work = Sjos_obs.Work
-module Registry = Sjos_obs.Registry
 module Clock = Sjos_obs.Clock
 module Server = Sjos_serve.Server
 module Tenant = Sjos_serve.Tenant
@@ -154,7 +153,6 @@ let run () =
   let doc = Sjos_datagen.Pers.generate ~seed:7 ~target_nodes:size () in
   let db = Database.of_document doc in
   Database.warm db;
-  Registry.set_enabled true;
   let srv = make_server db in
 
   (* direct reference digests, one per pattern, before any load *)
@@ -300,9 +298,15 @@ let run () =
      (structured), %d completed after release\n"
     !pinned queued_at_peak burst_shed extra burst_ok;
 
+  let server_escaped =
+    let metrics =
+      Server.handle_request srv (Json.Obj [ ("op", Json.Str "metrics") ])
+    in
+    Option.bind (Json.member "serve" metrics) (Json.member "escaped")
+  in
   let zero_escaped =
     Atomic.get escaped = 0 && !malformed = 0 && !unknown_class = 0
-    && Registry.counter_value (Registry.counter "serve.escaped") = 0
+    && server_escaped = Some (Json.Int 0)
   in
   let counters_exact = Harness.table2_exact () in
 
@@ -325,7 +329,6 @@ let run () =
 
   Server.initiate_drain srv;
   Server.shutdown srv;
-  Registry.set_enabled false;
 
   {
     Harness.suite = "serve";

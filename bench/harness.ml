@@ -126,7 +126,7 @@ let cell_json c =
    every gate holds. *)
 let finish r =
   let file = Printf.sprintf "BENCH_%s.json" (String.uppercase_ascii r.suite) in
-  Sjos_obs.Report.write_file file
+  Json.write_file file
     (Json.Obj
        [
          ("suite", Json.Str r.suite);

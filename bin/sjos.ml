@@ -108,16 +108,16 @@ let trace_out_opt =
 
 let with_obs ~trace ?trace_out f =
   let tracing = trace || trace_out <> None in
-  if tracing then Sjos_obs.Report.enable_all ();
+  if tracing then Sjos_obs.Trace.set_enabled true;
   let r = f () in
-  let report = if trace then Some (Sjos_obs.Report.to_json ()) else None in
+  let spans = if trace then Some (Sjos_obs.Trace.to_json ()) else None in
   Option.iter
     (fun path ->
-      Sjos_obs.Report.write_file path (Sjos_obs.Trace.to_chrome_json ());
+      Sjos_obs.Json.write_file path (Sjos_obs.Trace.to_chrome_json ());
       Fmt.epr "sjos: wrote Chrome trace to %s@." path)
     trace_out;
-  if tracing then Sjos_obs.Report.disable_all ();
-  (r, report)
+  if tracing then Sjos_obs.Trace.set_enabled false;
+  (r, spans)
 
 (* ---------- error boundary ----------
 
@@ -319,7 +319,7 @@ let query_cmd =
         ~budget:(budget_of deadline_ms max_expanded max_tuples)
         ?pool ()
     in
-    let (prep, run), report =
+    let (prep, run), spans =
       with_obs ~trace ?trace_out (fun () ->
           let prep = Database.prepare ~opts db p in
           (prep, Database.exec prep))
@@ -346,8 +346,8 @@ let query_cmd =
         ]
       in
       let fields =
-        match report with
-        | Some r -> fields @ [ ("observability", r) ]
+        match spans with
+        | Some r -> fields @ [ ("trace", r) ]
         | None -> fields
       in
       print_endline (to_string_pretty (Obj fields))
@@ -381,7 +381,7 @@ let query_cmd =
       if Array.length tuples > show then
         Fmt.pr "  ... (%d more; raise --show)@." (Array.length tuples - show);
       print_io_stats db;
-      if trace then Fmt.pr "@.%s@." (Sjos_obs.Report.to_string ())
+      if trace then Fmt.pr "@.%s@." (Sjos_obs.Trace.to_string ())
     end
   in
   let show =
@@ -430,7 +430,7 @@ let analyze_cmd =
         ~budget:(budget_of deadline_ms max_expanded max_tuples)
         ()
     in
-    let (prep, a), report =
+    let (prep, a), spans =
       with_obs ~trace ?trace_out (fun () ->
           let prep = Database.prepare ~opts db p in
           (prep, Database.analyze_prepared prep))
@@ -454,8 +454,8 @@ let analyze_cmd =
         ]
       in
       let fields =
-        match report with
-        | Some r -> fields @ [ ("observability", r) ]
+        match spans with
+        | Some r -> fields @ [ ("trace", r) ]
         | None -> fields
       in
       print_endline (to_string_pretty (Obj fields))
@@ -473,7 +473,7 @@ let analyze_cmd =
         a.Database.opt.Sjos_core.Optimizer.est_cost
         exec.Sjos_exec.Executor.cost_units;
       print_io_stats db;
-      if trace then Fmt.pr "@.%s@." (Sjos_obs.Report.to_string ())
+      if trace then Fmt.pr "@.%s@." (Sjos_obs.Trace.to_string ())
     end
   in
   Cmd.v
@@ -575,7 +575,6 @@ let metrics_cmd =
     Fun.protect ~finally:(fun () -> Option.iter Sjos_par.Pool.shutdown pool)
     @@ fun () ->
     let opts = Query_opts.make ~algorithm ~use_cache:(not no_cache) ?pool () in
-    Sjos_obs.Registry.set_enabled true;
     (* run under a scoped accumulator so the dumped work counters are
        exactly this query's, not process-lifetime totals *)
     let work, outcome =
@@ -583,7 +582,6 @@ let metrics_cmd =
           Database.exec (Database.prepare ~opts db p))
     in
     let run = match outcome with Ok r -> r | Error e -> raise e in
-    Sjos_obs.Registry.set_enabled false;
     let open Sjos_obs.Json in
     (* the snapshot body is the same shape the serve protocol's [metrics]
        endpoint returns (Sjos_serve.Snapshot) — one schema for both *)
@@ -594,15 +592,15 @@ let metrics_cmd =
             :: ( "matches",
                  Int (Array.length run.Database.exec.Sjos_exec.Executor.tuples)
                )
-            :: Sjos_serve.Snapshot.fields ~work ?io:(io_stats db) ())))
+            :: Sjos_serve.Snapshot.fields ~work db)))
   in
   Cmd.v
     (Cmd.info "metrics"
        ~doc:
          "Execute a pattern and dump the full observability snapshot as \
-          JSON: the query's deterministic work counters, GC totals and \
-          every registry instrument.  Same shape as the serve protocol's \
-          metrics endpoint.")
+          JSON: the query's deterministic work counters, pager \
+          statistics, GC totals and the plan cache's counters.  Same \
+          shape as the serve protocol's metrics endpoint.")
     Term.(
       const run $ pattern_arg $ file_arg $ algo_opt $ xpath_flag
       $ no_cache_flag $ domains_opt $ storage_backend_opt $ pool_pages_opt
@@ -651,7 +649,6 @@ let serve_cmd =
     Fun.protect ~finally:(fun () -> Option.iter Sjos_par.Pool.shutdown pool)
     @@ fun () ->
     Database.warm db;
-    Sjos_obs.Registry.set_enabled true;
     let config =
       {
         Sjos_serve.Server.default_config with

@@ -15,8 +15,6 @@ type 'a t = {
      Always taken before the Lru's own lock; never the other way
      around. *)
   m : Mutex.t;
-  (* Always-on counters, mirrored into the Registry only when observability
-     is enabled (the registry must stay empty in no-op mode). *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -37,27 +35,20 @@ let locked t f =
   Mutex.unlock t.m;
   r
 
-let observe name =
-  if Registry.enabled () then Registry.incr (Registry.counter name)
-
 let find t key =
   locked t (fun () ->
       match Lru.find t.lru key with
       | Some _ as hit ->
           t.hits <- t.hits + 1;
-          observe "plan_cache.hits";
           hit
       | None ->
           t.misses <- t.misses + 1;
-          observe "plan_cache.misses";
           None)
 
 let add t key entry =
   locked t (fun () ->
       match Lru.add t.lru key entry with
-      | Some _evicted ->
-          t.evictions <- t.evictions + 1;
-          observe "plan_cache.evictions"
+      | Some _evicted -> t.evictions <- t.evictions + 1
       | None -> ())
 
 let stats t =

@@ -11,10 +11,8 @@
     factors are fixed when it is built, so a plan chosen once stays the
     plan its key asks for until the LRU evicts it.
 
-    Hit/miss/eviction counters are always maintained locally (readable
-    via {!stats}) and additionally mirrored into {!Sjos_obs.Registry}
-    counters ([plan_cache.hits] etc.) when the registry is enabled; when
-    it is disabled no instrument is ever registered.
+    Hit/miss/eviction counters are always maintained and read through
+    {!stats}.
 
     Thread-safe: every operation runs under an internal mutex, so
     counters always agree with outcomes and [stats] snapshots are

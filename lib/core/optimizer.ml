@@ -83,9 +83,6 @@ let optimize ?factors ?budget ~provider algorithm pat =
   Work.absorb work;
   Trace.end_span span
     ~attrs:[ ("est_cost", Json.Float est_cost); ("work", Work.to_json work) ];
-  Work.publish ~prefix:("optimizer." ^ name algorithm) work;
-  if Registry.enabled () then
-    Registry.add_seconds (Registry.timer "optimizer.opt_seconds") opt_seconds;
   {
     algorithm;
     plan;
@@ -122,8 +119,6 @@ let optimize_r ?factors ?(budget = Sjos_guard.Budget.unlimited) ~provider
   | r -> Ok r
   | exception Sjos_guard.Budget.Exhausted { resource; during } ->
       if is_exact algorithm then begin
-        if Registry.enabled () then
-          Registry.incr (Registry.counter "guard.degraded");
         Trace.event "optimizer.degraded"
           ~attrs:
             [

@@ -77,9 +77,8 @@ val optimize_r :
     budget fires during an {e exact} search (DP, DPP, DPP′, BigDP) the
     query degrades to a tier with work bounded by construction — DPAP-EB
     with a capped [Te] at paper scale, a narrow BigDP beam past
-    {!big_pattern_threshold} — and the result carries [degraded_from]; the
-    [guard.degraded] registry counter and an [optimizer.degraded] trace
-    event record the fallback.  Exhaustion in an already-heuristic tier
+    {!big_pattern_threshold} — and the result carries [degraded_from]; an
+    [optimizer.degraded] trace event records the fallback.  Exhaustion in an already-heuristic tier
     returns [Error (Budget_exhausted _)]. *)
 
 (** {1 Physical engine selection}

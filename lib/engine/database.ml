@@ -120,8 +120,6 @@ let resolve t ~(opts : Query_opts.t) ~pat ~(canon : Fingerprint.canonical)
           let plan = Plan.map_nodes (Array.get canon.of_canon) entry.plan in
           match Properties.validate pat plan with
           | Error reason ->
-              if Registry.enabled () then
-                Registry.incr (Registry.counter "guard.corrupt_cache");
               Trace.event "plan_cache.corrupt"
                 ~attrs:[ ("key", Json.Str k); ("reason", Json.Str reason) ];
               fresh ~store:true ()

@@ -221,10 +221,6 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
      (integer sums, partition-invariant), so the counters stay
      domain-independent. *)
   Work.absorb work;
-  if Registry.enabled () then begin
-    Registry.add_seconds (Registry.timer "executor.seconds") seconds;
-    Registry.add (Registry.counter "executor.output_tuples") (Array.length tuples)
-  end;
   {
     tuples;
     work;
@@ -232,6 +228,3 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
     seconds;
     profile;
   }
-
-let count_matches ?factors index pat plan =
-  Array.length (execute ?factors index pat plan).tuples

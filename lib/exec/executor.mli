@@ -75,11 +75,3 @@ val execute :
     join as rows whose positions come from the document by id, so a
     repeated id forms one join group (and the holistic operator rejects
     the stream). *)
-
-val count_matches :
-  ?factors:Sjos_cost.Cost_model.factors ->
-  Element_index.t ->
-  Pattern.t ->
-  Plan.t ->
-  int
-(** Convenience: execute and return the number of matches. *)

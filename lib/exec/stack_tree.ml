@@ -5,7 +5,6 @@ open Sjos_guard
 module Pool = Sjos_par.Pool
 module Shard = Sjos_par.Shard
 module Work = Sjos_obs.Work
-module Registry = Sjos_obs.Registry
 
 (* Columnar Stack-Tree kernel: one body for both algorithms and both
    output forms ({!run}).  An index scan enters as a leaf whose
@@ -763,6 +762,26 @@ let shard_cuts ~pool ~par_min_rows ~budget ~force (ag : groups) (dg : groups) =
         if Array.length cuts <= 2 then None else Some cuts
       end
 
+type shard_stats = {
+  sharded_joins : int;
+  shard_rows_total : int;
+  shard_rows_max_weighted : int;
+}
+
+(* Process-wide sums over every sharded join: a pool size's balance is
+   judged over a whole workload, which no single query's result
+   carries. *)
+let sharded_joins = Atomic.make 0
+let shard_rows_total = Atomic.make 0
+let shard_rows_max_weighted = Atomic.make 0
+
+let shard_stats () =
+  {
+    sharded_joins = Atomic.get sharded_joins;
+    shard_rows_total = Atomic.get shard_rows_total;
+    shard_rows_max_weighted = Atomic.get shard_rows_max_weighted;
+  }
+
 (* Run [runner] once per shard, merge per-shard work into [work]
    at the barrier (integer counters are order-independent sums), and
    hand the per-shard outputs back in shard order.  Each shard gets the
@@ -779,26 +798,22 @@ let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
         else if k = m then dg.n
         else Shard.lower_bound dg.gstart ~lo:0 ~hi:dg.n ag.gstart.(cuts.(k)))
   in
-  (if Registry.enabled () then begin
-     (* Shard-balance accounting, computed from the cuts alone — fully
-        deterministic for a given pool size and input, independent of
-        scheduling.  balance = max_weighted / total >= 1.0, with 1.0 a
-        perfectly even split; the parallel bench gates on this ratio. *)
-     let total = ref 0 and max_rows = ref 0 in
-     for k = 0 to m - 1 do
-       let rows =
-         ag.off.(cuts.(k + 1))
-         - ag.off.(cuts.(k))
-         + (dg.off.(dcuts.(k + 1)) - dg.off.(dcuts.(k)))
-       in
-       total := !total + rows;
-       if rows > !max_rows then max_rows := rows
-     done;
-     Registry.incr (Registry.counter "par.sharded_joins");
-     Registry.add (Registry.counter "par.shard_rows_total") !total;
-     Registry.add (Registry.counter "par.shard_rows_max_weighted")
-       (!max_rows * m)
-   end);
+  (* Shard-balance accounting, computed from the cuts alone — fully
+     deterministic for a given pool size and input, independent of
+     scheduling. *)
+  let total = ref 0 and max_rows = ref 0 in
+  for k = 0 to m - 1 do
+    let rows =
+      ag.off.(cuts.(k + 1))
+      - ag.off.(cuts.(k))
+      + (dg.off.(dcuts.(k + 1)) - dg.off.(dcuts.(k)))
+    in
+    total := !total + rows;
+    if rows > !max_rows then max_rows := rows
+  done;
+  Atomic.incr sharded_joins;
+  ignore (Atomic.fetch_and_add shard_rows_total !total);
+  ignore (Atomic.fetch_and_add shard_rows_max_weighted (!max_rows * m));
   let results =
     Pool.run pool m (fun k ->
         let dhi = dcuts.(k + 1) in

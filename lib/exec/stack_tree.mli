@@ -226,3 +226,19 @@ val join :
   Tuple.t array
 (** [join_in Boxed] behind the classic tuple-array surface: inputs are
     packed with {!Batch.of_tuples}.  Same contract and same counters. *)
+
+(** {1 Shard balance} *)
+
+type shard_stats = {
+  sharded_joins : int;  (** joins that ran on more than one shard *)
+  shard_rows_total : int;  (** input rows summed over every shard *)
+  shard_rows_max_weighted : int;
+      (** per join, the largest shard's input rows times the shard
+          count, summed *)
+}
+
+val shard_stats : unit -> shard_stats
+(** Process-wide sums since start, always maintained and computed from
+    the cuts alone, so they are deterministic for a given pool size and
+    input.  [shard_rows_max_weighted / shard_rows_total] is a workload's
+    balance, [1.0] when every shard got the same rows. *)

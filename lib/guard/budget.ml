@@ -60,17 +60,7 @@ let poll t =
     | Some d when Int64.compare (Clock.now_ns ()) d >= 0 -> Some Wall_clock
     | _ -> None
 
-let exhaust ~during resource =
-  (* Observed cancellations (client disconnect, server drain, deadline
-     races resolved as cancels) are the signal the serve tests and
-     dashboards watch; counting at the abort site means the counter
-     moves only when a cancellation actually stopped work. *)
-  (match resource with
-  | Cancelled ->
-      if Registry.enabled () then
-        Registry.incr (Registry.counter "guard.cancelled")
-  | _ -> ());
-  raise (Exhausted { resource; during })
+let exhaust ~during resource = raise (Exhausted { resource; during })
 
 let check t ~during =
   match poll t with Some r -> exhaust ~during r | None -> ()

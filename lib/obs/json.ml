@@ -242,3 +242,8 @@ let number = function
   | _ -> None
 
 let equal = ( = )
+
+let write_file path t =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string_pretty t);
+      output_char oc '\n')

@@ -35,3 +35,6 @@ val number : t -> float option
 
 val equal : t -> t -> bool
 (** Structural equality; object fields compare order-sensitively. *)
+
+val write_file : string -> t -> unit
+(** Write a document to a file, pretty-printed with a trailing newline. *)

@@ -144,12 +144,6 @@ let to_json w =
     (List.map (fun (k, v) -> (k, Json.Int v)) (fields w)
     @ [ ("sort_cost", Json.Float w.sort_cost); ("score", Json.Int (score w)) ])
 
-let publish ?(prefix = "work") w =
-  if Registry.enabled () then
-    List.iter
-      (fun (k, v) -> Registry.add (Registry.counter (prefix ^ "." ^ k)) v)
-      (fields w)
-
 let pp ppf w =
   List.iter (fun (k, v) -> Fmt.pf ppf "%s=%d " k v) (fields w);
   Fmt.pf ppf "sort_cost=%.1f score=%d" w.sort_cost (score w)

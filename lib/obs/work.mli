@@ -114,10 +114,6 @@ val equal_mod_io : t -> t -> bool
 val to_json : t -> Json.t
 (** Every field plus the derived ["score"]. *)
 
-val publish : ?prefix:string -> t -> unit
-(** Copy the counters into the metrics registry as [work.comparisons]
-    etc. (no-op while the registry is disabled). *)
-
 val pp : t Fmt.t
 
 (** {2 GC deltas}

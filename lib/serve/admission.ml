@@ -1,5 +1,4 @@
 module Error = Sjos_guard.Error
-module Registry = Sjos_obs.Registry
 
 type t = {
   max_active : int;
@@ -20,11 +19,7 @@ let create ~max_active ~max_queue =
     queued = 0;
   }
 
-let obs_incr name =
-  if Registry.enabled () then Registry.incr (Registry.counter name)
-
 let shed t =
-  obs_incr "serve.shed";
   (* Retry once the currently queued work has had a chance to drain; a
      crude but monotone hint — deeper queue, longer wait. *)
   let retry_after_ms = 25.0 *. float_of_int (t.queued + 1) in

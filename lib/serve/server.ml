@@ -1,5 +1,4 @@
 module Json = Sjos_obs.Json
-module Registry = Sjos_obs.Registry
 module Clock = Sjos_obs.Clock
 module Budget = Sjos_guard.Budget
 module Error = Sjos_guard.Error
@@ -41,10 +40,12 @@ type t = {
   m_inflight : Mutex.t;
   mutable watcher : Thread.t option;
   watcher_stop : bool Atomic.t;
+  (* requests handled, exceptions that escaped a connection loop, and
+     requests a raised cancellation flag stopped *)
+  requests : int Atomic.t;
+  escaped : int Atomic.t;
+  cancelled : int Atomic.t;
 }
-
-let obs_incr name =
-  if Registry.enabled () then Registry.incr (Registry.counter name)
 
 let tenants t = t.tenants
 let admission t = t.adm
@@ -66,9 +67,6 @@ let watcher_tick t =
       | Some fd when Wire.peer_closed fd -> Budget.cancel budget
       | _ -> ())
     snapshot;
-  if Registry.enabled () then
-    Registry.set_gauge (Registry.gauge "serve.active")
-      (float_of_int (Admission.active t.adm));
   (* wake queued waiters so they re-check deadlines and the drain flag
      even when no slot freed up *)
   Admission.notify t.adm
@@ -111,6 +109,9 @@ let create ?(config = default_config) ?tenants ?pool db =
       m_inflight = Mutex.create ();
       watcher = None;
       watcher_stop = Atomic.make false;
+      requests = Atomic.make 0;
+      escaped = Atomic.make 0;
+      cancelled = Atomic.make 0;
     }
   in
   start_watcher t;
@@ -248,13 +249,14 @@ let serve_json t =
       ("queued", Json.Int (Admission.queued t.adm));
       ("max_active", Json.Int (Admission.max_active t.adm));
       ("max_queue", Json.Int (Admission.max_queue t.adm));
+      ("requests", Json.Int (Atomic.get t.requests));
+      ("escaped", Json.Int (Atomic.get t.escaped));
+      ("cancelled", Json.Int (Atomic.get t.cancelled));
       ( "tenants",
         Json.List (List.map Tenant.to_json (Tenant.known t.tenants)) );
     ]
 
-let metrics_fields t =
-  Snapshot.fields ?io:(Sjos_storage.Column_store.io_stats (Database.store t.db)) ()
-  @ [ ("serve", serve_json t) ]
+let metrics_fields t = Snapshot.fields t.db @ [ ("serve", serve_json t) ]
 
 (* ---------- the ops ---------- *)
 
@@ -314,7 +316,6 @@ let admitted t ~client (tenant : Tenant.t) req work =
       in
       let slot =
         Admission.with_slot t.adm ~should_abort (fun () ->
-            obs_incr "serve.admitted";
             with_inflight t client budget (fun () ->
                 Error.protect (fun () ->
                     stall budget tenant.quota.stall_ms;
@@ -406,7 +407,7 @@ let handle_op t ~client req op =
       Error (Error.Invalid_request (Printf.sprintf "unknown op %S" other))
 
 let handle_request_fd t ~client req =
-  obs_incr "serve.requests";
+  Atomic.incr t.requests;
   let id = match Wire.field req "id" with Some j -> j | None -> Json.Null in
   let outcome =
     (* belt and braces: [admitted] already protects the execution path;
@@ -423,6 +424,10 @@ let handle_request_fd t ~client req =
   match outcome with
   | Ok fields -> Json.Obj (("id", id) :: ("ok", Json.Bool true) :: fields)
   | Error e ->
+      (match e with
+      | Error.Budget_exhausted { resource = Budget.Cancelled; _ } ->
+          Atomic.incr t.cancelled
+      | _ -> ());
       Json.Obj
         [ ("id", id); ("ok", Json.Bool false); ("error", Error.to_json e) ]
 
@@ -437,7 +442,6 @@ let response_payload ~id resp =
   let payload = Json.to_string resp in
   if String.length payload <= Wire.max_frame_bytes then payload
   else begin
-    obs_incr "serve.oversized";
     let too_large id =
       Json.to_string
         (Json.Obj
@@ -462,7 +466,6 @@ let response_payload ~id resp =
 (* ---------- connections ---------- *)
 
 let handle_connection t fd =
-  obs_incr "serve.connections";
   Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
   @@ fun () ->
   let rec loop () =
@@ -502,7 +505,7 @@ let handle_connection t fd =
   | Unix.Unix_error _ -> ()
   | e ->
       (* must be unreachable: every op runs under [Error.protect] *)
-      obs_incr "serve.escaped";
+      Atomic.incr t.escaped;
       Fmt.epr "sjos serve: escaped exception: %s@." (Printexc.to_string e))
 
 let run t ~socket_path =
@@ -564,6 +567,5 @@ let run t ~socket_path =
      (they shed) while in-flight requests run to completion *)
   List.iter (fun (th, _) -> Thread.join th) !threads;
   shutdown t;
-  obs_incr "serve.drained";
   Fmt.epr "sjos serve: drained; final metrics: %s@."
     (Json.to_string (Json.Obj (metrics_fields t)))

@@ -12,7 +12,10 @@
 
     Request: [{"op": <op>, "id"?: n, "tenant"?: s, ...}].  Ops:
     - [health] — liveness, drain flag, admission occupancy.
-    - [metrics] — the {!Snapshot} shape plus a ["serve"] section.
+    - [metrics] — the {!Snapshot} shape plus a ["serve"] section:
+      admission occupancy, the counts of requests handled, exceptions
+      that escaped a connection loop and requests stopped by a
+      cancellation, and each tenant's counters.
     - [prepare] — [pattern] (+[xpath], [algorithm]), [name]: parse and
       optimize once, bind [tenant/name] for later [exec].
     - [exec] — [pattern] or prepared [name]; optional [limit],

@@ -6,18 +6,17 @@
     numbers came from:
 
     {v
-    { "work":     {...} | null,   deterministic work counters (when scoped)
-      "io":       {...} | null,   pager statistics (disk storage only)
-      "gc":       {...},          GC totals for this process
-      "registry": {...} }         every registry instrument (guard.*, par.*,
-                                  serve.*, ...)
+    { "work":       {...} | null,   deterministic work counters (when scoped)
+      "io":         {...} | null,   pager statistics (disk storage only)
+      "gc":         {...},          GC totals for this process
+      "plan_cache": {...} }         the database's plan-cache hits, misses,
+                                    evictions, entries and capacity
     v} *)
 
 val fields :
   ?work:Sjos_obs.Work.t ->
-  ?io:Sjos_storage.Pager.stats ->
-  unit ->
+  Sjos_engine.Database.t ->
   (string * Sjos_obs.Json.t) list
-(** The shared field list, in the fixed order work/io/gc/registry.
+(** The shared field list, in the fixed order work/io/gc/plan_cache.
     Callers prepend or append their own context fields (pattern, server
     uptime, tenants...) around it. *)

@@ -1,5 +1,4 @@
 module Json = Sjos_obs.Json
-module Registry = Sjos_obs.Registry
 module Chaos = Sjos_guard.Chaos
 module Error = Sjos_guard.Error
 
@@ -91,9 +90,6 @@ type t = {
   chaos : Chaos.t option;
 }
 
-let obs_incr name =
-  if Registry.enabled () then Registry.incr (Registry.counter name)
-
 let make name quota =
   let limiter =
     if quota.rate_per_sec <= 0.0 then Limiter.unlimited ()
@@ -117,7 +113,6 @@ let make name quota =
 
 let shed_err t reason retry_after_ms =
   Atomic.incr t.shed;
-  obs_incr (Printf.sprintf "serve.tenant.%s.shed" t.name);
   Error.Overloaded { reason; retry_after_ms }
 
 let admit t =
@@ -141,15 +136,12 @@ let admit t =
       end
       else begin
         Atomic.incr t.admitted;
-        obs_incr (Printf.sprintf "serve.tenant.%s.admitted" t.name);
         Ok ()
       end
 
 let release t = Atomic.decr t.active
 
-let note_cache_hit t =
-  Atomic.incr t.cache_hits;
-  obs_incr (Printf.sprintf "serve.tenant.%s.hits" t.name)
+let note_cache_hit t = Atomic.incr t.cache_hits
 
 type registry = {
   default : quota;
@@ -179,8 +171,8 @@ let find r name =
     | None -> (
         (* Ad-hoc cap reached: route further strangers to one shared
            overflow tenant, so a client inventing names cannot grow the
-           registry (or the serve.tenant.* metric namespace) without
-           bound.  They still get the default quota — collectively. *)
+           registry without bound.  They still get the default quota —
+           collectively. *)
         match Hashtbl.find_opt r.tbl overflow_name with
         | Some t -> t
         | None ->

@@ -54,8 +54,7 @@ val admit : t -> (unit, Sjos_guard.Error.t) result
 val release : t -> unit
 
 val note_cache_hit : t -> unit
-(** Count a plan-cache hit for this tenant (mirrored to the registry
-    counter [serve.tenant.<name>.hits]). *)
+(** Count a plan-cache hit for this tenant. *)
 
 type registry
 

@@ -192,7 +192,8 @@ let test_executor_all_algorithms_agree () =
     List.map
       (fun algo ->
         let r = Sjos_core.Optimizer.optimize ~provider algo p in
-        Executor.count_matches idx p r.Sjos_core.Optimizer.plan)
+        Array.length
+          (Executor.execute idx p r.Sjos_core.Optimizer.plan).Executor.tuples)
       (Sjos_core.Optimizer.all p)
   in
   match counts with

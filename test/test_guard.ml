@@ -175,18 +175,12 @@ let test_degradation_to_dpap () =
   let db = Lazy.force pers_db in
   let p = Helpers.pat "manager(//employee(/name),//department)" in
   let full = Database.run ~opts:(Query_opts.cold Query_opts.default) db p in
-  Sjos_obs.Registry.set_enabled true;
-  Sjos_obs.Registry.reset ();
   let opts =
     Query_opts.make ~use_cache:false
       ~budget:(Budget.make ~max_expanded:1 ())
       ()
   in
-  let degraded = Sjos_obs.Registry.counter "guard.degraded" in
-  let result = Error.protect (fun () -> Database.run ~opts db p) in
-  let count = Sjos_obs.Registry.counter_value degraded in
-  Sjos_obs.Registry.set_enabled false;
-  match result with
+  match Error.protect (fun () -> Database.run ~opts db p) with
   | Ok run ->
       (match run.Database.opt.Sjos_core.Optimizer.degraded_from with
       | Some Sjos_core.Optimizer.Dpp -> ()
@@ -194,7 +188,6 @@ let test_degradation_to_dpap () =
       (match run.Database.opt.Sjos_core.Optimizer.algorithm with
       | Sjos_core.Optimizer.Dpap_eb _ -> ()
       | _ -> Alcotest.fail "fallback tier should be DPAP-EB");
-      check cb "guard.degraded counted" true (count >= 1);
       Helpers.check_same_matches "degraded plan computes the same matches"
         (matches_of full) (matches_of run)
   | Result.Error e ->
@@ -243,13 +236,14 @@ let test_corrupt_cache_recovery () =
   let poison plan =
     Sjos_cache.Plan_cache.add (Database.plan_cache db) key
       { Database.plan; est_cost = 1.0 };
-    Sjos_obs.Registry.set_enabled true;
-    Sjos_obs.Registry.reset ();
-    let corrupt = Sjos_obs.Registry.counter "guard.corrupt_cache" in
-    let run = Database.run db p in
-    let count = Sjos_obs.Registry.counter_value corrupt in
-    Sjos_obs.Registry.set_enabled false;
-    check cb "corruption counted" true (count >= 1);
+    let prep = Database.prepare db p in
+    let run = Database.exec prep in
+    (* the corrupt entry is rejected, not served: a fresh search ran *)
+    check cb "corrupt entry not served" false
+      (Database.prepared_from_cache prep);
+    check cb "corruption re-optimized" true
+      ((Database.prepared_result prep).Sjos_core.Optimizer.work.Work
+         .plans_considered > 0);
     Helpers.check_same_matches "re-optimized result is correct"
       (matches_of full) (matches_of run)
   in

@@ -1,4 +1,4 @@
-(* Observability layer: JSON, spans, registry, and EXPLAIN ANALYZE. *)
+(* Observability layer: JSON, spans, and EXPLAIN ANALYZE. *)
 
 open Sjos_obs
 open Sjos_engine
@@ -10,12 +10,12 @@ let cb = Alcotest.bool
 let cs = Alcotest.string
 
 let with_obs_enabled f =
-  Report.reset_all ();
-  Report.enable_all ();
+  Trace.reset ();
+  Trace.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
-      Report.disable_all ();
-      Report.reset_all ())
+      Trace.set_enabled false;
+      Trace.reset ())
     f
 
 (* ---------- JSON ---------- *)
@@ -103,32 +103,11 @@ let test_span_orphan_close () =
       check cb "render mentions leaked span" true
         (Helpers.contains rendered "leaked"))
 
-(* ---------- registry ---------- *)
-
-let test_counter_aggregation () =
-  with_obs_enabled (fun () ->
-      let c = Registry.counter "test.counter" in
-      Registry.incr c;
-      Registry.add c 4;
-      (* same name, same instrument *)
-      Registry.incr (Registry.counter "test.counter");
-      check ci "counter aggregates" 6 (Registry.counter_value c);
-      let t = Registry.timer "test.timer" in
-      Registry.add_seconds t 0.25;
-      Registry.add_seconds t 0.5;
-      check ci "timer count" 2 (Registry.timer_count t);
-      Alcotest.(check (float 1e-9)) "timer total" 0.75 (Registry.timer_total t);
-      let json = Registry.to_json () in
-      match Json.member "counters" json with
-      | Some counters ->
-          check cb "counter exported" true
-            (Json.member "test.counter" counters = Some (Json.Int 6))
-      | None -> Alcotest.fail "registry JSON lacks counters")
+(* ---------- disabled tracing ---------- *)
 
 let test_noop_mode () =
-  Report.reset_all ();
-  (* both layers disabled: instrumented code must record nothing *)
-  check cb "registry off by default" false (Registry.enabled ());
+  Trace.reset ();
+  (* tracing disabled: instrumented code must record nothing *)
   check cb "trace off by default" false (Trace.enabled ());
   let s = Trace.begin_span "ignored" in
   check cb "disabled begin_span yields null span" true (s == Trace.null_span);
@@ -138,18 +117,7 @@ let test_noop_mode () =
   let pat = Sjos_pattern.Parse.pattern "manager(//employee(/name))" in
   ignore (Database.analyze_prepared (Database.prepare db pat));
   check cb "no spans recorded" true (Trace.is_empty ());
-  (* a full optimize+execute left the registry without a single instrument —
-     the guarded hot paths never even registered their names *)
-  check cs "report renders empty" "" (Report.to_string ());
-  (* explicit recording calls while disabled are no-ops too (the probe
-     lookup itself registers the name, so check this after the emptiness
-     assertion above) *)
-  Registry.incr (Registry.counter "noop.counter");
-  check ci "counter untouched by disabled incr" 0
-    (Registry.counter_value (Registry.counter "noop.counter"));
-  check cb "executor timer absent" true
-    (Registry.timer_count (Registry.timer "executor.seconds") = 0);
-  Report.reset_all ()
+  check cs "trace renders empty" "" (Trace.to_string ())
 
 (* ---------- tracing must not change optimizer behavior ---------- *)
 
@@ -284,8 +252,6 @@ let suite =
     Alcotest.test_case "span nesting and attrs" `Quick test_span_nesting;
     Alcotest.test_case "closing closes open descendants" `Quick
       test_span_orphan_close;
-    Alcotest.test_case "counter and timer aggregation" `Quick
-      test_counter_aggregation;
     Alcotest.test_case "disabled layer records nothing" `Quick test_noop_mode;
     Alcotest.test_case "tracing leaves search effort unchanged" `Quick
       test_counters_invariant_under_tracing;

@@ -6,10 +6,9 @@
    [items_skipped]) to their serial runs, on randomized documents and
    for every pool size.
 
-   Regression: each shared-state fix (Registry atomics, Lru/Plan_cache
-   locking, Budget atomic cancellation, Chaos per-query derivation) gets
-   a test that fails on the pre-fix code: hammered counters must come
-   out exact, cancellation must be visible across domains, and fault
+   Regression: each shared-state fix (Lru/Plan_cache locking, Budget
+   atomic cancellation, Chaos per-query derivation) gets a test that
+   fails on the pre-fix code: hammered counters must come out exact, cancellation must be visible across domains, and fault
    injection must not depend on query order or domain scheduling.
 
    Seeds derive from [Helpers.seed] (SJOS_SEED), so different runs can
@@ -24,7 +23,6 @@ module Pool = Sjos_par.Pool
 module Lru = Sjos_cache.Lru
 module Budget = Sjos_guard.Budget
 module Chaos = Sjos_guard.Chaos
-module Registry = Sjos_obs.Registry
 module Work = Sjos_obs.Work
 
 let check = Alcotest.check
@@ -169,40 +167,6 @@ let test_workload_differential () =
          Helpers.check_work_equal msg r.Database.exec.Executor.work
            r'.Database.exec.Executor.work)
        reference
-
-(* ---------- regression: Registry under concurrency ---------- *)
-
-let test_registry_concurrent () =
-  Registry.reset ();
-  Registry.set_enabled true;
-  Fun.protect ~finally:(fun () ->
-      Registry.reset ();
-      Registry.set_enabled false)
-  @@ fun () ->
-  Helpers.with_pool 4 @@ fun p ->
-  let per = 25_000 in
-  (* find_or_add raced from every domain must yield one shared counter,
-     and no increment may be lost *)
-  ignore
-    (Pool.run p 4 (fun _ ->
-         let c = Registry.counter "par.hammer" in
-         for _ = 1 to per do
-           Registry.incr c
-         done));
-  check ci "no lost increments" (4 * per)
-    (Registry.counter_value (Registry.counter "par.hammer"));
-  ignore
-    (Pool.run p 4 (fun d ->
-         Registry.add (Registry.counter "par.add") (d + 1)));
-  check ci "adds sum exactly" 10
-    (Registry.counter_value (Registry.counter "par.add"));
-  ignore
-    (Pool.run p 4 (fun _ ->
-         let t = Registry.timer "par.timer" in
-         for _ = 1 to 1_000 do
-           Registry.add_seconds t 0.001
-         done));
-  check ci "timer count exact" 4_000 (Registry.timer_count (Registry.timer "par.timer"))
 
 (* ---------- regression: Lru / Plan_cache under concurrency ---------- *)
 
@@ -461,8 +425,6 @@ let suite =
       `Quick test_kernel_shard_differential;
     Alcotest.test_case "parallel workload = serial workload" `Quick
       test_workload_differential;
-    Alcotest.test_case "registry: exact counts under contention" `Quick
-      test_registry_concurrent;
     Alcotest.test_case "lru: invariants under contention" `Quick
       test_lru_concurrent;
     Alcotest.test_case "plan cache: counters agree with outcomes" `Quick

@@ -9,7 +9,6 @@
 
 open Sjos_engine
 module Json = Sjos_obs.Json
-module Registry = Sjos_obs.Registry
 module Wire = Sjos_serve.Wire
 module Limiter = Sjos_serve.Limiter
 module Tenant = Sjos_serve.Tenant
@@ -145,6 +144,14 @@ let request ?(tenant = "default") ?(id = 1) op extra =
 
 let exec_req ?tenant ?id pattern =
   request ?tenant ?id "exec" [ ("pattern", Json.Str pattern) ]
+
+(* The metrics endpoint's response, and its ["serve"] block. *)
+let metrics srv = Server.handle_request srv (request "metrics" [])
+
+let serve_block resp =
+  match Json.member "serve" resp with
+  | Some s -> s
+  | None -> Alcotest.fail "metrics response lacks a serve block"
 
 let q1 = "manager(//employee(/name))"
 let q2 = "manager(/department(/name))"
@@ -364,16 +371,9 @@ let test_capped_tenant_sheds_concurrent () =
 
 (* ---------- disconnect cancellation ---------- *)
 
-let counter_value name = Registry.counter_value (Registry.counter name)
-
 let test_disconnect_cancels () =
-  let was_enabled = Registry.enabled () in
-  Registry.set_enabled true;
-  Fun.protect ~finally:(fun () -> Registry.set_enabled was_enabled)
-  @@ fun () ->
   let srv = make_server () in
   Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
-  let before = counter_value "guard.cancelled" in
   let client, server_side = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let th =
     Thread.create (fun () -> Server.handle_connection srv server_side) ()
@@ -391,8 +391,8 @@ let test_disconnect_cancels () =
     (Printf.sprintf "handler unwound by cancellation, not the stall (%.2fs)"
        waited)
     true (waited < 2.0);
-  check cb "guard.cancelled incremented" true
-    (counter_value "guard.cancelled" > before)
+  check ci "server counted the cancelled request" 1
+    (int_of (serve_block (metrics srv)) "cancelled")
 
 (* ---------- drain ---------- *)
 
@@ -578,6 +578,43 @@ let test_tenant_config_errors () =
       let x = Tenant.find reg "x" in
       check cb "configured tenant has chaos" true (x.Tenant.chaos <> None)
 
+(* ---------- metrics without any enabling call ---------- *)
+
+let test_metrics_always_counted () =
+  let srv = make_server () in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let n = 5 in
+  for i = 1 to n do
+    let pattern = if i mod 2 = 0 then q2 else q1 in
+    let resp = Server.handle_request srv (exec_req ~id:i pattern) in
+    check cb (Printf.sprintf "exec %d ok" i) true (ok_of resp)
+  done;
+  let resp = metrics srv in
+  check cb "metrics ok" true (ok_of resp);
+  let serve = serve_block resp in
+  check ci "requests counted, this one included" (n + 1)
+    (int_of serve "requests");
+  check ci "nothing escaped" 0 (int_of serve "escaped");
+  check ci "nothing cancelled" 0 (int_of serve "cancelled");
+  let admitted =
+    match Json.member "tenants" serve with
+    | Some (Json.List ts) ->
+        List.find_map
+          (fun t ->
+            if str_field t "name" = Some "default" then
+              Some (int_of t "admitted")
+            else None)
+          ts
+    | _ -> None
+  in
+  check (Alcotest.option ci) "default tenant admitted every exec" (Some n)
+    admitted;
+  match Json.member "plan_cache" resp with
+  | Some pc ->
+      check cb "every exec looked its plan up" true
+        (int_of pc "hits" + int_of pc "misses" >= n)
+  | None -> Alcotest.fail "metrics response lacks plan_cache"
+
 let suite =
   [
     Alcotest.test_case "wire round-trip and EOF" `Quick test_wire_roundtrip;
@@ -617,4 +654,6 @@ let suite =
       test_arrivals_do_not_overtake_queue;
     Alcotest.test_case "tenant config parsing" `Quick
       test_tenant_config_errors;
+    Alcotest.test_case "metrics count requests with nothing enabled" `Quick
+      test_metrics_always_counted;
   ]
