@@ -33,15 +33,9 @@ type groups = {
 
 type t = { width : int; len : int; data : int array; groups : groups option }
 
-let make_groups ~slot ~rows n =
-  {
-    slot;
-    n;
-    off = Array.make (n + 1) rows;
-    gstart = Array.make n 0;
-    gend = Array.make n 0;
-    glevel = Array.make n 0;
-  }
+let make_groups scratch ~slot n =
+  let a = Scratch.alloc scratch in
+  { slot; n; off = a (n + 1); gstart = a n; gend = a n; glevel = a n }
 
 let width b = b.width
 let length b = b.len
@@ -80,10 +74,11 @@ let to_tuples b =
   done;
   out
 
-let of_ids ~width ~slot (ids : int array) =
+let of_ids scratch ~width ~slot (ids : int array) =
   if slot < 0 || slot >= width then invalid_arg "Batch.of_ids: slot out of range";
   let n = Array.length ids in
-  let data = Array.make (n * width) Tuple.unbound in
+  let data = Scratch.alloc scratch (n * width) in
+  Array.fill data 0 (n * width) Tuple.unbound;
   for i = 0 to n - 1 do
     Array.unsafe_set data ((i * width) + slot) (Array.unsafe_get ids i)
   done;
@@ -105,7 +100,7 @@ let bits x =
    along; a pass costs two sequential sweeps, and at Mbench 740K's 20-bit
    ids there are two passes.  Returns the array holding the sorted
    packed keys and [ib], the width of their row part. *)
-let radix (s : Scratch.t) data ~w ~by ~n ~lo ~hi =
+let radix (s : Scratch.lane) data ~w ~by ~n ~lo ~hi =
   let ib = bits (n - 1) and kb = bits (hi - lo) in
   let passes = (kb + 10) / 11 in
   let d = (kb + passes - 1) / passes in
@@ -146,7 +141,7 @@ let radix (s : Scratch.t) data ~w ~by ~n ~lo ~hi =
 
 (* The groups of slot [by] in rows sorted by it: one per run of equal
    ids, positions from the document's columns. *)
-let groups_of (cols : Cols.t) data ~w ~by ~n =
+let groups_of scratch (cols : Cols.t) data ~w ~by ~n =
   let ng = ref 0 and prev = ref Tuple.unbound in
   for i = 0 to n - 1 do
     let id = Array.unsafe_get data ((i * w) + by) in
@@ -155,7 +150,7 @@ let groups_of (cols : Cols.t) data ~w ~by ~n =
       prev := id
     end
   done;
-  let c = make_groups ~slot:by ~rows:n !ng in
+  let c = make_groups scratch ~slot:by !ng in
   let g = ref 0 and prev = ref Tuple.unbound in
   for i = 0 to n - 1 do
     let id = Array.unsafe_get data ((i * w) + by) in
@@ -169,9 +164,10 @@ let groups_of (cols : Cols.t) data ~w ~by ~n =
       prev := id
     end
   done;
+  c.off.(!ng) <- n;
   c
 
-let sort ~doc ~by b =
+let sort scratch ~doc ~by b =
   let cols = Document.positions doc in
   let size = Array.length cols.Cols.starts in
   let n = b.len and w = b.width and data = b.data in
@@ -188,11 +184,12 @@ let sort ~doc ~by b =
      shared, not copied: a batch is never written after it is built *)
   let data =
     if !sorted then data
-    else
-      Scratch.with_set @@ fun s ->
-      let keys, ib = radix s data ~w ~by ~n ~lo:!lo ~hi:!hi in
+    else begin
+      let keys, ib =
+        radix (Scratch.lane scratch) data ~w ~by ~n ~lo:!lo ~hi:!hi
+      in
       let rmask = (1 lsl ib) - 1 in
-      let out = Array.make (n * w) Tuple.unbound in
+      let out = Scratch.alloc scratch (n * w) in
       for i = 0 to n - 1 do
         let src = (Array.unsafe_get keys i land rmask) * w and dst = i * w in
         for k = 0 to w - 1 do
@@ -200,5 +197,11 @@ let sort ~doc ~by b =
         done
       done;
       out
+    end
   in
-  { width = w; len = n; data; groups = Some (groups_of cols data ~w ~by ~n) }
+  {
+    width = w;
+    len = n;
+    data;
+    groups = Some (groups_of scratch cols data ~w ~by ~n);
+  }

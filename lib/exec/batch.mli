@@ -4,12 +4,13 @@
     [int array] ([data.(row * width + slot)]), so the join and sort
     kernels move machine integers with [Array.blit]/unsafe loads instead
     of allocating a boxed [int array] per tuple and a cons cell per
-    output.  Rows stay columnar between operators; {!to_tuples} recovers
-    the classic {!Tuple.t array} surface only for the result of a plan
-    whose root is not a join (a holistic twig, a sort or a lone scan) and
-    in the tuple-array {!Operators.sort}.  A root join builds its boxed
-    tuples directly ({!Stack_tree.out}); both allocate each row with
-    {!Tuple.of_slice}. *)
+    output.  Rows stay columnar between operators, in arrays lent by the
+    execution's {!Scratch} set; {!to_tuples} recovers the classic
+    {!Tuple.t array} surface only for the result of a plan whose root is
+    not a join (a holistic twig, a sort or a lone scan) and in the
+    tuple-array {!Operators.sort}.  A root join builds its boxed tuples
+    directly ({!Stack_tree.out}); both allocate each row with
+    {!Tuple.of_slice}, and neither keeps any of a set's arrays. *)
 
 open Sjos_xml
 
@@ -46,9 +47,10 @@ type groups = {
   glevel : int array;
 }
 
-val make_groups : slot:int -> rows:int -> int -> groups
-(** [make_groups ~slot ~rows n] — room for [n] groups, every offset
-    [rows], every position 0, for an operator to fill in. *)
+val make_groups : Scratch.t -> slot:int -> int -> groups
+(** [make_groups s ~slot n] — room for [n] groups in arrays lent by [s],
+    for an operator to fill in: every entry, [off.(n)] included, holds
+    whatever an earlier holder left until it is written. *)
 
 type t
 
@@ -84,17 +86,19 @@ val to_tuples : t -> Tuple.t array
 (** The thin conversion back to the legacy surface: one fresh [Tuple.t]
     per row, allocated by {!Tuple.of_slice}. *)
 
-val of_ids : width:int -> slot:int -> int array -> t
-(** Index-scan constructor: row [i] binds only [slot], to [ids.(i)]. *)
+val of_ids : Scratch.t -> width:int -> slot:int -> int array -> t
+(** Index-scan constructor: row [i] binds only [slot], to [ids.(i)].
+    The rows are lent by the set. *)
 
-val sort : doc:Document.t -> by:int -> t -> t
+val sort : Scratch.t -> doc:Document.t -> by:int -> t -> t
 (** Stable sort of the rows by the document order of the node bound in
     slot [by], carrying that slot's groups.  Pre-order ids are document
     order, so the sort is a stable LSD radix sort on the ids themselves
     (passes of at most 11 bits over the id range, keys packed with their
-    row index in {!Scratch} arrays) and reads no position to order
-    rows; each group's positions are read once, in id order.  Rows
-    already in order are shared, not copied.  Raises
+    row index in the set's {!Scratch.lane}) and reads no position to
+    order rows; each group's positions are read once, in id order.  The
+    sorted rows and the groups are lent by the set; rows already in
+    order are shared, not copied.  Raises
     [Invalid_argument] if a row's [by] slot is unbound or out of range
     (["Batch.sort: id %d out of range"]), or if [by] is not a slot of a
     non-empty batch (["Batch.sort: slot out of range"]). *)

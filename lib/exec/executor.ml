@@ -84,6 +84,11 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
   let width = Pattern.node_count pat in
   let work = Work.zero () in
   let t0 = Clock.now_ns () in
+  (* One scratch set for the whole run: every array an interior operator
+     returns is lent by its arena and reused by later runs, so the run
+     allocates only the caller-facing tuples, which the root operator
+     builds fresh; no lent array outlives the run. *)
+  Scratch.with_set @@ fun scratch ->
   (* Rows travel between operators as {!Stack_tree.input}s.  Every index
      scan of our own store enters the kernels as a leaf over its
      candidate columns: lazy on Disk, so only the pages the skip-ahead
@@ -97,7 +102,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
     match fetch with
     | Some f ->
         Stack_tree.Rows
-          (Operators.index_scan_batch ~work:own ~width ~slot:i
+          (Operators.index_scan_batch scratch ~work:own ~width ~slot:i
              (verify_document_order ~doc
                 ~what:
                   (Printf.sprintf "candidates(%s)"
@@ -132,8 +137,8 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           (fun own -> function
             | [ (r, _) ] ->
                 Stack_tree.Rows
-                  (Operators.sort_batch ~budget ~work:own ~doc ~by
-                     (Stack_tree.to_batch r))
+                  (Operators.sort_batch scratch ~budget ~work:own ~doc ~by
+                     (Stack_tree.to_batch scratch r))
             | _ -> assert false)
           rows
     | Plan.Structural_join _ ->
@@ -148,7 +153,8 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
             let inputs = Array.init width (fun i -> scan own i) in
             check_output rows
               (Stack_tree.Rows
-                 (Twig_stack.run ~budget ~work:own ~doc ~pat ~inputs ())))
+                 (Twig_stack.run scratch ~budget ~work:own ~doc ~pat ~inputs
+                    ())))
           rows
   (* A structural join in either output form: interior joins stay
      columnar, the root join builds the caller-facing tuples directly. *)
@@ -163,7 +169,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
           (fun own -> function
             | [ (a, _); (d, _) ] ->
                 check_output rows_of
-                  (Stack_tree.join_in out ~budget ~pool ~work:own ~doc
+                  (Stack_tree.join_in out scratch ~budget ~pool ~work:own ~doc
                      ~axis:edge.Pattern.axis ~algo ~anc:(a, edge.Pattern.anc)
                      ~desc:(d, edge.Pattern.desc) ())
             | _ -> assert false)
@@ -213,7 +219,7 @@ let execute ?(factors = Cost_model.default) ?(budget = Budget.unlimited)
     | Plan.Structural_join _ -> join Stack_tree.Boxed Array.length plan
     | _ ->
         let r, profile = eval plan in
-        (Batch.to_tuples (Stack_tree.to_batch r), profile)
+        (Batch.to_tuples (Stack_tree.to_batch scratch r), profile)
   in
   let seconds = Clock.elapsed_seconds ~since:t0 in
   (* Charge the domain accumulator once, when the run completes.  [work]

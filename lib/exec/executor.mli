@@ -42,6 +42,10 @@ val execute :
     [SJOS_DOMAINS] environment variable (1 when unset — fully serial).
     Results are bit-identical for every pool size.
 
+    The run holds one {!Scratch} set from start to finish: every
+    interior operator output is lent by it and reused by later runs, and
+    only the returned [tuples] are allocated fresh.
+
     The run's [work] is added to the calling domain's
     {!Sjos_obs.Work.current} accumulator once, when the run completes;
     a run that raises charges nothing there.

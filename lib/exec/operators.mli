@@ -11,10 +11,11 @@ val index_scan :
     {!Cols.t}) into single-binding tuples.  Accounts one index item per candidate. *)
 
 val index_scan_batch :
-  work:Sjos_obs.Work.t -> width:int -> slot:int -> int array -> Batch.t
-(** The columnar equivalent: binds the ids directly into batch rows
-    without materializing per-tuple arrays.  Same accounting as
-    {!index_scan}. *)
+  Scratch.t -> work:Sjos_obs.Work.t -> width:int -> slot:int -> int array ->
+  Batch.t
+(** The columnar equivalent: binds the ids directly into batch rows lent
+    by the set, without materializing per-tuple arrays.  Same accounting
+    as {!index_scan}. *)
 
 val account_sort : work:Sjos_obs.Work.t -> int -> unit
 (** Charge one sort of [n] items: [sorted_items += n] and the
@@ -36,10 +37,12 @@ val sort :
     into a batch and sorted by {!Batch.sort}, the engine's one sort. *)
 
 val sort_batch :
+  Scratch.t ->
   ?budget:Sjos_guard.Budget.t ->
   work:Sjos_obs.Work.t ->
   doc:Document.t ->
   by:int ->
   Batch.t ->
   Batch.t
-(** {!sort} over a columnar batch ({!Batch.sort}); same accounting. *)
+(** {!sort} over a columnar batch ({!Batch.sort}), into rows and groups
+    lent by the set; same accounting. *)

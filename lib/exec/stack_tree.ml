@@ -7,16 +7,18 @@ module Shard = Sjos_par.Shard
 module Work = Sjos_obs.Work
 
 (* Columnar Stack-Tree kernel: one body for both algorithms and both
-   output forms ({!run}).  An index scan enters as a leaf whose
+   output forms ({!join_in}).  An index scan enters as a leaf whose
    candidate columns are its groups and its rows; a join's or a sort's
    output carries the groups of the slot it is ordered by, so only
    fetched streams are grouped row by row ({!group}).  The merge records
-   each related group pair as a rectangle; the output, and for a flat
-   output the groups of its order, are then allocated once at their
-   exact size and written in the algorithm's order.  Everything else a
-   call needs (rectangles, per-group counts, the merge stack) lives in a
-   {!Scratch} set the call owns until it returns, so a join allocates
-   only what it returns.  The legacy group-list implementation is
+   each related group pair as a rectangle ({!record}); the output, and
+   for a flat output the groups of its order, are then taken once at
+   their exact size and written in the algorithm's order ({!write}).
+   The rectangles, per-group counts and merge stack live in a lane of
+   the execution's {!Scratch} set, and a flat output and its groups are
+   lent by the set's arena, so an interior join allocates nothing the
+   collector sees; only a root join's boxed rows are fresh.  The legacy
+   group-list implementation is
    preserved in the tests as [Stack_tree_legacy]; this module must
    produce bit-identical tuple sequences and counter totals (modulo
    [items_skipped]) while touching only flat int arrays on the hot path.
@@ -24,10 +26,10 @@ module Work = Sjos_obs.Work
    With a domain pool, the join is additionally range-partitioned on the
    ancestor group column at forest-closed cut points (no ancestor
    interval straddles a cut — {!Sjos_par.Shard.cut_points}), each shard
-   runs the identical serial kernel over its slice, and shard outputs
-   are concatenated in shard order.  Sharding is output- and
-   counter-preserving by construction, not by sampling: see the
-   [~drain] accounting in {!merge_loop}. *)
+   records its slice with the identical serial merge, and then writes
+   its rows and groups into its own range of the one output, in shard
+   order.  Sharding is output- and counter-preserving by construction,
+   not by sampling: see the [~drain] accounting in {!merge_loop}. *)
 
 (* ---------- grouping: batch rows -> flat group columns ---------- *)
 
@@ -39,7 +41,8 @@ module Work = Sjos_obs.Work
    a fetched stream, and a batch joined on a slot it carries no groups
    for, is grouped here, in one pass that looks each group's positions
    up in the document by node id.  The arrays are sized for the worst
-   case (one group per row); entries past [n] are unused.
+   case (one group per row) and lent by the execution's set; entries
+   past [n] are unused.
 
    The [e_*] closures are the out-of-core hook: before the merge reads a
    group's metadata or a row range it calls the matching closure, which
@@ -65,7 +68,7 @@ type groups = {
 let no_ensure (_ : int) = ()
 let no_ensure2 (_ : int) (_ : int) = ()
 
-let group ~(cols : Cols.t) (b : Batch.t) slot =
+let group scratch ~(cols : Cols.t) (b : Batch.t) slot =
   let width = Batch.width b and data = Batch.data b and len = Batch.length b in
   if len > 0 && (slot < 0 || slot >= width) then
     invalid_arg "Stack_tree: join slot out of range";
@@ -73,10 +76,8 @@ let group ~(cols : Cols.t) (b : Batch.t) slot =
   and ends = cols.Cols.ends
   and levels = cols.Cols.levels in
   let size = Array.length starts in
-  let off = Array.make (len + 1) 0
-  and gstart = Array.make len 0
-  and gend = Array.make len 0
-  and glevel = Array.make len 0 in
+  let a = Scratch.alloc scratch in
+  let off = a (len + 1) and gstart = a len and gend = a len and glevel = a len in
   let n = ref 0 in
   let current = ref min_int and last_start = ref (-1) in
   for r = 0 to len - 1 do
@@ -119,24 +120,6 @@ let carried (c : Batch.groups) =
     gstart = c.gstart;
     gend = c.gend;
     glevel = c.glevel;
-    e_meta = no_ensure;
-    e_probe = no_ensure;
-    e_rows = no_ensure2;
-  }
-
-(* Groups [lo, hi) as a shard-local view.  Row offsets stay absolute
-   (they index the shared batch data), only the group indexing is
-   rebased.  Sharded slices always run over fully-forced inputs (see
-   {!shard_cuts}), so the views carry no-op ensure closures — per-shard
-   lazy faulting would make page accounting depend on domain
-   interleaving. *)
-let sub_groups (g : groups) lo hi =
-  {
-    n = hi - lo;
-    off = Array.sub g.off lo (hi - lo + 1);
-    gstart = Array.sub g.gstart lo (hi - lo);
-    gend = Array.sub g.gend lo (hi - lo);
-    glevel = Array.sub g.glevel lo (hi - lo);
     e_meta = no_ensure;
     e_probe = no_ensure;
     e_rows = no_ensure2;
@@ -231,17 +214,17 @@ let input_id i r slot =
   | Rows b -> (Batch.data b).((r * Batch.width b) + slot)
   | Leaf l -> if slot = l.lslot then l.lcols.Cols.ids.(r) else Tuple.unbound
 
-let to_batch = function
+let to_batch scratch = function
   | Rows b -> b
   | Leaf l ->
       force_leaf l;
-      Batch.of_ids ~width:l.lwidth ~slot:l.lslot l.lcols.Cols.ids
+      Batch.of_ids scratch ~width:l.lwidth ~slot:l.lslot l.lcols.Cols.ids
 
 (* How one join reads an input's rows: row [r] sits at [base side r] in
    [side.data].  A batch's side is its flat rows.  A leaf has no rows:
    its side assembles each row in a one-row buffer, [slot] set to the
-   row's id and every other slot unbound, so each kernel call (each
-   shard, too) makes its own sides. *)
+   row's id and every other slot unbound, so each {!write} (each
+   shard's, too) makes its own sides. *)
 type side = { data : int array; slot : int; ids : int array }
 
 let side ~width = function
@@ -317,8 +300,11 @@ let merge_rows adata abase ddata dbase out obase width =
     else invalid_arg "Tuple.merge: slot bound on both sides"
   done
 
-(* The Stack-Tree merge over group columns, with an explicit int-indexed
-   stack of ancestor group indices.  [emit g d] is called for every
+(* The Stack-Tree merge of ancestor groups [alo, ahi) with descendant
+   groups [dlo, dhi), with an explicit int-indexed stack of ancestor
+   group indices.  A serial join merges every group; a shard merges its
+   ranges of the shared group columns, whose row offsets index the
+   shared rows.  [emit g d] is called for every
    related (ancestor group, descendant group) pair, bottom-to-top within
    each descendant visit — exactly the legacy emission order.
 
@@ -340,7 +326,7 @@ let merge_rows adata abase ddata dbase out obase width =
    never priced by the cost model).
 
    [drain]: sharded runs set it on every shard that has descendant
-   groups after its own slice.  Ancestor groups left over when the
+   groups after its own range.  Ancestor groups left over when the
    shard's descendants run out are then charged as a dead run
    ([stack_ops] push+pop and [items_skipped]), because that is exactly
    what the serial merge does to them when the first later descendant
@@ -348,18 +334,18 @@ let merge_rows adata abase ddata dbase out obase width =
    next cut, hence before any later descendant's start.  The serial
    (unsharded) call passes [drain:false]: with no later descendants the
    serial loop leaves those groups untouched, and so do we. *)
-let merge_loop ~budget ~work ~axis ~drain ~(scratch : Scratch.t) (ag : groups)
-    (dg : groups) ~emit =
+let merge_loop ~budget ~work ~axis ~drain ~(lane : Scratch.lane) (ag : groups)
+    ~alo ~ahi (dg : groups) ~dlo ~dhi ~emit =
   let iters = ref 0 in
-  let stack = ref (Scratch.reserve scratch.Scratch.stack 64) in
-  scratch.Scratch.stack <- !stack;
+  let stack = ref (Scratch.reserve lane.Scratch.stack 64) in
+  lane.Scratch.stack <- !stack;
   let sp = ref 0 in
   let push g =
     if !sp = Array.length !stack then begin
       let bigger = Array.make (2 * !sp) 0 in
       Array.blit !stack 0 bigger 0 !sp;
       stack := bigger;
-      scratch.Scratch.stack <- bigger
+      lane.Scratch.stack <- bigger
     end;
     Array.unsafe_set !stack !sp g;
     incr sp
@@ -373,8 +359,8 @@ let merge_loop ~budget ~work ~axis ~drain ~(scratch : Scratch.t) (ag : groups)
     done
   in
   let is_child = match axis with Axes.Child -> true | Axes.Descendant -> false in
-  let na = ag.n and nd = dg.n in
-  let ai = ref 0 and di = ref 0 in
+  let na = ahi and nd = dhi in
+  let ai = ref alo and di = ref dlo in
   while !di < nd do
     poll_merge ~budget iters;
     dg.e_probe !di;
@@ -463,28 +449,31 @@ let merge_loop ~budget ~work ~axis ~drain ~(scratch : Scratch.t) (ag : groups)
 
 type _ out = Flat : Batch.t out | Boxed : Tuple.t array out
 
-(* Output rows, allocated once at their exact count: [width] ints per
-   row, or one boxed tuple per row.  A boxed row is merged into
-   [scratch] and copied out by {!Tuple.of_slice}, the allocator every
-   boxed result shares; it is never written flat and converted
-   afterwards, because the root join's output is handed to the caller as
-   [Tuple.t array] and for join-heavy patterns it dominates the run. *)
+(* Output rows, taken once at their exact count: [width] ints per row
+   in an array the execution's set lends, or one boxed tuple per row.
+   A boxed row is merged into a one-row buffer and copied out by
+   {!Tuple.of_slice}, the allocator every boxed result shares; it is
+   never written flat and converted afterwards, because the root join's
+   output is handed to the caller as [Tuple.t array] and for join-heavy
+   patterns it dominates the run.  Being the result, it is the one
+   output allocated fresh. *)
 type _ rows =
   | Flat_rows : int array -> Batch.t rows
-  | Boxed_rows : Tuple.t array * int array -> Tuple.t array rows
+  | Boxed_rows : Tuple.t array -> Tuple.t array rows
 
-let make_rows : type o. o out -> width:int -> int -> o rows =
- fun out ~width n ->
+let make_rows : type o. o out -> Scratch.t -> width:int -> int -> o rows =
+ fun out scratch ~width n ->
   match out with
-  | Flat -> Flat_rows (Array.make (n * width) Tuple.unbound)
-  | Boxed -> Boxed_rows (Array.make n [||], Array.make width Tuple.unbound)
+  | Flat -> Flat_rows (Scratch.alloc scratch (n * width))
+  | Boxed -> Boxed_rows (Array.make n [||])
 
 (* Write the merges of ancestor rows [alo, ahi) with descendant rows
-   [dlo, dhi), row-major, as output rows [row ..]. *)
+   [dlo, dhi), row-major, as output rows [row ..]; a boxed row is merged
+   in [buf] first. *)
 let write_rows : type o.
-    o rows -> width:int -> anc:side -> desc:side -> int -> int -> int -> int ->
-    int -> unit =
- fun r ~width ~anc ~desc row alo ahi dlo dhi ->
+    o rows -> buf:int array -> width:int -> anc:side -> desc:side -> int ->
+    int -> int -> int -> int -> unit =
+ fun r ~buf ~width ~anc ~desc row alo ahi dlo dhi ->
   match r with
   | Flat_rows out ->
       let o = ref (row * width) in
@@ -495,14 +484,13 @@ let write_rows : type o.
           o := !o + width
         done
       done
-  | Boxed_rows (out, scratch) ->
+  | Boxed_rows out ->
       let o = ref row in
       for ar = alo to ahi - 1 do
         let ab = base anc ~width ar in
         for dr = dlo to dhi - 1 do
-          merge_rows anc.data ab desc.data (base desc ~width dr) scratch 0
-            width;
-          Array.unsafe_set out !o (Tuple.of_slice scratch 0 width);
+          merge_rows anc.data ab desc.data (base desc ~width dr) buf 0 width;
+          Array.unsafe_set out !o (Tuple.of_slice buf 0 width);
           incr o
         done
       done
@@ -512,46 +500,7 @@ let finish_rows : type o. o rows -> width:int -> ?groups:Batch.groups -> int -> 
  fun r ~width ?groups len ->
   match r with
   | Flat_rows a -> Batch.unsafe_of_raw ?groups ~width ~len a
-  | Boxed_rows (a, _) -> a
-
-(* Shard outputs in shard order.  Shards own disjoint ranges of groups on
-   both sides, so no group spans two parts: the carried groups are the
-   parts' groups end to end, each part's offsets shifted by the rows
-   before it.  Every part is a flat {!run} output, so it carries them. *)
-let concat_groups parts total =
-  let gs = Array.map (fun b -> Option.get (Batch.grouped b)) parts in
-  let ng = Array.fold_left (fun acc (g : Batch.groups) -> acc + g.n) 0 gs in
-  let c = Batch.make_groups ~slot:gs.(0).slot ~rows:total ng in
-  let at = ref 0 and rows = ref 0 in
-  Array.iteri
-    (fun i (g : Batch.groups) ->
-      for k = 0 to g.n - 1 do
-        c.off.(!at + k) <- !rows + g.off.(k)
-      done;
-      Array.blit g.gstart 0 c.gstart !at g.n;
-      Array.blit g.gend 0 c.gend !at g.n;
-      Array.blit g.glevel 0 c.glevel !at g.n;
-      at := !at + g.n;
-      rows := !rows + Batch.length parts.(i))
-    gs;
-  c
-
-let concat : type o. o out -> width:int -> o array -> o =
- fun out ~width parts ->
-  match out with
-  | Boxed -> Array.concat (Array.to_list parts)
-  | Flat ->
-      let total = Array.fold_left (fun acc b -> acc + Batch.length b) 0 parts in
-      let data = Array.make (max 1 (total * width)) Tuple.unbound in
-      let pos = ref 0 in
-      Array.iter
-        (fun b ->
-          let n = Batch.length b * width in
-          Array.blit (Batch.data b) 0 data !pos n;
-          pos := !pos + n)
-        parts;
-      Batch.unsafe_of_raw ~groups:(concat_groups parts total) ~width
-        ~len:total data
+  | Boxed_rows a -> a
 
 (* ---------- the kernel ---------- *)
 
@@ -561,51 +510,22 @@ let concat : type o. o out -> width:int -> o array -> o =
 let ceiling (budget : Budget.t) =
   match budget.Budget.max_tuples with Some l -> max l 0 | None -> max_int
 
-(* The groups a Flat output carries, in its output order's slot: the
-   [ng] groups of that side that met at least one pair, counted by
-   [emit].  For Anc, [next.(g)] is ancestor group [g]'s first output row
-   and its rows end where the next group's begin. *)
-let anc_carried ~slot ~ng (ag : groups) next ~total =
-  let c = Batch.make_groups ~slot ~rows:total ng in
-  let k = ref 0 in
-  for g = 0 to ag.n - 1 do
-    if (if g + 1 < ag.n then next.(g + 1) else total) > next.(g) then begin
-      c.off.(!k) <- next.(g);
-      c.gstart.(!k) <- ag.gstart.(g);
-      c.gend.(!k) <- ag.gend.(g);
-      c.glevel.(!k) <- ag.glevel.(g);
-      incr k
-    end
-  done;
-  c
+(* What {!record} learned about the ancestor groups [alo, ahi) it
+   merged: the [nr / 3] rectangles (g, d0, d1) in generation order, the
+   first row of each key counted from the merge's own first row, its
+   [total] rows and the [ng] output-order groups that met a pair.  The
+   arrays are a lane's: valid until the lane's next kernel. *)
+type recording = {
+  alo : int;
+  ahi : int;
+  rects : int array;
+  nr : int;
+  next : int array;
+  total : int;
+  ng : int;
+}
 
-(* For Desc they are read off the [nr / 3] rectangles in generation
-   order: rectangle (g, d0, d1) writes ancestor [g]'s rows times
-   descendant groups [d0, d1) in turn, and one descendant group's
-   rectangles are consecutive.  Every group here met a pair, so its
-   metadata was faulted in before the merge emitted it. *)
-let desc_carried ~slot ~ng (ag : groups) (dg : groups) r nr =
-  let c = Batch.make_groups ~slot ~rows:0 ng in
-  let k = ref (-1) and last = ref (-1) and row = ref 0 in
-  for i = 0 to (nr / 3) - 1 do
-    let g = r.(3 * i) in
-    let arows = ag.off.(g + 1) - ag.off.(g) in
-    for d = r.((3 * i) + 1) to r.((3 * i) + 2) - 1 do
-      if d <> !last then begin
-        incr k;
-        c.off.(!k) <- !row;
-        c.gstart.(!k) <- dg.gstart.(d);
-        c.gend.(!k) <- dg.gend.(d);
-        c.glevel.(!k) <- dg.glevel.(d);
-        last := d
-      end;
-      row := !row + (arows * (dg.off.(d + 1) - dg.off.(d)))
-    done
-  done;
-  c.off.(ng) <- !row;
-  c
-
-(* One body for both algorithms, in three steps.
+(* Record and size, the first two of a join's three steps.
 
    Record.  The merge calls [emit g d] for every related (ancestor
    group, descendant group) pair; [emit] faults the pair's rows in (so
@@ -620,36 +540,24 @@ let desc_carried ~slot ~ng (ag : groups) (dg : groups) r nr =
    the ceiling stops the join, counting up to the first tuple past
    [limit]: the same stopping tuple and the same [Tuples_materialized {
    limit; count = limit + 1 }] as the per-tuple check of
-   [Stack_tree_legacy].  The rectangles go into the call's scratch set,
-   which starts empty whatever its last holder left in it (the length
-   [nr] is this call's), and grows by doubling only past its largest
-   earlier use.
+   [Stack_tree_legacy].  The rectangles go into the lane, which starts
+   empty whatever its last holder left in it (the length [nr] is this
+   call's), and grows by doubling only past its largest earlier use.
 
    Size.  Each rectangle has a key: 0 for Desc, which writes rectangles
    in generation order, and its ancestor group for Anc, which writes
    every pair of group [g] before any pair of a later group — the order
    the legacy variant's self/inherit chunk chaining emits.  Pair counts
-   per key turn into row offsets (a stable counting sort), and the
-   output is allocated once at its exact size.  Holding |AB| pairs until
-   their ancestor pops is what the [2 |AB| f_IO] cost term prices, hence
-   Anc's [io_items].  A flat output's groups ({!anc_carried},
-   {!desc_carried}) are sized and filled from the same counts and
-   rectangles, before any row is written.
-
-   Write.  Rectangles are written in generation order, each at its
-   key's next row; deadline and cancellation are polled every 256
-   rectangles. *)
-let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
-    ~desc_i ~out_slot (ag : groups) (dg : groups) : o =
-  Scratch.with_set @@ fun scratch ->
-  let by_anc =
-    match algo with Plan.Stack_tree_anc -> true | Plan.Stack_tree_desc -> false
-  in
-  let keys = if by_anc then ag.n else 1 in
-  let next = Scratch.reserve scratch.Scratch.counts keys in
-  scratch.Scratch.counts <- next;
+   per key turn into row offsets (a stable counting sort).  Holding
+   |AB| pairs until their ancestor pops is what the [2 |AB| f_IO] cost
+   term prices, hence Anc's [io_items]. *)
+let record ~by_anc ~budget ~work ~axis ~drain ~(lane : Scratch.lane) ag ~alo
+    ~ahi dg ~dlo ~dhi =
+  let keys = if by_anc then ahi - alo else 1 in
+  let next = Scratch.reserve lane.Scratch.counts keys in
+  lane.Scratch.counts <- next;
   Array.fill next 0 keys 0;
-  let rects = ref scratch.Scratch.rects and nr = ref 0 in
+  let rects = ref lane.Scratch.rects and nr = ref 0 in
   (* the output-order groups that met a pair: an Anc group's first pair,
      or a new descendant group (they come in order) *)
   let ng = ref 0 and last_d = ref (-1) in
@@ -672,7 +580,7 @@ let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
             let bigger = Array.make (max 3072 (2 * n)) 0 in
             Array.blit r 0 bigger 0 n;
             rects := bigger;
-            scratch.Scratch.rects <- bigger;
+            lane.Scratch.rects <- bigger;
             bigger
           end
         in
@@ -681,7 +589,7 @@ let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
         r.(n + 2) <- d + 1;
         nr := n + 3
       end;
-      let k = if by_anc then g else 0 in
+      let k = if by_anc then g - alo else 0 in
       if (if by_anc then next.(k) = 0 else d <> !last_d) then incr ng;
       last_d := d;
       next.(k) <- next.(k) + npairs;
@@ -694,33 +602,115 @@ let run (type o) (out : o out) ~algo ~budget ~work ~axis ~drain ~width ~anc_i
       Budget.check_tuples budget ~during:"execute" ~count:work.Work.tuples_emitted
     end
   in
-  merge_loop ~budget ~work ~axis ~drain ~scratch ag dg ~emit;
+  merge_loop ~budget ~work ~axis ~drain ~lane ag ~alo ~ahi dg ~dlo ~dhi ~emit;
   let total = ref 0 in
   for k = 0 to keys - 1 do
     let c = next.(k) in
     next.(k) <- !total;
     total := !total + c
   done;
-  let total = !total and r = !rects and nr = !nr and ng = !ng in
+  let total = !total in
   if by_anc then work.Work.io_items <- work.Work.io_items + (2 * total);
-  let groups =
-    match out with
-    | Boxed -> None
-    | Flat when by_anc -> Some (anc_carried ~slot:out_slot ~ng ag next ~total)
-    | Flat -> Some (desc_carried ~slot:out_slot ~ng ag dg r nr)
+  { alo; ahi; rects = !rects; nr = !nr; next; total; ng = !ng }
+
+(* The groups a Flat output carries, in its output order's slot, written
+   as groups [at ..] of [c] with rows counted from [row0]: the [rc.ng]
+   groups of that side that met at least one pair.  For Anc, ancestor
+   group [g]'s rows start at its key's offset and end where the next
+   group's begin.  For Desc they are read off the rectangles in
+   generation order: rectangle (g, d0, d1) writes ancestor [g]'s rows
+   times descendant groups [d0, d1) in turn, and one descendant group's
+   rectangles are consecutive.  Every group here met a pair, so its
+   metadata was faulted in before the merge emitted it.  [c.off]'s last
+   entry is the caller's to write. *)
+let carry ~by_anc rc (ag : groups) (dg : groups) (c : Batch.groups) ~at ~row0 =
+  let k = ref at in
+  let add (g : groups) i row =
+    c.off.(!k) <- row0 + row;
+    c.gstart.(!k) <- g.gstart.(i);
+    c.gend.(!k) <- g.gend.(i);
+    c.glevel.(!k) <- g.glevel.(i);
+    incr k
   in
-  let rows = make_rows out ~width total in
+  if by_anc then
+    for g = rc.alo to rc.ahi - 1 do
+      let first = rc.next.(g - rc.alo) in
+      if (if g + 1 < rc.ahi then rc.next.(g + 1 - rc.alo) else rc.total) > first
+      then add ag g first
+    done
+  else begin
+    let r = rc.rects and last = ref (-1) and row = ref 0 in
+    for i = 0 to (rc.nr / 3) - 1 do
+      let g = r.(3 * i) in
+      let arows = ag.off.(g + 1) - ag.off.(g) in
+      for d = r.((3 * i) + 1) to r.((3 * i) + 2) - 1 do
+        if d <> !last then begin
+          add dg d !row;
+          last := d
+        end;
+        row := !row + (arows * (dg.off.(d + 1) - dg.off.(d)))
+      done
+    done
+  end
+
+(* Write, the last step: rectangles in generation order, each at its
+   key's next row, counted from [row0]; deadline and cancellation are
+   polled every 256 rectangles. *)
+let write : type o.
+    o rows -> by_anc:bool -> budget:Budget.t -> width:int -> anc_i:input ->
+    desc_i:input -> recording -> groups -> groups -> row0:int -> unit =
+ fun rows ~by_anc ~budget ~width ~anc_i ~desc_i rc ag dg ~row0 ->
   let anc = side ~width anc_i and desc = side ~width desc_i in
-  for i = 0 to (nr / 3) - 1 do
+  let buf =
+    match rows with
+    | Flat_rows _ -> [||]
+    | Boxed_rows _ -> Array.make width Tuple.unbound
+  in
+  let r = rc.rects and next = rc.next in
+  for i = 0 to (rc.nr / 3) - 1 do
     if i land poll_mask = poll_mask then Budget.check budget ~during:"execute";
     let g = r.(3 * i) in
     let alo = ag.off.(g) and ahi = ag.off.(g + 1) in
     let dlo = dg.off.(r.((3 * i) + 1)) and dhi = dg.off.(r.((3 * i) + 2)) in
-    let k = if by_anc then g else 0 in
+    let k = if by_anc then g - rc.alo else 0 in
     let row = next.(k) in
-    write_rows rows ~width ~anc ~desc row alo ahi dlo dhi;
+    write_rows rows ~buf ~width ~anc ~desc (row0 + row) alo ahi dlo dhi;
     next.(k) <- row + ((ahi - alo) * (dhi - dlo))
-  done;
+  done
+
+(* The output of recordings [recs], in order: rows and, for a Flat
+   output, groups, taken once at their exact size from the execution's
+   set.  Recording [k] writes its rows and groups after those of the
+   recordings before it; [each f] calls [f k] once for every [k], in
+   any order and on any domain, since no two write the same entry. *)
+let assemble : type o.
+    o out -> Scratch.t -> by_anc:bool -> budget:Budget.t -> width:int ->
+    slot:int -> anc_i:input -> desc_i:input -> groups -> groups ->
+    recording array -> each:((int -> unit) -> unit) -> o =
+ fun out scratch ~by_anc ~budget ~width ~slot ~anc_i ~desc_i ag dg recs ~each ->
+  let m = Array.length recs in
+  let row0 = Array.make (m + 1) 0 and at = Array.make (m + 1) 0 in
+  Array.iteri
+    (fun k rc ->
+      row0.(k + 1) <- row0.(k) + rc.total;
+      at.(k + 1) <- at.(k) + rc.ng)
+    recs;
+  let total = row0.(m) in
+  let rows = make_rows out scratch ~width total in
+  let groups =
+    match out with
+    | Boxed -> None
+    | Flat ->
+        let c = Batch.make_groups scratch ~slot at.(m) in
+        c.off.(at.(m)) <- total;
+        Some c
+  in
+  each (fun k ->
+      let rc = recs.(k) in
+      Option.iter
+        (fun c -> carry ~by_anc rc ag dg c ~at:at.(k) ~row0:row0.(k))
+        groups;
+      write rows ~by_anc ~budget ~width ~anc_i ~desc_i rc ag dg ~row0:row0.(k));
   finish_rows rows ~width ?groups total
 
 (* ---------- sharded dispatch ---------- *)
@@ -738,7 +728,7 @@ let default_par_min_rows = 4096
    [force] materializes any disk-backed leaf inputs; it runs after the
    cheap size checks but before cut-point selection, which scans the
    full ancestor metadata columns.  Sharded merges therefore never
-   fault lazily (see {!sub_groups}): page accounting stays a
+   fault lazily (see {!resident_view}): page accounting stays a
    deterministic full scan regardless of domain count, at the price of
    giving up skip-ahead IO savings on joins big enough to shard. *)
 let shard_cuts ~pool ~par_min_rows ~budget ~force (ag : groups) (dg : groups) =
@@ -782,15 +772,23 @@ let shard_stats () =
     shard_rows_max_weighted = Atomic.get shard_rows_max_weighted;
   }
 
-(* Run [runner] once per shard, merge per-shard work into [work]
-   at the barrier (integer counters are order-independent sums), and
-   hand the per-shard outputs back in shard order.  Each shard gets the
-   ancestor slice [cuts.(k), cuts.(k+1)) and exactly the descendant
-   groups [dcuts.(k), dcuts.(k+1)): those whose start falls at-or-after
-   its first ancestor's start and before the next shard's — containment
-   pairs never cross a valid cut, so every pair is produced by exactly
-   one shard. *)
-let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
+(* Groups whose columns are all readable already: a sharded join's
+   inputs are forced (see {!shard_cuts}), and shards must not share a
+   lazy leaf's page-run state — per-shard lazy faulting would make page
+   accounting depend on domain interleaving. *)
+let resident_view (g : groups) =
+  { g with e_meta = no_ensure; e_probe = no_ensure; e_rows = no_ensure2 }
+
+(* Shard [k] records the ancestor groups [cuts.(k), cuts.(k+1)) and
+   exactly the descendant groups [dcuts.(k), dcuts.(k+1)): those whose
+   start falls at-or-after its first ancestor's start and before the
+   next shard's — containment pairs never cross a valid cut, so every
+   pair is produced by exactly one shard.  Each shard records in its own
+   lane of the execution's set, over ranges of the shared group columns;
+   per-shard work is merged into [work] at the barrier (integer counters
+   are order-independent sums).  Returns the recordings in shard
+   order. *)
+let record_sharded ~pool ~cuts ~work ~lanes ag dg record =
   let m = Array.length cuts - 1 in
   let dcuts =
     Array.init (m + 1) (fun k ->
@@ -818,12 +816,11 @@ let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
     Pool.run pool m (fun k ->
         let dhi = dcuts.(k + 1) in
         let shard_work = Work.zero () in
-        let out =
-          runner ~work:shard_work ~drain:(dhi < dg.n)
-            (sub_groups ag cuts.(k) cuts.(k + 1))
-            (sub_groups dg dcuts.(k) dhi)
+        let rc =
+          record ~work:shard_work ~drain:(dhi < dg.n) ~lane:lanes.(k)
+            ~alo:cuts.(k) ~ahi:cuts.(k + 1) ~dlo:dcuts.(k) ~dhi
         in
-        (shard_work, out))
+        (shard_work, rc))
   in
   Array.iter (fun (sw, _) -> Work.merge_into work sw) results;
   Array.map snd results
@@ -839,16 +836,16 @@ let run_sharded ~pool ~cuts ~work (ag : groups) (dg : groups) runner =
    raise over the whole leaf, without reading the leaf at all; an empty
    leaf has no groups.  Document position columns are only built when a
    batch input actually needs them. *)
-let group_input ~cols (i : input) slot =
+let group_input scratch ~cols (i : input) slot =
   match i with
   | Rows b -> (
       match Batch.grouped b with
       | Some c when c.Batch.slot = slot -> carried c
-      | _ -> group ~cols:(Lazy.force cols) b slot)
+      | _ -> group scratch ~cols:(Lazy.force cols) b slot)
   | Leaf l when slot = l.lslot -> leaf_groups l
   | Leaf l ->
       let len = min 1 (Cols.length l.lcols) in
-      group ~cols:Cols.empty
+      group scratch ~cols:Cols.empty
         (Batch.unsafe_of_raw ~width:l.lwidth ~len
            (Array.make (len * l.lwidth) Tuple.unbound))
         slot
@@ -856,24 +853,25 @@ let group_input ~cols (i : input) slot =
 let force_input = function Rows _ -> () | Leaf l -> force_leaf l
 
 (* Shard when the pool and budget allow (see [shard_cuts]), otherwise
-   run the serial kernel once. *)
-let join_in (type o) (out : o out) ?(budget = Budget.unlimited) ?pool
+   record serially in the set's own lane; either way the output is
+   written once, each recording into its own range of it. *)
+let join_in (type o) (out : o out) scratch ?(budget = Budget.unlimited) ?pool
     ?(par_min_rows = default_par_min_rows) ~work ~doc ~axis ~algo
     ~anc:(anc_i, anc_slot) ~desc:(desc_i, desc_slot) () : o =
   let width = input_width anc_i in
   if input_width desc_i <> width then
     invalid_arg "Stack_tree: input batch widths differ";
   let cols = lazy (Document.positions doc) in
-  let ag = group_input ~cols anc_i anc_slot in
-  let dg = group_input ~cols desc_i desc_slot in
-  let out_slot =
+  let ag = group_input scratch ~cols anc_i anc_slot in
+  let dg = group_input scratch ~cols desc_i desc_slot in
+  let by_anc, slot =
     match algo with
-    | Plan.Stack_tree_anc -> anc_slot
-    | Plan.Stack_tree_desc -> desc_slot
+    | Plan.Stack_tree_anc -> (true, anc_slot)
+    | Plan.Stack_tree_desc -> (false, desc_slot)
   in
-  let run ~work ~drain ag dg =
-    run out ~algo ~budget ~work ~axis ~drain ~width ~anc_i ~desc_i ~out_slot ag
-      dg
+  let assemble ag dg recs ~each =
+    assemble out scratch ~by_anc ~budget ~width ~slot ~anc_i ~desc_i ag dg
+      recs ~each
   in
   let force () =
     force_input anc_i;
@@ -881,9 +879,21 @@ let join_in (type o) (out : o out) ?(budget = Budget.unlimited) ?pool
   in
   match shard_cuts ~pool ~par_min_rows ~budget ~force ag dg with
   | Some cuts ->
-      concat out ~width
-        (run_sharded ~pool:(Option.get pool) ~cuts ~work ag dg run)
-  | None -> run ~work ~drain:false ag dg
+      let pool = Option.get pool in
+      let ag = resident_view ag and dg = resident_view dg in
+      let lanes = Scratch.lanes scratch (Array.length cuts - 1) in
+      let recs =
+        record_sharded ~pool ~cuts ~work ~lanes ag dg
+          (record ~by_anc ~budget ~axis ag dg)
+      in
+      assemble ag dg recs ~each:(fun f ->
+          ignore (Pool.run pool (Array.length recs) f))
+  | None ->
+      let rc =
+        record ~by_anc ~budget ~work ~axis ~drain:false
+          ~lane:(Scratch.lane scratch) ag ~alo:0 ~ahi:ag.n dg ~dlo:0 ~dhi:dg.n
+      in
+      assemble ag dg [| rc |] ~each:(fun f -> f 0)
 
 let join ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
     ~anc:(anc_tuples, anc_slot) ~desc:(desc_tuples, desc_slot) () =
@@ -893,5 +903,6 @@ let join ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
     else 0
   in
   let rows tuples = Rows (Batch.of_tuples ~width tuples) in
-  join_in Boxed ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
+  Scratch.with_set @@ fun scratch ->
+  join_in Boxed scratch ?budget ?pool ?par_min_rows ~work ~doc ~axis ~algo
     ~anc:(rows anc_tuples, anc_slot) ~desc:(rows desc_tuples, desc_slot) ()

@@ -26,16 +26,18 @@
     related (ancestor group, descendant group) pair as a rectangle of
     rows, extending the previous rectangle while a one-row ancestor
     group meets consecutive descendant groups; the output is then
-    allocated once at its exact size and the rectangles are written in
-    the algorithm's order (generation order for Desc, grouped by
-    ancestor for Anc).  The output form — a flat {!Batch.t} for interior
-    joins, boxed {!Tuple.t} rows for the plan's root join — is a type
-    argument ({!out}) that only decides how rows are written.  A flat
-    output carries the groups of its order's slot ({!Batch.grouped}):
-    the descendant groups that met a pair for Desc, the ancestor groups
-    for Anc.  The rectangles, per-group counts and merge stack live in a
-    {!Scratch} set the call owns while it runs, so a join allocates only
-    its output.
+    taken once at its exact size and the rectangles are written in the
+    algorithm's order (generation order for Desc, grouped by ancestor
+    for Anc).  The output form — a flat {!Batch.t} for interior joins,
+    boxed {!Tuple.t} rows for the plan's root join — is a type argument
+    ({!out}) that only decides how rows are written.  A flat output
+    carries the groups of its order's slot ({!Batch.grouped}): the
+    descendant groups that met a pair for Desc, the ancestor groups for
+    Anc.  The rectangles, per-group counts and merge stack live in a lane
+    of the execution's {!Scratch} set, and a flat output, its groups and
+    any grouping pass over a fetched stream are lent by the set's arena.
+    So an interior join allocates nothing fresh, and a root join only
+    its boxed rows.
 
     {b Budgets.}  The [max_tuples] ceiling is a clamp on each recorded
     group pair, worked out once per join: the pair that would cross it
@@ -51,10 +53,12 @@
 
     {b Parallelism.}  Given a [pool] of size > 1, a large enough join is
     range-partitioned on the ancestor group column at forest-closed cut
-    points (no ancestor interval straddles a cut), each shard runs the
-    unchanged serial kernel over its slice on a pool domain, per-shard
-    work records are merged at the barrier, and shard outputs are
-    concatenated in shard order.  The result — tuples, ordering, and
+    points (no ancestor interval straddles a cut).  Each shard records
+    its ranges of the shared group columns with the unchanged serial
+    merge on a pool domain, in its own lane of the set; per-shard work
+    records are merged at the barrier.  The output is then taken once,
+    and each shard writes its rows and groups into its own range of it,
+    in shard order.  The result — tuples, ordering, and
     every counter including [items_skipped] — is bit-identical to the
     serial run by construction, for any shard count.  Sharding is
     declined (falling back to serial) when the budget carries a
@@ -120,9 +124,10 @@ val resident : width:int -> slot:int -> Cols.t -> input
 val input_rows : input -> int
 (** Row count — answered without IO for a leaf. *)
 
-val to_batch : input -> Batch.t
-(** The input as a resident batch; a lazy leaf is forced fully first
-    (charging its full-scan page touches). *)
+val to_batch : Scratch.t -> input -> Batch.t
+(** The input as a resident batch; a leaf's rows are lent by the set,
+    and a lazy leaf is forced fully first (charging its full-scan page
+    touches). *)
 
 (** {1 Kernel internals shared with the holistic twig kernel}
 
@@ -149,12 +154,12 @@ type groups = {
     the rows, are read (no-ops for [Rows] and resident leaves).  The
     same entries as the {!Batch.groups} an operator output carries. *)
 
-val group_input : cols:Cols.t Lazy.t -> input -> int -> groups
+val group_input : Scratch.t -> cols:Cols.t Lazy.t -> input -> int -> groups
 (** Group an input by slot: a leaf on its own slot as described above,
     [Rows] that carry groups for [slot] by those groups (no pass, no
     document read), other [Rows] by a pass over the rows that reads
     positions from [cols], the document's position columns, forced only
-    then.  That pass raises [Invalid_argument] when the input is not
+    then, into group columns lent by the set.  That pass raises [Invalid_argument] when the input is not
     sorted by the slot, the slot is unbound, or an id is out of the
     document's range.  A leaf on another slot is unbound there: a
     non-empty one raises without any IO, an empty one has no groups. *)
@@ -183,6 +188,7 @@ type _ out = Flat : Batch.t out | Boxed : Tuple.t array out
 
 val join_in :
   'o out ->
+  Scratch.t ->
   ?budget:Sjos_guard.Budget.t ->
   ?pool:Sjos_par.Pool.t ->
   ?par_min_rows:int ->
@@ -194,11 +200,12 @@ val join_in :
   desc:input * int ->
   unit ->
   'o
-(** [join_in out ~work ~doc ~axis ~algo ~anc:(a, sa) ~desc:(d, sd) ()]
+(** [join_in out s ~work ~doc ~axis ~algo ~anc:(a, sa) ~desc:(d, sd) ()]
     joins the rows of [a] (whose slot [sa] holds the ancestor-side node,
     sorted by it) with [d] (slot [sd], sorted by it), returning merged
     rows in form [out], ordered by the ancestor (STJ-Anc) or descendant
-    (STJ-Desc) node.  Raises [Invalid_argument] if an input is not
+    (STJ-Desc) node.  A [Flat] output is lent by the set [s]; a [Boxed]
+    one is fresh.  Raises [Invalid_argument] if an input is not
     sorted by its join slot, a join slot is unbound, or the input widths
     differ.  A leaf joined on a slot other than its own bound slot is
     materialized first (its other slots are unbound, so such a join is
@@ -224,8 +231,9 @@ val join :
   desc:Tuple.t array * int ->
   unit ->
   Tuple.t array
-(** [join_in Boxed] behind the classic tuple-array surface: inputs are
-    packed with {!Batch.of_tuples}.  Same contract and same counters. *)
+(** [join_in Boxed] behind the classic tuple-array surface, on a set of
+    its own: inputs are packed with {!Batch.of_tuples}.  Same contract
+    and same counters. *)
 
 (** {1 Shard balance} *)
 

@@ -103,7 +103,7 @@ let paths_to pat =
 
 let poll_mask = 255
 
-let run ?(budget = Budget.unlimited) ~work ~doc ~pat ~inputs () =
+let run scratch ?(budget = Budget.unlimited) ~work ~doc ~pat ~inputs () =
   let n = Pattern.node_count pat in
   if Array.length inputs <> n then
     invalid_arg "Twig_stack.run: expected one input per pattern node";
@@ -114,7 +114,9 @@ let run ?(budget = Budget.unlimited) ~work ~doc ~pat ~inputs () =
         invalid_arg "Twig_stack.run: input width must equal the node count")
     inputs;
   let cols = lazy (Document.positions doc) in
-  let g = Array.init n (fun i -> Stack_tree.group_input ~cols inputs.(i) i) in
+  let g =
+    Array.init n (fun i -> Stack_tree.group_input scratch ~cols inputs.(i) i)
+  in
   Array.iter
     (fun (gi : Stack_tree.groups) ->
       (* candidate streams carry distinct elements, so every group is a

@@ -35,6 +35,7 @@ open Sjos_pattern
 open Sjos_guard
 
 val run :
+  Scratch.t ->
   ?budget:Budget.t ->
   work:Sjos_obs.Work.t ->
   doc:Document.t ->
@@ -42,9 +43,10 @@ val run :
   inputs:Stack_tree.input array ->
   unit ->
   Batch.t
-(** [run ~work ~doc ~pat ~inputs ()] — the holistic match of [pat],
+(** [run s ~work ~doc ~pat ~inputs ()] — the holistic match of [pat],
     given one candidate stream per pattern node ([inputs.(i)] binds slot
     [i] of a width-[node_count] row; document order, distinct elements).
+    A fetched stream is grouped in arrays lent by the set [s].
 
     Raises [Invalid_argument] when the inputs do not form one candidate
     stream per node, and {!Budget.Exhausted} (via polls every 256

@@ -330,7 +330,12 @@ let handle_op t ~client req op =
   let tenant_name =
     Option.value (Wire.string_field req "tenant") ~default:"default"
   in
-  let tenant = Tenant.find t.tenants tenant_name in
+  (* Only ops that run a query resolve their tenant: a probe that names
+     an unknown tenant creates none and spends no ad-hoc slot. *)
+  let admitted f =
+    let tenant = Tenant.find t.tenants tenant_name in
+    admitted t ~client tenant req (f tenant)
+  in
   let include_tuples =
     Option.value (Wire.bool_field req "include_tuples") ~default:false
   in
@@ -346,7 +351,7 @@ let handle_op t ~client req op =
         ]
   | "metrics" -> Ok (metrics_fields t)
   | "prepare" ->
-      admitted t ~client tenant req (fun budget ->
+      admitted (fun tenant budget ->
           let name =
             match Wire.string_field req "name" with
             | Some n -> n
@@ -377,13 +382,13 @@ let handle_op t ~client req op =
             ("plan_cached", Json.Bool (Database.prepared_from_cache prep));
           ])
   | "exec" ->
-      admitted t ~client tenant req (fun budget ->
+      admitted (fun tenant budget ->
           let pat, algorithm, engine = resolve_pattern t ~tenant:tenant_name req in
           let opts = query_opts t tenant ~algorithm ~engine ~budget in
           let prep = prepare_handle t tenant ~opts pat in
           exec_fields prep (Database.exec prep) ~include_tuples)
   | "explain" ->
-      admitted t ~client tenant req (fun budget ->
+      admitted (fun tenant budget ->
           let pat, algorithm, engine = resolve_pattern t ~tenant:tenant_name req in
           let opts = query_opts t tenant ~algorithm ~engine ~budget in
           let prep = prepare_handle t tenant ~opts pat in
@@ -392,7 +397,7 @@ let handle_op t ~client req op =
             ("plan", Json.Str (Database.explain_prepared prep));
           ])
   | "analyze" ->
-      admitted t ~client tenant req (fun budget ->
+      admitted (fun tenant budget ->
           let pat, algorithm, engine = resolve_pattern t ~tenant:tenant_name req in
           let opts = query_opts t tenant ~algorithm ~engine ~budget in
           let prep = prepare_handle t tenant ~opts pat in

@@ -236,9 +236,12 @@ let check_ceilings msg ~doc ~anc ~desc ks =
                     Stack_tree_legacy.join ~budget ~work:(Work.zero ()) ~doc
                       ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ())
               in
-              let run out =
-                Stack_tree.join_in out ~budget ~work:(Work.zero ()) ~doc ~axis
-                  ~algo ~anc:(rows anc, 0) ~desc:(rows desc, 1) ()
+              let run out finish =
+                Scratch.with_set (fun s ->
+                    finish
+                      (Stack_tree.join_in out s ~budget ~work:(Work.zero ())
+                         ~doc ~axis ~algo ~anc:(rows anc, 0)
+                         ~desc:(rows desc, 1) ()))
               in
               List.iter
                 (fun (form, got) ->
@@ -254,8 +257,8 @@ let check_ceilings msg ~doc ~anc ~desc ks =
                   | _ -> Alcotest.failf "%s: only one kernel stopped" msg)
                 [
                   ( "flat",
-                    capped (fun () -> Batch.to_tuples (run Stack_tree.Flat)) );
-                  ("boxed", capped (fun () -> run Stack_tree.Boxed));
+                    capped (fun () -> run Stack_tree.Flat Batch.to_tuples) );
+                  ("boxed", capped (fun () -> run Stack_tree.Boxed Fun.id));
                 ])
             ks)
         all_cases)
@@ -410,7 +413,8 @@ let test_batch_roundtrip () =
   (match Batch.unsafe_of_raw ~width:2 ~len:4 (Array.make 6 0) with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "short raw array should be rejected");
-  let ids = Batch.of_ids ~width:2 ~slot:1 [| 3; 7 |] in
+  Scratch.with_set @@ fun s ->
+  let ids = Batch.of_ids s ~width:2 ~slot:1 [| 3; 7 |] in
   check ci "of_ids bound" 7 (Batch.get ids 1 1);
   check ci "of_ids unbound" Tuple.unbound (Batch.get ids 1 0)
 
@@ -432,8 +436,9 @@ let test_batch_sort_matches_tuple_sort () =
   let via_operator = Operators.sort ~work ~doc ~by:1 tuples in
   Helpers.check_same_tuple_seq "Operators.sort" reference via_operator;
   let via_batch =
-    Batch.to_tuples
-      (Batch.sort ~doc ~by:1 (Batch.of_tuples ~width:2 tuples))
+    Scratch.with_set (fun s ->
+        Batch.to_tuples
+          (Batch.sort s ~doc ~by:1 (Batch.of_tuples ~width:2 tuples)))
   in
   Helpers.check_same_tuple_seq "Batch.sort" reference via_batch
 
@@ -542,15 +547,16 @@ let prop_boxed_equals_flat =
           (fun axis ->
             List.iter
               (fun algo ->
-                let run budget out () =
-                  Stack_tree.join_in out ~budget ~work:(Work.zero ()) ~doc
+                let run s budget out () =
+                  Stack_tree.join_in out s ~budget ~work:(Work.zero ()) ~doc
                     ~axis ~algo ~anc:(anc, sa) ~desc:(desc, sd) ()
                 in
                 let k = Sjos_datagen.Rng.int rng 40 in
                 List.iter
                   (fun budget ->
-                    let boxed = outcome (run budget Stack_tree.Boxed) in
-                    let flat = outcome (run budget Stack_tree.Flat) in
+                    Scratch.with_set @@ fun s ->
+                    let boxed = outcome (run s budget Stack_tree.Boxed) in
+                    let flat = outcome (run s budget Stack_tree.Flat) in
                     (* cell by cell through [Batch.get], which does not
                        share the boxed form's allocator, then through
                        [Batch.to_tuples], which does *)
@@ -621,15 +627,16 @@ let test_resident_leaf_groups () =
               Printf.sprintf "%s in slot %d" (Candidate.spec_to_string spec)
                 slot
             in
+            Scratch.with_set @@ fun s ->
             let leaf =
-              Stack_tree.group_input ~cols:positions
+              Stack_tree.group_input s ~cols:positions
                 (Stack_tree.resident ~width:3 ~slot cols)
                 slot
             in
             let rows =
-              Stack_tree.group_input ~cols:positions
+              Stack_tree.group_input s ~cols:positions
                 (Stack_tree.Rows
-                   (Batch.of_ids ~width:3 ~slot cols.Sjos_xml.Cols.ids))
+                   (Batch.of_ids s ~width:3 ~slot cols.Sjos_xml.Cols.ids))
                 slot
             in
             let n = rows.Stack_tree.n in
@@ -678,7 +685,8 @@ let prop_sort_equals_stable_start_sort =
             else Sjos_datagen.Rng.int rng 1000 - 1)
       in
       let b = Batch.unsafe_of_raw ~width ~len:n data in
-      let sorted = Batch.sort ~doc ~by b in
+      Scratch.with_set @@ fun s ->
+      let sorted = Batch.sort s ~doc ~by b in
       let order =
         List.stable_sort
           (fun i j ->
@@ -697,10 +705,10 @@ let prop_sort_equals_stable_start_sort =
       in
       let positions = lazy (Document.positions doc) in
       let carried =
-        Stack_tree.group_input ~cols:positions (Stack_tree.Rows sorted) by
+        Stack_tree.group_input s ~cols:positions (Stack_tree.Rows sorted) by
       in
       let bare =
-        Stack_tree.group_input ~cols:positions
+        Stack_tree.group_input s ~cols:positions
           (Stack_tree.Rows
              (Batch.unsafe_of_raw ~width ~len:n (Batch.data sorted)))
           by
@@ -728,11 +736,11 @@ let prop_sort_equals_stable_start_sort =
       in
       let errors_ok =
         n = 0
-        || message (fun () -> Batch.sort ~doc ~by (with_id Tuple.unbound))
+        || message (fun () -> Batch.sort s ~doc ~by (with_id Tuple.unbound))
            = "Batch.sort: id -1 out of range"
-           && message (fun () -> Batch.sort ~doc ~by (with_id size))
+           && message (fun () -> Batch.sort s ~doc ~by (with_id size))
               = Printf.sprintf "Batch.sort: id %d out of range" size
-           && message (fun () -> Batch.sort ~doc ~by:width b)
+           && message (fun () -> Batch.sort s ~doc ~by:width b)
               = "Batch.sort: slot out of range"
       in
       rows_ok && groups_ok && errors_ok)

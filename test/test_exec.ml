@@ -4,6 +4,7 @@ open Sjos_pattern
 open Sjos_plan
 open Sjos_exec
 module Work = Sjos_obs.Work
+module Budget = Sjos_guard.Budget
 
 let check = Alcotest.check
 let ci = Alcotest.int
@@ -378,6 +379,112 @@ let test_naive_cluster_count () =
   check ci "sub cluster" 3 (Naive.cluster_count idx p 0b110);
   check ci "single" 3 (Naive.cluster_count idx p 0b001)
 
+(* ---------- results hold nothing of a run's scratch ---------- *)
+
+(* An execution's interior outputs are lent by a scratch set that later
+   executions reuse, so a result must hold none of them.  The results of
+   a join root, a sort root, a lone scan and a holistic root must stay
+   tuple for tuple what they were through 50 later executions of other
+   random plans and widths (each equal to [Naive]), then through a run
+   stopped mid-join by its tuple ceiling and a run cancelled mid-join,
+   after which the stopped plan, unbudgeted, still equals [Naive]. *)
+let test_results_survive_reuse () =
+  let doc = Lazy.force Helpers.pers_1k in
+  let idx = Lazy.force Helpers.pers_1k_index in
+  let module Rng = Sjos_datagen.Rng in
+  let rng = Rng.create (Helpers.seed + 333) in
+  let tags = Array.of_list (Document.tags doc) in
+  let optimized p =
+    let provider = Helpers.exact_provider idx p in
+    (Sjos_core.Optimizer.optimize ~provider Sjos_core.Optimizer.Dpp p)
+      .Sjos_core.Optimizer.plan
+  in
+  let twig = Helpers.pat "manager(//employee(/name),//department)" in
+  let join_plan = optimized twig in
+  (match join_plan with
+  | Plan.Structural_join _ -> ()
+  | _ -> Alcotest.fail "expected a join at the root");
+  let held =
+    [
+      ("join root", twig, join_plan);
+      ("sort root", twig, Plan.Sort { input = join_plan; by = 3 });
+      ("lone scan", Helpers.pat "employee", Plan.Index_scan 0);
+      ("holistic root", twig, Plan.holistic_of_pattern twig);
+    ]
+    |> List.map (fun (name, p, plan) ->
+           let r = (Executor.execute idx p plan).Executor.tuples in
+           Helpers.check_same_matches name (Naive.matches idx p)
+             (Array.to_list r);
+           check cb (name ^ ": non-empty") true (Array.length r > 0);
+           (name, r, Array.map Array.copy r))
+  in
+  let unchanged after =
+    List.iter
+      (fun (name, r, copy) ->
+        check cb
+          (Printf.sprintf "%s unchanged after %s" name after)
+          true
+          (Array.for_all2 Tuple.equal r copy))
+      held
+  in
+  for k = 1 to 50 do
+    let n = 1 + Rng.int rng 5 in
+    let p =
+      Pattern.create
+        ~labels:
+          (Array.init n (fun _ ->
+               Candidate.of_tag tags.(Rng.int rng (Array.length tags))))
+        ~edges:
+          (Array.init (n - 1) (fun i ->
+               (Rng.int rng (i + 1), Helpers.random_axis rng, i + 1)))
+        ()
+    in
+    let plan =
+      match
+        Sjos_core.Random_plan.sample ~seed:(Helpers.seed + k)
+          (Sjos_core.Search.make_ctx
+             ~provider:(Costing.constant_provider 5.0) p)
+          1
+      with
+      | [ (_, plan) ] -> plan
+      | _ -> Alcotest.fail "expected one random plan"
+    in
+    Helpers.check_same_matches
+      (Printf.sprintf "later run %d: %s" k (Pattern.to_string p))
+      (Naive.matches idx p)
+      (Array.to_list (Executor.execute idx p plan).Executor.tuples)
+  done;
+  unchanged "50 later runs";
+  let expected = Naive.matches idx twig in
+  let stopped what budget ?fetch () =
+    match Executor.execute ~budget ?fetch idx twig join_plan with
+    | exception Budget.Exhausted { resource; during = "execute" } -> resource
+    | _ -> Alcotest.failf "%s: the run was not stopped" what
+  in
+  (match
+     stopped "ceiling"
+       (Budget.make ~max_tuples:(List.length expected / 2) ())
+       ()
+   with
+  | Budget.Tuples_materialized _ -> ()
+  | _ -> Alcotest.fail "ceiling: stopped by something else");
+  unchanged "a run stopped by its ceiling";
+  (* the last scan cancels, so the root join, whose inputs are already
+     lent, is what polls the flag *)
+  let budget = Budget.make ~cancelled:(Atomic.make false) () in
+  let scans = ref 0 in
+  let fetch spec =
+    incr scans;
+    if !scans = Pattern.node_count twig then Budget.cancel budget;
+    (Candidate.select idx spec).Cols.ids
+  in
+  (match stopped "cancel" budget ~fetch () with
+  | Budget.Cancelled -> ()
+  | _ -> Alcotest.fail "cancel: stopped by something else");
+  unchanged "a cancelled run";
+  Helpers.check_same_matches "the stopped plan, unbudgeted" expected
+    (Array.to_list (Executor.execute idx twig join_plan).Executor.tuples)
+
 let suite =
   [
     ("tuple operations", `Quick, test_tuple);
@@ -401,4 +508,5 @@ let suite =
     ("twig join matches naive", `Quick, test_twig_join_matches_naive);
     ("twig join path solutions", `Quick, test_twig_join_path_solutions);
     ("twig join single node", `Quick, test_twig_join_single_node);
+    ("results survive scratch reuse", `Quick, test_results_survive_reuse);
   ]

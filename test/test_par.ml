@@ -325,17 +325,20 @@ let test_chaos_derive_pure () =
   check ci "same key, same stream" (Chaos.seed a1) (Chaos.seed a2);
   check cb "distinct keys, distinct streams" true (Chaos.seed a1 <> Chaos.seed b)
 
-(* ---------- kernel scratch: never shared, always emptied ---------- *)
+(* ---------- execution scratch: never shared, always emptied ---------- *)
 
-(* The join and sort kernels take their buffers from one process-wide
-   free list.  Four threads on this domain and a two-domain pool run the
-   workload queries at once over shared databases; every result must
-   equal the serial one tuple for tuple, and the list may gain at most
-   one set per kernel that could have run at once (one per thread, one
-   on the worker domain).  A join stopped by its tuple ceiling leaves
-   its buffers half written, and the same plan with no budget must still
-   return every tuple.  A buffer longer than [Scratch.max_kept] is
-   dropped when its set goes back. *)
+(* Every execution takes one scratch set from one process-wide free
+   list, and its sharded joins record in that set's lanes.  Four threads
+   on this domain and a two-domain pool run the workload queries at
+   once over shared databases: even threads through [Workload.run], odd
+   ones as whole [Executor.execute] runs of serially prepared plans.
+   Every result must equal the serial one tuple for tuple, and the
+   serial one the [Naive] oracle; the list may gain at most one set per
+   run that could have held one at once (one per thread, plus one), and
+   keep no buffer past [Scratch.max_kept].  A join stopped by its tuple
+   ceiling leaves its buffers half written, and the same plan with no
+   budget must still return every tuple.  A buffer longer than
+   [Scratch.max_kept] is dropped when its set goes back. *)
 let test_scratch_concurrent () =
   let db_for = workload_dbs () in
   let serial = Query_opts.make ~use_cache:false ~pool:Pool.serial () in
@@ -346,6 +349,28 @@ let test_scratch_concurrent () =
       .Executor.tuples
   in
   let reference = Array.map (run serial) qs in
+  Array.iteri
+    (fun i (q : Workload.query) ->
+      Helpers.check_same_matches
+        (q.Workload.id ^ ": serial = naive")
+        (Naive.matches
+           (Database.index (db_for q.Workload.dataset))
+           q.Workload.pattern)
+        (Array.to_list reference.(i)))
+    qs;
+  let plan_of (q : Workload.query) =
+    (Database.prepared_result
+       (Database.prepare ~opts:serial (db_for q.Workload.dataset)
+          q.Workload.pattern))
+      .Sjos_core.Optimizer.plan
+  in
+  let plans = Array.map plan_of qs in
+  let execute pool i =
+    let q = qs.(i) in
+    (Database.execute_plan ~pool (db_for q.Workload.dataset) q.Workload.pattern
+       plans.(i))
+      .Executor.tuples
+  in
   let before = Scratch.free_sets () in
   let threads = 4 in
   let results = Array.make_matrix threads nq [||] in
@@ -358,7 +383,8 @@ let test_scratch_concurrent () =
               try
                 for k = 0 to nq - 1 do
                   let i = (k + (2 * t)) mod nq in
-                  results.(t).(i) <- run opts qs.(i)
+                  results.(t).(i) <-
+                    (if t mod 2 = 0 then run opts qs.(i) else execute pool i)
                 done
               with e ->
                 let rec add () =
@@ -381,19 +407,17 @@ let test_scratch_concurrent () =
             reference.(i) tuples)
         row)
     results;
-  check cb "at most one new set per concurrent kernel" true
+  check cb "at most one new set per concurrent run" true
     (Scratch.free_sets () <= before + threads + 1);
+  check cb "no kept buffer past max_kept after the runs" true
+    (Scratch.longest_kept () <= Scratch.max_kept);
   (* a stopped join, then the same plan unbudgeted *)
   Array.iteri
     (fun i (q : Workload.query) ->
       let db = db_for q.Workload.dataset in
       let pat = q.Workload.pattern in
-      let plan =
-        (Database.prepared_result (Database.prepare ~opts:serial db pat))
-          .Sjos_core.Optimizer.plan
-      in
       let exec ?budget () =
-        (Database.execute_plan ?budget ~pool:Pool.serial db pat plan)
+        (Database.execute_plan ?budget ~pool:Pool.serial db pat plans.(i))
           .Executor.tuples
       in
       let limit = Array.length reference.(i) / 2 in
@@ -410,7 +434,8 @@ let test_scratch_concurrent () =
   let doc = Database.document (db_for Workload.Pers) in
   let rows = Scratch.max_kept + 1 in
   let ids = Array.init rows (fun r -> (r * 7919) mod Document.size doc) in
-  ignore (Batch.sort ~doc ~by:0 (Batch.of_ids ~width:1 ~slot:0 ids));
+  Scratch.with_set (fun s ->
+      ignore (Batch.sort s ~doc ~by:0 (Batch.of_ids s ~width:1 ~slot:0 ids)));
   check cb "no kept buffer past max_kept" true
     (Scratch.longest_kept () <= Scratch.max_kept)
 

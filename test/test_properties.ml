@@ -433,10 +433,11 @@ let prop_carried_groups_equal_group =
       let provider = Naive.exact_provider idx p in
       let plans = Random_plan.sample ~seed (Search.make_ctx ~provider p) 6 in
       let fail fmt = QCheck2.Test.fail_reportf fmt in
-      let same_groups what b slot =
-        let c = Stack_tree.group_input ~cols:positions (Stack_tree.Rows b) slot
+      let same_groups s what b slot =
+        let c =
+          Stack_tree.group_input s ~cols:positions (Stack_tree.Rows b) slot
         and g =
-          Stack_tree.group_input ~cols:positions
+          Stack_tree.group_input s ~cols:positions
             (Stack_tree.Rows
                (Batch.unsafe_of_raw ~width ~len:(Batch.length b) (Batch.data b)))
             slot
@@ -456,7 +457,7 @@ let prop_carried_groups_equal_group =
         field "gend" (fun x -> x.Stack_tree.gend) n;
         field "glevel" (fun x -> x.Stack_tree.glevel) n
       in
-      let rec eval ?pool plan =
+      let rec eval s ?pool plan =
         let work = Work.zero () in
         match plan with
         | Plan.Index_scan i ->
@@ -464,20 +465,20 @@ let prop_carried_groups_equal_group =
               (Candidate.select idx (Pattern.label p i))
         | Plan.Sort { input; by } ->
             let b =
-              Operators.sort_batch ~work ~doc ~by
-                (Stack_tree.to_batch (eval ?pool input))
+              Operators.sort_batch s ~work ~doc ~by
+                (Stack_tree.to_batch s (eval s ?pool input))
             in
-            same_groups "sort" b by;
+            same_groups s "sort" b by;
             Stack_tree.Rows b
         | Plan.Structural_join { anc_side; desc_side; edge; algo } ->
             let b =
-              Stack_tree.join_in Stack_tree.Flat ?pool ~par_min_rows:0 ~work
-                ~doc ~axis:edge.Pattern.axis ~algo
-                ~anc:(eval ?pool anc_side, edge.Pattern.anc)
-                ~desc:(eval ?pool desc_side, edge.Pattern.desc)
+              Stack_tree.join_in Stack_tree.Flat s ?pool ~par_min_rows:0
+                ~work ~doc ~axis:edge.Pattern.axis ~algo
+                ~anc:(eval s ?pool anc_side, edge.Pattern.anc)
+                ~desc:(eval s ?pool desc_side, edge.Pattern.desc)
                 ()
             in
-            same_groups
+            same_groups s
               (Printf.sprintf "join %s %s"
                  (match algo with
                  | Plan.Stack_tree_anc -> "STJ-A"
@@ -496,7 +497,9 @@ let prop_carried_groups_equal_group =
               List.iter
                 (fun pool ->
                   let got =
-                    Batch.to_tuples (Stack_tree.to_batch (eval ?pool plan))
+                    Scratch.with_set (fun s ->
+                        Batch.to_tuples
+                          (Stack_tree.to_batch s (eval s ?pool plan)))
                   in
                   if not (Array.length got = Array.length expected
                           && Array.for_all2 Tuple.equal got expected)

@@ -615,6 +615,32 @@ let test_metrics_always_counted () =
         (int_of pc "hits" + int_of pc "misses" >= n)
   | None -> Alcotest.fail "metrics response lacks plan_cache"
 
+(* Only query ops resolve a tenant: [health] and [metrics] probes naming
+   a stranger create no tenant, so the one ad-hoc slot is still free for
+   the first tenant that runs a query. *)
+let test_probes_create_no_tenant () =
+  let tenants = Tenant.registry ~max_ad_hoc:1 [] in
+  let srv = Server.create ~tenants (Lazy.force db) in
+  Fun.protect ~finally:(fun () -> Server.shutdown srv) @@ fun () ->
+  let names () =
+    List.map (fun (x : Tenant.t) -> x.Tenant.name) (Tenant.known tenants)
+  in
+  let before = names () in
+  List.iteri
+    (fun i op ->
+      let resp =
+        Server.handle_request srv (request ~tenant:"stranger" ~id:i op [])
+      in
+      check cb (op ^ " ok") true (ok_of resp))
+    [ "health"; "metrics"; "health" ];
+  check (Alcotest.list Alcotest.string) "probes create no tenant" before
+    (names ());
+  check cb "exec ok" true
+    (ok_of (Server.handle_request srv (exec_req ~tenant:"newcomer" q1)));
+  check (Alcotest.list Alcotest.string) "the ad-hoc slot went to a query"
+    (List.sort compare ("newcomer" :: before))
+    (names ())
+
 let suite =
   [
     Alcotest.test_case "wire round-trip and EOF" `Quick test_wire_roundtrip;
@@ -656,4 +682,6 @@ let suite =
       test_tenant_config_errors;
     Alcotest.test_case "metrics count requests with nothing enabled" `Quick
       test_metrics_always_counted;
+    Alcotest.test_case "health and metrics probes create no tenant" `Quick
+      test_probes_create_no_tenant;
   ]

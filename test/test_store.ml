@@ -95,9 +95,9 @@ let leaf_scan store ~width ~slot tag (m : Sjos_obs.Work.t) =
         m.Work.candidates_scanned + Cols.length (Column_store.leaf_cols lf);
       Stack_tree.leaf ~width ~slot lf
 
-let rows_scan index ~width ~slot tag (m : Sjos_obs.Work.t) =
+let rows_scan s index ~width ~slot tag (m : Sjos_obs.Work.t) =
   Stack_tree.Rows
-    (Operators.index_scan_batch ~work:m ~width ~slot
+    (Operators.index_scan_batch s ~work:m ~width ~slot
        (Element_index.cols index tag).Cols.ids)
 
 (* The executor's Mem scan: a resident leaf over [Column_store.select]. *)
@@ -130,10 +130,11 @@ let test_leaf_kernel () =
           in
           let reference =
             let m = Work.zero () in
-            let anc = rows_scan index ~width:2 ~slot:0 "manager" m in
-            let desc = rows_scan index ~width:2 ~slot:1 "employee" m in
+            Scratch.with_set @@ fun s ->
+            let anc = rows_scan s index ~width:2 ~slot:0 "manager" m in
+            let desc = rows_scan s index ~width:2 ~slot:1 "employee" m in
             let b =
-              Stack_tree.join_in Stack_tree.Flat ~work:m ~doc ~axis ~algo
+              Stack_tree.join_in Stack_tree.Flat s ~work:m ~doc ~axis ~algo
                 ~anc:(anc, 0) ~desc:(desc, 1) ()
             in
             (Batch.to_tuples b, m)
@@ -154,43 +155,43 @@ let test_leaf_kernel () =
           let variants =
             [
               ( "resident leaves",
-                fun m ->
+                fun _ m ->
                   ( resident_scan mem ~width:2 ~slot:0 "manager" m,
                     resident_scan mem ~width:2 ~slot:1 "employee" m,
                     None,
                     None ) );
               ( "resident anc, lazy desc",
-                fun m ->
+                fun _ m ->
                   ( resident_scan mem ~width:2 ~slot:0 "manager" m,
                     leaf_scan store ~width:2 ~slot:1 "employee" m,
                     None,
                     None ) );
               ( "rows anc, resident desc",
-                fun m ->
-                  ( rows_scan index ~width:2 ~slot:0 "manager" m,
+                fun s m ->
+                  ( rows_scan s index ~width:2 ~slot:0 "manager" m,
                     resident_scan mem ~width:2 ~slot:1 "employee" m,
                     None,
                     None ) );
               ( "sharded resident leaves",
-                fun m ->
+                fun _ m ->
                   ( resident_scan mem ~width:2 ~slot:0 "manager" m,
                     resident_scan mem ~width:2 ~slot:1 "employee" m,
                     Some pool,
                     Some 1 ) );
               ( "lazy leaves",
-                fun m ->
+                fun _ m ->
                   ( leaf_scan store ~width:2 ~slot:0 "manager" m,
                     leaf_scan store ~width:2 ~slot:1 "employee" m,
                     None,
                     None ) );
               ( "leaf anc, rows desc",
-                fun m ->
+                fun s m ->
                   ( leaf_scan store ~width:2 ~slot:0 "manager" m,
-                    rows_scan index ~width:2 ~slot:1 "employee" m,
+                    rows_scan s index ~width:2 ~slot:1 "employee" m,
                     None,
                     None ) );
               ( "sharded leaves",
-                fun m ->
+                fun _ m ->
                   ( leaf_scan store ~width:2 ~slot:0 "manager" m,
                     leaf_scan store ~width:2 ~slot:1 "employee" m,
                     Some pool,
@@ -200,9 +201,10 @@ let test_leaf_kernel () =
           List.iter
             (fun (vname, build) ->
               let m = Work.zero () in
-              let anc, desc, pool, par_min_rows = build m in
+              Scratch.with_set @@ fun s ->
+              let anc, desc, pool, par_min_rows = build s m in
               let b =
-                Stack_tree.join_in Stack_tree.Flat ?pool ?par_min_rows
+                Stack_tree.join_in Stack_tree.Flat s ?pool ?par_min_rows
                   ~work:m ~doc ~axis ~algo ~anc:(anc, 0) ~desc:(desc, 1) ()
               in
               let msg = name ^ " " ^ vname in
@@ -229,9 +231,11 @@ let test_leaf_laziness_bounded () =
   let m = Work.zero () in
   let anc = leaf_scan store ~width:2 ~slot:0 "manager" m in
   let desc = leaf_scan store ~width:2 ~slot:1 "employee" m in
-  ignore
-    (Stack_tree.join_in Stack_tree.Flat ~work:m ~doc ~axis:Axes.Descendant
-       ~algo:Plan.Stack_tree_desc ~anc:(anc, 0) ~desc:(desc, 1) ());
+  Scratch.with_set (fun s ->
+      ignore
+        (Stack_tree.join_in Stack_tree.Flat s ~work:m ~doc
+           ~axis:Axes.Descendant ~algo:Plan.Stack_tree_desc ~anc:(anc, 0)
+           ~desc:(desc, 1) ()));
   let lazy_misses =
     (Option.get (Column_store.io_stats store)).Pager.misses
   in
@@ -259,9 +263,10 @@ let io_pin_cases store ~doc ~pool =
   let join ?pool ?par_min_rows ~algo ~axis (anc, desc) () =
     let m = Work.zero () in
     let a, d = both anc desc m in
-    ignore
-      (Stack_tree.join_in Stack_tree.Flat ?pool ?par_min_rows ~work:m ~doc
-         ~axis ~algo ~anc:(a, 0) ~desc:(d, 1) ())
+    Scratch.with_set (fun s ->
+        ignore
+          (Stack_tree.join_in Stack_tree.Flat s ?pool ?par_min_rows ~work:m
+             ~doc ~axis ~algo ~anc:(a, 0) ~desc:(d, 1) ()))
   in
   let pairs =
     [ ("manager", "employee"); ("department", "name"); ("manager", "name") ]
@@ -294,7 +299,8 @@ let io_pin_cases store ~doc ~pool =
           | Some lf -> Stack_tree.leaf ~width ~slot:i lf
           | None -> Alcotest.fail "twig: no leaf for a pure tag")
     in
-    ignore (Twig_stack.run ~work:m ~doc ~pat ~inputs ())
+    Scratch.with_set (fun s ->
+        ignore (Twig_stack.run s ~work:m ~doc ~pat ~inputs ()))
   in
   (* a leaf joined off its own slot is rejected before any read: its
      other slots are unbound *)
@@ -302,8 +308,10 @@ let io_pin_cases store ~doc ~pool =
     let m = Work.zero () in
     let a, d = both "manager" "employee" m in
     match
-      Stack_tree.join_in Stack_tree.Flat ~work:m ~doc ~axis:Axes.Descendant
-        ~algo:Plan.Stack_tree_desc ~anc:(a, 0) ~desc:(d, 0) ()
+      Scratch.with_set (fun s ->
+          Stack_tree.join_in Stack_tree.Flat s ~work:m ~doc
+            ~axis:Axes.Descendant ~algo:Plan.Stack_tree_desc ~anc:(a, 0)
+            ~desc:(d, 0) ())
     with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail "off-slot leaf join accepted"
@@ -387,15 +395,18 @@ let test_off_slot_leaf () =
     (fun slot ->
       let expected =
         error (fun () ->
-            Stack_tree.group_input ~cols
-              (Stack_tree.Rows (Stack_tree.to_batch (leaf employee)))
-              slot)
+            Scratch.with_set (fun s ->
+                Stack_tree.group_input s ~cols
+                  (Stack_tree.Rows (Stack_tree.to_batch s (leaf employee)))
+                  slot))
       in
       Column_store.reset_io store;
       check Alcotest.string
         (Printf.sprintf "slot %d: group's error" slot)
         expected
-        (error (fun () -> Stack_tree.group_input ~cols (leaf employee) slot));
+        (error (fun () ->
+             Scratch.with_set (fun s ->
+                 Stack_tree.group_input s ~cols (leaf employee) slot)));
       check ci
         (Printf.sprintf "slot %d: no page access" slot)
         0 (Option.get (Column_store.io_stats store)).Pager.accesses)
@@ -405,7 +416,8 @@ let test_off_slot_leaf () =
   List.iter
     (fun input ->
       check ci "empty leaf: no groups" 0
-        (Stack_tree.group_input ~cols input 1).Stack_tree.n)
+        (Scratch.with_set (fun s ->
+             (Stack_tree.group_input s ~cols input 1).Stack_tree.n)))
     [ empty; Stack_tree.resident ~width:2 ~slot:0 Cols.empty ];
   check ci "empty leaf: no page access" 0
     (Option.get (Column_store.io_stats store)).Pager.accesses
